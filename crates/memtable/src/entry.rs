@@ -29,15 +29,6 @@ impl VersionedKey {
             version,
         }
     }
-
-    /// The smallest possible key for this user key (version 0); the lower
-    /// bound for scanning a key's version chain.
-    pub fn first_version(key: impl Into<Bytes>) -> Self {
-        VersionedKey {
-            key: key.into(),
-            version: 0,
-        }
-    }
 }
 
 impl fmt::Display for VersionedKey {
@@ -127,14 +118,6 @@ mod tests {
         keys.sort();
         let rendered: Vec<String> = keys.iter().map(|k| k.to_string()).collect();
         assert_eq!(rendered, vec!["a/1", "a/9", "b/1", "b/2"]);
-    }
-
-    #[test]
-    fn first_version_is_lower_bound() {
-        let lo = VersionedKey::first_version("k");
-        assert!(lo <= VersionedKey::new("k", 0));
-        assert!(lo < VersionedKey::new("k", 1));
-        assert!(lo > VersionedKey::new("j", u64::MAX));
     }
 
     #[test]

@@ -10,9 +10,9 @@
 //! * the versioned-entry vocabulary ([`VersionedKey`], [`IndexEntry`],
 //!   [`ValueLocation`]) that QinDB stores in it, including the paper's `r`
 //!   (deduplicated) and `d` (deleted) flags;
-//! * [`Memtable`] — the typed wrapper with the version-aggregation
-//!   queries the mutated GET/DEL operations need (same user keys sort
-//!   adjacent in increasing version order);
+//! * [`Memtable`] — the typed wrapper whose one version-chain walk
+//!   ([`Memtable::chain`]) the mutated PUT/GET/DEL operations are built
+//!   on (same user keys sort adjacent in increasing version order);
 //! * a checkpoint codec so an engine can persist and reload the table
 //!   without replaying every AOF.
 //!
@@ -25,5 +25,5 @@ mod table;
 
 pub use checkpoint::{decode_checkpoint, encode_checkpoint, CheckpointError};
 pub use entry::{IndexEntry, ValueLocation, VersionedKey};
-pub use skiplist::SkipList;
-pub use table::Memtable;
+pub use skiplist::{Cursor, Seek, SkipList};
+pub use table::{Chain, ChainLink, Memtable, Resolved};

@@ -11,6 +11,7 @@
 //! structure — important for reproducing the paper's figures bit-for-bit.
 
 use std::borrow::Borrow;
+use std::cmp::Ordering;
 
 const MAX_LEVEL: usize = 16;
 /// Probability numerator for growing a tower: P(level+1 | level) = 1/4.
@@ -26,10 +27,37 @@ struct Node<K, V> {
     forwards: Vec<u32>,
 }
 
+/// The arena index of a live node: a position handle that stays valid
+/// (across inserts and removals of *other* keys) until its own node is
+/// removed. Reaching a value through a cursor costs no search.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Cursor(u32);
+
+/// Where one descent ended: the first node not ordered before the probe,
+/// plus the per-level predecessors found on the way down — enough for
+/// [`SkipList::insert_after`] to splice a new node near the probe without
+/// searching again. A seek is invalidated by the next structural change
+/// (an insert of a new key, or a removal).
+#[derive(Debug, Clone, Copy)]
+pub struct Seek {
+    update: [u32; MAX_LEVEL],
+    next: u32,
+    epoch: u64,
+}
+
+impl Seek {
+    /// The first node not ordered before the probe — its lower bound.
+    pub fn first(&self) -> Option<Cursor> {
+        (self.next != NIL).then_some(Cursor(self.next))
+    }
+}
+
 /// A sorted map on a skip list.
 ///
-/// Functionally a subset of `BTreeMap`, plus `lower_bound` iteration,
-/// which is what the engine's version-traceback needs.
+/// Functionally a subset of `BTreeMap`, plus lower-bound seeks by
+/// comparator (the probe need not be a `K`, so a lookup builds no key)
+/// and arena-index cursors, which is what the engine's one-descent
+/// version-chain walk needs.
 ///
 /// ```
 /// use memtable::SkipList;
@@ -50,6 +78,8 @@ pub struct SkipList<K, V> {
     level: usize,
     len: usize,
     rng: u64,
+    /// Structural-change counter; stamps every [`Seek`].
+    epoch: u64,
 }
 
 impl<K: Ord, V> Default for SkipList<K, V> {
@@ -73,6 +103,7 @@ impl<K: Ord, V> SkipList<K, V> {
             level: 1,
             len: 0,
             rng: seed | 1, // xorshift state must be nonzero
+            epoch: 0,
         }
     }
 
@@ -110,23 +141,17 @@ impl<K: Ord, V> SkipList<K, V> {
         h
     }
 
-    /// For each level, the index of the last node strictly before `key`
-    /// (`NIL` meaning the head). Also returns the candidate node at level 0.
-    fn find_path<Q>(&self, key: &Q) -> ([u32; MAX_LEVEL], u32)
-    where
-        K: Borrow<Q>,
-        Q: Ord + ?Sized,
-    {
+    /// The one descent every search is built on. `cmp` orders a node's key
+    /// against the probe; returns, for each level, the index of the last
+    /// node ordered before the probe (`NIL` meaning the head), and the
+    /// candidate node at level 0.
+    fn descend(&self, mut cmp: impl FnMut(&K) -> Ordering) -> ([u32; MAX_LEVEL], u32) {
         let mut update = [NIL; MAX_LEVEL];
         let mut cur = NIL; // NIL = head
         for l in (0..self.level).rev() {
             loop {
-                let next = if cur == NIL {
-                    self.head[l]
-                } else {
-                    self.node(cur).forwards[l]
-                };
-                if next != NIL && self.node(next).key.borrow() < key {
+                let next = self.forward(cur, l);
+                if next != NIL && cmp(&self.node(next).key) == Ordering::Less {
                     cur = next;
                 } else {
                     break;
@@ -134,24 +159,86 @@ impl<K: Ord, V> SkipList<K, V> {
             }
             update[l] = cur;
         }
-        let candidate = if cur == NIL {
-            self.head[0]
+        (update, self.forward(cur, 0))
+    }
+
+    /// The node after `idx` at level `l` (`NIL` standing for the head).
+    fn forward(&self, idx: u32, l: usize) -> u32 {
+        if idx == NIL {
+            self.head[l]
         } else {
-            self.node(cur).forwards[0]
-        };
-        (update, candidate)
+            self.node(idx).forwards[l]
+        }
+    }
+
+    fn find_path<Q>(&self, key: &Q) -> ([u32; MAX_LEVEL], u32)
+    where
+        K: Borrow<Q>,
+        Q: Ord + ?Sized,
+    {
+        self.descend(|k| k.borrow().cmp(key))
+    }
+
+    /// Descends once to the lower bound of a probe that `cmp` defines:
+    /// `cmp(k)` is the ordering of a stored key `k` relative to the probe,
+    /// and must be monotone over the list's order.
+    pub fn seek_by(&self, cmp: impl FnMut(&K) -> Ordering) -> Seek {
+        let (update, next) = self.descend(cmp);
+        Seek {
+            update,
+            next,
+            epoch: self.epoch,
+        }
+    }
+
+    /// Inserts a new `key` using the path an earlier [`SkipList::seek_by`]
+    /// recorded, instead of descending again: each level resumes from the
+    /// seek's predecessor and steps over the nodes between the probe and
+    /// `key`. The probe must not order after `key`, and `key` must be
+    /// absent.
+    ///
+    /// # Panics
+    /// Panics if the list changed structurally since `seek` was taken.
+    pub fn insert_after(&mut self, seek: Seek, key: K, value: V) -> Cursor {
+        assert_eq!(seek.epoch, self.epoch, "stale skip-list seek");
+        let mut update = seek.update;
+        for (l, slot) in update.iter_mut().enumerate().take(self.level) {
+            loop {
+                let next = self.forward(*slot, l);
+                if next != NIL && self.node(next).key < key {
+                    *slot = next;
+                } else {
+                    break;
+                }
+            }
+        }
+        debug_assert!(
+            update[0] == NIL || self.node(update[0]).key < key,
+            "seek probe orders after the inserted key"
+        );
+        debug_assert!(
+            self.forward(update[0], 0) == NIL || self.node(self.forward(update[0], 0)).key > key,
+            "insert_after of a present key"
+        );
+        Cursor(self.splice(update, key, value))
     }
 
     /// Inserts `key → value`; if the key already exists its value is
     /// replaced and the old value returned.
     pub fn insert(&mut self, key: K, value: V) -> Option<V> {
-        let (mut update, candidate) = self.find_path(&key);
+        let (update, candidate) = self.find_path(&key);
         if candidate != NIL && self.node(candidate).key == key {
             return Some(std::mem::replace(
                 &mut self.node_mut(candidate).value,
                 value,
             ));
         }
+        self.splice(update, key, value);
+        None
+    }
+
+    /// Links a new node in after the per-level predecessors `update`.
+    fn splice(&mut self, mut update: [u32; MAX_LEVEL], key: K, value: V) -> u32 {
         let height = self.random_height();
         if height > self.level {
             for slot in update.iter_mut().take(height).skip(self.level) {
@@ -161,11 +248,7 @@ impl<K: Ord, V> SkipList<K, V> {
         }
         let mut forwards = vec![NIL; height];
         for (l, fwd) in forwards.iter_mut().enumerate() {
-            *fwd = if update[l] == NIL {
-                self.head[l]
-            } else {
-                self.node(update[l]).forwards[l]
-            };
+            *fwd = self.forward(update[l], l);
         }
         let node = Node {
             key,
@@ -194,7 +277,8 @@ impl<K: Ord, V> SkipList<K, V> {
             }
         }
         self.len += 1;
-        None
+        self.epoch += 1;
+        idx
     }
 
     /// Looks up `key`.
@@ -252,15 +336,16 @@ impl<K: Ord, V> SkipList<K, V> {
         let node = self.arena[candidate as usize].take().expect("live node");
         self.free.push(candidate);
         self.len -= 1;
+        self.epoch += 1;
         Some(node.value)
     }
 
     /// Iterates all entries in key order.
     pub fn iter(&self) -> Iter<'_, K, V> {
-        Iter {
+        Iter(Walk {
             list: self,
             cur: self.head[0],
-        }
+        })
     }
 
     /// Iterates entries with keys `>= key`, in order — the skip list
@@ -271,10 +356,10 @@ impl<K: Ord, V> SkipList<K, V> {
         Q: Ord + ?Sized,
     {
         let (_, candidate) = self.find_path(key);
-        Iter {
+        Iter(Walk {
             list: self,
             cur: candidate,
-        }
+        })
     }
 
     /// First entry in key order.
@@ -285,6 +370,23 @@ impl<K: Ord, V> SkipList<K, V> {
         })
     }
 
+    /// Mutable access to the value under `at`, without a search.
+    ///
+    /// # Panics
+    /// Panics if the cursor's node has been removed.
+    pub fn value_at_mut(&mut self, at: Cursor) -> &mut V {
+        &mut self.node_mut(at.0).value
+    }
+
+    /// Walks level 0 from `start` (a cursor or a seek's lower bound; `None`
+    /// walks nothing), yielding each entry with its cursor.
+    pub fn walk_from(&self, start: Option<Cursor>) -> Walk<'_, K, V> {
+        Walk {
+            list: self,
+            cur: start.map_or(NIL, |c| c.0),
+        }
+    }
+
     /// Approximate heap footprint of the structure itself (excluding what
     /// keys/values own), for memory-budget accounting.
     pub fn approx_overhead_bytes(&self) -> usize {
@@ -293,22 +395,34 @@ impl<K: Ord, V> SkipList<K, V> {
     }
 }
 
-/// Level-0 in-order iterator.
-pub struct Iter<'a, K, V> {
+/// Level-0 in-order iterator that also yields each entry's [`Cursor`].
+pub struct Walk<'a, K, V> {
     list: &'a SkipList<K, V>,
     cur: u32,
 }
 
-impl<'a, K: Ord, V> Iterator for Iter<'a, K, V> {
-    type Item = (&'a K, &'a V);
+impl<'a, K: Ord, V> Iterator for Walk<'a, K, V> {
+    type Item = (Cursor, &'a K, &'a V);
 
     fn next(&mut self) -> Option<Self::Item> {
         if self.cur == NIL {
             return None;
         }
+        let at = Cursor(self.cur);
         let node = self.list.node(self.cur);
         self.cur = node.forwards[0];
-        Some((&node.key, &node.value))
+        Some((at, &node.key, &node.value))
+    }
+}
+
+/// Level-0 in-order iterator.
+pub struct Iter<'a, K, V>(Walk<'a, K, V>);
+
+impl<'a, K: Ord, V> Iterator for Iter<'a, K, V> {
+    type Item = (&'a K, &'a V);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        self.0.next().map(|(_, k, v)| (k, v))
     }
 }
 

@@ -2,8 +2,62 @@
 //! plus the version-chain queries QinDB's mutated operations need.
 
 use crate::entry::{IndexEntry, ValueLocation, VersionedKey};
-use crate::skiplist::SkipList;
+use crate::skiplist::{Cursor, Seek, SkipList, Walk};
 use bytes::Bytes;
+
+/// One item of a key's version chain, as [`Memtable::chain`] yields it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ChainLink {
+    /// Where the item lives; see [`Memtable::entry_at_mut`].
+    pub at: Cursor,
+    /// The item's index version `t`.
+    pub version: u64,
+    /// A copy of the item as the walk saw it.
+    pub entry: IndexEntry,
+}
+
+/// The level-0 walk over one key's items; see [`Memtable::chain`].
+pub struct Chain<'a> {
+    walk: Walk<'a, VersionedKey, IndexEntry>,
+    key: &'a [u8],
+    seek: Seek,
+}
+
+impl Chain<'_> {
+    /// The descent that found the chain, for [`Memtable::insert_after`].
+    pub fn seek(&self) -> Seek {
+        self.seek
+    }
+}
+
+impl Iterator for Chain<'_> {
+    type Item = ChainLink;
+
+    fn next(&mut self) -> Option<ChainLink> {
+        let (at, k, entry) = self.walk.next()?;
+        (k.key.as_ref() == self.key).then_some(ChainLink {
+            at,
+            version: k.version,
+            entry: *entry,
+        })
+    }
+}
+
+/// A key as a reader pinned to some index version sees it; see
+/// [`Memtable::resolve`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Resolved {
+    /// The newest version at or below the pin.
+    pub version: u64,
+    /// That version's item.
+    pub entry: IndexEntry,
+    /// The version and location of the record carrying its value bytes:
+    /// itself, or the ancestor a deduplicated item traces back to. `None`
+    /// for a dangling dedup chain (no value-bearing ancestor here).
+    pub value: Option<(u64, ValueLocation)>,
+    /// Deduplicated versions walked through to reach `value` (0 = direct).
+    pub hops: u32,
+}
 
 /// QinDB's memory-resident index.
 ///
@@ -53,79 +107,76 @@ impl Memtable {
         self.list.remove(key)
     }
 
-    /// All versions of `key`, ascending.
-    pub fn versions_of<'a>(
-        &'a self,
-        key: &'a [u8],
-    ) -> impl Iterator<Item = (u64, &'a IndexEntry)> + 'a {
-        self.list
-            .iter_from(&VersionedKey::first_version(Bytes::copy_from_slice(key)))
-            .take_while(move |(k, _)| k.key.as_ref() == key)
-            .map(|(k, e)| (k.version, e))
+    /// The version chain of `key`: every item of the key, ascending by
+    /// version, each with the arena cursor [`Memtable::entry_at_mut`]
+    /// takes. One descent (to the key's lowest possible version, compared
+    /// in place — no probe key is built) and then a level-0 walk.
+    pub fn chain<'a>(&'a self, key: &'a [u8]) -> Chain<'a> {
+        let seek = self.list.seek_by(|k| k.key.as_ref().cmp(key));
+        Chain {
+            walk: self.list.walk_from(seek.first()),
+            key,
+            seek,
+        }
     }
 
-    /// GET's traceback: starting from version `t` of `key`, walk to older
-    /// versions and return the newest version `≤ t` that carries a value
-    /// (is not deduplicated).
+    /// The item under a cursor that [`Memtable::chain`] yielded.
+    pub fn entry_at_mut(&mut self, at: Cursor) -> &mut IndexEntry {
+        self.list.value_at_mut(at)
+    }
+
+    /// Inserts an item that `chain` did not yield into the chain `seek`
+    /// was taken from ([`Chain::seek`]), without a second descent.
+    pub fn insert_after(&mut self, seek: Seek, key: VersionedKey, entry: IndexEntry) -> Cursor {
+        self.list.insert_after(seek, key, entry)
+    }
+
+    /// What a reader pinned to index version `t` sees for `key`: the
+    /// newest version at or below `t`, and — tracing back through
+    /// deduplicated items — where its value bytes live.
     ///
-    /// A *deleted* ancestor does **not** end the chain: the engine's lazy
-    /// GC keeps a deleted record's bytes on flash for as long as a later
-    /// deduplicated version references them (§2.3, "invalid key-value
-    /// pairs that are referred by later version keys" survive GC). Whether
-    /// the queried version `t` itself is deleted is the caller's check.
-    ///
-    /// Returns `(version, location, steps)` where `steps` is the number of
-    /// older versions visited after `t` itself (0 = direct hit), which the
-    /// traceback-depth ablation reports.
+    /// A *deleted* ancestor does **not** end the traceback: the engine's
+    /// lazy GC keeps a deleted record's bytes on flash for as long as a
+    /// later deduplicated version references them (§2.3, "invalid
+    /// key-value pairs that are referred by later version keys" survive
+    /// GC). Whether the seen version itself is deleted is the caller's
+    /// check.
+    pub fn resolve(&self, key: &[u8], t: u64) -> Option<Resolved> {
+        let mut seen: Option<Resolved> = None;
+        for link in self.chain(key).take_while(|l| l.version <= t) {
+            let (value, hops) = if !link.entry.deduplicated {
+                (Some((link.version, link.entry.location)), 0)
+            } else {
+                seen.map_or((None, 0), |older| (older.value, older.hops + 1))
+            };
+            seen = Some(Resolved {
+                version: link.version,
+                entry: link.entry,
+                value,
+                hops,
+            });
+        }
+        seen
+    }
+
+    /// GET's traceback: the newest version `≤ t` of `key` that carries a
+    /// value, as `(version, location, steps)` where `steps` is the number
+    /// of deduplicated versions walked through (0 = direct hit).
     pub fn trace_back_value(&self, key: &[u8], t: u64) -> Option<(u64, ValueLocation, u32)> {
-        let mut chain: Vec<(u64, &IndexEntry)> =
-            self.versions_of(key).take_while(|(v, _)| *v <= t).collect();
-        // Walk from the newest candidate backwards.
-        let mut steps = 0u32;
-        while let Some((v, e)) = chain.pop() {
-            if !e.deduplicated {
-                return Some((v, e.location, steps));
-            }
-            steps += 1;
-        }
-        None
-    }
-
-    /// True when some *live* later version of `key` resolves its value by
-    /// tracing back to version `t` — i.e. the versions after `t` form an
-    /// unbroken run of deduplicated entries, at least one of which is not
-    /// deleted. The lazy GC must keep such a record on flash even after
-    /// `k/t` itself is deleted.
-    pub fn is_referenced_by_later(&self, key: &[u8], t: u64) -> bool {
-        for (v, e) in self.versions_of(key) {
-            if v <= t {
-                continue;
-            }
-            if !e.deduplicated {
-                return false; // chain broken: later versions self-resolve
-            }
-            if !e.deleted {
-                return true;
-            }
-        }
-        false
-    }
-
-    /// The newest version of `key` at or below `t`, with its entry — what
-    /// a reader pinned to index version `t` sees for this key.
-    pub fn visible_at<'a>(&'a self, key: &'a [u8], t: u64) -> Option<(u64, &'a IndexEntry)> {
-        self.versions_of(key).take_while(|(v, _)| *v <= t).last()
+        let seen = self.resolve(key, t)?;
+        seen.value.map(|(v, loc)| (v, loc, seen.hops))
     }
 
     /// Iterates distinct user keys starting with `prefix`, in order,
     /// yielding each key once (scans are resolved per key via
-    /// [`Memtable::visible_at`]).
+    /// [`Memtable::resolve`]).
     pub fn keys_with_prefix<'a>(&'a self, prefix: &'a [u8]) -> impl Iterator<Item = Bytes> + 'a {
         let mut last: Option<Bytes> = None;
+        let start = self.list.seek_by(|k| k.key.as_ref().cmp(prefix)).first();
         self.list
-            .iter_from(&VersionedKey::first_version(Bytes::copy_from_slice(prefix)))
-            .take_while(move |(k, _)| k.key.starts_with(prefix))
-            .filter_map(move |(k, _)| {
+            .walk_from(start)
+            .take_while(move |(_, k, _)| k.key.starts_with(prefix))
+            .filter_map(move |(_, k, _)| {
                 if last.as_ref() == Some(&k.key) {
                     None
                 } else {
@@ -133,11 +184,6 @@ impl Memtable {
                     Some(k.key.clone())
                 }
             })
-    }
-
-    /// Oldest version of `key`, if any.
-    pub fn oldest_version(&self, key: &[u8]) -> Option<u64> {
-        self.versions_of(key).next().map(|(v, _)| v)
     }
 
     /// Iterates every item in `(key, version)` order.
@@ -172,20 +218,60 @@ mod tests {
         t
     }
 
+    fn versions(t: &Memtable, key: &[u8]) -> Vec<u64> {
+        t.chain(key).map(|l| l.version).collect()
+    }
+
     #[test]
-    fn versions_scan_is_per_key_ascending() {
+    fn chain_is_per_key_ascending() {
         let t = table_with(&[
             ("a", 3, IndexEntry::full(loc(3))),
             ("a", 1, IndexEntry::full(loc(1))),
             ("b", 2, IndexEntry::full(loc(2))),
             ("ab", 5, IndexEntry::full(loc(5))),
         ]);
-        let versions: Vec<u64> = t.versions_of(b"a").map(|(v, _)| v).collect();
-        assert_eq!(versions, vec![1, 3]);
+        assert_eq!(versions(&t, b"a"), vec![1, 3]);
         // Prefix "a" must not leak into key "ab".
-        let versions: Vec<u64> = t.versions_of(b"ab").map(|(v, _)| v).collect();
-        assert_eq!(versions, vec![5]);
-        assert!(t.versions_of(b"zz").next().is_none());
+        assert_eq!(versions(&t, b"ab"), vec![5]);
+        assert!(t.chain(b"zz").next().is_none());
+        // A key sorting between stored keys has an empty chain too.
+        assert!(t.chain(b"aa").next().is_none());
+    }
+
+    #[test]
+    fn chain_cursors_reach_the_items() {
+        let mut t = table_with(&[
+            ("k", 1, IndexEntry::full(loc(1))),
+            ("k", 2, IndexEntry::deduplicated(loc(2))),
+        ]);
+        let links: Vec<ChainLink> = t.chain(b"k").collect();
+        assert_eq!(links[1].entry, IndexEntry::deduplicated(loc(2)));
+        t.entry_at_mut(links[0].at).deleted = true;
+        assert!(t.get(&VersionedKey::new("k", 1)).unwrap().deleted);
+        assert!(!t.get(&VersionedKey::new("k", 2)).unwrap().deleted);
+    }
+
+    #[test]
+    fn insert_after_extends_the_chain_in_order() {
+        let mut t = table_with(&[
+            ("j", 9, IndexEntry::full(loc(9))),
+            ("k", 2, IndexEntry::full(loc(2))),
+            ("k", 6, IndexEntry::full(loc(6))),
+            ("l", 1, IndexEntry::full(loc(1))),
+        ]);
+        for v in [4, 1, 8] {
+            let seek = t.chain(b"k").seek();
+            t.insert_after(seek, VersionedKey::new("k", v), IndexEntry::full(loc(v)));
+        }
+        // A key with no chain yet lands between its neighbours.
+        let seek = t.chain(b"jj").seek();
+        t.insert_after(seek, VersionedKey::new("jj", 3), IndexEntry::full(loc(3)));
+        assert_eq!(versions(&t, b"k"), vec![1, 2, 4, 6, 8]);
+        let all: Vec<String> = t.iter().map(|(k, _)| k.to_string()).collect();
+        assert_eq!(
+            all,
+            vec!["j/9", "jj/3", "k/1", "k/2", "k/4", "k/6", "k/8", "l/1"]
+        );
     }
 
     #[test]
@@ -238,53 +324,33 @@ mod tests {
     }
 
     #[test]
-    fn reference_detection() {
-        // v1 full; v2 dedup (live) → v1 is referenced.
-        let t = table_with(&[
-            ("k", 1, IndexEntry::full(loc(1))),
-            ("k", 2, IndexEntry::deduplicated(loc(2))),
-        ]);
-        assert!(t.is_referenced_by_later(b"k", 1));
-        assert!(!t.is_referenced_by_later(b"k", 2));
-
-        // Chain broken by a full v2: v1 not referenced.
-        let t = table_with(&[
-            ("k", 1, IndexEntry::full(loc(1))),
-            ("k", 2, IndexEntry::full(loc(2))),
-            ("k", 3, IndexEntry::deduplicated(loc(3))),
-        ]);
-        assert!(!t.is_referenced_by_later(b"k", 1));
-        assert!(t.is_referenced_by_later(b"k", 2));
-
-        // Dedup chain entirely deleted: not referenced.
-        let mut dd = IndexEntry::deduplicated(loc(2));
-        dd.deleted = true;
-        let t = table_with(&[("k", 1, IndexEntry::full(loc(1))), ("k", 2, dd)]);
-        assert!(!t.is_referenced_by_later(b"k", 1));
-    }
-
-    #[test]
-    fn oldest_version_and_len() {
+    fn len_counts_items() {
         let t = table_with(&[
             ("k", 7, IndexEntry::full(loc(7))),
             ("k", 2, IndexEntry::full(loc(2))),
         ]);
-        assert_eq!(t.oldest_version(b"k"), Some(2));
-        assert_eq!(t.oldest_version(b"x"), None);
         assert_eq!(t.len(), 2);
         assert!(!t.is_empty());
     }
 
     #[test]
-    fn visible_at_picks_newest_at_or_below() {
+    fn resolve_sees_newest_at_or_below() {
         let t = table_with(&[
             ("k", 2, IndexEntry::full(loc(2))),
-            ("k", 5, IndexEntry::full(loc(5))),
+            ("k", 5, IndexEntry::deduplicated(loc(5))),
+            ("k", 6, IndexEntry::deduplicated(loc(6))),
         ]);
-        assert_eq!(t.visible_at(b"k", 1), None);
-        assert_eq!(t.visible_at(b"k", 2).unwrap().0, 2);
-        assert_eq!(t.visible_at(b"k", 4).unwrap().0, 2);
-        assert_eq!(t.visible_at(b"k", 9).unwrap().0, 5);
+        assert_eq!(t.resolve(b"k", 1), None);
+        assert_eq!(t.resolve(b"k", 2).unwrap().version, 2);
+        assert_eq!(t.resolve(b"k", 4).unwrap().version, 2);
+        let seen = t.resolve(b"k", 9).unwrap();
+        assert_eq!(
+            (seen.version, seen.entry, seen.value, seen.hops),
+            (6, IndexEntry::deduplicated(loc(6)), Some((2, loc(2))), 2)
+        );
+        // A dedup item with no value-bearing ancestor is seen, unresolved.
+        let t = table_with(&[("k", 3, IndexEntry::deduplicated(loc(3)))]);
+        assert_eq!(t.resolve(b"k", 3).unwrap().value, None);
     }
 
     #[test]

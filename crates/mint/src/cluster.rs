@@ -1,7 +1,7 @@
 //! The cluster: nodes, groups, replication, parallel reads, failure and
 //! recovery.
 
-use crate::hash::{group_of, rendezvous_rank};
+use crate::hash::{group_of, group_of_hash, placement_hash, rank_into, rendezvous_rank};
 use crate::{MintError, Result};
 use bytes::Bytes;
 use parking_lot::RwLock;
@@ -96,11 +96,7 @@ fn apply_group_op(engine: &mut QinDb, op: &GroupOp) -> std::result::Result<(), q
         return Ok(());
     }
     if deleted {
-        if engine
-            .versions_of(&op.key)
-            .iter()
-            .all(|&(v, _, _)| v != op.version)
-        {
+        if !engine.has_version(&op.key, op.version) {
             // A deletion of a version this node never stored (it was not
             // in the write's replica set when the put landed). Hang the
             // deletion mark on a deduplicated NULL item: it joins the
@@ -462,11 +458,7 @@ impl Mint {
     /// The replica set for `key` among currently alive group members.
     pub fn replicas_of(&self, key: &[u8]) -> Vec<NodeId> {
         let group = group_of(key, self.groups.len());
-        let alive: Vec<u32> = self.groups[group]
-            .iter()
-            .copied()
-            .filter(|&n| self.alive[n as usize])
-            .collect();
+        let alive: Vec<u32> = self.group_readers(group).map(|n| n.0).collect();
         rendezvous_rank(key, &alive)
             .into_iter()
             .take(self.cfg.replicas)
@@ -482,41 +474,55 @@ impl Mint {
         // Pass 1: route and validate. Nothing is logged or applied until
         // every op in the batch has a live replica set — a rejected batch
         // must leave no trace in the group logs, or a later catch-up
-        // could resurrect a write that was never acknowledged.
-        let mut routed: Vec<(usize, Vec<NodeId>)> = Vec::with_capacity(ops.len());
+        // could resurrect a write that was never acknowledged. Op `i`'s
+        // replica set is `targets[routed[i - 1].1..routed[i].1]`; a key is
+        // hashed once for both its group and its ranking, and a group's
+        // alive members are listed once for the whole batch.
+        let alive: Vec<Vec<u32>> = (0..self.groups.len())
+            .map(|g| self.group_readers(g).map(|n| n.0).collect())
+            .collect();
+        let mut routed: Vec<(usize, usize)> = Vec::with_capacity(ops.len());
+        let mut targets: Vec<u32> = Vec::with_capacity(ops.len() * self.cfg.replicas);
+        let mut ranked: Vec<(u64, u32)> = Vec::new();
         let mut report = ApplyReport::default();
         for op in ops {
             report.ops += 1;
             report.bytes += (op.key.len() + op.value.as_ref().map_or(0, |v| v.len())) as u64;
-            let replicas = self.replicas_of(&op.key);
-            if replicas.is_empty() {
+            let kh = placement_hash(&op.key);
+            let group = group_of_hash(kh, self.groups.len());
+            rank_into(kh, &alive[group], &mut ranked);
+            if ranked.is_empty() {
                 // The key's whole group is down: the write has nowhere to
                 // land. Reject the batch before anything is applied —
                 // acknowledging it would silently lose an acked write.
                 return Err(MintError::NoReplicaAvailable);
             }
-            report.skipped_replicas += (self.cfg.replicas - replicas.len()) as u64;
-            routed.push((group_of(&op.key, self.groups.len()), replicas));
+            let replicas = ranked.len().min(self.cfg.replicas);
+            report.skipped_replicas += (self.cfg.replicas - replicas) as u64;
+            targets.extend(ranked[..replicas].iter().map(|&(_, n)| n));
+            routed.push((group, targets.len()));
         }
         // Pass 2: sequence each op in its group's log; the LSN rides to
         // every replica so its journal records the frontier it reached.
         let mut per_node: Vec<Vec<(&WriteOp, u64)>> =
             (0..self.nodes.len()).map(|_| Vec::new()).collect();
-        for (op, (group, replicas)) in ops.iter().zip(&routed) {
+        let mut start = 0;
+        for (op, &(group, end)) in ops.iter().zip(&routed) {
             let kind = if op.value.is_some() {
                 OP_PUT_FULL
             } else {
                 OP_PUT_DEDUP
             };
-            let lsn = self.group_logs[*group].append(&encode_group_op(
+            let lsn = self.group_logs[group].append(&encode_group_op(
                 kind,
                 &op.key,
                 op.version,
                 op.value.as_deref(),
             ));
-            for r in replicas {
-                per_node[r.0 as usize].push((op, lsn));
+            for &r in &targets[start..end] {
+                per_node[r as usize].push((op, lsn));
             }
+            start = end;
         }
         let before: Vec<SimTime> = self.nodes.iter().map(|n| n.clock.now()).collect();
         let apply_node = |node: &NodeState, work: &[(&WriteOp, u64)]| -> Result<()> {
@@ -589,21 +595,19 @@ impl Mint {
         // log. A no-op delete (version unknown everywhere) must leave no
         // trace: replaying it later would fabricate authoritative
         // deletion knowledge for a version that may yet be written.
-        let known = self.group_readers(key).iter().any(|r| {
+        let group = group_of(key, self.groups.len());
+        let readers: Vec<NodeId> = self.group_readers(group).collect();
+        let known = readers.iter().any(|r| {
             let guard = self.nodes[r.0 as usize].engine.read();
-            guard.as_ref().is_some_and(|engine| {
-                engine
-                    .versions_of(key)
-                    .iter()
-                    .any(|&(v, _, _)| v == version)
-            })
+            guard
+                .as_ref()
+                .is_some_and(|engine| engine.has_version(key, version))
         });
         if !known {
             return Ok(());
         }
-        let group = group_of(key, self.groups.len());
         let lsn = self.group_logs[group].append(&encode_group_op(OP_DEL, key, version, None));
-        for r in self.group_readers(key) {
+        for r in readers {
             let node = &self.nodes[r.0 as usize];
             let mut guard = node.engine.write();
             if let Some(engine) = guard.as_mut() {
@@ -616,19 +620,17 @@ impl Mint {
         Ok(())
     }
 
-    /// All alive members of `key`'s group — the read fan-out set. Writes
+    /// All alive members of a key's `group` — the read fan-out set. Writes
     /// go to the top-R replicas, but membership changes re-rank without
     /// moving data ("without redistributing the stored key-value pairs"),
     /// so a read must consult the whole (small) group to be sure of
     /// finding the nodes that held the key when it was written.
-    fn group_readers(&self, key: &[u8]) -> Vec<NodeId> {
-        let group = group_of(key, self.groups.len());
+    fn group_readers(&self, group: usize) -> impl Iterator<Item = NodeId> + '_ {
         self.groups[group]
             .iter()
             .copied()
             .filter(|&n| self.alive[n as usize])
             .map(NodeId)
-            .collect()
     }
 
     /// Reads `key/version` by fanning out to every alive node of the
@@ -689,12 +691,12 @@ impl Mint {
             }
             _ => None,
         };
-        let readers = self.group_readers(key);
+        let group = group_of(key, self.groups.len());
         if let Some(s) = span.as_mut() {
-            s.set_amount(readers.len() as u64);
+            s.set_amount(self.group_readers(group).count() as u64);
         }
         let mut attribution = obs::ReadAttribution {
-            group: group_of(key, self.groups.len()) as u64,
+            group: group as u64,
             ..obs::ReadAttribution::default()
         };
         let mut best_live: Option<(Bytes, u64, SimTime)> = None;
@@ -702,7 +704,7 @@ impl Mint {
         let mut slowest = SimTime::ZERO;
         let mut responders = 0usize;
         let mut last_error: Option<MintError> = None;
-        for r in readers {
+        for r in self.group_readers(group) {
             let node = &self.nodes[r.0 as usize];
             let guard = node.engine.read();
             let Some(engine) = guard.as_ref() else {
@@ -1187,11 +1189,7 @@ impl Mint {
             };
             if let Some(value) = &value {
                 engine.put(&key, version, Some(value)).map_err(map_err)?;
-            } else if engine
-                .versions_of(&key)
-                .iter()
-                .all(|&(v, _, _)| v != version)
-            {
+            } else if !engine.has_version(&key, version) {
                 // Deleted with no resolvable value: a deduplicated NULL
                 // item gives the deletion mark something to guard without
                 // fabricating bytes a traceback could stop at.
@@ -1451,11 +1449,7 @@ impl Mint {
                 let map_err = |error| MintError::Node { node: owner, error };
                 if let Some(value) = &value {
                     engine.put(&key, version, Some(value)).map_err(map_err)?;
-                } else if engine
-                    .versions_of(&key)
-                    .iter()
-                    .all(|&(v, _, _)| v != version)
-                {
+                } else if !engine.has_version(&key, version) {
                     // Same deduplicated-NULL guard as the sync path.
                     engine.put(&key, version, None).map_err(map_err)?;
                 }
@@ -1746,7 +1740,7 @@ impl Mint {
     /// full value where the original write was deduplicated.
     pub fn chain_digests(&self, key: &[u8]) -> Vec<(NodeId, u64)> {
         let mut out = Vec::new();
-        for r in self.group_readers(key) {
+        for r in self.group_readers(group_of(key, self.groups.len())) {
             let node = &self.nodes[r.0 as usize];
             let guard = node.engine.read();
             let Some(engine) = guard.as_ref() else {

@@ -9,12 +9,23 @@ fn fnv64(data: &[u8], seed: u64) -> u64 {
     h
 }
 
+/// The hash a key is placed by: [`group_of`] and [`rendezvous_rank`] both
+/// derive from it, so a caller routing a key computes it once.
+pub(crate) fn placement_hash(key: &[u8]) -> u64 {
+    fnv64(key, 0)
+}
+
 /// `H(k) → group`: stable for a fixed group count. Changing the number of
 /// groups is a resharding event, which Mint avoids by scaling *inside*
 /// groups instead.
 pub fn group_of(key: &[u8], groups: usize) -> usize {
+    group_of_hash(placement_hash(key), groups)
+}
+
+/// [`group_of`] for a key whose [`placement_hash`] is already known.
+pub(crate) fn group_of_hash(kh: u64, groups: usize) -> usize {
     assert!(groups > 0);
-    (fnv64(key, 0) % groups as u64) as usize
+    (kh % groups as u64) as usize
 }
 
 /// SplitMix64 finalizer: avalanches every input bit across the output,
@@ -31,13 +42,22 @@ fn mix64(mut x: u64) -> u64 {
 /// node only steals the keys it now wins; removing one only re-homes its
 /// own — no global redistribution.
 pub fn rendezvous_rank(key: &[u8], candidates: &[u32]) -> Vec<u32> {
-    let kh = fnv64(key, 0);
-    let mut scored: Vec<(u64, u32)> = candidates
-        .iter()
-        .map(|&n| (mix64(kh ^ mix64(n as u64 + 1)), n))
-        .collect();
-    scored.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
+    let mut scored = Vec::new();
+    rank_into(placement_hash(key), candidates, &mut scored);
     scored.into_iter().map(|(_, n)| n).collect()
+}
+
+/// [`rendezvous_rank`] for a known [`placement_hash`], into a buffer the
+/// caller reuses: `scored` ends up holding `(score, node)` best first.
+pub(crate) fn rank_into(kh: u64, candidates: &[u32], scored: &mut Vec<(u64, u32)>) {
+    scored.clear();
+    scored.extend(
+        candidates
+            .iter()
+            .map(|&n| (mix64(kh ^ mix64(n as u64 + 1)), n)),
+    );
+    // The node id breaks score ties, so the order is total.
+    scored.sort_unstable_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
 }
 
 #[cfg(test)]

@@ -7,7 +7,7 @@ use crate::stats::{AtomicEngineStats, EngineStats};
 use crate::{QinDbError, Result};
 use aof::{Aof, FileId, GcTable, RecordLoc};
 use bytes::Bytes;
-use memtable::{IndexEntry, Memtable, ValueLocation, VersionedKey};
+use memtable::{ChainLink, IndexEntry, Memtable, Seek, ValueLocation, VersionedKey};
 use ssdsim::Device;
 use std::collections::HashSet;
 
@@ -37,6 +37,10 @@ pub enum KeyStatus {
 pub struct QinDb {
     aof: Aof,
     table: Memtable,
+    /// The version chain of the key the current mutation touches, loaded
+    /// by its one descent ([`QinDb::load_chain`]); kept across operations
+    /// only for its allocation.
+    chain: Vec<ChainLink>,
     gct: GcTable,
     cfg: QinDbConfig,
     stats: AtomicEngineStats,
@@ -86,17 +90,47 @@ pub fn journal_frontier_of(image: &[u8]) -> u64 {
     frontier_of_records(&records)
 }
 
+/// What the memtable says about a `k/t`, from one walk of its chain.
+enum Lookup {
+    /// No item, or a deduplicated item with no value-bearing ancestor
+    /// here (a dangling chain — another replica may hold the ancestor).
+    Missing,
+    /// The item carries the `d` flag.
+    Deleted,
+    /// The item is live and its value bytes are at `loc`.
+    At {
+        loc: ValueLocation,
+        /// The version whose record holds the bytes.
+        resolved_version: u64,
+        /// Deduplicated versions walked through to reach it.
+        hops: u32,
+    },
+}
+
 impl QinDb {
     /// Creates an empty engine on `dev`.
     pub fn new(dev: Device, cfg: QinDbConfig) -> Self {
         cfg.validate();
+        Self::assemble(
+            Aof::new(dev, cfg.aof),
+            cfg,
+            Memtable::new(),
+            GcTable::new(),
+            1,
+        )
+    }
+
+    /// An engine over the given state, with nothing attached, no
+    /// checkpoint standing and an empty journal.
+    fn assemble(aof: Aof, cfg: QinDbConfig, table: Memtable, gct: GcTable, next_seq: u64) -> Self {
         QinDb {
-            aof: Aof::new(dev, cfg.aof),
-            table: Memtable::new(),
-            gct: GcTable::new(),
+            aof,
+            table,
+            chain: Vec::new(),
+            gct,
             cfg,
             stats: AtomicEngineStats::default(),
-            next_seq: 1,
+            next_seq,
             ckpt: None,
             recovered_via_checkpoint: false,
             trace: None,
@@ -114,35 +148,38 @@ impl QinDb {
     /// record carries a NULL value and the memtable item gets the `r`
     /// flag, so GETs trace back to an older version for the bytes.
     pub fn put(&mut self, key: &[u8], version: u64, value: Option<&[u8]>) -> Result<()> {
-        let record = Record::Put {
-            seq: self.take_seq(),
-            key: Bytes::copy_from_slice(key),
-            version,
-            value: value.map(Bytes::copy_from_slice),
-        };
-        let loc = self.append_record(&record)?;
+        let seq = self.take_seq();
+        let loc = to_value_loc(self.append_record(&Record::encode_put(seq, key, version, value))?);
         let mut entry = if value.is_some() {
-            IndexEntry::full(to_value_loc(loc))
+            IndexEntry::full(loc)
         } else {
-            IndexEntry::deduplicated(to_value_loc(loc))
+            IndexEntry::deduplicated(loc)
         };
-        let vk = VersionedKey::new(Bytes::copy_from_slice(key), version);
-        if let Some(old) = self.table.get(&vk) {
-            // Re-put of the same k/t: the superseded record stays on flash
-            // until its file is reclaimed, so it counts as a copy.
-            entry.copies = old.copies + 1;
-        }
-        if let Some(old) = self.table.insert(vk, entry) {
-            if !old.dead_accounted {
-                self.gct.on_dead(old.location.file, old.location.len as u64);
+        let seek = self.load_chain(key);
+        match self.chain.binary_search_by_key(&version, |l| l.version) {
+            Ok(i) => {
+                // Re-put of the same k/t: the superseded record stays on
+                // flash until its file is reclaimed, so it counts as a copy.
+                let old = self.chain[i].entry;
+                entry.copies = old.copies + 1;
+                if !old.dead_accounted {
+                    self.gct.on_dead(old.location.file, old.location.len as u64);
+                }
+                *self.table.entry_at_mut(self.chain[i].at) = entry;
+                self.chain[i].entry = entry;
+            }
+            Err(i) => {
+                let vk = VersionedKey::new(Bytes::copy_from_slice(key), version);
+                let at = self.table.insert_after(seek, vk, entry);
+                self.chain.insert(i, ChainLink { at, version, entry });
             }
         }
-        self.recompute_liveness(key);
+        self.settle_liveness();
         self.stats.puts.add(1);
         self.stats
             .user_write_bytes
             .add((key.len() + value.map_or(0, <[u8]>::len)) as u64);
-        self.maybe_gc()?;
+        self.reclaim(true)?;
         Ok(())
     }
 
@@ -159,49 +196,57 @@ impl QinDb {
     /// request's cross-layer path. `trace_id` 0 behaves exactly like
     /// [`QinDb::get`].
     pub fn get_traced(&self, key: &[u8], version: u64, trace_id: u64) -> Result<Option<Bytes>> {
-        self.stats.gets.add(1);
-        let vk = VersionedKey::new(Bytes::copy_from_slice(key), version);
-        let Some(entry) = self.table.get(&vk).copied() else {
-            self.stats.gets_not_found.add(1);
-            return Ok(None);
-        };
-        if entry.deleted {
-            self.stats.gets_not_found.add(1);
-            return Ok(None);
-        }
-        let (loc, steps) = if !entry.deduplicated {
-            (entry.location, 0)
-        } else {
-            match self.table.trace_back_value(key, version) {
-                Some((_, loc, steps)) => (loc, steps),
-                None => {
-                    // Dangling dedup chain: no value-bearing ancestor.
-                    self.stats.gets_not_found.add(1);
-                    return Ok(None);
-                }
+        match self.lookup(key, version) {
+            Lookup::At { loc, hops, .. } => self.fetch(loc, hops, trace_id).map(Some),
+            Lookup::Missing | Lookup::Deleted => {
+                self.stats.gets.add(1);
+                self.stats.gets_not_found.add(1);
+                Ok(None)
             }
+        }
+    }
+
+    /// The memtable half of every read: one descent to `key`'s chain and
+    /// a walk up to `version`, yielding location, resolved version and
+    /// hop count together.
+    fn lookup(&self, key: &[u8], version: u64) -> Lookup {
+        let seen = match self.table.resolve(key, version) {
+            Some(seen) if seen.version == version => seen,
+            _ => return Lookup::Missing,
         };
-        if steps > 0 {
+        if seen.entry.deleted {
+            return Lookup::Deleted;
+        }
+        match seen.value {
+            Some((resolved_version, loc)) => Lookup::At {
+                loc,
+                resolved_version,
+                hops: seen.hops,
+            },
+            None => Lookup::Missing,
+        }
+    }
+
+    /// The flash half of a read that [`QinDb::lookup`] located: counts
+    /// the GET (and its traceback), then reads the value bytes.
+    fn fetch(&self, loc: ValueLocation, hops: u32, trace_id: u64) -> Result<Bytes> {
+        self.stats.gets.add(1);
+        if hops > 0 {
             self.stats.gets_traced.add(1);
-            self.stats.traceback_steps.add(steps as u64);
+            self.stats.traceback_steps.add(hops as u64);
             if let Some((sink, label)) = &self.trace {
-                sink.event(obs::SpanKind::Traceback, label, steps as u64);
+                sink.event(obs::SpanKind::Traceback, label, hops as u64);
             }
             if trace_id != 0 {
                 if let Some((sink, label)) = &self.wall_trace {
-                    sink.event_traced(obs::SpanKind::Traceback, label, steps as u64, trace_id);
+                    sink.event_traced(obs::SpanKind::Traceback, label, hops as u64, trace_id);
                 }
             }
         }
-        let value = self.read_put_value(loc)?;
-        match &value {
-            Some(v) => self.stats.user_read_bytes.add(v.len() as u64),
-            None => {
-                return Err(QinDbError::Inconsistent(
-                    "traceback target record carries no value",
-                ))
-            }
-        }
+        let value = self.read_put_value(loc)?.ok_or(QinDbError::Inconsistent(
+            "traceback target record carries no value",
+        ))?;
+        self.stats.user_read_bytes.add(value.len() as u64);
         Ok(value)
     }
 
@@ -234,65 +279,45 @@ impl QinDb {
             storage_reads: 1,
             ..obs::ReadCost::default()
         };
-        let vk = VersionedKey::new(Bytes::copy_from_slice(key), version);
-        let entry = match self.table.get(&vk).copied() {
-            None => return (Ok(KeyStatus::Missing), probe),
-            Some(e) if e.deleted => return (Ok(KeyStatus::Deleted), probe),
-            Some(e) => e,
-        };
-        let resolved_version = if entry.deduplicated {
-            match self.table.trace_back_value(key, version) {
-                Some((v, _, steps)) => {
-                    probe.traceback_hops = steps as u64;
-                    v
-                }
-                // Dangling dedup chain: the item exists but no value
-                // resolves here — another replica may have the ancestor.
-                None => return (Ok(KeyStatus::Missing), probe),
-            }
-        } else {
-            version
-        };
-        match self.get_traced(key, version, trace_id) {
-            Ok(Some(value)) => {
-                probe.bytes = value.len() as u64;
-                (
-                    Ok(KeyStatus::Live {
+        let status = match self.lookup(key, version) {
+            Lookup::Missing => Ok(KeyStatus::Missing),
+            Lookup::Deleted => Ok(KeyStatus::Deleted),
+            Lookup::At {
+                loc,
+                resolved_version,
+                hops,
+            } => {
+                probe.traceback_hops = hops as u64;
+                self.fetch(loc, hops, trace_id).map(|value| {
+                    probe.bytes = value.len() as u64;
+                    KeyStatus::Live {
                         value,
                         resolved_version,
-                    }),
-                    probe,
-                )
+                    }
+                })
             }
-            Ok(None) => (Ok(KeyStatus::Missing), probe),
-            Err(e) => (Err(e), probe),
-        }
+        };
+        (status, probe)
     }
 
     /// DEL(k/t). Sets the `d` flag in the memtable, appends a durable
     /// tombstone, and updates the GC table; physical reclamation is left
     /// to the lazy GC. Returns `true` when a live item became deleted.
     pub fn del(&mut self, key: &[u8], version: u64) -> Result<bool> {
-        let vk = VersionedKey::new(Bytes::copy_from_slice(key), version);
-        let Some(entry) = self.table.get(&vk).copied() else {
+        self.load_chain(key);
+        let Ok(i) = self.chain.binary_search_by_key(&version, |l| l.version) else {
             return Ok(false);
         };
-        if entry.deleted {
+        if self.chain[i].entry.deleted {
             return Ok(false);
         }
-        let tombstone = Record::Del {
-            seq: self.take_seq(),
-            key: Bytes::copy_from_slice(key),
-            version,
-        };
-        self.append_record(&tombstone)?;
-        self.table
-            .get_mut(&vk)
-            .expect("entry just observed")
-            .deleted = true;
-        self.recompute_liveness(key);
+        let seq = self.take_seq();
+        self.append_record(&Record::encode_del(seq, key, version))?;
+        self.table.entry_at_mut(self.chain[i].at).deleted = true;
+        self.chain[i].entry.deleted = true;
+        self.settle_liveness();
         self.stats.dels.add(1);
-        self.maybe_gc()?;
+        self.reclaim(true)?;
         Ok(true)
     }
 
@@ -307,36 +332,24 @@ impl QinDb {
         let keys: Vec<Bytes> = self.table.keys_with_prefix(prefix).collect();
         let mut out = Vec::new();
         for key in keys {
-            let Some((v, entry)) = self.table.visible_at(&key, version) else {
+            let Some(seen) = self.table.resolve(&key, version) else {
                 continue;
             };
-            let entry = *entry;
-            if entry.deleted {
+            if seen.entry.deleted {
                 continue;
             }
-            let loc = if !entry.deduplicated {
-                entry.location
-            } else {
-                match self.table.trace_back_value(&key, v) {
-                    Some((_, loc, steps)) => {
-                        self.stats.gets_traced.add(1);
-                        self.stats.traceback_steps.add(steps as u64);
-                        loc
-                    }
-                    None => continue, // dangling dedup chain
-                }
+            let Some((_, loc)) = seen.value else {
+                continue; // dangling dedup chain
             };
-            match self.read_put_value(loc)? {
-                Some(value) => {
-                    self.stats.user_read_bytes.add(value.len() as u64);
-                    out.push((key, v, value));
-                }
-                None => {
-                    return Err(QinDbError::Inconsistent(
-                        "scan target record carries no value",
-                    ))
-                }
+            if seen.hops > 0 {
+                self.stats.gets_traced.add(1);
+                self.stats.traceback_steps.add(seen.hops as u64);
             }
+            let value = self.read_put_value(loc)?.ok_or(QinDbError::Inconsistent(
+                "scan target record carries no value",
+            ))?;
+            self.stats.user_read_bytes.add(value.len() as u64);
+            out.push((key, seen.version, value));
         }
         Ok(out)
     }
@@ -592,20 +605,9 @@ impl QinDb {
         touched.sort();
         touched.dedup();
         Self::replay(&mut table, &mut gct, records, &mut max_seq);
-        let mut engine = QinDb {
-            aof,
-            table,
-            gct,
-            cfg,
-            stats: AtomicEngineStats::default(),
-            next_seq: max_seq + 1,
-            ckpt: Some((state.id, state.blocks)),
-            recovered_via_checkpoint: true,
-            trace: None,
-            wall_trace: None,
-            journal: wal::Wal::new(wal::WalConfig::default()),
-            journal_frontier: 0,
-        };
+        let mut engine = Self::assemble(aof, cfg, table, gct, max_seq + 1);
+        engine.ckpt = Some((state.id, state.blocks));
+        engine.recovered_via_checkpoint = true;
         for key in touched {
             engine.recompute_liveness(&key);
         }
@@ -635,20 +637,7 @@ impl QinDb {
         }
         let mut max_seq = 0u64;
         Self::replay(&mut table, &mut gct, records, &mut max_seq);
-        let mut engine = QinDb {
-            aof,
-            table,
-            gct,
-            cfg,
-            stats: AtomicEngineStats::default(),
-            next_seq: max_seq + 1,
-            ckpt: None,
-            recovered_via_checkpoint: false,
-            trace: None,
-            wall_trace: None,
-            journal: wal::Wal::new(wal::WalConfig::default()),
-            journal_frontier: 0,
-        };
+        let mut engine = Self::assemble(aof, cfg, table, gct, max_seq + 1);
         // Recompute disk-liveness for every key to rebuild occupancy.
         let keys: Vec<Bytes> = {
             let mut keys = Vec::new();
@@ -738,27 +727,28 @@ impl QinDb {
     /// Runs GC regardless of free-space pressure; reclaims every current
     /// candidate. Returns the number of files reclaimed.
     pub fn force_gc(&mut self) -> Result<usize> {
+        self.reclaim(false)
+    }
+
+    /// One GC run: reclaims candidates, emptiest first, until none is left
+    /// — or, under the `lazy` policy every mutation ends with, only while
+    /// the device is under free-space pressure. Returns the number of
+    /// files reclaimed. The trace sinks are fetched and the run's spans
+    /// opened only once there is a file to reclaim, so a run that finds
+    /// nothing to do costs a free-block count and nothing else.
+    fn reclaim(&mut self, lazy: bool) -> Result<usize> {
+        let mut seen: HashSet<FileId> = HashSet::new();
+        let Some(first) = self.next_victim(lazy, &seen) else {
+            return Ok(0);
+        };
         let t = self.tracer();
         let w = self.wall_tracer();
-        let mut span: Option<obs::SpanGuard<'_>> = None;
-        let mut wspan: Option<obs::SpanGuard<'_>> = None;
+        let mut span = t.as_ref().map(|(s, l)| s.span(obs::SpanKind::EngineGc, l));
+        let mut wspan = w.as_ref().map(|(s, l)| s.span(obs::SpanKind::EngineGc, l));
         let mut reclaimed = 0;
-        let mut seen: HashSet<FileId> = HashSet::new();
-        loop {
-            let candidates: Vec<FileId> = self
-                .gct
-                .candidates(self.cfg.gc_occupancy_threshold)
-                .into_iter()
-                .filter(|f| !seen.contains(f))
-                .collect();
-            let Some(&file) = candidates.first() else {
-                break;
-            };
+        let mut victim = Some(first);
+        while let Some(file) = victim {
             seen.insert(file);
-            if span.is_none() {
-                span = t.as_ref().map(|(s, l)| s.span(obs::SpanKind::EngineGc, l));
-                wspan = w.as_ref().map(|(s, l)| s.span(obs::SpanKind::EngineGc, l));
-            }
             self.gc_file(file)?;
             if let Some(span) = span.as_mut() {
                 span.add_amount(1);
@@ -767,52 +757,27 @@ impl QinDb {
                 wspan.add_amount(1);
             }
             reclaimed += 1;
+            victim = self.next_victim(lazy, &seen);
         }
-        if reclaimed > 0 {
-            self.stats.gc_runs.add(1);
-        }
+        self.stats.gc_runs.add(1);
         Ok(reclaimed)
     }
 
-    /// The lazy policy: reclaim candidates only while the device is under
-    /// free-space pressure.
-    fn maybe_gc(&mut self) -> Result<()> {
-        let geo = self.aof.device().geometry();
-        let t = self.tracer();
-        let w = self.wall_tracer();
-        let mut span: Option<obs::SpanGuard<'_>> = None;
-        let mut wspan: Option<obs::SpanGuard<'_>> = None;
-        let mut ran = false;
-        let mut seen: HashSet<FileId> = HashSet::new();
-        loop {
-            let free_frac = self.aof.device().free_blocks() as f64 / geo.blocks as f64;
+    /// The next file a GC run should reclaim: the emptiest candidate the
+    /// run has not `seen` yet; under the lazy policy, none unless the
+    /// device's free space is below the deferral threshold.
+    fn next_victim(&self, lazy: bool, seen: &HashSet<FileId>) -> Option<FileId> {
+        if lazy {
+            let dev = self.aof.device();
+            let free_frac = dev.free_blocks() as f64 / dev.geometry().blocks as f64;
             if free_frac >= self.cfg.gc_defer_free_fraction {
-                break;
+                return None;
             }
-            let candidate = self
-                .gct
-                .candidates(self.cfg.gc_occupancy_threshold)
-                .into_iter()
-                .find(|f| !seen.contains(f));
-            let Some(file) = candidate else { break };
-            seen.insert(file);
-            if span.is_none() {
-                span = t.as_ref().map(|(s, l)| s.span(obs::SpanKind::EngineGc, l));
-                wspan = w.as_ref().map(|(s, l)| s.span(obs::SpanKind::EngineGc, l));
-            }
-            self.gc_file(file)?;
-            if let Some(span) = span.as_mut() {
-                span.add_amount(1);
-            }
-            if let Some(wspan) = wspan.as_mut() {
-                wspan.add_amount(1);
-            }
-            ran = true;
         }
-        if ran {
-            self.stats.gc_runs.add(1);
-        }
-        Ok(())
+        self.gct
+            .candidates(self.cfg.gc_occupancy_threshold)
+            .into_iter()
+            .find(|f| !seen.contains(f))
     }
 
     /// Reclaims one file: re-appends records that must survive (live
@@ -820,21 +785,7 @@ impl QinDb {
     /// updates the skip list offsets, drops no-referent deleted items, and
     /// erases the file (Figure 2, steps 4–6).
     fn gc_file(&mut self, file: FileId) -> Result<()> {
-        let len = self
-            .aof
-            .file_len(file)
-            .ok_or(aof::AofError::NoSuchFile(file))? as usize;
-        let page_size = self.aof.device().geometry().page_size;
-        let items = if len == 0 {
-            Vec::new()
-        } else {
-            let data = self.aof.read(file, 0, len)?;
-            let (items, corrupt) = scan_records(&data, page_size);
-            if let Some(offset) = corrupt {
-                return Err(QinDbError::CorruptRecord { file, offset });
-            }
-            items
-        };
+        let items = self.file_records(file)?;
         for ScanItem {
             offset,
             len,
@@ -852,8 +803,7 @@ impl QinDb {
                     if canonical && !entry.dead_accounted {
                         // Survivor: re-append at the current end of the
                         // AOFs (copy count unchanged: −1 here, +1 there).
-                        let new_loc = self.append_record(&record)?;
-                        self.gct.on_append(new_loc.file, new_loc.len as u64);
+                        let new_loc = self.append_record(&record.encode())?;
                         self.table
                             .get_mut(&vk)
                             .expect("entry just observed")
@@ -883,8 +833,7 @@ impl QinDb {
                     let vk = VersionedKey::new(key.clone(), *version);
                     let guards = self.table.get(&vk).is_some_and(|e| e.deleted);
                     if guards {
-                        let new_loc = self.append_record(&record)?;
-                        self.gct.on_append(new_loc.file, new_loc.len as u64);
+                        self.append_record(&record.encode())?;
                         self.stats.gc_bytes_rewritten.add(len as u64);
                         self.stats.gc_records_rewritten.add(1);
                     }
@@ -945,18 +894,26 @@ impl QinDb {
     /// flags `(version, deduplicated, deleted)`.
     pub fn versions_of(&self, key: &[u8]) -> Vec<(u64, bool, bool)> {
         self.table
-            .versions_of(key)
-            .map(|(v, e)| (v, e.deduplicated, e.deleted))
+            .chain(key)
+            .map(|l| (l.version, l.entry.deduplicated, l.entry.deleted))
             .collect()
+    }
+
+    /// Whether this node holds an item for `key/version`, live or
+    /// deleted.
+    pub fn has_version(&self, key: &[u8], version: u64) -> bool {
+        self.table.chain(key).any(|l| l.version == version)
+    }
+
+    /// Iterates every memtable item with its whole entry — location, the
+    /// paper's flags and the engine's bookkeeping — for audits.
+    pub fn table_iter(&self) -> impl Iterator<Item = (&VersionedKey, &IndexEntry)> {
+        self.table.iter()
     }
 
     // ------------------------------------------------------------------
     // Crate-internal accessors (fsck / verification)
     // ------------------------------------------------------------------
-
-    pub(crate) fn table_iter(&self) -> impl Iterator<Item = (&VersionedKey, &IndexEntry)> {
-        self.table.iter()
-    }
 
     pub(crate) fn aof_read(&self, loc: ValueLocation) -> Result<Bytes> {
         Ok(self
@@ -966,6 +923,28 @@ impl QinDb {
 
     pub(crate) fn gct_occupancy(&self, file: FileId) -> Option<aof::Occupancy> {
         self.gct.occupancy(file)
+    }
+
+    pub(crate) fn gct_iter(&self) -> impl Iterator<Item = (FileId, aof::Occupancy)> + '_ {
+        self.gct.iter()
+    }
+
+    /// Every record in `file`, buffered tail included; corruption is an
+    /// error (the caller is not recovering from a crash).
+    pub(crate) fn file_records(&self, file: FileId) -> Result<Vec<ScanItem>> {
+        let len = self
+            .aof
+            .file_len(file)
+            .ok_or(aof::AofError::NoSuchFile(file))? as usize;
+        if len == 0 {
+            return Ok(Vec::new());
+        }
+        let data = self.aof.read(file, 0, len)?;
+        let (items, corrupt) = scan_records(&data, self.aof.device().geometry().page_size);
+        match corrupt {
+            Some(offset) => Err(QinDbError::CorruptRecord { file, offset }),
+            None => Ok(items),
+        }
     }
 
     // ------------------------------------------------------------------
@@ -978,8 +957,9 @@ impl QinDb {
         seq
     }
 
-    fn append_record(&mut self, record: &Record) -> Result<RecordLoc> {
-        let loc = self.aof.append(&record.encode())?;
+    /// Appends one encoded record and accounts for it in the GC table.
+    fn append_record(&mut self, encoded: &[u8]) -> Result<RecordLoc> {
+        let loc = self.aof.append(encoded)?;
         self.gct.on_append(loc.file, loc.len as u64);
         for sealed in self.aof.take_newly_sealed() {
             self.gct.seal(sealed);
@@ -1003,29 +983,44 @@ impl QinDb {
         }
     }
 
-    /// Recomputes disk-liveness for every version of `key` and adjusts
-    /// occupancy accounting. A record is disk-live while its item is
-    /// undeleted or a live later deduplicated version references it.
-    fn recompute_liveness(&mut self, key: &[u8]) {
-        let versions: Vec<(u64, IndexEntry)> =
-            self.table.versions_of(key).map(|(v, e)| (v, *e)).collect();
-        for (v, e) in versions {
-            let live = !e.deleted || self.table.is_referenced_by_later(key, v);
-            let vk = VersionedKey::new(Bytes::copy_from_slice(key), v);
+    /// The one skip-list descent of a mutation: loads `key`'s whole
+    /// version chain into `self.chain`. The returned seek lets a put link
+    /// a new version into that chain without searching again.
+    fn load_chain(&mut self, key: &[u8]) -> Seek {
+        let walk = self.table.chain(key);
+        let seek = walk.seek();
+        self.chain.clear();
+        self.chain.extend(walk);
+        seek
+    }
+
+    /// Brings the occupancy accounting of the chain in `self.chain` up to
+    /// date. A record is disk-live while its item is undeleted or a live
+    /// later deduplicated version references it — version `i` is
+    /// referenced exactly when version `i + 1` is deduplicated and itself
+    /// disk-live, so one pass from the newest version down decides them
+    /// all. Each flip moves a distinct record's bytes, so the order the
+    /// GC table sees them in does not matter.
+    fn settle_liveness(&mut self) {
+        let mut referenced = false;
+        for i in (0..self.chain.len()).rev() {
+            let ChainLink { at, entry: e, .. } = self.chain[i];
+            let live = !e.deleted || referenced;
             if !live && !e.dead_accounted {
                 self.gct.on_dead(e.location.file, e.location.len as u64);
-                self.table
-                    .get_mut(&vk)
-                    .expect("version listed")
-                    .dead_accounted = true;
+                self.table.entry_at_mut(at).dead_accounted = true;
             } else if live && e.dead_accounted {
                 self.gct.on_revive(e.location.file, e.location.len as u64);
-                self.table
-                    .get_mut(&vk)
-                    .expect("version listed")
-                    .dead_accounted = false;
+                self.table.entry_at_mut(at).dead_accounted = false;
             }
+            referenced = e.deduplicated && live;
         }
+    }
+
+    /// Recomputes disk-liveness for every version of `key` (recovery).
+    fn recompute_liveness(&mut self, key: &[u8]) {
+        self.load_chain(key);
+        self.settle_liveness();
     }
 }
 
@@ -1088,6 +1083,66 @@ mod tests {
         let s = db.stats();
         assert_eq!(s.gets_traced, 2);
         assert_eq!(s.traceback_steps, 3); // 2 + 1
+    }
+
+    #[test]
+    fn read_side_stats_and_probe_costs_are_pinned() {
+        // A fixed stream over every lookup outcome: direct hit, traceback
+        // (also through a deleted ancestor), deleted, absent version,
+        // absent key, dangling dedup chain. The expected numbers are what
+        // the engine reported before lookups became one chain walk.
+        let mut db = small_engine();
+        db.put(b"k", 1, Some(b"v1")).unwrap();
+        db.put(b"k", 2, None).unwrap();
+        db.put(b"k", 3, None).unwrap();
+        db.put(b"k", 4, Some(b"v4x")).unwrap();
+        db.put(b"k", 5, None).unwrap();
+        db.del(b"k", 1).unwrap();
+        db.put(b"dangling", 7, None).unwrap();
+
+        assert_eq!(db.get(b"k", 3).unwrap().unwrap().as_ref(), b"v1");
+        for (key, version) in [(&b"k"[..], 1), (b"k", 9), (b"nope", 1), (b"dangling", 7)] {
+            assert_eq!(db.get(key, version).unwrap(), None);
+        }
+        let cost = |hops, bytes| obs::ReadCost {
+            storage_reads: 1,
+            traceback_hops: hops,
+            bytes,
+            ..obs::ReadCost::default()
+        };
+        let live = |value: &'static [u8], resolved_version| KeyStatus::Live {
+            value: Bytes::from_static(value),
+            resolved_version,
+        };
+        let probes = [
+            (&b"k"[..], 5, live(b"v4x", 4), cost(1, 3)),
+            (b"k", 4, live(b"v4x", 4), cost(0, 3)),
+            (b"k", 3, live(b"v1", 1), cost(2, 2)),
+            (b"k", 1, KeyStatus::Deleted, cost(0, 0)),
+            (b"k", 6, KeyStatus::Missing, cost(0, 0)),
+            (b"dangling", 7, KeyStatus::Missing, cost(0, 0)),
+        ];
+        for (key, version, status, probe) in probes {
+            let got = db.status_probed(key, version, 0);
+            assert_eq!(
+                (got.0.unwrap(), got.1),
+                (status, probe),
+                "{key:?}/{version}"
+            );
+        }
+        assert_eq!(db.scan_prefix(b"k", 5).unwrap().len(), 1);
+
+        let s = db.stats();
+        assert_eq!(
+            (
+                s.gets,
+                s.gets_not_found,
+                s.gets_traced,
+                s.traceback_steps,
+                s.user_read_bytes
+            ),
+            (8, 4, 4, 6, 13)
+        );
     }
 
     #[test]

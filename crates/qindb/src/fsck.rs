@@ -14,9 +14,9 @@
 
 use crate::checkpoint;
 use crate::engine::QinDb;
-use crate::record::{scan_records, Record};
+use crate::record::{scan_records, Record, ScanItem};
 use crate::Result;
-use aof::{Aof, AofConfig};
+use aof::{Aof, AofConfig, FileId, Occupancy};
 use ssdsim::Device;
 use std::collections::HashMap;
 use std::fmt;
@@ -109,7 +109,35 @@ pub fn fsck(dev: &Device, cfg: AofConfig) -> Result<FsckReport> {
     Ok(report)
 }
 
+/// One file as [`QinDb::file_audit`] reports it.
+#[derive(Debug, Clone)]
+pub struct FileAudit {
+    /// The file.
+    pub file: FileId,
+    /// What the GC table accounts for it.
+    pub occupancy: Occupancy,
+    /// The records actually in it, the active file's buffered tail
+    /// included.
+    pub records: Vec<ScanItem>,
+}
+
 impl QinDb {
+    /// Every file the GC table tracks, with its accounted occupancy next
+    /// to the records it really holds — the raw material for an audit
+    /// that recomputes occupancy independently of the engine's
+    /// incremental bookkeeping (see `tests/liveness_oracle.rs`).
+    pub fn file_audit(&self) -> Result<Vec<FileAudit>> {
+        self.gct_iter()
+            .map(|(file, occupancy)| {
+                Ok(FileAudit {
+                    file,
+                    occupancy,
+                    records: self.file_records(file)?,
+                })
+            })
+            .collect()
+    }
+
     /// Deep verification of a live engine: every memtable item must
     /// resolve to a record on flash whose key, version, and NULL-ness
     /// match the item, and the GC table's live-byte totals must equal the

@@ -56,7 +56,7 @@ mod stats;
 pub use checkpoint::CheckpointState;
 pub use config::QinDbConfig;
 pub use engine::{journal_frontier_of, KeyStatus, QinDb};
-pub use fsck::{fsck, FsckReport};
+pub use fsck::{fsck, FileAudit, FsckReport};
 pub use record::{scan_records, Record, RecordScanner, ScanItem};
 pub use stats::EngineStats;
 

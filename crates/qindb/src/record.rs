@@ -24,7 +24,7 @@
 //! scan.
 
 use crate::{QinDbError, Result};
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{Buf, BufMut, Bytes};
 
 const RECORD_MAGIC: u8 = 0xA5;
 const NULL_VALUE: u32 = u32::MAX;
@@ -81,42 +81,43 @@ impl Record {
 
     /// Serializes the record into its on-flash framing.
     pub fn encode(&self) -> Bytes {
-        let mut body = BytesMut::new();
         match self {
             Record::Put {
                 seq,
                 key,
                 version,
                 value,
-            } => {
-                body.put_u8(KIND_PUT);
-                body.put_u64_le(*seq);
-                body.put_u32_le(key.len() as u32);
-                body.put_slice(key);
-                body.put_u64_le(*version);
-                match value {
-                    Some(v) => {
-                        body.put_u32_le(v.len() as u32);
-                        body.put_slice(v);
-                    }
-                    None => body.put_u32_le(NULL_VALUE),
-                }
-            }
-            Record::Del { seq, key, version } => {
-                body.put_u8(KIND_DEL);
-                body.put_u64_le(*seq);
-                body.put_u32_le(key.len() as u32);
-                body.put_slice(key);
-                body.put_u64_le(*version);
-            }
+            } => Record::encode_put(*seq, key, *version, value.as_deref()),
+            Record::Del { seq, key, version } => Record::encode_del(*seq, key, *version),
         }
-        let mut out = BytesMut::with_capacity(body.len() + 9);
-        out.put_u8(RECORD_MAGIC);
-        out.put_u32_le(body.len() as u32);
-        let crc = fnv1a(&body);
-        out.extend_from_slice(&body);
-        out.put_u32_le(crc);
-        out.freeze()
+        .into()
+    }
+
+    /// The on-flash framing of a put, from borrowed parts: what
+    /// [`Record::encode`] yields for the equivalent [`Record::Put`],
+    /// written once into one buffer of exactly the framed size.
+    pub fn encode_put(seq: u64, key: &[u8], version: u64, value: Option<&[u8]>) -> Vec<u8> {
+        let mut out = frame(
+            KIND_PUT,
+            seq,
+            key,
+            version,
+            4 + value.map_or(0, <[u8]>::len),
+        );
+        match value {
+            Some(v) => {
+                out.put_u32_le(v.len() as u32);
+                out.put_slice(v);
+            }
+            None => out.put_u32_le(NULL_VALUE),
+        }
+        seal(out)
+    }
+
+    /// The on-flash framing of a tombstone, from borrowed parts; see
+    /// [`Record::encode_put`].
+    pub fn encode_del(seq: u64, key: &[u8], version: u64) -> Vec<u8> {
+        seal(frame(KIND_DEL, seq, key, version, 0))
     }
 
     /// Encoded length of this record on flash.
@@ -196,6 +197,28 @@ impl Record {
         };
         Ok((record, 9 + body_len))
     }
+}
+
+/// Starts a record: magic, body length, and the body fields every kind
+/// shares; `rest` is the byte count of what the kind appends after them.
+fn frame(kind: u8, seq: u64, key: &[u8], version: u64, rest: usize) -> Vec<u8> {
+    let body_len = 1 + 8 + 4 + key.len() + 8 + rest;
+    let mut out = Vec::with_capacity(1 + 4 + body_len + 4);
+    out.put_u8(RECORD_MAGIC);
+    out.put_u32_le(body_len as u32);
+    out.put_u8(kind);
+    out.put_u64_le(seq);
+    out.put_u32_le(key.len() as u32);
+    out.put_slice(key);
+    out.put_u64_le(version);
+    out
+}
+
+/// Ends a record whose body is complete: appends the body's checksum.
+fn seal(mut out: Vec<u8>) -> Vec<u8> {
+    let crc = fnv1a(&out[5..]);
+    out.put_u32_le(crc);
+    out
 }
 
 fn fnv1a(data: &[u8]) -> u32 {
@@ -327,6 +350,64 @@ mod tests {
             assert_eq!(dec, rec);
             assert_eq!(n, enc.len());
         }
+    }
+
+    #[test]
+    fn borrowed_encoders_match_encode_for_random_inputs() {
+        // xorshift: deterministic, no dev-dependency needed.
+        let mut x: u64 = 0x2545_F491_4F6C_DD1D;
+        let mut next = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        for _ in 0..500 {
+            let (seq, version) = (next(), next());
+            let key: Vec<u8> = (0..next() % 40).map(|_| next() as u8).collect();
+            let value: Option<Vec<u8>> =
+                (next() % 3 > 0).then(|| (0..next() % 300).map(|_| next() as u8).collect());
+            let put = Record::Put {
+                seq,
+                key: Bytes::copy_from_slice(&key),
+                version,
+                value: value.as_deref().map(Bytes::copy_from_slice),
+            };
+            let enc = Record::encode_put(seq, &key, version, value.as_deref());
+            assert_eq!(enc, put.encode().as_ref());
+            assert_eq!((enc.len(), enc.capacity()), (put.encoded_len(), enc.len()));
+            assert_eq!(Record::decode(&enc).unwrap(), (put, enc.len()));
+            let del = Record::Del {
+                seq,
+                key: Bytes::copy_from_slice(&key),
+                version,
+            };
+            let enc = Record::encode_del(seq, &key, version);
+            assert_eq!(enc, del.encode().as_ref());
+            assert_eq!((enc.len(), enc.capacity()), (del.encoded_len(), enc.len()));
+            assert_eq!(Record::decode(&enc).unwrap(), (del, enc.len()));
+        }
+    }
+
+    #[test]
+    fn on_flash_format_is_pinned() {
+        // magic, body_len, kind, seq, key_len, key, version, value_len,
+        // value, fnv1a(body) — byte for byte what earlier builds wrote.
+        let mut want = vec![0xA5, 27, 0, 0, 0, 1];
+        want.extend_from_slice(&7u64.to_le_bytes());
+        want.extend_from_slice(&[2, 0, 0, 0, b'k', b'1']);
+        want.extend_from_slice(&3u64.to_le_bytes());
+        want.extend_from_slice(&[0, 0, 0, 0]);
+        let crc = fnv1a(&want[5..]);
+        want.extend_from_slice(&crc.to_le_bytes());
+        assert_eq!(Record::encode_put(7, b"k1", 3, Some(b"")), want);
+        assert_eq!(crc, 0xe71b_7c46);
+        // A NULL value is the marker alone; a tombstone has no marker.
+        let null = Record::encode_put(7, b"k1", 3, None);
+        assert_eq!(null[28..32], [0xFF; 4]);
+        assert_eq!(null.len(), want.len());
+        let del = Record::encode_del(7, b"k1", 3);
+        assert_eq!((del[1], del[5], del.len()), (23, 2, want.len() - 4));
     }
 
     #[test]
