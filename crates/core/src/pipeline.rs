@@ -1,12 +1,13 @@
 //! The end-to-end update cycle.
 
 use crate::{DirectLoadError, Result};
-use bifrost::{Bifrost, BifrostConfig, DataCenterId, DeliveryReport, UpdateEntry};
+use bifrost::{Bifrost, BifrostConfig, DataCenterId, DeliveryReport};
 use bytes::{BufMut, Bytes, BytesMut};
 use indexgen::{CorpusConfig, CrawlSimulator, IndexKind};
 use mint::{Mint, MintConfig, ScanRow, WriteOp};
 use simclock::{SimClock, SimTime};
 use std::collections::VecDeque;
+use std::iter;
 
 /// Key-space prefixes: the three index families share URL/term keys, so
 /// they are namespaced inside a data center's Mint cluster (production
@@ -87,6 +88,15 @@ pub struct VersionReport {
     pub versions_retired: u64,
 }
 
+/// The routed keys of one retained version — the same `Bytes` handles
+/// its [`WriteOp`]s carried — split the way data centers store them:
+/// summary keys live on the summary hosts only.
+struct Retained {
+    version: u64,
+    summary: Vec<Bytes>,
+    other: Vec<Bytes>,
+}
+
 /// Default capacity of the system trace ring: big enough for a handful
 /// of update cycles at demo scale, bounded so long runs cannot leak.
 const TRACE_CAPACITY: usize = 16 * 1024;
@@ -98,9 +108,9 @@ pub struct DirectLoad {
     bifrost: Bifrost,
     clock: SimClock,
     dcs: Vec<(DataCenterId, Mint)>,
-    /// Key sets of recent versions, for retention deletion:
-    /// `(version, keys-with-kind)`.
-    history: VecDeque<(u64, Vec<(IndexKind, Bytes)>)>,
+    /// Key sets of the retained versions, oldest first, for retention
+    /// deletion.
+    history: VecDeque<Retained>,
     /// The system-wide metrics registry, filled by [`Self::introspect`].
     registry: obs::Registry,
     /// The system-wide trace ring. Handed to every subsystem at
@@ -209,7 +219,7 @@ impl DirectLoad {
     /// cache keyed by `(url, version)` must drop entries older than this
     /// after a publish (see the `serve` crate's summary cache).
     pub fn min_live_version(&self) -> u64 {
-        self.history.front().map(|(v, _)| *v).unwrap_or(0)
+        self.history.front().map_or(0, |r| r.version)
     }
 
     /// The crawl simulator backing the corpus, e.g. for deriving query
@@ -220,8 +230,13 @@ impl DirectLoad {
 
     /// Runs one full update cycle: crawl a round (`change_fraction` of
     /// pages modified), build the indices, deliver them through Bifrost,
-    /// apply them at every data center, and retire the oldest retained
-    /// version.
+    /// and load them at every data center — center by center, each
+    /// applying the version and then retiring the one that leaves the
+    /// retention window (DESIGN.md §7.11).
+    ///
+    /// If any data center fails its load, the error of the lowest-numbered
+    /// failed center is returned and the retention window does not move;
+    /// the other centers' batches are nevertheless applied whole.
     pub fn run_version(&mut self, change_fraction: f64) -> Result<VersionReport> {
         let start = self.clock.now();
         // Wall-clock phase spans for the profiler; each subsystem nests
@@ -239,29 +254,56 @@ impl DirectLoad {
         drop(build_span);
         let (delivery, entries) = self.bifrost.deliver_version(&index, start);
         let mut load_span = wall.span(obs::SpanKind::Load, "pipeline");
-        // Partition the wire entries into the per-DC write streams.
-        let summary_ops: Vec<WriteOp> = entries
+        // Partition the wire entries once into the two write streams every
+        // data center shares.
+        let (mut summary_ops, mut other_ops) = (Vec::new(), Vec::new());
+        for e in &entries {
+            let op = WriteOp {
+                key: prefixed(e.kind, &e.key),
+                version: e.version,
+                value: e.value.clone(),
+            };
+            if e.kind == IndexKind::Summary {
+                summary_ops.push(op);
+            } else {
+                other_ops.push(op);
+            }
+        }
+        let keys = |ops: &[WriteOp]| ops.iter().map(|op| op.key.clone()).collect();
+        let landed = Retained {
+            version: index.version,
+            summary: keys(&summary_ops),
+            other: keys(&other_ops),
+        };
+        // Retention: what this version pushes out of the window, oldest
+        // first (one version per round once the window is full).
+        let excess = (self.history.len() + 1).saturating_sub(self.cfg.versions_retained);
+        let retiring: Vec<&Retained> = self
+            .history
             .iter()
-            .filter(|e| e.kind == IndexKind::Summary)
-            .map(to_write_op)
+            .chain(iter::once(&landed))
+            .take(excess)
             .collect();
-        let other_ops: Vec<WriteOp> = entries
-            .iter()
-            .filter(|e| e.kind != IndexKind::Summary)
-            .map(to_write_op)
-            .collect();
+        // Load the data centers one after another, each whole before the
+        // next: apply, then retire, while that cluster's skip lists are
+        // hot (DESIGN.md §7.11). A failed center does not stop the rest.
         let summary_hosts = DataCenterId::summary_hosts();
         let mut storage_time = SimTime::ZERO;
+        let mut first_error = None;
         for (dc, cluster) in &mut self.dcs {
-            let mut wall = SimTime::ZERO;
-            if summary_hosts.contains(dc) && !summary_ops.is_empty() {
-                wall += cluster.apply(&summary_ops)?.wall;
+            let summary_ops = summary_hosts.contains(dc).then_some(&summary_ops[..]);
+            match load_data_center(cluster, summary_ops, &other_ops, &retiring) {
+                // Clusters work in parallel: the slowest sets the time.
+                Ok(wall) => storage_time = storage_time.max(wall),
+                Err(error) => {
+                    first_error.get_or_insert(error);
+                }
             }
-            if !other_ops.is_empty() {
-                wall += cluster.apply(&other_ops)?.wall;
-            }
-            storage_time = storage_time.max(wall);
         }
+        if let Some(error) = first_error {
+            return Err(error);
+        }
+        let versions_retired = retiring.len() as u64;
         // Storage applies run on per-node clocks, not the shared WAN
         // clock, so the cluster load traces as an event carrying the pair
         // count (per-node flush spans carry the node-level timing).
@@ -270,25 +312,10 @@ impl DirectLoad {
         load_span.set_amount(entries.len() as u64);
         drop(load_span);
         let mut publish_span = wall.span(obs::SpanKind::Publish, "pipeline");
-        // Retention: drop the oldest version beyond the window.
-        self.history.push_back((
-            index.version,
-            entries.iter().map(|e| (e.kind, e.key.clone())).collect(),
-        ));
-        let mut versions_retired = 0;
-        while self.history.len() > self.cfg.versions_retained {
-            let (old_version, keys) = self.history.pop_front().expect("len checked");
-            versions_retired += 1;
-            for (kind, key) in keys {
-                let routed = prefixed(kind, &key);
-                for (dc, cluster) in &mut self.dcs {
-                    if kind == IndexKind::Summary && !summary_hosts.contains(dc) {
-                        continue;
-                    }
-                    cluster.delete(&routed, old_version)?;
-                }
-            }
-        }
+        // Every center holds the version and has dropped what left the
+        // window: move the window.
+        self.history.push_back(landed);
+        self.history.drain(..excess);
         let update_time = delivery.update_time + storage_time;
         let keys_stored = entries.len() as u64;
         // The version is now queryable everywhere: the publish point.
@@ -524,12 +551,29 @@ pub fn routed_key(kind: IndexKind, key: &[u8]) -> Bytes {
     prefixed(kind, key)
 }
 
-fn to_write_op(e: &UpdateEntry) -> WriteOp {
-    WriteOp {
-        key: prefixed(e.kind, &e.key),
-        version: e.version,
-        value: e.value.clone(),
+/// Loads one data center: applies the new version's write streams
+/// (`summary_ops` only where summaries are hosted), then retires the keys
+/// of the versions leaving the retention window. Returns the simulated
+/// time the applies kept the cluster busy.
+fn load_data_center(
+    cluster: &mut Mint,
+    summary_ops: Option<&[WriteOp]>,
+    other_ops: &[WriteOp],
+    retiring: &[&Retained],
+) -> Result<SimTime> {
+    let mut wall = SimTime::ZERO;
+    for ops in summary_ops.into_iter().chain([other_ops]) {
+        if !ops.is_empty() {
+            wall += cluster.apply(ops)?.wall;
+        }
     }
+    for old in retiring {
+        if summary_ops.is_some() {
+            cluster.retire(&old.summary, old.version)?;
+        }
+        cluster.retire(&old.other, old.version)?;
+    }
+    Ok(wall)
 }
 
 #[cfg(test)]

@@ -70,6 +70,27 @@ fn decode_group_op(payload: &[u8]) -> GroupOp {
     }
 }
 
+/// One mutation of a batch on its way through [`Mint::execute`]: the
+/// group-log record's fields, borrowed from the caller.
+#[derive(Clone, Copy)]
+struct Mutation<'a> {
+    kind: u8,
+    key: &'a [u8],
+    version: u64,
+    value: Option<&'a [u8]>,
+}
+
+impl<'a> Mutation<'a> {
+    fn del(key: &'a [u8], version: u64) -> Self {
+        Mutation {
+            kind: OP_DEL,
+            key,
+            version,
+            value: None,
+        }
+    }
+}
+
 /// The value-free descriptor a replica journals for one applied
 /// mutation (the AOF holds the data; the journal only needs enough to
 /// re-derive the node's frontier and explain itself in a hex dump).
@@ -219,10 +240,6 @@ pub struct MintConfig {
     pub device: DeviceConfig,
     /// Per-node engine configuration.
     pub engine: QinDbConfig,
-    /// Apply batches on worker threads (one per node touched). Turn off
-    /// for strictly deterministic single-threaded debugging; results are
-    /// identical either way because nodes share no state.
-    pub parallel_apply: bool,
 }
 
 impl MintConfig {
@@ -234,7 +251,6 @@ impl MintConfig {
             replicas: 3,
             device: DeviceConfig::small(),
             engine: QinDbConfig::small_files(2 * 1024 * 1024),
-            parallel_apply: false,
         }
     }
 }
@@ -297,7 +313,7 @@ pub struct Mint {
     trace: Option<(obs::TraceSink, String)>,
     /// Wall-clock counterpart of `trace` for the phase-time profiler:
     /// engine maintenance spans in real nanoseconds, plus a `load` span
-    /// around each [`Mint::apply`] batch.
+    /// around each [`Mint::apply`] and [`Mint::retire`] batch.
     wall_trace: Option<(obs::TraceSink, String)>,
     /// Routing generation: bumped on every change that alters which
     /// nodes a key can route to (failure, recovery, join cutover, drain
@@ -400,8 +416,9 @@ impl Mint {
 
     /// Attaches a wall-clock trace sink to every node's engine, labeled
     /// `<prefix>/n<id>`, and records a `load` span around every
-    /// [`Mint::apply`] batch. Recovered or added nodes are re-instrumented
-    /// with the same sink, exactly like [`Mint::attach_trace`].
+    /// [`Mint::apply`] and [`Mint::retire`] batch. Recovered or added
+    /// nodes are re-instrumented with the same sink, exactly like
+    /// [`Mint::attach_trace`].
     pub fn attach_wall_trace(&mut self, sink: &obs::TraceSink, prefix: &str) {
         self.wall_trace = Some((sink.clone(), prefix.to_string()));
         for node in &self.nodes {
@@ -466,158 +483,158 @@ impl Mint {
             .collect()
     }
 
-    /// Applies a batch of writes, replicating each op. Returns the batch
-    /// report; wall time is max per-node busy time.
+    /// Applies a batch of writes, replicating each op to the top-R alive
+    /// members of its group. Returns the batch report; wall time is max
+    /// per-node busy time. A batch with a key whose whole group is down
+    /// is rejected before anything is logged or applied.
     pub fn apply(&mut self, ops: &[WriteOp]) -> Result<ApplyReport> {
-        let wall = self.wall_trace.clone();
-        let mut wspan = wall.as_ref().map(|(s, l)| s.span(obs::SpanKind::Load, l));
-        // Pass 1: route and validate. Nothing is logged or applied until
-        // every op in the batch has a live replica set — a rejected batch
-        // must leave no trace in the group logs, or a later catch-up
-        // could resurrect a write that was never acknowledged. Op `i`'s
-        // replica set is `targets[routed[i - 1].1..routed[i].1]`; a key is
-        // hashed once for both its group and its ranking, and a group's
-        // alive members are listed once for the whole batch.
-        let alive: Vec<Vec<u32>> = (0..self.groups.len())
-            .map(|g| self.group_readers(g).map(|n| n.0).collect())
-            .collect();
-        let mut routed: Vec<(usize, usize)> = Vec::with_capacity(ops.len());
-        let mut targets: Vec<u32> = Vec::with_capacity(ops.len() * self.cfg.replicas);
-        let mut ranked: Vec<(u64, u32)> = Vec::new();
-        let mut report = ApplyReport::default();
-        for op in ops {
-            report.ops += 1;
-            report.bytes += (op.key.len() + op.value.as_ref().map_or(0, |v| v.len())) as u64;
-            let kh = placement_hash(&op.key);
-            let group = group_of_hash(kh, self.groups.len());
-            rank_into(kh, &alive[group], &mut ranked);
-            if ranked.is_empty() {
-                // The key's whole group is down: the write has nowhere to
-                // land. Reject the batch before anything is applied —
-                // acknowledging it would silently lose an acked write.
-                return Err(MintError::NoReplicaAvailable);
-            }
-            let replicas = ranked.len().min(self.cfg.replicas);
-            report.skipped_replicas += (self.cfg.replicas - replicas) as u64;
-            targets.extend(ranked[..replicas].iter().map(|&(_, n)| n));
-            routed.push((group, targets.len()));
-        }
-        // Pass 2: sequence each op in its group's log; the LSN rides to
-        // every replica so its journal records the frontier it reached.
-        let mut per_node: Vec<Vec<(&WriteOp, u64)>> =
-            (0..self.nodes.len()).map(|_| Vec::new()).collect();
-        let mut start = 0;
-        for (op, &(group, end)) in ops.iter().zip(&routed) {
-            let kind = if op.value.is_some() {
+        self.execute_spanned(ops.iter().map(|op| Mutation {
+            kind: if op.value.is_some() {
                 OP_PUT_FULL
             } else {
                 OP_PUT_DEDUP
-            };
-            let lsn = self.group_logs[group].append(&encode_group_op(
-                kind,
-                &op.key,
-                op.version,
-                op.value.as_deref(),
-            ));
-            for &r in &targets[start..end] {
-                per_node[r as usize].push((op, lsn));
-            }
-            start = end;
-        }
-        let before: Vec<SimTime> = self.nodes.iter().map(|n| n.clock.now()).collect();
-        let apply_node = |node: &NodeState, work: &[(&WriteOp, u64)]| -> Result<()> {
-            let mut guard = node.engine.write();
-            let engine = guard.as_mut().ok_or(MintError::BadNodeState(node.id.0))?;
-            for (op, lsn) in work {
-                let kind = if op.value.is_some() {
-                    OP_PUT_FULL
-                } else {
-                    OP_PUT_DEDUP
-                };
-                engine
-                    .put(&op.key, op.version, op.value.as_deref())
-                    .map_err(|error| MintError::Node {
-                        node: node.id.0,
-                        error,
-                    })?;
-                engine.journal_mutation(*lsn, &journal_desc(kind, op.version, &op.key));
-            }
-            // Batch commit: the tail must be durable before the version is
-            // acknowledged to the delivery layer.
-            engine.flush().map_err(|error| MintError::Node {
-                node: node.id.0,
-                error,
-            })?;
-            Ok(())
-        };
-        if self.cfg.parallel_apply {
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = self
-                    .nodes
-                    .iter()
-                    .zip(per_node.iter())
-                    .filter(|(_, work)| !work.is_empty())
-                    .map(|(node, work)| scope.spawn(move || apply_node(node, work)))
-                    .collect();
-                for h in handles {
-                    h.join().expect("apply worker panicked")?;
-                }
-                Ok::<(), MintError>(())
-            })?;
-        } else {
-            for (node, work) in self.nodes.iter().zip(per_node.iter()) {
-                if !work.is_empty() {
-                    apply_node(node, work)?;
-                }
-            }
-        }
-        report.wall = self
-            .nodes
-            .iter()
-            .zip(before)
-            .map(|(n, b)| n.clock.now().saturating_sub(b))
-            .max()
-            .unwrap_or(SimTime::ZERO);
+            },
+            key: &op.key,
+            version: op.version,
+            value: op.value.as_deref(),
+        }))
+    }
+
+    /// Retires `version` of every key in `keys` (the retention delete: at
+    /// most four index versions stay on disk in production), as one batch
+    /// in [`Mint::apply`]'s shape: each node's write lock is taken once
+    /// and its share of the deletes runs back to back, so its skip list
+    /// stays hot. A key is deleted on every alive member of its group —
+    /// fanning out beyond the current top-R replicas is a no-op at base
+    /// group width, but once a group has scaled out, copies held by
+    /// former owners must be retired too (`del` of an unknown item is a
+    /// safe no-op in the engine).
+    ///
+    /// Only a delete that targets a version some alive member holds goes
+    /// in the group log. A no-op delete must leave no trace: replaying it
+    /// later would fabricate authoritative deletion knowledge for a
+    /// version that may yet be written. Known-ness is probed for the
+    /// whole batch before any delete runs, which matches one
+    /// [`Mint::delete`] per key as long as no delete of the batch changes
+    /// what a later key's probe sees (the keys of one index version are
+    /// distinct, so in the pipeline none does).
+    pub fn retire(&mut self, keys: &[Bytes], version: u64) -> Result<()> {
+        self.execute_spanned(keys.iter().map(|key| Mutation::del(key, version)))
+            .map(drop)
+    }
+
+    /// Deletes `key/version`: [`Mint::retire`] of one key.
+    pub fn delete(&mut self, key: &[u8], version: u64) -> Result<()> {
+        self.execute(std::iter::once(Mutation::del(key, version)))
+            .map(drop)
+    }
+
+    /// [`Mint::execute`] inside a wall-clock `load` span carrying the
+    /// batch's routed payload bytes.
+    fn execute_spanned<'a>(
+        &mut self,
+        batch: impl Iterator<Item = Mutation<'a>>,
+    ) -> Result<ApplyReport> {
+        let wall = self.wall_trace.clone();
+        let mut wspan = wall.as_ref().map(|(s, l)| s.span(obs::SpanKind::Load, l));
+        let report = self.execute(batch)?;
         if let Some(wspan) = wspan.as_mut() {
             wspan.set_amount(report.bytes);
         }
         Ok(report)
     }
 
-    /// Deletes `key/version` on every alive member of its group (used to
-    /// retire old index versions; at most four stay on disk in
-    /// production). Fanning out beyond the current top-R replicas is a
-    /// no-op at base group width, but once a group has scaled out, copies
-    /// held by former owners must be retired too — `del` of an unknown
-    /// item is a safe no-op in the engine.
-    pub fn delete(&mut self, key: &[u8], version: u64) -> Result<()> {
-        // Only a delete that targets a known version goes in the group
-        // log. A no-op delete (version unknown everywhere) must leave no
-        // trace: replaying it later would fabricate authoritative
-        // deletion knowledge for a version that may yet be written.
-        let group = group_of(key, self.groups.len());
-        let readers: Vec<NodeId> = self.group_readers(group).collect();
-        let known = readers.iter().any(|r| {
-            let guard = self.nodes[r.0 as usize].engine.read();
-            guard
-                .as_ref()
-                .is_some_and(|engine| engine.has_version(key, version))
-        });
-        if !known {
-            return Ok(());
-        }
-        let lsn = self.group_logs[group].append(&encode_group_op(OP_DEL, key, version, None));
-        for r in readers {
-            let node = &self.nodes[r.0 as usize];
-            let mut guard = node.engine.write();
-            if let Some(engine) = guard.as_mut() {
-                engine
-                    .del(key, version)
-                    .map_err(|error| MintError::Node { node: r.0, error })?;
-                engine.journal_mutation(lsn, &journal_desc(OP_DEL, version, key));
+    /// The one write path every mutation takes — route, log, then
+    /// execute per node: log first, memory second.
+    fn execute<'a>(&mut self, batch: impl Iterator<Item = Mutation<'a>>) -> Result<ApplyReport> {
+        // Pass 1: route and validate. Nothing is logged or applied until
+        // every mutation of the batch has its target set — a rejected
+        // batch must leave no trace in the group logs, or a later
+        // catch-up could resurrect a write that was never acknowledged.
+        // `per_node[n]` lists, in batch order, the indices into `routed`
+        // of node `n`'s share; a key is hashed once for both its group
+        // and its ranking.
+        let mut routed: Vec<(Mutation<'a>, usize, u64)> = Vec::with_capacity(batch.size_hint().0);
+        let mut per_node: Vec<Vec<u32>> = vec![Vec::new(); self.nodes.len()];
+        let mut ranked: Vec<(u64, u32)> = Vec::new();
+        let mut report = ApplyReport::default();
+        for m in batch {
+            let kh = placement_hash(m.key);
+            let group = group_of_hash(kh, self.groups.len());
+            let at = routed.len() as u32;
+            if m.kind == OP_DEL {
+                let known = self.group_readers(group).any(|r| {
+                    let guard = self.nodes[r.0 as usize].engine.read();
+                    guard
+                        .as_ref()
+                        .is_some_and(|engine| engine.has_version(m.key, m.version))
+                });
+                if !known {
+                    continue;
+                }
+                for r in self.group_readers(group) {
+                    per_node[r.0 as usize].push(at);
+                }
+            } else {
+                rank_into(kh, self.group_readers(group).map(|n| n.0), &mut ranked);
+                if ranked.is_empty() {
+                    // The key's whole group is down: the write has nowhere
+                    // to land. Reject the batch before anything is applied
+                    // — acknowledging it would silently lose an acked
+                    // write.
+                    return Err(MintError::NoReplicaAvailable);
+                }
+                let replicas = ranked.len().min(self.cfg.replicas);
+                report.skipped_replicas += (self.cfg.replicas - replicas) as u64;
+                for &(_, r) in &ranked[..replicas] {
+                    per_node[r as usize].push(at);
+                }
             }
+            report.ops += 1;
+            report.bytes += (m.key.len() + m.value.map_or(0, <[u8]>::len)) as u64;
+            routed.push((m, group, 0));
         }
-        Ok(())
+        // Pass 2: sequence each mutation in its group's log, in batch
+        // order; the LSN rides to every target so its journal records the
+        // frontier it reached.
+        for (m, group, lsn) in &mut routed {
+            *lsn =
+                self.group_logs[*group].append(&encode_group_op(m.kind, m.key, m.version, m.value));
+        }
+        // Pass 3: node-major — each node's lock is taken once for its
+        // whole share of the batch.
+        for (node, work) in self.nodes.iter().zip(&per_node) {
+            if work.is_empty() {
+                continue;
+            }
+            let map_err = |error| MintError::Node {
+                node: node.id.0,
+                error,
+            };
+            let before = node.clock.now();
+            let mut guard = node.engine.write();
+            let engine = guard.as_mut().ok_or(MintError::BadNodeState(node.id.0))?;
+            let mut wrote = false;
+            for &at in work {
+                let (m, _, lsn) = routed[at as usize];
+                if m.kind == OP_DEL {
+                    engine.del(m.key, m.version).map_err(map_err)?;
+                } else {
+                    engine.put(m.key, m.version, m.value).map_err(map_err)?;
+                    wrote = true;
+                }
+                engine.journal_mutation(lsn, &journal_desc(m.kind, m.version, m.key));
+            }
+            if wrote {
+                // Batch commit: the tail must be durable before the
+                // version is acknowledged to the delivery layer.
+                engine.flush().map_err(map_err)?;
+            }
+            // Nodes work in parallel: the batch takes as long as its
+            // busiest node.
+            report.wall = report.wall.max(node.clock.now().saturating_sub(before));
+        }
+        Ok(report)
     }
 
     /// All alive members of a key's `group` — the read fan-out set. Writes
@@ -1587,6 +1604,18 @@ impl Mint {
         Ok(engine.journal_frontier())
     }
 
+    /// A live node's journal as it stands on flash: the flushed prefix,
+    /// which is what a crash right now would leave recovery to work with.
+    pub fn node_journal_image(&self, node: NodeId) -> Result<Vec<u8>> {
+        let state = self
+            .nodes
+            .get(node.0 as usize)
+            .ok_or(MintError::NoSuchNode(node.0))?;
+        let guard = state.engine.read();
+        let engine = guard.as_ref().ok_or(MintError::BadNodeState(node.0))?;
+        Ok(engine.journal_image())
+    }
+
     /// The head LSN of `group`'s log (the group's replication sequence
     /// high-water mark).
     pub fn group_log_head(&self, group: usize) -> Result<u64> {
@@ -1956,32 +1985,6 @@ mod tests {
             fast < full,
             "checkpointed recovery not faster: {fast} vs {full}"
         );
-    }
-
-    #[test]
-    fn parallel_apply_matches_serial() {
-        let serial = {
-            let mut m = Mint::new(MintConfig::tiny());
-            m.apply(&ops(80, 1)).unwrap();
-            let mut out = Vec::new();
-            for i in 0..80u32 {
-                out.push(m.get(format!("key-{i:04}").as_bytes(), 1).unwrap().0);
-            }
-            out
-        };
-        let parallel = {
-            let mut m = Mint::new(MintConfig {
-                parallel_apply: true,
-                ..MintConfig::tiny()
-            });
-            m.apply(&ops(80, 1)).unwrap();
-            let mut out = Vec::new();
-            for i in 0..80u32 {
-                out.push(m.get(format!("key-{i:04}").as_bytes(), 1).unwrap().0);
-            }
-            out
-        };
-        assert_eq!(serial, parallel);
     }
 
     #[test]

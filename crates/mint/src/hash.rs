@@ -43,19 +43,19 @@ fn mix64(mut x: u64) -> u64 {
 /// own — no global redistribution.
 pub fn rendezvous_rank(key: &[u8], candidates: &[u32]) -> Vec<u32> {
     let mut scored = Vec::new();
-    rank_into(placement_hash(key), candidates, &mut scored);
+    rank_into(placement_hash(key), candidates.iter().copied(), &mut scored);
     scored.into_iter().map(|(_, n)| n).collect()
 }
 
 /// [`rendezvous_rank`] for a known [`placement_hash`], into a buffer the
 /// caller reuses: `scored` ends up holding `(score, node)` best first.
-pub(crate) fn rank_into(kh: u64, candidates: &[u32], scored: &mut Vec<(u64, u32)>) {
+pub(crate) fn rank_into(
+    kh: u64,
+    candidates: impl Iterator<Item = u32>,
+    scored: &mut Vec<(u64, u32)>,
+) {
     scored.clear();
-    scored.extend(
-        candidates
-            .iter()
-            .map(|&n| (mix64(kh ^ mix64(n as u64 + 1)), n)),
-    );
+    scored.extend(candidates.map(|n| (mix64(kh ^ mix64(n as u64 + 1)), n)));
     // The node id breaks score ties, so the order is total.
     scored.sort_unstable_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
 }

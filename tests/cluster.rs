@@ -120,7 +120,6 @@ fn wide_cluster_scales_the_same_semantics() {
         groups: 4,
         nodes_per_group: 5,
         replicas: 3,
-        parallel_apply: true,
         ..MintConfig::tiny()
     };
     let mut cluster = Mint::new(cfg);
@@ -145,12 +144,9 @@ fn wide_cluster_scales_the_same_semantics() {
     cluster.apply(&ops(2, true)).unwrap(); // dedup'd version during outage
     cluster.recover_node(NodeId(7)).unwrap();
     cluster.apply(&ops(3, false)).unwrap();
-    // Retire version 1 everywhere.
-    for i in 0..400u32 {
-        cluster
-            .delete(format!("url:{i:016}").as_bytes(), 1)
-            .unwrap();
-    }
+    // Retire version 1 everywhere, as one batch.
+    let v1_keys: Vec<Bytes> = ops(1, true).into_iter().map(|op| op.key).collect();
+    cluster.retire(&v1_keys, 1).unwrap();
     // Full sweep: v1 gone, v2 traces back to v1's (referenced) bytes,
     // v3 live — across every group.
     for i in (0..400u32).step_by(7) {
