@@ -38,6 +38,16 @@
 //!    double-counted across crashes, retries and churn), and the WAN
 //!    ledger's foreground class must equal bifrost's exported delivery
 //!    uplink bytes byte-for-byte.
+//! 7. **A replica read alone is as good as the group** — Mint answers a
+//!    read from one replica when it can prove that replica has applied
+//!    its group's whole log. Every retained acked sample is re-read
+//!    through the costed path: it must return the acked bytes, and when
+//!    the attribution says one replica was consulted in a base-width
+//!    group, that node's `(version, deleted)` chain must equal every
+//!    other alive member's — a node served alone while its chain
+//!    diverges is a stale read waiting to happen. The storm must also
+//!    see the single-replica path taken at least once with the whole
+//!    group alive, so the proof is not vacuous.
 
 use bytes::Bytes;
 use directload::{routed_key, DirectLoad, VersionReport};
@@ -85,6 +95,9 @@ pub struct InvariantChecker {
     /// Attribution from every costed sample read across the storm —
     /// invariant 6 asserts its conservation each round.
     attr: obs::CostAccumulator,
+    /// Whether any sample read was answered by one replica while every
+    /// member of its group was alive (invariant 7's non-vacuity half).
+    lone_read_seen: bool,
     violations: Vec<Violation>,
 }
 
@@ -108,6 +121,7 @@ impl InvariantChecker {
             counters,
             missed_sum: 0,
             attr: obs::CostAccumulator::new(),
+            lone_read_seen: false,
             violations: Vec::new(),
         }
     }
@@ -121,6 +135,7 @@ impl InvariantChecker {
         self.check_missed_accounting(system, round);
         self.check_counters_monotonic(system, round);
         self.check_attribution_conservation(system, report.version, round);
+        self.check_lone_reads(system, round);
     }
 
     /// The full check suite once the storm has settled (every node
@@ -146,6 +161,15 @@ impl InvariantChecker {
         self.check_convergence(system, SETTLE);
         self.check_counters_monotonic(system, SETTLE);
         self.check_attribution_conservation(system, system.version(), SETTLE);
+        self.check_lone_reads(system, SETTLE);
+        if !self.lone_read_seen {
+            self.violations.push(Violation {
+                round: SETTLE,
+                invariant: "lone_read_taken",
+                detail: "no sample read was answered by a single replica of a fully alive group"
+                    .to_string(),
+            });
+        }
     }
 
     /// Violations found so far (empty on a correct system).
@@ -323,6 +347,58 @@ impl InvariantChecker {
         }
     }
 
+    /// Invariant 7: re-reads every retained acked forward sample through
+    /// the costed path at every data center. The bytes must match the
+    /// ack; a read one replica answered alone, in a base-width group,
+    /// must have come from a node whose chain equals its alive peers'.
+    /// The attributions also feed invariant 6's accumulator.
+    fn check_lone_reads(&mut self, system: &DirectLoad, round: u32) {
+        for &dc in &system.dc_ids() {
+            let cluster = system.cluster(dc).expect("deployment DC exists");
+            let label = format!("dc{}.{}", dc.region.0, dc.slot);
+            for s in &self.samples {
+                let key = routed_key(IndexKind::Forward, &s.url);
+                let Ok((value, _, read)) = cluster.get_costed(&key, s.version, 0) else {
+                    continue; // unreadable samples are invariant 1's to report
+                };
+                if value.as_ref() != Some(&s.forward) {
+                    self.violations.push(Violation {
+                        round,
+                        invariant: "lone_read_matches_ack",
+                        detail: format!(
+                            "forward {:?}@v{} at {dc:?} read {:?} bytes via {:?}, acked {}",
+                            s.url,
+                            s.version,
+                            value.map(|b| b.len()),
+                            read.per_node.iter().map(|(n, _)| *n).collect::<Vec<_>>(),
+                            s.forward.len()
+                        ),
+                    });
+                }
+                let members = cluster.group_members(cluster.key_group(&key));
+                if read.cost.replicas == 1 {
+                    let digests = cluster.chain_digests(&key);
+                    self.lone_read_seen |= digests.len() == members.len();
+                    let served = read.per_node[0].0;
+                    let own = digests.iter().find(|(n, _)| u64::from(n.0) == served);
+                    let agrees = own.is_some_and(|own| digests.iter().all(|d| d.1 == own.1));
+                    if members.len() <= cluster.replicas() && !agrees {
+                        self.violations.push(Violation {
+                            round,
+                            invariant: "lone_read_converged",
+                            detail: format!(
+                                "{dc:?} {key:?}@v{} served by node {served} alone while chains \
+                                 diverge: {digests:?}",
+                                s.version
+                            ),
+                        });
+                    }
+                }
+                record_read(&mut self.attr, &label, read);
+            }
+        }
+    }
+
     /// Invariant 4: the metrics export accounts for exactly the missed
     /// slices the per-round reports saw.
     fn check_missed_accounting(&mut self, system: &DirectLoad, round: u32) {
@@ -373,14 +449,7 @@ impl InvariantChecker {
             for url in &self.urls {
                 let key = routed_key(IndexKind::Forward, url);
                 if let Ok((_, _, read)) = cluster.get_costed(&key, version, 0) {
-                    self.attr.record(
-                        &label,
-                        &obs::Cost {
-                            queue_us: 0,
-                            service_us: 0,
-                            reads: vec![read],
-                        },
-                    );
+                    record_read(&mut self.attr, &label, read);
                 }
             }
         }
@@ -407,4 +476,17 @@ impl InvariantChecker {
             });
         }
     }
+}
+
+/// Folds one costed sample read, served at data center `dc_label`, into
+/// the storm's attribution accumulator.
+fn record_read(attr: &mut obs::CostAccumulator, dc_label: &str, read: obs::ReadAttribution) {
+    attr.record(
+        dc_label,
+        &obs::Cost {
+            queue_us: 0,
+            service_us: 0,
+            reads: vec![read],
+        },
+    );
 }

@@ -28,13 +28,40 @@ fn checker_flags_a_lost_acked_write() {
             .delete(&key, report.version)
             .unwrap();
     }
+    // And its forward list at one DC: the re-read through the costed
+    // path (one replica answers, the group being whole) must notice too.
+    let forward = routed_key(IndexKind::Forward, &url);
+    system
+        .cluster_mut(system.dc_ids()[0])
+        .unwrap()
+        .delete(&forward, report.version)
+        .unwrap();
+    checker.finalize(&system);
+    for invariant in ["acked_write_durable", "lone_read_matches_ack"] {
+        assert!(
+            checker
+                .violations()
+                .iter()
+                .any(|v| v.invariant == invariant),
+            "lost write must be flagged as {invariant}: {:?}",
+            checker.violations()
+        );
+    }
+}
+
+/// A storm in which no sample was ever answered by a single replica of
+/// a fully alive group proves nothing about that path, and must say so.
+#[test]
+fn checker_flags_a_storm_that_never_read_one_replica_alone() {
+    let system = DirectLoad::new(DirectLoadConfig::small());
+    let mut checker = InvariantChecker::new(&system, 4);
     checker.finalize(&system);
     assert!(
         checker
             .violations()
             .iter()
-            .any(|v| v.invariant == "acked_write_durable"),
-        "lost write must be flagged: {:?}",
+            .any(|v| v.invariant == "lone_read_taken"),
+        "a vacuous run must be flagged: {:?}",
         checker.violations()
     );
 }

@@ -366,7 +366,7 @@ impl DirectLoad {
     }
 
     /// [`DirectLoad::get_inverted`] on behalf of a traced request: the
-    /// Mint fan-out and any engine tracebacks carry `trace_id` on the
+    /// Mint read and any engine tracebacks carry `trace_id` on the
     /// wall trace ring (see [`mint::Mint::get_traced`]). `trace_id` 0 is
     /// exactly [`DirectLoad::get_inverted`].
     pub fn get_inverted_traced(

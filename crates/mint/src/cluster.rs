@@ -1,7 +1,9 @@
 //! The cluster: nodes, groups, replication, parallel reads, failure and
 //! recovery.
 
-use crate::hash::{group_of, group_of_hash, placement_hash, rank_into, rendezvous_rank};
+use crate::hash::{
+    group_of, group_of_hash, placement_hash, rank_into, rendezvous_rank, top_ranked,
+};
 use crate::{MintError, Result};
 use bytes::Bytes;
 use parking_lot::RwLock;
@@ -306,6 +308,21 @@ pub struct Mint {
     /// Alive flags, indexed by node id (true only while the node's
     /// engine is up *and* the node is in service).
     alive: Vec<bool>,
+    /// Wholeness, indexed by node id: `Some(l)` says the node's state was
+    /// built from its group's log records alone, and from *every* one
+    /// with an LSN at or below `l` — a dense prefix, where the journal
+    /// frontier is only a maximum. A node is **whole** when `l` is the
+    /// group log's head: it then holds everything the group knows, in
+    /// the form it was logged, and a read may consult it alone. It
+    /// advances to `lsn` only from `lsn - 1` (routed apply, suffix
+    /// replay) and is clamped to the surviving journal frontier at
+    /// recovery. `None` is for good: the node was handed a copy that is
+    /// not a log record (a full-state sync or a drain push materializes
+    /// values and stands NULL placeholders in for deleted items —
+    /// DESIGN.md §7 item 12), and replaying the log over such copies
+    /// skips what it finds already there. Coordinator-side, like the
+    /// group logs.
+    whole_through: Vec<Option<u64>>,
     /// Topology life-cycle state, indexed by node id.
     roles: Vec<NodeRole>,
     /// Trace sink plus cluster label prefix, kept so recovered or added
@@ -373,6 +390,7 @@ impl Mint {
             groups.push(members);
         }
         let alive = vec![true; nodes.len()];
+        let whole_through = vec![Some(0); nodes.len()];
         let roles = vec![NodeRole::Serving; nodes.len()];
         let group_logs = (0..cfg.groups)
             .map(|_| wal::Wal::new(wal::WalConfig::default()))
@@ -382,6 +400,7 @@ impl Mint {
             nodes,
             groups,
             alive,
+            whole_through,
             roles,
             trace: None,
             wall_trace: None,
@@ -603,7 +622,8 @@ impl Mint {
         }
         // Pass 3: node-major — each node's lock is taken once for its
         // whole share of the batch.
-        for (node, work) in self.nodes.iter().zip(&per_node) {
+        let shares = self.nodes.iter().zip(&per_node);
+        for ((node, work), whole_through) in shares.zip(&mut self.whole_through) {
             if work.is_empty() {
                 continue;
             }
@@ -624,6 +644,9 @@ impl Mint {
                     wrote = true;
                 }
                 engine.journal_mutation(lsn, &journal_desc(m.kind, m.version, m.key));
+                if *whole_through == Some(lsn - 1) {
+                    *whole_through = Some(lsn);
+                }
             }
             if wrote {
                 // Batch commit: the tail must be durable before the
@@ -637,11 +660,12 @@ impl Mint {
         Ok(report)
     }
 
-    /// All alive members of a key's `group` — the read fan-out set. Writes
-    /// go to the top-R replicas, but membership changes re-rank without
-    /// moving data ("without redistributing the stored key-value pairs"),
-    /// so a read must consult the whole (small) group to be sure of
-    /// finding the nodes that held the key when it was written.
+    /// All alive members of a key's `group` — the fallback read's fan-out
+    /// set. Writes go to the top-R replicas, but membership changes
+    /// re-rank without moving data ("without redistributing the stored
+    /// key-value pairs"), so a read that cannot name a whole replica must
+    /// consult the whole (small) group to be sure of finding the nodes
+    /// that held the key when it was written.
     fn group_readers(&self, group: usize) -> impl Iterator<Item = NodeId> + '_ {
         self.groups[group]
             .iter()
@@ -650,8 +674,19 @@ impl Mint {
             .map(NodeId)
     }
 
-    /// Reads `key/version` by fanning out to every alive node of the
-    /// key's group in parallel and reconciling:
+    /// Reads `key/version` from **one** replica when the key's group has
+    /// a *whole* alive member — one that has applied every record of the
+    /// group's log (see `whole_through`) and is therefore as informed as
+    /// the group: its `Live`, `Deleted` or `Missing` is authoritative.
+    /// Among whole members the key's highest-ranked one is asked, by the
+    /// same rendezvous weights the write path ranks with, so a key's reads
+    /// land on one node and a group's reads spread evenly over it.
+    ///
+    /// A group with no whole alive member (a node is mid-catch-up, or the
+    /// group is wider than the replication factor, where every write
+    /// skips someone), or a whole replica whose engine still errors after
+    /// its retries, falls back to fanning out to every alive member in
+    /// parallel and reconciling:
     ///
     /// * any node reporting **deleted** is authoritative — a version is
     ///   deleted at most once and never rewritten afterwards, so a stale
@@ -665,19 +700,18 @@ impl Mint {
     ///
     /// A replica whose engine errors (an injected uncorrectable media
     /// read, say) is retried up to [`READ_RETRIES`] times — media faults
-    /// are transient — and then dropped from the fan-out: the other
-    /// replicas mask it. Only when *every* group member fails does the
-    /// last error propagate.
+    /// are transient — and then dropped: the other replicas mask it. Only
+    /// when *every* group member fails does the last error propagate.
     ///
     /// The reported latency is the winning live response's, or the
     /// slowest responder's when absence had to be confirmed.
     pub fn get(&self, key: &[u8], version: u64) -> Result<(Option<Bytes>, SimTime)> {
-        self.get_traced(key, version, 0)
+        self.read(key, version, 0, None)
     }
 
-    /// [`Mint::get`] on behalf of a traced request: the whole fan-out is
-    /// wrapped in a wall-clock `get` span carrying `trace_id` (amount =
-    /// replicas consulted), and each engine read propagates the id so
+    /// [`Mint::get`] on behalf of a traced request: the read is wrapped
+    /// in a wall-clock `get` span carrying `trace_id` (amount = replicas
+    /// consulted), and each engine read propagates the id so
     /// deduplication tracebacks surface in the assembled trace.
     /// `trace_id` 0 is exactly [`Mint::get`].
     pub fn get_traced(
@@ -686,75 +720,75 @@ impl Mint {
         version: u64,
         trace_id: u64,
     ) -> Result<(Option<Bytes>, SimTime)> {
-        self.get_costed(key, version, trace_id)
-            .map(|(value, latency, _)| (value, latency))
+        self.read(key, version, trace_id, None)
     }
 
     /// [`Mint::get_traced`] plus the read's [`obs::ReadAttribution`]:
     /// the owning group, the total [`obs::ReadCost`], and the per-node
     /// split (each consulted replica is charged the lookups, bytes,
-    /// traceback hops, and retries it actually performed). The
-    /// attribution is returned even on a miss — absence confirmation
-    /// costs the same fan-out as a hit.
+    /// traceback hops, and retries it actually performed — one entry,
+    /// the key's owner, when a whole replica answered). The attribution
+    /// is returned even on a miss — confirming absence costs the same
+    /// reads as a hit.
     pub fn get_costed(
         &self,
         key: &[u8],
         version: u64,
         trace_id: u64,
     ) -> Result<(Option<Bytes>, SimTime, obs::ReadAttribution)> {
+        let mut attribution = obs::ReadAttribution::default();
+        let (value, latency) = self.read(key, version, trace_id, Some(&mut attribution))?;
+        Ok((value, latency, attribution))
+    }
+
+    /// The one read path behind [`Mint::get`], [`Mint::get_traced`] and
+    /// [`Mint::get_costed`]; `cost` is filled in only for the caller that
+    /// asked for it.
+    fn read(
+        &self,
+        key: &[u8],
+        version: u64,
+        trace_id: u64,
+        mut cost: Option<&mut obs::ReadAttribution>,
+    ) -> Result<(Option<Bytes>, SimTime)> {
         let mut span = match (&self.wall_trace, trace_id) {
             (Some((sink, prefix)), id) if id != 0 => {
                 Some(sink.span_traced(obs::SpanKind::Get, prefix, id))
             }
             _ => None,
         };
-        let group = group_of(key, self.groups.len());
-        if let Some(s) = span.as_mut() {
-            s.set_amount(self.group_readers(group).count() as u64);
+        let kh = placement_hash(key);
+        let group = group_of_hash(kh, self.groups.len());
+        if let Some(cost) = cost.as_deref_mut() {
+            cost.group = group as u64;
         }
-        let mut attribution = obs::ReadAttribution {
-            group: group as u64,
-            ..obs::ReadAttribution::default()
-        };
+        let head = self.group_logs[group].head_lsn();
+        let whole = self
+            .group_readers(group)
+            .map(|n| n.0)
+            .filter(|&n| self.whole_through[n as usize] == Some(head));
+        let owner = top_ranked(kh, whole);
+        let rest = self.group_readers(group).map(|n| n.0);
         let mut best_live: Option<(Bytes, u64, SimTime)> = None;
         let mut deleted = false;
         let mut slowest = SimTime::ZERO;
+        let mut consulted = 0u64;
         let mut responders = 0usize;
         let mut last_error: Option<MintError> = None;
-        for r in self.group_readers(group) {
-            let node = &self.nodes[r.0 as usize];
-            let guard = node.engine.read();
-            let Some(engine) = guard.as_ref() else {
+        for r in owner.into_iter().chain(rest.filter(|&r| Some(r) != owner)) {
+            let Some((status, latency)) = self.ask(r, key, version, trace_id, cost.as_deref_mut())
+            else {
                 continue;
             };
-            let mut node_cost = obs::ReadCost {
-                replicas: 1,
-                ..obs::ReadCost::default()
-            };
-            let t0 = node.clock.now();
-            let mut attempts = 0u64;
-            let status = loop {
-                attempts += 1;
-                let (result, probe) = engine.status_probed(key, version, trace_id);
-                node_cost.absorb(&probe);
-                match result {
-                    Ok(status) => break Some(status),
-                    Err(error) => {
-                        if attempts >= READ_RETRIES as u64 {
-                            last_error = Some(MintError::Node { node: r.0, error });
-                            break None;
-                        }
-                    }
-                }
-            };
-            node_cost.retries = attempts - 1;
-            let latency = node.clock.now().saturating_sub(t0);
+            consulted += 1;
             slowest = slowest.max(latency);
-            attribution.cost.absorb(&node_cost);
-            attribution.per_node.push((u64::from(r.0), node_cost));
-            let Some(status) = status else {
-                // This replica is unreadable right now; the others cover.
-                continue;
+            let status = match status {
+                Ok(status) => status,
+                Err(error) => {
+                    // This replica is unreadable right now; the others cover.
+                    last_error = Some(error);
+                    continue;
+                }
             };
             responders += 1;
             match status {
@@ -776,17 +810,59 @@ impl Mint {
                 }
                 KeyStatus::Missing => {}
             }
+            if Some(r) == owner {
+                // A whole replica's answer is the group's.
+                break;
+            }
+        }
+        if let Some(s) = span.as_mut() {
+            s.set_amount(consulted);
         }
         if responders == 0 {
             return Err(last_error.unwrap_or(MintError::NoReplicaAvailable));
         }
-        if deleted {
-            return Ok((None, slowest, attribution));
-        }
         match best_live {
-            Some((value, _, latency)) => Ok((Some(value), latency, attribution)),
-            None => Ok((None, slowest, attribution)),
+            Some((value, _, latency)) if !deleted => Ok((Some(value), latency)),
+            _ => Ok((None, slowest)),
         }
+    }
+
+    /// One replica's answer to a read, with what it cost charged to
+    /// `cost`: the engine read is attempted up to [`READ_RETRIES`] times,
+    /// and the latency covers every attempt. `None` when the node has no
+    /// engine up.
+    fn ask(
+        &self,
+        node: u32,
+        key: &[u8],
+        version: u64,
+        trace_id: u64,
+        cost: Option<&mut obs::ReadAttribution>,
+    ) -> Option<(Result<KeyStatus>, SimTime)> {
+        let state = &self.nodes[node as usize];
+        let guard = state.engine.read();
+        let engine = guard.as_ref()?;
+        let mut node_cost = obs::ReadCost {
+            replicas: 1,
+            ..obs::ReadCost::default()
+        };
+        let t0 = state.clock.now();
+        let status = loop {
+            let (result, probe) = engine.status_probed(key, version, trace_id);
+            node_cost.absorb(&probe);
+            match result {
+                Ok(status) => break Ok(status),
+                Err(error) if node_cost.retries + 1 >= READ_RETRIES as u64 => {
+                    break Err(MintError::Node { node, error });
+                }
+                Err(_) => node_cost.retries += 1,
+            }
+        };
+        if let Some(cost) = cost {
+            cost.cost.absorb(&node_cost);
+            cost.per_node.push((u64::from(node), node_cost));
+        }
+        Some((status, state.clock.now().saturating_sub(t0)))
     }
 
     /// Scans every key starting with `prefix` as of `version`, merging
@@ -973,6 +1049,10 @@ impl Mint {
             }
         };
         let open = engine.restore_journal(&image);
+        // What the node applied but never made durable died with it: only
+        // the prefix its surviving journal vouches for still counts.
+        let frontier = engine.journal_frontier();
+        self.whole_through[idx] = self.whole_through[idx].map(|l| l.min(frontier));
         *self.nodes[idx].engine.write() = Some(engine);
         self.alive[idx] = true;
         self.reattach_trace(node);
@@ -1068,6 +1148,7 @@ impl Mint {
         };
         {
             let state = &self.nodes[node.0 as usize];
+            let whole_through = &mut self.whole_through[node.0 as usize];
             let mut guard = state.engine.write();
             let engine = guard.as_mut().ok_or(MintError::BadNodeState(node.0))?;
             let map_err = |error| MintError::Node {
@@ -1084,6 +1165,9 @@ impl Mint {
                 let op = decode_group_op(&rec.payload);
                 apply_group_op(engine, &op).map_err(map_err)?;
                 engine.journal_mutation(rec.lsn, &journal_desc(op.kind, op.version, &op.key));
+                if *whole_through == Some(rec.lsn - 1) {
+                    *whole_through = Some(rec.lsn);
+                }
                 step.items += 1;
                 step.bytes += (op.key.len() + op.value.as_ref().map_or(0, |v| v.len())) as u64;
             }
@@ -1141,9 +1225,21 @@ impl Mint {
     /// nothing left to copy.
     fn sync_from_group(&mut self, node: NodeId, group: usize, max_bytes: u64) -> Result<SyncStep> {
         // Gather the union of peer items (key, version, deleted) plus the
-        // resolved value for live ones.
-        let mut wanted: std::collections::BTreeMap<(Bytes, u64), (bool, Option<Bytes>)> =
-            Default::default();
+        // resolved value for live ones. A peer resolves a deduplicated
+        // item through its own chain, and in a group wider than the
+        // replication factor that chain can be partial — so, as in read
+        // reconciliation, the materialization resolved through the highest
+        // version wins. `iter_items` walks each key's chain oldest first,
+        // which gives every item's resolving ancestor (the newest
+        // value-bearing version at or below it) without a lookup; a peer
+        // is read only when it would improve on what is already held.
+        #[derive(Default)]
+        struct Wanted {
+            deleted: bool,
+            value: Option<Bytes>,
+            resolved: Option<u64>,
+        }
+        let mut wanted: std::collections::BTreeMap<(Bytes, u64), Wanted> = Default::default();
         for &peer in &self.groups[group] {
             if peer == node.0 || !self.alive[peer as usize] {
                 continue;
@@ -1153,19 +1249,24 @@ impl Mint {
             let Some(engine) = guard.as_ref() else {
                 continue;
             };
-            let items: Vec<(Bytes, u64, bool, bool)> = engine.iter_items().collect();
-            for (key, version, _dedup, deleted) in items {
-                let slot = wanted
-                    .entry((key.clone(), version))
-                    .or_insert((false, None));
+            let mut ancestor: Option<(Bytes, u64)> = None;
+            for (key, version, dedup, deleted) in engine.iter_items() {
+                if !dedup {
+                    ancestor = Some((key.clone(), version));
+                }
+                let resolved = ancestor
+                    .as_ref()
+                    .filter(|(k, _)| *k == key)
+                    .map(|&(_, v)| v);
+                let slot = wanted.entry((key.clone(), version)).or_default();
                 if deleted {
-                    slot.0 = true;
-                } else if slot.1.is_none() {
+                    slot.deleted = true;
+                } else if slot.value.is_none() || resolved > slot.resolved {
                     // Peer reads retry through transient media faults; if
                     // a value stays unreadable the sync fails and the
                     // caller keeps the node out of service.
                     let mut attempt = 0;
-                    slot.1 = loop {
+                    let value = loop {
                         match engine.get(&key, version) {
                             Ok(v) => break v,
                             Err(error) => {
@@ -1176,6 +1277,10 @@ impl Mint {
                             }
                         }
                     };
+                    if value.is_some() {
+                        slot.value = value;
+                        slot.resolved = resolved;
+                    }
                 }
             }
         }
@@ -1186,7 +1291,7 @@ impl Mint {
             done: true,
             ..SyncStep::default()
         };
-        for ((key, version), (deleted, value)) in wanted {
+        for ((key, version), Wanted { deleted, value, .. }) in wanted {
             let known = engine
                 .versions_of(&key)
                 .iter()
@@ -1204,6 +1309,8 @@ impl Mint {
                 node: node.0,
                 error,
             };
+            // From here on the node holds a copy, not the logged record.
+            self.whole_through[node.0 as usize] = None;
             if let Some(value) = &value {
                 engine.put(&key, version, Some(value)).map_err(map_err)?;
             } else if !engine.has_version(&key, version) {
@@ -1267,6 +1374,7 @@ impl Mint {
             crash_journal: Vec::new(),
         });
         self.alive.push(false);
+        self.whole_through.push(Some(0));
         self.roles.push(NodeRole::Joining { group });
         self.reattach_trace(id);
         Ok(id)
@@ -1464,6 +1572,7 @@ impl Mint {
                     break 'items;
                 }
                 let map_err = |error| MintError::Node { node: owner, error };
+                self.whole_through[owner as usize] = None;
                 if let Some(value) = &value {
                     engine.put(&key, version, Some(value)).map_err(map_err)?;
                 } else if !engine.has_version(&key, version) {
@@ -2057,6 +2166,94 @@ mod tests {
             let (v, _) = m.get(format!("key-{i:04}").as_bytes(), 1).unwrap();
             assert!(v.is_some(), "key-{i:04} lost under read faults");
         }
+    }
+
+    #[test]
+    fn a_healthy_read_asks_one_replica_and_reads_spread_over_the_group() {
+        let mut m = Mint::new(MintConfig::tiny());
+        m.apply(&ops(60, 1)).unwrap();
+        let mut asked: std::collections::BTreeMap<u64, u32> = Default::default();
+        for i in 0..60u32 {
+            let key = format!("key-{i:04}");
+            let (v, _, read) = m.get_costed(key.as_bytes(), 1, 0).unwrap();
+            assert!(v.is_some());
+            assert_eq!(read.cost.replicas, 1);
+            assert_eq!(read.per_node.len(), 1);
+            // The replica asked is the one the key's writes rank first.
+            assert_eq!(
+                read.per_node[0].0,
+                u64::from(m.replicas_of(key.as_bytes())[0].0)
+            );
+            *asked.entry(read.per_node[0].0).or_default() += 1;
+            // An absent version is confirmed by the same single replica.
+            let (absent, _, read) = m.get_costed(key.as_bytes(), 9, 0).unwrap();
+            assert!(absent.is_none());
+            assert_eq!(read.cost.replicas, 1);
+        }
+        assert_eq!(asked.len(), 6, "every node owns some keys: {asked:?}");
+        // With a member down the two that saw every write still answer
+        // alone; the recovered node is whole again once it has replayed
+        // the log suffix it missed.
+        m.fail_node(NodeId(0)).unwrap();
+        m.apply(&ops(60, 2)).unwrap();
+        for round in 0..2 {
+            let mut asked = std::collections::BTreeSet::new();
+            for i in 0..60u32 {
+                let key = format!("key-{i:04}");
+                let (v, _, read) = m.get_costed(key.as_bytes(), 2, 0).unwrap();
+                assert_eq!(v.unwrap().as_ref(), format!("value-{i}-2").as_bytes());
+                assert_eq!(read.cost.replicas, 1);
+                asked.insert(read.per_node[0].0);
+            }
+            assert_eq!(asked.contains(&0), round == 1);
+            if round == 0 {
+                m.recover_node(NodeId(0)).unwrap();
+            }
+        }
+    }
+
+    #[test]
+    fn an_unreadable_owner_falls_through_to_the_rest_of_the_group() {
+        let mut m = Mint::new(MintConfig::tiny());
+        m.apply(&ops(40, 1)).unwrap();
+        let every_read_fails = ssdsim::FaultInjection {
+            read_fail_one_in: 1,
+            program_fail_one_in: 0,
+            seed: 7,
+        };
+        let members: Vec<u32> = m.group_members(0).to_vec();
+        let broken = members[0];
+        m.node_device(NodeId(broken))
+            .unwrap()
+            .set_fault_injection(every_read_fails);
+        let in_group_0 = |i: &u32| m.key_group(format!("key-{i:04}").as_bytes()) == 0;
+        let mut fell_through = 0;
+        for i in (0..40u32).filter(in_group_0) {
+            let key = format!("key-{i:04}");
+            let (v, _, read) = m.get_costed(key.as_bytes(), 1, 0).unwrap();
+            assert_eq!(v.unwrap().as_ref(), format!("value-{i}-1").as_bytes());
+            if read.per_node[0].0 == u64::from(broken) {
+                // The owner burned its retries, then the other two answered.
+                fell_through += 1;
+                assert_eq!(read.cost.replicas, 3);
+                assert_eq!(read.cost.retries, READ_RETRIES as u64 - 1);
+                assert_eq!(read.per_node[0].1.retries, READ_RETRIES as u64 - 1);
+            } else {
+                assert_eq!(read.cost.replicas, 1);
+            }
+        }
+        assert!(fell_through > 0, "some key must rank the broken node first");
+        // Only when every member fails does the error surface.
+        for &n in &members[1..] {
+            m.node_device(NodeId(n))
+                .unwrap()
+                .set_fault_injection(every_read_fails);
+        }
+        let i = (0..40u32).find(in_group_0).unwrap();
+        assert!(matches!(
+            m.get(format!("key-{i:04}").as_bytes(), 1),
+            Err(MintError::Node { .. })
+        ));
     }
 
     #[test]

@@ -55,9 +55,24 @@ pub(crate) fn rank_into(
     scored: &mut Vec<(u64, u32)>,
 ) {
     scored.clear();
-    scored.extend(candidates.map(|n| (mix64(kh ^ mix64(n as u64 + 1)), n)));
+    scored.extend(candidates.map(|n| (score(kh, n), n)));
     // The node id breaks score ties, so the order is total.
     scored.sort_unstable_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
+}
+
+/// A node's rendezvous weight for the key hashed to `kh`.
+fn score(kh: u64, node: u32) -> u64 {
+    mix64(kh ^ mix64(node as u64 + 1))
+}
+
+/// The first entry [`rank_into`] would produce for `candidates`, without
+/// the buffer or the sort: the read path's replica choice, so a key's
+/// reads land on the node its writes rank first.
+pub(crate) fn top_ranked(kh: u64, candidates: impl Iterator<Item = u32>) -> Option<u32> {
+    candidates
+        .map(|n| (score(kh, n), std::cmp::Reverse(n)))
+        .max()
+        .map(|(_, n)| n.0)
 }
 
 #[cfg(test)]
@@ -94,6 +109,20 @@ mod tests {
         let mut sorted = r1.clone();
         sorted.sort_unstable();
         assert_eq!(sorted, nodes);
+    }
+
+    #[test]
+    fn top_ranked_is_the_head_of_the_ranking() {
+        let nodes = [4u32, 1, 9, 2, 7];
+        for i in 0..200u32 {
+            let key = format!("key-{i}");
+            let kh = placement_hash(key.as_bytes());
+            assert_eq!(
+                top_ranked(kh, nodes.iter().copied()),
+                Some(rendezvous_rank(key.as_bytes(), &nodes)[0])
+            );
+        }
+        assert_eq!(top_ranked(7, std::iter::empty()), None);
     }
 
     #[test]

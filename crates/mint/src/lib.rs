@@ -5,10 +5,13 @@
 //! nodes can join or leave a group without redistributing stored pairs,
 //! which a direct `H(k) → node` mapping would force. Inside the group,
 //! each pair is written to **three replicas** chosen by rendezvous
-//! hashing among the currently-alive members, and reads fan out to the
-//! replicas in parallel so one slow or recovering node never adds
-//! latency ("The parallel requests to the replicas will hide the node
-//! recovery from front-end users").
+//! hashing among the currently-alive members. A read asks one replica
+//! when that replica provably holds everything its group has logged, and
+//! fans out to every alive member of the group — in parallel, reconciling
+//! their answers — when no member does or the one asked cannot be read,
+//! so a failed or recovering node never costs a reader the answer ("The
+//! parallel requests to the replicas will hide the node recovery from
+//! front-end users").
 //!
 //! Every storage node runs its own [`qindb::QinDb`] engine on its own
 //! simulated SSD with its own virtual clock; cluster-level wall time for

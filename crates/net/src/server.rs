@@ -390,8 +390,8 @@ fn layer_rows(sampler: &Sampler) -> Vec<LayerRow> {
             p99_us: v("serve.latency.p99"),
             err_rate: ratio(v("serve.shed_total.rate"), v("serve.offered_total.rate")),
         },
-        // Every Mint read fans out to replica engine gets, so the engine
-        // get rate *is* Mint's storage-read rate.
+        // Every Mint read is one engine get per replica it consults, so
+        // the engine get rate *is* Mint's storage-read rate.
         LayerRow {
             layer: "mint".into(),
             qps: v("qindb.gets.rate"),

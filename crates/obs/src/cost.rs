@@ -35,7 +35,7 @@ pub struct ReadCost {
     pub bytes: u64,
     /// Dedup-traceback hops walked to materialize values.
     pub traceback_hops: u64,
-    /// Replicas consulted for the read fan-out.
+    /// Replicas consulted (1 when a whole replica answered alone).
     pub replicas: u64,
     /// Extra attempts beyond the first, per replica (media faults,
     /// fail-over).

@@ -76,8 +76,8 @@ pub enum SpanKind {
     NetWrite,
     /// One decoded request dispatched into the serve front-end.
     Dispatch,
-    /// One replicated storage read (Mint group fan-out) on behalf of a
-    /// traced request.
+    /// One replicated storage read (Mint: amount = replicas consulted) on
+    /// behalf of a traced request.
     Get,
     /// A service-level objective crossed from meeting to breaching.
     SloBreach,
