@@ -12,8 +12,7 @@
 //!
 //! The `figures` binary (`cargo run -p directload-bench --release --bin
 //! figures -- all`) prints each table and writes machine-readable results
-//! to `target/figures/*.json`. Criterion micro-benchmarks of the
-//! underlying data structures live under `benches/`.
+//! to `target/figures/*.json`.
 //!
 //! [`perf`] is the perf flight recorder: a seeded macro-benchmark suite
 //! across every layer, a phase-time profiler for the pipeline round, and

@@ -365,21 +365,9 @@ impl DirectLoad {
         self.query(dc, IndexKind::Inverted, term, version)
     }
 
-    /// [`DirectLoad::get_inverted`] on behalf of a traced request: the
-    /// Mint read and any engine tracebacks carry `trace_id` on the
-    /// wall trace ring (see [`mint::Mint::get_traced`]). `trace_id` 0 is
-    /// exactly [`DirectLoad::get_inverted`].
-    pub fn get_inverted_traced(
-        &self,
-        dc: DataCenterId,
-        term: &[u8],
-        version: u64,
-        trace_id: u64,
-    ) -> Result<(Option<Bytes>, SimTime)> {
-        self.query_traced(dc, IndexKind::Inverted, term, version, trace_id)
-    }
-
-    /// [`DirectLoad::get_inverted_traced`] plus the read's
+    /// [`DirectLoad::get_inverted`] on behalf of a traced request — the
+    /// Mint read and any engine tracebacks carry a non-zero `trace_id`
+    /// on the wall trace ring — plus the read's
     /// [`obs::ReadAttribution`]: which group owned the key and what each
     /// consulted replica spent (see [`mint::Mint::get_costed`]).
     pub fn get_inverted_costed(
@@ -410,19 +398,8 @@ impl DirectLoad {
         key: &[u8],
         version: u64,
     ) -> Result<(Option<Bytes>, SimTime)> {
-        self.query_traced(dc, kind, key, version, 0)
-    }
-
-    fn query_traced(
-        &self,
-        dc: DataCenterId,
-        kind: IndexKind,
-        key: &[u8],
-        version: u64,
-        trace_id: u64,
-    ) -> Result<(Option<Bytes>, SimTime)> {
         let cluster = self.cluster(dc)?;
-        Ok(cluster.get_traced(&prefixed(kind, key), version, trace_id)?)
+        Ok(cluster.get(&prefixed(kind, key), version)?)
     }
 
     /// Scans one index family at `dc` for keys starting with `prefix`,

@@ -78,30 +78,18 @@ impl DirectLoad {
         version: u64,
         top_k: usize,
     ) -> Result<RankedQuery> {
-        self.rank_traced(dc, terms, version, top_k, 0)
-    }
-
-    /// [`DirectLoad::rank`] on behalf of a traced request: every
-    /// posting-list fetch carries `trace_id` down through Mint's
-    /// replicated read and the engine's traceback, so the assembled
-    /// trace shows where a slow query spent its storage time.
-    /// `trace_id` 0 is exactly [`DirectLoad::rank`].
-    pub fn rank_traced(
-        &self,
-        dc: DataCenterId,
-        terms: &[&[u8]],
-        version: u64,
-        top_k: usize,
-        trace_id: u64,
-    ) -> Result<RankedQuery> {
-        self.rank_costed(dc, terms, version, top_k, trace_id)
+        self.rank_costed(dc, terms, version, top_k, 0)
             .map(|(ranked, _)| ranked)
     }
 
-    /// [`DirectLoad::rank_traced`] plus one [`obs::ReadAttribution`] per
-    /// posting-list fetch: which Mint group owned each term and what
-    /// each consulted replica spent. The serve front-end feeds these
-    /// into its per-shard cost accumulators and hot-key sketches.
+    /// [`DirectLoad::rank`] on behalf of a traced request — every
+    /// posting-list fetch carries a non-zero `trace_id` down through
+    /// Mint's replicated read and the engine's traceback, so the
+    /// assembled trace shows where a slow query spent its storage time —
+    /// plus one [`obs::ReadAttribution`] per posting-list fetch: which
+    /// Mint group owned each term and what each consulted replica spent.
+    /// The serve front-end feeds these into its per-shard cost
+    /// accumulators and hot-key sketches.
     pub fn rank_costed(
         &self,
         dc: DataCenterId,

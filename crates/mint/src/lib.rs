@@ -18,6 +18,21 @@
 //! a batch is the maximum per-node busy time, which is how a fleet of
 //! independent nodes actually behaves.
 //!
+//! # Map of the crate
+//!
+//! * `hash` — `H(k) → group` and the rendezvous ranking inside a group.
+//! * `cluster` — `Mint`, its types, routing / membership accessors and
+//!   observability hooks; one file per job beneath it:
+//! * `cluster/write` — `apply` / `retire` / `delete`, one `execute`:
+//!   route, log, apply node by node.
+//! * `cluster/read` — `get` / `get_costed`, one `read` (a whole replica,
+//!   else a reconciled fan-out); `scan_prefix`.
+//! * `cluster/catchup` — the group-log codec; `install`, the one place
+//!   an item reaches a replica; `catch_up`, the one place a node catches
+//!   up (log suffix, else full state).
+//! * `cluster/lifecycle` — fail / recover, join, drain, checkpoint:
+//!   state transitions that call `catchup` to move data.
+//!
 //! # Example
 //!
 //! ```

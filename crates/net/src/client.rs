@@ -55,7 +55,7 @@ pub struct Client {
     /// Total reconnects performed (observable for tests/benches).
     reconnects: u64,
     /// Trace id carried by the most recent response frame (0 when the
-    /// server is untraced or speaking protocol v1).
+    /// server is untraced).
     last_trace_id: u64,
 }
 
@@ -192,7 +192,7 @@ impl Client {
     }
 
     /// [`Client::request`], additionally returning the trace id the
-    /// server allocated for this request (0 from a v1 server).
+    /// server allocated for this request (0 from an untraced server).
     pub fn request_traced(&mut self, req: &Request) -> Result<(Response, u64)> {
         let resp = self.request(req)?;
         Ok((resp, self.last_trace_id))

@@ -35,7 +35,7 @@ pub use client::{Client, ClientConfig};
 pub use server::{Server, ServerConfig, DEFAULT_SLOS};
 pub use wire::{
     DcGeneration, ErrorCode, ProtocolError, Request, Response, WireHit, DEFAULT_MAX_FRAME,
-    MIN_PROTOCOL_VERSION, PROTOCOL_VERSION,
+    PROTOCOL_VERSION,
 };
 
 /// Anything that can go wrong talking to a DirectLoad server.

@@ -5,7 +5,7 @@
 //! ```text
 //! +----------------+---------+--------+----------+------------+---------+--------------+
 //! | len: u32 LE    | version | kind   | req_id:  | trace_id:  | payload | crc32: u32   |
-//! | (all after it) | u8      | u8     | u64 LE   | u64 LE, v2 | ...     | LE (IEEE)    |
+//! | (all after it) | u8      | u8     | u64 LE   | u64 LE     | ...     | LE (IEEE)    |
 //! +----------------+---------+--------+----------+------------+---------+--------------+
 //! ```
 //!
@@ -15,12 +15,11 @@
 //! * `req_id` is chosen by the client and echoed in the response, which
 //!   is what makes pipelining work: responses may arrive out of request
 //!   order and are matched by id;
-//! * `trace_id` (version 2 frames only) stitches the request's spans
-//!   across layers: the server allocates it per request, threads it
-//!   through serve/mint/qindb, and echoes it in the response so a
-//!   client can quote it back when asking `obs::trace::assemble` — or a
-//!   human — "where did my 40 ms go?". Version 1 frames have no such
-//!   field; a v2 decoder reads them as `trace_id == 0` (untraced);
+//! * `trace_id` stitches the request's spans across layers: the server
+//!   allocates it per request, threads it through serve/mint/qindb, and
+//!   echoes it in the response so a client can quote it back when asking
+//!   `obs::trace::assemble` — or a human — "where did my 40 ms go?".
+//!   `0` means untraced;
 //! * `crc32` covers version through payload. Framing survives TCP's own
 //!   checksums in practice; the CRC catches buggy peers and truncated
 //!   writes at process kill, turning them into clean [`ProtocolError`]s.
@@ -32,13 +31,12 @@
 //! # Version negotiation
 //!
 //! There is none — and that is deliberate. Each frame carries its own
-//! version byte, and the decoder accepts every version in
-//! `MIN_PROTOCOL_VERSION..=PROTOCOL_VERSION`. An upgraded server keeps
-//! serving old clients (their v1 frames simply arrive untraced), while
-//! an old server rejects a v2 frame with a clean
-//! [`ProtocolError::BadVersion`] before touching the payload — the
-//! `encode_*_v1` helpers and `decode_*_strict_v1` exist so tests can
-//! prove both directions.
+//! version byte, and a decoder rejects any version but the one it speaks
+//! with a clean [`ProtocolError::BadVersion`] before touching the
+//! payload. No build speaking anything but [`PROTOCOL_VERSION`] ever
+//! shipped (version 1, without the `trace_id` field, never left the
+//! tree), so there is no older peer to stay compatible with; the day
+//! there is one, the version byte is where its decoder branches.
 //!
 //! All decode paths are bounds-checked and panic-free; the property
 //! tests in `tests/wire_props.rs` fuzz truncations, bit flips, and
@@ -49,28 +47,19 @@ use bytes::Bytes;
 use indexgen::IndexKind;
 use std::io::Read;
 
-/// Protocol version byte this build speaks (and emits).
-///
-/// Version 2 added the `trace_id` header field; see the module docs.
+/// The protocol version byte this build emits, and the only one it
+/// decodes; see the module docs.
 pub const PROTOCOL_VERSION: u8 = 2;
-
-/// Oldest protocol version this build still decodes.
-pub const MIN_PROTOCOL_VERSION: u8 = 1;
 
 /// Default ceiling on `len` (bytes after the length prefix). Generous
 /// for query traffic (keys are tens of bytes, summaries hundreds) while
 /// keeping a corrupt length from allocating gigabytes.
 pub const DEFAULT_MAX_FRAME: usize = 4 * 1024 * 1024;
 
-/// Fixed bytes after the length prefix besides the payload in a v1
-/// frame: version (1) + kind (1) + req_id (8) + crc32 (4). This is the
-/// *minimum* legal frame body — `read_frame` uses it as its floor so v1
-/// peers still get through.
-const ENVELOPE_V1: usize = 14;
-
-/// Fixed bytes after the length prefix besides the payload in a v2
-/// frame: v1's envelope plus trace_id (8).
-const ENVELOPE_V2: usize = 22;
+/// Fixed bytes after the length prefix besides the payload: version (1),
+/// kind (1), req_id (8), trace_id (8) and crc32 (4). This is the
+/// *minimum* legal frame body — `read_frame` uses it as its floor.
+const ENVELOPE: usize = 22;
 
 /// A malformed or unreadable frame. Every variant is a clean error —
 /// the decoder never panics on wire input.
@@ -85,8 +74,7 @@ pub enum ProtocolError {
         /// Configured ceiling.
         max: usize,
     },
-    /// The version byte is outside
-    /// `MIN_PROTOCOL_VERSION..=PROTOCOL_VERSION`.
+    /// The version byte is not [`PROTOCOL_VERSION`].
     BadVersion(u8),
     /// The checksum over version..payload does not match.
     BadChecksum,
@@ -104,10 +92,7 @@ impl std::fmt::Display for ProtocolError {
                 write!(f, "frame of {len} bytes exceeds max {max}")
             }
             ProtocolError::BadVersion(v) => {
-                write!(
-                    f,
-                    "protocol version {v} (speaking {MIN_PROTOCOL_VERSION}..={PROTOCOL_VERSION})"
-                )
+                write!(f, "protocol version {v} (speaking {PROTOCOL_VERSION})")
             }
             ProtocolError::BadChecksum => write!(f, "frame checksum mismatch"),
             ProtocolError::UnknownKind(k) => write!(f, "unknown message kind {k:#04x}"),
@@ -400,10 +385,10 @@ fn kind_from_u8(v: u8) -> Result<IndexKind, ProtocolError> {
 // Frame assembly / disassembly.
 // ---------------------------------------------------------------------
 
-/// Wraps `(kind, payload)` into a full v2 frame including the length
+/// Wraps `(kind, payload)` into a full frame including the length
 /// prefix, ready to write to a socket.
 fn seal(kind: u8, req_id: u64, trace_id: u64, payload: &[u8]) -> Vec<u8> {
-    let body_len = ENVELOPE_V2 + payload.len();
+    let body_len = ENVELOPE + payload.len();
     let mut out = Vec::with_capacity(4 + body_len);
     put_u32(&mut out, body_len as u32);
     out.push(PROTOCOL_VERSION);
@@ -416,32 +401,14 @@ fn seal(kind: u8, req_id: u64, trace_id: u64, payload: &[u8]) -> Vec<u8> {
     out
 }
 
-/// Wraps `(kind, payload)` into a version-1 frame — no trace field.
-/// Exists so compatibility tests (and a hypothetical old peer) can
-/// exercise the v1 decode path; production encoders always emit v2.
-fn seal_v1(kind: u8, req_id: u64, payload: &[u8]) -> Vec<u8> {
-    let body_len = ENVELOPE_V1 + payload.len();
-    let mut out = Vec::with_capacity(4 + body_len);
-    put_u32(&mut out, body_len as u32);
-    out.push(1u8);
-    out.push(kind);
-    put_u64(&mut out, req_id);
-    out.extend_from_slice(payload);
-    let crc = crc32(&out[4..]);
-    put_u32(&mut out, crc);
-    out
-}
-
 /// Splits a frame body (everything after the length prefix) into
 /// `(kind, req_id, trace_id, payload)`, verifying version and checksum.
 ///
-/// Accepts every version in `MIN_PROTOCOL_VERSION..=PROTOCOL_VERSION`:
-/// v1 frames decode with `trace_id == 0`, v2 frames carry it in the
-/// header. The checksum is verified *before* the version byte is
-/// interpreted, so corruption reports as `BadChecksum`, not as a
-/// phantom version mismatch.
+/// The checksum is verified *before* the version byte is interpreted,
+/// so corruption reports as `BadChecksum`, not as a phantom version
+/// mismatch.
 fn unseal(body: &[u8]) -> Result<(u8, u64, u64, &[u8]), ProtocolError> {
-    if body.len() < ENVELOPE_V1 {
+    if body.len() < ENVELOPE {
         return Err(ProtocolError::Truncated);
     }
     let (content, crc_bytes) = body.split_at(body.len() - 4);
@@ -450,53 +417,21 @@ fn unseal(body: &[u8]) -> Result<(u8, u64, u64, &[u8]), ProtocolError> {
         return Err(ProtocolError::BadChecksum);
     }
     let version = content[0];
-    if !(MIN_PROTOCOL_VERSION..=PROTOCOL_VERSION).contains(&version) {
+    if version != PROTOCOL_VERSION {
         return Err(ProtocolError::BadVersion(version));
     }
     let kind = content[1];
     let req_id = u64::from_le_bytes(content[2..10].try_into().unwrap());
-    if version == 1 {
-        return Ok((kind, req_id, 0, &content[10..]));
-    }
-    if content.len() < ENVELOPE_V2 - 4 {
-        return Err(ProtocolError::Truncated);
-    }
     let trace_id = u64::from_le_bytes(content[10..18].try_into().unwrap());
     Ok((kind, req_id, trace_id, &content[18..]))
 }
 
-/// What a version-1-only decoder does with a frame body: identical
-/// framing checks, but only version 1 is in its vocabulary. Used by
-/// compatibility tests to prove an old peer rejects v2 frames cleanly
-/// (a `BadVersion` error, never a panic or a misparse).
-pub fn strict_v1_version_check(body: &[u8]) -> Result<(), ProtocolError> {
-    if body.len() < ENVELOPE_V1 {
-        return Err(ProtocolError::Truncated);
-    }
-    let (content, crc_bytes) = body.split_at(body.len() - 4);
-    let want = u32::from_le_bytes(crc_bytes.try_into().unwrap());
-    if crc32(content) != want {
-        return Err(ProtocolError::BadChecksum);
-    }
-    if content[0] != 1 {
-        return Err(ProtocolError::BadVersion(content[0]));
-    }
-    Ok(())
-}
-
-/// Encodes one request as a complete v2 frame (length prefix
+/// Encodes one request as a complete frame (length prefix
 /// included). `trace_id` 0 means untraced — the common case for
 /// client-originated frames, since trace ids are allocated server-side.
 pub fn encode_request(req_id: u64, trace_id: u64, req: &Request) -> Vec<u8> {
     let (kind, p) = request_payload(req);
     seal(kind, req_id, trace_id, &p)
-}
-
-/// Encodes one request as a version-1 frame, exactly as a pre-trace
-/// build would. For compatibility tests.
-pub fn encode_request_v1(req_id: u64, req: &Request) -> Vec<u8> {
-    let (kind, p) = request_payload(req);
-    seal_v1(kind, req_id, &p)
 }
 
 fn request_payload(req: &Request) -> (u8, Vec<u8>) {
@@ -538,8 +473,7 @@ fn request_payload(req: &Request) -> (u8, Vec<u8>) {
 }
 
 /// Decodes a request from a frame body (after the length prefix),
-/// returning `(req_id, trace_id, request)`. Version-1 frames decode
-/// with `trace_id == 0`.
+/// returning `(req_id, trace_id, request)`.
 pub fn decode_request(body: &[u8]) -> Result<(u64, u64, Request), ProtocolError> {
     let (kind, req_id, trace_id, payload) = unseal(body)?;
     let mut c = Cursor::new(payload);
@@ -587,18 +521,12 @@ pub fn decode_request(body: &[u8]) -> Result<(u64, u64, Request), ProtocolError>
     Ok((req_id, trace_id, req))
 }
 
-/// Encodes one response as a complete v2 frame (length prefix
+/// Encodes one response as a complete frame (length prefix
 /// included). Servers echo the request's `trace_id` here so the client
 /// learns which trace its request became.
 pub fn encode_response(req_id: u64, trace_id: u64, resp: &Response) -> Vec<u8> {
     let (kind, p) = response_payload(resp);
     seal(kind, req_id, trace_id, &p)
-}
-
-/// Encodes one response as a version-1 frame. For compatibility tests.
-pub fn encode_response_v1(req_id: u64, resp: &Response) -> Vec<u8> {
-    let (kind, p) = response_payload(resp);
-    seal_v1(kind, req_id, &p)
 }
 
 fn response_payload(resp: &Response) -> (u8, Vec<u8>) {
@@ -658,8 +586,7 @@ fn response_payload(resp: &Response) -> (u8, Vec<u8>) {
 }
 
 /// Decodes a response from a frame body (after the length prefix),
-/// returning `(req_id, trace_id, response)`. Version-1 frames decode
-/// with `trace_id == 0`.
+/// returning `(req_id, trace_id, response)`.
 pub fn decode_response(body: &[u8]) -> Result<(u64, u64, Response), ProtocolError> {
     let (kind, req_id, trace_id, payload) = unseal(body)?;
     let mut c = Cursor::new(payload);
@@ -778,7 +705,7 @@ pub fn read_frame(r: &mut impl Read, max_frame: usize) -> std::io::Result<ReadFr
             },
         ));
     }
-    if len < ENVELOPE_V1 {
+    if len < ENVELOPE {
         return Err(std::io::Error::new(
             std::io::ErrorKind::InvalidData,
             ProtocolError::Truncated,
@@ -839,35 +766,6 @@ mod tests {
             assert_eq!(trace, i as u64 + 100);
             assert_eq!(&back, req);
         }
-    }
-
-    #[test]
-    fn v1_frames_decode_without_a_trace_id() {
-        let frame = encode_request_v1(7, &Request::Status);
-        let (id, trace, back) = decode_request(&frame[4..]).unwrap();
-        assert_eq!((id, trace), (7, 0));
-        assert_eq!(back, Request::Status);
-        let frame = encode_response_v1(
-            7,
-            &Response::Status {
-                current_version: 3,
-                min_live_version: 1,
-                generations: vec![],
-            },
-        );
-        let (id, trace, _) = decode_response(&frame[4..]).unwrap();
-        assert_eq!((id, trace), (7, 0));
-    }
-
-    #[test]
-    fn v1_only_decoder_rejects_v2_frames_cleanly() {
-        let frame = encode_request(7, 42, &Request::Status);
-        assert_eq!(
-            strict_v1_version_check(&frame[4..]),
-            Err(ProtocolError::BadVersion(2))
-        );
-        let frame = encode_request_v1(7, &Request::Status);
-        assert_eq!(strict_v1_version_check(&frame[4..]), Ok(()));
     }
 
     #[test]

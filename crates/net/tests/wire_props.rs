@@ -7,9 +7,9 @@ use bifrost::DataCenterId;
 use bytes::Bytes;
 use indexgen::IndexKind;
 use net::wire::{
-    self, decode_request, decode_response, encode_request, encode_request_v1, encode_response,
-    encode_response_v1, read_frame, strict_v1_version_check, DcGeneration, ErrorCode,
-    ProtocolError, ReadFrame, Request, Response, WireHit,
+    self, decode_request, decode_response, encode_request, encode_response, read_frame,
+    DcGeneration, ErrorCode, ProtocolError, ReadFrame, Request, Response, WireHit,
+    PROTOCOL_VERSION,
 };
 use proptest::prelude::*;
 
@@ -141,55 +141,6 @@ proptest! {
         prop_assert_eq!(got, resp);
     }
 
-    /// Every v1 frame (no trace field) decodes under the v2 decoder with
-    /// `trace_id == 0` and an otherwise identical value — an upgraded
-    /// server keeps understanding old clients byte-for-byte.
-    #[test]
-    fn v2_decoder_accepts_v1_request_frames(id in any::<u64>(), req in arb_request()) {
-        let frame = encode_request_v1(id, &req);
-        let (got_id, got_trace, got) = decode_request(&frame[4..]).expect("v1 frame");
-        prop_assert_eq!(got_id, id);
-        prop_assert_eq!(got_trace, 0);
-        prop_assert_eq!(got, req);
-    }
-
-    /// Same for responses: a v1 server's answers still decode.
-    #[test]
-    fn v2_decoder_accepts_v1_response_frames(id in any::<u64>(), resp in arb_response()) {
-        let frame = encode_response_v1(id, &resp);
-        let (got_id, got_trace, got) = decode_response(&frame[4..]).expect("v1 frame");
-        prop_assert_eq!(got_id, id);
-        prop_assert_eq!(got_trace, 0);
-        prop_assert_eq!(got, resp);
-    }
-
-    /// A v1-only decoder rejects every v2 frame with `BadVersion` — a
-    /// clean error, never a misparse of the trace field as payload.
-    #[test]
-    fn v1_decoder_rejects_v2_frames_cleanly(
-        id in any::<u64>(),
-        trace in any::<u64>(),
-        req in arb_request(),
-    ) {
-        let frame = encode_request(id, trace, &req);
-        prop_assert_eq!(
-            strict_v1_version_check(&frame[4..]),
-            Err(ProtocolError::BadVersion(2))
-        );
-        let frame = encode_request_v1(id, &req);
-        prop_assert_eq!(strict_v1_version_check(&frame[4..]), Ok(()));
-    }
-
-    /// Truncating a v1 frame is also a clean error under the v2 decoder
-    /// (the compat path is bounds-checked too).
-    #[test]
-    fn v1_truncation_is_a_clean_error(req in arb_request(), cut in any::<u64>()) {
-        let frame = encode_request_v1(9, &req);
-        let body = &frame[4..];
-        let cut = cut as usize % body.len();
-        prop_assert!(decode_request(&body[..cut]).is_err());
-    }
-
     /// Any truncation of a valid frame decodes to a clean error, never a
     /// wrong value and never a panic.
     #[test]
@@ -214,37 +165,32 @@ proptest! {
         prop_assert_eq!(decode_request(&body).unwrap_err(), ProtocolError::BadChecksum);
     }
 
-    /// Pure garbage never panics any decoder — v2, v1-compat, or the
-    /// strict v1 version check.
+    /// Pure garbage never panics either decoder.
     #[test]
     fn garbage_never_panics(bytes in proptest::collection::vec(any::<u8>(), 0..256)) {
         let _ = decode_request(&bytes);
         let _ = decode_response(&bytes);
-        let _ = strict_v1_version_check(&bytes);
     }
 
-    /// Fuzzing the version byte: every version outside 1..=2 is a clean
-    /// `BadVersion`, and both in-range versions decode (the CRC is
-    /// recomputed so only the version byte is under test).
+    /// Fuzzing the version byte of an otherwise valid frame: every
+    /// version but the one this build speaks — 1 included — is a clean
+    /// `BadVersion`. The CRC is recomputed, so the checksum passes and
+    /// only the version byte, which is checked after it, is under test.
     #[test]
     fn version_byte_fuzz(v in any::<u8>(), req in arb_request()) {
-        let frame = encode_request_v1(1, &req);
+        let frame = encode_request(1, 7, &req);
         let mut body = frame[4..].to_vec();
         body[0] = v;
         let crc_at = body.len() - 4;
         let crc = wire::crc32(&body[..crc_at]).to_le_bytes();
         body[crc_at..].copy_from_slice(&crc);
-        match v {
-            // Version 1: the original frame, still valid.
-            1 => prop_assert!(decode_request(&body).is_ok()),
-            // Version 2 claims 8 more header bytes than a v1 frame has;
-            // for tiny payloads that's `Truncated`, otherwise the trace
-            // field eats payload and decode fails some other clean way.
-            2 => { let _ = decode_request(&body); }
-            other => prop_assert_eq!(
+        if v == PROTOCOL_VERSION {
+            prop_assert_eq!(decode_request(&body), Ok((1, 7, req)));
+        } else {
+            prop_assert_eq!(
                 decode_request(&body).unwrap_err(),
-                ProtocolError::BadVersion(other)
-            ),
+                ProtocolError::BadVersion(v)
+            );
         }
     }
 

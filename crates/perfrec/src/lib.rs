@@ -1,8 +1,8 @@
 //! The performance flight recorder.
 //!
-//! `figures` prints text and Criterion micro-benches are not tracked, so
-//! the repo had no machine-readable perf trajectory — nothing would
-//! catch a regression in QinDB's write path or `serve`'s tail latency.
+//! `figures` prints text, so the repo had no machine-readable perf
+//! trajectory — nothing would catch a regression in QinDB's write path
+//! or `serve`'s tail latency.
 //! This crate is the measurement substrate the `perf` binary (in the
 //! bench crate) builds on:
 //!

@@ -187,17 +187,8 @@ impl QinDb {
     /// versions when the item was deduplicated. `None` when the key or
     /// version is absent or deleted.
     pub fn get(&self, key: &[u8], version: u64) -> Result<Option<Bytes>> {
-        self.get_traced(key, version, 0)
-    }
-
-    /// [`QinDb::get`] on behalf of a traced request: a chain walk
-    /// additionally emits a wall-clock `traceback` event carrying
-    /// `trace_id`, so [`obs::assemble`] shows the engine hop inside the
-    /// request's cross-layer path. `trace_id` 0 behaves exactly like
-    /// [`QinDb::get`].
-    pub fn get_traced(&self, key: &[u8], version: u64, trace_id: u64) -> Result<Option<Bytes>> {
         match self.lookup(key, version) {
-            Lookup::At { loc, hops, .. } => self.fetch(loc, hops, trace_id).map(Some),
+            Lookup::At { loc, hops, .. } => self.fetch(loc, hops, 0).map(Some),
             Lookup::Missing | Lookup::Deleted => {
                 self.stats.gets.add(1);
                 self.stats.gets_not_found.add(1);
@@ -255,20 +246,17 @@ impl QinDb {
     /// (authoritative: versions are deleted at most once and never
     /// rewritten afterwards) or simply never received the pair.
     pub fn status(&self, key: &[u8], version: u64) -> Result<KeyStatus> {
-        self.status_traced(key, version, 0)
+        self.status_probed(key, version, 0).0
     }
 
-    /// [`QinDb::status`] on behalf of a traced request; the inner read
-    /// propagates `trace_id` (see [`QinDb::get_traced`]).
-    pub fn status_traced(&self, key: &[u8], version: u64, trace_id: u64) -> Result<KeyStatus> {
-        self.status_probed(key, version, trace_id).0
-    }
-
-    /// [`QinDb::status_traced`] plus what the lookup cost: one storage
-    /// read, the payload bytes it returned, and the dedup-traceback hops
-    /// it walked. The probe is reported even when the status is
-    /// `Missing`/`Deleted` or the read errors — the work was still done,
-    /// and load attribution must account for it.
+    /// [`QinDb::status`] on behalf of a traced request, plus what the
+    /// lookup cost: one storage read, the payload bytes it returned, and
+    /// the dedup-traceback hops it walked. With a non-zero `trace_id` a
+    /// chain walk additionally emits a wall-clock `traceback` event
+    /// carrying it, so [`obs::assemble`] shows the engine hop inside the
+    /// request's cross-layer path. The probe is reported even when the
+    /// status is `Missing`/`Deleted` or the read errors — the work was
+    /// still done, and load attribution must account for it.
     pub fn status_probed(
         &self,
         key: &[u8],
