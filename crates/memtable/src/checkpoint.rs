@@ -61,7 +61,7 @@ pub fn encode_checkpoint(table: &Memtable) -> Bytes {
     let mut payload = BytesMut::new();
     for (key, entry) in table.iter() {
         payload.put_u32(key.key.len() as u32);
-        payload.put_slice(&key.key);
+        payload.put_slice(key.key);
         payload.put_u64(key.version);
         payload.put_u64(entry.location.file);
         payload.put_u32(entry.location.offset);
@@ -172,8 +172,8 @@ mod tests {
         let image = encode_checkpoint(&t);
         let back = decode_checkpoint(&image).unwrap();
         assert_eq!(back.len(), t.len());
-        let a: Vec<_> = t.iter().map(|(k, e)| (k.clone(), *e)).collect();
-        let b: Vec<_> = back.iter().map(|(k, e)| (k.clone(), *e)).collect();
+        let a: Vec<_> = t.iter().map(|(k, e)| (k, *e)).collect();
+        let b: Vec<_> = back.iter().map(|(k, e)| (k, *e)).collect();
         assert_eq!(a, b);
     }
 

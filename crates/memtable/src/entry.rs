@@ -37,6 +37,23 @@ impl fmt::Display for VersionedKey {
     }
 }
 
+/// `k/t` as the memtable's iterators yield it: the key bytes borrowed
+/// from the skip list's arena, where no owned [`VersionedKey`] exists.
+/// Same fields, order and rendering as [`VersionedKey`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct KeyRef<'a> {
+    /// The user key.
+    pub key: &'a [u8],
+    /// Index version number `t`; higher is newer.
+    pub version: u64,
+}
+
+impl fmt::Display for KeyRef<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{}/{}", String::from_utf8_lossy(self.key), self.version)
+    }
+}
+
 /// Where a record's value bytes live on flash.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ValueLocation {

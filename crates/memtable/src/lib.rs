@@ -5,11 +5,12 @@
 //! appended to the AOFs and the keys are sorted in a memory-resident skip
 //! list." This crate provides:
 //!
-//! * [`SkipList`] — a from-scratch, deterministic, arena-backed skip list
-//!   ([Pugh 1990], the paper's reference \[8\]);
-//! * the versioned-entry vocabulary ([`VersionedKey`], [`IndexEntry`],
-//!   [`ValueLocation`]) that QinDB stores in it, including the paper's `r`
-//!   (deduplicated) and `d` (deleted) flags;
+//! * [`SkipList`] — a from-scratch, deterministic skip list ([Pugh 1990],
+//!   the paper's reference \[8\]) over `(key bytes, version)`, each node
+//!   one record — header, tower and key — in one byte arena;
+//! * the versioned-entry vocabulary ([`VersionedKey`], its borrowed form
+//!   [`KeyRef`], [`IndexEntry`], [`ValueLocation`]) that QinDB stores in
+//!   it, including the paper's `r` (deduplicated) and `d` (deleted) flags;
 //! * [`Memtable`] — the typed wrapper whose one version-chain walk
 //!   ([`Memtable::chain`]) the mutated PUT/GET/DEL operations are built
 //!   on (same user keys sort adjacent in increasing version order);
@@ -24,6 +25,6 @@ mod skiplist;
 mod table;
 
 pub use checkpoint::{decode_checkpoint, encode_checkpoint, CheckpointError};
-pub use entry::{IndexEntry, ValueLocation, VersionedKey};
+pub use entry::{IndexEntry, KeyRef, ValueLocation, VersionedKey};
 pub use skiplist::{Cursor, Seek, SkipList};
 pub use table::{Chain, ChainLink, Memtable, Resolved};

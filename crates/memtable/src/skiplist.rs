@@ -1,43 +1,57 @@
-//! A from-scratch skip list (Pugh, CACM 1990).
+//! A from-scratch skip list (Pugh, CACM 1990) over `(key bytes, version)`.
 //!
-//! Nodes live in an arena (`Vec`) and link to each other by index, which
-//! keeps the structure entirely in safe Rust while preserving the O(log n)
-//! expected search/insert/delete of the classical pointer-based design.
-//! Deleted slots are recycled through a free list, so a long-lived memtable
+//! A node is one variable-length record in one byte arena, little-endian:
+//!
+//! ```text
+//! [height u8 | key_len u24 | value slot u32 | version u64 | forward u32 × height | key bytes]
+//! ```
+//!
+//! Records link to each other by `u32` arena offset (the head tower is a
+//! keyless record of full height at offset 0), so one hop of a search —
+//! read the successor's offset, then its height, key and version —
+//! touches the one record it lands on and nothing else: no per-node tower
+//! allocation, no pointer to a key stored elsewhere. That is why the list
+//! is concrete over byte keys (a generic `K` would put a pointer back in
+//! every node). Values sit in a side array the records index by slot, so
+//! lookups still hand out plain references; the whole structure is safe
+//! Rust.
+//!
+//! Removed records are recycled by exact size, so a long-lived memtable
 //! with churn does not grow without bound.
 //!
 //! Tower heights come from an internal xorshift generator seeded at
 //! construction, so a given insertion sequence always produces the same
 //! structure — important for reproducing the paper's figures bit-for-bit.
 
-use std::borrow::Borrow;
-use std::cmp::Ordering;
+use crate::entry::KeyRef;
+use std::collections::BTreeMap;
 
 const MAX_LEVEL: usize = 16;
 /// Probability numerator for growing a tower: P(level+1 | level) = 1/4.
 const BRANCHING: u64 = 4;
 
+/// No successor.
 const NIL: u32 = u32::MAX;
+/// The head tower: a keyless record of full height at the arena's start.
+const HEAD: u32 = 0;
 
-#[derive(Debug)]
-struct Node<K, V> {
-    key: K,
-    value: V,
-    /// Forward links, one per level; `forwards.len()` is the tower height.
-    forwards: Vec<u32>,
-}
+/// Bytes of a record before its tower: height and key length, value
+/// slot, version.
+const HEADER: usize = 16;
+/// The key length shares a `u32` with the tower height.
+const MAX_KEY_LEN: usize = (1 << 24) - 1;
 
-/// The arena index of a live node: a position handle that stays valid
-/// (across inserts and removals of *other* keys) until its own node is
+/// The arena offset of a live record: a position handle that stays valid
+/// (across inserts and removals of *other* keys) until its own record is
 /// removed. Reaching a value through a cursor costs no search.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Cursor(u32);
 
-/// Where one descent ended: the first node not ordered before the probe,
-/// plus the per-level predecessors found on the way down — enough for
-/// [`SkipList::insert_after`] to splice a new node near the probe without
-/// searching again. A seek is invalidated by the next structural change
-/// (an insert of a new key, or a removal).
+/// Where one descent ended: the first record not ordered before the
+/// probe, plus the per-level predecessors found on the way down — enough
+/// for [`SkipList::insert_after`] to splice a new record near the probe
+/// without searching again. A seek is invalidated by the next structural
+/// change (an insert of a new key, or a removal).
 #[derive(Debug, Clone, Copy)]
 pub struct Seek {
     update: [u32; MAX_LEVEL],
@@ -46,35 +60,40 @@ pub struct Seek {
 }
 
 impl Seek {
-    /// The first node not ordered before the probe — its lower bound.
+    /// The first record not ordered before the probe — its lower bound.
     pub fn first(&self) -> Option<Cursor> {
         (self.next != NIL).then_some(Cursor(self.next))
     }
 }
 
-/// A sorted map on a skip list.
+/// A map sorted by `(key bytes, version)` on a skip list.
 ///
-/// Functionally a subset of `BTreeMap`, plus lower-bound seeks by
-/// comparator (the probe need not be a `K`, so a lookup builds no key)
-/// and arena-index cursors, which is what the engine's one-descent
-/// version-chain walk needs.
+/// Functionally a subset of `BTreeMap<(Vec<u8>, u64), V>`, plus
+/// lower-bound seeks that build no key and arena-offset cursors, which is
+/// what the engine's one-descent version-chain walk needs.
 ///
 /// ```
 /// use memtable::SkipList;
 ///
 /// let mut list = SkipList::new();
-/// list.insert("b", 2);
-/// list.insert("a", 1);
-/// assert_eq!(list.get("a"), Some(&1));
-/// let keys: Vec<&str> = list.iter_from(&"a1").map(|(k, _)| *k).collect();
-/// assert_eq!(keys, vec!["b"]); // lower-bound iteration
+/// list.insert(b"b", 7, 2);
+/// list.insert(b"a", 7, 1);
+/// assert_eq!(list.get(b"a", 7), Some(&1));
+/// let from = list.seek(b"a1", 0).first(); // lower bound, no key built
+/// let keys: Vec<&[u8]> = list.walk_from(from).map(|(_, k, _)| k.key).collect();
+/// assert_eq!(keys, vec![b"b"]);
 /// ```
 #[derive(Debug)]
-pub struct SkipList<K, V> {
-    arena: Vec<Option<Node<K, V>>>,
-    free: Vec<u32>,
-    /// Head tower: head[l] is the first node at level l.
-    head: [u32; MAX_LEVEL],
+pub struct SkipList<V> {
+    arena: Vec<u8>,
+    /// Removed records awaiting reuse: record size → offset of the first,
+    /// each one's level-0 forward holding the offset of the next.
+    free: BTreeMap<usize, u32>,
+    /// Arena bytes inside live records, the head's included.
+    live_bytes: usize,
+    /// One slot per record ever carved from the arena; a removed record
+    /// keeps its (emptied) slot and hands it to the record that reuses it.
+    values: Vec<Option<V>>,
     level: usize,
     len: usize,
     rng: u64,
@@ -82,13 +101,13 @@ pub struct SkipList<K, V> {
     epoch: u64,
 }
 
-impl<K: Ord, V> Default for SkipList<K, V> {
+impl<V> Default for SkipList<V> {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl<K: Ord, V> SkipList<K, V> {
+impl<V> SkipList<V> {
     /// Creates an empty list with the default RNG seed.
     pub fn new() -> Self {
         Self::with_seed(0x9E37_79B9_7F4A_7C15)
@@ -96,10 +115,13 @@ impl<K: Ord, V> SkipList<K, V> {
 
     /// Creates an empty list whose tower heights derive from `seed`.
     pub fn with_seed(seed: u64) -> Self {
+        let mut arena = vec![0; HEADER];
+        arena.resize(Self::record_size(MAX_LEVEL, 0), 0xFF); // every forward NIL
         SkipList {
-            arena: Vec::new(),
-            free: Vec::new(),
-            head: [NIL; MAX_LEVEL],
+            live_bytes: arena.len(),
+            arena,
+            free: BTreeMap::new(),
+            values: Vec::new(),
             level: 1,
             len: 0,
             rng: seed | 1, // xorshift state must be nonzero
@@ -117,12 +139,63 @@ impl<K: Ord, V> SkipList<K, V> {
         self.len == 0
     }
 
-    fn node(&self, idx: u32) -> &Node<K, V> {
-        self.arena[idx as usize].as_ref().expect("live node")
+    fn bytes_at<const N: usize>(&self, at: usize) -> [u8; N] {
+        let mut out = [0; N];
+        out.copy_from_slice(&self.arena[at..at + N]);
+        out
     }
 
-    fn node_mut(&mut self, idx: u32) -> &mut Node<K, V> {
-        self.arena[idx as usize].as_mut().expect("live node")
+    fn u32_at(&self, at: usize) -> u32 {
+        u32::from_le_bytes(self.bytes_at(at))
+    }
+
+    fn set_u32(&mut self, at: usize, v: u32) {
+        self.arena[at..at + 4].copy_from_slice(&v.to_le_bytes());
+    }
+
+    /// A record's tower height and key length.
+    fn shape(&self, rec: u32) -> (usize, usize) {
+        let word = self.u32_at(rec as usize);
+        ((word & 0xFF) as usize, (word >> 8) as usize)
+    }
+
+    fn record_size(height: usize, key_len: usize) -> usize {
+        HEADER + 4 * height + key_len
+    }
+
+    fn key_at(&self, rec: u32) -> KeyRef<'_> {
+        let (height, key_len) = self.shape(rec);
+        let start = rec as usize + HEADER + 4 * height;
+        KeyRef {
+            key: &self.arena[start..start + key_len],
+            version: u64::from_le_bytes(self.bytes_at(rec as usize + 8)),
+        }
+    }
+
+    fn slot(&self, rec: u32) -> usize {
+        self.u32_at(rec as usize + 4) as usize
+    }
+
+    fn value(&self, rec: u32) -> &V {
+        self.values[self.slot(rec)]
+            .as_ref()
+            .expect("a linked record's value slot is filled")
+    }
+
+    fn value_mut(&mut self, rec: u32) -> &mut V {
+        let slot = self.slot(rec);
+        self.values[slot]
+            .as_mut()
+            .expect("cursor or link to a removed record")
+    }
+
+    /// The record after `rec` at level `l`.
+    fn forward(&self, rec: u32, l: usize) -> u32 {
+        self.u32_at(rec as usize + HEADER + 4 * l)
+    }
+
+    fn set_forward(&mut self, rec: u32, l: usize, to: u32) {
+        self.set_u32(rec as usize + HEADER + 4 * l, to);
     }
 
     fn random_height(&mut self) -> usize {
@@ -141,288 +214,238 @@ impl<K: Ord, V> SkipList<K, V> {
         h
     }
 
-    /// The one descent every search is built on. `cmp` orders a node's key
-    /// against the probe; returns, for each level, the index of the last
-    /// node ordered before the probe (`NIL` meaning the head), and the
-    /// candidate node at level 0.
-    fn descend(&self, mut cmp: impl FnMut(&K) -> Ordering) -> ([u32; MAX_LEVEL], u32) {
-        let mut update = [NIL; MAX_LEVEL];
-        let mut cur = NIL; // NIL = head
+    /// The one descent every search is built on, to the lower bound of
+    /// `key/version`; version 0 finds the start of `key`'s chain, or of
+    /// the keys `key` is a prefix of.
+    pub fn seek(&self, key: &[u8], version: u64) -> Seek {
+        let probe = KeyRef { key, version };
+        let mut update = [HEAD; MAX_LEVEL];
+        let mut cur = HEAD;
+        let mut stop = NIL; // the record the level above stopped at: not before the probe
         for l in (0..self.level).rev() {
             loop {
                 let next = self.forward(cur, l);
-                if next != NIL && cmp(&self.node(next).key) == Ordering::Less {
-                    cur = next;
-                } else {
+                if next == stop || self.key_at(next) >= probe {
+                    stop = next;
                     break;
                 }
+                cur = next;
             }
             update[l] = cur;
         }
-        (update, self.forward(cur, 0))
-    }
-
-    /// The node after `idx` at level `l` (`NIL` standing for the head).
-    fn forward(&self, idx: u32, l: usize) -> u32 {
-        if idx == NIL {
-            self.head[l]
-        } else {
-            self.node(idx).forwards[l]
-        }
-    }
-
-    fn find_path<Q>(&self, key: &Q) -> ([u32; MAX_LEVEL], u32)
-    where
-        K: Borrow<Q>,
-        Q: Ord + ?Sized,
-    {
-        self.descend(|k| k.borrow().cmp(key))
-    }
-
-    /// Descends once to the lower bound of a probe that `cmp` defines:
-    /// `cmp(k)` is the ordering of a stored key `k` relative to the probe,
-    /// and must be monotone over the list's order.
-    pub fn seek_by(&self, cmp: impl FnMut(&K) -> Ordering) -> Seek {
-        let (update, next) = self.descend(cmp);
         Seek {
             update,
-            next,
+            next: stop,
             epoch: self.epoch,
         }
     }
 
-    /// Inserts a new `key` using the path an earlier [`SkipList::seek_by`]
-    /// recorded, instead of descending again: each level resumes from the
-    /// seek's predecessor and steps over the nodes between the probe and
-    /// `key`. The probe must not order after `key`, and `key` must be
-    /// absent.
+    /// [`SkipList::seek`], and the record it stopped at if that is
+    /// `key/version` itself.
+    fn find(&self, key: &[u8], version: u64) -> (Seek, Option<u32>) {
+        let seek = self.seek(key, version);
+        let hit = seek.next != NIL && self.key_at(seek.next) == KeyRef { key, version };
+        (seek, hit.then_some(seek.next))
+    }
+
+    /// Inserts a new `key/version` using the path an earlier
+    /// [`SkipList::seek`] recorded, instead of descending again: each
+    /// level resumes from the seek's predecessor and steps over the
+    /// records between the probe and the new key. The probe must not
+    /// order after `key/version`, which must be absent.
     ///
     /// # Panics
-    /// Panics if the list changed structurally since `seek` was taken.
-    pub fn insert_after(&mut self, seek: Seek, key: K, value: V) -> Cursor {
+    /// Panics if the list changed structurally since `seek` was taken, or
+    /// as [`SkipList::insert`] does.
+    pub fn insert_after(&mut self, seek: Seek, key: &[u8], version: u64, value: V) -> Cursor {
         assert_eq!(seek.epoch, self.epoch, "stale skip-list seek");
+        let new = KeyRef { key, version };
         let mut update = seek.update;
         for (l, slot) in update.iter_mut().enumerate().take(self.level) {
             loop {
                 let next = self.forward(*slot, l);
-                if next != NIL && self.node(next).key < key {
-                    *slot = next;
-                } else {
+                if next == NIL || self.key_at(next) >= new {
                     break;
                 }
+                *slot = next;
             }
         }
         debug_assert!(
-            update[0] == NIL || self.node(update[0]).key < key,
+            update[0] == HEAD || self.key_at(update[0]) < new,
             "seek probe orders after the inserted key"
         );
         debug_assert!(
-            self.forward(update[0], 0) == NIL || self.node(self.forward(update[0], 0)).key > key,
+            self.forward(update[0], 0) == NIL || self.key_at(self.forward(update[0], 0)) > new,
             "insert_after of a present key"
         );
-        Cursor(self.splice(update, key, value))
+        Cursor(self.splice(update, new, value))
     }
 
-    /// Inserts `key → value`; if the key already exists its value is
-    /// replaced and the old value returned.
-    pub fn insert(&mut self, key: K, value: V) -> Option<V> {
-        let (update, candidate) = self.find_path(&key);
-        if candidate != NIL && self.node(candidate).key == key {
-            return Some(std::mem::replace(
-                &mut self.node_mut(candidate).value,
-                value,
-            ));
-        }
-        self.splice(update, key, value);
-        None
-    }
-
-    /// Links a new node in after the per-level predecessors `update`.
-    fn splice(&mut self, mut update: [u32; MAX_LEVEL], key: K, value: V) -> u32 {
-        let height = self.random_height();
-        if height > self.level {
-            for slot in update.iter_mut().take(height).skip(self.level) {
-                *slot = NIL;
+    /// Inserts `key/version → value`; if the entry already exists its
+    /// value is replaced and the old value returned.
+    ///
+    /// # Panics
+    /// Panics on a key of 16 MiB or more (the record header keeps 24 bits
+    /// of key length), or when the arena would pass 4 GiB.
+    pub fn insert(&mut self, key: &[u8], version: u64, value: V) -> Option<V> {
+        match self.find(key, version) {
+            (_, Some(rec)) => Some(std::mem::replace(self.value_mut(rec), value)),
+            (seek, None) => {
+                self.splice(seek.update, KeyRef { key, version }, value);
+                None
             }
-            self.level = height;
         }
-        let mut forwards = vec![NIL; height];
-        for (l, fwd) in forwards.iter_mut().enumerate() {
-            *fwd = self.forward(update[l], l);
-        }
-        let node = Node {
-            key,
-            value,
-            forwards,
-        };
-        let idx = match self.free.pop() {
-            Some(idx) => {
-                self.arena[idx as usize] = Some(node);
-                idx
+    }
+
+    /// Carves a record for `key` and links it in after the per-level
+    /// predecessors `update`.
+    fn splice(&mut self, update: [u32; MAX_LEVEL], key: KeyRef<'_>, value: V) -> u32 {
+        assert!(key.key.len() <= MAX_KEY_LEN, "key of 16 MiB or more");
+        let height = self.random_height();
+        self.level = self.level.max(height); // above the old level `update` names the head
+        let size = Self::record_size(height, key.key.len());
+        let (rec, slot) = match self.free.get(&size).copied() {
+            Some(rec) => {
+                match self.forward(rec, 0) {
+                    NIL => self.free.remove(&size),
+                    next => self.free.insert(size, next),
+                };
+                (rec, self.slot(rec))
             }
             None => {
-                assert!(self.arena.len() < NIL as usize, "skip list arena full");
-                self.arena.push(Some(node));
-                (self.arena.len() - 1) as u32
+                let at = self.arena.len();
+                assert!(at + size < NIL as usize, "skip list arena full");
+                self.arena.resize(at + size, 0);
+                self.values.push(None);
+                (at as u32, self.values.len() - 1)
             }
         };
-        // An iterator cannot replace this loop: each arm mutates a
-        // *different* container (head vs. predecessor node) through self.
-        #[allow(clippy::needless_range_loop)]
-        for l in 0..height {
-            if update[l] == NIL {
-                self.head[l] = idx;
-            } else {
-                self.node_mut(update[l]).forwards[l] = idx;
-            }
+        self.values[slot] = Some(value);
+        let at = rec as usize;
+        self.set_u32(at, height as u32 | (key.key.len() as u32) << 8);
+        self.set_u32(at + 4, slot as u32);
+        self.arena[at + 8..at + HEADER].copy_from_slice(&key.version.to_le_bytes());
+        self.arena[at + size - key.key.len()..at + size].copy_from_slice(key.key);
+        for (l, &prev) in update.iter().enumerate().take(height) {
+            let next = self.forward(prev, l);
+            self.set_forward(rec, l, next);
+            self.set_forward(prev, l, rec);
         }
+        self.live_bytes += size;
         self.len += 1;
         self.epoch += 1;
-        idx
+        rec
     }
 
-    /// Looks up `key`.
-    pub fn get<Q>(&self, key: &Q) -> Option<&V>
-    where
-        K: Borrow<Q>,
-        Q: Ord + ?Sized,
-    {
-        let (_, candidate) = self.find_path(key);
-        if candidate != NIL && self.node(candidate).key.borrow() == key {
-            Some(&self.node(candidate).value)
-        } else {
-            None
-        }
+    /// Looks up `key/version`.
+    pub fn get(&self, key: &[u8], version: u64) -> Option<&V> {
+        let rec = self.find(key, version).1?;
+        Some(self.value(rec))
     }
 
     /// Mutable lookup.
-    pub fn get_mut<Q>(&mut self, key: &Q) -> Option<&mut V>
-    where
-        K: Borrow<Q>,
-        Q: Ord + ?Sized,
-    {
-        let (_, candidate) = self.find_path(key);
-        if candidate != NIL && self.node(candidate).key.borrow() == key {
-            Some(&mut self.node_mut(candidate).value)
-        } else {
-            None
-        }
+    pub fn get_mut(&mut self, key: &[u8], version: u64) -> Option<&mut V> {
+        let rec = self.find(key, version).1?;
+        Some(self.value_mut(rec))
     }
 
-    /// Removes `key`, returning its value.
-    pub fn remove<Q>(&mut self, key: &Q) -> Option<V>
-    where
-        K: Borrow<Q>,
-        Q: Ord + ?Sized,
-    {
-        let (update, candidate) = self.find_path(key);
-        if candidate == NIL || self.node(candidate).key.borrow() != key {
+    /// Removes `key/version`, returning its value.
+    pub fn remove(&mut self, key: &[u8], version: u64) -> Option<V> {
+        let (seek, Some(candidate)) = self.find(key, version) else {
             return None;
+        };
+        let (height, key_len) = self.shape(candidate);
+        for (l, &prev) in seek.update.iter().enumerate().take(height) {
+            debug_assert_eq!(self.forward(prev, l), candidate);
+            let next = self.forward(candidate, l);
+            self.set_forward(prev, l, next);
         }
-        let height = self.node(candidate).forwards.len();
-        #[allow(clippy::needless_range_loop)]
-        for l in 0..height {
-            let next = self.node(candidate).forwards[l];
-            if update[l] == NIL {
-                debug_assert_eq!(self.head[l], candidate);
-                self.head[l] = next;
-            } else {
-                self.node_mut(update[l]).forwards[l] = next;
-            }
-        }
-        while self.level > 1 && self.head[self.level - 1] == NIL {
+        while self.level > 1 && self.forward(HEAD, self.level - 1) == NIL {
             self.level -= 1;
         }
-        let node = self.arena[candidate as usize].take().expect("live node");
-        self.free.push(candidate);
+        let slot = self.slot(candidate);
+        let value = self.values[slot].take();
+        let size = Self::record_size(height, key_len);
+        let next_free = self.free.insert(size, candidate).unwrap_or(NIL);
+        self.set_forward(candidate, 0, next_free);
+        self.live_bytes -= size;
         self.len -= 1;
         self.epoch += 1;
-        Some(node.value)
+        value
     }
 
-    /// Iterates all entries in key order.
-    pub fn iter(&self) -> Iter<'_, K, V> {
-        Iter(Walk {
+    /// Iterates all entries in `(key, version)` order.
+    pub fn iter(&self) -> impl Iterator<Item = (KeyRef<'_>, &V)> {
+        let walk = Walk {
             list: self,
-            cur: self.head[0],
-        })
-    }
-
-    /// Iterates entries with keys `>= key`, in order — the skip list
-    /// equivalent of `BTreeMap::range(key..)`.
-    pub fn iter_from<Q>(&self, key: &Q) -> Iter<'_, K, V>
-    where
-        K: Borrow<Q>,
-        Q: Ord + ?Sized,
-    {
-        let (_, candidate) = self.find_path(key);
-        Iter(Walk {
-            list: self,
-            cur: candidate,
-        })
-    }
-
-    /// First entry in key order.
-    pub fn first(&self) -> Option<(&K, &V)> {
-        (self.head[0] != NIL).then(|| {
-            let n = self.node(self.head[0]);
-            (&n.key, &n.value)
-        })
+            cur: self.forward(HEAD, 0),
+        };
+        walk.map(|(_, k, v)| (k, v))
     }
 
     /// Mutable access to the value under `at`, without a search.
     ///
     /// # Panics
-    /// Panics if the cursor's node has been removed.
+    /// Panics if the cursor's record has been removed.
     pub fn value_at_mut(&mut self, at: Cursor) -> &mut V {
-        &mut self.node_mut(at.0).value
+        self.value_mut(at.0)
     }
 
     /// Walks level 0 from `start` (a cursor or a seek's lower bound; `None`
     /// walks nothing), yielding each entry with its cursor.
-    pub fn walk_from(&self, start: Option<Cursor>) -> Walk<'_, K, V> {
+    pub fn walk_from(&self, start: Option<Cursor>) -> Walk<'_, V> {
         Walk {
             list: self,
             cur: start.map_or(NIL, |c| c.0),
         }
     }
 
-    /// Approximate heap footprint of the structure itself (excluding what
-    /// keys/values own), for memory-budget accounting.
-    pub fn approx_overhead_bytes(&self) -> usize {
-        self.arena.len() * std::mem::size_of::<Option<Node<K, V>>>() + self.len * 4 * 2
-        // average tower height ≈ 4/3, round up generously
+    /// Bytes the record arena spans: live records plus removed ones
+    /// awaiting reuse.
+    pub fn arena_bytes(&self) -> usize {
+        self.arena.len()
+    }
+
+    /// The part of [`SkipList::arena_bytes`] inside live records.
+    pub fn live_bytes(&self) -> usize {
+        self.live_bytes
+    }
+
+    /// Heap bytes the entries occupy, in O(1): the record arena (headers,
+    /// towers, keys, and removed records awaiting reuse) plus the value
+    /// array. Not counted: spare capacity of the two buffers, the
+    /// free-list map (one node per distinct freed record size), and
+    /// whatever a `V` owns on the heap.
+    pub fn approx_bytes(&self) -> usize {
+        self.arena.len() + self.values.len() * std::mem::size_of::<Option<V>>()
     }
 }
 
 /// Level-0 in-order iterator that also yields each entry's [`Cursor`].
-pub struct Walk<'a, K, V> {
-    list: &'a SkipList<K, V>,
+pub struct Walk<'a, V> {
+    list: &'a SkipList<V>,
     cur: u32,
 }
 
-impl<'a, K: Ord, V> Iterator for Walk<'a, K, V> {
-    type Item = (Cursor, &'a K, &'a V);
+impl<'a, V> Walk<'a, V> {
+    /// The key of the entry `next` would yield, read from its record
+    /// alone: a walk that stops on a key test touches no value slot past
+    /// its last entry.
+    pub fn peek_key(&self) -> Option<KeyRef<'a>> {
+        (self.cur != NIL).then(|| self.list.key_at(self.cur))
+    }
+}
+
+impl<'a, V> Iterator for Walk<'a, V> {
+    type Item = (Cursor, KeyRef<'a>, &'a V);
 
     fn next(&mut self) -> Option<Self::Item> {
         if self.cur == NIL {
             return None;
         }
-        let at = Cursor(self.cur);
-        let node = self.list.node(self.cur);
-        self.cur = node.forwards[0];
-        Some((at, &node.key, &node.value))
-    }
-}
-
-/// Level-0 in-order iterator.
-pub struct Iter<'a, K, V>(Walk<'a, K, V>);
-
-impl<'a, K: Ord, V> Iterator for Iter<'a, K, V> {
-    type Item = (&'a K, &'a V);
-
-    fn next(&mut self) -> Option<Self::Item> {
-        self.0.next().map(|(_, k, v)| (k, v))
+        let rec = self.cur;
+        self.cur = self.list.forward(rec, 0);
+        Some((Cursor(rec), self.list.key_at(rec), self.list.value(rec)))
     }
 }
 
@@ -430,97 +453,125 @@ impl<'a, K: Ord, V> Iterator for Iter<'a, K, V> {
 mod tests {
     use super::*;
 
+    /// Integer keys as order-preserving bytes.
+    fn k(n: u64) -> [u8; 8] {
+        n.to_be_bytes()
+    }
+
     #[test]
     fn insert_get_remove() {
         let mut sl = SkipList::new();
         assert!(sl.is_empty());
-        assert_eq!(sl.insert(3, "c"), None);
-        assert_eq!(sl.insert(1, "a"), None);
-        assert_eq!(sl.insert(2, "b"), None);
+        assert_eq!(sl.insert(b"k3", 1, "c"), None);
+        assert_eq!(sl.insert(b"k1", 1, "a"), None);
+        assert_eq!(sl.insert(b"k2", 1, "b"), None);
         assert_eq!(sl.len(), 3);
-        assert_eq!(sl.get(&2), Some(&"b"));
-        assert_eq!(sl.get(&9), None);
-        assert_eq!(sl.insert(2, "B"), Some("b"));
+        assert_eq!(sl.get(b"k2", 1), Some(&"b"));
+        assert_eq!(sl.get(b"k9", 1), None);
+        assert_eq!(sl.get(b"k2", 2), None);
+        assert_eq!(sl.insert(b"k2", 1, "B"), Some("b"));
         assert_eq!(sl.len(), 3);
-        assert_eq!(sl.remove(&2), Some("B"));
-        assert_eq!(sl.remove(&2), None);
+        assert_eq!(sl.remove(b"k2", 1), Some("B"));
+        assert_eq!(sl.remove(b"k2", 1), None);
         assert_eq!(sl.len(), 2);
     }
 
     #[test]
     fn iteration_is_sorted() {
         let mut sl = SkipList::new();
-        for k in [5, 1, 9, 3, 7, 2, 8, 4, 6, 0] {
-            sl.insert(k, k * 10);
+        for n in [5, 1, 9, 3, 7, 2, 8, 4, 6, 0] {
+            sl.insert(&k(n), n % 3, n * 10);
         }
-        let keys: Vec<i32> = sl.iter().map(|(k, _)| *k).collect();
-        assert_eq!(keys, (0..10).collect::<Vec<_>>());
+        let keys: Vec<Vec<u8>> = sl.iter().map(|(key, _)| key.key.to_vec()).collect();
+        assert_eq!(keys, (0..10).map(|n| k(n).to_vec()).collect::<Vec<_>>());
     }
 
     #[test]
     fn iter_from_is_lower_bound() {
         let mut sl = SkipList::new();
-        for k in [10, 20, 30, 40] {
-            sl.insert(k, ());
+        for n in [10, 20, 30, 40] {
+            sl.insert(&k(n), 5, ());
         }
-        let from25: Vec<i32> = sl.iter_from(&25).map(|(k, _)| *k).collect();
-        assert_eq!(from25, vec![30, 40]);
-        let from20: Vec<i32> = sl.iter_from(&20).map(|(k, _)| *k).collect();
-        assert_eq!(from20, vec![20, 30, 40]);
-        let from99: Vec<i32> = sl.iter_from(&99).map(|(k, _)| *k).collect();
-        assert!(from99.is_empty());
+        let from = |sl: &SkipList<()>, n: u64, version: u64| -> Vec<[u8; 8]> {
+            sl.walk_from(sl.seek(&k(n), version).first())
+                .map(|(_, key, _)| key.key.try_into().unwrap())
+                .collect()
+        };
+        assert_eq!(from(&sl, 25, 0), vec![k(30), k(40)]);
+        assert_eq!(from(&sl, 20, 5), vec![k(20), k(30), k(40)]);
+        // The version breaks the tie between equal keys.
+        assert_eq!(from(&sl, 20, 6), vec![k(30), k(40)]);
+        assert!(from(&sl, 99, 0).is_empty());
     }
 
     #[test]
     fn get_mut_updates_in_place() {
         let mut sl = SkipList::new();
-        sl.insert("k", 1);
-        *sl.get_mut("k").unwrap() += 41;
-        assert_eq!(sl.get("k"), Some(&42));
-        assert!(sl.get_mut("missing").is_none());
+        sl.insert(b"k", 1, 1);
+        *sl.get_mut(b"k", 1).unwrap() += 41;
+        assert_eq!(sl.get(b"k", 1), Some(&42));
+        assert!(sl.get_mut(b"missing", 1).is_none());
     }
 
     #[test]
     fn borrowed_key_lookup() {
-        let mut sl: SkipList<String, i32> = SkipList::new();
-        sl.insert("hello".to_string(), 1);
-        assert_eq!(sl.get("hello"), Some(&1)); // &str lookup on String keys
+        // Lookups borrow the caller's bytes; the stored copy is the list's.
+        let mut sl = SkipList::new();
+        let owned = "hello".to_string();
+        sl.insert(owned.as_bytes(), 1, 1);
+        drop(owned);
+        assert_eq!(sl.get(b"hello", 1), Some(&1));
+        assert_eq!(sl.get(b"hell", 1), None);
+        assert_eq!(sl.get(b"hello!", 1), None);
     }
 
     #[test]
     fn removal_recycles_slots() {
         let mut sl = SkipList::new();
-        for k in 0..100 {
-            sl.insert(k, k);
+        for n in 0..100 {
+            sl.insert(&k(n), 1, n);
         }
-        for k in 0..100 {
-            sl.remove(&k);
+        for n in 0..100 {
+            sl.remove(&k(n), 1);
         }
-        let before = sl.arena.len();
-        for k in 0..100 {
-            sl.insert(k, k);
+        assert_eq!(sl.live_bytes(), SkipList::<u64>::new().live_bytes());
+        let (before, slots) = (sl.arena_bytes(), sl.values.len());
+        // Same key lengths, tower heights drawn afresh: a record is carved
+        // from a freed one wherever the two draws agree, which at
+        // P(height 1) = 3/4 is most of them.
+        for n in 0..100 {
+            sl.insert(&k(n), 1, n);
         }
-        assert_eq!(sl.arena.len(), before, "arena should not grow after churn");
+        assert!(
+            sl.arena_bytes() <= before + before / 4,
+            "arena grew from {before} to {} bytes after churn",
+            sl.arena_bytes()
+        );
+        assert!(sl.values.len() <= slots + slots / 4);
         assert_eq!(sl.len(), 100);
     }
 
     #[test]
     fn first_entry() {
         let mut sl = SkipList::new();
-        assert_eq!(sl.first(), None);
-        sl.insert(7, "g");
-        sl.insert(2, "b");
-        assert_eq!(sl.first(), Some((&2, &"b")));
+        assert_eq!(sl.iter().next(), None);
+        sl.insert(b"g", 7, "g");
+        sl.insert(b"b", 2, "b");
+        let key = KeyRef {
+            key: b"b",
+            version: 2,
+        };
+        assert_eq!(sl.iter().next(), Some((key, &"b")));
     }
 
     #[test]
     fn deterministic_for_seed() {
         let build = || {
             let mut sl = SkipList::with_seed(99);
-            for k in 0..1000 {
-                sl.insert((k * 37) % 1000, k);
+            for n in 0..1000 {
+                sl.insert(&k((n * 37) % 1000), 1, n);
             }
-            sl.level
+            (sl.level, sl.arena)
         };
         assert_eq!(build(), build());
     }
@@ -533,9 +584,12 @@ mod tests {
             x ^= x << 13;
             x ^= x >> 7;
             x ^= x << 17;
-            sl.insert(x % 2048, x);
+            sl.insert(&k(x % 2048), x % 3, x);
         }
-        let keys: Vec<u64> = sl.iter().map(|(k, _)| *k).collect();
+        let keys: Vec<(u64, u64)> = sl
+            .iter()
+            .map(|(key, _)| (u64::from_be_bytes(key.key.try_into().unwrap()), key.version))
+            .collect();
         let mut sorted = keys.clone();
         sorted.sort_unstable();
         sorted.dedup();

@@ -1,9 +1,8 @@
-//! The typed memtable: a skip list of [`VersionedKey`] → [`IndexEntry`]
-//! plus the version-chain queries QinDB's mutated operations need.
+//! The typed memtable: a skip list of `k/t` → [`IndexEntry`] plus the
+//! version-chain queries QinDB's mutated operations need.
 
-use crate::entry::{IndexEntry, ValueLocation, VersionedKey};
+use crate::entry::{IndexEntry, KeyRef, ValueLocation, VersionedKey};
 use crate::skiplist::{Cursor, Seek, SkipList, Walk};
-use bytes::Bytes;
 
 /// One item of a key's version chain, as [`Memtable::chain`] yields it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -16,9 +15,19 @@ pub struct ChainLink {
     pub entry: IndexEntry,
 }
 
+impl ChainLink {
+    fn of((at, key, entry): (Cursor, KeyRef<'_>, &IndexEntry)) -> Self {
+        ChainLink {
+            at,
+            version: key.version,
+            entry: *entry,
+        }
+    }
+}
+
 /// The level-0 walk over one key's items; see [`Memtable::chain`].
 pub struct Chain<'a> {
-    walk: Walk<'a, VersionedKey, IndexEntry>,
+    walk: Walk<'a, IndexEntry>,
     key: &'a [u8],
     seek: Seek,
 }
@@ -34,12 +43,12 @@ impl Iterator for Chain<'_> {
     type Item = ChainLink;
 
     fn next(&mut self) -> Option<ChainLink> {
-        let (at, k, entry) = self.walk.next()?;
-        (k.key.as_ref() == self.key).then_some(ChainLink {
-            at,
-            version: k.version,
-            entry: *entry,
-        })
+        // Decided from the record's key: the walk that ends a chain
+        // reads no value slot past it.
+        if self.walk.peek_key()?.key != self.key {
+            return None;
+        }
+        self.walk.next().map(ChainLink::of)
     }
 }
 
@@ -59,6 +68,24 @@ pub struct Resolved {
     pub hops: u32,
 }
 
+impl Resolved {
+    /// What a reader sees once an ascending walk of a key's items reaches
+    /// `link`, having seen `older` below it.
+    fn step(older: Option<Resolved>, link: ChainLink) -> Resolved {
+        let (value, hops) = if !link.entry.deduplicated {
+            (Some((link.version, link.entry.location)), 0)
+        } else {
+            older.map_or((None, 0), |older| (older.value, older.hops + 1))
+        };
+        Resolved {
+            version: link.version,
+            entry: link.entry,
+            value,
+            hops,
+        }
+    }
+}
+
 /// QinDB's memory-resident index.
 ///
 /// Same-key entries sort adjacently in increasing version order, so the
@@ -66,7 +93,7 @@ pub struct Resolved {
 /// lower bound.
 #[derive(Debug, Default)]
 pub struct Memtable {
-    list: SkipList<VersionedKey, IndexEntry>,
+    list: SkipList<IndexEntry>,
 }
 
 impl Memtable {
@@ -89,22 +116,22 @@ impl Memtable {
 
     /// Inserts (or replaces) the item for `k/t`.
     pub fn insert(&mut self, key: VersionedKey, entry: IndexEntry) -> Option<IndexEntry> {
-        self.list.insert(key, entry)
+        self.list.insert(&key.key, key.version, entry)
     }
 
     /// Point lookup of `k/t`.
     pub fn get(&self, key: &VersionedKey) -> Option<&IndexEntry> {
-        self.list.get(key)
+        self.list.get(&key.key, key.version)
     }
 
     /// Mutable point lookup of `k/t`.
     pub fn get_mut(&mut self, key: &VersionedKey) -> Option<&mut IndexEntry> {
-        self.list.get_mut(key)
+        self.list.get_mut(&key.key, key.version)
     }
 
     /// Removes the item for `k/t`.
     pub fn remove(&mut self, key: &VersionedKey) -> Option<IndexEntry> {
-        self.list.remove(key)
+        self.list.remove(&key.key, key.version)
     }
 
     /// The version chain of `key`: every item of the key, ascending by
@@ -112,7 +139,7 @@ impl Memtable {
     /// takes. One descent (to the key's lowest possible version, compared
     /// in place — no probe key is built) and then a level-0 walk.
     pub fn chain<'a>(&'a self, key: &'a [u8]) -> Chain<'a> {
-        let seek = self.list.seek_by(|k| k.key.as_ref().cmp(key));
+        let seek = self.list.seek(key, 0);
         Chain {
             walk: self.list.walk_from(seek.first()),
             key,
@@ -126,9 +153,16 @@ impl Memtable {
     }
 
     /// Inserts an item that `chain` did not yield into the chain `seek`
-    /// was taken from ([`Chain::seek`]), without a second descent.
-    pub fn insert_after(&mut self, seek: Seek, key: VersionedKey, entry: IndexEntry) -> Cursor {
-        self.list.insert_after(seek, key, entry)
+    /// was taken from ([`Chain::seek`]), without a second descent. The key
+    /// bytes are copied into the arena.
+    pub fn insert_after(
+        &mut self,
+        seek: Seek,
+        key: &[u8],
+        version: u64,
+        entry: IndexEntry,
+    ) -> Cursor {
+        self.list.insert_after(seek, key, version, entry)
     }
 
     /// What a reader pinned to index version `t` sees for `key`: the
@@ -142,21 +176,9 @@ impl Memtable {
     /// GC). Whether the seen version itself is deleted is the caller's
     /// check.
     pub fn resolve(&self, key: &[u8], t: u64) -> Option<Resolved> {
-        let mut seen: Option<Resolved> = None;
-        for link in self.chain(key).take_while(|l| l.version <= t) {
-            let (value, hops) = if !link.entry.deduplicated {
-                (Some((link.version, link.entry.location)), 0)
-            } else {
-                seen.map_or((None, 0), |older| (older.value, older.hops + 1))
-            };
-            seen = Some(Resolved {
-                version: link.version,
-                entry: link.entry,
-                value,
-                hops,
-            });
-        }
-        seen
+        self.chain(key)
+            .take_while(|l| l.version <= t)
+            .fold(None, |seen, link| Some(Resolved::step(seen, link)))
     }
 
     /// GET's traceback: the newest version `≤ t` of `key` that carries a
@@ -167,34 +189,35 @@ impl Memtable {
         seen.value.map(|(v, loc)| (v, loc, seen.hops))
     }
 
-    /// Iterates distinct user keys starting with `prefix`, in order,
-    /// yielding each key once (scans are resolved per key via
-    /// [`Memtable::resolve`]).
-    pub fn keys_with_prefix<'a>(&'a self, prefix: &'a [u8]) -> impl Iterator<Item = Bytes> + 'a {
-        let mut last: Option<Bytes> = None;
-        let start = self.list.seek_by(|k| k.key.as_ref().cmp(prefix)).first();
-        self.list
-            .walk_from(start)
-            .take_while(move |(_, k, _)| k.key.starts_with(prefix))
-            .filter_map(move |(_, k, _)| {
-                if last.as_ref() == Some(&k.key) {
-                    None
-                } else {
-                    last = Some(k.key.clone());
-                    Some(k.key.clone())
-                }
-            })
+    /// [`Memtable::resolve`] for every key starting with `prefix`, in key
+    /// order, skipping keys with no version at or below `t`: one descent
+    /// to the prefix's lower bound, then each key's chain is resolved from
+    /// the level-0 walk as it passes.
+    pub fn resolve_prefix(&self, prefix: &[u8], t: u64) -> Vec<(&[u8], Resolved)> {
+        let mut rows: Vec<(&[u8], Resolved)> = Vec::new();
+        let walk = self.list.walk_from(self.list.seek(prefix, 0).first());
+        for (at, k, entry) in walk.take_while(|(_, k, _)| k.key.starts_with(prefix)) {
+            if k.version <= t {
+                let older = rows.pop_if(|(key, _)| *key == k.key).map(|(_, seen)| seen);
+                let link = ChainLink::of((at, k, entry));
+                rows.push((k.key, Resolved::step(older, link)));
+            }
+        }
+        rows
     }
 
     /// Iterates every item in `(key, version)` order.
-    pub fn iter(&self) -> impl Iterator<Item = (&VersionedKey, &IndexEntry)> {
+    pub fn iter(&self) -> impl Iterator<Item = (KeyRef<'_>, &IndexEntry)> {
         self.list.iter()
     }
 
-    /// Approximate bytes of memory held by the table (keys + structure).
+    /// Bytes of memory the items occupy, in O(1): each item's arena
+    /// record (16-byte header, tower, key bytes) and its [`IndexEntry`],
+    /// plus the list's head tower and removed records not yet reused.
+    /// Spare buffer capacity and the fixed-size parts of the table are
+    /// not counted; see [`SkipList::approx_bytes`].
     pub fn approx_bytes(&self) -> usize {
-        let key_bytes: usize = self.list.iter().map(|(k, _)| k.key.len() + 8).sum();
-        key_bytes + self.list.approx_overhead_bytes()
+        self.list.approx_bytes()
     }
 }
 
@@ -261,11 +284,11 @@ mod tests {
         ]);
         for v in [4, 1, 8] {
             let seek = t.chain(b"k").seek();
-            t.insert_after(seek, VersionedKey::new("k", v), IndexEntry::full(loc(v)));
+            t.insert_after(seek, b"k", v, IndexEntry::full(loc(v)));
         }
         // A key with no chain yet lands between its neighbours.
         let seek = t.chain(b"jj").seek();
-        t.insert_after(seek, VersionedKey::new("jj", 3), IndexEntry::full(loc(3)));
+        t.insert_after(seek, b"jj", 3, IndexEntry::full(loc(3)));
         assert_eq!(versions(&t, b"k"), vec![1, 2, 4, 6, 8]);
         let all: Vec<String> = t.iter().map(|(k, _)| k.to_string()).collect();
         assert_eq!(
@@ -357,30 +380,46 @@ mod tests {
     fn prefix_key_iteration_is_distinct_and_ordered() {
         let t = table_with(&[
             ("app/a", 1, IndexEntry::full(loc(1))),
-            ("app/a", 2, IndexEntry::full(loc(2))),
+            ("app/a", 2, IndexEntry::deduplicated(loc(2))),
+            ("app/a", 9, IndexEntry::full(loc(9))),
             ("app/b", 1, IndexEntry::full(loc(3))),
+            ("app/c", 7, IndexEntry::full(loc(7))),
             ("apz", 1, IndexEntry::full(loc(4))),
             ("aaa", 1, IndexEntry::full(loc(5))),
         ]);
-        let keys: Vec<String> = t
-            .keys_with_prefix(b"app/")
-            .map(|k| String::from_utf8_lossy(&k).into_owned())
-            .collect();
+        let seen = |prefix: &[u8], at: u64| -> Vec<(String, Resolved)> {
+            t.resolve_prefix(prefix, at)
+                .into_iter()
+                .map(|(k, seen)| (String::from_utf8_lossy(k).into_owned(), seen))
+                .collect()
+        };
+        // One row per key, each what `resolve` says; a key whose versions
+        // are all above the pin (app/c) has no row.
+        let rows = seen(b"app/", 2);
+        let keys: Vec<&str> = rows.iter().map(|(k, _)| k.as_str()).collect();
         assert_eq!(keys, vec!["app/a", "app/b"]);
-        assert_eq!(t.keys_with_prefix(b"zz").count(), 0);
-        assert_eq!(t.keys_with_prefix(b"").count(), 4);
+        for (key, row) in &rows {
+            assert_eq!(t.resolve(key.as_bytes(), 2).as_ref(), Some(row));
+        }
+        assert_eq!((rows[0].1.version, rows[0].1.hops), (2, 1));
+        assert!(seen(b"zz", 9).is_empty());
+        assert_eq!(seen(b"", 9).len(), 5);
     }
 
     #[test]
     fn approx_bytes_grows_with_content() {
         let mut t = Memtable::new();
-        let empty = t.approx_bytes();
+        let empty = t.approx_bytes(); // the head tower
         for i in 0..100u64 {
             t.insert(
                 VersionedKey::new(format!("key-{i:04}"), 1),
                 IndexEntry::full(loc(i)),
             );
         }
-        assert!(t.approx_bytes() > empty);
+        // Per item: a 16-byte header, at least one forward link, the key
+        // and the entry.
+        let floor = 16 + 4 + "key-0000".len() + std::mem::size_of::<IndexEntry>();
+        let bytes = t.approx_bytes() - empty;
+        assert!((100 * floor..100 * (floor + 8)).contains(&bytes), "{bytes}");
     }
 }

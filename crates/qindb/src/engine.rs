@@ -7,7 +7,7 @@ use crate::stats::{AtomicEngineStats, EngineStats};
 use crate::{QinDbError, Result};
 use aof::{Aof, FileId, GcTable, RecordLoc};
 use bytes::Bytes;
-use memtable::{ChainLink, IndexEntry, Memtable, Seek, ValueLocation, VersionedKey};
+use memtable::{ChainLink, IndexEntry, KeyRef, Memtable, Seek, ValueLocation, VersionedKey};
 use ssdsim::Device;
 use std::collections::HashSet;
 
@@ -169,8 +169,7 @@ impl QinDb {
                 self.chain[i].entry = entry;
             }
             Err(i) => {
-                let vk = VersionedKey::new(Bytes::copy_from_slice(key), version);
-                let at = self.table.insert_after(seek, vk, entry);
+                let at = self.table.insert_after(seek, key, version, entry);
                 self.chain.insert(i, ChainLink { at, version, entry });
             }
         }
@@ -317,12 +316,8 @@ impl QinDb {
     /// This is the "advanced feature" hash-indexed flash stores give up
     /// (§6.1); QinDB gets it for free from the sorted memtable.
     pub fn scan_prefix(&self, prefix: &[u8], version: u64) -> Result<Vec<(Bytes, u64, Bytes)>> {
-        let keys: Vec<Bytes> = self.table.keys_with_prefix(prefix).collect();
         let mut out = Vec::new();
-        for key in keys {
-            let Some(seen) = self.table.resolve(&key, version) else {
-                continue;
-            };
+        for (key, seen) in self.table.resolve_prefix(prefix, version) {
             if seen.entry.deleted {
                 continue;
             }
@@ -337,7 +332,7 @@ impl QinDb {
                 "scan target record carries no value",
             ))?;
             self.stats.user_read_bytes.add(value.len() as u64);
-            out.push((key, seen.version, value));
+            out.push((Bytes::copy_from_slice(key), seen.version, value));
         }
         Ok(out)
     }
@@ -627,17 +622,12 @@ impl QinDb {
         Self::replay(&mut table, &mut gct, records, &mut max_seq);
         let mut engine = Self::assemble(aof, cfg, table, gct, max_seq + 1);
         // Recompute disk-liveness for every key to rebuild occupancy.
-        let keys: Vec<Bytes> = {
-            let mut keys = Vec::new();
-            let mut last: Option<Bytes> = None;
-            for (vk, _) in engine.table.iter() {
-                if last.as_ref() != Some(&vk.key) {
-                    keys.push(vk.key.clone());
-                    last = Some(vk.key.clone());
-                }
+        let mut keys: Vec<Bytes> = Vec::new();
+        for (vk, _) in engine.table.iter() {
+            if keys.last().is_none_or(|last| last != vk.key) {
+                keys.push(Bytes::copy_from_slice(vk.key));
             }
-            keys
-        };
+        }
         for key in keys {
             engine.recompute_liveness(&key);
         }
@@ -873,9 +863,10 @@ impl QinDb {
     /// `(key, version, deduplicated, deleted)` — the export an
     /// anti-entropy peer sync reads.
     pub fn iter_items(&self) -> impl Iterator<Item = (Bytes, u64, bool, bool)> + '_ {
-        self.table
-            .iter()
-            .map(|(vk, e)| (vk.key.clone(), vk.version, e.deduplicated, e.deleted))
+        self.table.iter().map(|(vk, e)| {
+            let key = Bytes::copy_from_slice(vk.key);
+            (key, vk.version, e.deduplicated, e.deleted)
+        })
     }
 
     /// Live versions currently retained for `key` (ascending), with their
@@ -895,7 +886,7 @@ impl QinDb {
 
     /// Iterates every memtable item with its whole entry — location, the
     /// paper's flags and the engine's bookkeeping — for audits.
-    pub fn table_iter(&self) -> impl Iterator<Item = (&VersionedKey, &IndexEntry)> {
+    pub fn table_iter(&self) -> impl Iterator<Item = (KeyRef<'_>, &IndexEntry)> {
         self.table.iter()
     }
 
@@ -1399,6 +1390,40 @@ mod tests {
         assert!(db.scan_prefix(b"app/", 0).unwrap().is_empty());
         // Empty prefix scans everything live.
         assert_eq!(db.scan_prefix(b"", 3).unwrap().len(), 3);
+    }
+
+    #[test]
+    fn scan_prefix_agrees_with_get_on_mixed_chains() {
+        // Four keys under one prefix, each a prefix of the next, whose
+        // chains mix every kind of item a scan resolves from the walk.
+        let keys: [&[u8]; 4] = [b"p", b"p/", b"p/a", b"p/ab"];
+        let mut db = small_engine();
+        db.put(b"p", 2, None).unwrap(); // dangling: no value-bearing ancestor
+        db.put(b"p", 4, Some(b"p4")).unwrap();
+        db.put(b"p/", 1, Some(b"s1")).unwrap();
+        db.put(b"p/", 2, None).unwrap(); // resolves through s1 ...
+        db.put(b"p/", 3, None).unwrap();
+        db.del(b"p/", 1).unwrap(); // ... which is deleted but referenced
+        db.put(b"p/a", 1, Some(b"a1")).unwrap();
+        db.put(b"p/a", 3, None).unwrap();
+        db.del(b"p/a", 3).unwrap(); // deleted at the pin, live below it
+        db.put(b"p/ab", 5, Some(b"ab5")).unwrap(); // above most pins
+        db.put(b"q", 1, Some(b"q1")).unwrap(); // outside the prefix
+
+        for pin in 0..=6 {
+            // A row is a GET of the key's newest version at or below the pin.
+            let want: Vec<(Bytes, u64, Bytes)> = keys
+                .iter()
+                .filter_map(|k| {
+                    let (seen, ..) = db.versions_of(k).into_iter().rfind(|v| v.0 <= pin)?;
+                    Some((Bytes::copy_from_slice(k), seen, db.get(k, seen).unwrap()?))
+                })
+                .collect();
+            assert_eq!(db.scan_prefix(b"p", pin).unwrap(), want, "pinned at {pin}");
+        }
+        let at3 = db.scan_prefix(b"p/", 3).unwrap();
+        assert_eq!(at3.len(), 1, "p/a is deleted at 3, p/ab not yet written");
+        assert_eq!((at3[0].1, at3[0].2.as_ref()), (3, &b"s1"[..]));
     }
 
     #[test]

@@ -168,7 +168,7 @@ impl QinDb {
                     value,
                     ..
                 } => {
-                    if key.as_ref() != vk.key.as_ref() || *version != vk.version {
+                    if key.as_ref() != vk.key || *version != vk.version {
                         problems.push(format!("{vk}: location holds a record for another item"));
                     }
                     if value.is_none() != entry.deduplicated {
