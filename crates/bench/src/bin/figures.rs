@@ -18,7 +18,7 @@ struct Ctx {
     fig5_runs: Option<(fig5::EngineRun, fig5::EngineRun)>,
     month: Option<month::MonthReport>,
     /// Headline rows, mirrored into `target/figures/figures_results.json`
-    /// through the same canonical writer as `BENCH_RESULTS.json`.
+    /// through the same canonical writer as `BENCH_BASELINE.json`.
     rows: perfrec::BenchReport,
 }
 
@@ -45,8 +45,7 @@ impl Ctx {
     }
 
     fn row(&mut self, figure: &str, metric: &str, value: f64, unit: &str) {
-        // Everything the figures print is sim-time-derived and seeded.
-        self.rows.push(figure, metric, value, unit, true);
+        self.rows.push(figure, metric, value, unit);
     }
 
     fn month(&mut self) -> &month::MonthReport {
@@ -495,7 +494,7 @@ fn main() {
         }
     }
     // Mirror the headline rows through the perf report writer so figure
-    // numbers are greppable in the same schema as BENCH_RESULTS.json.
+    // numbers are greppable in the same schema as BENCH_BASELINE.json.
     if !ctx.rows.results.is_empty() {
         let path = std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR"))
             .join("../../target/figures/figures_results.json");

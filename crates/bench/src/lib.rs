@@ -14,10 +14,12 @@
 //! figures -- all`) prints each table and writes machine-readable results
 //! to `target/figures/*.json`.
 //!
-//! [`perf`] is the perf flight recorder: a seeded macro-benchmark suite
-//! across every layer, a phase-time profiler for the pipeline round, and
-//! the regression gate behind `BENCH_BASELINE.json` (`cargo run -p
-//! directload-bench --release --bin perf -- all`).
+//! [`perf`] is the seeded scenario suite across every layer: 64 cells,
+//! each a pure function of the seed, that `cargo test`
+//! (`tests/perf_gate.rs`) requires to equal the golden file
+//! `BENCH_BASELINE.json` byte for byte, plus a phase-time profiler for
+//! the pipeline round. `cargo run -p directload-bench --release --bin
+//! perf` prints both; `-- --rebaseline` rewrites the golden file.
 //!
 //! Absolute numbers will not match the paper (its testbed was a physical
 //! Xeon + SATA SSD fleet; ours is a simulator), but the comparisons the

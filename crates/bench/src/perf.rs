@@ -1,12 +1,14 @@
-//! The macro-benchmark scenario suite behind the `perf` binary.
+//! The seeded scenario suite behind the `perf` binary and the golden
+//! test.
 //!
-//! The seeded scenarios cover every layer of the stack, each measured
-//! twice: once in simulated time / firmware counters (fully
-//! deterministic — same seed, same bytes, on any machine) and once in
-//! wall-clock time (median + MAD over `reps` repetitions, robust to
-//! scheduler noise). Results go into `perfrec`'s [`BenchReport`] schema;
-//! the checked-in `BENCH_BASELINE.json` plus [`perfrec::compare`] turn
-//! them into the CI regression gate.
+//! Every scenario drives one layer of the stack and reports only what is
+//! a pure function of the seed — simulated time, firmware counters, byte
+//! counts, CRCs of rendered timelines — so the same seed gives the same
+//! bits on any machine, in a debug or a release build. Results go into
+//! `perfrec`'s [`BenchReport`] schema. `crates/bench/tests/perf_gate.rs`
+//! renders the suite and requires it to equal the checked-in golden file
+//! [`BASELINE`] byte for byte; `perf --rebaseline` rewrites that file.
+//! Wall-clock speed is `benchmark/`'s job, not this suite's.
 //!
 //! | scenario | layer | shape |
 //! |---|---|---|
@@ -15,9 +17,8 @@
 //! | `bifrost_delivery` | bifrost + netsim | three versions across the WAN with dedup |
 //! | `mint_kv` | mint | replicated PUT batches + GET fan-out |
 //! | `pipeline_round` | core (all layers) | two end-to-end update rounds |
-//! | `serve_qps` | serve | open-loop QPS burst with p50/p99 |
 //! | `rebalance` | placement + mint | throttled scale-out then decommission |
-//! | `netbench` | net + serve | the serve path behind a real loopback socket |
+//! | `netbench` | net + serve | the serve path behind a real loopback socket: every request answered |
 //! | `telemetry` | obs | sim-clock sampler, windowed percentiles, SLO breach/recovery |
 //! | `controller` | ctrl + placement + mint | observe→decide→act rounds over a ramping load, plans executed live |
 //! | `recovery_replay` | wal + mint | crash a replica, catch up via log suffix vs. full state |
@@ -30,18 +31,17 @@ use bytes::Bytes;
 use directload::{DirectLoad, DirectLoadConfig};
 use indexgen::{CorpusConfig, CrawlSimulator};
 use mint::{Mint, MintConfig, WriteOp};
-use perfrec::{measure, BenchReport};
+use perfrec::BenchReport;
 use serve::{ServeConfig, ServeExt, SummaryCache};
 use simclock::{SimClock, SimTime};
 
-/// Scenario names, in suite order. `perf -- all` runs exactly these.
-pub const SCENARIOS: [&str; 13] = [
+/// Scenario names, in suite order. `perf` runs exactly these.
+pub const SCENARIOS: [&str; 12] = [
     "qindb_write",
     "lsm_write",
     "bifrost_delivery",
     "mint_kv",
     "pipeline_round",
-    "serve_qps",
     "rebalance",
     "netbench",
     "telemetry",
@@ -51,199 +51,113 @@ pub const SCENARIOS: [&str; 13] = [
     "attribution",
 ];
 
-/// Suite-wide knobs.
-#[derive(Debug, Clone, Copy)]
-pub struct PerfConfig {
-    /// Smoke scale (CI) vs. full scale. Deterministic values differ
-    /// between the two, so reports carry the mode and the gate refuses
-    /// to compare across it.
-    pub quick: bool,
-    /// Wall-clock repetitions per scenario.
-    pub reps: usize,
-}
+/// The checked-in golden file: the canonical rendering of the suite.
+pub const BASELINE: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_BASELINE.json");
 
-impl PerfConfig {
-    /// CI smoke scale.
-    pub fn quick() -> Self {
-        PerfConfig {
-            quick: true,
-            reps: 3,
-        }
-    }
-
-    /// Full scale (the default for interactive runs).
-    pub fn full() -> Self {
-        PerfConfig {
-            quick: false,
-            reps: 5,
-        }
-    }
-
-    /// The mode string recorded in reports.
-    pub fn mode(&self) -> &'static str {
-        if self.quick {
-            "quick"
-        } else {
-            "full"
-        }
-    }
-}
-
-/// Whether a *wall-clock* cell takes part in the regression gate.
-///
-/// Deterministic cells are always gated. Most wall cells are
-/// compute-bound and vary too much across CI machines to gate at any
-/// useful tolerance, so they are recorded but not baselined. The serve
-/// latencies are the exception: the front-end models storage service
-/// time with explicit sleeps, so p50 is sleep-dominated and
-/// machine-stable well within the ±30% band.
-pub fn wall_gated(scenario: &str, metric: &str) -> bool {
-    matches!((scenario, metric), ("serve_qps", "p50_ms"))
-}
-
-/// The subset of `report` that belongs in `BENCH_BASELINE.json`: every
-/// deterministic cell plus the [`wall_gated`] wall cells.
-pub fn baseline_subset(report: &BenchReport) -> BenchReport {
-    let mut out = BenchReport::new(&report.mode);
-    out.results = report
-        .results
-        .iter()
-        .filter(|r| r.deterministic || wall_gated(&r.scenario, &r.metric))
-        .cloned()
-        .collect();
-    out
-}
+/// The scale recorded in every report's header. The scenario sizes are
+/// the ones the suite's former quick mode used, so the cells are too.
+const MODE: &str = "quick";
 
 /// Runs one scenario by name. `None` for an unknown name.
-pub fn run_scenario(name: &str, cfg: &PerfConfig) -> Option<BenchReport> {
+pub fn run_scenario(name: &str) -> Option<BenchReport> {
     Some(match name {
-        "qindb_write" => engine_write(cfg, "qindb_write", fig5::run_qindb),
-        "lsm_write" => engine_write(cfg, "lsm_write", fig5::run_leveldb),
-        "bifrost_delivery" => bifrost_delivery(cfg),
-        "mint_kv" => mint_kv(cfg),
-        "pipeline_round" => pipeline_round(cfg),
-        "serve_qps" => serve_qps(cfg),
-        "rebalance" => rebalance(cfg),
-        "netbench" => netbench(cfg),
-        "telemetry" => telemetry(cfg),
-        "controller" => controller(cfg),
-        "recovery_replay" => recovery_replay(cfg),
-        "join_sync" => join_sync(cfg),
-        "attribution" => attribution(cfg),
+        "qindb_write" => engine_write("qindb_write", fig5::run_qindb),
+        "lsm_write" => engine_write("lsm_write", fig5::run_leveldb),
+        "bifrost_delivery" => bifrost_delivery(),
+        "mint_kv" => mint_kv(),
+        "pipeline_round" => pipeline_round(),
+        "rebalance" => rebalance(),
+        "netbench" => netbench(),
+        "telemetry" => telemetry(),
+        "controller" => controller(),
+        "recovery_replay" => recovery_replay(),
+        "join_sync" => join_sync(),
+        "attribution" => attribution(),
         _ => return None,
     })
 }
 
 /// Runs `names` (each must be a known scenario) into one report.
-pub fn run_suite(names: &[&str], cfg: &PerfConfig) -> BenchReport {
-    let mut report = BenchReport::new(cfg.mode());
+pub fn run_suite(names: &[&str]) -> BenchReport {
+    let mut report = BenchReport::new(MODE);
     for name in names {
-        let part = run_scenario(name, cfg)
+        let part = run_scenario(name)
             .unwrap_or_else(|| panic!("unknown scenario `{name}` (known: {SCENARIOS:?})"));
         report.merge(part);
     }
     report
 }
 
-fn fig5_cfg(cfg: &PerfConfig) -> Fig5Config {
-    if cfg.quick {
-        Fig5Config::quick()
-    } else {
-        Fig5Config::default()
-    }
-}
-
 /// Shared shape of the two storage-engine write scenarios.
-fn engine_write(
-    cfg: &PerfConfig,
-    name: &str,
-    runner: fn(&Fig5Config) -> fig5::EngineRun,
-) -> BenchReport {
-    let f5 = fig5_cfg(cfg);
-    let (wall, run) = measure(cfg.reps, || runner(&f5));
-    let mut r = BenchReport::new(cfg.mode());
+fn engine_write(name: &str, runner: fn(&Fig5Config) -> fig5::EngineRun) -> BenchReport {
+    let run = runner(&Fig5Config::quick());
+    let mut r = BenchReport::new(MODE);
     // Simulated-time series: pure functions of the seed.
-    r.push(name, "user_write_mbps", run.user_write_mbps, "MB/s", true);
-    r.push(name, "sys_write_mbps", run.sys_write_mbps, "MB/s", true);
-    r.push(name, "total_waf", run.total_waf, "ratio", true);
-    r.push(
-        name,
-        "blocks_erased",
-        run.blocks_erased as f64,
-        "count",
-        true,
-    );
-    r.push(name, "elapsed_sim_sec", run.elapsed_sec, "s", true);
-    push_wall(&mut r, name, wall);
+    r.push(name, "user_write_mbps", run.user_write_mbps, "MB/s");
+    r.push(name, "sys_write_mbps", run.sys_write_mbps, "MB/s");
+    r.push(name, "total_waf", run.total_waf, "ratio");
+    r.push(name, "blocks_erased", run.blocks_erased as f64, "count");
+    r.push(name, "elapsed_sim_sec", run.elapsed_sec, "s");
     r
 }
 
-fn bifrost_delivery(cfg: &PerfConfig) -> BenchReport {
-    let num_docs = if cfg.quick { 150 } else { 400 };
-    let scenario = || {
-        let clock = SimClock::new();
-        let mut crawler = CrawlSimulator::new(CorpusConfig {
-            num_docs,
-            summary_mean_bytes: 2048,
-            ..CorpusConfig::default()
-        });
-        let mut bifrost = Bifrost::new(
-            BifrostConfig {
-                slice_bytes: 32 * 1024,
-                trunks: TrunkCapacities {
-                    uplink: 64.0 * 1024.0,
-                    backbone: 64.0 * 1024.0,
-                    downlink: 96.0 * 1024.0,
-                    summary_fraction: 0.4,
-                },
-                generation_window: SimTime::from_mins(1),
-                corruption_rate: 0.004,
-                ..BifrostConfig::default()
+fn bifrost_delivery() -> BenchReport {
+    let clock = SimClock::new();
+    let mut crawler = CrawlSimulator::new(CorpusConfig {
+        num_docs: 150,
+        summary_mean_bytes: 2048,
+        ..CorpusConfig::default()
+    });
+    let mut bifrost = Bifrost::new(
+        BifrostConfig {
+            slice_bytes: 32 * 1024,
+            trunks: TrunkCapacities {
+                uplink: 64.0 * 1024.0,
+                backbone: 64.0 * 1024.0,
+                downlink: 96.0 * 1024.0,
+                summary_fraction: 0.4,
             },
-            clock.clone(),
-        );
-        // A cold version, a 30% change, and a 10% change: exercises the
-        // dedup previous-signature map in both directions.
-        let mut reports = Vec::new();
-        for change in [1.0, 0.3, 0.1] {
-            let version = crawler.advance_round(change);
-            let at = clock.now();
-            reports.push(bifrost.deliver_version(&version, at).0);
-        }
-        reports
-    };
-    let (wall, reports) = measure(cfg.reps, scenario);
+            generation_window: SimTime::from_mins(1),
+            corruption_rate: 0.004,
+            ..BifrostConfig::default()
+        },
+        clock.clone(),
+    );
+    // A cold version, a 30% change, and a 10% change: exercises the
+    // dedup previous-signature map in both directions.
+    let mut reports = Vec::new();
+    for change in [1.0, 0.3, 0.1] {
+        let version = crawler.advance_round(change);
+        let at = clock.now();
+        reports.push(bifrost.deliver_version(&version, at).0);
+    }
     let name = "bifrost_delivery";
     let bytes_before: u64 = reports.iter().map(|r| r.dedup.bytes_before).sum();
     let bytes_after: u64 = reports.iter().map(|r| r.dedup.bytes_after).sum();
-    let mut r = BenchReport::new(cfg.mode());
+    let mut r = BenchReport::new(MODE);
     r.push(
         name,
         "dedup_byte_ratio",
         1.0 - bytes_after as f64 / bytes_before as f64,
         "ratio",
-        true,
     );
     r.push(
         name,
         "uplink_bytes",
         reports.iter().map(|r| r.uplink_bytes).sum::<u64>() as f64,
         "bytes",
-        true,
     );
     r.push(
         name,
         "slices",
         reports.iter().map(|r| r.slices as u64).sum::<u64>() as f64,
         "count",
-        true,
     );
     r.push(
         name,
         "missed_slices",
         reports.iter().map(|r| r.missed as u64).sum::<u64>() as f64,
         "count",
-        true,
     );
     r.push(
         name,
@@ -254,159 +168,97 @@ fn bifrost_delivery(cfg: &PerfConfig) -> BenchReport {
             .update_time
             .as_secs_f64(),
         "s",
-        true,
     );
-    push_wall(&mut r, name, wall);
     r
 }
 
-fn mint_kv(cfg: &PerfConfig) -> BenchReport {
-    let keys = if cfg.quick { 400 } else { 2000 };
-    let scenario = || {
-        let mut cluster = Mint::new(MintConfig::tiny());
-        let mut sim_secs = 0.0;
-        for version in 1..=2u64 {
-            let ops: Vec<WriteOp> = (0..keys)
-                .map(|i| WriteOp {
-                    key: Bytes::from(format!("key:{i:06}")),
-                    version,
-                    value: Some(Bytes::from(vec![b'a' + (i % 23) as u8; 256])),
-                })
-                .collect();
-            sim_secs += cluster.apply(&ops).expect("apply").wall.as_secs_f64();
+fn mint_kv() -> BenchReport {
+    let keys = 400;
+    let mut cluster = Mint::new(MintConfig::tiny());
+    let mut sim_secs = 0.0;
+    for version in 1..=2u64 {
+        let ops: Vec<WriteOp> = (0..keys)
+            .map(|i| WriteOp {
+                key: Bytes::from(format!("key:{i:06}")),
+                version,
+                value: Some(Bytes::from(vec![b'a' + (i % 23) as u8; 256])),
+            })
+            .collect();
+        sim_secs += cluster.apply(&ops).expect("apply").wall.as_secs_f64();
+    }
+    let mut hits = 0u64;
+    for i in 0..keys {
+        let key = format!("key:{i:06}");
+        if let Ok((Some(_), _)) = cluster.get(key.as_bytes(), 2) {
+            hits += 1;
         }
-        let mut hits = 0u64;
-        for i in 0..keys {
-            let key = format!("key:{i:06}");
-            if let Ok((Some(_), _)) = cluster.get(key.as_bytes(), 2) {
-                hits += 1;
-            }
-        }
-        let stats = cluster.aggregate_stats();
-        let devices = cluster.aggregate_device_counters();
-        (sim_secs, hits, stats, devices)
-    };
-    let (wall, (sim_secs, hits, stats, devices)) = measure(cfg.reps, scenario);
+    }
+    let stats = cluster.aggregate_stats();
+    let devices = cluster.aggregate_device_counters();
     let name = "mint_kv";
-    let mut r = BenchReport::new(cfg.mode());
-    r.push(name, "apply_sim_sec", sim_secs, "s", true);
-    r.push(name, "get_hits", hits as f64, "count", true);
-    r.push(name, "engine_puts", stats.puts as f64, "count", true);
+    let mut r = BenchReport::new(MODE);
+    r.push(name, "apply_sim_sec", sim_secs, "s");
+    r.push(name, "get_hits", hits as f64, "count");
+    r.push(name, "engine_puts", stats.puts as f64, "count");
     r.push(
         name,
         "user_write_bytes",
         stats.user_write_bytes as f64,
         "bytes",
-        true,
     );
     r.push(
         name,
         "sys_write_bytes",
         devices.sys_write_bytes() as f64,
         "bytes",
-        true,
     );
-    r.push(name, "hardware_waf", devices.hardware_waf(), "ratio", true);
-    push_wall(&mut r, name, wall);
+    r.push(name, "hardware_waf", devices.hardware_waf(), "ratio");
     r
 }
 
-fn pipeline_cfg(cfg: &PerfConfig) -> DirectLoadConfig {
-    let mut dl = DirectLoadConfig::small();
-    if !cfg.quick {
-        dl.corpus.num_docs = 300;
-    }
-    dl
-}
-
-fn pipeline_round(cfg: &PerfConfig) -> BenchReport {
-    let dl = pipeline_cfg(cfg);
-    let scenario = || {
-        let mut system = DirectLoad::new(dl);
-        let r1 = system.run_version(1.0).expect("round 1");
-        let r2 = system.run_version(0.3).expect("round 2");
-        let stats = DataCenterId::all()
-            .into_iter()
-            .map(|dc| system.cluster(dc).expect("dc").aggregate_stats())
-            .fold(qindb::EngineStats::default(), |mut acc, s| {
-                acc.accumulate(&s);
-                acc
-            });
-        (r1, r2, stats)
-    };
-    let (wall, (r1, r2, stats)) = measure(cfg.reps, scenario);
+fn pipeline_round() -> BenchReport {
+    let mut system = DirectLoad::new(DirectLoadConfig::small());
+    let r1 = system.run_version(1.0).expect("round 1");
+    let r2 = system.run_version(0.3).expect("round 2");
+    let stats = DataCenterId::all()
+        .into_iter()
+        .map(|dc| system.cluster(dc).expect("dc").aggregate_stats())
+        .fold(qindb::EngineStats::default(), |mut acc, s| {
+            acc.accumulate(&s);
+            acc
+        });
     let name = "pipeline_round";
-    let mut r = BenchReport::new(cfg.mode());
+    let mut r = BenchReport::new(MODE);
     r.push(
         name,
         "keys_stored",
         (r1.keys_stored + r2.keys_stored) as f64,
         "count",
-        true,
     );
     r.push(
         name,
         "round2_update_time_sec",
         r2.update_time.as_secs_f64(),
         "s",
-        true,
     );
     r.push(
         name,
         "round2_storage_time_sec",
         r2.storage_time.as_secs_f64(),
         "s",
-        true,
     );
     r.push(
         name,
         "round2_dedup_pairs",
         r2.delivery.dedup.pairs_deduped as f64,
         "count",
-        true,
     );
-    r.push(name, "engine_puts", stats.puts as f64, "count", true);
-    push_wall(&mut r, name, wall);
+    r.push(name, "engine_puts", stats.puts as f64, "count");
     r
 }
 
-fn serve_qps(cfg: &PerfConfig) -> BenchReport {
-    // The system is built once (expensive, and serving does not mutate
-    // it); each repetition serves with a fresh cache.
-    let mut system = DirectLoad::new(pipeline_cfg(cfg));
-    system.run_version(1.0).expect("round 1");
-    let mut serve_cfg = ServeConfig::default();
-    serve_cfg.driver.requests = if cfg.quick { 240 } else { 1200 };
-    serve_cfg.driver.qps = 600.0;
-    let scenario = || {
-        let cache = SummaryCache::new(
-            serve_cfg.frontend.cache_capacity,
-            serve_cfg.frontend.cache_shards,
-        );
-        system.serve_with_cache(&serve_cfg, &cache)
-    };
-    let (wall, report) = measure(cfg.reps, scenario);
-    let name = "serve_qps";
-    let mut r = BenchReport::new(cfg.mode());
-    // The offered count is fixed by the driver config; everything else
-    // about serving is wall-time.
-    r.push(name, "offered", report.offered as f64, "count", true);
-    r.push(name, "p50_ms", report.hist.p50() as f64 / 1e3, "ms", false);
-    r.push(name, "p99_ms", report.hist.p99() as f64 / 1e3, "ms", false);
-    r.push(
-        name,
-        "throughput_qps",
-        report.throughput_qps(),
-        "qps",
-        false,
-    );
-    r.push(name, "shed", report.shed as f64, "count", false);
-    push_wall(&mut r, name, wall);
-    r
-}
-
-fn rebalance(cfg: &PerfConfig) -> BenchReport {
-    let keys = if cfg.quick { 400 } else { 2000 };
+fn rebalance() -> BenchReport {
+    let keys = 400;
     let mcfg = placement::MigratorConfig {
         throttle_bytes_per_sec: 8 * 1024 * 1024,
         step_bytes: 64 * 1024,
@@ -421,139 +273,103 @@ fn rebalance(cfg: &PerfConfig) -> BenchReport {
             .collect();
         cluster.apply(&ops).expect("apply");
     };
-    let scenario = || {
-        let mut cluster = Mint::new(MintConfig::tiny());
-        let registry = obs::Registry::new();
-        write(&mut cluster, 1);
-        // Grow the hottest group by one node (the newcomer anti-entropies
-        // the whole group footprint through the throttle)…
-        let report = placement::LoadReport::snapshot(&cluster);
-        let grown = report.hottest_group();
-        let built = placement::plan(
-            &report,
-            placement::TopologyGoal::AddCapacity { group: grown },
-        )
-        .expect("plan join");
-        let join = placement::Migration::execute(built, mcfg, &mut cluster, &registry, None)
-            .expect("join");
-        // …land a version at the wider width so replica sets diverge…
-        write(&mut cluster, 2);
-        // …then drain the grown group's busiest member back out.
-        let report = placement::LoadReport::snapshot(&cluster);
-        let victim = report.busiest_member(grown).expect("grown group serves");
-        let built = placement::plan(
-            &report,
-            placement::TopologyGoal::Decommission { node: victim },
-        )
-        .expect("plan drain");
-        let drain = placement::Migration::execute(built, mcfg, &mut cluster, &registry, None)
-            .expect("drain");
-        (join, drain)
-    };
-    let (wall, (join, drain)) = measure(cfg.reps, scenario);
+    let mut cluster = Mint::new(MintConfig::tiny());
+    let registry = obs::Registry::new();
+    write(&mut cluster, 1);
+    // Grow the hottest group by one node (the newcomer anti-entropies
+    // the whole group footprint through the throttle)…
+    let report = placement::LoadReport::snapshot(&cluster);
+    let grown = report.hottest_group();
+    let built = placement::plan(
+        &report,
+        placement::TopologyGoal::AddCapacity { group: grown },
+    )
+    .expect("plan join");
+    let join =
+        placement::Migration::execute(built, mcfg, &mut cluster, &registry, None).expect("join");
+    // …land a version at the wider width so replica sets diverge…
+    write(&mut cluster, 2);
+    // …then drain the grown group's busiest member back out.
+    let report = placement::LoadReport::snapshot(&cluster);
+    let victim = report.busiest_member(grown).expect("grown group serves");
+    let built = placement::plan(
+        &report,
+        placement::TopologyGoal::Decommission { node: victim },
+    )
+    .expect("plan drain");
+    let drain =
+        placement::Migration::execute(built, mcfg, &mut cluster, &registry, None).expect("drain");
     let name = "rebalance";
     let bytes = join.bytes_moved + drain.bytes_moved;
     let busy_sec = join.busy.as_secs_f64() + drain.busy.as_secs_f64();
-    let mut r = BenchReport::new(cfg.mode());
-    r.push(
-        name,
-        "join_bytes_moved",
-        join.bytes_moved as f64,
-        "bytes",
-        true,
-    );
-    r.push(
-        name,
-        "drain_bytes_moved",
-        drain.bytes_moved as f64,
-        "bytes",
-        true,
-    );
+    let mut r = BenchReport::new(MODE);
+    r.push(name, "join_bytes_moved", join.bytes_moved as f64, "bytes");
+    r.push(name, "drain_bytes_moved", drain.bytes_moved as f64, "bytes");
     r.push(
         name,
         "items_moved",
         (join.items_moved + drain.items_moved) as f64,
         "count",
-        true,
     );
-    r.push(
-        name,
-        "steps",
-        (join.steps + drain.steps) as f64,
-        "count",
-        true,
-    );
-    r.push(name, "migrate_sim_sec", busy_sec, "s", true);
-    r.push(name, "throughput_bps", bytes as f64 / busy_sec, "B/s", true);
-    push_wall(&mut r, name, wall);
+    r.push(name, "steps", (join.steps + drain.steps) as f64, "count");
+    r.push(name, "migrate_sim_sec", busy_sec, "s");
+    r.push(name, "throughput_bps", bytes as f64 / busy_sec, "B/s");
     r
 }
 
-fn netbench(cfg: &PerfConfig) -> BenchReport {
-    // One engine behind a fresh server per repetition: the socket path
-    // (accept, frame decode, dispatch, responder write-back) is what
-    // this scenario times; the engine itself is exercised elsewhere.
-    let mut system = DirectLoad::new(pipeline_cfg(cfg));
+fn netbench() -> BenchReport {
+    // One engine behind a fresh server: the socket path (accept, frame
+    // decode, dispatch, responder write-back) must answer every request.
+    let mut system = DirectLoad::new(DirectLoadConfig::small());
     system.run_version(1.0).expect("publish");
     let engine = std::sync::Arc::new(system);
     let bench_cfg = net::NetbenchConfig {
-        connections: if cfg.quick { 4 } else { 8 },
-        requests: if cfg.quick { 240 } else { 2000 },
+        connections: 4,
+        requests: 240,
         qps: 0, // closed by server capacity, not the pacer
         timeout: std::time::Duration::from_secs(30),
         ..net::NetbenchConfig::default()
     };
-    let scenario = || {
-        let server = net::Server::start(
-            std::sync::Arc::clone(&engine),
-            "127.0.0.1:0",
-            net::ServerConfig::default(),
-        )
-        .expect("bind loopback");
-        let report = net::run_netbench(
-            &server.local_addr().to_string(),
-            engine.crawler(),
-            bench_cfg,
-        );
-        server.shutdown();
-        report
-    };
-    let (wall, report) = measure(cfg.reps, scenario);
+    let server = net::Server::start(
+        std::sync::Arc::clone(&engine),
+        "127.0.0.1:0",
+        net::ServerConfig::default(),
+    )
+    .expect("bind loopback");
+    let report = net::run_netbench(
+        &server.local_addr().to_string(),
+        engine.crawler(),
+        bench_cfg,
+    );
+    server.shutdown();
     let name = "netbench";
-    let mut r = BenchReport::new(cfg.mode());
+    let mut r = BenchReport::new(MODE);
     // Deterministic accounting: every offered request is answered on
     // loopback — the wire never drops, corrupts, or double-answers.
-    r.push(name, "offered", report.offered as f64, "count", true);
+    // Latency through the socket is machine-dependent and not reported.
+    r.push(name, "offered", report.offered as f64, "count");
     r.push(
         name,
         "answered",
         (report.completed + report.overloaded + report.errors) as f64,
         "count",
-        true,
     );
     r.push(
         name,
         "protocol_errors",
         report.protocol_errors as f64,
         "count",
-        true,
     );
     r.push(
         name,
         "transport_errors",
         report.transport_errors as f64,
         "count",
-        true,
     );
-    // Latency through the socket is machine-dependent: recorded, not gated.
-    r.push(name, "p50_ms", report.hist.p50() as f64 / 1e6, "ms", false);
-    r.push(name, "p99_ms", report.hist.p99() as f64 / 1e6, "ms", false);
-    r.push(name, "qps", report.qps(), "qps", false);
-    push_wall(&mut r, name, wall);
     r
 }
 
-fn telemetry(cfg: &PerfConfig) -> BenchReport {
+fn telemetry() -> BenchReport {
     // Pure observability-layer scenario, entirely on simulated time:
     // a synthetic workload feeds a registry counter and a cumulative
     // latency histogram, the sampler ticks once per simulated second,
@@ -561,131 +377,116 @@ fn telemetry(cfg: &PerfConfig) -> BenchReport {
     // breach/recovery cycle. Everything here is deterministic down to
     // the serialized series bytes, which the crc cell pins in the
     // baseline — the "same seed, same snapshot" guarantee as one gate.
-    let ticks: u64 = if cfg.quick { 60 } else { 300 };
-    let run = || {
-        let reg = obs::Registry::default();
-        let offered = reg.counter("serve.offered_total");
-        let hist = std::sync::Arc::new(std::sync::Mutex::new(obs::LatencyHistogram::new()));
-        let mut sampler = obs::Sampler::new(reg.clone(), 512);
-        {
-            let hist = std::sync::Arc::clone(&hist);
-            sampler.add_histogram("synthetic.latency", move || hist.lock().unwrap().clone());
-        }
-        let mut slo = obs::SloEngine::from_lines(
-            "qps: serve.offered_total.rate >= 50 over 3s
-             lat: synthetic.latency.p99 < 200000 over 3s
+    let ticks: u64 = 60;
+    let reg = obs::Registry::default();
+    let offered = reg.counter("serve.offered_total");
+    let hist = std::sync::Arc::new(std::sync::Mutex::new(obs::LatencyHistogram::new()));
+    let mut sampler = obs::Sampler::new(reg.clone(), 512);
+    {
+        let hist = std::sync::Arc::clone(&hist);
+        sampler.add_histogram("synthetic.latency", move || hist.lock().unwrap().clone());
+    }
+    let mut slo = obs::SloEngine::from_lines(
+        "qps: serve.offered_total.rate >= 50 over 3s
+         lat: synthetic.latency.p99 < 200000 over 3s
 ",
-        )
-        .expect("specs parse");
-        for t in 1..=ticks {
-            let now_ns = t * 1_000_000_000;
-            // 100 qps steady state; a ten-tick stall starting at t=20
-            // drives the qps objective through breach and recovery.
-            let stall = (20..30).contains(&t);
-            if !stall {
-                offered.add(100);
-                let mut h = hist.lock().unwrap();
-                for i in 0..100u64 {
-                    // Seeded-LCG latencies in [500µs, ~10.5ms): varied
-                    // enough to move the window percentiles, identical
-                    // on every run.
-                    h.record(
-                        500 + (t
-                            .wrapping_mul(2862933555777941757)
-                            .wrapping_add(i * 3037000493)
-                            % 997)
-                            * 10,
-                    );
-                }
+    )
+    .expect("specs parse");
+    for t in 1..=ticks {
+        let now_ns = t * 1_000_000_000;
+        // 100 qps steady state; a ten-tick stall starting at t=20
+        // drives the qps objective through breach and recovery.
+        let stall = (20..30).contains(&t);
+        if !stall {
+            offered.add(100);
+            let mut h = hist.lock().unwrap();
+            for i in 0..100u64 {
+                // Seeded-LCG latencies in [500µs, ~10.5ms): varied
+                // enough to move the window percentiles, identical
+                // on every run.
+                h.record(
+                    500 + (t
+                        .wrapping_mul(2862933555777941757)
+                        .wrapping_add(i * 3037000493)
+                        % 997)
+                        * 10,
+                );
             }
-            sampler.tick(now_ns);
-            let _ = slo.evaluate(&sampler, now_ns, &reg, None);
         }
-        let snapshot = sampler.to_json();
-        let p99 = sampler.latest("synthetic.latency.p99").unwrap_or(0.0);
-        (
-            slo.breach_events(),
-            slo.recover_events(),
-            net::wire::crc32(snapshot.as_bytes()),
-            snapshot.len(),
-            p99,
-        )
-    };
-    let (wall, (breaches, recoveries, crc, snap_len, p99)) = measure(cfg.reps, run);
+        sampler.tick(now_ns);
+        let _ = slo.evaluate(&sampler, now_ns, &reg, None);
+    }
+    let snapshot = sampler.to_json();
+    let crc = net::wire::crc32(snapshot.as_bytes());
+    let p99 = sampler.latest("synthetic.latency.p99").unwrap_or(0.0);
     let name = "telemetry";
-    let mut r = BenchReport::new(cfg.mode());
-    r.push(name, "ticks", ticks as f64, "count", true);
-    r.push(name, "slo_breaches", breaches as f64, "count", true);
-    r.push(name, "slo_recoveries", recoveries as f64, "count", true);
-    r.push(name, "series_crc32", crc as f64, "crc", true);
-    r.push(name, "series_bytes", snap_len as f64, "bytes", true);
-    r.push(name, "window_p99_us", p99, "us", true);
-    push_wall(&mut r, name, wall);
+    let mut r = BenchReport::new(MODE);
+    r.push(name, "ticks", ticks as f64, "count");
+    r.push(name, "slo_breaches", slo.breach_events() as f64, "count");
+    r.push(name, "slo_recoveries", slo.recover_events() as f64, "count");
+    r.push(name, "series_crc32", crc as f64, "crc");
+    r.push(name, "series_bytes", snapshot.len() as f64, "bytes");
+    r.push(name, "window_p99_us", p99, "us");
     r
 }
 
-fn controller(cfg: &PerfConfig) -> BenchReport {
-    let rounds: u32 = if cfg.quick { 10 } else { 24 };
-    let keys = if cfg.quick { 200 } else { 800 };
+fn controller() -> BenchReport {
+    let rounds: u32 = 10;
+    let keys = 200;
     // The control loop's cost shape: snapshot + model + decide every
     // round, plus the occasional plan executed live through the
     // throttled migrator. The offered load ramps one group past its
     // capacity so the p99 policy must engage, fire, cool down, and fire
     // again as the ramp outruns each added node.
-    let run = move || {
-        let mut cluster = Mint::new(MintConfig::tiny());
-        let registry = obs::Registry::new();
-        let ops: Vec<WriteOp> = (0..keys)
-            .map(|i| WriteOp {
-                key: Bytes::from(format!("key:{i:06}")),
-                version: 1,
-                value: Some(Bytes::from(vec![b'a' + (i % 23) as u8; 256])),
-            })
-            .collect();
-        cluster.apply(&ops).expect("apply");
-        let model = ctrl::ServeModel::new(ctrl::ServeModelConfig::default());
-        let mut controller = ctrl::Controller::new(ctrl::ControllerConfig::default());
-        let mut plans = 0u64;
-        let mut moved = 0u64;
-        let mut steady_p99 = 0u64;
-        for round in 0..rounds {
-            let mut load = placement::LoadReport::snapshot(&cluster);
-            let offered = [200, (300 + 200 * round as u64).min(1_400)];
-            let seen = model.observe(&mut load, &offered, round);
-            steady_p99 = seen.p99_us;
-            let decision = controller.decide(round, 0, &load, &registry, None);
-            if let Some(plan) = decision.plan {
-                plans += 1;
-                let report = placement::Migration::execute(
-                    plan,
-                    placement::MigratorConfig::default(),
-                    &mut cluster,
-                    &registry,
-                    None,
-                )
-                .expect("controller plan executes");
-                moved += report.bytes_moved;
-            }
+    let mut cluster = Mint::new(MintConfig::tiny());
+    let registry = obs::Registry::new();
+    let ops: Vec<WriteOp> = (0..keys)
+        .map(|i| WriteOp {
+            key: Bytes::from(format!("key:{i:06}")),
+            version: 1,
+            value: Some(Bytes::from(vec![b'a' + (i % 23) as u8; 256])),
+        })
+        .collect();
+    cluster.apply(&ops).expect("apply");
+    let model = ctrl::ServeModel::new(ctrl::ServeModelConfig::default());
+    let mut controller = ctrl::Controller::new(ctrl::ControllerConfig::default());
+    let mut plans = 0u64;
+    let mut moved = 0u64;
+    let mut steady_p99 = 0u64;
+    for round in 0..rounds {
+        let mut load = placement::LoadReport::snapshot(&cluster);
+        let offered = [200, (300 + 200 * round as u64).min(1_400)];
+        let seen = model.observe(&mut load, &offered, round);
+        steady_p99 = seen.p99_us;
+        let decision = controller.decide(round, 0, &load, &registry, None);
+        if let Some(plan) = decision.plan {
+            plans += 1;
+            let report = placement::Migration::execute(
+                plan,
+                placement::MigratorConfig::default(),
+                &mut cluster,
+                &registry,
+                None,
+            )
+            .expect("controller plan executes");
+            moved += report.bytes_moved;
         }
-        let timeline = controller.timeline().join("\n");
-        let crc = net::wire::crc32(timeline.as_bytes());
-        (plans, moved, steady_p99, cluster.num_nodes() as u64, crc)
-    };
-    let (wall, (plans, moved, steady_p99, nodes, crc)) = measure(cfg.reps, run);
+    }
+    let timeline = controller.timeline().join("\n");
+    let crc = net::wire::crc32(timeline.as_bytes());
     let name = "controller";
-    let mut r = BenchReport::new(cfg.mode());
-    r.push(name, "rounds", rounds as f64, "count", true);
-    r.push(name, "plans", plans as f64, "count", true);
-    r.push(name, "bytes_moved", moved as f64, "bytes", true);
-    r.push(name, "steady_p99_us", steady_p99 as f64, "us", true);
-    r.push(name, "final_nodes", nodes as f64, "count", true);
-    r.push(name, "decision_crc32", crc as f64, "crc", true);
-    push_wall(&mut r, name, wall);
+    let mut r = BenchReport::new(MODE);
+    r.push(name, "rounds", rounds as f64, "count");
+    r.push(name, "plans", plans as f64, "count");
+    r.push(name, "bytes_moved", moved as f64, "bytes");
+    r.push(name, "steady_p99_us", steady_p99 as f64, "us");
+    r.push(name, "final_nodes", cluster.num_nodes() as f64, "count");
+    r.push(name, "decision_crc32", crc as f64, "crc");
     r
 }
 
-fn recovery_replay(cfg: &PerfConfig) -> BenchReport {
-    let keys = if cfg.quick { 120 } else { 600 };
+fn recovery_replay() -> BenchReport {
+    let keys = 120;
     // One crash/recover cycle; `wal` picks the catch-up path. The
     // checkpoint happens while everything is alive, so the crashed
     // node's frontier survives the group-log GC and the suffix it needs
@@ -717,57 +518,27 @@ fn recovery_replay(cfg: &PerfConfig) -> BenchReport {
         let info = cluster.take_last_wal_recovery().expect("recovery info");
         (took, info)
     };
-    let scenario = move || {
-        let (wal_took, wal_info) = cycle(true);
-        assert!(wal_info.suffix_only, "retained suffix must ride the log");
-        let (full_took, full_info) = cycle(false);
-        assert!(!full_info.suffix_only, "wal off must use the full path");
-        (wal_took, wal_info, full_took, full_info)
-    };
-    let (wall, (wal_took, wal_info, full_took, full_info)) = measure(cfg.reps, scenario);
+    let (wal_took, wal_info) = cycle(true);
+    assert!(wal_info.suffix_only, "retained suffix must ride the log");
+    let (full_took, full_info) = cycle(false);
+    assert!(!full_info.suffix_only, "wal off must use the full path");
     let name = "recovery_replay";
-    let mut r = BenchReport::new(cfg.mode());
+    let mut r = BenchReport::new(MODE);
     r.push(
         name,
         "replay_records",
         wal_info.replayed_records as f64,
         "count",
-        true,
     );
-    r.push(
-        name,
-        "replay_bytes",
-        wal_info.shipped_bytes as f64,
-        "bytes",
-        true,
-    );
-    r.push(
-        name,
-        "full_bytes",
-        full_info.shipped_bytes as f64,
-        "bytes",
-        true,
-    );
-    r.push(
-        name,
-        "replay_sim_ms",
-        wal_took.as_secs_f64() * 1e3,
-        "ms",
-        true,
-    );
-    r.push(
-        name,
-        "full_sim_ms",
-        full_took.as_secs_f64() * 1e3,
-        "ms",
-        true,
-    );
-    push_wall(&mut r, name, wall);
+    r.push(name, "replay_bytes", wal_info.shipped_bytes as f64, "bytes");
+    r.push(name, "full_bytes", full_info.shipped_bytes as f64, "bytes");
+    r.push(name, "replay_sim_ms", wal_took.as_secs_f64() * 1e3, "ms");
+    r.push(name, "full_sim_ms", full_took.as_secs_f64() * 1e3, "ms");
     r
 }
 
-fn join_sync(cfg: &PerfConfig) -> BenchReport {
-    let keys = if cfg.quick { 60 } else { 240 };
+fn join_sync() -> BenchReport {
+    let keys = 60;
     // The paper's workload shape: one value-bearing version per key,
     // then a long run of deduplicated versions. A log-suffix join ships
     // the dedup tail as bare descriptors; the full-state path
@@ -809,123 +580,97 @@ fn join_sync(cfg: &PerfConfig) -> BenchReport {
         cluster.cutover_join(joiner).expect("cutover");
         (bytes, steps)
     };
-    let scenario = move || {
-        let (wal_bytes, wal_steps) = join(true);
-        let (full_bytes, _) = join(false);
-        assert!(
-            wal_bytes > 0 && wal_bytes * 10 <= full_bytes,
-            "log-suffix join must ship >=10x fewer bytes: wal={wal_bytes} full={full_bytes}"
-        );
-        (wal_bytes, wal_steps, full_bytes)
-    };
-    let (wall, (wal_bytes, wal_steps, full_bytes)) = measure(cfg.reps, scenario);
+    let (wal_bytes, wal_steps) = join(true);
+    let (full_bytes, _) = join(false);
+    assert!(
+        wal_bytes > 0 && wal_bytes * 10 <= full_bytes,
+        "log-suffix join must ship >=10x fewer bytes: wal={wal_bytes} full={full_bytes}"
+    );
     let name = "join_sync";
-    let mut r = BenchReport::new(cfg.mode());
-    r.push(name, "wal_bytes", wal_bytes as f64, "bytes", true);
-    r.push(name, "wal_steps", wal_steps as f64, "count", true);
-    r.push(name, "full_bytes", full_bytes as f64, "bytes", true);
+    let mut r = BenchReport::new(MODE);
+    r.push(name, "wal_bytes", wal_bytes as f64, "bytes");
+    r.push(name, "wal_steps", wal_steps as f64, "count");
+    r.push(name, "full_bytes", full_bytes as f64, "bytes");
     r.push(
         name,
         "bytes_ratio",
         full_bytes as f64 / wal_bytes as f64,
         "ratio",
-        true,
     );
-    push_wall(&mut r, name, wall);
     r
 }
 
-fn attribution(cfg: &PerfConfig) -> BenchReport {
+fn attribution() -> BenchReport {
     // Costed serving over the seeded Zipf workload. Queues are deep
     // enough that no request can shed, so the attribution — and thus
     // every cell below — is a pure function of the seed: the
     // accumulator's deterministic render, the merged hot-key sketch's
     // byte image, and the WAN ledger's foreground bytes are all pinned
     // bit-for-bit in the baseline.
-    let mut system = DirectLoad::new(pipeline_cfg(cfg));
+    let mut system = DirectLoad::new(DirectLoadConfig::small());
     system.run_version(1.0).expect("round 1");
     system.run_version(0.3).expect("round 2");
     let mut serve_cfg = ServeConfig::default();
-    serve_cfg.driver.requests = if cfg.quick { 240 } else { 1200 };
+    serve_cfg.driver.requests = 240;
     serve_cfg.driver.qps = 600.0;
     serve_cfg.frontend.queue_depth = serve_cfg.driver.requests;
-    let scenario = || {
-        let cache = SummaryCache::new(
-            serve_cfg.frontend.cache_capacity,
-            serve_cfg.frontend.cache_shards,
-        );
-        system.serve_with_cache(&serve_cfg, &cache)
-    };
-    let (wall, report) = measure(cfg.reps, scenario);
+    let cache = SummaryCache::new(
+        serve_cfg.frontend.cache_capacity,
+        serve_cfg.frontend.cache_shards,
+    );
+    let report = system.serve_with_cache(&serve_cfg, &cache);
     assert_eq!(report.shed, 0, "deep queues must not shed");
     let attr = &report.attribution;
     let (group_err, node_err) = attr.costs.conservation_error();
     assert_eq!((group_err, node_err), (0, 0), "attribution must conserve");
     let name = "attribution";
-    let mut r = BenchReport::new(cfg.mode());
-    r.push(
-        name,
-        "requests",
-        attr.costs.total.requests as f64,
-        "count",
-        true,
-    );
+    let mut r = BenchReport::new(MODE);
+    r.push(name, "requests", attr.costs.total.requests as f64, "count");
     r.push(
         name,
         "read_heat",
         attr.costs.total.read.heat() as f64,
         "bytes",
-        true,
     );
     r.push(
         name,
         "render_crc32",
         net::wire::crc32(attr.costs.render().as_bytes()) as f64,
         "crc",
-        true,
     );
     r.push(
         name,
         "sketch_crc32",
         net::wire::crc32(&attr.hot_keys.to_bytes()) as f64,
         "crc",
-        true,
     );
     r.push(
         name,
         "term_offers",
         attr.hot_keys.total_weight() as f64,
         "count",
-        true,
     );
     r.push(
         name,
         "sketch_error_bound",
         attr.hot_keys.error_bound() as f64,
         "count",
-        true,
     );
     r.push(
         name,
         "wan_foreground_bytes",
         system.wan().class_total(obs::TrafficClass::Foreground) as f64,
         "bytes",
-        true,
     );
-    push_wall(&mut r, name, wall);
     r
-}
-
-fn push_wall(r: &mut BenchReport, name: &str, wall: perfrec::WallMeasurement) {
-    r.push(name, "wall_ms", wall.median_ms, "ms", false);
-    r.push(name, "wall_mad_ms", wall.mad_ms, "ms", false);
 }
 
 /// Runs one end-to-end pipeline round under the wall-clock tracer and
 /// returns the rendered phase-time report plus the fraction of the
-/// round's wall time attributed to named span kinds.
-pub fn pipeline_profile(cfg: &PerfConfig) -> (String, f64) {
-    let mut system = DirectLoad::new(pipeline_cfg(cfg));
+/// round's wall time attributed to named span kinds. Printed by `perf`,
+/// never part of a report: the times are the host's.
+pub fn pipeline_profile() -> (String, f64) {
+    let mut system = DirectLoad::new(DirectLoadConfig::small());
     system.run_version(1.0).expect("profiled round");
     let events = system.wall_trace().snapshot();
     let profile = obs::profile(&events);
@@ -941,34 +686,15 @@ mod tests {
 
     #[test]
     fn every_scenario_name_resolves() {
-        let cfg = PerfConfig {
-            quick: true,
-            reps: 1,
-        };
         // Only the cheapest scenario actually runs here (the suite run
         // itself is covered by the integration tests); the rest must at
         // least be known names.
         for name in SCENARIOS {
             if name == "mint_kv" {
-                let r = run_scenario(name, &cfg).unwrap();
+                let r = run_scenario(name).unwrap();
                 assert!(r.get(name, "engine_puts").unwrap().value > 0.0);
             }
         }
-        assert!(run_scenario("no_such", &cfg).is_none());
-    }
-
-    #[test]
-    fn baseline_subset_keeps_deterministic_and_gated_wall_cells() {
-        let mut r = BenchReport::new("quick");
-        r.push("serve_qps", "p50_ms", 1.0, "ms", false);
-        r.push("serve_qps", "p99_ms", 2.0, "ms", false);
-        r.push("qindb_write", "total_waf", 1.1, "ratio", true);
-        let base = baseline_subset(&r);
-        assert!(base.get("serve_qps", "p50_ms").is_some(), "gated wall cell");
-        assert!(
-            base.get("serve_qps", "p99_ms").is_none(),
-            "ungated wall cell"
-        );
-        assert!(base.get("qindb_write", "total_waf").is_some());
+        assert!(run_scenario("no_such").is_none());
     }
 }

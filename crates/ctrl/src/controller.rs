@@ -248,7 +248,6 @@ fn goal_name(goal: TopologyGoal) -> &'static str {
         TopologyGoal::Decommission { .. } => "decommission",
         TopologyGoal::RebalanceHot => "rebalance_hot",
         TopologyGoal::BalanceGroups { .. } => "balance_groups",
-        TopologyGoal::DrainDatacenter => "drain_datacenter",
     }
 }
 

@@ -60,10 +60,7 @@ fn is_scale_up(goal: TopologyGoal) -> bool {
 }
 
 fn is_scale_down(goal: TopologyGoal) -> bool {
-    matches!(
-        goal,
-        TopologyGoal::Decommission { .. } | TopologyGoal::DrainDatacenter
-    )
+    matches!(goal, TopologyGoal::Decommission { .. })
 }
 
 proptest! {

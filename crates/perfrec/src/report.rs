@@ -1,24 +1,24 @@
 //! The stable benchmark result schema.
 //!
-//! `BENCH_RESULTS.json` (written by every `perf` run) and
-//! `BENCH_BASELINE.json` (checked in) share one shape:
+//! `BENCH_BASELINE.json` (checked in, the golden file) has this shape:
 //!
 //! ```json
 //! {
-//!   "schema_version": 1,
+//!   "schema_version": 2,
 //!   "mode": "quick",
 //!   "results": [
 //!     {"scenario": "qindb_write", "metric": "hardware_waf",
-//!      "value": 1.18, "unit": "ratio", "deterministic": true}
+//!      "value": 1.18, "unit": "ratio"}
 //!   ]
 //! }
 //! ```
 //!
 //! Rendering is canonical: results are sorted by `(scenario, metric)`
-//! and each result occupies exactly one line, so deterministic entries
-//! are byte-comparable across runs (`git diff` on a results file reads
-//! as a per-metric change list). Parsing goes through the vendored
-//! `serde_json` recursive-descent parser.
+//! and each result occupies exactly one line, so two renderings compare
+//! line by line and `git diff` on the file reads as a per-cell change
+//! list. Each value is written with `{:?}`, the shortest form that
+//! round-trips, so equal lines mean bit-equal values; NaN and infinities
+//! render as `null`.
 
 use serde_json::Value;
 use std::fmt::Write as _;
@@ -26,9 +26,8 @@ use std::fs;
 use std::io;
 use std::path::Path;
 
-/// Bumped when the shape of the JSON changes incompatibly; the gate
-/// refuses to compare reports across schema versions.
-pub const SCHEMA_VERSION: u64 = 1;
+/// Bumped when the shape of the JSON changes incompatibly.
+pub const SCHEMA_VERSION: u64 = 2;
 
 /// One measured value: a `(scenario, metric)` cell.
 #[derive(Debug, Clone, PartialEq)]
@@ -37,59 +36,31 @@ pub struct BenchResult {
     pub scenario: String,
     /// Metric name within the scenario (e.g. `hardware_waf`).
     pub metric: String,
-    /// The value. Deterministic values must reproduce bit-for-bit for
-    /// the same seed; wall-clock values are medians over repetitions.
+    /// The value: a pure function of the seed, reproduced bit for bit
+    /// by every run.
     pub value: f64,
     /// Unit label (`keys/s`, `ms`, `ratio`, `count`, ...). Informational.
     pub unit: String,
-    /// Whether the value is derived purely from simulated time and
-    /// firmware counters (same seed ⇒ same bytes), as opposed to
-    /// wall-clock measurement.
-    pub deterministic: bool,
 }
 
 impl BenchResult {
     /// The canonical one-line JSON rendering of this result.
-    pub fn to_json_line(&self) -> String {
+    fn to_json_line(&self) -> String {
         Value::Object(vec![
             ("scenario".into(), Value::String(self.scenario.clone())),
             ("metric".into(), Value::String(self.metric.clone())),
             ("value".into(), Value::Number(self.value)),
             ("unit".into(), Value::String(self.unit.clone())),
-            ("deterministic".into(), Value::Bool(self.deterministic)),
         ])
         .to_compact_string()
     }
-
-    fn from_value(v: &Value) -> Result<BenchResult, String> {
-        let field = |k: &str| v.get(k).ok_or_else(|| format!("result missing `{k}`"));
-        Ok(BenchResult {
-            scenario: field("scenario")?
-                .as_str()
-                .ok_or("`scenario` must be a string")?
-                .to_string(),
-            metric: field("metric")?
-                .as_str()
-                .ok_or("`metric` must be a string")?
-                .to_string(),
-            value: field("value")?.as_f64().ok_or("`value` must be a number")?,
-            unit: field("unit")?
-                .as_str()
-                .ok_or("`unit` must be a string")?
-                .to_string(),
-            deterministic: field("deterministic")?
-                .as_bool()
-                .ok_or("`deterministic` must be a bool")?,
-        })
-    }
 }
 
-/// A full run's results plus the mode they were measured under.
+/// A full run's results plus the scale they were measured at.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BenchReport {
-    /// `"quick"` (CI smoke scale) or `"full"`. Values measured at
-    /// different scales are not comparable, so the gate requires the
-    /// modes to match.
+    /// `"quick"` or `"full"`: the scale of the run, recorded in the
+    /// header. Values measured at different scales are not comparable.
     pub mode: String,
     /// All measured cells, in any insertion order; rendering sorts.
     pub results: Vec<BenchResult>,
@@ -105,13 +76,12 @@ impl BenchReport {
     }
 
     /// Appends one measured cell.
-    pub fn push(&mut self, scenario: &str, metric: &str, value: f64, unit: &str, det: bool) {
+    pub fn push(&mut self, scenario: &str, metric: &str, value: f64, unit: &str) {
         self.results.push(BenchResult {
             scenario: scenario.to_string(),
             metric: metric.to_string(),
             value,
             unit: unit.to_string(),
-            deterministic: det,
         });
     }
 
@@ -163,54 +133,9 @@ impl BenchReport {
         out
     }
 
-    /// Parses a report rendered by [`BenchReport::to_json`] (or any JSON
-    /// of the same shape).
-    pub fn from_json(text: &str) -> Result<BenchReport, String> {
-        let v = serde_json::from_str(text).map_err(|e| format!("malformed JSON: {e:?}"))?;
-        let schema = v
-            .get("schema_version")
-            .and_then(Value::as_u64)
-            .ok_or("missing `schema_version`")?;
-        if schema != SCHEMA_VERSION {
-            return Err(format!(
-                "schema_version {schema} != supported {SCHEMA_VERSION}"
-            ));
-        }
-        let mode = v
-            .get("mode")
-            .and_then(Value::as_str)
-            .ok_or("missing `mode`")?
-            .to_string();
-        let results = v
-            .get("results")
-            .and_then(Value::as_array)
-            .ok_or("missing `results` array")?
-            .iter()
-            .map(BenchResult::from_value)
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(BenchReport { mode, results })
-    }
-
     /// Writes the canonical rendering to `path`.
     pub fn write_to(&self, path: &Path) -> io::Result<()> {
         fs::write(path, self.to_json())
-    }
-
-    /// Reads and parses a report from `path`.
-    pub fn read_from(path: &Path) -> Result<BenchReport, String> {
-        let text = fs::read_to_string(path).map_err(|e| format!("read {}: {e}", path.display()))?;
-        Self::from_json(&text)
-    }
-
-    /// The canonical JSON lines of the deterministic results only —
-    /// the byte-stability contract: two same-seed runs must produce
-    /// identical vectors.
-    pub fn deterministic_lines(&self) -> Vec<String> {
-        self.sorted()
-            .into_iter()
-            .filter(|r| r.deterministic)
-            .map(BenchResult::to_json_line)
-            .collect()
     }
 
     /// A human-readable table of the sorted results.
@@ -226,8 +151,7 @@ impl BenchReport {
         let _ = writeln!(out, "mode: {}", self.mode);
         for r in sorted {
             let name = format!("{}/{}", r.scenario, r.metric);
-            let det = if r.deterministic { "det " } else { "wall" };
-            let _ = writeln!(out, "  {name:<wide$}  {det}  {:>14.4} {}", r.value, r.unit);
+            let _ = writeln!(out, "  {name:<wide$}  {:>14.4} {}", r.value, r.unit);
         }
         out
     }
@@ -239,21 +163,10 @@ mod tests {
 
     fn sample() -> BenchReport {
         let mut r = BenchReport::new("quick");
-        r.push("qindb_write", "hardware_waf", 1.25, "ratio", true);
-        r.push("serve_qps", "p99_ms", 3.5, "ms", false);
-        r.push("qindb_write", "throughput", 12345.0, "keys/s", true);
+        r.push("qindb_write", "hardware_waf", 1.25, "ratio");
+        r.push("serve_qps", "p99_ms", 3.5, "ms");
+        r.push("qindb_write", "throughput", 12345.0, "keys/s");
         r
-    }
-
-    #[test]
-    fn json_round_trips() {
-        let r = sample();
-        let text = r.to_json();
-        let back = BenchReport::from_json(&text).unwrap();
-        assert_eq!(back.mode, "quick");
-        assert_eq!(back.sorted(), r.sorted());
-        // Canonical: rendering the parse reproduces the bytes.
-        assert_eq!(back.to_json(), text);
     }
 
     #[test]
@@ -266,27 +179,5 @@ mod tests {
         assert!(lines[0].contains("hardware_waf"));
         assert!(lines[1].contains("throughput"));
         assert!(lines[2].contains("serve_qps"));
-    }
-
-    #[test]
-    fn deterministic_lines_exclude_wall_entries() {
-        let lines = sample().deterministic_lines();
-        assert_eq!(lines.len(), 2);
-        assert!(lines.iter().all(|l| l.contains("\"deterministic\":true")));
-    }
-
-    #[test]
-    fn schema_version_is_enforced() {
-        let text = sample().to_json().replace(
-            &format!("\"schema_version\": {SCHEMA_VERSION}"),
-            "\"schema_version\": 999",
-        );
-        assert!(BenchReport::from_json(&text).is_err());
-    }
-
-    #[test]
-    fn missing_fields_are_rejected() {
-        let text = r#"{"schema_version":1,"mode":"quick","results":[{"scenario":"x"}]}"#;
-        assert!(BenchReport::from_json(text).unwrap_err().contains("metric"));
     }
 }

@@ -38,12 +38,6 @@ pub enum TopologyGoal {
         /// Upper bound on join/drain pairs in one plan.
         max_moves: usize,
     },
-    /// Whole-DC fleet replacement: every group gains `replicas` fresh
-    /// newcomers, then every original live serving member drains out.
-    /// Joins all land before the first drain, so no group ever dips
-    /// below the floor mid-plan; the end state is a cluster of entirely
-    /// fresh nodes at exactly the replication factor.
-    DrainDatacenter,
 }
 
 /// One step of a migration plan.
@@ -163,29 +157,6 @@ pub fn plan(report: &LoadReport, goal: TopologyGoal) -> Result<MigrationPlan> {
             ops.extend(joins);
             ops.extend(drains);
         }
-        TopologyGoal::DrainDatacenter => {
-            // Every live serving member leaves; every group first gains
-            // a full replica set of newcomers so the floor never trips.
-            let leavers: Vec<NodeId> = report
-                .nodes
-                .iter()
-                .filter(|n| n.role == NodeRole::Serving && n.alive && n.group.is_some())
-                .map(|n| n.node)
-                .collect();
-            if leavers.is_empty() {
-                return Err(MintError::NoReplicaAvailable);
-            }
-            for g in &report.groups {
-                for _ in 0..report.replicas {
-                    ops.push(PlanOp::Join { group: g.group });
-                    estimated_bytes += g.disk_bytes;
-                }
-            }
-            for node in leavers {
-                ops.push(PlanOp::Drain { node });
-                estimated_bytes += report.nodes[node.0 as usize].disk_bytes;
-            }
-        }
     }
     Ok(MigrationPlan {
         ops,
@@ -300,33 +271,6 @@ mod tests {
         assert_eq!(built.estimated_bytes, 0);
     }
 
-    #[test]
-    fn drain_datacenter_replaces_the_fleet_join_first() {
-        let m = loaded_cluster();
-        let report = LoadReport::snapshot(&m);
-        let built = plan(&report, TopologyGoal::DrainDatacenter).unwrap();
-        let joins = built
-            .ops
-            .iter()
-            .take_while(|op| matches!(op, PlanOp::Join { .. }))
-            .count();
-        assert_eq!(
-            joins,
-            report.groups.len() * report.replicas,
-            "a full replica set of newcomers per group"
-        );
-        assert!(built.ops[joins..]
-            .iter()
-            .all(|op| matches!(op, PlanOp::Drain { .. })));
-        let drains = built.ops.len() - joins;
-        let alive_serving = report
-            .nodes
-            .iter()
-            .filter(|n| n.role == NodeRole::Serving && n.alive)
-            .count();
-        assert_eq!(drains, alive_serving, "every original member leaves");
-    }
-
     /// Replays a plan's ops in order against the report's membership
     /// counts, enforcing the two validity invariants: capacity arrives
     /// before it is relied upon (no drain precedes any join) and no
@@ -381,7 +325,7 @@ mod tests {
                 heat_group in 0usize..2,
                 heat in 0u64..(8 << 20),
                 max_moves in 1usize..4,
-                goal_pick in 0u8..3,
+                goal_pick in 0u8..2,
             ) {
                 let mut m = Mint::new(MintConfig::tiny());
                 let ops: Vec<WriteOp> = (0..keys)
@@ -401,7 +345,6 @@ mod tests {
                 }
                 let goal = match goal_pick {
                     0 => TopologyGoal::BalanceGroups { max_moves },
-                    1 => TopologyGoal::DrainDatacenter,
                     _ => TopologyGoal::RebalanceHot,
                 };
                 let built = plan(&report, goal).unwrap();

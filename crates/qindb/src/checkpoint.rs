@@ -14,6 +14,7 @@
 //! one's blocks are erased; recovery picks the newest image whose
 //! checksum verifies.
 
+use crate::record::fnv1a;
 use crate::Result;
 use aof::{FileId, GcTable, Occupancy};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
@@ -41,15 +42,6 @@ pub struct CheckpointState {
     pub id: u64,
 }
 
-fn fnv32(data: &[u8]) -> u32 {
-    let mut h: u32 = 0x811c_9dc5;
-    for &b in data {
-        h ^= b as u32;
-        h = h.wrapping_mul(0x0100_0193);
-    }
-    h
-}
-
 /// Serializes the engine state into a checkpoint payload.
 fn encode(table: &Memtable, gct: &GcTable, next_seq: u64, covered: &[(FileId, u64)]) -> Bytes {
     let image = memtable::encode_checkpoint(table);
@@ -71,7 +63,7 @@ fn encode(table: &Memtable, gct: &GcTable, next_seq: u64, covered: &[(FileId, u6
     body.put_slice(&image);
     let mut out = BytesMut::with_capacity(body.len() + 8);
     out.put_u32(body.len() as u32);
-    out.put_u32(fnv32(&body));
+    out.put_u32(fnv1a(&body));
     out.extend_from_slice(&body);
     out.freeze()
 }
@@ -90,7 +82,7 @@ fn decode(mut data: &[u8]) -> Option<DecodedCheckpoint> {
         return None;
     }
     let body = &data[..body_len];
-    if fnv32(body) != crc {
+    if fnv1a(body) != crc {
         return None;
     }
     let mut b = body;

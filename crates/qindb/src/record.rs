@@ -221,7 +221,8 @@ fn seal(mut out: Vec<u8>) -> Vec<u8> {
     out
 }
 
-fn fnv1a(data: &[u8]) -> u32 {
+/// 32-bit FNV-1a: the checksum of a record body and of a checkpoint body.
+pub(crate) fn fnv1a(data: &[u8]) -> u32 {
     let mut h: u32 = 0x811c_9dc5;
     for &b in data {
         h ^= b as u32;
