@@ -22,13 +22,15 @@ use mint::{NodeId, WalTamper};
 use netsim::LinkId;
 use simclock::SimTime;
 
-/// Throttle for churn migrations: fast enough that a storm round's churn
-/// settles promptly, slow enough to span many batches on the sim clock.
-const CHURN_THROTTLE_BPS: u64 = 8 * 1024 * 1024;
-/// Batch budget for churn migrations — small enough that a storm-scale
-/// join or drain spans several throttled batches (and thus several
-/// `migrate`/`drain` spans), as a production rebalance would.
-const CHURN_STEP_BYTES: u64 = 16 * 1024;
+/// Migrator tuning for churn and actuator plans. The throttle is fast
+/// enough that a storm round's churn settles promptly, slow enough to
+/// span many batches on the sim clock; the batch budget is small enough
+/// that a storm-scale join or drain spans several throttled batches (and
+/// thus several `migrate`/`drain` spans), as a production rebalance would.
+const CHURN_MIGRATOR: placement::MigratorConfig = placement::MigratorConfig {
+    throttle_bytes_per_sec: 8 * 1024 * 1024,
+    step_bytes: 16 * 1024,
+};
 /// Migration batches each in-flight churn migration may move per storm
 /// round. Batch-granularity interleaving: a scale-out or drain spans
 /// several delivery rounds, its batches contending with foreground WAN
@@ -118,6 +120,18 @@ struct InflightChurn {
     /// (for timeline and violation labels).
     label: String,
     migration: placement::Migration,
+}
+
+/// The timeline line for a churn migration that ran to completion.
+fn migrate_done_line(round: u32, dc: usize, report: &placement::MigrationReport) -> String {
+    format!(
+        "round={round:02} migrate_done dc={dc} steps={} bytes={} items={} joined={} retired={}",
+        report.steps,
+        report.bytes_moved,
+        report.items_moved,
+        report.joined.len(),
+        report.retired.len(),
+    )
 }
 
 /// One topology plan an [`Actuator`] wants driven through the storm:
@@ -395,17 +409,13 @@ impl Orchestrator {
             ops: vec![op],
             estimated_bytes: 0,
         };
-        let mcfg = placement::MigratorConfig {
-            throttle_bytes_per_sec: CHURN_THROTTLE_BPS,
-            step_bytes: CHURN_STEP_BYTES,
-        };
         self.emit_fault(round, kind);
         self.timeline
             .push(format!("round={round:02} migrate_begin dc={dc} op={kind}"));
         self.inflight.push(InflightChurn {
             dc,
             label: kind.to_string(),
-            migration: placement::Migration::new(plan, mcfg),
+            migration: placement::Migration::new(plan, CHURN_MIGRATOR),
         });
     }
 
@@ -420,10 +430,6 @@ impl Orchestrator {
         let plans = actuator(&mut self.system, round);
         self.actuator = Some(actuator);
         for ActuatorPlan { dc, label, plan } in plans {
-            let mcfg = placement::MigratorConfig {
-                throttle_bytes_per_sec: CHURN_THROTTLE_BPS,
-                step_bytes: CHURN_STEP_BYTES,
-            };
             self.timeline.push(format!(
                 "round={round:02} ctrl dc={dc} {label} ops={}",
                 plan.ops.len()
@@ -435,7 +441,7 @@ impl Orchestrator {
             self.inflight.push(InflightChurn {
                 dc,
                 label,
-                migration: placement::Migration::new(plan, mcfg),
+                migration: placement::Migration::new(plan, CHURN_MIGRATOR),
             });
         }
     }
@@ -488,16 +494,8 @@ impl Orchestrator {
                     .push(format!("round={round:02} migrate_stall dc={dc} err={e}"));
             }
             if entry.migration.is_finished() {
-                let report = entry.migration.report();
-                self.timeline.push(format!(
-                    "round={round:02} migrate_done dc={dc} steps={} bytes={} items={} \
-                     joined={} retired={}",
-                    report.steps,
-                    report.bytes_moved,
-                    report.items_moved,
-                    report.joined.len(),
-                    report.retired.len(),
-                ));
+                self.timeline
+                    .push(migrate_done_line(round, dc, entry.migration.report()));
             }
         }
         self.inflight.retain(|e| !e.migration.is_finished());
@@ -532,18 +530,12 @@ impl Orchestrator {
                     Err(e) => break Err(e),
                 }
             };
-            let entry_dc = entry.dc;
             match outcome {
                 Ok(()) => {
-                    let report = entry.migration.report();
-                    self.timeline.push(format!(
-                        "round={round:02} migrate_done dc={entry_dc} steps={} bytes={} \
-                         items={} joined={} retired={}",
-                        report.steps,
-                        report.bytes_moved,
-                        report.items_moved,
-                        report.joined.len(),
-                        report.retired.len(),
+                    self.timeline.push(migrate_done_line(
+                        round,
+                        entry.dc,
+                        entry.migration.report(),
                     ));
                 }
                 Err(e) => {

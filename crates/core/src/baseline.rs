@@ -151,15 +151,6 @@ impl LegacyCluster {
             None => (None, best_miss),
         })
     }
-
-    /// Total device-level host writes across the cluster (for
-    /// amplification comparisons).
-    pub fn total_host_write_bytes(&self) -> u64 {
-        self.nodes
-            .iter()
-            .map(|n| n.engine.lock().device().counters().host_write_bytes)
-            .sum()
-    }
 }
 
 #[cfg(test)]

@@ -401,11 +401,6 @@ impl LsmTree {
         self.levels.iter().map(Vec::len).collect()
     }
 
-    /// Free logical pages remaining in the engine's extent allocator.
-    pub fn free_logical_pages(&self) -> u64 {
-        self.alloc.free_pages()
-    }
-
     /// Bytes occupied on the device: table extents plus log pages —
     /// Figure 7's storage-occupation metric for the baseline.
     pub fn disk_bytes(&self) -> u64 {

@@ -10,9 +10,9 @@
 //!   trace id stitched through every layer the request touches;
 //! * [`server`] — a blocking-socket runtime on `std::net::TcpListener`:
 //!   one accept thread, one thread per connection, dispatching into the
-//!   `serve` front-end's worker pool. Dispatch is topology-aware via
-//!   [`serve::RoutingView`], so a placement cutover is honored on the
-//!   very next request. A telemetry thread ticks an [`obs::Sampler`]
+//!   `serve` front-end's worker pool, whose reads Mint routes on its live
+//!   group tables, so a placement cutover is honored on the very next
+//!   request. A telemetry thread ticks an [`obs::Sampler`]
 //!   and SLO engine; `Introspect` answers with a typed
 //!   [`obs::TelemetryFrame`];
 //! * [`client`] — a sync client with pipelining (send many, receive by

@@ -15,10 +15,11 @@
 //! immediately — the same reject-don't-buffer discipline the in-process
 //! front-end enforces, now visible on the wire.
 //!
-//! Topology awareness: every `Get` resolves its group binding through a
-//! [`RoutingView`] keyed by the cluster's routing generation, so the
-//! first request after a placement cutover (or failure/recovery)
-//! rebuilds the snapshot instead of serving a stale binding.
+//! Topology awareness lives below the socket: every `Get` ranks and
+//! fetches through Mint, which routes each read on its live group
+//! tables, so the first request after a placement cutover (or
+//! failure/recovery) already avoids the moved node. `Status` reports the
+//! per-DC routing generations for clients that watch topology.
 //!
 //! Telemetry: a background thread ticks an [`obs::Sampler`] over the
 //! engine's registry every `telemetry_interval_ms`, deriving windowed
@@ -39,7 +40,7 @@ use crate::wire::{self, DcGeneration, ErrorCode, ReadFrame, Request, Response, W
 use directload::DirectLoad;
 use obs::{Counter, LayerRow, Sampler, SloEngine, SloStatus, TelemetryFrame, TopSpan, TraceCtx};
 use serve::frontend::{Frontend, FrontendConfig, QueryReply, Responder, Submitted};
-use serve::{LiveStats, RoutingView, ServeReport, SummaryCache};
+use serve::{LiveStats, ServeReport, SummaryCache};
 use std::io::Write;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -129,7 +130,6 @@ struct Shared {
     /// `None` only during shutdown; requests racing the teardown get a
     /// clean `Internal` error instead of a hang.
     frontend: RwLock<Option<Frontend>>,
-    routing: RoutingView,
     cfg: ServerConfig,
     metrics: Metrics,
     trace: obs::TraceSink,
@@ -201,7 +201,6 @@ impl Server {
         let shared = Arc::new(Shared {
             engine,
             frontend: RwLock::new(Some(frontend)),
-            routing: RoutingView::new(),
             cfg,
             metrics,
             trace,
@@ -585,24 +584,6 @@ fn dispatch(
             } else {
                 top_k as usize
             };
-            // Re-resolve the group binding before dispatch: a no-op
-            // while the routing generation holds, a snapshot rebuild the
-            // instant a cutover (or failure/recovery) moves it.
-            let probe = terms.first().map(|t| t.as_ref()).unwrap_or(b"");
-            if shared.routing.resolve(&shared.engine, dc, probe).is_err() {
-                send_response(
-                    writer,
-                    &shared.metrics,
-                    &shared.trace,
-                    req_id,
-                    trace_id,
-                    &Response::Error {
-                        code: ErrorCode::BadRequest,
-                        message: format!("no cluster at {dc:?}"),
-                    },
-                );
-                return;
-            }
             let responder: Responder = {
                 let writer = Arc::clone(writer);
                 let metrics = shared.metrics.clone();
@@ -635,7 +616,7 @@ fn dispatch(
                 Some(frontend) => frontend
                     .submitter()
                     .submit_query_traced(dc, terms, version, top_k, trace_id, responder),
-                None => Submitted::Shed(Some(responder)),
+                None => Submitted::Shed(responder),
             };
             if let Submitted::Shed(_) = outcome {
                 shared.metrics.overloaded.inc();

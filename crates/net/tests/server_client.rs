@@ -6,7 +6,7 @@
 //! handling, and the netbench harness' accounting invariant
 //! (every offered request is answered or tallied as a loss).
 
-use bifrost::DataCenterId;
+use bifrost::{DataCenterId, RegionId};
 use bytes::Bytes;
 use directload::{DirectLoad, DirectLoadConfig};
 use indexgen::{IndexKind, QueryWorkload, QueryWorkloadConfig};
@@ -204,6 +204,54 @@ fn malformed_frames_close_the_connection_and_are_counted() {
                 .metric("net.protocol_errors_total")
                 .expect("protocol error counter present");
             assert!(count >= 1.0, "the corrupt frame was counted");
+        }
+        other => panic!("expected introspection, got {other:?}"),
+    }
+    server.shutdown();
+}
+
+/// The decoder is the one gate on a `Get`'s data center: a region
+/// outside the six serving DCs never reaches dispatch. It decodes to a
+/// protocol error, and over a socket it closes the connection and counts.
+#[test]
+fn get_naming_an_unknown_region_is_a_protocol_error() {
+    let get = Request::Get {
+        dc: DataCenterId {
+            region: RegionId(3),
+            slot: 0,
+        },
+        terms: vec![Bytes::from_static(b"the")],
+        version: 0,
+        top_k: 3,
+    };
+    let frame = net::wire::encode_request(9, 0, &get);
+    assert_eq!(
+        net::wire::decode_request(&frame[4..]),
+        Err(net::wire::ProtocolError::Malformed("no such data center"))
+    );
+
+    let engine = engine_with_two_versions();
+    let server = start_server(&engine);
+    let addr = server.local_addr();
+    {
+        let mut raw = std::net::TcpStream::connect(addr).expect("connect raw");
+        raw.write_all(&frame).expect("write frame");
+        raw.flush().unwrap();
+        let mut buf = [0u8; 16];
+        raw.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        let n = std::io::Read::read(&mut raw, &mut buf).expect("read close");
+        assert_eq!(n, 0, "server closes instead of answering");
+    }
+    let mut client = Client::connect(addr.to_string(), ClientConfig::default()).expect("connect");
+    match client.request(&Request::Introspect).expect("introspect") {
+        Response::Introspect { json } => {
+            let frame = TelemetryFrame::from_json(&json).expect("well-formed telemetry frame");
+            assert_eq!(frame.metric("net.protocol_errors_total"), Some(1.0));
+            assert_eq!(
+                frame.metric("net.op.get_total"),
+                Some(0.0),
+                "never dispatched"
+            );
         }
         other => panic!("expected introspection, got {other:?}"),
     }

@@ -123,27 +123,9 @@ impl NetSim {
         self.nominal[link.0 as usize]
     }
 
-    /// Takes `link` down immediately: flows crossing it stall (they stay
-    /// `Active` with no progress) until the link comes back up.
-    pub fn set_link_down(&mut self, link: LinkId) {
-        self.topo.set_capacity(link, 0.0);
-    }
-
     /// Restores `link` to its nominal capacity immediately.
     pub fn set_link_up(&mut self, link: LinkId) {
         self.topo.set_capacity(link, self.nominal[link.0 as usize]);
-    }
-
-    /// Degrades `link` to `factor` × nominal capacity immediately.
-    /// `factor` must lie in `[0, 1]`; `0` is equivalent to an outage and
-    /// `1` restores full capacity.
-    pub fn set_link_degraded(&mut self, link: LinkId, factor: f64) {
-        assert!(
-            (0.0..=1.0).contains(&factor),
-            "degrade factor must be in [0, 1]"
-        );
-        self.topo
-            .set_capacity(link, self.nominal[link.0 as usize] * factor);
     }
 
     /// Schedules an outage of `link` at `at`.

@@ -205,11 +205,6 @@ impl TraceCtx {
     pub fn untraced() -> TraceCtx {
         TraceCtx::default()
     }
-
-    /// True when this context carries a real trace id.
-    pub fn is_traced(&self) -> bool {
-        self.trace_id != 0
-    }
 }
 
 /// One recorded span or instantaneous event.

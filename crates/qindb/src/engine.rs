@@ -427,11 +427,6 @@ impl QinDb {
         self.journal.stats()
     }
 
-    /// Retained journal bytes (sealed plus active segments).
-    pub fn journal_bytes(&self) -> u64 {
-        self.journal.total_bytes()
-    }
-
     /// The journal bytes that survive a crash of this node (the flushed
     /// prefix of every retained segment).
     pub fn journal_image(&self) -> Vec<u8> {

@@ -10,9 +10,9 @@
 //! minimum live version (retention deletes make those unreadable from
 //! storage).
 //!
-//! [`ShardedLru`] is the generic building block (also used for the
-//! serve-stale response cache); [`SummaryCache`] is the summary-specific
-//! wrapper with read-through fetch and publish invalidation.
+//! [`ShardedLru`] is the generic building block; [`SummaryCache`] is the
+//! summary-specific wrapper with read-through fetch and publish
+//! invalidation.
 
 use bifrost::DataCenterId;
 use bytes::Bytes;

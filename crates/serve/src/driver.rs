@@ -46,24 +46,12 @@ impl Default for DriverConfig {
 /// Runs one open-loop experiment: pre-generates the query sequence,
 /// offers it to a fresh front-end at `driver.qps`, and returns the
 /// front-end's report. Queries are served at the engine's current
-/// version.
+/// version; their answers are discarded (the report is the result).
 pub fn run_open_loop(
     engine: &DirectLoad,
     frontend_cfg: &FrontendConfig,
     cache: &SummaryCache,
     driver: &DriverConfig,
-) -> ServeReport {
-    run_open_loop_traced(engine, frontend_cfg, cache, driver, None)
-}
-
-/// [`run_open_loop`] with an optional wall-clock trace sink; workers
-/// emit a `serve` span per response (see [`frontend::run_traced`]).
-pub fn run_open_loop_traced(
-    engine: &DirectLoad,
-    frontend_cfg: &FrontendConfig,
-    cache: &SummaryCache,
-    driver: &DriverConfig,
-    trace: Option<&obs::TraceSink>,
 ) -> ServeReport {
     assert!(driver.qps > 0.0, "offered load must be positive");
     let version = engine.version();
@@ -78,7 +66,7 @@ pub fn run_open_loop_traced(
     let queries = workload.take(driver.requests);
     let dcs = DataCenterId::all();
     let interval = Duration::from_secs_f64(1.0 / driver.qps);
-    frontend::run_traced(engine, frontend_cfg, cache, trace, |submitter| {
+    frontend::run(engine, frontend_cfg, cache, |submitter| {
         let start = Instant::now();
         for (i, query) in queries.into_iter().enumerate() {
             // Open loop: arrival times are fixed up front; a late
@@ -89,7 +77,10 @@ pub fn run_open_loop_traced(
                 std::thread::sleep(arrival - elapsed);
             }
             let dc = dcs[i % dcs.len()];
-            submitter.submit(dc, query.terms, version);
+            // The driver measures the front-end, not the answers: a
+            // no-op responder drops each reply.
+            let drop_reply = Box::new(|_| {});
+            submitter.submit_query(dc, query.terms, version, frontend_cfg.top_k, drop_reply);
         }
     })
 }

@@ -6,10 +6,8 @@
 //! read-through from a [`SummaryCache`]. Admission control keeps the
 //! system stable under overload:
 //!
-//! * **enqueue**: a full shard queue sheds the request — either rejected
-//!   outright ([`ShedPolicy::Reject`]) or answered from the stale-response
-//!   cache if a previous answer for the same query exists
-//!   ([`ShedPolicy::ServeStale`]);
+//! * **enqueue**: a full shard queue sheds the request, handing its
+//!   responder back unused ([`Submitted::Shed`]);
 //! * **dequeue**: a request whose deadline passed while queued is served
 //!   degraded — ranked normally but with summaries from cache only, and
 //!   no modeled storage wait. An *accepted* request always gets a
@@ -24,7 +22,7 @@
 //! and (deliberately) does not depend on concurrent load, so worker
 //! scaling measures the front-end, not clock-accounting artifacts.
 
-use crate::cache::{ShardedLru, SummaryCache};
+use crate::cache::SummaryCache;
 use bifrost::DataCenterId;
 use bytes::Bytes;
 use directload::{DirectLoad, SearchHit};
@@ -33,15 +31,6 @@ use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
-
-/// What to do with a request that finds its shard queue full.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ShedPolicy {
-    /// Drop it; the client gets no response.
-    Reject,
-    /// Answer from the stale-response cache if possible, else drop.
-    ServeStale,
-}
 
 /// Front-end tuning.
 #[derive(Debug, Clone, Copy)]
@@ -56,10 +45,6 @@ pub struct FrontendConfig {
     pub cache_capacity: usize,
     /// Summary-cache shard count.
     pub cache_shards: usize,
-    /// Stale-response cache capacity in entries.
-    pub response_cache_capacity: usize,
-    /// Queue-full behaviour.
-    pub shed_policy: ShedPolicy,
     /// Hits returned per query.
     pub top_k: usize,
     /// Modeled storage wait per query term (rank stage).
@@ -79,8 +64,6 @@ impl Default for FrontendConfig {
             deadline: Duration::from_secs(2),
             cache_capacity: 4096,
             cache_shards: 8,
-            response_cache_capacity: 1024,
-            shed_policy: ShedPolicy::Reject,
             top_k: 5,
             rank_service: Duration::from_micros(150),
             summary_service: Duration::from_micros(350),
@@ -92,16 +75,17 @@ impl Default for FrontendConfig {
 /// A completed answer to one admitted query.
 #[derive(Debug, Clone)]
 pub struct QueryReply {
-    /// The ranked hits (shared with the stale-response cache).
-    pub hits: Arc<Vec<SearchHit>>,
-    /// True when the answer took a degraded path: deadline breach
-    /// (cached summaries only) or a stale-cache hit under overload.
+    /// The ranked hits.
+    pub hits: Vec<SearchHit>,
+    /// True when the deadline passed while the request queued: the
+    /// summaries came from cache only.
     pub degraded: bool,
 }
 
-/// Per-request completion callback: the network server hands one in per
-/// query so workers can push the answer back to the owning connection.
-/// Invoked exactly once, on whichever thread finishes the request.
+/// Per-request completion callback: every query carries one, so workers
+/// can push the answer back to whoever asked (the network server's
+/// connection; a no-op for the open-loop driver). An accepted request's
+/// responder is invoked exactly once, on whichever worker finishes it.
 pub type Responder = Box<dyn FnOnce(QueryReply) + Send + 'static>;
 
 /// One query admitted to the front-end.
@@ -118,15 +102,8 @@ struct Request {
     /// ranking into Mint and the engines so one id stitches the whole
     /// path.
     trace: u64,
-    /// `None` for fire-and-forget driver traffic (answers land only in
-    /// the stale-response cache, as before).
-    responder: Option<Responder>,
+    responder: Responder,
 }
-
-/// Key of the stale-response cache: under overload, any previous answer
-/// for the same query shape is acceptable, whatever version produced it.
-type ResponseKey = (u8, Vec<Bytes>);
-type ResponseCache = ShardedLru<ResponseKey, Arc<Vec<SearchHit>>>;
 
 struct ShardQueue {
     inner: Mutex<QueueState>,
@@ -192,8 +169,7 @@ pub struct ServeReport {
     pub offered: u64,
     /// Full-path responses.
     pub served: u64,
-    /// Degraded responses (deadline breach, or stale-cache hit under
-    /// overload).
+    /// Deadline-degraded answers (summaries from cache only).
     pub served_stale: u64,
     /// Requests shed at admission with no response.
     pub shed: u64,
@@ -350,7 +326,7 @@ impl LiveStats {
         self.served.load(Ordering::Relaxed)
     }
 
-    /// Degraded responses so far (deadline breach or stale-cache hit).
+    /// Deadline-degraded answers so far (summaries from cache only).
     pub fn served_stale(&self) -> u64 {
         self.served_stale.load(Ordering::Relaxed)
     }
@@ -405,13 +381,11 @@ impl LiveStats {
     }
 }
 
-/// Shared submission state: queues, the stale-response cache, and the
-/// live tallies. Owned on the stack by [`run_traced`] and behind an
-/// `Arc` by the long-running [`Frontend`].
+/// Shared submission state: queues and the live tallies. Owned on the
+/// stack by [`run`] and behind an `Arc` by the long-running [`Frontend`].
 struct Core {
     cfg: FrontendConfig,
     queues: Vec<ShardQueue>,
-    responses: ResponseCache,
     next_shard: AtomicU64,
     live: Arc<LiveStats>,
 }
@@ -423,7 +397,6 @@ impl Core {
             queues: (0..workers)
                 .map(|_| ShardQueue::new(cfg.queue_depth.max(1)))
                 .collect(),
-            responses: ShardedLru::new(cfg.response_cache_capacity.max(1), 4),
             next_shard: AtomicU64::new(0),
             live: Arc::new(LiveStats::new(workers, cfg.hot_key_capacity)),
             cfg,
@@ -437,7 +410,7 @@ impl Core {
         version: u64,
         top_k: usize,
         trace_id: u64,
-        responder: Option<Responder>,
+        responder: Responder,
     ) -> Submitted {
         self.live.offered.fetch_add(1, Ordering::Relaxed);
         let now = Instant::now();
@@ -457,24 +430,9 @@ impl Core {
                 self.live.accepted.fetch_add(1, Ordering::Relaxed);
                 Submitted::Accepted
             }
-            Err(mut req) => {
-                if self.cfg.shed_policy == ShedPolicy::ServeStale {
-                    let key: ResponseKey = (req.dc.region.0, std::mem::take(&mut req.terms));
-                    if let Some(hits) = self.responses.get(&key) {
-                        self.live.served_stale.fetch_add(1, Ordering::Relaxed);
-                        let us = req.enqueued.elapsed().as_micros() as u64;
-                        self.live.record_latency(us);
-                        if let Some(respond) = req.responder.take() {
-                            respond(QueryReply {
-                                hits,
-                                degraded: true,
-                            });
-                        }
-                        return Submitted::ServedStale;
-                    }
-                }
+            Err(req) => {
                 self.live.shed.fetch_add(1, Ordering::Relaxed);
-                Submitted::Shed(req.responder.take())
+                Submitted::Shed(req.responder)
             }
         }
     }
@@ -493,44 +451,19 @@ pub struct Submitter<'a> {
     core: &'a Core,
 }
 
-/// What happened to one submitted request at admission.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Admission {
-    /// Queued; a worker will respond (full or degraded).
-    Accepted,
-    /// Queue full; answered immediately from the stale-response cache.
-    ServedStale,
-    /// Queue full; dropped with no response.
-    Shed,
-}
-
-/// Outcome of [`Submitter::submit_query`]: like [`Admission`] but a shed
-/// request hands its responder back, so the caller can still answer the
-/// client (the network server turns it into an `Overloaded` frame).
+/// What happened to one submitted request at admission. A shed request
+/// hands its responder back, so the caller can still answer the client
+/// (the network server turns it into an `Overloaded` frame).
 pub enum Submitted {
-    /// Queued; the responder will be invoked by a worker.
+    /// Queued; a worker will invoke the responder (full or degraded).
     Accepted,
-    /// Queue full; the responder was already invoked with a stale answer.
-    ServedStale,
-    /// Queue full and no stale answer: the responder (if any) comes back
-    /// unused.
-    Shed(Option<Responder>),
+    /// Queue full: the responder comes back unused.
+    Shed(Responder),
 }
 
 impl Submitter<'_> {
-    /// Offers one fire-and-forget query to the front-end (driver
-    /// traffic: the answer lands in the stale-response cache only).
-    pub fn submit(&self, dc: DataCenterId, terms: Vec<Bytes>, version: u64) -> Admission {
-        let top_k = self.core.cfg.top_k;
-        match self.core.submit(dc, terms, version, top_k, 0, None) {
-            Submitted::Accepted => Admission::Accepted,
-            Submitted::ServedStale => Admission::ServedStale,
-            Submitted::Shed(_) => Admission::Shed,
-        }
-    }
-
-    /// Offers one query whose answer must reach `responder` — the
-    /// network dispatch path. See [`Submitted`] for the shed contract.
+    /// Offers one query whose answer must reach `responder`. See
+    /// [`Submitted`] for the shed contract.
     pub fn submit_query(
         &self,
         dc: DataCenterId,
@@ -539,8 +472,7 @@ impl Submitter<'_> {
         top_k: usize,
         responder: Responder,
     ) -> Submitted {
-        self.core
-            .submit(dc, terms, version, top_k, 0, Some(responder))
+        self.core.submit(dc, terms, version, top_k, 0, responder)
     }
 
     /// [`Submitter::submit_query`] carrying a request correlation id:
@@ -556,7 +488,7 @@ impl Submitter<'_> {
         responder: Responder,
     ) -> Submitted {
         self.core
-            .submit(dc, terms, version, top_k, trace_id, Some(responder))
+            .submit(dc, terms, version, top_k, trace_id, responder)
     }
 
     /// Requests accepted into a queue so far.
@@ -604,11 +536,10 @@ fn worker_loop(
     trace: Option<(&obs::TraceSink, &str)>,
 ) {
     let cfg = &core.cfg;
-    let responses = &core.responses;
     let queue = &core.queues[shard];
     let live = &core.live;
     let attr = &live.attribution[shard];
-    while let Some(mut req) = queue.pop() {
+    while let Some(req) = queue.pop() {
         let dequeued = Instant::now();
         let queue_us = dequeued.duration_since(req.enqueued).as_micros() as u64;
         // One wall-clock span per response: the profiler's view of time
@@ -623,83 +554,51 @@ fn worker_loop(
             .rank_costed(req.dc, &term_refs, req.version, req.top_k, req.trace)
             .map(|(r, reads)| (r.ranked, reads))
             .unwrap_or_default();
-        let key: ResponseKey = (req.dc.region.0, req.terms.clone());
-        if Instant::now() >= req.deadline {
-            // Deadline breached while queued: respond degraded — cached
-            // summaries only, no storage fetch, no modeled wait.
-            let hits: Vec<SearchHit> = ranked
-                .into_iter()
-                .map(|(url, matched_terms)| {
-                    let summary = cache.peek(req.dc, &url, req.version).flatten();
-                    SearchHit {
-                        url,
-                        matched_terms,
-                        summary,
-                    }
-                })
-                .collect();
-            let hits = Arc::new(hits);
-            responses.insert(key, Arc::clone(&hits));
-            // Close the serve span before responding: writing the reply
-            // is the net layer's time, and a traced client may assemble
-            // the trace the instant the response lands.
-            if let Some(mut s) = span.take() {
-                s.set_amount(1);
-            }
-            if let Some(respond) = req.responder.take() {
-                respond(QueryReply {
-                    hits,
-                    degraded: true,
-                });
-            }
-            live.served_stale.fetch_add(1, Ordering::Relaxed);
-            live.record_latency(req.enqueued.elapsed().as_micros() as u64);
-            // The degraded path still ranked, so its storage reads are
-            // attributed like any other request's.
-            record_attribution(
-                attr,
-                req.dc,
-                &req.terms,
-                queue_us,
-                dequeued.elapsed().as_micros() as u64,
-                reads,
-            );
-            continue;
-        }
+        // Deadline breached while queued: answer degraded — cached
+        // summaries only, no storage fetch, no modeled wait.
+        let degraded = Instant::now() >= req.deadline;
         let mut misses = 0u32;
-        let mut hits = Vec::with_capacity(ranked.len());
-        for (url, matched_terms) in ranked {
-            let (summary, hit) = match cache.get_or_fetch(engine, req.dc, &url, req.version) {
-                Ok((summary, hit, _sim_latency)) => (summary, hit),
-                Err(_) => (None, false),
-            };
-            if !hit {
-                misses += 1;
+        let hits: Vec<SearchHit> = ranked
+            .into_iter()
+            .map(|(url, matched_terms)| {
+                let summary = if degraded {
+                    cache.peek(req.dc, &url, req.version).flatten()
+                } else {
+                    let (summary, hit) = cache
+                        .get_or_fetch(engine, req.dc, &url, req.version)
+                        .map_or((None, false), |(summary, hit, _sim_latency)| (summary, hit));
+                    misses += u32::from(!hit);
+                    summary
+                };
+                SearchHit {
+                    url,
+                    matched_terms,
+                    summary,
+                }
+            })
+            .collect();
+        if !degraded {
+            let service = cfg.rank_service * req.terms.len() as u32 + cfg.summary_service * misses;
+            if !service.is_zero() {
+                std::thread::sleep(service);
             }
-            hits.push(SearchHit {
-                url,
-                matched_terms,
-                summary,
-            });
         }
-        let service = cfg.rank_service * req.terms.len() as u32 + cfg.summary_service * misses;
-        if !service.is_zero() {
-            std::thread::sleep(service);
-        }
-        let hits = Arc::new(hits);
-        responses.insert(key, Arc::clone(&hits));
-        // Same ordering as the degraded path: span closed, then respond.
+        // Close the serve span before responding: writing the reply is
+        // the net layer's time, and a traced client may assemble the
+        // trace the instant the response lands.
         if let Some(mut s) = span.take() {
             s.set_amount(1);
         }
-        if let Some(respond) = req.responder.take() {
-            respond(QueryReply {
-                hits,
-                degraded: false,
-            });
-        }
-        live.served.fetch_add(1, Ordering::Relaxed);
+        (req.responder)(QueryReply { hits, degraded });
+        let tally = if degraded {
+            &live.served_stale
+        } else {
+            &live.served
+        };
+        tally.fetch_add(1, Ordering::Relaxed);
         live.record_latency(req.enqueued.elapsed().as_micros() as u64);
+        // A degraded answer still ranked, so its storage reads are
+        // attributed like any other request's.
         record_attribution(
             attr,
             req.dc,
@@ -727,40 +626,14 @@ pub fn run<F>(
 where
     F: FnOnce(&Submitter<'_>),
 {
-    run_traced(engine, cfg, cache, None, generator)
-}
-
-/// [`run`] with an optional wall-clock trace sink: each worker emits a
-/// `serve` span per response, labeled `serve/w<worker>`, so the phase
-/// profiler can attribute serving time alongside the pipeline phases.
-pub fn run_traced<F>(
-    engine: &DirectLoad,
-    cfg: &FrontendConfig,
-    cache: &SummaryCache,
-    trace: Option<&obs::TraceSink>,
-    generator: F,
-) -> ServeReport
-where
-    F: FnOnce(&Submitter<'_>),
-{
     let core = Core::new(*cfg);
     let hits_before = cache.hits();
     let misses_before = cache.misses();
-    let labels: Vec<String> = (0..core.queues.len())
-        .map(|i| format!("serve/w{i}"))
-        .collect();
     let start = Instant::now();
     let core_ref = &core;
     std::thread::scope(|s| {
-        let handles: Vec<_> = labels
-            .iter()
-            .enumerate()
-            .map(|(i, label)| {
-                s.spawn(move || {
-                    let t = trace.map(|t| (t, label.as_str()));
-                    worker_loop(engine, core_ref, cache, i, t)
-                })
-            })
+        let handles: Vec<_> = (0..core.queues.len())
+            .map(|i| s.spawn(move || worker_loop(engine, core_ref, cache, i, None)))
             .collect();
         generator(&Submitter { core: core_ref });
         core.close();
@@ -811,7 +684,8 @@ pub struct Frontend {
 impl Frontend {
     /// Spawns `cfg.workers` owned worker threads against `engine`. Each
     /// worker emits a `serve` span per response into `trace` when given,
-    /// labeled `serve/w<worker>` as in [`run_traced`].
+    /// labeled `serve/w<worker>`, so the phase profiler can attribute
+    /// serving time alongside the pipeline phases.
     pub fn start(
         engine: Arc<DirectLoad>,
         cfg: FrontendConfig,

@@ -8,8 +8,8 @@
 //! second against one shared engine — and measures it:
 //!
 //! * [`frontend`] — sharded worker pool over bounded queues, with
-//!   admission control that sheds (reject or serve-stale) under overload
-//!   and degrades rather than drops on deadline breach;
+//!   admission control that sheds under overload and degrades rather
+//!   than drops on deadline breach;
 //! * [`cache`] — sharded LRU over summary values keyed
 //!   `(region, url, version)`, read-through, invalidated below the
 //!   minimum live version on publish;
@@ -18,11 +18,11 @@
 //!   `obs::hist` and is re-exported here because [`ServeReport`] is made
 //!   of them;
 //! * [`driver`] — seeded open-loop QPS generator over [`indexgen`]'s
-//!   Zipf/VIP query workload;
-//! * [`routing`] — generation-keyed topology snapshots, so a serving
-//!   path (in-process or behind the `net` crate's socket front end)
-//!   re-resolves group bindings the moment a placement cutover moves
-//!   the cluster's routing generation.
+//!   Zipf/VIP query workload.
+//!
+//! Topology changes need nothing here: every rank and summary read goes
+//! through Mint, which routes on its live group tables, so a placement
+//! cutover is honored by the very next request.
 //!
 //! The whole stack is deterministic in its inputs (seeded workload,
 //! fixed arrival schedule); wall-clock latencies of course vary run to
@@ -47,16 +47,14 @@
 pub mod cache;
 pub mod driver;
 pub mod frontend;
-pub mod routing;
 
 pub use cache::{ShardedLru, SummaryCache, SummaryKey};
 pub use driver::DriverConfig;
 pub use frontend::{
-    Admission, AttributionReport, Frontend, FrontendConfig, LiveStats, QueryReply, Responder,
-    ServeReport, ShedPolicy, Submitted, Submitter,
+    AttributionReport, Frontend, FrontendConfig, LiveStats, QueryReply, Responder, ServeReport,
+    Submitted, Submitter,
 };
 pub use obs::LatencyHistogram;
-pub use routing::RoutingView;
 
 use directload::DirectLoad;
 
@@ -80,16 +78,6 @@ pub trait ServeExt {
     /// Same, but against a caller-owned cache (keep it warm across runs;
     /// call [`SummaryCache::invalidate_below`] after each publish).
     fn serve_with_cache(&self, cfg: &ServeConfig, cache: &SummaryCache) -> ServeReport;
-
-    /// Like [`ServeExt::serve_with_cache`], additionally emitting a
-    /// wall-clock `serve` span per response into `trace` (labeled
-    /// `serve/w<worker>`) for the phase-time profiler.
-    fn serve_traced(
-        &self,
-        cfg: &ServeConfig,
-        cache: &SummaryCache,
-        trace: &obs::TraceSink,
-    ) -> ServeReport;
 }
 
 impl ServeExt for DirectLoad {
@@ -100,14 +88,5 @@ impl ServeExt for DirectLoad {
 
     fn serve_with_cache(&self, cfg: &ServeConfig, cache: &SummaryCache) -> ServeReport {
         driver::run_open_loop(self, &cfg.frontend, cache, &cfg.driver)
-    }
-
-    fn serve_traced(
-        &self,
-        cfg: &ServeConfig,
-        cache: &SummaryCache,
-        trace: &obs::TraceSink,
-    ) -> ServeReport {
-        driver::run_open_loop_traced(self, &cfg.frontend, cache, &cfg.driver, Some(trace))
     }
 }

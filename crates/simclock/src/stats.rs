@@ -93,11 +93,6 @@ impl TimeSeries {
         self.buckets[idx] += amount;
     }
 
-    /// Bucket width.
-    pub fn bucket_width(&self) -> SimTime {
-        self.bucket
-    }
-
     /// Per-bucket totals (index 0 is `[0, bucket)`).
     pub fn totals(&self) -> &[f64] {
         &self.buckets

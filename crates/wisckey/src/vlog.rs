@@ -138,11 +138,6 @@ impl ValueLog {
         self.cfg.segment_pages * self.page_size as u64
     }
 
-    /// Ids of all segments, oldest first.
-    pub fn segment_ids(&self) -> Vec<u64> {
-        self.segments.keys().copied().collect()
-    }
-
     /// Number of live segments.
     pub fn num_segments(&self) -> usize {
         self.segments.len()

@@ -30,7 +30,7 @@
 use directload::{DirectLoad, DirectLoadConfig};
 use indexgen::{QueryWorkload, QueryWorkloadConfig};
 use placement::{plan, LoadReport, Migration, MigratorConfig, TopologyGoal};
-use serve::{ServeConfig, ServeExt, ShedPolicy};
+use serve::{ServeConfig, ServeExt};
 use std::collections::BTreeMap;
 
 const SEED: u64 = 0x5EED_A77B;
@@ -72,7 +72,6 @@ fn run_attribution() -> Run {
     scfg.driver.requests = REQUESTS;
     scfg.driver.qps = QPS;
     scfg.frontend.workers = 4;
-    scfg.frontend.shed_policy = ShedPolicy::Reject;
     let report = system.serve(&scfg);
     check(
         report.shed == 0,

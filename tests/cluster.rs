@@ -3,7 +3,8 @@
 
 use bifrost::{Bifrost, BifrostConfig, UpdateEntry};
 use bytes::Bytes;
-use indexgen::{CorpusConfig, CrawlSimulator, IndexKind};
+use directload::{DirectLoad, DirectLoadConfig};
+use indexgen::{CorpusConfig, CrawlSimulator, IndexKind, QueryWorkload, QueryWorkloadConfig};
 use mint::{Mint, MintConfig, NodeId, WriteOp};
 use simclock::SimClock;
 
@@ -178,4 +179,46 @@ fn aggregate_stats_reflect_replication_factor() {
     let stats = cluster.aggregate_stats();
     assert_eq!(stats.puts, ops.len() as u64 * 3, "3 replicas per op");
     assert!(cluster.total_disk_bytes() > 0);
+}
+
+#[test]
+fn worker_never_serves_a_group_binding_after_cutover() {
+    let mut s = DirectLoad::new(DirectLoadConfig::small());
+    s.run_version(1.0).unwrap();
+    let dc = s.dc_ids()[0];
+    let version = s.version();
+    let queries: Vec<Vec<Bytes>> = QueryWorkload::new(s.crawler(), QueryWorkloadConfig::default())
+        .take(60)
+        .into_iter()
+        .map(|q| q.terms)
+        .collect();
+    let search_all = |s: &DirectLoad| {
+        for terms in &queries {
+            let refs: Vec<&[u8]> = terms.iter().map(|t| t.as_ref()).collect();
+            s.search(dc, &refs, version, 5).expect("search answers");
+        }
+    };
+    // Scale group 0 out so a member may drain, and pick that member.
+    let cluster = s.cluster_mut(dc).unwrap();
+    cluster.add_node(0).unwrap();
+    let victim = NodeId(cluster.group_members(0)[0]);
+    let device = cluster.node_device(victim).unwrap();
+    // Control: while routed, the batch reads the victim's flash.
+    let before = device.counters();
+    search_all(&s);
+    assert!(
+        device.counters().host_read_bytes > before.host_read_bytes,
+        "the query batch must reach the victim while it is routed"
+    );
+    // Decommission it. From the cutover on, every read routes around it.
+    let cluster = s.cluster_mut(dc).unwrap();
+    cluster.begin_drain(victim).unwrap();
+    cluster.cutover_drain(victim).unwrap();
+    let retired = device.counters();
+    search_all(&s);
+    assert_eq!(
+        device.counters(),
+        retired,
+        "a read reached the retired node's device after cutover"
+    );
 }
