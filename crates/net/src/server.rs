@@ -88,7 +88,6 @@ impl Default for ServerConfig {
 
 /// Pre-registered `net.*` counter handles (registration is not hot-path
 /// safe; updates are one relaxed atomic each).
-#[derive(Clone)]
 struct Metrics {
     connections: Counter,
     frames_in: Counter,
@@ -320,14 +319,28 @@ fn accept_loop(
                 .push(clone);
         }
         let shared_conn = Arc::clone(&shared);
-        let handle = std::thread::Builder::new()
+        let spawned = std::thread::Builder::new()
             .name(format!("net-conn-{peer}"))
-            .spawn(move || connection_loop(stream, shared_conn))
-            .expect("spawn connection thread");
-        handles
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .push(handle);
+            .spawn(move || connection_loop(stream, shared_conn));
+        match spawned {
+            Ok(handle) => {
+                let mut handles = handles.lock().unwrap_or_else(|e| e.into_inner());
+                // Forget connections that already ended, so a long-lived
+                // server holds one handle per *live* connection.
+                handles.retain(|h| !h.is_finished());
+                handles.push(handle);
+            }
+            Err(_) => {
+                // The OS refused a thread. The failed spawn dropped this
+                // connection's stream; dropping its registered clone
+                // closes the socket, and the server keeps accepting.
+                shared
+                    .conns
+                    .lock()
+                    .unwrap_or_else(|e| e.into_inner())
+                    .retain(|c| c.peer_addr().ok() != Some(peer));
+            }
+        }
     }
 }
 
@@ -459,16 +472,32 @@ fn telemetry_frame(shared: &Shared) -> TelemetryFrame {
 
 /// Writes one response frame to the connection, under the writer lock
 /// (workers and the connection thread interleave here).
+///
+/// An answer larger than `max_frame` is replaced by a `BadRequest`
+/// error: the peer's `read_frame` would reject the frame, close the
+/// connection, and lose every request pipelined behind this one.
 fn send_response(
+    shared: &Shared,
     writer: &Mutex<TcpStream>,
-    metrics: &Metrics,
-    trace: &obs::TraceSink,
     req_id: u64,
     trace_id: u64,
     resp: &Response,
 ) {
-    let frame = wire::encode_response(req_id, trace_id, resp);
-    let mut span = trace.span_traced(obs::SpanKind::NetWrite, "net/write", trace_id);
+    let mut frame = wire::encode_response(req_id, trace_id, resp);
+    if frame.len() - 4 > shared.cfg.max_frame {
+        frame = wire::encode_response(
+            req_id,
+            trace_id,
+            &Response::Error {
+                code: ErrorCode::BadRequest,
+                message: "response exceeds max frame".into(),
+            },
+        );
+    }
+    let metrics = &shared.metrics;
+    let mut span = shared
+        .trace
+        .span_traced(obs::SpanKind::NetWrite, "net/write", trace_id);
     span.set_amount(frame.len() as u64);
     let mut w = writer.lock().unwrap_or_else(|e| e.into_inner());
     match w.write_all(&frame) {
@@ -586,8 +615,7 @@ fn dispatch(
             };
             let responder: Responder = {
                 let writer = Arc::clone(writer);
-                let metrics = shared.metrics.clone();
-                let trace = shared.trace.clone();
+                let shared = Arc::clone(shared);
                 Box::new(move |reply: QueryReply| {
                     let hits = reply
                         .hits
@@ -599,9 +627,8 @@ fn dispatch(
                         })
                         .collect();
                     send_response(
+                        &shared,
                         &writer,
-                        &metrics,
-                        &trace,
                         req_id,
                         trace_id,
                         &Response::Hits {
@@ -621,9 +648,8 @@ fn dispatch(
             if let Submitted::Shed(_) = outcome {
                 shared.metrics.overloaded.inc();
                 send_response(
+                    shared,
                     writer,
-                    &shared.metrics,
-                    &shared.trace,
                     req_id,
                     trace_id,
                     &Response::Error {
@@ -656,14 +682,7 @@ fn dispatch(
                     message: e.to_string(),
                 },
             };
-            send_response(
-                writer,
-                &shared.metrics,
-                &shared.trace,
-                req_id,
-                trace_id,
-                &resp,
-            );
+            send_response(shared, writer, req_id, trace_id, &resp);
         }
         Request::Status => {
             shared.metrics.statuses.inc();
@@ -683,28 +702,50 @@ fn dispatch(
                 min_live_version: shared.engine.min_live_version(),
                 generations,
             };
-            send_response(
-                writer,
-                &shared.metrics,
-                &shared.trace,
-                req_id,
-                trace_id,
-                &resp,
-            );
+            send_response(shared, writer, req_id, trace_id, &resp);
         }
         Request::Introspect => {
             shared.metrics.introspects.inc();
             let resp = Response::Introspect {
                 json: telemetry_frame(shared).to_json(),
             };
-            send_response(
-                writer,
-                &shared.metrics,
-                &shared.trace,
-                req_id,
-                trace_id,
-                &resp,
-            );
+            send_response(shared, writer, req_id, trace_id, &resp);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use directload::DirectLoadConfig;
+    use std::io::Read;
+
+    #[test]
+    fn accept_loop_prunes_finished_connection_handles() {
+        let engine = Arc::new(DirectLoad::new(DirectLoadConfig::small()));
+        let cfg = ServerConfig {
+            telemetry_interval_ms: 0,
+            ..ServerConfig::default()
+        };
+        let server = Server::start(engine, "127.0.0.1:0", cfg).expect("bind");
+        for _ in 0..200 {
+            let mut conn = TcpStream::connect(server.local_addr()).expect("connect");
+            // Half-close and wait for the server's close: its connection
+            // thread has then left `connection_loop`.
+            conn.shutdown(std::net::Shutdown::Write)
+                .expect("half-close");
+            let mut buf = [0u8; 1];
+            assert_eq!(conn.read(&mut buf).expect("read close"), 0);
+        }
+        let held = server
+            .conn_handles
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .len();
+        assert!(
+            held <= 8,
+            "{held} handles held after 200 closed connections"
+        );
+        server.shutdown();
     }
 }

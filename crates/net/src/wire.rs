@@ -23,6 +23,11 @@
 //! * `crc32` covers version through payload. Framing survives TCP's own
 //!   checksums in practice; the CRC catches buggy peers and truncated
 //!   writes at process kill, turning them into clean [`ProtocolError`]s.
+//!   It is computed slice-by-16 (see [`crc32`]), ~0.5 ns a byte.
+//!
+//! An encoder writes the payload straight into the frame buffer, sized
+//! once from the message, then patches `len` and appends the CRC: one
+//! allocation and no copy per frame.
 //!
 //! Request kinds occupy `0x01..=0x04`, response kinds `0x81..=0x84` plus
 //! `0xFF` for errors — disjoint ranges, so feeding a response stream to
@@ -241,13 +246,20 @@ const KIND_INTROSPECT_RESULT: u8 = 0x84;
 const KIND_ERROR: u8 = 0xFF;
 
 // ---------------------------------------------------------------------
-// CRC-32 (IEEE 802.3 polynomial, reflected), table-driven. Implemented
-// here because the workspace vendors no checksum crate; 50 lines beat a
-// dependency.
+// CRC-32 (IEEE 802.3 polynomial, reflected), slice-by-16. Implemented
+// here because the workspace vendors no checksum crate.
+//
+// Byte-at-a-time is one *dependent* table lookup per byte (~2.5 ns/B).
+// Slicing folds sixteen bytes per step instead: table `k` holds the CRC
+// of byte `i` followed by `k` zero bytes, so each of a block's sixteen
+// bytes is looked up independently and the results XOR together. That
+// costs sixteen 1 KiB tables and buys ~0.46 ns/B on 5 KB at opt-level 3
+// (2-vCPU Intel Xeon VM), against ~0.61 for slice-by-8. The output is
+// bit-identical to the byte loop the tests keep as reference.
 // ---------------------------------------------------------------------
 
-const fn crc32_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+const fn crc32_tables() -> [[u32; 256]; 16] {
+    let mut tables = [[0u32; 256]; 16];
     let mut i = 0;
     while i < 256 {
         let mut crc = i as u32;
@@ -260,26 +272,62 @@ const fn crc32_table() -> [u32; 256] {
             };
             bit += 1;
         }
-        table[i] = crc;
+        tables[0][i] = crc;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 16 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
 }
 
-static CRC_TABLE: [u32; 256] = crc32_table();
+static CRC_TABLES: [[u32; 256]; 16] = crc32_tables();
 
-/// IEEE CRC-32 of `data` (the checksum `cksum`/zlib compute).
+/// IEEE CRC-32 of `data` (the checksum `cksum`/zlib compute), sixteen
+/// bytes per step with a byte-at-a-time tail.
 pub fn crc32(data: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
     let mut crc = 0xFFFF_FFFFu32;
-    for &b in data {
-        crc = (crc >> 8) ^ CRC_TABLE[((crc ^ b as u32) & 0xFF) as usize];
+    let (blocks, tail) = data.as_chunks::<16>();
+    for b in blocks {
+        // The running CRC folds into the block's first four bytes; the
+        // byte `j` places from the end goes through table `j`.
+        let lo = crc ^ u32::from_le_bytes([b[0], b[1], b[2], b[3]]);
+        crc = t[15][(lo & 0xFF) as usize]
+            ^ t[14][((lo >> 8) & 0xFF) as usize]
+            ^ t[13][((lo >> 16) & 0xFF) as usize]
+            ^ t[12][(lo >> 24) as usize]
+            ^ t[11][b[4] as usize]
+            ^ t[10][b[5] as usize]
+            ^ t[9][b[6] as usize]
+            ^ t[8][b[7] as usize]
+            ^ t[7][b[8] as usize]
+            ^ t[6][b[9] as usize]
+            ^ t[5][b[10] as usize]
+            ^ t[4][b[11] as usize]
+            ^ t[3][b[12] as usize]
+            ^ t[2][b[13] as usize]
+            ^ t[1][b[14] as usize]
+            ^ t[0][b[15] as usize];
+    }
+    for &b in tail {
+        crc = (crc >> 8) ^ t[0][((crc ^ b as u32) & 0xFF) as usize];
     }
     !crc
 }
 
 // ---------------------------------------------------------------------
-// Primitive writers/readers. The reader is a plain cursor over the
-// frame body; every read is bounds-checked and surfaces `Truncated`.
+// Primitive writers/readers. The reader is a cursor over the unread rest
+// of the frame body; every read is a checked split that surfaces
+// `Truncated`, and fixed-size fields come out as arrays, so no read on
+// wire input can panic.
 // ---------------------------------------------------------------------
 
 fn put_u32(out: &mut Vec<u8>, v: u32) {
@@ -296,49 +344,53 @@ fn put_bytes(out: &mut Vec<u8>, b: &[u8]) {
 }
 
 struct Cursor<'a> {
-    buf: &'a [u8],
-    pos: usize,
+    rest: &'a [u8],
 }
 
 impl<'a> Cursor<'a> {
     fn new(buf: &'a [u8]) -> Cursor<'a> {
-        Cursor { buf, pos: 0 }
+        Cursor { rest: buf }
     }
 
     fn take(&mut self, n: usize) -> Result<&'a [u8], ProtocolError> {
-        let end = self.pos.checked_add(n).ok_or(ProtocolError::Truncated)?;
-        if end > self.buf.len() {
-            return Err(ProtocolError::Truncated);
-        }
-        let slice = &self.buf[self.pos..end];
-        self.pos = end;
-        Ok(slice)
+        let (head, rest) = self
+            .rest
+            .split_at_checked(n)
+            .ok_or(ProtocolError::Truncated)?;
+        self.rest = rest;
+        Ok(head)
+    }
+
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], ProtocolError> {
+        let (head, rest) = self
+            .rest
+            .split_first_chunk::<N>()
+            .ok_or(ProtocolError::Truncated)?;
+        self.rest = rest;
+        Ok(*head)
     }
 
     fn u8(&mut self) -> Result<u8, ProtocolError> {
-        Ok(self.take(1)?[0])
+        Ok(u8::from_le_bytes(self.array()?))
     }
 
     fn u32(&mut self) -> Result<u32, ProtocolError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
+        Ok(u32::from_le_bytes(self.array()?))
     }
 
     fn u64(&mut self) -> Result<u64, ProtocolError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
+        Ok(u64::from_le_bytes(self.array()?))
     }
 
     fn bytes(&mut self) -> Result<Bytes, ProtocolError> {
         let len = self.u32()? as usize;
         // A length claim beyond the remaining frame is corruption, not
-        // an allocation request.
-        if len > self.buf.len() - self.pos {
-            return Err(ProtocolError::Truncated);
-        }
+        // an allocation request: `take` refuses it before the copy.
         Ok(Bytes::copy_from_slice(self.take(len)?))
     }
 
     fn finished(&self) -> Result<(), ProtocolError> {
-        if self.pos == self.buf.len() {
+        if self.rest.is_empty() {
             Ok(())
         } else {
             Err(ProtocolError::Malformed("trailing bytes after payload"))
@@ -385,17 +437,27 @@ fn kind_from_u8(v: u8) -> Result<IndexKind, ProtocolError> {
 // Frame assembly / disassembly.
 // ---------------------------------------------------------------------
 
-/// Wraps `(kind, payload)` into a full frame including the length
-/// prefix, ready to write to a socket.
-fn seal(kind: u8, req_id: u64, trace_id: u64, payload: &[u8]) -> Vec<u8> {
-    let body_len = ENVELOPE + payload.len();
-    let mut out = Vec::with_capacity(4 + body_len);
-    put_u32(&mut out, body_len as u32);
+/// Starts a frame in a buffer sized for the whole of it: a `len`
+/// placeholder and the header, with room left for `payload_len` payload
+/// bytes and the checksum. The caller writes the payload, then [`seal`]s.
+fn open_frame(kind: u8, req_id: u64, trace_id: u64, payload_len: usize) -> Vec<u8> {
+    let mut out = Vec::with_capacity(4 + ENVELOPE + payload_len);
+    put_u32(&mut out, 0);
     out.push(PROTOCOL_VERSION);
     out.push(kind);
     put_u64(&mut out, req_id);
     put_u64(&mut out, trace_id);
-    out.extend_from_slice(payload);
+    out
+}
+
+/// Finishes a frame begun by [`open_frame`]: patches `len` in place, then
+/// appends the CRC over version..payload. The result is ready to write
+/// to a socket.
+fn seal(mut out: Vec<u8>) -> Vec<u8> {
+    // `len` counts the `out.len() - 4` bytes after the prefix plus the
+    // 4-byte CRC still to come.
+    let len = out.len() as u32;
+    out[..4].copy_from_slice(&len.to_le_bytes());
     let crc = crc32(&out[4..]);
     put_u32(&mut out, crc);
     out
@@ -411,46 +473,61 @@ fn unseal(body: &[u8]) -> Result<(u8, u64, u64, &[u8]), ProtocolError> {
     if body.len() < ENVELOPE {
         return Err(ProtocolError::Truncated);
     }
-    let (content, crc_bytes) = body.split_at(body.len() - 4);
-    let want = u32::from_le_bytes(crc_bytes.try_into().unwrap());
-    if crc32(content) != want {
+    let (content, crc) = body
+        .split_last_chunk::<4>()
+        .ok_or(ProtocolError::Truncated)?;
+    if crc32(content) != u32::from_le_bytes(*crc) {
         return Err(ProtocolError::BadChecksum);
     }
-    let version = content[0];
+    let mut c = Cursor::new(content);
+    let version = c.u8()?;
     if version != PROTOCOL_VERSION {
         return Err(ProtocolError::BadVersion(version));
     }
-    let kind = content[1];
-    let req_id = u64::from_le_bytes(content[2..10].try_into().unwrap());
-    let trace_id = u64::from_le_bytes(content[10..18].try_into().unwrap());
-    Ok((kind, req_id, trace_id, &content[18..]))
+    let kind = c.u8()?;
+    let req_id = c.u64()?;
+    let trace_id = c.u64()?;
+    Ok((kind, req_id, trace_id, c.rest))
 }
 
 /// Encodes one request as a complete frame (length prefix
 /// included). `trace_id` 0 means untraced — the common case for
 /// client-originated frames, since trace ids are allocated server-side.
 pub fn encode_request(req_id: u64, trace_id: u64, req: &Request) -> Vec<u8> {
-    let (kind, p) = request_payload(req);
-    seal(kind, req_id, trace_id, &p)
+    let (kind, payload_len) = request_shape(req);
+    let mut out = open_frame(kind, req_id, trace_id, payload_len);
+    put_request(&mut out, req);
+    seal(out)
 }
 
-fn request_payload(req: &Request) -> (u8, Vec<u8>) {
-    let mut p = Vec::new();
-    let kind = match req {
+/// A request's kind byte and the exact size [`put_request`] writes.
+fn request_shape(req: &Request) -> (u8, usize) {
+    match req {
+        Request::Get { terms, .. } => {
+            let terms_len: usize = terms.iter().map(|t| 4 + t.len()).sum();
+            (KIND_GET, 2 + 4 + terms_len + 8 + 4)
+        }
+        Request::ScanPrefix { prefix, .. } => (KIND_SCAN, 2 + 1 + 4 + prefix.len() + 8 + 4),
+        Request::Status => (KIND_STATUS, 0),
+        Request::Introspect => (KIND_INTROSPECT, 0),
+    }
+}
+
+fn put_request(p: &mut Vec<u8>, req: &Request) {
+    match req {
         Request::Get {
             dc,
             terms,
             version,
             top_k,
         } => {
-            put_dc(&mut p, *dc);
-            put_u32(&mut p, terms.len() as u32);
+            put_dc(p, *dc);
+            put_u32(p, terms.len() as u32);
             for t in terms {
-                put_bytes(&mut p, t);
+                put_bytes(p, t);
             }
-            put_u64(&mut p, *version);
-            put_u32(&mut p, *top_k);
-            KIND_GET
+            put_u64(p, *version);
+            put_u32(p, *top_k);
         }
         Request::ScanPrefix {
             dc,
@@ -459,17 +536,14 @@ fn request_payload(req: &Request) -> (u8, Vec<u8>) {
             version,
             limit,
         } => {
-            put_dc(&mut p, *dc);
+            put_dc(p, *dc);
             p.push(kind_to_u8(*kind));
-            put_bytes(&mut p, prefix);
-            put_u64(&mut p, *version);
-            put_u32(&mut p, *limit);
-            KIND_SCAN
+            put_bytes(p, prefix);
+            put_u64(p, *version);
+            put_u32(p, *limit);
         }
-        Request::Status => KIND_STATUS,
-        Request::Introspect => KIND_INTROSPECT,
-    };
-    (kind, p)
+        Request::Status | Request::Introspect => {}
+    }
 }
 
 /// Decodes a request from a frame body (after the length prefix),
@@ -525,64 +599,82 @@ pub fn decode_request(body: &[u8]) -> Result<(u64, u64, Request), ProtocolError>
 /// included). Servers echo the request's `trace_id` here so the client
 /// learns which trace its request became.
 pub fn encode_response(req_id: u64, trace_id: u64, resp: &Response) -> Vec<u8> {
-    let (kind, p) = response_payload(resp);
-    seal(kind, req_id, trace_id, &p)
+    let (kind, payload_len) = response_shape(resp);
+    let mut out = open_frame(kind, req_id, trace_id, payload_len);
+    put_response(&mut out, resp);
+    seal(out)
 }
 
-fn response_payload(resp: &Response) -> (u8, Vec<u8>) {
-    let mut p = Vec::new();
-    let kind = match resp {
+/// A response's kind byte and the exact size [`put_response`] writes.
+fn response_shape(resp: &Response) -> (u8, usize) {
+    match resp {
+        Response::Hits { hits, .. } => {
+            let hits_len: usize = hits
+                .iter()
+                .map(|h| 4 + h.url.len() + 4 + 1 + h.summary.as_ref().map_or(0, |s| 4 + s.len()))
+                .sum();
+            (KIND_HITS, 1 + 4 + hits_len)
+        }
+        Response::Scan { items, .. } => {
+            let items_len: usize = items
+                .iter()
+                .map(|(key, _, value)| 4 + key.len() + 8 + 4 + value.len())
+                .sum();
+            (KIND_SCAN_RESULT, 1 + 4 + items_len)
+        }
+        Response::Status { generations, .. } => {
+            (KIND_STATUS_RESULT, 8 + 8 + 4 + generations.len() * (2 + 8))
+        }
+        Response::Introspect { json } => (KIND_INTROSPECT_RESULT, 4 + json.len()),
+        Response::Error { message, .. } => (KIND_ERROR, 1 + 4 + message.len()),
+    }
+}
+
+fn put_response(p: &mut Vec<u8>, resp: &Response) {
+    match resp {
         Response::Hits { degraded, hits } => {
             p.push(*degraded as u8);
-            put_u32(&mut p, hits.len() as u32);
+            put_u32(p, hits.len() as u32);
             for h in hits {
-                put_bytes(&mut p, &h.url);
-                put_u32(&mut p, h.matched_terms);
+                put_bytes(p, &h.url);
+                put_u32(p, h.matched_terms);
                 match &h.summary {
                     Some(s) => {
                         p.push(1);
-                        put_bytes(&mut p, s);
+                        put_bytes(p, s);
                     }
                     None => p.push(0),
                 }
             }
-            KIND_HITS
         }
         Response::Scan { items, truncated } => {
             p.push(*truncated as u8);
-            put_u32(&mut p, items.len() as u32);
+            put_u32(p, items.len() as u32);
             for (key, version, value) in items {
-                put_bytes(&mut p, key);
-                put_u64(&mut p, *version);
-                put_bytes(&mut p, value);
+                put_bytes(p, key);
+                put_u64(p, *version);
+                put_bytes(p, value);
             }
-            KIND_SCAN_RESULT
         }
         Response::Status {
             current_version,
             min_live_version,
             generations,
         } => {
-            put_u64(&mut p, *current_version);
-            put_u64(&mut p, *min_live_version);
-            put_u32(&mut p, generations.len() as u32);
+            put_u64(p, *current_version);
+            put_u64(p, *min_live_version);
+            put_u32(p, generations.len() as u32);
             for g in generations {
-                put_dc(&mut p, g.dc);
-                put_u64(&mut p, g.generation);
+                put_dc(p, g.dc);
+                put_u64(p, g.generation);
             }
-            KIND_STATUS_RESULT
         }
-        Response::Introspect { json } => {
-            put_bytes(&mut p, json.as_bytes());
-            KIND_INTROSPECT_RESULT
-        }
+        Response::Introspect { json } => put_bytes(p, json.as_bytes()),
         Response::Error { code, message } => {
             p.push(code.to_u8());
-            put_bytes(&mut p, message.as_bytes());
-            KIND_ERROR
+            put_bytes(p, message.as_bytes());
         }
-    };
-    (kind, p)
+    }
 }
 
 /// Decodes a response from a frame body (after the length prefix),
@@ -732,11 +824,88 @@ pub fn read_frame(r: &mut impl Read, max_frame: usize) -> std::io::Result<ReadFr
 mod tests {
     use super::*;
 
+    /// The byte-at-a-time CRC the slice-by-16 kernel must equal: one
+    /// dependent lookup in table 0 per byte.
+    fn crc32_reference(data: &[u8]) -> u32 {
+        let mut crc = 0xFFFF_FFFFu32;
+        for &b in data {
+            crc = (crc >> 8) ^ CRC_TABLES[0][((crc ^ b as u32) & 0xFF) as usize];
+        }
+        !crc
+    }
+
+    /// `n` bytes from a fixed-seed xorshift64*.
+    fn seeded_bytes(seed: u64, n: usize) -> Vec<u8> {
+        let mut x = seed | 1;
+        (0..n)
+            .map(|_| {
+                x ^= x >> 12;
+                x ^= x << 25;
+                x ^= x >> 27;
+                (x.wrapping_mul(0x2545_F491_4F6C_DD1D) >> 56) as u8
+            })
+            .collect()
+    }
+
     #[test]
     fn crc32_matches_known_vectors() {
         // Standard IEEE CRC-32 check value.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+        assert_eq!(crc32_reference(b"123456789"), 0xCBF4_3926);
+    }
+
+    #[test]
+    fn crc32_equals_the_byte_at_a_time_reference() {
+        // Every length through sixteen full blocks, at every alignment
+        // of the start within a block.
+        let buf = seeded_bytes(23, 256 + 16);
+        for start in 0..16 {
+            for len in 0..=256 {
+                let data = &buf[start..start + len];
+                assert_eq!(
+                    crc32(data),
+                    crc32_reference(data),
+                    "start {start} len {len}"
+                );
+            }
+        }
+        // Sixteen long inputs at seeded lengths in 1..=64 KiB.
+        let big = seeded_bytes(61, 64 * 1024);
+        for pair in seeded_bytes(5, 32).chunks_exact(2) {
+            let len = usize::from(u16::from_le_bytes([pair[0], pair[1]])) + 1;
+            let data = &big[..len];
+            assert_eq!(crc32(data), crc32_reference(data), "len {len}");
+        }
+    }
+
+    #[test]
+    fn frames_are_sized_exactly_once() {
+        let hits = Response::Hits {
+            degraded: false,
+            hits: vec![
+                WireHit {
+                    url: Bytes::from_static(b"url:a"),
+                    matched_terms: 2,
+                    summary: Some(Bytes::from(vec![b's'; 300])),
+                },
+                WireHit {
+                    url: Bytes::from_static(b"url:b"),
+                    matched_terms: 1,
+                    summary: None,
+                },
+            ],
+        };
+        let frame = encode_response(1, 2, &hits);
+        assert_eq!(frame.len(), frame.capacity(), "no regrowth, no slack");
+        let req = Request::Get {
+            dc: DataCenterId::all()[0],
+            terms: vec![Bytes::from_static(b"alpha")],
+            version: 0,
+            top_k: 5,
+        };
+        let frame = encode_request(1, 0, &req);
+        assert_eq!(frame.len(), frame.capacity());
     }
 
     #[test]
@@ -777,6 +946,33 @@ mod tests {
             let err = decode_request(&bad[4..]).unwrap_err();
             assert_eq!(err, ProtocolError::BadChecksum, "flip at {i}");
         }
+        // A net_hot-shaped answer: five hits with ~1 KiB summaries, so
+        // the CRC runs hundreds of 16-byte steps and a flip lands in
+        // every table of every step.
+        let text = seeded_bytes(7, 5 * 1024);
+        let hits = (0..5)
+            .map(|i| WireHit {
+                url: Bytes::from(format!("url:{i:06}")),
+                matched_terms: 2,
+                summary: Some(Bytes::copy_from_slice(&text[i * 1024..(i + 1) * 1024])),
+            })
+            .collect();
+        let frame = encode_response(
+            3,
+            9,
+            &Response::Hits {
+                degraded: false,
+                hits,
+            },
+        );
+        let mut bad = frame[4..].to_vec();
+        for i in 0..bad.len() {
+            bad[i] ^= 0x40;
+            let err = decode_response(&bad).unwrap_err();
+            assert_eq!(err, ProtocolError::BadChecksum, "flip at {i}");
+            bad[i] ^= 0x40;
+        }
+        assert!(decode_response(&bad).is_ok());
     }
 
     #[test]

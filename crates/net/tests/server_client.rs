@@ -258,6 +258,51 @@ fn get_naming_an_unknown_region_is_a_protocol_error() {
     server.shutdown();
 }
 
+/// An answer too large for the peer's frame cap comes back as an error
+/// frame, not as a frame the client must reject: the connection, and
+/// every request pipelined on it, survives.
+#[test]
+fn oversized_answer_is_an_error_not_a_dead_connection() {
+    let engine = engine_with_two_versions();
+    let server = Server::start(
+        Arc::clone(&engine),
+        "127.0.0.1:0",
+        ServerConfig {
+            max_frame: 4096,
+            ..ServerConfig::default()
+        },
+    )
+    .expect("bind");
+    let mut client = Client::connect(
+        server.local_addr().to_string(),
+        ClientConfig {
+            max_frame: 4096,
+            ..ClientConfig::default()
+        },
+    )
+    .expect("connect");
+    let scan = Request::ScanPrefix {
+        dc: DataCenterId::all()[0],
+        kind: IndexKind::Summary,
+        prefix: Bytes::new(),
+        version: 0,
+        limit: 100,
+    };
+    match client.request(&scan).expect("scan answers") {
+        Response::Error { code, message } => {
+            assert_eq!(code, net::ErrorCode::BadRequest);
+            assert_eq!(message, "response exceeds max frame");
+        }
+        other => panic!("expected an error frame, got {other:?}"),
+    }
+    assert!(matches!(
+        client.request(&Request::Status).expect("status"),
+        Response::Status { .. }
+    ));
+    assert_eq!(client.reconnects(), 0, "the connection survived");
+    server.shutdown();
+}
+
 #[test]
 fn netbench_accounting_balances_on_loopback() {
     let engine = engine_with_two_versions();
