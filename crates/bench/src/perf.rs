@@ -14,6 +14,8 @@
 //! |---|---|---|
 //! | `qindb_write` | qindb + ssd | Figure-5 summary-index stream, reduced scale |
 //! | `lsm_write` | lsm + ssd | the same stream on the LevelDB-style baseline |
+//! | `wisckey_write` | wisckey + lsm + ssd | the same stream on the key-value-separated engine |
+//! | `fig8` | qindb, lsm, wisckey + ssd | Figure-8 point-read latency, without and with the update stream |
 //! | `bifrost_delivery` | bifrost + netsim | three versions across the WAN with dedup |
 //! | `mint_kv` | mint | replicated PUT batches + GET fan-out |
 //! | `pipeline_round` | core (all layers) | two end-to-end update rounds |
@@ -26,6 +28,7 @@
 //! | `attribution` | serve + obs | costed serving: accumulator render, hot-key sketch, WAN ledger |
 
 use crate::fig5::{self, Fig5Config};
+use crate::fig8::{self, Fig8Config};
 use bifrost::{Bifrost, BifrostConfig, DataCenterId, TrunkCapacities};
 use bytes::Bytes;
 use directload::{DirectLoad, DirectLoadConfig};
@@ -36,9 +39,11 @@ use serve::{ServeConfig, ServeExt, SummaryCache};
 use simclock::{SimClock, SimTime};
 
 /// Scenario names, in suite order. `perf` runs exactly these.
-pub const SCENARIOS: [&str; 12] = [
+pub const SCENARIOS: [&str; 14] = [
     "qindb_write",
     "lsm_write",
+    "wisckey_write",
+    "fig8",
     "bifrost_delivery",
     "mint_kv",
     "pipeline_round",
@@ -63,6 +68,8 @@ pub fn run_scenario(name: &str) -> Option<BenchReport> {
     Some(match name {
         "qindb_write" => engine_write("qindb_write", fig5::run_qindb),
         "lsm_write" => engine_write("lsm_write", fig5::run_leveldb),
+        "wisckey_write" => engine_write("wisckey_write", fig5::run_wisckey),
+        "fig8" => read_latency(),
         "bifrost_delivery" => bifrost_delivery(),
         "mint_kv" => mint_kv(),
         "pipeline_round" => pipeline_round(),
@@ -98,6 +105,23 @@ fn engine_write(name: &str, runner: fn(&Fig5Config) -> fig5::EngineRun) -> Bench
     r.push(name, "total_waf", run.total_waf, "ratio");
     r.push(name, "blocks_erased", run.blocks_erased as f64, "count");
     r.push(name, "elapsed_sim_sec", run.elapsed_sec, "s");
+    r
+}
+
+/// Figure 8 at its quick scale: each engine's read latency on the
+/// simulated clock, without (`8a`) and with (`8b`) the update stream.
+fn read_latency() -> BenchReport {
+    let mut r = BenchReport::new(MODE);
+    for (part, with_updates) in [("8a", false), ("8b", true)] {
+        let cfg = Fig8Config::quick(with_updates);
+        for run in [fig8::run_qindb, fig8::run_leveldb, fig8::run_wisckey] {
+            let lat = run(&cfg);
+            let cell = |metric: &str| format!("{part}/{}/{metric}", lat.engine);
+            r.push("fig8", &cell("avg_us"), lat.avg_us, "us");
+            r.push("fig8", &cell("p99_us"), lat.p99_us as f64, "us");
+            r.push("fig8", &cell("p999_us"), lat.p999_us as f64, "us");
+        }
+    }
     r
 }
 
