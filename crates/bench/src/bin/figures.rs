@@ -105,7 +105,14 @@ fn fig6(ctx: &mut Ctx) {
     println!("{:<14} {:>14}", "engine", "stddev MB/s");
     println!("{:<14} {:>14.4}", l.engine, l.user_write_stddev);
     println!("{:<14} {:>14.4}", q.engine, q.user_write_stddev);
-    let ratio = l.user_write_stddev / q.user_write_stddev.max(f64::MIN_POSITIVE);
+    let Some(ratio) = fig5::stddev_ratio(&l, &q) else {
+        println!(
+            "ratio (LevelDB/QinDB): n/a   ({} and {} per-second samples; a stddev needs two of each)",
+            l.samples.len(),
+            q.samples.len()
+        );
+        return;
+    };
     println!("ratio (LevelDB/QinDB): {ratio:.1}x   (paper: 0.6616 vs 0.0501 ≈ 13x)");
     ctx.row("fig6", "stddev_ratio", ratio, "ratio");
 }

@@ -1,4 +1,4 @@
-//! Figures 5 & 6: the summary-index write workload on both engines.
+//! Figures 5 & 6: the summary-index write workload on each engine.
 //!
 //! The paper replays a 6-hour production summary-index stream — 11
 //! versions of ⟨20-byte key, ~20 KB value⟩ pairs, with a deletion thread
@@ -8,13 +8,12 @@
 //! scale (the simulator retains page payloads in memory) and sample the
 //! same three series each simulated minute.
 
+use crate::engine::{self, Engine};
 use indexgen::{CorpusConfig, CrawlSimulator};
-use lsmtree::{LsmConfig, LsmTree};
-use qindb::{EngineStats, QinDb, QinDbConfig};
+use qindb::EngineStats;
 use serde::Serialize;
-use simclock::{SeriesStats, SimClock, SimTime};
-use ssdsim::{Device, DeviceConfig};
-use wisckey::{WiscKey, WiscKeyConfig};
+use simclock::{SeriesStats, SimTime};
+use ssdsim::CounterSnapshot;
 
 /// Scaled-down Figure 5 workload parameters.
 #[derive(Debug, Clone, Copy)]
@@ -79,7 +78,7 @@ pub struct TimeSample {
 /// Complete result of one engine's run.
 #[derive(Debug, Clone, Serialize)]
 pub struct EngineRun {
-    /// Engine label ("qindb" or "leveldb-like").
+    /// Engine label ("qindb", "leveldb-like" or "wisckey").
     pub engine: String,
     /// Per-second samples.
     pub samples: Vec<TimeSample>,
@@ -101,220 +100,87 @@ pub struct EngineRun {
     pub blocks_erased: u64,
 }
 
-/// The engine under test.
-trait WorkloadTarget {
-    fn put(&mut self, key: &[u8], version: u64, value: &[u8]);
-    fn del(&mut self, key: &[u8], version: u64);
-    /// Engine-side counters in [`EngineStats`] form; engines without a
-    /// QinDB-shaped stat set map what they have (user write bytes) and
-    /// leave the rest zero.
-    fn engine_stats(&self) -> EngineStats;
-    fn disk_bytes(&self) -> u64;
-    fn memory_bytes(&self) -> u64;
-}
-
-struct QinDbTarget(QinDb);
-
-impl WorkloadTarget for QinDbTarget {
-    fn put(&mut self, key: &[u8], version: u64, value: &[u8]) {
-        self.0.put(key, version, Some(value)).expect("qindb put");
-    }
-    fn del(&mut self, key: &[u8], version: u64) {
-        self.0.del(key, version).expect("qindb del");
-    }
-    fn engine_stats(&self) -> EngineStats {
-        self.0.stats()
-    }
-    fn disk_bytes(&self) -> u64 {
-        self.0.disk_bytes()
-    }
-    fn memory_bytes(&self) -> u64 {
-        self.0.memtable_bytes() as u64
-    }
-}
-
-/// WiscKey separates keys from values; versions fold into the key as for
-/// the plain LSM.
-struct WiscKeyTarget(WiscKey);
-
-impl WorkloadTarget for WiscKeyTarget {
-    fn put(&mut self, key: &[u8], version: u64, value: &[u8]) {
-        self.0
-            .put(&composite(key, version), value)
-            .expect("wisckey put");
-    }
-    fn del(&mut self, key: &[u8], version: u64) {
-        self.0
-            .delete(&composite(key, version))
-            .expect("wisckey del");
-    }
-    fn engine_stats(&self) -> EngineStats {
-        EngineStats {
-            user_write_bytes: self.0.stats().user_write_bytes,
-            ..Default::default()
-        }
-    }
-    fn disk_bytes(&self) -> u64 {
-        self.0.disk_bytes()
-    }
-    fn memory_bytes(&self) -> u64 {
-        // Pointer-LSM metadata is tiny; approximate like the baseline.
-        self.0.disk_bytes() / 50
-    }
-}
-
-/// LevelDB has no version dimension: versions fold into the key.
-struct LsmTarget(LsmTree);
-
-fn composite(key: &[u8], version: u64) -> Vec<u8> {
-    let mut k = key.to_vec();
-    k.extend_from_slice(&version.to_be_bytes());
-    k
-}
-
-impl WorkloadTarget for LsmTarget {
-    fn put(&mut self, key: &[u8], version: u64, value: &[u8]) {
-        self.0
-            .put(&composite(key, version), value)
-            .expect("lsm put");
-    }
-    fn del(&mut self, key: &[u8], version: u64) {
-        self.0.delete(&composite(key, version)).expect("lsm del");
-    }
-    fn engine_stats(&self) -> EngineStats {
-        EngineStats {
-            user_write_bytes: self.0.stats().user_write_bytes,
-            ..Default::default()
-        }
-    }
-    fn disk_bytes(&self) -> u64 {
-        self.0.disk_bytes()
-    }
-    fn memory_bytes(&self) -> u64 {
-        // The baseline keeps bloom filters + indices per table in memory;
-        // approximate with 2% of on-disk bytes plus the memtable budget.
-        self.0.disk_bytes() / 50
-    }
-}
-
-fn device(cfg: &Fig5Config, clock: &SimClock) -> Device {
-    Device::new(DeviceConfig::sized(cfg.device_bytes), clock.clone())
-}
-
 /// Runs the workload against QinDB.
 pub fn run_qindb(cfg: &Fig5Config) -> EngineRun {
-    let clock = SimClock::new();
-    let dev = device(cfg, &clock);
-    let engine = QinDb::new(
-        dev.clone(),
-        QinDbConfig {
-            aof: aof::AofConfig {
-                file_size: (cfg.device_bytes / 24) as usize,
-            },
-            ..QinDbConfig::default()
-        },
-    );
-    run(cfg, clock, dev, QinDbTarget(engine), "qindb")
+    run(cfg, engine::qindb(cfg.device_bytes))
 }
 
 /// Runs the workload against the LevelDB-style baseline.
 pub fn run_leveldb(cfg: &Fig5Config) -> EngineRun {
-    let clock = SimClock::new();
-    let dev = device(cfg, &clock);
-    let engine = LsmTree::new(
-        dev.clone(),
-        LsmConfig {
-            write_buffer_bytes: (cfg.device_bytes / 96) as usize,
-            level_base_bytes: cfg.device_bytes / 24,
-            level_multiplier: 4,
-            table_target_bytes: (cfg.device_bytes / 192) as usize,
-            ..LsmConfig::default()
-        },
-    );
-    run(cfg, clock, dev, LsmTarget(engine), "leveldb-like")
+    run(cfg, engine::lsm(cfg.device_bytes))
 }
 
 /// Runs the workload against the WiscKey-style engine (§2.1's
 /// intermediate design: values out of the tree, keys still LSM-sorted).
 pub fn run_wisckey(cfg: &Fig5Config) -> EngineRun {
-    let clock = SimClock::new();
-    let dev = device(cfg, &clock);
-    let engine = WiscKey::new(
-        dev.clone(),
-        WiscKeyConfig {
-            lsm: LsmConfig {
-                write_buffer_bytes: (cfg.device_bytes / 384) as usize,
-                level_base_bytes: cfg.device_bytes / 96,
-                level_multiplier: 4,
-                table_target_bytes: (cfg.device_bytes / 768) as usize,
-                ..LsmConfig::default()
-            },
-            vlog: wisckey::VlogConfig { segment_pages: 256 },
-            value_threshold: 256,
-            // Budget the log at ~60% of the device.
-            max_segments: (cfg.device_bytes * 6 / 10 / (256 * 4096)) as usize,
-            lsm_fraction: 0.25,
-        },
-    );
-    run(cfg, clock, dev, WiscKeyTarget(engine), "wisckey")
+    run(cfg, engine::wisckey(cfg.device_bytes))
 }
 
-fn run<T: WorkloadTarget>(
-    cfg: &Fig5Config,
-    clock: SimClock,
-    dev: Device,
-    mut target: T,
-    label: &str,
-) -> EngineRun {
+/// Figure 6's ratio: the baseline's user-write stddev over QinDB's.
+/// `None` when either series has fewer than two samples — the stddev of
+/// one sample is 0 whatever the engine did.
+pub fn stddev_ratio(baseline: &EngineRun, qindb: &EngineRun) -> Option<f64> {
+    if baseline.samples.len() < 2 || qindb.samples.len() < 2 {
+        return None;
+    }
+    Some(baseline.user_write_stddev / qindb.user_write_stddev.max(f64::MIN_POSITIVE))
+}
+
+/// Closes each whole simulated second as the clock passes it, taking the
+/// interval's deltas of the engine's and the device's counters.
+struct Sampler {
+    samples: Vec<TimeSample>,
+    second: u64,
+    stats: EngineStats,
+    counters: CounterSnapshot,
+}
+
+impl Sampler {
+    fn new(target: &impl Engine) -> Self {
+        Sampler {
+            samples: Vec::new(),
+            second: 0,
+            stats: EngineStats::default(),
+            counters: target.device().counters(),
+        }
+    }
+
+    fn tick(&mut self, target: &impl Engine) {
+        let dev = target.device();
+        let now = dev.clock().now().as_nanos() / SimTime::from_secs(1).as_nanos();
+        while self.second < now {
+            let stats = target.engine_stats();
+            let counters = dev.counters();
+            let interval = stats.delta(&self.stats);
+            let delta = counters.delta(&self.counters);
+            self.samples.push(TimeSample {
+                second: self.second,
+                user_write_mb: interval.user_write_bytes as f64 / 1e6,
+                sys_write_mb: delta.sys_write_bytes() as f64 / 1e6,
+                sys_read_mb: delta.sys_read_bytes() as f64 / 1e6,
+                disk_mb: target.disk_bytes() as f64 / 1e6,
+            });
+            self.stats = stats;
+            self.counters = counters;
+            self.second += 1;
+        }
+    }
+}
+
+fn run(cfg: &Fig5Config, mut target: impl Engine) -> EngineRun {
     // The corpus provides deterministic keys and values.
     let mut crawler = CrawlSimulator::new(CorpusConfig {
         num_docs: cfg.keys,
         summary_mean_bytes: cfg.value_bytes,
         ..CorpusConfig::default()
     });
-    let mut samples: Vec<TimeSample> = Vec::new();
-    let mut last_second = 0u64;
-    let mut last_stats = EngineStats::default();
-    let mut last_counters = dev.counters();
-    let sample = |target: &T,
-                  dev: &Device,
-                  now: SimTime,
-                  last_second: &mut u64,
-                  last_stats: &mut EngineStats,
-                  last_counters: &mut ssdsim::CounterSnapshot,
-                  samples: &mut Vec<TimeSample>| {
-        let second = now.as_nanos() / SimTime::from_secs(1).as_nanos();
-        while *last_second < second {
-            let stats = target.engine_stats();
-            let counters = dev.counters();
-            let interval = stats.delta(last_stats);
-            let delta = counters.delta(last_counters);
-            samples.push(TimeSample {
-                second: *last_second,
-                user_write_mb: interval.user_write_bytes as f64 / 1e6,
-                sys_write_mb: delta.sys_write_bytes() as f64 / 1e6,
-                sys_read_mb: delta.sys_read_bytes() as f64 / 1e6,
-                disk_mb: target.disk_bytes() as f64 / 1e6,
-            });
-            *last_stats = stats;
-            *last_counters = counters;
-            *last_second += 1;
-        }
-    };
+    let mut sampler = Sampler::new(&target);
     for v in 1..=cfg.versions {
         let index = crawler.advance_round(1.0);
         // Insert threads: stream the version's pairs.
         for pair in &index.summary {
             target.put(&pair.key, v, &pair.value);
-            sample(
-                &target,
-                &dev,
-                clock.now(),
-                &mut last_second,
-                &mut last_stats,
-                &mut last_counters,
-                &mut samples,
-            );
+            sampler.tick(&target);
         }
         // Deletion thread: retire the oldest version once `retain` are on
         // disk.
@@ -322,26 +188,19 @@ fn run<T: WorkloadTarget>(
             let old = v - cfg.retain;
             for pair in &index.summary {
                 target.del(&pair.key, old);
-                sample(
-                    &target,
-                    &dev,
-                    clock.now(),
-                    &mut last_second,
-                    &mut last_stats,
-                    &mut last_counters,
-                    &mut samples,
-                );
+                sampler.tick(&target);
             }
         }
     }
-    let elapsed = clock.now();
-    let counters = dev.counters();
+    let samples = sampler.samples;
+    let elapsed = target.device().clock().now();
+    let counters = target.device().counters();
     let user = target.engine_stats().user_write_bytes;
     let secs = elapsed.as_secs_f64().max(f64::MIN_POSITIVE);
     let user_series: Vec<f64> = samples.iter().map(|m| m.user_write_mb).collect();
     let stddev = SeriesStats::compute(&user_series).map_or(0.0, |s| s.stddev);
     EngineRun {
-        engine: label.to_string(),
+        engine: target.label().to_string(),
         samples,
         user_write_mbps: user as f64 / 1e6 / secs,
         sys_write_mbps: counters.sys_write_bytes() as f64 / 1e6 / secs,
@@ -393,5 +252,19 @@ mod tests {
             l.user_write_mbps
         );
         assert!(!q.samples.is_empty() && !l.samples.is_empty());
+    }
+
+    #[test]
+    fn fig6_ratio_needs_two_samples_per_series() {
+        // The quick QinDB run ends inside its second simulated second:
+        // one sample, stddev 0, and no ratio to report.
+        let cfg = Fig5Config::quick();
+        let q = run_qindb(&cfg);
+        let l = run_leveldb(&cfg);
+        assert_eq!(q.samples.len(), 1, "quick qindb run: {} s", q.elapsed_sec);
+        assert!(l.samples.len() >= 2);
+        assert_eq!(stddev_ratio(&l, &q), None);
+        assert_eq!(stddev_ratio(&q, &l), None);
+        assert_eq!(stddev_ratio(&l, &l), Some(1.0));
     }
 }

@@ -6,15 +6,14 @@
 //! per read (the skip list resolves the location in memory), where
 //! LevelDB may probe several tables down the levels.
 
+use crate::engine::{self, Engine};
 use indexgen::{CorpusConfig, CrawlSimulator, IndexVersion};
 use lsmtree::{LsmConfig, LsmTree};
 use obs::LatencyHistogram;
-use qindb::{QinDb, QinDbConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::Serialize;
-use simclock::{SimClock, SimTime};
-use ssdsim::{Device, DeviceConfig};
+use simclock::SimTime;
 use wisckey::{WiscKey, WiscKeyConfig};
 
 /// Read-latency experiment parameters.
@@ -116,38 +115,57 @@ fn report(engine: &str, lats: &[SimTime]) -> LatencyReport {
     }
 }
 
-fn corpus(cfg: &Fig8Config) -> CrawlSimulator {
-    CrawlSimulator::new(CorpusConfig {
+/// Runs the scenario on QinDB.
+pub fn run_qindb(cfg: &Fig8Config) -> LatencyReport {
+    run(cfg, engine::qindb(cfg.device_bytes))
+}
+
+/// Runs the scenario on the LevelDB-style baseline.
+pub fn run_leveldb(cfg: &Fig8Config) -> LatencyReport {
+    let bytes = cfg.device_bytes;
+    let lsm = table_cache(engine::lsm_config(bytes));
+    run(cfg, LsmTree::new(engine::device(bytes), lsm))
+}
+
+/// Runs the scenario on the WiscKey-style engine: every read costs a
+/// pointer-LSM probe plus a value-log read.
+pub fn run_wisckey(cfg: &Fig8Config) -> LatencyReport {
+    let bytes = cfg.device_bytes;
+    let w = engine::wisckey_config(bytes);
+    let w = WiscKeyConfig {
+        lsm: table_cache(w.lsm),
+        ..w
+    };
+    run(cfg, WiscKey::new(engine::device(bytes), w))
+}
+
+/// Figure 8's one change to the Figure 5 engines: a scaled-down table
+/// cache. With ~190 tables on the device, cold probes pay the index-load
+/// cost, like LevelDB's max_open_files pressure in production.
+fn table_cache(cfg: LsmConfig) -> LsmConfig {
+    LsmConfig {
+        max_open_tables: 24,
+        ..cfg
+    }
+}
+
+fn run(cfg: &Fig8Config, mut db: impl Engine) -> LatencyReport {
+    let mut crawler = CrawlSimulator::new(CorpusConfig {
         num_docs: cfg.keys,
         summary_mean_bytes: cfg.value_bytes,
         ..CorpusConfig::default()
-    })
-}
-
-/// Runs the scenario on QinDB.
-pub fn run_qindb(cfg: &Fig8Config) -> LatencyReport {
-    let clock = SimClock::new();
-    let dev = Device::new(DeviceConfig::sized(cfg.device_bytes), clock.clone());
-    let mut db = QinDb::new(
-        dev,
-        QinDbConfig {
-            aof: aof::AofConfig {
-                file_size: (cfg.device_bytes / 24) as usize,
-            },
-            ..QinDbConfig::default()
-        },
-    );
-    let mut crawler = corpus(cfg);
+    });
     let mut versions: Vec<IndexVersion> = Vec::new();
     for v in 1..=cfg.preload_versions {
         let index = crawler.advance_round(1.0);
         for pair in &index.summary {
-            db.put(&pair.key, v, Some(&pair.value)).expect("preload");
+            db.put(&pair.key, v, &pair.value);
         }
         versions.push(index);
     }
-    db.flush().expect("flush preload"); // reads must hit flash, not the tail buffer
-                                        // The concurrent update stream, interleaved one put per read.
+    // Reads must hit flash, not the write buffer.
+    db.flush();
+    // The concurrent update stream, interleaved one put per read.
     let update_stream: Vec<_> = if cfg.with_updates {
         crawler.advance_round(1.0).summary
     } else {
@@ -155,150 +173,24 @@ pub fn run_qindb(cfg: &Fig8Config) -> LatencyReport {
     };
     let mut rng = StdRng::seed_from_u64(cfg.seed);
     let mut lats = Vec::with_capacity(cfg.reads);
-    let clock2 = db.device().clock().clone();
-    let t_base = clock2.now();
+    let clock = db.device().clock().clone();
+    let t_base = clock.now();
     for i in 0..cfg.reads {
         if cfg.with_updates && !update_stream.is_empty() && i % cfg.reads_per_put == 0 {
             let pair = &update_stream[(i / cfg.reads_per_put) % update_stream.len()];
-            db.put(&pair.key, cfg.preload_versions + 1, Some(&pair.value))
-                .expect("update stream");
+            db.put(&pair.key, cfg.preload_versions + 1, &pair.value);
         }
         let v = rng.gen_range(1..=cfg.preload_versions);
         let key = &versions[v as usize - 1].summary[rng.gen_range(0..cfg.keys)].key;
         // Reads arrive on a fixed schedule; a read issued while the
         // device is still busy (a compaction, a GC pass) queues.
         let arrival = t_base + SimTime::from_micros(cfg.arrival_us) * i as u64;
-        clock2.advance_to(arrival);
-        let got = db.get(key, v).expect("read");
+        clock.advance_to(arrival);
+        let got = db.get(key, v);
         assert!(got.is_some(), "preloaded key must resolve");
-        lats.push(clock2.now().saturating_sub(arrival));
+        lats.push(clock.now().saturating_sub(arrival));
     }
-    report("qindb", &lats)
-}
-
-/// Runs the scenario on the LevelDB-style baseline.
-pub fn run_leveldb(cfg: &Fig8Config) -> LatencyReport {
-    let clock = SimClock::new();
-    let dev = Device::new(DeviceConfig::sized(cfg.device_bytes), clock.clone());
-    let mut db = LsmTree::new(
-        dev,
-        LsmConfig {
-            write_buffer_bytes: (cfg.device_bytes / 96) as usize,
-            level_base_bytes: cfg.device_bytes / 24,
-            level_multiplier: 4,
-            table_target_bytes: (cfg.device_bytes / 192) as usize,
-            // A scaled-down table cache: with ~190 tables on the device,
-            // cold probes pay the index-load cost, like LevelDB's
-            // max_open_files pressure in production.
-            max_open_tables: 24,
-            ..LsmConfig::default()
-        },
-    );
-    let composite = |key: &[u8], v: u64| {
-        let mut k = key.to_vec();
-        k.extend_from_slice(&v.to_be_bytes());
-        k
-    };
-    let mut crawler = corpus(cfg);
-    let mut versions: Vec<IndexVersion> = Vec::new();
-    for v in 1..=cfg.preload_versions {
-        let index = crawler.advance_round(1.0);
-        for pair in &index.summary {
-            db.put(&composite(&pair.key, v), &pair.value)
-                .expect("preload");
-        }
-        versions.push(index);
-    }
-    db.flush_memtable().expect("flush preload");
-    db.maybe_compact().expect("compact preload");
-    let update_stream: Vec<_> = if cfg.with_updates {
-        crawler.advance_round(1.0).summary
-    } else {
-        Vec::new()
-    };
-    let mut rng = StdRng::seed_from_u64(cfg.seed);
-    let mut lats = Vec::with_capacity(cfg.reads);
-    let clock2 = db.device().clock().clone();
-    let t_base = clock2.now();
-    for i in 0..cfg.reads {
-        if cfg.with_updates && !update_stream.is_empty() && i % cfg.reads_per_put == 0 {
-            let pair = &update_stream[(i / cfg.reads_per_put) % update_stream.len()];
-            db.put(&composite(&pair.key, cfg.preload_versions + 1), &pair.value)
-                .expect("update stream");
-        }
-        let v = rng.gen_range(1..=cfg.preload_versions);
-        let key = &versions[v as usize - 1].summary[rng.gen_range(0..cfg.keys)].key;
-        let arrival = t_base + SimTime::from_micros(cfg.arrival_us) * i as u64;
-        clock2.advance_to(arrival);
-        let got = db.get(&composite(key, v)).expect("read");
-        assert!(got.is_some(), "preloaded key must resolve");
-        lats.push(clock2.now().saturating_sub(arrival));
-    }
-    report("leveldb-like", &lats)
-}
-
-/// Runs the scenario on the WiscKey-style engine: every read costs a
-/// pointer-LSM probe plus a value-log read.
-pub fn run_wisckey(cfg: &Fig8Config) -> LatencyReport {
-    let clock = SimClock::new();
-    let dev = Device::new(DeviceConfig::sized(cfg.device_bytes), clock.clone());
-    let mut db = WiscKey::new(
-        dev,
-        WiscKeyConfig {
-            lsm: LsmConfig {
-                write_buffer_bytes: (cfg.device_bytes / 384) as usize,
-                level_base_bytes: cfg.device_bytes / 96,
-                level_multiplier: 4,
-                table_target_bytes: (cfg.device_bytes / 768) as usize,
-                max_open_tables: 24,
-                ..LsmConfig::default()
-            },
-            vlog: wisckey::VlogConfig { segment_pages: 256 },
-            value_threshold: 256,
-            max_segments: (cfg.device_bytes * 6 / 10 / (256 * 4096)) as usize,
-            lsm_fraction: 0.25,
-        },
-    );
-    let composite = |key: &[u8], v: u64| {
-        let mut k = key.to_vec();
-        k.extend_from_slice(&v.to_be_bytes());
-        k
-    };
-    let mut crawler = corpus(cfg);
-    let mut versions: Vec<IndexVersion> = Vec::new();
-    for v in 1..=cfg.preload_versions {
-        let index = crawler.advance_round(1.0);
-        for pair in &index.summary {
-            db.put(&composite(&pair.key, v), &pair.value)
-                .expect("preload");
-        }
-        versions.push(index);
-    }
-    db.flush().expect("flush preload");
-    let update_stream: Vec<_> = if cfg.with_updates {
-        crawler.advance_round(1.0).summary
-    } else {
-        Vec::new()
-    };
-    let mut rng = StdRng::seed_from_u64(cfg.seed);
-    let mut lats = Vec::with_capacity(cfg.reads);
-    let clock2 = db.device().clock().clone();
-    let t_base = clock2.now();
-    for i in 0..cfg.reads {
-        if cfg.with_updates && !update_stream.is_empty() && i % cfg.reads_per_put == 0 {
-            let pair = &update_stream[(i / cfg.reads_per_put) % update_stream.len()];
-            db.put(&composite(&pair.key, cfg.preload_versions + 1), &pair.value)
-                .expect("update stream");
-        }
-        let v = rng.gen_range(1..=cfg.preload_versions);
-        let key = &versions[v as usize - 1].summary[rng.gen_range(0..cfg.keys)].key;
-        let arrival = t_base + SimTime::from_micros(cfg.arrival_us) * i as u64;
-        clock2.advance_to(arrival);
-        let got = db.get(&composite(key, v)).expect("read");
-        assert!(got.is_some(), "preloaded key must resolve");
-        lats.push(clock2.now().saturating_sub(arrival));
-    }
-    report("wisckey", &lats)
+    report(db.label(), &lats)
 }
 
 #[cfg(test)]

@@ -14,8 +14,7 @@
 //! * **legacy** — dedup off (full values on the wire), LSM storage.
 
 use bifrost::{Bifrost, BifrostConfig, DataCenterId, DeliveryMode, TrunkCapacities, UpdateEntry};
-use bytes::{BufMut, Bytes, BytesMut};
-use directload::{DirectLoad, DirectLoadConfig, LegacyCluster, LegacyClusterConfig};
+use directload::{routed_key, DirectLoad, DirectLoadConfig, LegacyCluster, LegacyClusterConfig};
 use indexgen::{CorpusConfig, CrawlSimulator, IndexKind};
 use mint::{MintConfig, WriteOp};
 use qindb::QinDbConfig;
@@ -150,19 +149,6 @@ pub struct MonthReport {
     pub cycle_legacy_min: f64,
 }
 
-fn prefixed(kind: IndexKind, key: &[u8]) -> Bytes {
-    let tag = match kind {
-        IndexKind::Forward => b'F',
-        IndexKind::Summary => b'S',
-        IndexKind::Inverted => b'I',
-    };
-    let mut out = BytesMut::with_capacity(key.len() + 2);
-    out.put_u8(tag);
-    out.put_u8(b':');
-    out.put_slice(key);
-    out.freeze()
-}
-
 /// The pre-DirectLoad deployment: full transmission + LSM clusters.
 struct LegacyPipeline {
     crawler: CrawlSimulator,
@@ -211,7 +197,7 @@ impl LegacyPipeline {
         let index = self.crawler.advance_round(change_fraction);
         let (delivery, entries) = self.bifrost.deliver_version(&index, start);
         let to_op = |e: &UpdateEntry| WriteOp {
-            key: prefixed(e.kind, &e.key),
+            key: routed_key(e.kind, &e.key),
             version: e.version,
             value: e.value.clone(),
         };

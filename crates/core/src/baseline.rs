@@ -7,11 +7,12 @@
 //! LevelDB-style engines. This module provides that storage side: the
 //! same group/replica routing as [`mint`], but each node runs an
 //! [`lsmtree::LsmTree`] and versions are folded into the key
-//! (`key ⧺ version`), since a plain KV engine has no version dimension.
+//! ([`lsmtree::versioned_key`]), since a plain KV engine has no version
+//! dimension.
 
 use crate::Result;
-use bytes::{BufMut, Bytes, BytesMut};
-use lsmtree::{LsmConfig, LsmTree};
+use bytes::Bytes;
+use lsmtree::{versioned_key, LsmConfig, LsmTree};
 use mint::{group_of, rendezvous_rank, WriteOp};
 use parking_lot::Mutex;
 use simclock::{SimClock, SimTime};
@@ -48,15 +49,6 @@ impl LegacyClusterConfig {
 struct LegacyNode {
     clock: SimClock,
     engine: Mutex<LsmTree>,
-}
-
-/// Composite key: `key ⧺ be64(version)` so versions of one key sort
-/// adjacently inside the LSM engines.
-fn composite(key: &[u8], version: u64) -> Bytes {
-    let mut out = BytesMut::with_capacity(key.len() + 8);
-    out.put_slice(key);
-    out.put_u64(version);
-    out.freeze()
 }
 
 /// The baseline storage cluster.
@@ -102,7 +94,7 @@ impl LegacyCluster {
     pub fn apply(&mut self, ops: &[WriteOp]) -> Result<SimTime> {
         let before: Vec<SimTime> = self.nodes.iter().map(|n| n.clock.now()).collect();
         for op in ops {
-            let key = composite(&op.key, op.version);
+            let key = versioned_key(&op.key, op.version);
             let value = op.value.clone().unwrap_or_default();
             for r in self.replicas_of(&op.key) {
                 let node = &self.nodes[r as usize];
@@ -120,7 +112,7 @@ impl LegacyCluster {
 
     /// Deletes `key/version` on its replicas.
     pub fn delete(&mut self, key: &[u8], version: u64) -> Result<()> {
-        let ck = composite(key, version);
+        let ck = versioned_key(key, version);
         for r in self.replicas_of(key) {
             self.nodes[r as usize].engine.lock().delete(&ck)?;
         }
@@ -129,7 +121,7 @@ impl LegacyCluster {
 
     /// Reads `key/version`, returning the fastest replica hit.
     pub fn get(&self, key: &[u8], version: u64) -> Result<(Option<Bytes>, SimTime)> {
-        let ck = composite(key, version);
+        let ck = versioned_key(key, version);
         let mut best_hit: Option<(Bytes, SimTime)> = None;
         let mut best_miss = SimTime::MAX;
         for r in self.replicas_of(key) {

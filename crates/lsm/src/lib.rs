@@ -89,3 +89,13 @@ impl From<SsdError> for LsmError {
 
 /// Convenience alias.
 pub type Result<T> = std::result::Result<T, LsmError>;
+
+/// The key a versioned pair is stored under in an engine with no version
+/// dimension: `key ⧺ be64(version)`, so the versions of one key sort
+/// adjacently and in order.
+pub fn versioned_key(key: &[u8], version: u64) -> Vec<u8> {
+    let mut out = Vec::with_capacity(key.len() + 8);
+    out.extend_from_slice(key);
+    out.extend_from_slice(&version.to_be_bytes());
+    out
+}

@@ -12,7 +12,7 @@
 mod stats;
 mod time;
 
-pub use stats::{percentile, SeriesStats, TimeSeries};
+pub use stats::{percentile, SeriesStats};
 pub use time::SimTime;
 
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -1,8 +1,8 @@
 //! Series statistics used when regenerating the paper's figures.
 //!
 //! Figure 6 reports the standard deviation of a per-minute throughput
-//! series; Figure 8 reports average / p99 / p99.9 latency. These helpers
-//! compute exactly those quantities.
+//! series; the §5 RUM profile reports p99 / p99.9 read latency. These
+//! helpers compute exactly those quantities.
 
 use crate::SimTime;
 
@@ -63,61 +63,6 @@ pub fn percentile(samples: &[SimTime], q: f64) -> Option<SimTime> {
     Some(sorted[rank - 1])
 }
 
-/// A time-bucketed series: samples are accumulated into fixed-width time
-/// buckets, producing e.g. the "MB written per minute" curves in Figures 5–7.
-#[derive(Debug, Clone)]
-pub struct TimeSeries {
-    bucket: SimTime,
-    buckets: Vec<f64>,
-}
-
-impl TimeSeries {
-    /// Creates a series with the given bucket width.
-    ///
-    /// # Panics
-    /// Panics if `bucket` is zero.
-    pub fn new(bucket: SimTime) -> Self {
-        assert!(bucket > SimTime::ZERO, "bucket width must be positive");
-        TimeSeries {
-            bucket,
-            buckets: Vec::new(),
-        }
-    }
-
-    /// Adds `amount` at instant `t`.
-    pub fn record(&mut self, t: SimTime, amount: f64) {
-        let idx = (t.as_nanos() / self.bucket.as_nanos()) as usize;
-        if idx >= self.buckets.len() {
-            self.buckets.resize(idx + 1, 0.0);
-        }
-        self.buckets[idx] += amount;
-    }
-
-    /// Per-bucket totals (index 0 is `[0, bucket)`).
-    pub fn totals(&self) -> &[f64] {
-        &self.buckets
-    }
-
-    /// Per-bucket rate in `amount / second`, e.g. MB/s when amounts are MB.
-    pub fn rates_per_sec(&self) -> Vec<f64> {
-        let secs = self.bucket.as_secs_f64();
-        self.buckets.iter().map(|b| b / secs).collect()
-    }
-
-    /// Running cumulative totals, e.g. the storage-occupation curve of
-    /// Figure 7.
-    pub fn cumulative(&self) -> Vec<f64> {
-        let mut acc = 0.0;
-        self.buckets
-            .iter()
-            .map(|b| {
-                acc += b;
-                acc
-            })
-            .collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -164,26 +109,5 @@ mod tests {
     #[should_panic(expected = "quantile out of range")]
     fn percentile_rejects_bad_quantile() {
         let _ = percentile(&[SimTime::ZERO], 1.5);
-    }
-
-    #[test]
-    fn timeseries_buckets_and_rates() {
-        let mut ts = TimeSeries::new(SimTime::from_secs(60));
-        ts.record(SimTime::from_secs(10), 6.0);
-        ts.record(SimTime::from_secs(59), 6.0);
-        ts.record(SimTime::from_secs(61), 12.0);
-        ts.record(SimTime::from_secs(200), 3.0);
-        assert_eq!(ts.totals(), &[12.0, 12.0, 0.0, 3.0]);
-        let rates = ts.rates_per_sec();
-        assert!((rates[0] - 0.2).abs() < 1e-12);
-        assert!((rates[1] - 0.2).abs() < 1e-12);
-        assert_eq!(rates[2], 0.0);
-        assert_eq!(ts.cumulative(), vec![12.0, 24.0, 24.0, 27.0]);
-    }
-
-    #[test]
-    #[should_panic(expected = "bucket width must be positive")]
-    fn timeseries_rejects_zero_bucket() {
-        let _ = TimeSeries::new(SimTime::ZERO);
     }
 }

@@ -1,177 +1,46 @@
-//! QinDB vs a LevelDB-style LSM engine on identical hardware.
+//! QinDB vs a LevelDB-style LSM engine (and WiscKey) on identical hardware.
 //!
 //! Runs the paper's Figure 5 protocol at demo scale — the same versioned
-//! summary-index stream against both engines, each on its own simulated
-//! SSD — and prints the write-amplification, throughput-smoothness, and
-//! storage-occupation comparison.
+//! summary-index stream against each engine, each on its own simulated
+//! SSD, through the harness the figures use — and prints the
+//! write-amplification, throughput-smoothness, and storage-occupation
+//! comparison.
 //!
 //! ```text
 //! cargo run --release --example engine_comparison
 //! ```
 
-use lsmtree::{LsmConfig, LsmTree};
-use qindb::{QinDb, QinDbConfig};
-use simclock::{SeriesStats, SimClock};
-use ssdsim::{Device, DeviceConfig};
-use wisckey::{VlogConfig, WiscKey, WiscKeyConfig};
-
-const KEYS: u32 = 1200;
-const VERSIONS: u64 = 8;
-const RETAIN: u64 = 3;
-const VALUE: usize = 1024;
-const DEVICE: u64 = 16 * 1024 * 1024;
-
-fn value_for(key: u32, version: u64) -> Vec<u8> {
-    let mut v = vec![0u8; VALUE];
-    let seed = (key as u64) * 31 + version;
-    for (i, b) in v.iter_mut().enumerate() {
-        *b = (seed as usize + i) as u8;
-    }
-    v
-}
+use directload_bench::fig5::{self, Fig5Config};
+use directload_bench::fig7;
 
 fn main() {
-    // --- QinDB ---------------------------------------------------------
-    let clock = SimClock::new();
-    let dev = Device::new(DeviceConfig::sized(DEVICE), clock.clone());
-    let mut qindb = QinDb::new(dev.clone(), QinDbConfig::small_files(512 * 1024));
-    let mut per_second: Vec<f64> = Vec::new();
-    let mut last = (0u64, 0u64); // (second, user bytes)
-    for v in 1..=VERSIONS {
-        for k in 0..KEYS {
-            qindb
-                .put(format!("key-{k:06}").as_bytes(), v, Some(&value_for(k, v)))
-                .unwrap();
-            let sec = clock.now().as_nanos() / 1_000_000_000;
-            if sec > last.0 {
-                let user = qindb.stats().user_write_bytes;
-                per_second.push((user - last.1) as f64 / 1e6);
-                last = (sec, user);
-            }
-        }
-        if v > RETAIN {
-            for k in 0..KEYS {
-                qindb
-                    .del(format!("key-{k:06}").as_bytes(), v - RETAIN)
-                    .unwrap();
-            }
-        }
-    }
-    let q_elapsed = clock.now();
-    let q_user = qindb.stats().user_write_bytes;
-    let q_sys = dev.counters().sys_write_bytes();
-    let q_stddev = SeriesStats::compute(&per_second).map_or(0.0, |s| s.stddev);
-    let q_disk = qindb.disk_bytes();
-
-    // --- LevelDB-like baseline -----------------------------------------
-    let clock = SimClock::new();
-    let dev = Device::new(DeviceConfig::sized(DEVICE), clock.clone());
-    let mut lsm = LsmTree::new(
-        dev.clone(),
-        LsmConfig {
-            write_buffer_bytes: 256 * 1024,
-            level_base_bytes: 1024 * 1024,
-            level_multiplier: 4,
-            table_target_bytes: 128 * 1024,
-            ..LsmConfig::default()
-        },
+    let cfg = Fig5Config::quick();
+    let l = fig5::run_leveldb(&cfg);
+    let w = fig5::run_wisckey(&cfg);
+    let q = fig5::run_qindb(&cfg);
+    println!(
+        "same workload: {} keys x {} versions of ~{} B, retain {}\n",
+        cfg.keys, cfg.versions, cfg.value_bytes, cfg.retain
     );
-    let composite = |k: u32, v: u64| format!("key-{k:06}/{v:016}");
-    let mut per_second: Vec<f64> = Vec::new();
-    let mut last = (0u64, 0u64);
-    for v in 1..=VERSIONS {
-        for k in 0..KEYS {
-            lsm.put(composite(k, v).as_bytes(), &value_for(k, v))
-                .unwrap();
-            let sec = clock.now().as_nanos() / 1_000_000_000;
-            if sec > last.0 {
-                let user = lsm.stats().user_write_bytes;
-                per_second.push((user - last.1) as f64 / 1e6);
-                last = (sec, user);
-            }
-        }
-        if v > RETAIN {
-            for k in 0..KEYS {
-                lsm.delete(composite(k, v - RETAIN).as_bytes()).unwrap();
-            }
-        }
-    }
-    let l_elapsed = clock.now();
-    let l_user = lsm.stats().user_write_bytes;
-    let l_sys = dev.counters().sys_write_bytes();
-    let l_stddev = SeriesStats::compute(&per_second).map_or(0.0, |s| s.stddev);
-    let l_disk = lsm.disk_bytes();
-
-    // --- WiscKey-like (the §2.1 intermediate design) --------------------
-    let clock = SimClock::new();
-    let dev = Device::new(DeviceConfig::sized(DEVICE), clock.clone());
-    let mut wk = WiscKey::new(
-        dev.clone(),
-        WiscKeyConfig {
-            lsm: LsmConfig {
-                write_buffer_bytes: 64 * 1024,
-                level_base_bytes: 256 * 1024,
-                level_multiplier: 4,
-                table_target_bytes: 32 * 1024,
-                ..LsmConfig::default()
-            },
-            vlog: VlogConfig { segment_pages: 256 },
-            value_threshold: 256,
-            max_segments: 10,
-            lsm_fraction: 0.25,
-        },
-    );
-    let mut per_second: Vec<f64> = Vec::new();
-    let mut last = (0u64, 0u64);
-    for v in 1..=VERSIONS {
-        for k in 0..KEYS {
-            wk.put(composite(k, v).as_bytes(), &value_for(k, v))
-                .unwrap();
-            let sec = clock.now().as_nanos() / 1_000_000_000;
-            if sec > last.0 {
-                let user = wk.stats().user_write_bytes;
-                per_second.push((user - last.1) as f64 / 1e6);
-                last = (sec, user);
-            }
-        }
-        if v > RETAIN {
-            for k in 0..KEYS {
-                wk.delete(composite(k, v - RETAIN).as_bytes()).unwrap();
-            }
-        }
-    }
-    let w_elapsed = clock.now();
-    let w_user = wk.stats().user_write_bytes;
-    let w_sys = dev.counters().sys_write_bytes();
-    let w_stddev = SeriesStats::compute(&per_second).map_or(0.0, |s| s.stddev);
-    let w_disk = wk.disk_bytes();
-
-    // --- The comparison -------------------------------------------------
-    println!("same workload: {KEYS} keys x {VERSIONS} versions of {VALUE} B, retain {RETAIN}\n");
     println!(
         "{:<14} {:>10} {:>10} {:>7} {:>12} {:>10}",
-        "engine", "user MB/s", "sys MB/s", "WAF", "stddev MB/s", "disk MB"
+        "engine", "user MB/s", "sys MB/s", "WAF", "stddev MB/s", "peak MB"
     );
-    for (name, user, sys, elapsed, stddev, disk) in [
-        ("leveldb-like", l_user, l_sys, l_elapsed, l_stddev, l_disk),
-        ("wisckey", w_user, w_sys, w_elapsed, w_stddev, w_disk),
-        ("qindb", q_user, q_sys, q_elapsed, q_stddev, q_disk),
-    ] {
-        let secs = elapsed.as_secs_f64();
+    for r in [&l, &w, &q] {
         println!(
             "{:<14} {:>10.3} {:>10.3} {:>7.2} {:>12.4} {:>10.1}",
-            name,
-            user as f64 / 1e6 / secs,
-            sys as f64 / 1e6 / secs,
-            sys as f64 / user as f64,
-            stddev,
-            disk as f64 / 1e6,
+            r.engine,
+            r.user_write_mbps,
+            r.sys_write_mbps,
+            r.total_waf,
+            r.user_write_stddev,
+            fig7::summarize(r).peak_mb,
         );
     }
     println!(
         "\nQinDB ingests {:.1}x faster with {:.1}x less write amplification,",
-        (q_user as f64 / q_elapsed.as_secs_f64()) / (l_user as f64 / l_elapsed.as_secs_f64()),
-        (l_sys as f64 / l_user as f64) / (q_sys as f64 / q_user as f64),
+        q.user_write_mbps / l.user_write_mbps,
+        l.total_waf / q.total_waf,
     );
     println!("paying with disk space held by the lazy GC (the paper's RUM trade).");
 }
