@@ -2,7 +2,7 @@
 //! rediscovery of appending-only files built from raw erase blocks.
 
 use crate::{AofError, Result};
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{Buf, BufMut, BytesMut};
 use ssdsim::{BlockId, Device};
 use std::collections::BTreeMap;
 
@@ -267,11 +267,13 @@ impl Aof {
         self.files.keys().copied().collect()
     }
 
-    /// Reads `len` bytes at `offset` within `file`. Reads may span blocks
-    /// and, for the active file, extend into the not-yet-durable buffer.
-    pub fn read(&self, file: FileId, offset: u64, len: usize) -> Result<Bytes> {
+    /// Reads `len` bytes at `offset` within `file` into one buffer of
+    /// exactly that size, each byte copied once from its page. Reads may
+    /// span blocks and, for the active file, extend into the
+    /// not-yet-durable buffer.
+    pub fn read(&self, file: FileId, offset: u64, len: usize) -> Result<Vec<u8>> {
         if len == 0 {
-            return Ok(Bytes::new());
+            return Ok(Vec::new());
         }
         let (blocks, durable, buf): (&[BlockId], u64, &[u8]) = if let Some(a) = &self.active {
             if a.id == file {
@@ -288,7 +290,7 @@ impl Aof {
         if offset + len as u64 > end {
             return Err(AofError::OutOfBounds { file, offset, len });
         }
-        let mut out = BytesMut::with_capacity(len);
+        let mut out = Vec::with_capacity(len);
         let dpb = self.data_per_block();
         let mut pos = offset;
         let mut remaining = len;
@@ -296,7 +298,7 @@ impl Aof {
             if pos >= durable {
                 // Tail lives in the in-memory buffer.
                 let b = (pos - durable) as usize;
-                out.put_slice(&buf[b..b + remaining]);
+                out.extend_from_slice(&buf[b..b + remaining]);
                 break;
             }
             let block_idx = (pos / dpb) as usize;
@@ -305,12 +307,12 @@ impl Aof {
                 .min((dpb - within) as usize)
                 .min((durable - pos) as usize);
             let dev_off = self.page_size + within as usize;
-            let (data, _) = self.dev.raw_read(blocks[block_idx], dev_off, chunk)?;
-            out.put_slice(&data);
+            self.dev
+                .raw_read(blocks[block_idx], dev_off, chunk, &mut out)?;
             pos += chunk as u64;
             remaining -= chunk;
         }
-        Ok(out.freeze())
+        Ok(out)
     }
 
     /// Erases a sealed file, returning its blocks to the device.
@@ -337,6 +339,7 @@ impl Aof {
     pub fn recover(dev: Device, cfg: AofConfig) -> Result<Self> {
         let geo = dev.geometry();
         let mut grouped: BTreeMap<FileId, Vec<(u32, BlockId, u32)>> = BTreeMap::new();
+        let mut header = Vec::with_capacity(16);
         for block in dev.raw_blocks() {
             let written = dev.raw_next_page(block)?;
             if written == 0 {
@@ -344,7 +347,8 @@ impl Aof {
                 dev.raw_erase(block)?;
                 continue;
             }
-            let (header, _) = dev.raw_read(block, 0, 16)?;
+            header.clear();
+            dev.raw_read(block, 0, 16, &mut header)?;
             let mut h = &header[..];
             if h.get_u32() != BLOCK_HEADER_MAGIC {
                 // Not an AOF block: another subsystem (e.g. the engine's

@@ -44,7 +44,7 @@ proptest! {
         }
         for (loc, expect) in &locs {
             let got = store.read(loc.file, loc.offset, loc.len as usize).unwrap();
-            prop_assert_eq!(got.as_ref(), expect.as_slice());
+            prop_assert_eq!(got.as_slice(), expect.as_slice());
         }
     }
 
@@ -65,7 +65,7 @@ proptest! {
         let recovered = Aof::recover(dev, AofConfig { file_size: FILE_SIZE }).unwrap();
         for (loc, expect) in &locs {
             let got = recovered.read(loc.file, loc.offset, loc.len as usize).unwrap();
-            prop_assert_eq!(got.as_ref(), expect.as_slice());
+            prop_assert_eq!(got.as_slice(), expect.as_slice());
         }
     }
 }

@@ -12,14 +12,14 @@
 //! blocks during discovery. Writing is crash-safe by ordering: the new
 //! checkpoint (with a higher id) is fully programmed before the previous
 //! one's blocks are erased; recovery picks the newest image whose
-//! checksum verifies.
+//! checksum ([`wal::crc32c`] over the body) verifies.
 
-use crate::record::fnv1a;
 use crate::Result;
 use aof::{FileId, GcTable, Occupancy};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use memtable::Memtable;
 use ssdsim::{BlockId, Device};
+use wal::crc32c;
 
 const CKPT_BLOCK_MAGIC: u32 = 0x434B_5054; // "CKPT"
 
@@ -63,7 +63,7 @@ fn encode(table: &Memtable, gct: &GcTable, next_seq: u64, covered: &[(FileId, u6
     body.put_slice(&image);
     let mut out = BytesMut::with_capacity(body.len() + 8);
     out.put_u32(body.len() as u32);
-    out.put_u32(fnv1a(&body));
+    out.put_u32(crc32c(&body));
     out.extend_from_slice(&body);
     out.freeze()
 }
@@ -82,7 +82,7 @@ fn decode(mut data: &[u8]) -> Option<DecodedCheckpoint> {
         return None;
     }
     let body = &data[..body_len];
-    if fnv1a(body) != crc {
+    if crc32c(body) != crc {
         return None;
     }
     let mut b = body;
@@ -178,7 +178,9 @@ pub fn load_latest(dev: &Device) -> Result<Option<CheckpointState>> {
         if written == 0 {
             continue;
         }
-        let (header, _) = dev.raw_read(block, 0, 24).map_err(aof::AofError::from)?;
+        let mut header = Vec::with_capacity(24);
+        dev.raw_read(block, 0, 24, &mut header)
+            .map_err(aof::AofError::from)?;
         let mut h = &header[..];
         if h.get_u32() != CKPT_BLOCK_MAGIC {
             continue;
@@ -210,10 +212,8 @@ pub fn load_latest(dev: &Device) -> Result<Option<CheckpointState>> {
                 if take == 0 {
                     break;
                 }
-                let (data, _) = dev
-                    .raw_read(block, geo.page_size, take)
+                dev.raw_read(block, geo.page_size, take, &mut payload)
                     .map_err(aof::AofError::from)?;
-                payload.extend_from_slice(&data);
             }
             if let Some((table, gct, next_seq, covered)) = decode(&payload) {
                 result = Some(CheckpointState {

@@ -2,7 +2,7 @@
 
 use crate::checkpoint::{self, CheckpointState};
 use crate::config::QinDbConfig;
-use crate::record::{scan_records, Record, ScanItem};
+use crate::record::{scan_records, Record, RecordRef, ScanItem};
 use crate::stats::{AtomicEngineStats, EngineStats};
 use crate::{QinDbError, Result};
 use aof::{Aof, FileId, GcTable, RecordLoc};
@@ -73,8 +73,8 @@ pub struct QinDb {
 fn frontier_of_records(records: &[wal::WalRecord]) -> u64 {
     records
         .iter()
-        .filter(|r| r.payload.len() >= 8)
-        .map(|r| u64::from_le_bytes(r.payload[..8].try_into().unwrap()))
+        .filter_map(|r| r.payload.first_chunk::<8>())
+        .map(|lsn| u64::from_le_bytes(*lsn))
         .max()
         .unwrap_or(0)
 }
@@ -218,7 +218,8 @@ impl QinDb {
     }
 
     /// The flash half of a read that [`QinDb::lookup`] located: counts
-    /// the GET (and its traceback), then reads the value bytes.
+    /// the GET (and its traceback), then reads the record into one
+    /// buffer, verifies it there and copies out only the value.
     fn fetch(&self, loc: ValueLocation, hops: u32, trace_id: u64) -> Result<Bytes> {
         self.stats.gets.add(1);
         if hops > 0 {
@@ -233,11 +234,23 @@ impl QinDb {
                 }
             }
         }
-        let value = self.read_put_value(loc)?.ok_or(QinDbError::Inconsistent(
-            "traceback target record carries no value",
-        ))?;
+        let data = self.aof_read(loc)?;
+        let Some((record, _)) = RecordRef::parse(&data) else {
+            return Err(QinDbError::CorruptRecord {
+                file: loc.file,
+                offset: loc.offset as u64,
+            });
+        };
+        let RecordRef::Put {
+            value: Some(value), ..
+        } = record
+        else {
+            return Err(QinDbError::Inconsistent(
+                "value location holds a NULL value or a tombstone",
+            ));
+        };
         self.stats.user_read_bytes.add(value.len() as u64);
-        Ok(value)
+        Ok(Bytes::copy_from_slice(value))
     }
 
     /// Distinguishes the three states a `k/t` can be in — a replicated
@@ -324,14 +337,7 @@ impl QinDb {
             let Some((_, loc)) = seen.value else {
                 continue; // dangling dedup chain
             };
-            if seen.hops > 0 {
-                self.stats.gets_traced.add(1);
-                self.stats.traceback_steps.add(seen.hops as u64);
-            }
-            let value = self.read_put_value(loc)?.ok_or(QinDbError::Inconsistent(
-                "scan target record carries no value",
-            ))?;
-            self.stats.user_read_bytes.add(value.len() as u64);
+            let value = self.fetch(loc, seen.hops, 0)?;
             out.push((Bytes::copy_from_slice(key), seen.version, value));
         }
         Ok(out)
@@ -889,7 +895,7 @@ impl QinDb {
     // Crate-internal accessors (fsck / verification)
     // ------------------------------------------------------------------
 
-    pub(crate) fn aof_read(&self, loc: ValueLocation) -> Result<Bytes> {
+    pub(crate) fn aof_read(&self, loc: ValueLocation) -> Result<Vec<u8>> {
         Ok(self
             .aof
             .read(loc.file, loc.offset as u64, loc.len as usize)?)
@@ -939,22 +945,6 @@ impl QinDb {
             self.gct.seal(sealed);
         }
         Ok(loc)
-    }
-
-    fn read_put_value(&self, loc: ValueLocation) -> Result<Option<Bytes>> {
-        let data = self
-            .aof
-            .read(loc.file, loc.offset as u64, loc.len as usize)?;
-        let (record, _) = Record::decode(&data).map_err(|_| QinDbError::CorruptRecord {
-            file: loc.file,
-            offset: loc.offset as u64,
-        })?;
-        match record {
-            Record::Put { value, .. } => Ok(value),
-            Record::Del { .. } => Err(QinDbError::Inconsistent(
-                "value location points at a tombstone",
-            )),
-        }
     }
 
     /// The one skip-list descent of a mutation: loads `key`'s whole
@@ -1064,7 +1054,8 @@ mod tests {
         // A fixed stream over every lookup outcome: direct hit, traceback
         // (also through a deleted ancestor), deleted, absent version,
         // absent key, dangling dedup chain. The expected numbers are what
-        // the engine reported before lookups became one chain walk.
+        // the engine reported before lookups became one chain walk, except
+        // that the scan's row now counts as a GET (`gets` 8 → 9).
         let mut db = small_engine();
         db.put(b"k", 1, Some(b"v1")).unwrap();
         db.put(b"k", 2, None).unwrap();
@@ -1115,8 +1106,26 @@ mod tests {
                 s.traceback_steps,
                 s.user_read_bytes
             ),
-            (8, 4, 4, 6, 13)
+            (9, 4, 4, 6, 13)
         );
+    }
+
+    #[test]
+    fn scan_rows_count_as_gets() {
+        let mut db = small_engine();
+        for k in 0..5u32 {
+            let key = format!("row/{k}");
+            db.put(key.as_bytes(), 1, Some(&vec![7u8; 10 + k as usize]))
+                .unwrap();
+            db.put(key.as_bytes(), 2, None).unwrap();
+        }
+        let rows = db.scan_prefix(b"row/", 2).unwrap();
+        assert_eq!(rows.len(), 5);
+        let s = db.stats();
+        assert!(s.gets_traced <= s.gets, "{s:?}");
+        assert_eq!((s.gets, s.gets_traced, s.traceback_steps), (5, 5, 5));
+        let returned: usize = rows.iter().map(|(_, _, v)| v.len()).sum();
+        assert_eq!(s.user_read_bytes, returned as u64);
     }
 
     #[test]

@@ -3,11 +3,17 @@
 //! Every AOF record is framed as:
 //!
 //! ```text
-//! [u8 magic 0xA5][u32le body_len][body][u32le crc(body)]
+//! [u8 magic 0xA5][u32le body_len][body][u32le crc32c(body)]
 //! body = [u8 kind][u64le seq][u32le key_len][key][u64le version]
 //!        Put:  [u32le value_marker][value]   (marker = NULL_VALUE → no value)
 //!        Del:  (nothing further)
 //! ```
+//!
+//! The checksum is [`wal::crc32c`], the kernel the WAL frames its
+//! records with: one pass over the body at hardware speed where the CPU
+//! has a CRC-32C instruction. A GET verifies the record in place in the
+//! one buffer the AOF read filled (`RecordRef::parse`) and copies out
+//! only the value.
 //!
 //! `seq` is a node-global, monotonically increasing sequence number. It
 //! defines the logical order of mutations independently of physical file
@@ -24,7 +30,8 @@
 //! scan.
 
 use crate::{QinDbError, Result};
-use bytes::{Buf, BufMut, Bytes};
+use bytes::{BufMut, Bytes};
+use wal::crc32c;
 
 const RECORD_MAGIC: u8 = 0xA5;
 const NULL_VALUE: u32 = u32::MAX;
@@ -143,59 +150,86 @@ impl Record {
     /// Decodes one record from the front of `data`. Returns the record and
     /// the number of bytes consumed.
     pub fn decode(data: &[u8]) -> Result<(Record, usize)> {
-        let corrupt = QinDbError::CorruptRecord { file: 0, offset: 0 };
-        if data.len() < 9 || data[0] != RECORD_MAGIC {
-            return Err(corrupt);
+        let (record, consumed) =
+            RecordRef::parse(data).ok_or(QinDbError::CorruptRecord { file: 0, offset: 0 })?;
+        let record = match record {
+            RecordRef::Put {
+                seq,
+                key,
+                version,
+                value,
+            } => Record::Put {
+                seq,
+                key: Bytes::copy_from_slice(key),
+                version,
+                value: value.map(Bytes::copy_from_slice),
+            },
+            RecordRef::Del { seq, key, version } => Record::Del {
+                seq,
+                key: Bytes::copy_from_slice(key),
+                version,
+            },
+        };
+        Ok((record, consumed))
+    }
+}
+
+/// A record decoded in place: [`Record`] with every field borrowed from
+/// the frame it was parsed from.
+pub(crate) enum RecordRef<'a> {
+    Put {
+        seq: u64,
+        key: &'a [u8],
+        version: u64,
+        value: Option<&'a [u8]>,
+    },
+    Del {
+        seq: u64,
+        key: &'a [u8],
+        version: u64,
+    },
+}
+
+impl<'a> RecordRef<'a> {
+    /// Verifies and parses the record at the front of `data` without
+    /// copying it. Returns the record and the number of bytes consumed,
+    /// or `None` when `data` does not start with a whole, checksum-valid
+    /// record.
+    pub(crate) fn parse(data: &'a [u8]) -> Option<(RecordRef<'a>, usize)> {
+        let (&RECORD_MAGIC, rest) = data.split_first()? else {
+            return None;
+        };
+        let (body_len, rest) = rest.split_first_chunk::<4>()?;
+        let body_len = u32::from_le_bytes(*body_len) as usize;
+        let body = rest.get(..body_len)?;
+        let crc = rest.get(body_len..)?.first_chunk::<4>()?;
+        if crc32c(body) != u32::from_le_bytes(*crc) {
+            return None;
         }
-        let mut buf = &data[1..];
-        let body_len = buf.get_u32_le() as usize;
-        if buf.remaining() < body_len + 4 {
-            return Err(corrupt);
-        }
-        let body = &buf[..body_len];
-        let mut tail = &buf[body_len..];
-        let crc = tail.get_u32_le();
-        if fnv1a(body) != crc {
-            return Err(corrupt);
-        }
-        let mut b = body;
-        if b.remaining() < 9 {
-            return Err(corrupt);
-        }
-        let kind = b.get_u8();
-        let seq = b.get_u64_le();
-        let key_len = b.get_u32_le() as usize;
-        if b.remaining() < key_len + 8 {
-            return Err(corrupt);
-        }
-        let key = Bytes::copy_from_slice(&b[..key_len]);
-        b.advance(key_len);
-        let version = b.get_u64_le();
+        let (&kind, b) = body.split_first()?;
+        let (seq, b) = b.split_first_chunk::<8>()?;
+        let (key_len, b) = b.split_first_chunk::<4>()?;
+        let (key, b) = b.split_at_checked(u32::from_le_bytes(*key_len) as usize)?;
+        let (version, b) = b.split_first_chunk::<8>()?;
+        let (seq, version) = (u64::from_le_bytes(*seq), u64::from_le_bytes(*version));
         let record = match kind {
             KIND_PUT => {
-                if b.remaining() < 4 {
-                    return Err(corrupt);
-                }
-                let marker = b.get_u32_le();
-                let value = if marker == NULL_VALUE {
-                    None
-                } else {
-                    if b.remaining() < marker as usize {
-                        return Err(corrupt);
-                    }
-                    Some(Bytes::copy_from_slice(&b[..marker as usize]))
+                let (marker, b) = b.split_first_chunk::<4>()?;
+                let value = match u32::from_le_bytes(*marker) {
+                    NULL_VALUE => None,
+                    len => Some(b.get(..len as usize)?),
                 };
-                Record::Put {
+                RecordRef::Put {
                     seq,
                     key,
                     version,
                     value,
                 }
             }
-            KIND_DEL => Record::Del { seq, key, version },
-            _ => return Err(corrupt),
+            KIND_DEL => RecordRef::Del { seq, key, version },
+            _ => return None,
         };
-        Ok((record, 9 + body_len))
+        Some((record, 1 + 4 + body_len + 4))
     }
 }
 
@@ -216,19 +250,9 @@ fn frame(kind: u8, seq: u64, key: &[u8], version: u64, rest: usize) -> Vec<u8> {
 
 /// Ends a record whose body is complete: appends the body's checksum.
 fn seal(mut out: Vec<u8>) -> Vec<u8> {
-    let crc = fnv1a(&out[5..]);
+    let crc = crc32c(&out[5..]);
     out.put_u32_le(crc);
     out
-}
-
-/// 32-bit FNV-1a: the checksum of a record body and of a checkpoint body.
-pub(crate) fn fnv1a(data: &[u8]) -> u32 {
-    let mut h: u32 = 0x811c_9dc5;
-    for &b in data {
-        h ^= b as u32;
-        h = h.wrapping_mul(0x0100_0193);
-    }
-    h
 }
 
 /// One record yielded by a scan.
@@ -393,16 +417,18 @@ mod tests {
     #[test]
     fn on_flash_format_is_pinned() {
         // magic, body_len, kind, seq, key_len, key, version, value_len,
-        // value, fnv1a(body) — byte for byte what earlier builds wrote.
+        // value, crc32c(body) — byte for byte what earlier builds wrote,
+        // except the checksum, which was FNV-1a (0xe71b_7c46) until
+        // records moved to CRC-32C; layout and sizes did not change.
         let mut want = vec![0xA5, 27, 0, 0, 0, 1];
         want.extend_from_slice(&7u64.to_le_bytes());
         want.extend_from_slice(&[2, 0, 0, 0, b'k', b'1']);
         want.extend_from_slice(&3u64.to_le_bytes());
         want.extend_from_slice(&[0, 0, 0, 0]);
-        let crc = fnv1a(&want[5..]);
+        let crc = crc32c(&want[5..]);
         want.extend_from_slice(&crc.to_le_bytes());
         assert_eq!(Record::encode_put(7, b"k1", 3, Some(b"")), want);
-        assert_eq!(crc, 0xe71b_7c46);
+        assert_eq!(crc, 0xbe8d_6e4b);
         // A NULL value is the marker alone; a tombstone has no marker.
         let null = Record::encode_put(7, b"k1", 3, None);
         assert_eq!(null[28..32], [0xFF; 4]);
@@ -413,10 +439,15 @@ mod tests {
 
     #[test]
     fn crc_detects_corruption() {
-        let enc = put("k", 1, Some("v")).encode();
-        let mut bad = enc.to_vec();
-        bad[7] ^= 0x40;
-        assert!(Record::decode(&bad).is_err());
+        // Every single-bit flip of a framed 1 KiB put, header included.
+        let value: Vec<u8> = (0..1024u32).map(|i| (i * 167 + 3) as u8).collect();
+        let enc = Record::encode_put(9, b"url:k", 4, Some(&value));
+        assert!(RecordRef::parse(&enc).is_some());
+        for bit in 0..enc.len() * 8 {
+            let mut bad = enc.clone();
+            bad[bit / 8] ^= 1 << (bit % 8);
+            assert!(RecordRef::parse(&bad).is_none(), "bit {bit}");
+        }
     }
 
     #[test]

@@ -531,14 +531,18 @@ impl Device {
     }
 
     /// Reads `len` bytes from `block` starting at byte offset
-    /// `page * page_size + offset_in_page`. The read may span pages but
-    /// must stay within the programmed region of the block.
+    /// `page * page_size + offset_in_page`, appending them to `out`, and
+    /// returns the charged latency. The read may span pages but must stay
+    /// within the programmed region of the block; on error `out` is left
+    /// as it was. Appending lets a caller assemble a read spanning blocks
+    /// in one buffer, copying each byte once.
     pub fn raw_read(
         &self,
         block: BlockId,
         byte_offset: usize,
         len: usize,
-    ) -> Result<(Vec<u8>, SimTime)> {
+        out: &mut Vec<u8>,
+    ) -> Result<SimTime> {
         if len == 0 {
             return Err(SsdError::BadLength(0));
         }
@@ -570,26 +574,27 @@ impl Device {
                 page: first_page,
             });
         }
-        let mut out = vec![0u8; len];
+        out.reserve(len);
         for page in first_page..=last_page {
-            let flat = geo.flat(PageAddr { block, page });
-            if let Some(pdata) = inner.data.get(&flat) {
-                let page_start = page as usize * geo.page_size;
-                // Intersection of [byte_offset, byte_offset+len) with this page.
-                let lo = byte_offset.max(page_start);
-                let hi = (byte_offset + len).min(page_start + pdata.len());
-                if lo < hi {
-                    out[lo - byte_offset..hi - byte_offset]
-                        .copy_from_slice(&pdata[lo - page_start..hi - page_start]);
-                }
-            }
+            let page_start = page as usize * geo.page_size;
+            // Intersection of [byte_offset, byte_offset+len) with this page,
+            // relative to the page; bytes a page does not hold read as zero.
+            let lo = byte_offset.max(page_start) - page_start;
+            let hi = (byte_offset + len).min(page_start + geo.page_size) - page_start;
+            let stored = inner
+                .data
+                .get(&geo.flat(PageAddr { block, page }))
+                .map_or(&[][..], |p| &p[..]);
+            let held = stored.get(lo..hi.min(stored.len())).unwrap_or_default();
+            out.extend_from_slice(held);
+            out.resize(out.len() + (hi - lo - held.len()), 0);
         }
         let npages = last_page - first_page + 1;
         inner.counters.host_read_bytes += npages as u64 * geo.page_size as u64;
         let latency = inner.cfg.latency.read(npages);
         drop(inner);
         self.clock.advance(latency);
-        Ok((out, latency))
+        Ok(latency)
     }
 
     /// Number of pages programmed so far in a raw block. Open-channel
@@ -971,9 +976,12 @@ mod tests {
             *byte = (i % 97) as u8;
         }
         d.raw_program(b, &data).unwrap();
-        // A read crossing the page boundary.
-        let (out, _) = d.raw_read(b, 4000, 200).unwrap();
-        assert_eq!(out, &data[4000..4200]);
+        // A read crossing the page boundary, appended after what the
+        // buffer already holds.
+        let mut out = b"kept".to_vec();
+        d.raw_read(b, 4000, 200, &mut out).unwrap();
+        assert_eq!(out[..4], *b"kept");
+        assert_eq!(out[4..], data[4000..4200]);
     }
 
     #[test]
@@ -982,7 +990,7 @@ mod tests {
         let b = d.raw_alloc().unwrap();
         d.raw_program(b, &page()).unwrap();
         assert!(matches!(
-            d.raw_read(b, 4096, 10),
+            d.raw_read(b, 4096, 10, &mut Vec::new()),
             Err(SsdError::UnwrittenPage(_))
         ));
     }
@@ -997,7 +1005,10 @@ mod tests {
             SsdError::NotRawBlock(0)
         );
         assert_eq!(d.raw_erase(0).unwrap_err(), SsdError::NotRawBlock(0));
-        assert!(matches!(d.raw_read(0, 0, 1), Err(SsdError::NotRawBlock(0))));
+        assert!(matches!(
+            d.raw_read(0, 0, 1, &mut Vec::new()),
+            Err(SsdError::NotRawBlock(0))
+        ));
     }
 
     #[test]
@@ -1093,7 +1104,8 @@ mod tests {
             d.raw_erase(b).unwrap();
         }
         assert!(d.retired_blocks() >= 1);
-        let (out, _) = d.raw_read(keeper, 0, 4096).unwrap();
+        let mut out = Vec::new();
+        d.raw_read(keeper, 0, 4096, &mut out).unwrap();
         assert_eq!(out, page());
     }
 
@@ -1142,7 +1154,7 @@ mod tests {
             d.ftl_write(0, &page()).unwrap();
             let b = d.raw_alloc().unwrap();
             d.raw_program(b, &page()).unwrap();
-            d.raw_read(b, 0, 4096).unwrap();
+            d.raw_read(b, 0, 4096, &mut Vec::new()).unwrap();
             d.ftl_read(0, 1).unwrap();
         }
         assert_eq!(healthy.counters(), injected.counters());
@@ -1164,13 +1176,15 @@ mod tests {
             });
             let mut pattern = Vec::new();
             for i in 0..32u32 {
-                match d.raw_read(b, (i as usize % 4) * 4096, 4096) {
-                    Ok((data, _)) => {
+                let mut data = Vec::new();
+                match d.raw_read(b, (i as usize % 4) * 4096, 4096, &mut data) {
+                    Ok(_) => {
                         assert_eq!(data, vec![3u8; 4096]);
                         pattern.push(false);
                     }
                     Err(SsdError::UncorrectableRead { block, .. }) => {
                         assert_eq!(block, b);
+                        assert!(data.is_empty(), "a failed read appends nothing");
                         pattern.push(true);
                     }
                     Err(e) => panic!("unexpected error {e}"),
@@ -1224,6 +1238,9 @@ mod tests {
         assert_eq!(d.ftl_read(0, 0).unwrap_err(), SsdError::BadLength(0));
         let b = d.raw_alloc().unwrap();
         assert_eq!(d.raw_program(b, &[]).unwrap_err(), SsdError::BadLength(0));
-        assert_eq!(d.raw_read(b, 0, 0).unwrap_err(), SsdError::BadLength(0));
+        assert_eq!(
+            d.raw_read(b, 0, 0, &mut Vec::new()).unwrap_err(),
+            SsdError::BadLength(0)
+        );
     }
 }

@@ -99,7 +99,8 @@ proptest! {
             let off = off % (written_pages * page);
             let len = len.min(written_pages * page - off);
             if len == 0 { continue; }
-            let (data, _) = dev.raw_read(blk, off, len).unwrap();
+            let mut data = Vec::new();
+            dev.raw_read(blk, off, len, &mut data).unwrap();
             for (i, &got) in data.iter().enumerate() {
                 let expect = payload.get(off + i).copied().unwrap_or(0);
                 prop_assert_eq!(got, expect, "offset {}", off + i);

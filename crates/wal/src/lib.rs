@@ -26,11 +26,15 @@
 //!   frontier the log never assigned is detected, not trusted.
 //!
 //! The log stores opaque payloads; callers define the record encoding.
+//! Its frame checksum, [`crc32c`], is also the one `qindb` seals AOF
+//! records and engine checkpoints with.
 
+mod crc32c;
 mod segment;
 
 pub mod replay;
 
+pub use crc32c::crc32c;
 pub use replay::{OpenReport, WalRecord};
 
 use segment::{FrameKind, Segment, FRAME_OVERHEAD};

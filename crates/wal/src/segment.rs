@@ -8,10 +8,11 @@
 //!
 //! `kind` distinguishes data records (which consume an LSN) from
 //! checkpoint markers (which carry the checkpointed LSN as their `lsn`
-//! field and consume none). The CRC is FNV-1a over everything after the
-//! magic byte, so any bit flip in the header, the LSN, or the payload is
-//! caught by the scanner — a frame either decodes exactly as written or
-//! not at all.
+//! field and consume none). The CRC is [`crc32c`] over everything after
+//! the magic byte — kind, length, LSN and payload, one contiguous run —
+//! so any single-bit flip or burst of up to 32 bits in the header, the
+//! LSN, or the payload is caught by the scanner: a frame either decodes
+//! exactly as written or not at all.
 //!
 //! A [`Segment`] is a bounded arena of consecutive frames. Appends go to
 //! the single unsealed (active) segment; once its arena reaches the
@@ -19,6 +20,8 @@
 //! Sealed segments are immutable, which is what makes them unit of GC:
 //! a sealed, fully-durable segment whose last record LSN is at or below
 //! the checkpoint frontier can be dropped wholesale.
+
+use crate::crc32c;
 
 /// Leading byte of every frame; a scanner hitting anything else stops.
 pub(crate) const MAGIC: u8 = 0xD7;
@@ -59,36 +62,17 @@ impl FrameKind {
     }
 }
 
-fn fnv_step(h: u32, b: u8) -> u32 {
-    (h ^ b as u32).wrapping_mul(0x0100_0193)
-}
-
-/// FNV-1a over the frame body (kind, payload length, LSN, payload) —
-/// everything after the magic byte and before the CRC itself.
-pub(crate) fn frame_crc(kind: u8, lsn: u64, payload: &[u8]) -> u32 {
-    let mut h: u32 = 0x811c_9dc5;
-    h = fnv_step(h, kind);
-    for b in (payload.len() as u32).to_le_bytes() {
-        h = fnv_step(h, b);
-    }
-    for b in lsn.to_le_bytes() {
-        h = fnv_step(h, b);
-    }
-    for &b in payload {
-        h = fnv_step(h, b);
-    }
-    h
-}
-
 /// Appends one encoded frame to `out`.
 pub(crate) fn encode_frame(out: &mut Vec<u8>, kind: FrameKind, lsn: u64, payload: &[u8]) {
     out.reserve(FRAME_OVERHEAD + payload.len());
+    let start = out.len();
     out.push(MAGIC);
     out.push(kind.as_byte());
     out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
     out.extend_from_slice(&lsn.to_le_bytes());
     out.extend_from_slice(payload);
-    out.extend_from_slice(&frame_crc(kind.as_byte(), lsn, payload).to_le_bytes());
+    let crc = crc32c(&out[start + 1..]);
+    out.extend_from_slice(&crc.to_le_bytes());
 }
 
 /// One frame decoded in place: kind, LSN, payload bounds, and the offset
@@ -105,28 +89,26 @@ pub(crate) struct DecodedFrame {
 /// not a complete, checksum-valid frame (a torn tail, corruption, or the
 /// end of the log).
 pub(crate) fn decode_frame(data: &[u8], at: usize) -> Option<DecodedFrame> {
-    let rest = data.len().checked_sub(at)?;
-    if rest < FRAME_OVERHEAD || data[at] != MAGIC {
+    let frame = data.get(at..)?;
+    let (&[magic, kind], rest) = frame.split_first_chunk::<2>()?;
+    if magic != MAGIC {
         return None;
     }
-    let kind = FrameKind::from_byte(data[at + 1])?;
-    let len = u32::from_le_bytes(data[at + 2..at + 6].try_into().unwrap()) as usize;
-    if rest < FRAME_OVERHEAD + len {
-        return None;
-    }
-    let lsn = u64::from_le_bytes(data[at + 6..at + 14].try_into().unwrap());
-    let payload_start = at + HEADER_BYTES;
-    let crc_at = payload_start + len;
-    let stored = u32::from_le_bytes(data[crc_at..crc_at + 4].try_into().unwrap());
-    if stored != frame_crc(data[at + 1], lsn, &data[payload_start..crc_at]) {
+    let kind = FrameKind::from_byte(kind)?;
+    let (len, rest) = rest.split_first_chunk::<4>()?;
+    let (lsn, rest) = rest.split_first_chunk::<8>()?;
+    let len = u32::from_le_bytes(*len) as usize;
+    let stored = rest.get(len..)?.first_chunk::<CRC_BYTES>()?;
+    let crc_at = HEADER_BYTES + len;
+    if u32::from_le_bytes(*stored) != crc32c(&frame[1..crc_at]) {
         return None;
     }
     Some(DecodedFrame {
         kind,
-        lsn,
-        payload_start,
+        lsn: u64::from_le_bytes(*lsn),
+        payload_start: at + HEADER_BYTES,
         payload_len: len,
-        next: crc_at + CRC_BYTES,
+        next: at + crc_at + CRC_BYTES,
     })
 }
 
@@ -197,18 +179,38 @@ mod tests {
     }
 
     #[test]
-    fn any_flipped_byte_fails_the_crc() {
+    fn any_flipped_bit_fails_the_crc() {
+        let payload: Vec<u8> = (0..1024u32).map(|i| (i * 131 + 7) as u8).collect();
         let mut pristine = Vec::new();
-        encode_frame(&mut pristine, FrameKind::Record, 42, b"payload");
-        for i in 0..pristine.len() {
+        encode_frame(&mut pristine, FrameKind::Record, 42, &payload);
+        for bit in 0..pristine.len() * 8 {
             let mut bent = pristine.clone();
-            bent[i] ^= 0x40;
+            bent[bit / 8] ^= 1 << (bit % 8);
             let decoded = decode_frame(&bent, 0);
             assert!(
                 decoded.is_none(),
-                "flipping byte {i} must invalidate the frame"
+                "flipping bit {bit} must invalidate the frame"
             );
         }
+    }
+
+    #[test]
+    fn frame_format_is_pinned() {
+        // magic, kind, payload_len, lsn, payload, crc32c(kind..payload)
+        // — byte for byte what a log image holds.
+        let mut want = vec![MAGIC, 0, 2, 0, 0, 0];
+        want.extend_from_slice(&7u64.to_le_bytes());
+        want.extend_from_slice(b"k1");
+        let crc = crc32c(&want[1..]);
+        want.extend_from_slice(&crc.to_le_bytes());
+        let mut got = Vec::new();
+        encode_frame(&mut got, FrameKind::Record, 7, b"k1");
+        assert_eq!(got, want);
+        assert_eq!(crc, 0x6b9c_7590);
+        // A checkpoint marker differs in the kind byte alone.
+        let mut marker = Vec::new();
+        encode_frame(&mut marker, FrameKind::Checkpoint, 7, &[]);
+        assert_eq!((marker[1], marker.len()), (1, FRAME_OVERHEAD));
     }
 
     #[test]
