@@ -308,6 +308,33 @@ fn a_healthy_read_asks_one_replica_and_reads_spread_over_the_group() {
 }
 
 #[test]
+fn a_miss_reaches_the_engine_counters_of_every_replica_asked() {
+    // A whole replica answers alone; a group wider than the replication
+    // factor has no whole member, so the read fans out to all four.
+    for (nodes_per_group, asked) in [(3, 1), (4, 4)] {
+        let mut m = Mint::new(MintConfig {
+            nodes_per_group,
+            ..MintConfig::tiny()
+        });
+        m.apply(&ops(60, 1)).unwrap();
+        let before = m.aggregate_stats();
+        let (v, _) = m.get(b"key-0003", 9).unwrap();
+        assert!(v.is_none());
+        let after = m.aggregate_stats();
+        assert_eq!(
+            (
+                after.gets - before.gets,
+                after.gets_not_found - before.gets_not_found
+            ),
+            (asked, asked),
+            "{nodes_per_group} nodes per group"
+        );
+        let (_, _, read) = m.get_costed(b"key-0003", 9, 0).unwrap();
+        assert_eq!(read.cost.replicas, asked);
+    }
+}
+
+#[test]
 fn an_unreadable_owner_falls_through_to_the_rest_of_the_group() {
     let mut m = Mint::new(MintConfig::tiny());
     m.apply(&ops(40, 1)).unwrap();

@@ -60,24 +60,17 @@ pub struct NetSim {
     flows: Vec<Flow>,
     events: BinaryHeap<Event>,
     seq: u64,
-    /// Capacities as configured at construction — the healthy baseline
-    /// the link up/degrade wrappers scale from.
-    nominal: Vec<f64>,
 }
 
 impl NetSim {
     /// Creates a simulator over `topo`, charging time to `clock`.
     pub fn new(topo: Topology, clock: SimClock) -> Self {
-        let nominal = (0..topo.len())
-            .map(|l| topo.capacity(LinkId(l as u32)))
-            .collect();
         NetSim {
             topo,
             clock,
             flows: Vec::new(),
             events: BinaryHeap::new(),
             seq: 0,
-            nominal,
         }
     }
 
@@ -115,38 +108,6 @@ impl NetSim {
     pub fn schedule_capacity_change(&mut self, at: SimTime, link: LinkId, bytes_per_sec: f64) {
         assert!(bytes_per_sec.is_finite() && bytes_per_sec >= 0.0);
         self.push_event(at, EventKind::CapacityChange(link, bytes_per_sec as u64));
-    }
-
-    /// Capacity of `link` as configured at construction (before any
-    /// capacity changes).
-    pub fn nominal_capacity(&self, link: LinkId) -> f64 {
-        self.nominal[link.0 as usize]
-    }
-
-    /// Restores `link` to its nominal capacity immediately.
-    pub fn set_link_up(&mut self, link: LinkId) {
-        self.topo.set_capacity(link, self.nominal[link.0 as usize]);
-    }
-
-    /// Schedules an outage of `link` at `at`.
-    pub fn schedule_link_down(&mut self, at: SimTime, link: LinkId) {
-        self.schedule_capacity_change(at, link, 0.0);
-    }
-
-    /// Schedules restoration of `link` to nominal capacity at `at`.
-    pub fn schedule_link_up(&mut self, at: SimTime, link: LinkId) {
-        let cap = self.nominal[link.0 as usize];
-        self.schedule_capacity_change(at, link, cap);
-    }
-
-    /// Schedules degradation of `link` to `factor` × nominal at `at`.
-    pub fn schedule_link_degraded(&mut self, at: SimTime, link: LinkId, factor: f64) {
-        assert!(
-            (0.0..=1.0).contains(&factor),
-            "degrade factor must be in [0, 1]"
-        );
-        let cap = self.nominal[link.0 as usize] * factor;
-        self.schedule_capacity_change(at, link, cap);
     }
 
     fn push_event(&mut self, at: SimTime, kind: EventKind) {
@@ -449,8 +410,8 @@ mod tests {
         // (20 MB moved) and comes back at t=7, so the remaining 80 MB
         // finishes at t = 7 + 8 = 15.
         let f = sim.schedule_flow(SimTime::ZERO, vec![l], (mbps(100.0)) as u64);
-        sim.schedule_link_down(SimTime::from_secs(2), l);
-        sim.schedule_link_up(SimTime::from_secs(7), l);
+        sim.schedule_capacity_change(SimTime::from_secs(2), l, 0.0);
+        sim.schedule_capacity_change(SimTime::from_secs(7), l, mbps(10.0));
         sim.run_until_idle();
         let done = secs(sim.completion(f).unwrap());
         assert!((done - 15.0).abs() < 0.05, "took {done}s");
@@ -462,7 +423,7 @@ mod tests {
         let l = topo.add_link(mbps(10.0));
         let mut sim = NetSim::new(topo, SimClock::new());
         let f = sim.schedule_flow(SimTime::ZERO, vec![l], (mbps(100.0)) as u64);
-        sim.schedule_link_down(SimTime::from_secs(2), l);
+        sim.schedule_capacity_change(SimTime::from_secs(2), l, 0.0);
         sim.run_until_idle();
         // The simulator stops at the stall rather than spinning: the flow
         // is still Active with ~80 MB left and the clock sits at t=2.
@@ -474,7 +435,7 @@ mod tests {
         }
         assert!((secs(sim.clock().now()) - 2.0).abs() < 0.01);
         // Repairing the link and re-running completes the transfer.
-        sim.set_link_up(l);
+        sim.schedule_capacity_change(sim.clock().now(), l, mbps(10.0));
         sim.run_until_idle();
         assert!(matches!(sim.status(f), FlowStatus::Done(_)));
     }
@@ -484,11 +445,10 @@ mod tests {
         let mut topo = Topology::new();
         let l = topo.add_link(mbps(10.0));
         let mut sim = NetSim::new(topo, SimClock::new());
-        assert_eq!(sim.nominal_capacity(l), mbps(10.0));
         // 50 MB: 2s at full rate moves 20 MB, then the link degrades to
         // 25% (2.5 MB/s); the remaining 30 MB takes 12s more → t=14.
         let f = sim.schedule_flow(SimTime::ZERO, vec![l], (mbps(50.0)) as u64);
-        sim.schedule_link_degraded(SimTime::from_secs(2), l, 0.25);
+        sim.schedule_capacity_change(SimTime::from_secs(2), l, mbps(10.0) * 0.25);
         sim.run_until_idle();
         let done = secs(sim.completion(f).unwrap());
         assert!((done - 14.0).abs() < 0.05, "took {done}s");

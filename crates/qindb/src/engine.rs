@@ -2,7 +2,7 @@
 
 use crate::checkpoint::{self, CheckpointState};
 use crate::config::QinDbConfig;
-use crate::record::{scan_records, Record, RecordRef, ScanItem};
+use crate::record::{scan_file, Record, RecordRef, ScanItem};
 use crate::stats::{AtomicEngineStats, EngineStats};
 use crate::{QinDbError, Result};
 use aof::{Aof, FileId, GcTable, RecordLoc};
@@ -10,6 +10,7 @@ use bytes::Bytes;
 use memtable::{ChainLink, IndexEntry, KeyRef, Memtable, Seek, ValueLocation, VersionedKey};
 use ssdsim::Device;
 use std::collections::HashSet;
+use std::sync::Arc;
 
 /// What a node knows about a `k/t` pair (see [`QinDb::status`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -53,11 +54,11 @@ pub struct QinDb {
     recovered_via_checkpoint: bool,
     /// Optional trace sink (timestamped on this engine's device clock)
     /// and the label maintenance events are emitted under.
-    trace: Option<(obs::TraceSink, String)>,
+    trace: Option<(obs::TraceSink, Arc<str>)>,
     /// Optional wall-clock trace sink for the phase-time profiler; emits
     /// the same maintenance spans stamped in real nanoseconds so they
     /// nest coherently inside the pipeline's wall-time phases.
-    wall_trace: Option<(obs::TraceSink, String)>,
+    wall_trace: Option<(obs::TraceSink, Arc<str>)>,
     /// The node's mutation journal: every applied cluster mutation is
     /// framed here with the coordinator-assigned group LSN embedded in
     /// the payload. The journal carries no values — the AOF is the data
@@ -150,29 +151,7 @@ impl QinDb {
     pub fn put(&mut self, key: &[u8], version: u64, value: Option<&[u8]>) -> Result<()> {
         let seq = self.take_seq();
         let loc = to_value_loc(self.append_record(&Record::encode_put(seq, key, version, value))?);
-        let mut entry = if value.is_some() {
-            IndexEntry::full(loc)
-        } else {
-            IndexEntry::deduplicated(loc)
-        };
-        let seek = self.load_chain(key);
-        match self.chain.binary_search_by_key(&version, |l| l.version) {
-            Ok(i) => {
-                // Re-put of the same k/t: the superseded record stays on
-                // flash until its file is reclaimed, so it counts as a copy.
-                let old = self.chain[i].entry;
-                entry.copies = old.copies + 1;
-                if !old.dead_accounted {
-                    self.gct.on_dead(old.location.file, old.location.len as u64);
-                }
-                *self.table.entry_at_mut(self.chain[i].at) = entry;
-                self.chain[i].entry = entry;
-            }
-            Err(i) => {
-                let at = self.table.insert_after(seek, key, version, entry);
-                self.chain.insert(i, ChainLink { at, version, entry });
-            }
-        }
+        self.link_put(key, version, loc, value.is_none());
         self.settle_liveness();
         self.stats.puts.add(1);
         self.stats
@@ -186,14 +165,10 @@ impl QinDb {
     /// versions when the item was deduplicated. `None` when the key or
     /// version is absent or deleted.
     pub fn get(&self, key: &[u8], version: u64) -> Result<Option<Bytes>> {
-        match self.lookup(key, version) {
-            Lookup::At { loc, hops, .. } => self.fetch(loc, hops, 0).map(Some),
-            Lookup::Missing | Lookup::Deleted => {
-                self.stats.gets.add(1);
-                self.stats.gets_not_found.add(1);
-                Ok(None)
-            }
-        }
+        Ok(match self.status(key, version)? {
+            KeyStatus::Live { value, .. } => Some(value),
+            KeyStatus::Missing | KeyStatus::Deleted => None,
+        })
     }
 
     /// The memtable half of every read: one descent to `key`'s chain and
@@ -219,7 +194,8 @@ impl QinDb {
 
     /// The flash half of a read that [`QinDb::lookup`] located: counts
     /// the GET (and its traceback), then reads the record into one
-    /// buffer, verifies it there and copies out only the value.
+    /// buffer, verifies it there and copies out only the value. A lookup
+    /// that finds no value is counted by [`QinDb::status_probed`].
     fn fetch(&self, loc: ValueLocation, hops: u32, trace_id: u64) -> Result<Bytes> {
         self.stats.gets.add(1);
         if hops > 0 {
@@ -268,7 +244,9 @@ impl QinDb {
     /// carrying it, so [`obs::assemble`] shows the engine hop inside the
     /// request's cross-layer path. The probe is reported even when the
     /// status is `Missing`/`Deleted` or the read errors — the work was
-    /// still done, and load attribution must account for it.
+    /// still done, and load attribution must account for it. Every
+    /// point lookup comes through here, so each counts as one GET, a
+    /// miss also in `gets_not_found`.
     pub fn status_probed(
         &self,
         key: &[u8],
@@ -280,41 +258,42 @@ impl QinDb {
             ..obs::ReadCost::default()
         };
         let status = match self.lookup(key, version) {
-            Lookup::Missing => Ok(KeyStatus::Missing),
-            Lookup::Deleted => Ok(KeyStatus::Deleted),
+            Lookup::Missing => KeyStatus::Missing,
+            Lookup::Deleted => KeyStatus::Deleted,
             Lookup::At {
                 loc,
                 resolved_version,
                 hops,
             } => {
                 probe.traceback_hops = hops as u64;
-                self.fetch(loc, hops, trace_id).map(|value| {
+                let status = self.fetch(loc, hops, trace_id).map(|value| {
                     probe.bytes = value.len() as u64;
                     KeyStatus::Live {
                         value,
                         resolved_version,
                     }
-                })
+                });
+                return (status, probe);
             }
         };
-        (status, probe)
+        self.stats.gets.add(1);
+        self.stats.gets_not_found.add(1);
+        (Ok(status), probe)
     }
 
     /// DEL(k/t). Sets the `d` flag in the memtable, appends a durable
     /// tombstone, and updates the GC table; physical reclamation is left
     /// to the lazy GC. Returns `true` when a live item became deleted.
     pub fn del(&mut self, key: &[u8], version: u64) -> Result<bool> {
-        self.load_chain(key);
-        let Ok(i) = self.chain.binary_search_by_key(&version, |l| l.version) else {
+        let Some(i) = self
+            .find_version(key, version)
+            .filter(|&i| !self.chain[i].entry.deleted)
+        else {
             return Ok(false);
         };
-        if self.chain[i].entry.deleted {
-            return Ok(false);
-        }
         let seq = self.take_seq();
         self.append_record(&Record::encode_del(seq, key, version))?;
-        self.table.entry_at_mut(self.chain[i].at).deleted = true;
-        self.chain[i].entry.deleted = true;
+        self.mark_deleted(i);
         self.settle_liveness();
         self.stats.dels.add(1);
         self.reclaim(true)?;
@@ -353,7 +332,7 @@ impl QinDb {
     pub fn attach_trace(&mut self, sink: &obs::TraceSink, label: &str) {
         let sink = sink.with_clock(self.aof.device().clock().clone());
         self.aof.device().attach_trace(&sink, label);
-        self.trace = Some((sink, label.to_string()));
+        self.trace = Some((sink, label.into()));
     }
 
     /// Attaches a wall-clock trace sink: the same maintenance spans
@@ -363,36 +342,42 @@ impl QinDb {
     /// one [`obs::TraceSink::wall`] share a single epoch, which is what
     /// lets the phase profiler nest engine spans inside pipeline phases.
     pub fn attach_wall_trace(&mut self, sink: &obs::TraceSink, label: &str) {
-        self.wall_trace = Some((sink.clone(), label.to_string()));
+        self.wall_trace = Some((sink.clone(), label.into()));
     }
 
-    /// Cheap clone of the attached sink (an `Arc` bump) so span guards
-    /// can outlive `&mut self` calls made while they are open.
-    fn tracer(&self) -> Option<(obs::TraceSink, String)> {
-        self.trace.clone()
-    }
-
-    /// Like [`QinDb::tracer`] for the wall-clock sink.
-    fn wall_tracer(&self) -> Option<(obs::TraceSink, String)> {
-        self.wall_trace.clone()
+    /// Runs `body` inside one `kind` span on each attached sink, both
+    /// carrying the amount `body` counts into its second argument. The
+    /// spans are opened on handles to the sinks (`Arc` bumps), so they
+    /// stay open across the `&mut self` calls `body` makes.
+    fn in_span<T>(
+        &mut self,
+        kind: obs::SpanKind,
+        body: impl FnOnce(&mut Self, &mut u64) -> Result<T>,
+    ) -> Result<T> {
+        let sinks = [self.wall_trace.clone(), self.trace.clone()];
+        let mut spans = sinks
+            .each_ref()
+            .map(|s| s.as_ref().map(|(sink, label)| sink.span(kind, label)));
+        let mut amount = 0;
+        let out = body(self, &mut amount);
+        for span in spans.iter_mut().flatten() {
+            span.set_amount(amount);
+        }
+        out
     }
 
     /// Forces buffered appends onto flash.
     pub fn flush(&mut self) -> Result<()> {
-        let t = self.tracer();
-        let w = self.wall_tracer();
-        let _span = t.as_ref().map(|(s, l)| s.span(obs::SpanKind::Flush, l));
-        let _wspan = w.as_ref().map(|(s, l)| s.span(obs::SpanKind::Flush, l));
-        self.aof.flush()?;
-        // The journal goes durable with the data it describes: an acked
-        // write is never ahead of its journal frame.
-        let newly = self.journal.flush();
-        if newly > 0 {
-            if let Some((s, l)) = t.as_ref() {
+        self.in_span(obs::SpanKind::Flush, |db, _| {
+            db.aof.flush()?;
+            // The journal goes durable with the data it describes: an
+            // acked write is never ahead of its journal frame.
+            let newly = db.journal.flush();
+            if let Some((s, l)) = db.trace.as_ref().filter(|_| newly > 0) {
                 s.event(obs::SpanKind::WalAppend, l, newly);
             }
-        }
-        Ok(())
+            Ok(())
+        })
     }
 
     // ------------------------------------------------------------------
@@ -459,57 +444,47 @@ impl QinDb {
     /// checkpoint's id.
     ///
     /// A checkpoint is invalidated if the lazy GC later erases a file it
-    /// covers; recovery then falls back to the full scan, so taking
+    /// covers; recovery then rebuilds from an empty base, so taking
     /// checkpoints right after GC activity maximizes their usefulness.
     pub fn checkpoint(&mut self) -> Result<u64> {
-        let t = self.tracer();
-        let w = self.wall_tracer();
-        let mut span = t
-            .as_ref()
-            .map(|(s, l)| s.span(obs::SpanKind::Checkpoint, l));
-        let mut wspan = w
-            .as_ref()
-            .map(|(s, l)| s.span(obs::SpanKind::Checkpoint, l));
-        self.flush()?;
-        let id = self.ckpt.as_ref().map_or(1, |(id, _)| id + 1);
-        let mut covered: Vec<(FileId, u64)> = self
-            .aof
-            .sealed_files()
-            .into_iter()
-            .map(|f| (f, self.aof.file_len(f).expect("sealed file has a length")))
-            .collect();
-        if let Some(active) = self.aof.active_file() {
-            covered.push((active, self.aof.file_len(active).expect("active file")));
-        }
-        let blocks = checkpoint::write(
-            self.aof.device(),
-            id,
-            &self.table,
-            &self.gct,
-            self.next_seq,
-            &covered,
-        )?;
-        if let Some((_, old)) = self.ckpt.take() {
-            checkpoint::erase(self.aof.device(), &old)?;
-        }
-        if let Some(span) = span.as_mut() {
-            span.set_amount(blocks.len() as u64);
-        }
-        if let Some(wspan) = wspan.as_mut() {
-            wspan.set_amount(blocks.len() as u64);
-        }
-        self.ckpt = Some((id, blocks));
-        // The data checkpoint captures every journaled effect, so the
-        // journal prefix is replay-free: mark it, drop sealed segments,
-        // and re-note the frontier so it stays durable across the GC.
-        let frontier = self.journal_frontier;
-        self.journal.checkpoint(self.journal.head_lsn());
-        self.journal.gc();
-        if frontier > 0 {
-            self.journal.append(&frontier.to_le_bytes());
-        }
-        self.journal.flush();
-        Ok(id)
+        self.in_span(obs::SpanKind::Checkpoint, |db, amount| {
+            db.flush()?;
+            let id = db.ckpt.as_ref().map_or(1, |(id, _)| id + 1);
+            let mut covered: Vec<(FileId, u64)> = db
+                .aof
+                .sealed_files()
+                .into_iter()
+                .map(|f| (f, db.aof.file_len(f).expect("sealed file has a length")))
+                .collect();
+            if let Some(active) = db.aof.active_file() {
+                covered.push((active, db.aof.file_len(active).expect("active file")));
+            }
+            let blocks = checkpoint::write(
+                db.aof.device(),
+                id,
+                &db.table,
+                &db.gct,
+                db.next_seq,
+                &covered,
+            )?;
+            if let Some((_, old)) = db.ckpt.take() {
+                checkpoint::erase(db.aof.device(), &old)?;
+            }
+            *amount = blocks.len() as u64;
+            db.ckpt = Some((id, blocks));
+            // The data checkpoint captures every journaled effect, so the
+            // journal prefix is replay-free: mark it, drop sealed
+            // segments, and re-note the frontier so it stays durable
+            // across the GC.
+            let frontier = db.journal_frontier;
+            db.journal.checkpoint(db.journal.head_lsn());
+            db.journal.gc();
+            if frontier > 0 {
+                db.journal.append(&frontier.to_le_bytes());
+            }
+            db.journal.flush();
+            Ok(id)
+        })
     }
 
     /// Whether the last recovery was accelerated by a checkpoint.
@@ -519,29 +494,33 @@ impl QinDb {
 
     /// Rebuilds an engine from the device — the paper's recovery path.
     ///
-    /// When a valid checkpoint exists (see [`QinDb::checkpoint`]), only
-    /// the AOF bytes written after it are replayed; otherwise "we have to
-    /// scan all AOFs for reconstruction of the memtable and the GC
-    /// table". Unflushed tails (torn records) are discarded either way.
+    /// The rebuild starts from a base: the newest checkpoint (see
+    /// [`QinDb::checkpoint`]) while it is usable, otherwise an empty
+    /// engine, which makes the rebuild the paper's full scan — "we have
+    /// to scan all AOFs for reconstruction of the memtable and the GC
+    /// table". Either way one replay then applies every record past the
+    /// base's coverage. Unflushed tails (torn records) are discarded.
     pub fn recover(dev: Device, cfg: QinDbConfig) -> Result<Self> {
         cfg.validate();
         let ckpt = checkpoint::load_latest(&dev)?;
         let aof = Aof::recover(dev, cfg.aof)?;
-        match ckpt {
-            Some(state) if Self::checkpoint_usable(&aof, &state) => {
-                Self::fast_recover(aof, cfg, state)
+        let mut engine = Self::assemble(aof, cfg, Memtable::new(), GcTable::new(), 1);
+        let mut covered = Vec::new();
+        if let Some(state) = ckpt {
+            // A checkpoint whose files the lazy GC has since erased is
+            // stale and not used as the base, but its blocks are still
+            // tracked so the next checkpoint retires them.
+            if Self::checkpoint_usable(&engine.aof, &state) {
+                engine.table = state.table;
+                engine.gct = state.gct;
+                engine.next_seq = state.next_seq;
+                covered = state.covered;
+                engine.recovered_via_checkpoint = true;
             }
-            Some(state) => {
-                // The lazy GC erased a file the checkpoint covers (or an
-                // entry references): the image is stale. Fall back to the
-                // full scan but keep tracking the blocks so the next
-                // checkpoint retires them.
-                let mut engine = Self::full_recover(aof, cfg)?;
-                engine.ckpt = Some((state.id, state.blocks));
-                Ok(engine)
-            }
-            None => Self::full_recover(aof, cfg),
+            engine.ckpt = Some((state.id, state.blocks));
         }
+        engine.replay(&covered)?;
+        Ok(engine)
     }
 
     /// A checkpoint is usable only while every file it covers (and every
@@ -557,146 +536,64 @@ impl QinDb {
                 .all(|(_, e)| aof.file_len(e.location.file).is_some())
     }
 
-    /// Replays only the AOF suffixes written after `state` was taken.
-    fn fast_recover(aof: Aof, cfg: QinDbConfig, state: CheckpointState) -> Result<Self> {
-        let page_size = aof.device().geometry().page_size;
-        let covered: std::collections::HashMap<FileId, u64> =
-            state.covered.iter().copied().collect();
-        let mut table = state.table;
-        let mut gct = state.gct;
+    /// The one rebuild over a base already in `self`: scans every file
+    /// past the bytes `covered` says the base accounts for, replays the
+    /// records in `seq` order through the routines live mutations use,
+    /// then settles liveness for the keys the replay touched (the rest
+    /// is already accounted in the base).
+    fn replay(&mut self, covered: &[(FileId, u64)]) -> Result<()> {
         let mut records: Vec<(FileId, ScanItem)> = Vec::new();
-        for file in aof.sealed_files() {
-            let skip = covered.get(&file).copied().unwrap_or(0);
-            let len = aof.file_len(file).expect("sealed file has a length");
-            if len > skip {
-                let data = aof.read(file, skip, (len - skip) as usize)?;
-                let (items, _torn_tail) = scan_records(&data, page_size);
-                for mut item in items {
-                    item.offset += skip;
-                    gct.on_append(file, item.len as u64);
-                    records.push((file, item));
-                }
+        for file in self.aof.sealed_files() {
+            let from = covered.iter().find(|c| c.0 == file).map_or(0, |c| c.1);
+            let (items, _torn_tail) = scan_file(&self.aof, file, from)?;
+            for item in items {
+                self.gct.on_append(file, item.len as u64);
+                records.push((file, item));
             }
-            gct.seal(file);
+            self.gct.seal(file);
         }
-        let mut max_seq = state.next_seq.saturating_sub(1);
-        // Only the keys touched after the checkpoint need their liveness
-        // recomputed; everything else is already accounted in the image.
+        // seq — not file layout — defines mutation order, because GC
+        // relocates old records into new files.
+        records.sort_by_key(|(_, item)| item.record.seq());
         let mut touched: Vec<Bytes> = records
             .iter()
             .map(|(_, item)| item.record.key().clone())
             .collect();
         touched.sort();
         touched.dedup();
-        Self::replay(&mut table, &mut gct, records, &mut max_seq);
-        let mut engine = Self::assemble(aof, cfg, table, gct, max_seq + 1);
-        engine.ckpt = Some((state.id, state.blocks));
-        engine.recovered_via_checkpoint = true;
-        for key in touched {
-            engine.recompute_liveness(&key);
-        }
-        Ok(engine)
-    }
-
-    /// The paper's full recovery: scan every AOF.
-    fn full_recover(aof: Aof, cfg: QinDbConfig) -> Result<Self> {
-        let mut table = Memtable::new();
-        let mut gct = GcTable::new();
-        let page_size = aof.device().geometry().page_size;
-        // Gather every record from every file, then replay in sequence
-        // order: seq — not file layout — defines mutation order, because
-        // GC relocates old records into new files.
-        let mut records: Vec<(FileId, ScanItem)> = Vec::new();
-        for file in aof.sealed_files() {
-            let len = aof.file_len(file).expect("sealed file has a length") as usize;
-            if len > 0 {
-                let data = aof.read(file, 0, len)?;
-                let (items, _torn_tail) = scan_records(&data, page_size);
-                for item in items {
-                    gct.on_append(file, item.len as u64);
-                    records.push((file, item));
-                }
-            }
-            gct.seal(file);
-        }
-        let mut max_seq = 0u64;
-        Self::replay(&mut table, &mut gct, records, &mut max_seq);
-        let mut engine = Self::assemble(aof, cfg, table, gct, max_seq + 1);
-        // Recompute disk-liveness for every key to rebuild occupancy.
-        let mut keys: Vec<Bytes> = Vec::new();
-        for (vk, _) in engine.table.iter() {
-            if keys.last().is_none_or(|last| last != vk.key) {
-                keys.push(Bytes::copy_from_slice(vk.key));
-            }
-        }
-        for key in keys {
-            engine.recompute_liveness(&key);
-        }
-        Ok(engine)
-    }
-
-    /// Applies scanned records to `table`/`gct` in sequence order.
-    fn replay(
-        table: &mut Memtable,
-        gct: &mut GcTable,
-        mut records: Vec<(FileId, ScanItem)>,
-        max_seq: &mut u64,
-    ) {
-        records.sort_by_key(|(_, item)| item.record.seq());
         for (file, item) in records {
-            *max_seq = (*max_seq).max(item.record.seq());
-            let loc = ValueLocation {
-                file,
-                offset: item.offset as u32,
-                len: item.len,
-            };
+            self.next_seq = self.next_seq.max(item.record.seq() + 1);
             match item.record {
+                // A put makes the version live again (and a second copy
+                // of a k/t — a re-put, or the relocated duplicate of an
+                // interrupted GC — supersedes the first); a deletion that
+                // should stand has a tombstone with a higher seq to come.
                 Record::Put {
                     key,
                     version,
                     value,
                     ..
                 } => {
-                    let vk = VersionedKey::new(key, version);
-                    match table.get_mut(&vk) {
-                        Some(e) => {
-                            // Another physical copy of this k/t. The copy
-                            // applied later (higher seq, or the relocated
-                            // duplicate of an interrupted GC) becomes
-                            // canonical; the superseded one is dead bytes
-                            // (unless a checkpointed image already counted
-                            // them dead).
-                            if !e.dead_accounted {
-                                gct.on_dead(e.location.file, e.location.len as u64);
-                            }
-                            e.copies += 1;
-                            e.location = loc;
-                            e.deduplicated = value.is_none();
-                            // A put makes the version live again; any
-                            // deletion that should stand has a tombstone
-                            // with a higher seq still to come.
-                            e.deleted = false;
-                            e.dead_accounted = false;
-                        }
-                        None => {
-                            let entry = if value.is_some() {
-                                IndexEntry::full(loc)
-                            } else {
-                                IndexEntry::deduplicated(loc)
-                            };
-                            table.insert(vk, entry);
-                        }
-                    }
+                    let loc = ValueLocation {
+                        file,
+                        offset: item.offset as u32,
+                        len: item.len,
+                    };
+                    self.link_put(&key, version, loc, value.is_none());
                 }
+                // A tombstone with no surviving put guards nothing.
                 Record::Del { key, version, .. } => {
-                    let vk = VersionedKey::new(key, version);
-                    if let Some(e) = table.get_mut(&vk) {
-                        e.deleted = true;
+                    if let Some(i) = self.find_version(&key, version) {
+                        self.mark_deleted(i);
                     }
-                    // A tombstone with no surviving put guards nothing.
                 }
             }
         }
+        for key in touched {
+            self.load_chain(&key);
+            self.settle_liveness();
+        }
+        Ok(())
     }
 
     // ------------------------------------------------------------------
@@ -712,34 +609,25 @@ impl QinDb {
     /// One GC run: reclaims candidates, emptiest first, until none is left
     /// — or, under the `lazy` policy every mutation ends with, only while
     /// the device is under free-space pressure. Returns the number of
-    /// files reclaimed. The trace sinks are fetched and the run's spans
-    /// opened only once there is a file to reclaim, so a run that finds
-    /// nothing to do costs a free-block count and nothing else.
+    /// files reclaimed. The run's spans are opened only once there is a
+    /// file to reclaim, so a run that finds nothing to do costs a
+    /// free-block count and nothing else.
     fn reclaim(&mut self, lazy: bool) -> Result<usize> {
         let mut seen: HashSet<FileId> = HashSet::new();
         let Some(first) = self.next_victim(lazy, &seen) else {
             return Ok(0);
         };
-        let t = self.tracer();
-        let w = self.wall_tracer();
-        let mut span = t.as_ref().map(|(s, l)| s.span(obs::SpanKind::EngineGc, l));
-        let mut wspan = w.as_ref().map(|(s, l)| s.span(obs::SpanKind::EngineGc, l));
-        let mut reclaimed = 0;
-        let mut victim = Some(first);
-        while let Some(file) = victim {
-            seen.insert(file);
-            self.gc_file(file)?;
-            if let Some(span) = span.as_mut() {
-                span.add_amount(1);
+        self.in_span(obs::SpanKind::EngineGc, |db, reclaimed| {
+            let mut victim = Some(first);
+            while let Some(file) = victim {
+                seen.insert(file);
+                db.gc_file(file)?;
+                *reclaimed += 1;
+                victim = db.next_victim(lazy, &seen);
             }
-            if let Some(wspan) = wspan.as_mut() {
-                wspan.add_amount(1);
-            }
-            reclaimed += 1;
-            victim = self.next_victim(lazy, &seen);
-        }
-        self.stats.gc_runs.add(1);
-        Ok(reclaimed)
+            db.stats.gc_runs.add(1);
+            Ok(*reclaimed as usize)
+        })
     }
 
     /// The next file a GC run should reclaim: the emptiest candidate the
@@ -912,18 +800,9 @@ impl QinDb {
     /// Every record in `file`, buffered tail included; corruption is an
     /// error (the caller is not recovering from a crash).
     pub(crate) fn file_records(&self, file: FileId) -> Result<Vec<ScanItem>> {
-        let len = self
-            .aof
-            .file_len(file)
-            .ok_or(aof::AofError::NoSuchFile(file))? as usize;
-        if len == 0 {
-            return Ok(Vec::new());
-        }
-        let data = self.aof.read(file, 0, len)?;
-        let (items, corrupt) = scan_records(&data, self.aof.device().geometry().page_size);
-        match corrupt {
-            Some(offset) => Err(QinDbError::CorruptRecord { file, offset }),
-            None => Ok(items),
+        match scan_file(&self.aof, file, 0)? {
+            (_, Some(offset)) => Err(QinDbError::CorruptRecord { file, offset }),
+            (items, None) => Ok(items),
         }
     }
 
@@ -958,6 +837,51 @@ impl QinDb {
         seek
     }
 
+    /// Links a put record at `loc` into `key`'s chain — the one routine
+    /// for a live put and a replayed one. A new version is linked in from
+    /// the chain's own descent. A re-put of the same k/t replaces the
+    /// item: the superseded record stays on flash until its file is
+    /// reclaimed, so it counts as one more copy, and as dead bytes unless
+    /// they are already accounted.
+    fn link_put(&mut self, key: &[u8], version: u64, loc: ValueLocation, deduplicated: bool) {
+        let mut entry = if deduplicated {
+            IndexEntry::deduplicated(loc)
+        } else {
+            IndexEntry::full(loc)
+        };
+        let seek = self.load_chain(key);
+        match self.chain.binary_search_by_key(&version, |l| l.version) {
+            Ok(i) => {
+                let old = self.chain[i].entry;
+                entry.copies = old.copies + 1;
+                if !old.dead_accounted {
+                    self.gct.on_dead(old.location.file, old.location.len as u64);
+                }
+                *self.table.entry_at_mut(self.chain[i].at) = entry;
+                self.chain[i].entry = entry;
+            }
+            Err(i) => {
+                let at = self.table.insert_after(seek, key, version, entry);
+                self.chain.insert(i, ChainLink { at, version, entry });
+            }
+        }
+    }
+
+    /// Loads `key`'s chain and finds `version` in it.
+    fn find_version(&mut self, key: &[u8], version: u64) -> Option<usize> {
+        self.load_chain(key);
+        self.chain
+            .binary_search_by_key(&version, |l| l.version)
+            .ok()
+    }
+
+    /// Sets the `d` flag on item `i` of the loaded chain — for a live DEL
+    /// and a replayed tombstone alike.
+    fn mark_deleted(&mut self, i: usize) {
+        self.table.entry_at_mut(self.chain[i].at).deleted = true;
+        self.chain[i].entry.deleted = true;
+    }
+
     /// Brings the occupancy accounting of the chain in `self.chain` up to
     /// date. A record is disk-live while its item is undeleted or a live
     /// later deduplicated version references it — version `i` is
@@ -979,12 +903,6 @@ impl QinDb {
             }
             referenced = e.deduplicated && live;
         }
-    }
-
-    /// Recomputes disk-liveness for every version of `key` (recovery).
-    fn recompute_liveness(&mut self, key: &[u8]) {
-        self.load_chain(key);
-        self.settle_liveness();
     }
 }
 
@@ -1053,9 +971,9 @@ mod tests {
     fn read_side_stats_and_probe_costs_are_pinned() {
         // A fixed stream over every lookup outcome: direct hit, traceback
         // (also through a deleted ancestor), deleted, absent version,
-        // absent key, dangling dedup chain. The expected numbers are what
-        // the engine reported before lookups became one chain walk, except
-        // that the scan's row now counts as a GET (`gets` 8 → 9).
+        // absent key, dangling dedup chain. Every lookup counts as a GET
+        // and every lookup that finds no value as a miss, whether it came
+        // through `get` or `status_probed`, and so does the scan's row.
         let mut db = small_engine();
         db.put(b"k", 1, Some(b"v1")).unwrap();
         db.put(b"k", 2, None).unwrap();
@@ -1106,7 +1024,7 @@ mod tests {
                 s.traceback_steps,
                 s.user_read_bytes
             ),
-            (9, 4, 4, 6, 13)
+            (12, 7, 4, 6, 13)
         );
     }
 
@@ -1515,6 +1433,82 @@ mod tests {
         // And it can keep writing + checkpointing.
         back.put(b"post", 1, Some(b"recovery")).unwrap();
         assert_eq!(back.checkpoint().unwrap(), 2);
+    }
+
+    /// Everything a rebuild decides: every item with its whole entry,
+    /// the GC table's occupancy per file, and the next sequence number.
+    type Rebuilt = (
+        Vec<(Vec<u8>, u64, IndexEntry)>,
+        Vec<(FileId, aof::Occupancy)>,
+        u64,
+    );
+
+    fn rebuilt(db: &QinDb) -> Rebuilt {
+        let items = db
+            .table_iter()
+            .map(|(vk, e)| (vk.key.to_vec(), vk.version, *e))
+            .collect();
+        (items, db.gct_iter().collect(), db.next_seq)
+    }
+
+    #[test]
+    fn checkpoint_and_empty_bases_rebuild_the_same_engine() {
+        let mut db = small_engine();
+        let value = vec![2u8; 120];
+        let key = |p: &str, k: u32| format!("{p}-{k:03}");
+        // Before the checkpoint: values, a dedup chain on each key, two
+        // re-puts, two deletes of the deduplicated version, and a GC.
+        for k in 0..20u32 {
+            db.put(key("a", k).as_bytes(), 1, Some(&value)).unwrap();
+            db.put(key("a", k).as_bytes(), 2, None).unwrap();
+        }
+        for k in 0..2u32 {
+            db.put(key("a", k).as_bytes(), 1, Some(&value)).unwrap();
+            db.del(key("a", k + 10).as_bytes(), 2).unwrap();
+        }
+        db.force_gc().unwrap();
+        db.checkpoint().unwrap();
+        // After it: a second key set whose files mostly die — every fifth
+        // key lives on with a dedup chain, every other one of those also
+        // re-put — a dedup onto and
+        // a delete inside the checkpointed chains, then a GC that
+        // relocates the survivors out of the emptied files.
+        for k in 0..30u32 {
+            db.put(key("b", k).as_bytes(), 1, Some(&value)).unwrap();
+        }
+        for k in 0..30u32 {
+            if k % 5 == 0 {
+                db.put(key("b", k).as_bytes(), 2, None).unwrap();
+            }
+            if k % 10 == 5 {
+                db.put(key("b", k).as_bytes(), 1, Some(&value)).unwrap();
+            } else if k % 5 != 0 {
+                db.del(key("b", k).as_bytes(), 1).unwrap();
+            }
+        }
+        db.put(key("a", 3).as_bytes(), 3, None).unwrap();
+        db.del(key("a", 5).as_bytes(), 2).unwrap();
+        let rewritten = db.stats().gc_records_rewritten;
+        assert!(db.force_gc().unwrap() > 0);
+        assert!(db.stats().gc_records_rewritten > rewritten, "no relocation");
+        db.flush().unwrap();
+        let dev = db.device().clone();
+        let want = rebuilt(&db);
+        drop(db);
+
+        let cfg = QinDbConfig::small_files(2 * 7 * 64);
+        let from_checkpoint = QinDb::recover(dev.clone(), cfg).unwrap();
+        assert!(from_checkpoint.recovered_via_checkpoint());
+        let (_, blocks) = from_checkpoint.ckpt.as_ref().unwrap();
+        checkpoint::erase(&dev, blocks).unwrap();
+        let from_empty = QinDb::recover(dev, cfg).unwrap();
+        assert!(!from_empty.recovered_via_checkpoint());
+        assert_eq!(rebuilt(&from_checkpoint), rebuilt(&from_empty));
+        // Both agree with the engine that crashed, whose active file
+        // recovery seals.
+        let (items, mut gct, next_seq) = want;
+        gct.iter_mut().for_each(|(_, occ)| occ.sealed = true);
+        assert_eq!(rebuilt(&from_empty), (items, gct, next_seq));
     }
 
     #[test]

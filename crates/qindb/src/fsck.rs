@@ -14,7 +14,7 @@
 
 use crate::checkpoint;
 use crate::engine::QinDb;
-use crate::record::{scan_records, Record, ScanItem};
+use crate::record::{scan_file, Record, ScanItem};
 use crate::Result;
 use aof::{Aof, AofConfig, FileId, Occupancy};
 use ssdsim::Device;
@@ -78,16 +78,10 @@ pub fn fsck(dev: &Device, cfg: AofConfig) -> Result<FsckReport> {
         Err(_) => report.checkpoint_ok = Some(false),
     }
     let aof = Aof::recover(dev.clone(), cfg)?;
-    let page_size = dev.geometry().page_size;
     let mut seqs: HashMap<u64, u32> = HashMap::new();
     for file in aof.sealed_files() {
         report.files += 1;
-        let len = aof.file_len(file).expect("sealed file has a length") as usize;
-        if len == 0 {
-            continue;
-        }
-        let data = aof.read(file, 0, len)?;
-        let (items, torn) = scan_records(&data, page_size);
+        let (items, torn) = scan_file(&aof, file, 0)?;
         if torn.is_some() {
             report.torn_tails += 1;
         }
@@ -200,23 +194,23 @@ impl QinDb {
     }
 }
 
-/// Convenience: audit + assert clean, for tests.
-pub fn assert_clean(dev: &Device, cfg: AofConfig) -> FsckReport {
-    let report = fsck(dev, cfg).expect("fsck runs");
-    assert!(
-        report.is_clean(),
-        "fsck found problems: {:?}",
-        report.errors
-    );
-    report
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::QinDbConfig;
     use simclock::SimClock;
     use ssdsim::DeviceConfig;
+
+    /// Audit + assert clean.
+    fn assert_clean(dev: &Device, cfg: AofConfig) -> FsckReport {
+        let report = fsck(dev, cfg).expect("fsck runs");
+        assert!(
+            report.is_clean(),
+            "fsck found problems: {:?}",
+            report.errors
+        );
+        report
+    }
 
     fn engine() -> QinDb {
         let dev = Device::new(DeviceConfig::sized(16 * 1024 * 1024), SimClock::new());

@@ -27,6 +27,17 @@
 //!   happens inside the GC, which also preserves deleted records that are
 //!   still referenced by later deduplicated versions.
 //!
+//! # Recovery
+//!
+//! [`QinDb::recover`] rebuilds a node one way. It picks a base — the
+//! newest checkpoint ([`QinDb::checkpoint`]) while every file it covers
+//! still exists, otherwise an empty engine — then scans every AOF past
+//! the base's coverage, replays those records in `seq` order through the
+//! routines a live PUT and DEL use, and settles liveness for the keys the
+//! replay touched. From the empty base this is the paper's scan of "all
+//! AOFs for reconstruction of the memtable and the GC table". [`fsck()`]
+//! and the GC read a file through the same scan.
+//!
 //! # Example
 //!
 //! ```

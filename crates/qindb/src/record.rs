@@ -30,6 +30,7 @@
 //! scan.
 
 use crate::{QinDbError, Result};
+use aof::{Aof, AofError, FileId};
 use bytes::{BufMut, Bytes};
 use wal::crc32c;
 
@@ -342,6 +343,24 @@ pub fn scan_records(data: &[u8], page_size: usize) -> (Vec<ScanItem>, Option<u64
     let mut scanner = RecordScanner::new(data, page_size);
     let items: Vec<ScanItem> = scanner.by_ref().collect();
     (items, scanner.corruption())
+}
+
+/// Reads `file` from byte `from` to its end and scans it: the records
+/// with their file offsets, and the offset where a torn or corrupt tail
+/// starts. The one read-and-scan of an AOF that recovery, [`crate::fsck()`]
+/// and the GC share; each decides what a bad tail means to it.
+pub(crate) fn scan_file(
+    aof: &Aof,
+    file: FileId,
+    from: u64,
+) -> Result<(Vec<ScanItem>, Option<u64>)> {
+    let len = aof.file_len(file).ok_or(AofError::NoSuchFile(file))?;
+    let data = aof.read(file, from, len.saturating_sub(from) as usize)?;
+    let (mut items, torn) = scan_records(&data, aof.device().geometry().page_size);
+    for item in &mut items {
+        item.offset += from;
+    }
+    Ok((items, torn.map(|at| at + from)))
 }
 
 #[cfg(test)]

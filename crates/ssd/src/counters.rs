@@ -4,56 +4,12 @@
 //! application believes it wrote — tracked by the storage engines, not
 //! here), `Sys Write` (bytes the NAND actually programmed, including pages
 //! migrated by the device GC), and `Sys Read` (bytes the NAND read,
-//! including GC migration reads). [`Counters`] tracks the device-side pair
-//! plus a breakdown that the ablation benches use to attribute
-//! amplification to host traffic vs. device GC.
+//! including GC migration reads). [`CounterSnapshot`] tracks the
+//! device-side pair plus a breakdown that the ablation benches use to
+//! attribute amplification to host traffic vs. device GC.
 
-/// Mutable device counters. Lives inside the device lock.
-#[derive(Debug, Default, Clone)]
-pub struct Counters {
-    /// Bytes written by the host through either interface.
-    pub host_write_bytes: u64,
-    /// Bytes read by the host through either interface.
-    pub host_read_bytes: u64,
-    /// Bytes programmed to NAND by device GC migrations.
-    pub gc_write_bytes: u64,
-    /// Bytes read from NAND by device GC migrations.
-    pub gc_read_bytes: u64,
-    /// Blocks erased (both GC-driven and raw-interface erases).
-    pub blocks_erased: u64,
-    /// Device GC invocations.
-    pub gc_runs: u64,
-    /// Pages migrated by device GC.
-    pub gc_pages_moved: u64,
-    /// Blocks retired after exhausting their erase endurance.
-    pub blocks_retired: u64,
-    /// Host reads that failed with an uncorrectable media error
-    /// (injected by [`crate::FaultInjection`]; zero on a healthy device).
-    pub uncorrectable_reads: u64,
-    /// Page programs that failed and were retried by the firmware on a
-    /// spare page (injected; zero on a healthy device).
-    pub program_failures: u64,
-}
-
-impl Counters {
-    /// Takes an immutable snapshot.
-    pub fn snapshot(&self) -> CounterSnapshot {
-        CounterSnapshot {
-            host_write_bytes: self.host_write_bytes,
-            host_read_bytes: self.host_read_bytes,
-            gc_write_bytes: self.gc_write_bytes,
-            gc_read_bytes: self.gc_read_bytes,
-            blocks_erased: self.blocks_erased,
-            gc_runs: self.gc_runs,
-            gc_pages_moved: self.gc_pages_moved,
-            blocks_retired: self.blocks_retired,
-            uncorrectable_reads: self.uncorrectable_reads,
-            program_failures: self.program_failures,
-        }
-    }
-}
-
-/// A point-in-time copy of the device counters.
+/// The device counters: the device keeps one inside its lock, and
+/// [`crate::Device::counters`] returns a copy.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct CounterSnapshot {
     /// Bytes written by the host through either interface.
@@ -64,7 +20,7 @@ pub struct CounterSnapshot {
     pub gc_write_bytes: u64,
     /// Bytes read by device GC migrations.
     pub gc_read_bytes: u64,
-    /// Blocks erased.
+    /// Blocks erased (both GC-driven and raw-interface erases).
     pub blocks_erased: u64,
     /// Device GC invocations.
     pub gc_runs: u64,

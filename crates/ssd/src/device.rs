@@ -1,7 +1,7 @@
 //! The simulated device: NAND array, both host interfaces, device GC, and
 //! the latency model.
 
-use crate::counters::{CounterSnapshot, Counters};
+use crate::counters::CounterSnapshot;
 use crate::ftl::{FtlMap, Lpa};
 use crate::geometry::{BlockId, Geometry, PageAddr};
 use crate::{Result, SsdError};
@@ -185,7 +185,7 @@ impl BlockState {
 
 struct Inner {
     cfg: DeviceConfig,
-    counters: Counters,
+    counters: CounterSnapshot,
     blocks: Vec<BlockState>,
     /// Erased blocks ready for allocation.
     free: Vec<BlockId>,
@@ -261,7 +261,7 @@ impl Device {
         Device {
             inner: Arc::new(Mutex::new(Inner {
                 cfg,
-                counters: Counters::default(),
+                counters: CounterSnapshot::default(),
                 blocks,
                 free,
                 data: HashMap::new(),
@@ -317,7 +317,7 @@ impl Device {
 
     /// Firmware counter snapshot.
     pub fn counters(&self) -> CounterSnapshot {
-        self.inner.lock().counters.snapshot()
+        self.inner.lock().counters
     }
 
     /// Blocks currently in the free pool.

@@ -47,7 +47,7 @@ mod device;
 mod ftl;
 mod geometry;
 
-pub use counters::{CounterSnapshot, Counters};
+pub use counters::CounterSnapshot;
 pub use device::{Device, DeviceConfig, FaultInjection, LatencyModel};
 pub use ftl::Lpa;
 pub use geometry::{BlockId, Geometry, PageAddr};
