@@ -124,71 +124,59 @@ impl Aof {
                 self.seal_active()?;
             }
         }
-        if self.active.is_none() {
-            self.active = Some(ActiveFile {
-                id: self.next_file,
+        let next_file = &mut self.next_file;
+        let active = self.active.get_or_insert_with(|| {
+            let id = *next_file;
+            *next_file += 1;
+            ActiveFile {
+                id,
                 blocks: Vec::new(),
                 durable: 0,
                 buf: Vec::new(),
-            });
-            self.next_file += 1;
-        }
-        let file = self.active.as_ref().unwrap().id;
-        let offset = {
-            let a = self.active.as_ref().unwrap();
-            a.durable + a.buf.len() as u64
-        };
-        self.active.as_mut().unwrap().buf.extend_from_slice(payload);
-        self.drain_full_pages()?;
-        Ok(RecordLoc {
-            file,
-            offset,
+            }
+        });
+        let loc = RecordLoc {
+            file: active.id,
+            offset: active.durable + active.buf.len() as u64,
             len: payload.len() as u32,
-        })
+        };
+        active.buf.extend_from_slice(payload);
+        self.drain_full_pages()?;
+        Ok(loc)
     }
 
     /// Programs every complete page sitting in the active buffer.
     fn drain_full_pages(&mut self) -> Result<()> {
-        let page = self.page_size;
-        loop {
-            let Some(active) = &self.active else {
-                return Ok(());
-            };
-            if active.buf.len() < page {
-                return Ok(());
-            }
-            self.program_chunk(false)?;
+        let (page, dpb) = (self.page_size, self.data_per_block());
+        while let Some(active) = self.active.as_mut().filter(|a| a.buf.len() >= page) {
+            Self::program_chunk(&self.dev, active, page, dpb, false)?;
         }
+        Ok(())
     }
 
-    /// Programs one contiguous run of pages from the active buffer into
-    /// the current block. With `pad`, a trailing partial page is
-    /// zero-padded and programmed too.
-    fn program_chunk(&mut self, pad: bool) -> Result<()> {
-        let page = self.page_size;
-        let dpb = self.data_per_block();
-        // Ensure the current block exists.
-        let need_block = {
-            let active = self.active.as_ref().expect("active file");
-            let block_idx = (active.durable / dpb) as usize;
-            block_idx >= active.blocks.len()
-        };
-        if need_block {
-            let (id, seq) = {
-                let active = self.active.as_ref().unwrap();
-                (active.id, active.blocks.len() as u32)
-            };
-            let block = self.dev.raw_alloc()?;
+    /// Programs one contiguous run of pages from `active`'s buffer into
+    /// its current block on `dev`, allocating that block (header page
+    /// first) when the file has outgrown the last one. `page` is the page
+    /// size and `dpb` the data bytes a block holds. With `pad`, a
+    /// trailing partial page is zero-padded and programmed too.
+    fn program_chunk(
+        dev: &Device,
+        active: &mut ActiveFile,
+        page: usize,
+        dpb: u64,
+        pad: bool,
+    ) -> Result<()> {
+        let block_idx = (active.durable / dpb) as usize;
+        if block_idx >= active.blocks.len() {
+            let block = dev.raw_alloc()?;
             let mut header = BytesMut::with_capacity(page);
             header.put_u32(BLOCK_HEADER_MAGIC);
-            header.put_u64(id);
-            header.put_u32(seq);
+            header.put_u64(active.id);
+            header.put_u32(active.blocks.len() as u32);
             header.resize(page, 0);
-            self.dev.raw_program(block, &header)?;
-            self.active.as_mut().unwrap().blocks.push(block);
+            dev.raw_program(block, &header)?;
+            active.blocks.push(block);
         }
-        let active = self.active.as_mut().expect("active file");
-        let block_idx = (active.durable / dpb) as usize;
         let block = active.blocks[block_idx];
         let within = active.durable % dpb;
         let pages_left = ((dpb - within) / page as u64) as usize;
@@ -205,7 +193,7 @@ impl Aof {
         }
         let mut chunk = active.buf.drain(..take).collect::<Vec<u8>>();
         chunk.resize(n * page, 0);
-        self.dev.raw_program(block, &chunk)?;
+        dev.raw_program(block, &chunk)?;
         active.durable += (n * page) as u64;
         Ok(())
     }
@@ -214,9 +202,9 @@ impl Aof {
     /// boundary). After `flush`, every appended record is durable.
     pub fn flush(&mut self) -> Result<()> {
         self.drain_full_pages()?;
-        let has_tail = self.active.as_ref().is_some_and(|a| !a.buf.is_empty());
-        if has_tail {
-            self.program_chunk(true)?;
+        let (page, dpb) = (self.page_size, self.data_per_block());
+        if let Some(active) = self.active.as_mut().filter(|a| !a.buf.is_empty()) {
+            Self::program_chunk(&self.dev, active, page, dpb, true)?;
         }
         Ok(())
     }
@@ -224,11 +212,10 @@ impl Aof {
     /// Seals the active file: flushes it and retires it to the sealed set.
     /// No-op when there is no active file.
     pub fn seal_active(&mut self) -> Result<()> {
-        if self.active.is_none() {
-            return Ok(());
-        }
         self.flush()?;
-        let active = self.active.take().expect("checked above");
+        let Some(active) = self.active.take() else {
+            return Ok(());
+        };
         self.files.insert(
             active.id,
             FileMeta {

@@ -133,13 +133,13 @@ pub struct Bifrost {
     base_capacity: Vec<f64>,
     rng: u64,
     totals: DeliveryTotals,
-    trace: Option<obs::TraceSink>,
-    /// Wall-clock counterpart of `trace` for the phase-time profiler:
-    /// dedup/slice/deliver spans measured in real nanoseconds of compute.
-    wall_trace: Option<obs::TraceSink>,
-    /// Shared WAN ledger: every scheduled uplink flow charges its bytes
-    /// as [`obs::TrafficClass::Foreground`] per destination DC and link.
-    wan: Option<obs::WanLedger>,
+    /// The observer, labeled `bifrost`: each delivery records one
+    /// `dedup`, `slice` and `deliver` phase — on the sim ring in
+    /// simulated WAN time, on the wall ring in the compute each phase
+    /// cost — and charges every scheduled uplink flow's bytes to the WAN
+    /// ledger as [`obs::TrafficClass::Foreground`] per destination DC and
+    /// link.
+    scope: obs::Scope,
 }
 
 impl Bifrost {
@@ -158,26 +158,23 @@ impl Bifrost {
             base_capacity,
             rng: cfg.seed | 1,
             totals: DeliveryTotals::default(),
-            trace: None,
-            wall_trace: None,
-            wan: None,
+            scope: obs::Scope::default(),
         }
     }
 
-    /// Attaches a trace sink; subsequent deliveries emit dedup/slice
-    /// events and a span covering the WAN transfer, timestamped on the
-    /// delivery clock.
+    /// Attaches the sim trace ring, re-bound to the delivery clock:
+    /// dedup and slicing take no simulated time, the `deliver` span
+    /// covers the WAN transfer.
     pub fn attach_trace(&mut self, sink: &obs::TraceSink) {
-        self.trace = Some(sink.with_clock(self.sim.clock().clone()));
+        let sink = sink.with_clock(self.sim.clock().clone());
+        self.scope.set_sim(&sink, "bifrost");
     }
 
-    /// Attaches a wall-clock trace sink; subsequent deliveries emit
-    /// dedup/slice/deliver spans measuring the real compute each phase
-    /// cost (the sim trace measures simulated WAN time instead). The sink
-    /// is not rebound — all wall sinks share one epoch, so these spans
-    /// nest inside the pipeline's phase spans.
+    /// Attaches the wall trace ring: the same phases, measuring the real
+    /// compute each cost. Not re-bound — all wall sinks share one epoch,
+    /// so these spans nest inside the pipeline's phase spans.
     pub fn attach_wall_trace(&mut self, sink: &obs::TraceSink) {
-        self.wall_trace = Some(sink.clone());
+        self.scope.set_wall(sink, "bifrost");
     }
 
     /// Attaches the shared WAN ledger; subsequent deliveries charge each
@@ -186,7 +183,7 @@ impl Bifrost {
     /// foreground class total therefore equals the delivery totals'
     /// `uplink_bytes` — a conservation law the chaos checker asserts.
     pub fn attach_wan(&mut self, ledger: &obs::WanLedger) {
-        self.wan = Some(ledger.clone());
+        self.scope.set_wan(ledger, "bifrost");
     }
 
     /// Schedules background traffic: at `at`, every trunk's available
@@ -277,13 +274,10 @@ impl Bifrost {
         version: &IndexVersion,
         at: SimTime,
     ) -> (DeliveryReport, Vec<UpdateEntry>) {
-        // Clone the sink handles so span guards borrow these locals
-        // rather than `self` (the loop below needs `&mut self`).
-        let tracer = self.trace.clone();
-        let wall = self.wall_trace.clone();
-        let mut wall_dedup = wall
-            .as_ref()
-            .map(|t| t.span(obs::SpanKind::Dedup, "bifrost"));
+        // Clone the scope so the phases borrow this local rather than
+        // `self` (the loop below needs `&mut self`).
+        let scope = self.scope.clone();
+        let mut phase = scope.phase(obs::SpanKind::Dedup);
         let (mut entries, mut dedup_stats) = self.dedup.process(version);
         if !self.cfg.dedup_enabled {
             // Baseline: ship every value. Restore stripped entries from
@@ -295,31 +289,18 @@ impl Bifrost {
             dedup_stats.bytes_after = entries.iter().map(UpdateEntry::wire_bytes).sum();
             dedup_stats.pairs_deduped = 0;
         }
-        if let Some(t) = &tracer {
-            // Dedup is pure computation — it does not advance the
-            // simulated clock, so it records as an instantaneous event
-            // whose amount is the bytes it removed. (Wire framing adds
-            // overhead, so an undeduplicated version can ship *more* than
-            // its payload — saturate to zero in that case.)
-            t.event(
-                obs::SpanKind::Dedup,
-                "bifrost",
-                dedup_stats
-                    .bytes_before
-                    .saturating_sub(dedup_stats.bytes_after),
-            );
-        }
-        if let Some(span) = wall_dedup.as_mut() {
-            span.set_amount(
-                dedup_stats
-                    .bytes_before
-                    .saturating_sub(dedup_stats.bytes_after),
-            );
-        }
-        drop(wall_dedup);
-        let mut wall_slice = wall
-            .as_ref()
-            .map(|t| t.span(obs::SpanKind::Slice, "bifrost"));
+        // Dedup is pure computation — it does not advance the simulated
+        // clock, so its sim span is an instant whose amount is the bytes
+        // it removed. (Wire framing adds overhead, so an undeduplicated
+        // version can ship *more* than its payload — saturate to zero in
+        // that case.)
+        phase.set_amount(
+            dedup_stats
+                .bytes_before
+                .saturating_sub(dedup_stats.bytes_after),
+        );
+        drop(phase);
+        let mut phase = scope.phase(obs::SpanKind::Slice);
         // Split the wire stream into the two reserved classes.
         let mut summary_slices = SliceBuilder::new(self.cfg.slice_bytes);
         let mut inverted_slices = SliceBuilder::new(self.cfg.slice_bytes);
@@ -347,25 +328,11 @@ impl Bifrost {
                 inverted_destinations,
             ),
         ];
-        if let Some(t) = &tracer {
-            t.event(
-                obs::SpanKind::Slice,
-                "bifrost",
-                streams.iter().map(|(_, s, _)| s.len() as u64).sum(),
-            );
-        }
-        if let Some(span) = wall_slice.as_mut() {
-            span.set_amount(streams.iter().map(|(_, s, _)| s.len() as u64).sum());
-        }
-        drop(wall_slice);
-        // The Deliver span covers everything that advances the simulated
+        phase.set_amount(streams.iter().map(|(_, s, _)| s.len() as u64).sum());
+        drop(phase);
+        // The deliver phase covers everything that advances the simulated
         // clock: flow scheduling, the WAN run, and the P2P second hop.
-        let mut deliver_span = tracer
-            .as_ref()
-            .map(|t| t.span(obs::SpanKind::Deliver, "bifrost"));
-        let mut wall_deliver = wall
-            .as_ref()
-            .map(|t| t.span(obs::SpanKind::Deliver, "bifrost"));
+        let mut phase = scope.phase(obs::SpanKind::Deliver);
         let mut flows: Vec<(FlowId, DataCenterId, SimTime)> = Vec::new();
         // Inverted flows to slot-0 DCs that P2P mode must relay onward:
         // (flow, region, slice bytes, original ship time).
@@ -402,14 +369,12 @@ impl Bifrost {
                             .on_scheduled(*l, bytes, self.base_capacity[l.0 as usize]);
                     }
                     uplink_bytes += bytes;
-                    if let Some(ledger) = &self.wan {
-                        ledger.charge(
-                            obs::TrafficClass::Foreground,
-                            &format!("dc{}.{}", dc.region.0, dc.slot),
-                            path.first().map(|l| l.0),
-                            bytes,
-                        );
-                    }
+                    scope.charge(
+                        obs::TrafficClass::Foreground,
+                        &format!("dc{}.{}", dc.region.0, dc.slot),
+                        path.first().map(|l| l.0),
+                        bytes,
+                    );
                     let id = self.sim.schedule_flow(start, path, bytes.max(1));
                     if self.cfg.mode == DeliveryMode::P2p
                         && class == StreamClass::Inverted
@@ -448,14 +413,8 @@ impl Bifrost {
             }
             self.sim.run_until_idle();
         }
-        if let Some(span) = &mut deliver_span {
-            span.set_amount(uplink_bytes);
-        }
-        drop(deliver_span);
-        if let Some(span) = &mut wall_deliver {
-            span.set_amount(uplink_bytes);
-        }
-        drop(wall_deliver);
+        phase.set_amount(uplink_bytes);
+        drop(phase);
         // The relay groups report back: close the monitoring window with
         // the observed busy time.
         self.monitor

@@ -125,6 +125,9 @@ pub struct DirectLoad {
     /// each cluster charges its catch-up (and, under the placement
     /// migrator, migration) transfers.
     wan: obs::WanLedger,
+    /// The pipeline's own observer over the two rings, labeled
+    /// `pipeline`: one `build`, `load` and `publish` phase per round.
+    scope: obs::Scope,
     /// Lifetime pipeline totals for the metrics export.
     keys_stored_total: u64,
     versions_retired_total: u64,
@@ -140,6 +143,9 @@ impl DirectLoad {
         let trace = obs::TraceSink::sim(TRACE_CAPACITY, clock.clone());
         let wall_trace = obs::TraceSink::wall(TRACE_CAPACITY);
         let wan = obs::WanLedger::new();
+        let mut scope = obs::Scope::default();
+        scope.set_sim(&trace, "pipeline");
+        scope.set_wall(&wall_trace, "pipeline");
         let mut bifrost = Bifrost::new(cfg.bifrost, clock.clone());
         bifrost.attach_trace(&trace);
         bifrost.attach_wall_trace(&wall_trace);
@@ -166,6 +172,7 @@ impl DirectLoad {
             trace,
             wall_trace,
             wan,
+            scope,
             keys_stored_total: 0,
             versions_retired_total: 0,
         }
@@ -239,21 +246,17 @@ impl DirectLoad {
     /// the other centers' batches are nevertheless applied whole.
     pub fn run_version(&mut self, change_fraction: f64) -> Result<VersionReport> {
         let start = self.clock.now();
-        // Wall-clock phase spans for the profiler; each subsystem nests
-        // its own spans (dedup/slice/deliver, per-cluster loads, engine
-        // flush/GC) inside these.
-        let wall = self.wall_trace.clone();
-        let mut build_span = wall.span(obs::SpanKind::Build, "pipeline");
-        let index = self.crawler.advance_round(change_fraction);
+        // One phase per stage; each subsystem nests its own (dedup /
+        // slice / deliver, per-cluster loads, engine flush / GC) inside.
         // Index building is pure computation on the crawl side — it does
-        // not advance the simulated clock, so it traces as an event whose
-        // amount is the pairs built.
-        self.trace
-            .event(obs::SpanKind::Build, "indexgen", index.total_pairs() as u64);
-        build_span.set_amount(index.total_pairs() as u64);
-        drop(build_span);
+        // not advance the simulated clock, so its sim span is an instant
+        // whose amount is the pairs built.
+        let mut phase = self.scope.phase(obs::SpanKind::Build);
+        let index = self.crawler.advance_round(change_fraction);
+        phase.set_amount(index.total_pairs() as u64);
+        drop(phase);
         let (delivery, entries) = self.bifrost.deliver_version(&index, start);
-        let mut load_span = wall.span(obs::SpanKind::Load, "pipeline");
+        let mut phase = self.scope.phase(obs::SpanKind::Load);
         // Partition the wire entries once into the two write streams every
         // data center shares.
         let (mut summary_ops, mut other_ops) = (Vec::new(), Vec::new());
@@ -305,13 +308,11 @@ impl DirectLoad {
         }
         let versions_retired = retiring.len() as u64;
         // Storage applies run on per-node clocks, not the shared WAN
-        // clock, so the cluster load traces as an event carrying the pair
+        // clock, so the load's sim span is an instant carrying the pair
         // count (per-node flush spans carry the node-level timing).
-        self.trace
-            .event(obs::SpanKind::Load, "mint", entries.len() as u64);
-        load_span.set_amount(entries.len() as u64);
-        drop(load_span);
-        let mut publish_span = wall.span(obs::SpanKind::Publish, "pipeline");
+        phase.set_amount(entries.len() as u64);
+        drop(phase);
+        let mut phase = self.scope.phase(obs::SpanKind::Publish);
         // Every center holds the version and has dropped what left the
         // window: move the window.
         self.history.push_back(landed);
@@ -319,10 +320,8 @@ impl DirectLoad {
         let update_time = delivery.update_time + storage_time;
         let keys_stored = entries.len() as u64;
         // The version is now queryable everywhere: the publish point.
-        self.trace
-            .event(obs::SpanKind::Publish, "pipeline", index.version);
-        publish_span.set_amount(index.version);
-        drop(publish_span);
+        phase.set_amount(index.version);
+        drop(phase);
         self.keys_stored_total += keys_stored;
         self.versions_retired_total += versions_retired;
         let secs = update_time.as_secs_f64();

@@ -237,18 +237,16 @@ impl Mint {
     /// node may already hold the item (a journaled-but-reshipped record,
     /// or state a full transfer already covered) — and journaled under
     /// its group LSN, then one flush; the shipped bytes are charged to
-    /// the node's clock at [`SYNC_BYTES_PER_SEC`]. Emits a `wal_replay`
-    /// span.
+    /// the node's clock at [`SYNC_BYTES_PER_SEC`]. Records a `wal_replay`
+    /// span on the sim ring under the node's label.
     fn ship_suffix(
         &mut self,
         node: NodeId,
         records: &[wal::WalRecord],
         max_bytes: u64,
     ) -> Result<SyncStep> {
-        let trace = self.trace.clone();
-        let mut span = trace.as_ref().map(|(sink, prefix)| {
-            sink.span(obs::SpanKind::WalReplay, &format!("{prefix}/n{}", node.0))
-        });
+        let scope = self.scope.child(&format!("n{}", node.0), None);
+        let mut span = scope.phase_on(obs::Rings::Sim, obs::SpanKind::WalReplay);
         let mut step = SyncStep {
             done: true,
             ..SyncStep::default()
@@ -279,9 +277,7 @@ impl Mint {
             engine.flush()
         })?;
         self.charge_transfer(node, step.bytes);
-        if let Some(span) = span.as_mut() {
-            span.set_amount(step.bytes);
-        }
+        span.set_amount(step.bytes);
         Ok(step)
     }
 
@@ -385,9 +381,8 @@ impl Mint {
         if bytes == 0 {
             return;
         }
-        if let Some((ledger, label)) = &self.wan {
-            ledger.charge(self.wan_class, label, None, bytes);
-        }
+        self.scope
+            .charge(self.wan_class, self.scope.label(), None, bytes);
         let ns = bytes
             .saturating_mul(1_000_000_000)
             .div_ceil(SYNC_BYTES_PER_SEC);

@@ -217,13 +217,13 @@ pub struct Mint {
     whole_through: Vec<Option<u64>>,
     /// Topology life-cycle state, indexed by node id.
     roles: Vec<NodeRole>,
-    /// Trace sink plus cluster label prefix, kept so recovered or added
-    /// nodes get re-instrumented.
-    trace: Option<(obs::TraceSink, String)>,
-    /// Wall-clock counterpart of `trace` for the phase-time profiler:
-    /// engine maintenance spans in real nanoseconds, plus a `load` span
-    /// around each [`Mint::apply`] and [`Mint::retire`] batch.
-    wall_trace: Option<(obs::TraceSink, String)>,
+    /// The cluster's observer, under its DC label: a wall-ring `load`
+    /// span around each [`Mint::apply`] and [`Mint::retire`] batch, a
+    /// wall-ring `get` span per traced read, a sim-ring `wal_replay` span
+    /// per shipped log suffix, and catch-up bytes charged to the WAN
+    /// ledger. Each node's engine records through a child of it (handed
+    /// over by `instrument`); kept so recovered or added nodes get one too.
+    scope: obs::Scope,
     /// Routing generation: bumped on every change that alters which
     /// nodes a key can route to (failure, recovery, join cutover, drain
     /// cutover). `begin_join`/`begin_drain` deliberately do *not* bump —
@@ -242,9 +242,6 @@ pub struct Mint {
     wal_catchup: bool,
     /// Diagnostics from the most recent recovery catch-up.
     last_recovery: Option<WalRecovery>,
-    /// Byte ledger plus the DC label catch-up transfers are charged to,
-    /// so replication traffic is attributable by class.
-    wan: Option<(obs::WanLedger, String)>,
     /// Traffic class charged for catch-up transfers: `WalCatchup` by
     /// default (crash recovery, join anti-entropy); the placement
     /// migrator flips it to `Migration` around its throttled batches.
@@ -272,15 +269,13 @@ impl Mint {
             alive: Vec::new(),
             whole_through: Vec::new(),
             roles: Vec::new(),
-            trace: None,
-            wall_trace: None,
+            scope: obs::Scope::default(),
             generation: 0,
             group_logs: (0..cfg.groups)
                 .map(|_| wal::Wal::new(wal::WalConfig::default()))
                 .collect(),
             wal_catchup: true,
             last_recovery: None,
-            wan: None,
             wan_class: obs::TrafficClass::WalCatchup,
         };
         for _ in 0..cfg.groups {
@@ -321,42 +316,33 @@ impl Mint {
         self.generation
     }
 
-    /// Attaches a trace sink to every node's engine (and device), labeled
-    /// `<prefix>/n<id>`. Nodes recovered or added later are instrumented
-    /// with the same sink.
+    /// Attaches a sim trace ring, as bound, under the cluster label
+    /// `prefix`: every node's engine and device record on it labeled
+    /// `<prefix>/n<id>`, re-bound to the node's clock. Nodes recovered or
+    /// added later get the same.
     pub fn attach_trace(&mut self, sink: &obs::TraceSink, prefix: &str) {
-        self.trace = Some((sink.clone(), prefix.to_string()));
-        for node in &self.nodes {
-            self.instrument(node);
-        }
+        self.scope.set_sim(sink, prefix);
+        self.nodes.iter().for_each(|node| self.instrument(node));
     }
 
-    /// Attaches a wall-clock trace sink to every node's engine, labeled
-    /// `<prefix>/n<id>`, and records a `load` span around every
-    /// [`Mint::apply`] and [`Mint::retire`] batch. Recovered or added
-    /// nodes are re-instrumented with the same sink, exactly like
-    /// [`Mint::attach_trace`].
+    /// Attaches the wall trace ring under the cluster label `prefix`, for
+    /// the cluster's own spans and, like [`Mint::attach_trace`], every
+    /// node's engine.
     pub fn attach_wall_trace(&mut self, sink: &obs::TraceSink, prefix: &str) {
-        self.wall_trace = Some((sink.clone(), prefix.to_string()));
-        for node in &self.nodes {
-            self.instrument(node);
-        }
+        self.scope.set_wall(sink, prefix);
+        self.nodes.iter().for_each(|node| self.instrument(node));
     }
 
-    /// Hands one node's engine the cluster's trace sinks, such as are
-    /// attached: at attach time for every node, and again for an engine
-    /// that recovery or a join has just created. A node whose engine is
-    /// down is skipped — its recovery instruments the new one.
+    /// Hands one node's engine its observer, `<label>/n<id>` on the
+    /// node's clock: at attach time for every node, and again for an
+    /// engine that recovery or a join has just created. A node whose
+    /// engine is down is skipped — its recovery instruments the new one.
     fn instrument(&self, node: &NodeState) {
-        let mut guard = node.engine.write();
-        let Some(engine) = guard.as_mut() else {
-            return;
-        };
-        if let Some((sink, prefix)) = &self.trace {
-            engine.attach_trace(sink, &format!("{prefix}/n{}", node.id.0));
-        }
-        if let Some((sink, prefix)) = &self.wall_trace {
-            engine.attach_wall_trace(sink, &format!("{prefix}/n{}", node.id.0));
+        if let Some(engine) = node.engine.write().as_mut() {
+            engine.set_scope(
+                self.scope
+                    .child(&format!("n{}", node.id.0), Some(&node.clock)),
+            );
         }
     }
 
@@ -365,7 +351,7 @@ impl Mint {
     /// to it under `dc_label` with the current [`Mint::set_wan_class`]
     /// traffic class.
     pub fn attach_wan(&mut self, ledger: &obs::WanLedger, dc_label: &str) {
-        self.wan = Some((ledger.clone(), dc_label.to_string()));
+        self.scope.set_wan(ledger, dc_label);
     }
 
     /// Sets the traffic class charged for subsequent catch-up transfers.

@@ -76,12 +76,7 @@ impl Mint {
         trace_id: u64,
         mut cost: Option<&mut obs::ReadAttribution>,
     ) -> Result<(Option<Bytes>, SimTime)> {
-        let mut span = match (&self.wall_trace, trace_id) {
-            (Some((sink, prefix)), id) if id != 0 => {
-                Some(sink.span_traced(obs::SpanKind::Get, prefix, id))
-            }
-            _ => None,
-        };
+        let mut span = self.scope.request(obs::SpanKind::Get, trace_id);
         let kh = placement_hash(key);
         let group = group_of_hash(kh, self.groups.len());
         if let Some(cost) = cost.as_deref_mut() {
@@ -140,9 +135,7 @@ impl Mint {
                 break;
             }
         }
-        if let Some(s) = span.as_mut() {
-            s.set_amount(consulted);
-        }
+        span.set_amount(consulted);
         if responders == 0 {
             return Err(last_error.unwrap_or(MintError::NoReplicaAvailable));
         }

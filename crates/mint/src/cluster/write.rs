@@ -75,18 +75,17 @@ impl Mint {
             .map(drop)
     }
 
-    /// [`Mint::execute`] inside a wall-clock `load` span carrying the
-    /// batch's routed payload bytes.
+    /// [`Mint::execute`] inside a wall-ring `load` span carrying the
+    /// batch's routed payload bytes (the sim ring's `load` is the
+    /// pipeline's, one per round).
     fn execute_spanned<'a>(
         &mut self,
         batch: impl Iterator<Item = Mutation<'a>>,
     ) -> Result<ApplyReport> {
-        let wall = self.wall_trace.clone();
-        let mut wspan = wall.as_ref().map(|(s, l)| s.span(obs::SpanKind::Load, l));
+        let scope = self.scope.clone();
+        let mut load = scope.phase_on(obs::Rings::Wall, obs::SpanKind::Load);
         let report = self.execute(batch)?;
-        if let Some(wspan) = wspan.as_mut() {
-            wspan.set_amount(report.bytes);
-        }
+        load.set_amount(report.bytes);
         Ok(report)
     }
 

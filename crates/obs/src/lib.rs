@@ -45,11 +45,21 @@
 //!   attributed to a [`TrafficClass`] (foreground delivery vs. WAL
 //!   catch-up vs. migration), charged by bifrost, mint, and placement.
 //!
+//! * [`scope`] — one observer per component: a [`Scope`] holds its sim
+//!   ring (bound to its own clock), the shared wall ring and the WAN
+//!   ledger under one label, records every phase once on each ring it
+//!   reaches ([`Scope::phase`]), and derives a part's observer with
+//!   [`Scope::child`] (cluster → node, engine → device).
+//!
 //! Request tracing: [`TraceCtx`] carries a `trace_id` allocated at the
 //! network edge through every layer; spans emitted with
 //! [`TraceSink::span_traced`]/[`TraceSink::event_traced`] share the id,
 //! and [`assemble`] stitches them back into one cross-layer
 //! [`AssembledTrace`].
+//!
+//! Every lock in this crate recovers from poisoning: a panic on one
+//! thread — a metric-kind clash, say — must not take telemetry down for
+//! every later caller.
 //!
 //! `obs` sits at the bottom of the dependency graph (only `simclock` and
 //! the vendored `serde_json` below it) so every other crate can wire its
@@ -58,6 +68,7 @@
 pub mod cost;
 pub mod hist;
 pub mod registry;
+pub mod scope;
 pub mod sketch;
 pub mod slo;
 pub mod telemetry;
@@ -68,6 +79,7 @@ pub mod wan;
 pub use cost::{Cost, CostAccumulator, CostTotals, ReadAttribution, ReadCost};
 pub use hist::LatencyHistogram;
 pub use registry::{Counter, Gauge, MetricSample, MetricValue, MetricsReport, Registry};
+pub use scope::{Phase, Rings, Scope};
 pub use sketch::TopKSketch;
 pub use slo::{SloEngine, SloOp, SloSpec, SloStatus};
 pub use telemetry::{CtrlDcRow, CtrlSection, LayerRow, TelemetryFrame, TopSpan};
@@ -77,3 +89,11 @@ pub use trace::{
     SpanBreakdown, SpanGuard, SpanKind, TraceCtx, TraceEvent, TraceSink,
 };
 pub use wan::{TrafficClass, WanDcRow, WanLedger, WanLinkRow};
+
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
+/// Locks `m`, taking the data over from a holder that panicked: every
+/// structure behind an `obs` lock stays consistent between statements.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}

@@ -114,16 +114,20 @@ impl Registry {
         GLOBAL.get_or_init(Registry::new)
     }
 
+    /// The cell registered under `name`, registering `new()` on first
+    /// use. The lock is released before the caller inspects the cell, so
+    /// a kind clash panics without poisoning the registry.
+    fn cell(&self, name: &str, new: fn() -> Cell) -> Cell {
+        validate_name(name);
+        let mut cells = crate::lock(&self.cells);
+        cells.entry(name.to_string()).or_insert_with(new).clone()
+    }
+
     /// Returns the counter registered under `name`, creating it on first
     /// use. Panics if `name` is malformed or already names a gauge.
     pub fn counter(&self, name: &str) -> Counter {
-        validate_name(name);
-        let mut cells = self.cells.lock().unwrap();
-        match cells
-            .entry(name.to_string())
-            .or_insert_with(|| Cell::Counter(Counter::new()))
-        {
-            Cell::Counter(c) => c.clone(),
+        match self.cell(name, || Cell::Counter(Counter::new())) {
+            Cell::Counter(c) => c,
             Cell::Gauge(_) => panic!("metric {name:?} is registered as a gauge"),
         }
     }
@@ -131,20 +135,15 @@ impl Registry {
     /// Returns the gauge registered under `name`, creating it on first
     /// use. Panics if `name` is malformed or already names a counter.
     pub fn gauge(&self, name: &str) -> Gauge {
-        validate_name(name);
-        let mut cells = self.cells.lock().unwrap();
-        match cells
-            .entry(name.to_string())
-            .or_insert_with(|| Cell::Gauge(Gauge::new()))
-        {
-            Cell::Gauge(g) => g.clone(),
+        match self.cell(name, || Cell::Gauge(Gauge::new())) {
+            Cell::Gauge(g) => g,
             Cell::Counter(_) => panic!("metric {name:?} is registered as a counter"),
         }
     }
 
     /// Number of registered metrics.
     pub fn len(&self) -> usize {
-        self.cells.lock().unwrap().len()
+        crate::lock(&self.cells).len()
     }
 
     /// True when nothing is registered.
@@ -161,7 +160,7 @@ impl Registry {
     /// compare them with plain equality. Registration order never leaks
     /// into a snapshot.
     pub fn snapshot(&self) -> MetricsReport {
-        let cells = self.cells.lock().unwrap();
+        let cells = crate::lock(&self.cells);
         MetricsReport {
             samples: cells
                 .iter()
@@ -362,6 +361,18 @@ mod tests {
         let reg = Registry::new();
         reg.gauge("x.level");
         reg.counter("x.level");
+    }
+
+    #[test]
+    fn a_kind_clash_leaves_the_registry_usable() {
+        let reg = Registry::new();
+        reg.gauge("x.level");
+        let clash = std::panic::catch_unwind(|| reg.counter("x.level"));
+        assert!(clash.is_err());
+        reg.counter("x.total").add(3);
+        let snap = reg.snapshot();
+        assert_eq!(snap.counter("x.total"), Some(3));
+        assert_eq!(reg.len(), 2);
     }
 
     #[test]

@@ -374,7 +374,7 @@ impl TraceSink {
         amount: u64,
         trace_id: u64,
     ) {
-        let mut buf = self.shared.buf.lock().unwrap();
+        let mut buf = crate::lock(&self.shared.buf);
         let seq = buf.next_seq;
         buf.next_seq += 1;
         if buf.events.len() == self.shared.capacity {
@@ -394,8 +394,7 @@ impl TraceSink {
 
     /// Records an instantaneous event (untraced; `trace_id` 0).
     pub fn event(&self, kind: SpanKind, label: &str, amount: u64) {
-        let now = self.now_ns();
-        self.push(kind, label.to_string(), now, now, amount, 0);
+        self.event_traced(kind, label, amount, 0);
     }
 
     /// Records an instantaneous event correlated to a request.
@@ -406,14 +405,7 @@ impl TraceSink {
 
     /// Opens a span that records itself on drop (untraced; `trace_id` 0).
     pub fn span(&self, kind: SpanKind, label: &str) -> SpanGuard<'_> {
-        SpanGuard {
-            sink: self,
-            kind,
-            label: label.to_string(),
-            start_ns: self.now_ns(),
-            amount: 0,
-            trace_id: 0,
-        }
+        self.span_traced(kind, label, 0)
     }
 
     /// Opens a span correlated to a request; [`assemble`] later stitches
@@ -431,7 +423,7 @@ impl TraceSink {
 
     /// Events currently buffered.
     pub fn len(&self) -> usize {
-        self.shared.buf.lock().unwrap().events.len()
+        crate::lock(&self.shared.buf).events.len()
     }
 
     /// True when nothing is buffered.
@@ -446,29 +438,17 @@ impl TraceSink {
 
     /// Events evicted because the ring was full.
     pub fn dropped(&self) -> u64 {
-        self.shared.buf.lock().unwrap().dropped
+        crate::lock(&self.shared.buf).dropped
     }
 
     /// A copy of the buffered events, oldest first.
     pub fn snapshot(&self) -> Vec<TraceEvent> {
-        self.shared
-            .buf
-            .lock()
-            .unwrap()
-            .events
-            .iter()
-            .cloned()
-            .collect()
+        Vec::from(crate::lock(&self.shared.buf).events.clone())
     }
 
     /// The buffered events as JSONL, one event per line, oldest first.
     pub fn to_jsonl(&self) -> String {
-        let mut out = String::new();
-        for e in self.snapshot() {
-            out.push_str(&e.to_json());
-            out.push('\n');
-        }
-        out
+        self.snapshot().iter().map(|e| e.to_json() + "\n").collect()
     }
 
     /// Publishes the sink's own health as gauges on `reg`:
@@ -478,7 +458,7 @@ impl TraceSink {
     /// trace window is shorter than it looks.
     pub fn publish_metrics(&self, reg: &crate::Registry, prefix: &str) {
         let (len, dropped) = {
-            let buf = self.shared.buf.lock().unwrap();
+            let buf = crate::lock(&self.shared.buf);
             (buf.events.len(), buf.dropped)
         };
         reg.gauge(&format!("{prefix}.dropped")).set(dropped as f64);
@@ -498,11 +478,6 @@ pub struct SpanGuard<'a> {
 }
 
 impl SpanGuard<'_> {
-    /// Adds to the span's payload amount.
-    pub fn add_amount(&mut self, n: u64) {
-        self.amount += n;
-    }
-
     /// Sets the span's payload amount.
     pub fn set_amount(&mut self, n: u64) {
         self.amount = n;
@@ -787,7 +762,7 @@ impl AssembledTrace {
 /// the request's earliest spans (check [`TraceSink::dropped`]), and the
 /// events' timestamps are only mutually comparable when their emitters
 /// share a time source — which is why the request path runs entirely on
-/// the wall ring (see `qindb`'s `attach_wall_trace`).
+/// the wall ring (see [`Scope::request`](crate::Scope::request)).
 pub fn assemble(sink: &TraceSink, trace_id: u64) -> AssembledTrace {
     let mut events: Vec<TraceEvent> = sink
         .snapshot()

@@ -112,7 +112,7 @@ impl WanLedger {
         if bytes == 0 {
             return;
         }
-        let mut inner = self.inner.lock().unwrap();
+        let mut inner = crate::lock(&self.inner);
         let idx = class.idx();
         inner.class_bytes[idx] += bytes;
         inner.per_dc.entry(dc.to_string()).or_default()[idx] += bytes;
@@ -123,19 +123,17 @@ impl WanLedger {
 
     /// Total bytes charged to `class`.
     pub fn class_total(&self, class: TrafficClass) -> u64 {
-        self.inner.lock().unwrap().class_bytes[class.idx()]
+        crate::lock(&self.inner).class_bytes[class.idx()]
     }
 
     /// Total bytes across every class.
     pub fn total(&self) -> u64 {
-        self.inner.lock().unwrap().class_bytes.iter().sum()
+        crate::lock(&self.inner).class_bytes.iter().sum()
     }
 
     /// Per-DC rows, ascending by label.
     pub fn dc_rows(&self) -> Vec<WanDcRow> {
-        self.inner
-            .lock()
-            .unwrap()
+        crate::lock(&self.inner)
             .per_dc
             .iter()
             .map(|(dc, &bytes)| WanDcRow {
@@ -147,9 +145,7 @@ impl WanLedger {
 
     /// Per-link rows, ascending by link id.
     pub fn link_rows(&self) -> Vec<WanLinkRow> {
-        self.inner
-            .lock()
-            .unwrap()
+        crate::lock(&self.inner)
             .per_link
             .iter()
             .map(|(&link, &bytes)| WanLinkRow { link, bytes })
@@ -159,7 +155,7 @@ impl WanLedger {
     /// Publishes the ledger into `registry` under `wan.*`. Store
     /// semantics: safe to republish from a telemetry loop.
     pub fn publish(&self, registry: &Registry) {
-        let inner = self.inner.lock().unwrap();
+        let inner = crate::lock(&self.inner);
         for class in TrafficClass::ALL {
             registry
                 .counter(&format!("wan.{}_bytes", class.name()))
@@ -183,7 +179,7 @@ impl WanLedger {
 
     /// Deterministic render: class totals then per-DC rows, sorted.
     pub fn render(&self) -> String {
-        let inner = self.inner.lock().unwrap();
+        let inner = crate::lock(&self.inner);
         let mut out = format!(
             "wan total foreground={} wal_catchup={} migration={}\n",
             inner.class_bytes[0], inner.class_bytes[1], inner.class_bytes[2]

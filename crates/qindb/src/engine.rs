@@ -10,7 +10,6 @@ use bytes::Bytes;
 use memtable::{ChainLink, IndexEntry, KeyRef, Memtable, Seek, ValueLocation, VersionedKey};
 use ssdsim::Device;
 use std::collections::HashSet;
-use std::sync::Arc;
 
 /// What a node knows about a `k/t` pair (see [`QinDb::status`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -52,13 +51,10 @@ pub struct QinDb {
     ckpt: Option<(u64, Vec<ssdsim::BlockId>)>,
     /// Whether the last recovery used a checkpoint (diagnostics).
     recovered_via_checkpoint: bool,
-    /// Optional trace sink (timestamped on this engine's device clock)
-    /// and the label maintenance events are emitted under.
-    trace: Option<(obs::TraceSink, Arc<str>)>,
-    /// Optional wall-clock trace sink for the phase-time profiler; emits
-    /// the same maintenance spans stamped in real nanoseconds so they
-    /// nest coherently inside the pipeline's wall-time phases.
-    wall_trace: Option<(obs::TraceSink, Arc<str>)>,
+    /// The observer flush, checkpoint, GC and traceback are recorded
+    /// through: its sim half on this engine's device clock, its wall half
+    /// the shared epoch the pipeline's phases nest in.
+    scope: obs::Scope,
     /// The node's mutation journal: every applied cluster mutation is
     /// framed here with the coordinator-assigned group LSN embedded in
     /// the payload. The journal carries no values — the AOF is the data
@@ -134,8 +130,7 @@ impl QinDb {
             next_seq,
             ckpt: None,
             recovered_via_checkpoint: false,
-            trace: None,
-            wall_trace: None,
+            scope: obs::Scope::default(),
             journal: wal::Wal::new(wal::WalConfig::default()),
             journal_frontier: 0,
         }
@@ -201,14 +196,8 @@ impl QinDb {
         if hops > 0 {
             self.stats.gets_traced.add(1);
             self.stats.traceback_steps.add(hops as u64);
-            if let Some((sink, label)) = &self.trace {
-                sink.event(obs::SpanKind::Traceback, label, hops as u64);
-            }
-            if trace_id != 0 {
-                if let Some((sink, label)) = &self.wall_trace {
-                    sink.event_traced(obs::SpanKind::Traceback, label, hops as u64, trace_id);
-                }
-            }
+            self.scope
+                .event(obs::SpanKind::Traceback, hops as u64, trace_id);
         }
         let data = self.aof_read(loc)?;
         let Some((record, _)) = RecordRef::parse(&data) else {
@@ -326,58 +315,29 @@ impl QinDb {
     // Durability & lifecycle
     // ------------------------------------------------------------------
 
-    /// Attaches a trace sink: flush, checkpoint, GC, and traceback emit
-    /// events under `label`, timestamped on this engine's device clock.
-    /// Also wires the underlying device so its GC runs trace too.
-    pub fn attach_trace(&mut self, sink: &obs::TraceSink, label: &str) {
-        let sink = sink.with_clock(self.aof.device().clock().clone());
-        self.aof.device().attach_trace(&sink, label);
-        self.trace = Some((sink, label.into()));
-    }
-
-    /// Attaches a wall-clock trace sink: the same maintenance spans
-    /// (flush, checkpoint, engine GC) are also emitted in real
-    /// nanoseconds under `label`. Unlike [`QinDb::attach_trace`] the sink
-    /// is *not* rebound to the device clock — all wall sinks cloned from
-    /// one [`obs::TraceSink::wall`] share a single epoch, which is what
-    /// lets the phase profiler nest engine spans inside pipeline phases.
-    pub fn attach_wall_trace(&mut self, sink: &obs::TraceSink, label: &str) {
-        self.wall_trace = Some((sink.clone(), label.into()));
-    }
-
-    /// Runs `body` inside one `kind` span on each attached sink, both
-    /// carrying the amount `body` counts into its second argument. The
-    /// spans are opened on handles to the sinks (`Arc` bumps), so they
-    /// stay open across the `&mut self` calls `body` makes.
-    fn in_span<T>(
-        &mut self,
-        kind: obs::SpanKind,
-        body: impl FnOnce(&mut Self, &mut u64) -> Result<T>,
-    ) -> Result<T> {
-        let sinks = [self.wall_trace.clone(), self.trace.clone()];
-        let mut spans = sinks
-            .each_ref()
-            .map(|s| s.as_ref().map(|(sink, label)| sink.span(kind, label)));
-        let mut amount = 0;
-        let out = body(self, &mut amount);
-        for span in spans.iter_mut().flatten() {
-            span.set_amount(amount);
-        }
-        out
+    /// Hands the engine its observer — a [`obs::Scope::child`] whose sim
+    /// half is bound to this engine's device clock — and the device the
+    /// same one, so flush, checkpoint, GC, traceback and device GC all
+    /// record under one label.
+    pub fn set_scope(&mut self, scope: obs::Scope) {
+        self.aof.device().set_scope(scope.clone());
+        self.scope = scope;
     }
 
     /// Forces buffered appends onto flash.
     pub fn flush(&mut self) -> Result<()> {
-        self.in_span(obs::SpanKind::Flush, |db, _| {
-            db.aof.flush()?;
-            // The journal goes durable with the data it describes: an
-            // acked write is never ahead of its journal frame.
-            let newly = db.journal.flush();
-            if let Some((s, l)) = db.trace.as_ref().filter(|_| newly > 0) {
-                s.event(obs::SpanKind::WalAppend, l, newly);
-            }
-            Ok(())
-        })
+        // A clone of the scope (`Arc` bumps) keeps the phase open across
+        // the `&mut self` calls below.
+        let scope = self.scope.clone();
+        let _phase = scope.phase(obs::SpanKind::Flush);
+        self.aof.flush()?;
+        // The journal goes durable with the data it describes: an acked
+        // write is never ahead of its journal frame.
+        let newly = self.journal.flush();
+        if newly > 0 {
+            scope.event(obs::SpanKind::WalAppend, newly, 0);
+        }
+        Ok(())
     }
 
     // ------------------------------------------------------------------
@@ -447,44 +407,44 @@ impl QinDb {
     /// covers; recovery then rebuilds from an empty base, so taking
     /// checkpoints right after GC activity maximizes their usefulness.
     pub fn checkpoint(&mut self) -> Result<u64> {
-        self.in_span(obs::SpanKind::Checkpoint, |db, amount| {
-            db.flush()?;
-            let id = db.ckpt.as_ref().map_or(1, |(id, _)| id + 1);
-            let mut covered: Vec<(FileId, u64)> = db
-                .aof
-                .sealed_files()
-                .into_iter()
-                .map(|f| (f, db.aof.file_len(f).expect("sealed file has a length")))
-                .collect();
-            if let Some(active) = db.aof.active_file() {
-                covered.push((active, db.aof.file_len(active).expect("active file")));
-            }
-            let blocks = checkpoint::write(
-                db.aof.device(),
-                id,
-                &db.table,
-                &db.gct,
-                db.next_seq,
-                &covered,
-            )?;
-            if let Some((_, old)) = db.ckpt.take() {
-                checkpoint::erase(db.aof.device(), &old)?;
-            }
-            *amount = blocks.len() as u64;
-            db.ckpt = Some((id, blocks));
-            // The data checkpoint captures every journaled effect, so the
-            // journal prefix is replay-free: mark it, drop sealed
-            // segments, and re-note the frontier so it stays durable
-            // across the GC.
-            let frontier = db.journal_frontier;
-            db.journal.checkpoint(db.journal.head_lsn());
-            db.journal.gc();
-            if frontier > 0 {
-                db.journal.append(&frontier.to_le_bytes());
-            }
-            db.journal.flush();
-            Ok(id)
-        })
+        let scope = self.scope.clone();
+        let mut phase = scope.phase(obs::SpanKind::Checkpoint);
+        self.flush()?;
+        let id = self.ckpt.as_ref().map_or(1, |(id, _)| id + 1);
+        let mut covered: Vec<(FileId, u64)> = self
+            .aof
+            .sealed_files()
+            .into_iter()
+            .map(|f| (f, self.aof.file_len(f).expect("sealed file has a length")))
+            .collect();
+        if let Some(active) = self.aof.active_file() {
+            covered.push((active, self.aof.file_len(active).expect("active file")));
+        }
+        let blocks = checkpoint::write(
+            self.aof.device(),
+            id,
+            &self.table,
+            &self.gct,
+            self.next_seq,
+            &covered,
+        )?;
+        if let Some((_, old)) = self.ckpt.take() {
+            checkpoint::erase(self.aof.device(), &old)?;
+        }
+        phase.set_amount(blocks.len() as u64);
+        self.ckpt = Some((id, blocks));
+        // The data checkpoint captures every journaled effect, so the
+        // journal prefix is replay-free: mark it, drop sealed
+        // segments, and re-note the frontier so it stays durable
+        // across the GC.
+        let frontier = self.journal_frontier;
+        self.journal.checkpoint(self.journal.head_lsn());
+        self.journal.gc();
+        if frontier > 0 {
+            self.journal.append(&frontier.to_le_bytes());
+        }
+        self.journal.flush();
+        Ok(id)
     }
 
     /// Whether the last recovery was accelerated by a checkpoint.
@@ -609,7 +569,7 @@ impl QinDb {
     /// One GC run: reclaims candidates, emptiest first, until none is left
     /// — or, under the `lazy` policy every mutation ends with, only while
     /// the device is under free-space pressure. Returns the number of
-    /// files reclaimed. The run's spans are opened only once there is a
+    /// files reclaimed. The run's phase is opened only once there is a
     /// file to reclaim, so a run that finds nothing to do costs a
     /// free-block count and nothing else.
     fn reclaim(&mut self, lazy: bool) -> Result<usize> {
@@ -617,17 +577,19 @@ impl QinDb {
         let Some(first) = self.next_victim(lazy, &seen) else {
             return Ok(0);
         };
-        self.in_span(obs::SpanKind::EngineGc, |db, reclaimed| {
-            let mut victim = Some(first);
-            while let Some(file) = victim {
-                seen.insert(file);
-                db.gc_file(file)?;
-                *reclaimed += 1;
-                victim = db.next_victim(lazy, &seen);
-            }
-            db.stats.gc_runs.add(1);
-            Ok(*reclaimed as usize)
-        })
+        let scope = self.scope.clone();
+        let mut phase = scope.phase(obs::SpanKind::EngineGc);
+        let mut reclaimed = 0;
+        let mut victim = Some(first);
+        while let Some(file) = victim {
+            seen.insert(file);
+            self.gc_file(file)?;
+            reclaimed += 1;
+            phase.set_amount(reclaimed);
+            victim = self.next_victim(lazy, &seen);
+        }
+        self.stats.gc_runs.add(1);
+        Ok(reclaimed as usize)
     }
 
     /// The next file a GC run should reclaim: the emptiest candidate the

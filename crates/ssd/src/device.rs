@@ -196,8 +196,8 @@ struct Inner {
     ftl_active: Option<BlockId>,
     /// Block currently receiving GC migrations.
     gc_active: Option<BlockId>,
-    /// Optional trace sink and the label this device emits under.
-    trace: Option<(obs::TraceSink, String)>,
+    /// The observer device GC runs are recorded through.
+    scope: obs::Scope,
     /// Media-fault injection knobs (all-zero on a healthy device).
     fault: FaultInjection,
     /// State of the fault-roll xorshift stream.
@@ -268,7 +268,7 @@ impl Device {
                 ftl,
                 ftl_active: None,
                 gc_active: None,
-                trace: None,
+                scope: obs::Scope::default(),
                 fault: FaultInjection::default(),
                 fault_rng: 0,
             })),
@@ -281,11 +281,11 @@ impl Device {
         &self.clock
     }
 
-    /// Attaches a trace sink; device GC runs emit `device_gc` events
-    /// (labelled `label`, amount = pages migrated) timestamped on this
-    /// device's clock.
-    pub fn attach_trace(&self, sink: &obs::TraceSink, label: &str) {
-        self.inner.lock().trace = Some((sink.with_clock(self.clock.clone()), label.to_string()));
+    /// Hands the device its observer — the engine's scope, whose sim half
+    /// is bound to this device's clock: each device GC run records one
+    /// `device_gc` event (amount = pages migrated) under its label.
+    pub fn set_scope(&self, scope: obs::Scope) {
+        self.inner.lock().scope = scope;
     }
 
     /// Installs (or, with a default/zeroed config, removes) media-fault
@@ -777,10 +777,8 @@ impl Device {
             }
             Self::erase_block(inner, victim);
             latency += inner.cfg.latency.erase_block;
-            if let Some((sink, label)) = &inner.trace {
-                let moved = inner.counters.gc_pages_moved - pages_before;
-                sink.event(obs::SpanKind::DeviceGc, label, moved);
-            }
+            let moved = inner.counters.gc_pages_moved - pages_before;
+            inner.scope.event(obs::SpanKind::DeviceGc, moved, 0);
         }
         Ok(latency)
     }
@@ -907,7 +905,9 @@ mod tests {
         use rand::{Rng, SeedableRng};
         let d = dev();
         let sink = obs::TraceSink::sim(1024, d.clock().clone());
-        d.attach_trace(&sink, "dev0");
+        let mut scope = obs::Scope::default();
+        scope.set_sim(&sink, "dev0");
+        d.set_scope(scope);
         let logical = DeviceConfig::small().logical_pages();
         let span = logical / 2;
         let data = page();

@@ -317,6 +317,33 @@ impl StandaloneClusters {
 }
 
 #[test]
+fn both_rings_record_every_phase_alike() {
+    use obs::SpanKind::*;
+    let mut s = system();
+    s.run_version(0.3).unwrap();
+    assert_eq!((s.trace().dropped(), s.wall_trace().dropped()), (0, 0));
+    // The phases a scope opens on both rings, in ring order. Each Mint
+    // cluster's own `load` is wall-only; the pipeline's is on both.
+    let phases = |ring: &obs::TraceSink, kind: obs::SpanKind| -> Vec<(String, u64)> {
+        ring.snapshot()
+            .into_iter()
+            .filter(|e| e.kind == kind && (kind != Load || e.label == "pipeline"))
+            .map(|e| (e.label, e.amount))
+            .collect()
+    };
+    for kind in [Build, Dedup, Slice, Deliver, Load, Publish, Flush] {
+        let sim = phases(s.trace(), kind);
+        let wall = phases(s.wall_trace(), kind);
+        assert_eq!(sim, wall, "{kind:?}: the rings disagree");
+        if kind == Flush {
+            assert!(!sim.is_empty(), "no engine flushed");
+        } else {
+            assert_eq!(sim.len(), 1, "{kind:?}: one opening a round");
+        }
+    }
+}
+
+#[test]
 fn determinism_storage_phase_matches_six_standalone_clusters() {
     let mut s = system();
     let mut reference = StandaloneClusters::new(DirectLoadConfig::small());
