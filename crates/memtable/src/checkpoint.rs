@@ -30,6 +30,8 @@ pub enum CheckpointError {
     ChecksumMismatch,
     /// A record carried flag bits this version does not understand.
     UnknownFlags(u8),
+    /// Bytes follow the header's count of records.
+    TrailingBytes(usize),
 }
 
 impl fmt::Display for CheckpointError {
@@ -39,6 +41,7 @@ impl fmt::Display for CheckpointError {
             CheckpointError::Truncated => write!(f, "checkpoint truncated"),
             CheckpointError::ChecksumMismatch => write!(f, "checkpoint checksum mismatch"),
             CheckpointError::UnknownFlags(b) => write!(f, "unknown flag bits {b:#04x}"),
+            CheckpointError::TrailingBytes(n) => write!(f, "{n} bytes after the last record"),
         }
     }
 }
@@ -131,7 +134,12 @@ pub fn decode_checkpoint(mut image: &[u8]) -> Result<Memtable, CheckpointError> 
             },
         );
     }
-    Ok(table)
+    // The checksum covers the payload, not the count: a count lowered in
+    // place must not decode to a short table.
+    match image.remaining() {
+        0 => Ok(table),
+        n => Err(CheckpointError::TrailingBytes(n)),
+    }
 }
 
 #[cfg(test)]
@@ -202,6 +210,45 @@ mod tests {
         assert_eq!(
             decode_checkpoint(&bad).unwrap_err(),
             CheckpointError::BadMagic
+        );
+    }
+
+    #[test]
+    fn a_lowered_item_count_is_rejected() {
+        let mut bad = encode_checkpoint(&sample()).to_vec();
+        bad[11] -= 1; // the low byte of the big-endian count, 3 → 2
+        assert!(matches!(
+            decode_checkpoint(&bad),
+            Err(CheckpointError::TrailingBytes(n)) if n > 0
+        ));
+    }
+
+    /// The image of a fixed table whose keys hold several versions,
+    /// inserted out of order: the bytes do not depend on how the table
+    /// lays its items out.
+    #[test]
+    fn multi_version_image_is_pinned() {
+        let mut t = Memtable::new();
+        for i in 0..40u64 {
+            let (key, version) = (format!("url/{:02}", i * 7 % 9), 1 + i * 11 % 6);
+            let location = ValueLocation {
+                file: i,
+                offset: (i * 100) as u32,
+                len: 64 + i as u32,
+            };
+            let mut entry = match i % 3 {
+                0 => IndexEntry::full(location),
+                _ => IndexEntry::deduplicated(location),
+            };
+            entry.deleted = i % 5 == 0;
+            entry.dead_accounted = i % 10 == 0;
+            entry.copies = 1 + (i % 2) as u32;
+            t.insert(VersionedKey::new(key, version), entry);
+        }
+        let image = encode_checkpoint(&t);
+        assert_eq!(
+            (t.len(), image.len(), checksum(&image)),
+            (18, 718, 53_026_255)
         );
     }
 

@@ -6,14 +6,16 @@
 //! list." This crate provides:
 //!
 //! * [`SkipList`] — a from-scratch, deterministic skip list ([Pugh 1990],
-//!   the paper's reference \[8\]) over `(key bytes, version)`, each node
-//!   one record — header, tower and key — in one byte arena;
+//!   the paper's reference \[8\]) with one record per user key — header,
+//!   tower and key in one byte arena — whose `(version, value)` items sit
+//!   ascending in one contiguous run of a second buffer, the item slab;
 //! * the versioned-entry vocabulary ([`VersionedKey`], its borrowed form
 //!   [`KeyRef`], [`IndexEntry`], [`ValueLocation`]) that QinDB stores in
 //!   it, including the paper's `r` (deduplicated) and `d` (deleted) flags;
-//! * [`Memtable`] — the typed wrapper whose one version-chain walk
-//!   ([`Memtable::chain`]) the mutated PUT/GET/DEL operations are built
-//!   on (same user keys sort adjacent in increasing version order);
+//! * [`Memtable`] — the typed wrapper whose one-descent queries the
+//!   mutated PUT/GET/DEL operations are built on: a key's run
+//!   ([`Memtable::run`], [`Memtable::run_mut`], [`Memtable::upsert`]) and
+//!   what a reader pinned to a version sees of it ([`Memtable::resolve`]);
 //! * a checkpoint codec so an engine can persist and reload the table
 //!   without replaying every AOF.
 //!
@@ -26,5 +28,5 @@ mod table;
 
 pub use checkpoint::{decode_checkpoint, encode_checkpoint, CheckpointError};
 pub use entry::{IndexEntry, KeyRef, ValueLocation, VersionedKey};
-pub use skiplist::{Cursor, Seek, SkipList};
-pub use table::{Chain, ChainLink, Memtable, Resolved};
+pub use skiplist::{position, Item, SkipList};
+pub use table::{Memtable, Resolved};

@@ -1,23 +1,29 @@
-//! A from-scratch skip list (Pugh, CACM 1990) over `(key bytes, version)`.
+//! A from-scratch skip list (Pugh, CACM 1990) over user keys, each key
+//! holding a run of `(version, value)` items.
 //!
-//! A node is one variable-length record in one byte arena, little-endian:
+//! A key is one variable-length record in a byte arena, little-endian:
 //!
 //! ```text
-//! [height u8 | key_len u24 | value slot u32 | version u64 | forward u32 × height | key bytes]
+//! [height u8 | key_len u24 | run start u32 | run len u32 | forward u32 × height | key bytes]
 //! ```
 //!
 //! Records link to each other by `u32` arena offset (the head tower is a
 //! keyless record of full height at offset 0), so one hop of a search —
-//! read the successor's offset, then its height, key and version —
-//! touches the one record it lands on and nothing else: no per-node tower
-//! allocation, no pointer to a key stored elsewhere. That is why the list
-//! is concrete over byte keys (a generic `K` would put a pointer back in
-//! every node). Values sit in a side array the records index by slot, so
-//! lookups still hand out plain references; the whole structure is safe
-//! Rust.
+//! read the successor's offset, then its height and key — touches the one
+//! record it lands on and nothing else. A key's items sit ascending by
+//! version and contiguous in a second buffer, the item slab, at
+//! `run start .. run start + run len`: however many versions a key has
+//! seen, an operation on it is one descent plus a slice. Lookups hand out
+//! plain references into the slab; the whole structure is safe Rust.
 //!
-//! Removed records are recycled by exact size, so a long-lived memtable
-//! with churn does not grow without bound.
+//! Runs are sized exactly. A run that ends the slab grows in place; any
+//! other run moves to the slab's end one item longer, and its old place
+//! becomes a *hole*. Before the slab takes more items, if over a quarter
+//! of it is holes, the runs slide down over the holes, in place, so the
+//! slab reallocates only to hold more items and never spans more than
+//! 4/3 of them by much. A hole region's first item carries its length in
+//! its version field, so the slide finds every run by walking the slab
+//! once. A record whose last item is removed is recycled by exact size.
 //!
 //! Tower heights come from an internal xorshift generator seeded at
 //! construction, so a given insertion sequence always produces the same
@@ -35,53 +41,31 @@ const NIL: u32 = u32::MAX;
 /// The head tower: a keyless record of full height at the arena's start.
 const HEAD: u32 = 0;
 
-/// Bytes of a record before its tower: height and key length, value
-/// slot, version.
-const HEADER: usize = 16;
+/// Bytes of a record before its tower: height and key length, run start,
+/// run length.
+const HEADER: usize = 12;
 /// The key length shares a `u32` with the tower height.
 const MAX_KEY_LEN: usize = (1 << 24) - 1;
 
-/// The arena offset of a live record: a position handle that stays valid
-/// (across inserts and removals of *other* keys) until its own record is
-/// removed. Reaching a value through a cursor costs no search.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Cursor(u32);
-
-/// Where one descent ended: the first record not ordered before the
-/// probe, plus the per-level predecessors found on the way down — enough
-/// for [`SkipList::insert_after`] to splice a new record near the probe
-/// without searching again. A seek is invalidated by the next structural
-/// change (an insert of a new key, or a removal).
-#[derive(Debug, Clone, Copy)]
-pub struct Seek {
-    update: [u32; MAX_LEVEL],
-    next: u32,
-    epoch: u64,
-}
-
-impl Seek {
-    /// The first record not ordered before the probe — its lower bound.
-    pub fn first(&self) -> Option<Cursor> {
-        (self.next != NIL).then_some(Cursor(self.next))
-    }
-}
-
-/// A map sorted by `(key bytes, version)` on a skip list.
+/// A map sorted by `(key bytes, version)` on a skip list of keys, each
+/// key's items one ascending run.
 ///
-/// Functionally a subset of `BTreeMap<(Vec<u8>, u64), V>`, plus
-/// lower-bound seeks that build no key and arena-offset cursors, which is
-/// what the engine's one-descent version-chain walk needs.
+/// Functionally a subset of `BTreeMap<(Vec<u8>, u64), V>`, plus the run
+/// of one key as a slice — what the engine's one-descent operations are
+/// built on.
 ///
 /// ```
 /// use memtable::SkipList;
 ///
 /// let mut list = SkipList::new();
 /// list.insert(b"b", 7, 2);
-/// list.insert(b"a", 7, 1);
-/// assert_eq!(list.get(b"a", 7), Some(&1));
-/// let from = list.seek(b"a1", 0).first(); // lower bound, no key built
-/// let keys: Vec<&[u8]> = list.walk_from(from).map(|(_, k, _)| k.key).collect();
-/// assert_eq!(keys, vec![b"b"]);
+/// list.insert(b"a", 9, 1);
+/// list.insert(b"a", 7, 0);
+/// assert_eq!(list.get(b"a", 7), Some(&0));
+/// let versions: Vec<u64> = list.run(b"a").iter().map(|item| item.version()).collect();
+/// assert_eq!(versions, [7, 9]);
+/// let from: Vec<&[u8]> = list.runs_from(b"a1").map(|(key, _)| key).collect();
+/// assert_eq!(from, vec![b"b"]); // lower bound, no key built
 /// ```
 #[derive(Debug)]
 pub struct SkipList<V> {
@@ -89,25 +73,22 @@ pub struct SkipList<V> {
     /// Removed records awaiting reuse: record size → offset of the first,
     /// each one's level-0 forward holding the offset of the next.
     free: BTreeMap<usize, u32>,
-    /// Arena bytes inside live records, the head's included.
-    live_bytes: usize,
-    /// One slot per record ever carved from the arena; a removed record
-    /// keeps its (emptied) slot and hands it to the record that reuses it.
-    values: Vec<Option<V>>,
+    /// Every key's run, and the holes runs left behind.
+    slab: Vec<Item<V>>,
+    /// Items of `slab` inside holes.
+    holes: usize,
     level: usize,
     len: usize,
     rng: u64,
-    /// Structural-change counter; stamps every [`Seek`].
-    epoch: u64,
 }
 
-impl<V> Default for SkipList<V> {
+impl<V: Copy> Default for SkipList<V> {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl<V> SkipList<V> {
+impl<V: Copy> SkipList<V> {
     /// Creates an empty list with the default RNG seed.
     pub fn new() -> Self {
         Self::with_seed(0x9E37_79B9_7F4A_7C15)
@@ -118,35 +99,30 @@ impl<V> SkipList<V> {
         let mut arena = vec![0; HEADER];
         arena.resize(Self::record_size(MAX_LEVEL, 0), 0xFF); // every forward NIL
         SkipList {
-            live_bytes: arena.len(),
             arena,
             free: BTreeMap::new(),
-            values: Vec::new(),
+            slab: Vec::new(),
+            holes: 0,
             level: 1,
             len: 0,
             rng: seed | 1, // xorshift state must be nonzero
-            epoch: 0,
         }
     }
 
-    /// Number of entries.
+    /// Number of items.
     pub fn len(&self) -> usize {
         self.len
     }
 
-    /// True when the list holds no entries.
+    /// True when the list holds no items.
     pub fn is_empty(&self) -> bool {
         self.len == 0
     }
 
-    fn bytes_at<const N: usize>(&self, at: usize) -> [u8; N] {
-        let mut out = [0; N];
-        out.copy_from_slice(&self.arena[at..at + N]);
-        out
-    }
-
     fn u32_at(&self, at: usize) -> u32 {
-        u32::from_le_bytes(self.bytes_at(at))
+        let mut word = [0; 4];
+        word.copy_from_slice(&self.arena[at..at + 4]);
+        u32::from_le_bytes(word)
     }
 
     fn set_u32(&mut self, at: usize, v: u32) {
@@ -163,30 +139,21 @@ impl<V> SkipList<V> {
         HEADER + 4 * height + key_len
     }
 
-    fn key_at(&self, rec: u32) -> KeyRef<'_> {
+    fn key_at(&self, rec: u32) -> &[u8] {
         let (height, key_len) = self.shape(rec);
         let start = rec as usize + HEADER + 4 * height;
-        KeyRef {
-            key: &self.arena[start..start + key_len],
-            version: u64::from_le_bytes(self.bytes_at(rec as usize + 8)),
-        }
+        &self.arena[start..start + key_len]
     }
 
-    fn slot(&self, rec: u32) -> usize {
-        self.u32_at(rec as usize + 4) as usize
+    /// Where a record's run sits in the slab.
+    fn span(&self, rec: u32) -> std::ops::Range<usize> {
+        let start = self.u32_at(rec as usize + 4) as usize;
+        start..start + self.u32_at(rec as usize + 8) as usize
     }
 
-    fn value(&self, rec: u32) -> &V {
-        self.values[self.slot(rec)]
-            .as_ref()
-            .expect("a linked record's value slot is filled")
-    }
-
-    fn value_mut(&mut self, rec: u32) -> &mut V {
-        let slot = self.slot(rec);
-        self.values[slot]
-            .as_mut()
-            .expect("cursor or link to a removed record")
+    fn set_span(&mut self, rec: u32, start: usize, len: usize) {
+        self.set_u32(rec as usize + 4, start as u32);
+        self.set_u32(rec as usize + 8, len as u32);
     }
 
     /// The record after `rec` at level `l`.
@@ -214,18 +181,17 @@ impl<V> SkipList<V> {
         h
     }
 
-    /// The one descent every search is built on, to the lower bound of
-    /// `key/version`; version 0 finds the start of `key`'s chain, or of
-    /// the keys `key` is a prefix of.
-    pub fn seek(&self, key: &[u8], version: u64) -> Seek {
-        let probe = KeyRef { key, version };
+    /// The one descent every operation is built on, to the lower bound of
+    /// `key`: the per-level predecessors, and the first record not
+    /// ordered before `key`.
+    fn seek(&self, key: &[u8]) -> ([u32; MAX_LEVEL], u32) {
         let mut update = [HEAD; MAX_LEVEL];
         let mut cur = HEAD;
         let mut stop = NIL; // the record the level above stopped at: not before the probe
         for l in (0..self.level).rev() {
             loop {
                 let next = self.forward(cur, l);
-                if next == stop || self.key_at(next) >= probe {
+                if next == stop || self.key_at(next) >= key {
                     stop = next;
                     break;
                 }
@@ -233,220 +199,293 @@ impl<V> SkipList<V> {
             }
             update[l] = cur;
         }
-        Seek {
-            update,
-            next: stop,
-            epoch: self.epoch,
+        (update, stop)
+    }
+
+    /// `key`'s record, if it has one.
+    fn find(&self, key: &[u8]) -> Option<u32> {
+        let (_, next) = self.seek(key);
+        (next != NIL && self.key_at(next) == key).then_some(next)
+    }
+
+    /// `key`'s items, ascending by version; empty for an absent key.
+    pub fn run(&self, key: &[u8]) -> &[Item<V>] {
+        match self.find(key) {
+            Some(rec) => &self.slab[self.span(rec)],
+            None => &[],
         }
     }
 
-    /// [`SkipList::seek`], and the record it stopped at if that is
-    /// `key/version` itself.
-    fn find(&self, key: &[u8], version: u64) -> (Seek, Option<u32>) {
-        let seek = self.seek(key, version);
-        let hit = seek.next != NIL && self.key_at(seek.next) == KeyRef { key, version };
-        (seek, hit.then_some(seek.next))
-    }
-
-    /// Inserts a new `key/version` using the path an earlier
-    /// [`SkipList::seek`] recorded, instead of descending again: each
-    /// level resumes from the seek's predecessor and steps over the
-    /// records between the probe and the new key. The probe must not
-    /// order after `key/version`, which must be absent.
-    ///
-    /// # Panics
-    /// Panics if the list changed structurally since `seek` was taken, or
-    /// as [`SkipList::insert`] does.
-    pub fn insert_after(&mut self, seek: Seek, key: &[u8], version: u64, value: V) -> Cursor {
-        assert_eq!(seek.epoch, self.epoch, "stale skip-list seek");
-        let new = KeyRef { key, version };
-        let mut update = seek.update;
-        for (l, slot) in update.iter_mut().enumerate().take(self.level) {
-            loop {
-                let next = self.forward(*slot, l);
-                if next == NIL || self.key_at(next) >= new {
-                    break;
-                }
-                *slot = next;
+    /// Mutable [`SkipList::run`]: values change in place, versions
+    /// cannot.
+    pub fn run_mut(&mut self, key: &[u8]) -> &mut [Item<V>] {
+        match self.find(key) {
+            Some(rec) => {
+                let span = self.span(rec);
+                &mut self.slab[span]
             }
+            None => &mut [],
         }
-        debug_assert!(
-            update[0] == HEAD || self.key_at(update[0]) < new,
-            "seek probe orders after the inserted key"
-        );
-        debug_assert!(
-            self.forward(update[0], 0) == NIL || self.key_at(self.forward(update[0], 0)) > new,
-            "insert_after of a present key"
-        );
-        Cursor(self.splice(update, new, value))
+    }
+
+    /// Looks up `key/version`.
+    pub fn get(&self, key: &[u8], version: u64) -> Option<&V> {
+        let run = self.run(key);
+        let i = position(run, version).ok()?;
+        Some(&run[i].value)
+    }
+
+    /// Mutable lookup.
+    pub fn get_mut(&mut self, key: &[u8], version: u64) -> Option<&mut V> {
+        let run = self.run_mut(key);
+        let i = position(run, version).ok()?;
+        Some(&mut run[i].value)
     }
 
     /// Inserts `key/version → value`; if the entry already exists its
     /// value is replaced and the old value returned.
     ///
     /// # Panics
-    /// Panics on a key of 16 MiB or more (the record header keeps 24 bits
-    /// of key length), or when the arena would pass 4 GiB.
+    /// As [`SkipList::upsert`].
     pub fn insert(&mut self, key: &[u8], version: u64, value: V) -> Option<V> {
-        match self.find(key, version) {
-            (_, Some(rec)) => Some(std::mem::replace(self.value_mut(rec), value)),
-            (seek, None) => {
-                self.splice(seek.update, KeyRef { key, version }, value);
-                None
-            }
+        let mut old = None;
+        self.upsert(key, version, |was| {
+            old = was;
+            value
+        });
+        old
+    }
+
+    /// Sets `key/version` to `make(its value before, if any)` in one
+    /// descent and returns the key's whole run, ascending by version.
+    ///
+    /// # Panics
+    /// Panics on a key of 16 MiB or more (the record header keeps 24 bits
+    /// of key length), or when the arena would pass 4 GiB or the slab 4 Gi
+    /// items.
+    pub fn upsert(
+        &mut self,
+        key: &[u8],
+        version: u64,
+        make: impl FnOnce(Option<V>) -> V,
+    ) -> &mut [Item<V>] {
+        let (update, next) = self.seek(key);
+        if next == NIL || self.key_at(next) != key {
+            self.make_room(1);
+            let start = self.slab.len();
+            let value = make(None);
+            self.slab.push(Item { version, value });
+            let rec = self.splice(update, key);
+            self.set_span(rec, start, 1);
+            self.len += 1;
+            return &mut self.slab[start..];
         }
+        let span = self.span(next);
+        match position(&self.slab[span.clone()], version) {
+            Ok(i) => {
+                let value = &mut self.slab[span.start + i].value;
+                *value = make(Some(*value));
+            }
+            Err(i) => self.grow(next, i, version, make(None)),
+        }
+        let span = self.span(next);
+        &mut self.slab[span]
+    }
+
+    /// Adds `version → value` to `rec`'s run at index `i`: in place when
+    /// the run ends the slab, otherwise by moving the run to the end.
+    fn grow(&mut self, rec: u32, i: usize, version: u64, value: V) {
+        let item = Item { version, value };
+        self.make_room(self.span(rec).len() + 1);
+        let span = self.span(rec);
+        if span.end == self.slab.len() {
+            self.slab.insert(span.start + i, item);
+        } else {
+            self.slab.extend_from_within(span.start..span.start + i);
+            self.slab.push(item);
+            self.slab.extend_from_within(span.start + i..span.end);
+            self.mark_hole(span.start, span.len());
+        }
+        self.set_span(rec, self.slab.len() - span.len() - 1, span.len() + 1);
+        self.len += 1;
+    }
+
+    /// Records that `len` items from `at` left the runs.
+    fn mark_hole(&mut self, at: usize, len: usize) {
+        self.slab[at].version = len as u64;
+        self.holes += len;
+    }
+
+    /// Makes room for `extra` more items, first sliding the runs down
+    /// over the holes if those are over a quarter of the slab: each
+    /// closed hole was left by a move that copied at least as many items,
+    /// so the slide costs amortised O(1) a moved item.
+    fn make_room(&mut self, extra: usize) {
+        if 4 * self.holes > self.slab.len() {
+            self.compact();
+        }
+        assert!(self.slab.len() + extra < NIL as usize, "item slab full");
+        self.slab.reserve(extra);
+    }
+
+    /// Closes every hole, in place. Each run's first item trades its
+    /// version for its record's offset and the run length (never 0, so
+    /// never a hole's length), the record keeping the version where the
+    /// run's extent was; one walk of the slab then finds each run and
+    /// hole in turn and moves the runs down.
+    fn compact(&mut self) {
+        let mut rec = self.forward(HEAD, 0);
+        while rec != NIL {
+            let span = self.span(rec);
+            let version = std::mem::replace(
+                &mut self.slab[span.start].version,
+                rec as u64 | (span.len() as u64) << 32,
+            );
+            self.arena[rec as usize + 4..rec as usize + HEADER]
+                .copy_from_slice(&version.to_le_bytes());
+            rec = self.forward(rec, 0);
+        }
+        let (mut from, mut to) = (0, 0);
+        while from < self.slab.len() {
+            let mark = self.slab[from].version;
+            assert_ne!(mark, 0, "item {from} is in no run and no marked hole");
+            let len = (mark >> 32) as usize;
+            if len == 0 {
+                from += mark as usize; // a hole
+                continue;
+            }
+            let rec = mark as u32;
+            let mut version = [0; 8];
+            version.copy_from_slice(&self.arena[rec as usize + 4..rec as usize + HEADER]);
+            self.slab.copy_within(from..from + len, to);
+            self.slab[to].version = u64::from_le_bytes(version);
+            self.set_span(rec, to, len);
+            from += len;
+            to += len;
+        }
+        self.slab.truncate(to);
+        self.holes = 0;
     }
 
     /// Carves a record for `key` and links it in after the per-level
-    /// predecessors `update`.
-    fn splice(&mut self, update: [u32; MAX_LEVEL], key: KeyRef<'_>, value: V) -> u32 {
-        assert!(key.key.len() <= MAX_KEY_LEN, "key of 16 MiB or more");
+    /// predecessors `update`; the caller sets its run.
+    fn splice(&mut self, update: [u32; MAX_LEVEL], key: &[u8]) -> u32 {
+        assert!(key.len() <= MAX_KEY_LEN, "key of 16 MiB or more");
         let height = self.random_height();
         self.level = self.level.max(height); // above the old level `update` names the head
-        let size = Self::record_size(height, key.key.len());
-        let (rec, slot) = match self.free.get(&size).copied() {
+        let size = Self::record_size(height, key.len());
+        let rec = match self.free.get(&size).copied() {
             Some(rec) => {
                 match self.forward(rec, 0) {
                     NIL => self.free.remove(&size),
                     next => self.free.insert(size, next),
                 };
-                (rec, self.slot(rec))
+                rec
             }
             None => {
                 let at = self.arena.len();
                 assert!(at + size < NIL as usize, "skip list arena full");
                 self.arena.resize(at + size, 0);
-                self.values.push(None);
-                (at as u32, self.values.len() - 1)
+                at as u32
             }
         };
-        self.values[slot] = Some(value);
         let at = rec as usize;
-        self.set_u32(at, height as u32 | (key.key.len() as u32) << 8);
-        self.set_u32(at + 4, slot as u32);
-        self.arena[at + 8..at + HEADER].copy_from_slice(&key.version.to_le_bytes());
-        self.arena[at + size - key.key.len()..at + size].copy_from_slice(key.key);
+        self.set_u32(at, height as u32 | (key.len() as u32) << 8);
+        self.arena[at + size - key.len()..at + size].copy_from_slice(key);
         for (l, &prev) in update.iter().enumerate().take(height) {
             let next = self.forward(prev, l);
             self.set_forward(rec, l, next);
             self.set_forward(prev, l, rec);
         }
-        self.live_bytes += size;
-        self.len += 1;
-        self.epoch += 1;
         rec
     }
 
-    /// Looks up `key/version`.
-    pub fn get(&self, key: &[u8], version: u64) -> Option<&V> {
-        let rec = self.find(key, version).1?;
-        Some(self.value(rec))
-    }
-
-    /// Mutable lookup.
-    pub fn get_mut(&mut self, key: &[u8], version: u64) -> Option<&mut V> {
-        let rec = self.find(key, version).1?;
-        Some(self.value_mut(rec))
-    }
-
-    /// Removes `key/version`, returning its value.
+    /// Removes `key/version`, returning its value; a key whose last item
+    /// goes leaves the list.
     pub fn remove(&mut self, key: &[u8], version: u64) -> Option<V> {
-        let (seek, Some(candidate)) = self.find(key, version) else {
+        let (update, rec) = self.seek(key);
+        if rec == NIL || self.key_at(rec) != key {
             return None;
-        };
-        let (height, key_len) = self.shape(candidate);
-        for (l, &prev) in seek.update.iter().enumerate().take(height) {
-            debug_assert_eq!(self.forward(prev, l), candidate);
-            let next = self.forward(candidate, l);
+        }
+        let span = self.span(rec);
+        let i = span.start + position(&self.slab[span.clone()], version).ok()?;
+        let value = self.slab[i].value;
+        self.slab.copy_within(i + 1..span.end, i);
+        self.mark_hole(span.end - 1, 1);
+        self.set_span(rec, span.start, span.len() - 1);
+        self.len -= 1;
+        if span.len() == 1 {
+            self.unlink(update, rec);
+        }
+        Some(value)
+    }
+
+    /// Unlinks `rec` from after the per-level predecessors `update` and
+    /// frees it for reuse.
+    fn unlink(&mut self, update: [u32; MAX_LEVEL], rec: u32) {
+        let (height, key_len) = self.shape(rec);
+        for (l, &prev) in update.iter().enumerate().take(height) {
+            debug_assert_eq!(self.forward(prev, l), rec);
+            let next = self.forward(rec, l);
             self.set_forward(prev, l, next);
         }
         while self.level > 1 && self.forward(HEAD, self.level - 1) == NIL {
             self.level -= 1;
         }
-        let slot = self.slot(candidate);
-        let value = self.values[slot].take();
         let size = Self::record_size(height, key_len);
-        let next_free = self.free.insert(size, candidate).unwrap_or(NIL);
-        self.set_forward(candidate, 0, next_free);
-        self.live_bytes -= size;
-        self.len -= 1;
-        self.epoch += 1;
-        value
+        let next_free = self.free.insert(size, rec).unwrap_or(NIL);
+        self.set_forward(rec, 0, next_free);
     }
 
-    /// Iterates all entries in `(key, version)` order.
+    /// Each key from the lower bound of `key` on, in key order, with its
+    /// run: one descent, then a level-0 walk.
+    pub fn runs_from(&self, key: &[u8]) -> impl Iterator<Item = (&[u8], &[Item<V>])> {
+        let live = |rec: u32| (rec != NIL).then_some(rec);
+        std::iter::successors(live(self.seek(key).1), move |&rec| {
+            live(self.forward(rec, 0))
+        })
+        .map(|rec| (self.key_at(rec), &self.slab[self.span(rec)]))
+    }
+
+    /// Iterates all items in `(key, version)` order.
     pub fn iter(&self) -> impl Iterator<Item = (KeyRef<'_>, &V)> {
-        let walk = Walk {
-            list: self,
-            cur: self.forward(HEAD, 0),
-        };
-        walk.map(|(_, k, v)| (k, v))
-    }
-
-    /// Mutable access to the value under `at`, without a search.
-    ///
-    /// # Panics
-    /// Panics if the cursor's record has been removed.
-    pub fn value_at_mut(&mut self, at: Cursor) -> &mut V {
-        self.value_mut(at.0)
-    }
-
-    /// Walks level 0 from `start` (a cursor or a seek's lower bound; `None`
-    /// walks nothing), yielding each entry with its cursor.
-    pub fn walk_from(&self, start: Option<Cursor>) -> Walk<'_, V> {
-        Walk {
-            list: self,
-            cur: start.map_or(NIL, |c| c.0),
-        }
-    }
-
-    /// Bytes the record arena spans: live records plus removed ones
-    /// awaiting reuse.
-    pub fn arena_bytes(&self) -> usize {
-        self.arena.len()
-    }
-
-    /// The part of [`SkipList::arena_bytes`] inside live records.
-    pub fn live_bytes(&self) -> usize {
-        self.live_bytes
+        self.runs_from(&[]).flat_map(|(key, run)| {
+            run.iter().map(move |item| {
+                let version = item.version;
+                (KeyRef { key, version }, &item.value)
+            })
+        })
     }
 
     /// Heap bytes the entries occupy, in O(1): the record arena (headers,
-    /// towers, keys, and removed records awaiting reuse) plus the value
-    /// array. Not counted: spare capacity of the two buffers, the
+    /// towers, keys, and removed records awaiting reuse) plus the slab,
+    /// holes included. Not counted: spare capacity of the two buffers, the
     /// free-list map (one node per distinct freed record size), and
     /// whatever a `V` owns on the heap.
     pub fn approx_bytes(&self) -> usize {
-        self.arena.len() + self.values.len() * std::mem::size_of::<Option<V>>()
+        self.arena.len() + self.slab.len() * std::mem::size_of::<Item<V>>()
     }
 }
 
-/// Level-0 in-order iterator that also yields each entry's [`Cursor`].
-pub struct Walk<'a, V> {
-    list: &'a SkipList<V>,
-    cur: u32,
+/// One item of a key's run. Its version is read-only, so a run handed
+/// out `&mut` stays sorted.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Item<V> {
+    version: u64,
+    /// The item's value.
+    pub value: V,
 }
 
-impl<'a, V> Walk<'a, V> {
-    /// The key of the entry `next` would yield, read from its record
-    /// alone: a walk that stops on a key test touches no value slot past
-    /// its last entry.
-    pub fn peek_key(&self) -> Option<KeyRef<'a>> {
-        (self.cur != NIL).then(|| self.list.key_at(self.cur))
+impl<V> Item<V> {
+    /// The item's version `t`; a run ascends by it.
+    pub fn version(&self) -> u64 {
+        self.version
     }
 }
 
-impl<'a, V> Iterator for Walk<'a, V> {
-    type Item = (Cursor, KeyRef<'a>, &'a V);
-
-    fn next(&mut self) -> Option<Self::Item> {
-        if self.cur == NIL {
-            return None;
-        }
-        let rec = self.cur;
-        self.cur = self.list.forward(rec, 0);
-        Some((Cursor(rec), self.list.key_at(rec), self.list.value(rec)))
-    }
+/// Where `version` sits in a run: its index, or where it would go.
+pub fn position<V>(run: &[Item<V>], version: u64) -> Result<usize, usize> {
+    run.binary_search_by_key(&version, |item| item.version)
 }
 
 #[cfg(test)]
@@ -465,14 +504,22 @@ mod tests {
         assert_eq!(sl.insert(b"k3", 1, "c"), None);
         assert_eq!(sl.insert(b"k1", 1, "a"), None);
         assert_eq!(sl.insert(b"k2", 1, "b"), None);
-        assert_eq!(sl.len(), 3);
+        assert_eq!(sl.insert(b"k2", 3, "d"), None);
+        assert_eq!(sl.len(), 4);
         assert_eq!(sl.get(b"k2", 1), Some(&"b"));
         assert_eq!(sl.get(b"k9", 1), None);
         assert_eq!(sl.get(b"k2", 2), None);
         assert_eq!(sl.insert(b"k2", 1, "B"), Some("b"));
-        assert_eq!(sl.len(), 3);
+        assert_eq!(sl.len(), 4);
         assert_eq!(sl.remove(b"k2", 1), Some("B"));
         assert_eq!(sl.remove(b"k2", 1), None);
+        let d = Item {
+            version: 3,
+            value: "d",
+        };
+        assert_eq!(sl.run(b"k2"), &[d]);
+        assert_eq!(sl.remove(b"k2", 3), Some("d"));
+        assert!(sl.run(b"k2").is_empty());
         assert_eq!(sl.len(), 2);
     }
 
@@ -492,16 +539,16 @@ mod tests {
         for n in [10, 20, 30, 40] {
             sl.insert(&k(n), 5, ());
         }
-        let from = |sl: &SkipList<()>, n: u64, version: u64| -> Vec<[u8; 8]> {
-            sl.walk_from(sl.seek(&k(n), version).first())
-                .map(|(_, key, _)| key.key.try_into().unwrap())
+        let from = |sl: &SkipList<()>, n: u64| -> Vec<[u8; 8]> {
+            sl.runs_from(&k(n))
+                .map(|(key, _)| key.try_into().unwrap())
                 .collect()
         };
-        assert_eq!(from(&sl, 25, 0), vec![k(30), k(40)]);
-        assert_eq!(from(&sl, 20, 5), vec![k(20), k(30), k(40)]);
-        // The version breaks the tie between equal keys.
-        assert_eq!(from(&sl, 20, 6), vec![k(30), k(40)]);
-        assert!(from(&sl, 99, 0).is_empty());
+        assert_eq!(from(&sl, 25), vec![k(30), k(40)]);
+        assert_eq!(from(&sl, 20), vec![k(20), k(30), k(40)]);
+        // A prefix of every stored key orders before them all.
+        assert_eq!(sl.runs_from(&k(20)[..7]).count(), 4);
+        assert!(from(&sl, 99).is_empty());
     }
 
     #[test]
@@ -511,6 +558,7 @@ mod tests {
         *sl.get_mut(b"k", 1).unwrap() += 41;
         assert_eq!(sl.get(b"k", 1), Some(&42));
         assert!(sl.get_mut(b"missing", 1).is_none());
+        assert!(sl.get_mut(b"k", 2).is_none());
     }
 
     #[test]
@@ -534,20 +582,21 @@ mod tests {
         for n in 0..100 {
             sl.remove(&k(n), 1);
         }
-        assert_eq!(sl.live_bytes(), SkipList::<u64>::new().live_bytes());
-        let (before, slots) = (sl.arena_bytes(), sl.values.len());
+        assert!(sl.is_empty() && sl.runs_from(&[]).next().is_none());
+        let (before, items) = (sl.arena.len(), sl.slab.len());
         // Same key lengths, tower heights drawn afresh: a record is carved
         // from a freed one wherever the two draws agree, which at
-        // P(height 1) = 3/4 is most of them.
+        // P(height 1) = 3/4 is most of them. The slab closes its holes
+        // before it grows.
         for n in 0..100 {
             sl.insert(&k(n), 1, n);
         }
         assert!(
-            sl.arena_bytes() <= before + before / 4,
+            sl.arena.len() <= before + before / 4,
             "arena grew from {before} to {} bytes after churn",
-            sl.arena_bytes()
+            sl.arena.len()
         );
-        assert!(sl.values.len() <= slots + slots / 4);
+        assert!(sl.slab.len() <= items + items / 4);
         assert_eq!(sl.len(), 100);
     }
 
@@ -569,9 +618,9 @@ mod tests {
         let build = || {
             let mut sl = SkipList::with_seed(99);
             for n in 0..1000 {
-                sl.insert(&k((n * 37) % 1000), 1, n);
+                sl.insert(&k((n * 37) % 100), n % 7, n);
             }
-            (sl.level, sl.arena)
+            (sl.level, sl.arena, sl.slab)
         };
         assert_eq!(build(), build());
     }
@@ -594,5 +643,29 @@ mod tests {
         sorted.sort_unstable();
         sorted.dedup();
         assert_eq!(keys, sorted);
+    }
+
+    #[test]
+    fn moved_runs_leave_holes_the_slab_closes() {
+        // Keys gain versions in turn, so every run but the last moves.
+        let mut sl = SkipList::new();
+        for version in 1..=8 {
+            for n in 0..50 {
+                sl.insert(&k(n), version, n * version);
+            }
+        }
+        for n in 0..50 {
+            let want: Vec<Item<u64>> = (1..=8)
+                .map(|version| Item {
+                    version,
+                    value: n * version,
+                })
+                .collect();
+            assert_eq!(sl.run(&k(n)), want.as_slice());
+        }
+        assert!(sl.holes < sl.slab.len(), "{} holes", sl.holes);
+        sl.compact();
+        assert_eq!((sl.holes, sl.slab.len()), (0, 400));
+        assert_eq!(sl.iter().count(), 400);
     }
 }

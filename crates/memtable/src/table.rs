@@ -1,56 +1,9 @@
-//! The typed memtable: a skip list of `k/t` → [`IndexEntry`] plus the
-//! version-chain queries QinDB's mutated operations need.
+//! The typed memtable: a skip list of user keys, each with its run of
+//! `k/t` → [`IndexEntry`] items, plus the version queries QinDB's mutated
+//! operations need.
 
 use crate::entry::{IndexEntry, KeyRef, ValueLocation, VersionedKey};
-use crate::skiplist::{Cursor, Seek, SkipList, Walk};
-
-/// One item of a key's version chain, as [`Memtable::chain`] yields it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ChainLink {
-    /// Where the item lives; see [`Memtable::entry_at_mut`].
-    pub at: Cursor,
-    /// The item's index version `t`.
-    pub version: u64,
-    /// A copy of the item as the walk saw it.
-    pub entry: IndexEntry,
-}
-
-impl ChainLink {
-    fn of((at, key, entry): (Cursor, KeyRef<'_>, &IndexEntry)) -> Self {
-        ChainLink {
-            at,
-            version: key.version,
-            entry: *entry,
-        }
-    }
-}
-
-/// The level-0 walk over one key's items; see [`Memtable::chain`].
-pub struct Chain<'a> {
-    walk: Walk<'a, IndexEntry>,
-    key: &'a [u8],
-    seek: Seek,
-}
-
-impl Chain<'_> {
-    /// The descent that found the chain, for [`Memtable::insert_after`].
-    pub fn seek(&self) -> Seek {
-        self.seek
-    }
-}
-
-impl Iterator for Chain<'_> {
-    type Item = ChainLink;
-
-    fn next(&mut self) -> Option<ChainLink> {
-        // Decided from the record's key: the walk that ends a chain
-        // reads no value slot past it.
-        if self.walk.peek_key()?.key != self.key {
-            return None;
-        }
-        self.walk.next().map(ChainLink::of)
-    }
-}
+use crate::skiplist::{Item, SkipList};
 
 /// A key as a reader pinned to some index version sees it; see
 /// [`Memtable::resolve`].
@@ -65,32 +18,32 @@ pub struct Resolved {
     /// for a dangling dedup chain (no value-bearing ancestor here).
     pub value: Option<(u64, ValueLocation)>,
     /// Deduplicated versions walked through to reach `value` (0 = direct).
+    /// For a dangling chain, every version below the seen one.
     pub hops: u32,
 }
 
 impl Resolved {
-    /// What a reader sees once an ascending walk of a key's items reaches
-    /// `link`, having seen `older` below it.
-    fn step(older: Option<Resolved>, link: ChainLink) -> Resolved {
-        let (value, hops) = if !link.entry.deduplicated {
-            (Some((link.version, link.entry.location)), 0)
-        } else {
-            older.map_or((None, 0), |older| (older.value, older.hops + 1))
-        };
-        Resolved {
-            version: link.version,
-            entry: link.entry,
-            value,
-            hops,
-        }
+    /// What a reader pinned to `t` sees of a key whose items, ascending
+    /// by version, are `run`: a binary search for the pin, then a walk
+    /// down to the nearest item that carries a value.
+    fn of(run: &[Item<IndexEntry>], t: u64) -> Option<Resolved> {
+        let seen = &run[..run.partition_point(|item| item.version() <= t)];
+        let last = seen.last()?;
+        let base = seen.iter().rposition(|item| !item.value.deduplicated);
+        Some(Resolved {
+            version: last.version(),
+            entry: last.value,
+            value: base.map(|i| (seen[i].version(), seen[i].value.location)),
+            hops: (seen.len() - 1 - base.unwrap_or(0)) as u32,
+        })
     }
 }
 
 /// QinDB's memory-resident index.
 ///
-/// Same-key entries sort adjacently in increasing version order, so the
-/// version-chain queries below are short sequential scans from a skip-list
-/// lower bound.
+/// One skip-list record per user key; the key's items sit ascending by
+/// version in one contiguous run, so every query below is one descent
+/// plus a slice.
 #[derive(Debug, Default)]
 pub struct Memtable {
     list: SkipList<IndexEntry>,
@@ -134,35 +87,28 @@ impl Memtable {
         self.list.remove(&key.key, key.version)
     }
 
-    /// The version chain of `key`: every item of the key, ascending by
-    /// version, each with the arena cursor [`Memtable::entry_at_mut`]
-    /// takes. One descent (to the key's lowest possible version, compared
-    /// in place — no probe key is built) and then a level-0 walk.
-    pub fn chain<'a>(&'a self, key: &'a [u8]) -> Chain<'a> {
-        let seek = self.list.seek(key, 0);
-        Chain {
-            walk: self.list.walk_from(seek.first()),
-            key,
-            seek,
-        }
+    /// Every item of `key`, ascending by version (empty when the key has
+    /// none): one descent, no probe key built.
+    pub fn run(&self, key: &[u8]) -> &[Item<IndexEntry>] {
+        self.list.run(key)
     }
 
-    /// The item under a cursor that [`Memtable::chain`] yielded.
-    pub fn entry_at_mut(&mut self, at: Cursor) -> &mut IndexEntry {
-        self.list.value_at_mut(at)
+    /// [`Memtable::run`] to change entries in place; their versions are
+    /// read-only.
+    pub fn run_mut(&mut self, key: &[u8]) -> &mut [Item<IndexEntry>] {
+        self.list.run_mut(key)
     }
 
-    /// Inserts an item that `chain` did not yield into the chain `seek`
-    /// was taken from ([`Chain::seek`]), without a second descent. The key
-    /// bytes are copied into the arena.
-    pub fn insert_after(
+    /// Sets the item for `key/version` to `make(the item before, if
+    /// any)` and returns the key's run, in one descent. The key bytes are
+    /// copied into the arena when the key is new.
+    pub fn upsert(
         &mut self,
-        seek: Seek,
         key: &[u8],
         version: u64,
-        entry: IndexEntry,
-    ) -> Cursor {
-        self.list.insert_after(seek, key, version, entry)
+        make: impl FnOnce(Option<IndexEntry>) -> IndexEntry,
+    ) -> &mut [Item<IndexEntry>] {
+        self.list.upsert(key, version, make)
     }
 
     /// What a reader pinned to index version `t` sees for `key`: the
@@ -176,9 +122,7 @@ impl Memtable {
     /// GC). Whether the seen version itself is deleted is the caller's
     /// check.
     pub fn resolve(&self, key: &[u8], t: u64) -> Option<Resolved> {
-        self.chain(key)
-            .take_while(|l| l.version <= t)
-            .fold(None, |seen, link| Some(Resolved::step(seen, link)))
+        Resolved::of(self.run(key), t)
     }
 
     /// GET's traceback: the newest version `≤ t` of `key` that carries a
@@ -191,19 +135,14 @@ impl Memtable {
 
     /// [`Memtable::resolve`] for every key starting with `prefix`, in key
     /// order, skipping keys with no version at or below `t`: one descent
-    /// to the prefix's lower bound, then each key's chain is resolved from
-    /// the level-0 walk as it passes.
+    /// to the prefix's lower bound, then each key's run as the level-0
+    /// walk passes it.
     pub fn resolve_prefix(&self, prefix: &[u8], t: u64) -> Vec<(&[u8], Resolved)> {
-        let mut rows: Vec<(&[u8], Resolved)> = Vec::new();
-        let walk = self.list.walk_from(self.list.seek(prefix, 0).first());
-        for (at, k, entry) in walk.take_while(|(_, k, _)| k.key.starts_with(prefix)) {
-            if k.version <= t {
-                let older = rows.pop_if(|(key, _)| *key == k.key).map(|(_, seen)| seen);
-                let link = ChainLink::of((at, k, entry));
-                rows.push((k.key, Resolved::step(older, link)));
-            }
-        }
-        rows
+        self.list
+            .runs_from(prefix)
+            .take_while(|(key, _)| key.starts_with(prefix))
+            .filter_map(|(key, run)| Some((key, Resolved::of(run, t)?)))
+            .collect()
     }
 
     /// Iterates every item in `(key, version)` order.
@@ -211,11 +150,12 @@ impl Memtable {
         self.list.iter()
     }
 
-    /// Bytes of memory the items occupy, in O(1): each item's arena
-    /// record (16-byte header, tower, key bytes) and its [`IndexEntry`],
-    /// plus the list's head tower and removed records not yet reused.
-    /// Spare buffer capacity and the fixed-size parts of the table are
-    /// not counted; see [`SkipList::approx_bytes`].
+    /// Bytes of memory the items occupy, in O(1): each key's arena record
+    /// (12-byte header, tower, key bytes), each item's slab slot (version
+    /// and [`IndexEntry`]), the slab's holes, the list's head tower and
+    /// removed records not yet reused. Spare buffer capacity and the
+    /// fixed-size parts of the table are not counted; see
+    /// [`SkipList::approx_bytes`].
     pub fn approx_bytes(&self) -> usize {
         self.list.approx_bytes()
     }
@@ -242,7 +182,7 @@ mod tests {
     }
 
     fn versions(t: &Memtable, key: &[u8]) -> Vec<u64> {
-        t.chain(key).map(|l| l.version).collect()
+        t.run(key).iter().map(Item::version).collect()
     }
 
     #[test]
@@ -256,26 +196,28 @@ mod tests {
         assert_eq!(versions(&t, b"a"), vec![1, 3]);
         // Prefix "a" must not leak into key "ab".
         assert_eq!(versions(&t, b"ab"), vec![5]);
-        assert!(t.chain(b"zz").next().is_none());
-        // A key sorting between stored keys has an empty chain too.
-        assert!(t.chain(b"aa").next().is_none());
+        assert!(t.run(b"zz").is_empty());
+        // A key sorting between stored keys has an empty run too.
+        assert!(t.run(b"aa").is_empty());
     }
 
     #[test]
-    fn chain_cursors_reach_the_items() {
+    fn run_mut_reaches_the_items() {
         let mut t = table_with(&[
             ("k", 1, IndexEntry::full(loc(1))),
             ("k", 2, IndexEntry::deduplicated(loc(2))),
         ]);
-        let links: Vec<ChainLink> = t.chain(b"k").collect();
-        assert_eq!(links[1].entry, IndexEntry::deduplicated(loc(2)));
-        t.entry_at_mut(links[0].at).deleted = true;
+        let run = t.run_mut(b"k");
+        assert_eq!(run[1].version(), 2);
+        assert_eq!(run[1].value, IndexEntry::deduplicated(loc(2)));
+        run[0].value.deleted = true;
         assert!(t.get(&VersionedKey::new("k", 1)).unwrap().deleted);
         assert!(!t.get(&VersionedKey::new("k", 2)).unwrap().deleted);
+        assert!(t.run_mut(b"missing").is_empty());
     }
 
     #[test]
-    fn insert_after_extends_the_chain_in_order() {
+    fn upsert_extends_the_run_in_order() {
         let mut t = table_with(&[
             ("j", 9, IndexEntry::full(loc(9))),
             ("k", 2, IndexEntry::full(loc(2))),
@@ -283,13 +225,21 @@ mod tests {
             ("l", 1, IndexEntry::full(loc(1))),
         ]);
         for v in [4, 1, 8] {
-            let seek = t.chain(b"k").seek();
-            t.insert_after(seek, b"k", v, IndexEntry::full(loc(v)));
+            let run = t.upsert(b"k", v, |old| {
+                assert_eq!(old, None);
+                IndexEntry::full(loc(v))
+            });
+            assert!(run.iter().any(|item| item.version() == v));
         }
-        // A key with no chain yet lands between its neighbours.
-        let seek = t.chain(b"jj").seek();
-        t.insert_after(seek, b"jj", 3, IndexEntry::full(loc(3)));
+        // A re-put sees the item it replaces.
+        t.upsert(b"k", 6, |old| {
+            assert_eq!(old, Some(IndexEntry::full(loc(6))));
+            IndexEntry::deduplicated(loc(66))
+        });
+        // A key with no run yet lands between its neighbours.
+        assert_eq!(t.upsert(b"jj", 3, |_| IndexEntry::full(loc(3))).len(), 1);
         assert_eq!(versions(&t, b"k"), vec![1, 2, 4, 6, 8]);
+        assert_eq!(t.run(b"k")[3].value, IndexEntry::deduplicated(loc(66)));
         let all: Vec<String> = t.iter().map(|(k, _)| k.to_string()).collect();
         assert_eq!(
             all,
@@ -416,10 +366,20 @@ mod tests {
                 IndexEntry::full(loc(i)),
             );
         }
-        // Per item: a 16-byte header, at least one forward link, the key
-        // and the entry.
-        let floor = 16 + 4 + "key-0000".len() + std::mem::size_of::<IndexEntry>();
+        // Per key: a 12-byte header, at least one forward link and the
+        // key; per item: its version and entry.
+        let item = std::mem::size_of::<Item<IndexEntry>>();
+        let floor = 12 + 4 + "key-0000".len() + item;
         let bytes = t.approx_bytes() - empty;
         assert!((100 * floor..100 * (floor + 8)).contains(&bytes), "{bytes}");
+        // A second version of each key costs one item more, once the
+        // holes its moves leave are closed.
+        for i in 0..100u64 {
+            t.insert(
+                VersionedKey::new(format!("key-{i:04}"), 2),
+                IndexEntry::full(loc(i)),
+            );
+        }
+        assert!(t.approx_bytes() - empty >= bytes + 100 * item);
     }
 }

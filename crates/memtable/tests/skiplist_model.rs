@@ -1,7 +1,8 @@
-//! Model-based property tests: the skip list must agree with `BTreeMap`
-//! on every observable behaviour, under arbitrary op interleavings.
+//! Model-based property tests: the memtable and its skip list must agree
+//! with `BTreeMap` on every observable behaviour, under arbitrary op
+//! interleavings.
 
-use memtable::{Cursor, KeyRef, SkipList};
+use memtable::{IndexEntry, Item, Memtable, Resolved, SkipList, ValueLocation, VersionedKey};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 
@@ -26,23 +27,27 @@ fn op_strategy() -> impl Strategy<Value = Op> {
 type VKey = (Vec<u8>, u64);
 
 #[derive(Debug, Clone)]
-enum ChainOp {
-    /// Write through one chain seek: replace in place or `insert_after`.
+enum TableOp {
+    /// Write through the engine's path: one `upsert`, which sees the item
+    /// it replaces.
     Upsert(Vec<u8>, u64, u32),
     /// Write through the plain `insert`.
     Insert(Vec<u8>, u64, u32),
     Remove(Vec<u8>, u64),
-    LowerBound(Vec<u8>, u64),
-    Chain(Vec<u8>),
+    /// Flip `d` on one item through the key's run.
+    Delete(Vec<u8>, u64),
+    Resolve(Vec<u8>, u64),
+    Run(Vec<u8>),
+    Prefix(Vec<u8>, u64),
 }
 
 /// Keys over a two-letter alphabet: every string of length 0..=3, and the
 /// prefixes, 0..=40 bytes long, of three fixed strings. Most pairs are
 /// prefixes of one another, which is where a comparator that forgot the
-/// length (or a chain walk that forgot the key boundary) goes wrong; the
-/// pool is small enough (about 130 keys, six versions each) that removes
-/// hit and re-inserts follow, so records of some eighty sizes are freed
-/// and carved again.
+/// length (or a prefix walk that forgot the key boundary) goes wrong; the
+/// pool is small enough (about 130 keys, eight versions each) that runs
+/// grow past six items and move, removes hit, keys leave and come back,
+/// and the slab compacts many times over.
 fn chain_key() -> impl Strategy<Value = Vec<u8>> {
     let letter = |stem: usize, i: usize| if (i >> stem) & 1 == 0 { b'a' } else { b'b' };
     prop_oneof![
@@ -52,116 +57,162 @@ fn chain_key() -> impl Strategy<Value = Vec<u8>> {
     ]
 }
 
-fn chain_op_strategy() -> impl Strategy<Value = ChainOp> {
-    let ver = 0u64..6;
+fn table_op_strategy() -> impl Strategy<Value = TableOp> {
+    let ver = 0u64..8;
     prop_oneof![
-        4 => (chain_key(), ver.clone(), any::<u32>()).prop_map(|(k, t, v)| ChainOp::Upsert(k, t, v)),
-        2 => (chain_key(), ver.clone(), any::<u32>()).prop_map(|(k, t, v)| ChainOp::Insert(k, t, v)),
-        3 => (chain_key(), ver.clone()).prop_map(|(k, t)| ChainOp::Remove(k, t)),
-        2 => (chain_key(), ver).prop_map(|(k, t)| ChainOp::LowerBound(k, t)),
-        2 => chain_key().prop_map(ChainOp::Chain),
+        5 => (chain_key(), ver.clone(), any::<u32>()).prop_map(|(k, t, v)| TableOp::Upsert(k, t, v)),
+        2 => (chain_key(), ver.clone(), any::<u32>()).prop_map(|(k, t, v)| TableOp::Insert(k, t, v)),
+        3 => (chain_key(), ver.clone()).prop_map(|(k, t)| TableOp::Remove(k, t)),
+        1 => (chain_key(), ver.clone()).prop_map(|(k, t)| TableOp::Delete(k, t)),
+        2 => (chain_key(), ver.clone()).prop_map(|(k, t)| TableOp::Resolve(k, t)),
+        2 => chain_key().prop_map(TableOp::Run),
+        1 => (chain_key(), ver).prop_map(|(k, t)| TableOp::Prefix(k, t)),
     ]
 }
 
-/// One key's items, as a chain walk from `start` sees them.
-fn chain_from<'a>(
-    sl: &'a SkipList<u32>,
-    start: Option<Cursor>,
-    key: &'a [u8],
-) -> impl Iterator<Item = (Cursor, u64, u32)> + 'a {
-    sl.walk_from(start)
-        .take_while(move |(_, k, _)| k.key == key)
-        .map(|(at, k, v)| (at, k.version, *v))
+/// An item whose fields all derive from `v`, so every field is compared.
+fn entry(v: u32) -> IndexEntry {
+    let location = ValueLocation {
+        file: v as u64 >> 3,
+        offset: v,
+        len: v.rotate_left(7),
+    };
+    let mut e = match v % 3 {
+        0 => IndexEntry::full(location),
+        _ => IndexEntry::deduplicated(location),
+    };
+    e.copies = v % 4;
+    e
 }
 
-/// Seeks, hinted inserts, cursors and record reuse against a `BTreeMap`
-/// of the same entries plus a map of every live entry's cursor, checked
-/// after every op.
-fn check_chain_ops(ops: Vec<ChainOp>) -> Result<(), TestCaseError> {
-    let mut sl: SkipList<u32> = SkipList::new();
-    let mut model: BTreeMap<VKey, u32> = BTreeMap::new();
-    let mut cursors: BTreeMap<VKey, Cursor> = BTreeMap::new();
-    let mut live_high_water = 0;
+/// What `Memtable::resolve` must say, from the model: the newest version
+/// at or below `t`, its nearest value-bearing ancestor at or below it,
+/// and the versions between them.
+fn model_resolve(model: &BTreeMap<VKey, IndexEntry>, key: &[u8], t: u64) -> Option<Resolved> {
+    let seen: Vec<(u64, IndexEntry)> = model
+        .range((key.to_vec(), 0)..=(key.to_vec(), t))
+        .map(|((_, v), e)| (*v, *e))
+        .collect();
+    let &(version, entry) = seen.last()?;
+    let base = seen.iter().rposition(|(_, e)| !e.deduplicated);
+    Some(Resolved {
+        version,
+        entry,
+        value: base.map(|i| (seen[i].0, seen[i].1.location)),
+        hops: (seen.len() - 1 - base.unwrap_or(0)) as u32,
+    })
+}
+
+/// A run as `(version, entry)` pairs, to compare with the model's.
+fn items(run: &[Item<IndexEntry>]) -> Vec<(u64, IndexEntry)> {
+    run.iter()
+        .map(|item| (item.version(), item.value))
+        .collect()
+}
+
+/// Heap bytes the model's content needs at least: per key a 12-byte
+/// record header, one forward link and the key; per item its version and
+/// entry.
+fn live_floor(model: &BTreeMap<VKey, IndexEntry>) -> usize {
+    let mut bytes = model.len() * std::mem::size_of::<Item<IndexEntry>>();
+    let mut last: Option<&[u8]> = None;
+    for (key, _) in model.keys() {
+        if last != Some(key.as_slice()) {
+            bytes += 12 + 4 + key.len();
+            last = Some(key);
+        }
+    }
+    bytes
+}
+
+/// Every read and write of the memtable against a `BTreeMap` of the same
+/// items, with the whole table compared after every op.
+fn check_table_ops(ops: Vec<TableOp>) -> Result<(), TestCaseError> {
+    let mut table = Memtable::new();
+    let mut model: BTreeMap<VKey, IndexEntry> = BTreeMap::new();
+    let head = table.approx_bytes();
+    let mut floor_high_water = 0;
     for op in ops {
         match op {
-            ChainOp::Upsert(key, version, value) => {
-                let seek = sl.seek(&key, 0);
-                let present = chain_from(&sl, seek.first(), &key)
-                    .find(|(_, t, _)| *t == version)
-                    .map(|(at, _, _)| at);
-                let vk = (key, version);
-                prop_assert_eq!(present, cursors.get(&vk).copied());
-                match present {
-                    Some(at) => *sl.value_at_mut(at) = value,
-                    None => {
-                        let at = sl.insert_after(seek, &vk.0, version, value);
-                        cursors.insert(vk.clone(), at);
-                    }
-                }
-                model.insert(vk, value);
-            }
-            ChainOp::Insert(key, version, value) => {
-                let vk = (key, version);
-                prop_assert_eq!(
-                    sl.insert(&vk.0, version, value),
-                    model.insert(vk.clone(), value)
-                );
-                let at = sl.seek(&vk.0, version).first().expect("just inserted");
-                cursors.insert(vk, at);
-            }
-            ChainOp::Remove(key, version) => {
-                prop_assert_eq!(
-                    sl.remove(&key, version),
-                    model.remove(&(key.clone(), version))
-                );
-                cursors.remove(&(key, version));
-            }
-            ChainOp::LowerBound(key, version) => {
-                let got = sl
-                    .walk_from(sl.seek(&key, version).first())
-                    .next()
-                    .map(|(_, k, v)| (k.key.to_vec(), k.version, *v));
-                let want = model
-                    .range((key, version)..)
-                    .next()
-                    .map(|((k, t), v)| (k.clone(), *t, *v));
-                prop_assert_eq!(got, want);
-            }
-            ChainOp::Chain(key) => {
-                let got: Vec<(u64, u32)> = chain_from(&sl, sl.seek(&key, 0).first(), &key)
-                    .map(|(_, t, v)| (t, v))
-                    .collect();
-                let want: Vec<(u64, u32)> = model
+            TableOp::Upsert(key, version, value) => {
+                let want_old = model.insert((key.clone(), version), entry(value));
+                let mut old = None;
+                let run = table.upsert(&key, version, |was| {
+                    old = Some(was);
+                    entry(value)
+                });
+                let want: Vec<(u64, IndexEntry)> = model
                     .range((key.clone(), 0)..=(key, u64::MAX))
-                    .map(|(k, v)| (k.1, *v))
+                    .map(|((_, v), e)| (*v, *e))
+                    .collect();
+                prop_assert_eq!(items(run), want);
+                prop_assert_eq!(old, Some(want_old));
+            }
+            TableOp::Insert(key, version, value) => {
+                let vk = VersionedKey::new(key.clone(), version);
+                prop_assert_eq!(
+                    table.insert(vk, entry(value)),
+                    model.insert((key, version), entry(value))
+                );
+            }
+            TableOp::Remove(key, version) => {
+                let vk = VersionedKey::new(key.clone(), version);
+                prop_assert_eq!(table.remove(&vk), model.remove(&(key, version)));
+            }
+            TableOp::Delete(key, version) => {
+                let run = table.run_mut(&key);
+                if let Ok(i) = memtable::position(run, version) {
+                    run[i].value.deleted = true;
+                }
+                if let Some(e) = model.get_mut(&(key, version)) {
+                    e.deleted = true;
+                }
+            }
+            TableOp::Resolve(key, t) => {
+                prop_assert_eq!(table.resolve(&key, t), model_resolve(&model, &key, t));
+            }
+            TableOp::Run(key) => {
+                let want: Vec<(u64, IndexEntry)> = model
+                    .range((key.clone(), 0)..=(key.clone(), u64::MAX))
+                    .map(|((_, v), e)| (*v, *e))
+                    .collect();
+                prop_assert_eq!(items(table.run(&key)), want);
+            }
+            TableOp::Prefix(prefix, t) => {
+                let got: Vec<(Vec<u8>, Resolved)> = table
+                    .resolve_prefix(&prefix, t)
+                    .into_iter()
+                    .map(|(k, seen)| (k.to_vec(), seen))
+                    .collect();
+                let mut keys: Vec<&Vec<u8>> = model
+                    .keys()
+                    .map(|(k, _)| k)
+                    .filter(|k| k.starts_with(&prefix))
+                    .collect();
+                keys.dedup();
+                let want: Vec<(Vec<u8>, Resolved)> = keys
+                    .into_iter()
+                    .filter_map(|k| Some((k.clone(), model_resolve(&model, k, t)?)))
                     .collect();
                 prop_assert_eq!(got, want);
             }
         }
-        prop_assert_eq!(sl.len(), model.len());
+        prop_assert_eq!(table.len(), model.len());
         prop_assert!(
-            sl.iter()
-                .map(|(k, v)| (k.key, k.version, *v))
-                .eq(model.iter().map(|((k, t), v)| (k.as_slice(), *t, *v))),
+            table
+                .iter()
+                .map(|(k, e)| (k.key, k.version, *e))
+                .eq(model.iter().map(|((k, t), e)| (k.as_slice(), *t, *e))),
             "iteration diverged from the model"
         );
-        // Every cursor handed out for a still-present entry reaches it,
-        // whatever was inserted, removed or recycled around it.
-        prop_assert!(cursors.keys().eq(model.keys()));
-        for (((key, version), at), value) in cursors.iter().zip(model.values()) {
-            let want = KeyRef {
-                key,
-                version: *version,
-            };
-            prop_assert_eq!(sl.walk_from(Some(*at)).next(), Some((*at, want, value)));
-        }
-        // Removed records are carved again: the arena never spans more
-        // than twice what the live records needed at their peak.
-        live_high_water = sl.live_bytes().max(live_high_water);
+        // Freed records are carved again and the slab closes its holes
+        // before it grows: the table never spans more than twice what its
+        // content needed at its peak (1.3 × at most over the long churn).
+        floor_high_water = live_floor(&model).max(floor_high_water);
         prop_assert!(
-            sl.arena_bytes() <= 2 * live_high_water,
-            "arena {} bytes, live high-water {live_high_water}",
-            sl.arena_bytes()
+            table.approx_bytes() - head <= 2 * floor_high_water,
+            "{} bytes, content high-water {floor_high_water}",
+            table.approx_bytes() - head
         );
     }
     Ok(())
@@ -174,9 +225,9 @@ proptest! {
     /// fill, drain and refill many times over.
     #[test]
     fn arena_stays_bounded_over_a_long_churn(
-        ops in proptest::collection::vec(chain_op_strategy(), 10_000..10_001)
+        ops in proptest::collection::vec(table_op_strategy(), 10_000..10_001)
     ) {
-        check_chain_ops(ops)?;
+        check_table_ops(ops)?;
     }
 }
 
@@ -184,10 +235,10 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
     #[test]
-    fn seeks_and_cursors_match_btreemap(
-        ops in proptest::collection::vec(chain_op_strategy(), 1..400)
+    fn memtable_matches_btreemap(
+        ops in proptest::collection::vec(table_op_strategy(), 1..400)
     ) {
-        check_chain_ops(ops)?;
+        check_table_ops(ops)?;
     }
 
     #[test]
@@ -208,8 +259,8 @@ proptest! {
                 }
                 Op::IterFrom(k) => {
                     let got: Vec<(u16, u32)> = sl
-                        .walk_from(sl.seek(&k.to_be_bytes(), 0).first())
-                        .map(|(_, a, b)| (key(a.key), *b))
+                        .runs_from(&k.to_be_bytes())
+                        .map(|(a, run)| (key(a), run[0].value))
                         .collect();
                     let want: Vec<(u16, u32)> = model.range(k..).map(|(a, b)| (*a, *b)).collect();
                     prop_assert_eq!(got, want);
@@ -232,8 +283,7 @@ proptest! {
             0..64,
         )
     ) {
-        use memtable::{decode_checkpoint, encode_checkpoint, IndexEntry, Memtable,
-                       ValueLocation, VersionedKey};
+        use memtable::{decode_checkpoint, encode_checkpoint};
         let mut t = Memtable::new();
         for (key, version, file, offset, len, dedup, deleted) in entries {
             t.insert(

@@ -7,7 +7,7 @@ use crate::stats::{AtomicEngineStats, EngineStats};
 use crate::{QinDbError, Result};
 use aof::{Aof, FileId, GcTable, RecordLoc};
 use bytes::Bytes;
-use memtable::{ChainLink, IndexEntry, KeyRef, Memtable, Seek, ValueLocation, VersionedKey};
+use memtable::{position, IndexEntry, Item, KeyRef, Memtable, ValueLocation, VersionedKey};
 use ssdsim::Device;
 use std::collections::HashSet;
 
@@ -37,12 +37,11 @@ pub enum KeyStatus {
 pub struct QinDb {
     aof: Aof,
     table: Memtable,
-    /// The version chain of the key the current mutation touches, loaded
-    /// by its one descent ([`QinDb::load_chain`]); kept across operations
-    /// only for its allocation.
-    chain: Vec<ChainLink>,
     gct: GcTable,
     cfg: QinDbConfig,
+    /// The device's block count, fixed at construction: the lazy-GC check
+    /// every mutation ends with divides by it.
+    device_blocks: u32,
     stats: AtomicEngineStats,
     /// Next record sequence number; defines logical mutation order
     /// independently of file layout (GC relocations keep their seq).
@@ -87,7 +86,7 @@ pub fn journal_frontier_of(image: &[u8]) -> u64 {
     frontier_of_records(&records)
 }
 
-/// What the memtable says about a `k/t`, from one walk of its chain.
+/// What the memtable says about a `k/t`, from one descent to its run.
 enum Lookup {
     /// No item, or a deduplicated item with no value-bearing ancestor
     /// here (a dangling chain — another replica may hold the ancestor).
@@ -121,9 +120,9 @@ impl QinDb {
     /// checkpoint standing and an empty journal.
     fn assemble(aof: Aof, cfg: QinDbConfig, table: Memtable, gct: GcTable, next_seq: u64) -> Self {
         QinDb {
+            device_blocks: aof.device().geometry().blocks,
             aof,
             table,
-            chain: Vec::new(),
             gct,
             cfg,
             stats: AtomicEngineStats::default(),
@@ -144,10 +143,12 @@ impl QinDb {
     /// record carries a NULL value and the memtable item gets the `r`
     /// flag, so GETs trace back to an older version for the bytes.
     pub fn put(&mut self, key: &[u8], version: u64, value: Option<&[u8]>) -> Result<()> {
-        let seq = self.take_seq();
-        let loc = to_value_loc(self.append_record(&Record::encode_put(seq, key, version, value))?);
-        self.link_put(key, version, loc, value.is_none());
-        self.settle_liveness();
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        let encoded = Record::encode_put(seq, key, version, value);
+        let loc = to_value_loc(append_record(&mut self.aof, &mut self.gct, &encoded)?);
+        let (run, gct) = self.link_put(key, version, loc, value.is_none());
+        settle_liveness(gct, run);
         self.stats.puts.add(1);
         self.stats
             .user_write_bytes
@@ -166,9 +167,9 @@ impl QinDb {
         })
     }
 
-    /// The memtable half of every read: one descent to `key`'s chain and
-    /// a walk up to `version`, yielding location, resolved version and
-    /// hop count together.
+    /// The memtable half of every read: one descent to `key`'s run and a
+    /// binary search in it for `version`, yielding location, resolved
+    /// version and hop count together.
     fn lookup(&self, key: &[u8], version: u64) -> Lookup {
         let seen = match self.table.resolve(key, version) {
             Some(seen) if seen.version == version => seen,
@@ -229,7 +230,7 @@ impl QinDb {
     /// [`QinDb::status`] on behalf of a traced request, plus what the
     /// lookup cost: one storage read, the payload bytes it returned, and
     /// the dedup-traceback hops it walked. With a non-zero `trace_id` a
-    /// chain walk additionally emits a wall-clock `traceback` event
+    /// traceback additionally emits a wall-clock `traceback` event
     /// carrying it, so [`obs::assemble`] shows the engine hop inside the
     /// request's cross-layer path. The probe is reported even when the
     /// status is `Missing`/`Deleted` or the read errors — the work was
@@ -274,16 +275,19 @@ impl QinDb {
     /// tombstone, and updates the GC table; physical reclamation is left
     /// to the lazy GC. Returns `true` when a live item became deleted.
     pub fn del(&mut self, key: &[u8], version: u64) -> Result<bool> {
-        let Some(i) = self
-            .find_version(key, version)
-            .filter(|&i| !self.chain[i].entry.deleted)
+        let seq = self.next_seq;
+        let run = self.table.run_mut(key);
+        let Some(i) = position(run, version)
+            .ok()
+            .filter(|&i| !run[i].value.deleted)
         else {
             return Ok(false);
         };
-        let seq = self.take_seq();
-        self.append_record(&Record::encode_del(seq, key, version))?;
-        self.mark_deleted(i);
-        self.settle_liveness();
+        self.next_seq += 1;
+        let tombstone = Record::encode_del(seq, key, version);
+        append_record(&mut self.aof, &mut self.gct, &tombstone)?;
+        run[i].value.deleted = true;
+        settle_liveness(&mut self.gct, run);
         self.stats.dels.add(1);
         self.reclaim(true)?;
         Ok(true)
@@ -543,15 +547,14 @@ impl QinDb {
                 }
                 // A tombstone with no surviving put guards nothing.
                 Record::Del { key, version, .. } => {
-                    if let Some(i) = self.find_version(&key, version) {
-                        self.mark_deleted(i);
+                    if let Some(entry) = self.table.get_mut(&VersionedKey { key, version }) {
+                        entry.deleted = true;
                     }
                 }
             }
         }
         for key in touched {
-            self.load_chain(&key);
-            self.settle_liveness();
+            settle_liveness(&mut self.gct, self.table.run_mut(&key));
         }
         Ok(())
     }
@@ -597,8 +600,7 @@ impl QinDb {
     /// device's free space is below the deferral threshold.
     fn next_victim(&self, lazy: bool, seen: &HashSet<FileId>) -> Option<FileId> {
         if lazy {
-            let dev = self.aof.device();
-            let free_frac = dev.free_blocks() as f64 / dev.geometry().blocks as f64;
+            let free_frac = self.aof.device().free_blocks() as f64 / self.device_blocks as f64;
             if free_frac >= self.cfg.gc_defer_free_fraction {
                 return None;
             }
@@ -612,7 +614,9 @@ impl QinDb {
     /// Reclaims one file: re-appends records that must survive (live
     /// items, deleted-but-referenced values, still-guarding tombstones),
     /// updates the skip list offsets, drops no-referent deleted items, and
-    /// erases the file (Figure 2, steps 4–6).
+    /// erases the file (Figure 2, steps 4–6). Each record costs one
+    /// descent to its key's run and a binary search in it; an item that
+    /// goes costs a second.
     fn gc_file(&mut self, file: FileId) -> Result<()> {
         let items = self.file_records(file)?;
         for ScanItem {
@@ -623,20 +627,18 @@ impl QinDb {
         {
             match &record {
                 Record::Put { key, version, .. } => {
-                    let vk = VersionedKey::new(key.clone(), *version);
-                    let Some(entry) = self.table.get(&vk).copied() else {
+                    let run = self.table.run_mut(key);
+                    let Ok(i) = position(run, *version) else {
                         continue; // no item: orphan record, dies with the file
                     };
-                    let canonical =
-                        entry.location.file == file && entry.location.offset == offset as u32;
-                    if canonical && !entry.dead_accounted {
+                    let e = &mut run[i].value;
+                    let canonical = e.location.file == file && e.location.offset == offset as u32;
+                    if canonical && !e.dead_accounted {
                         // Survivor: re-append at the current end of the
                         // AOFs (copy count unchanged: −1 here, +1 there).
-                        let new_loc = self.append_record(&record.encode())?;
-                        self.table
-                            .get_mut(&vk)
-                            .expect("entry just observed")
-                            .location = to_value_loc(new_loc);
+                        let new_loc =
+                            append_record(&mut self.aof, &mut self.gct, &record.encode())?;
+                        e.location = to_value_loc(new_loc);
                         self.stats.gc_bytes_rewritten.add(len as u64);
                         self.stats.gc_records_rewritten.add(1);
                         continue;
@@ -648,21 +650,20 @@ impl QinDb {
                     // once the *last* copy is erased; otherwise a crash
                     // could replay a surviving older copy and resurrect
                     // the deleted pair.
-                    let e = self.table.get_mut(&vk).expect("entry just observed");
-                    debug_assert!(e.copies > 0, "copy count underflow for {vk}");
+                    debug_assert!(e.copies > 0, "copy count underflow for {key:?}/{version}");
                     e.copies -= 1;
                     if e.copies == 0 {
-                        debug_assert!(e.dead_accounted, "last copy of a live item dropped: {vk}");
-                        self.table.remove(&vk);
+                        debug_assert!(e.dead_accounted, "last copy of a live item dropped");
+                        self.table.remove(&VersionedKey::new(key.clone(), *version));
                         self.stats.gc_items_dropped.add(1);
                     }
                 }
                 Record::Del { key, version, .. } => {
                     // A tombstone must outlive the put record it guards.
-                    let vk = VersionedKey::new(key.clone(), *version);
-                    let guards = self.table.get(&vk).is_some_and(|e| e.deleted);
+                    let run = self.table.run(key);
+                    let guards = position(run, *version).is_ok_and(|i| run[i].value.deleted);
                     if guards {
-                        self.append_record(&record.encode())?;
+                        append_record(&mut self.aof, &mut self.gct, &record.encode())?;
                         self.stats.gc_bytes_rewritten.add(len as u64);
                         self.stats.gc_records_rewritten.add(1);
                     }
@@ -724,15 +725,16 @@ impl QinDb {
     /// flags `(version, deduplicated, deleted)`.
     pub fn versions_of(&self, key: &[u8]) -> Vec<(u64, bool, bool)> {
         self.table
-            .chain(key)
-            .map(|l| (l.version, l.entry.deduplicated, l.entry.deleted))
+            .run(key)
+            .iter()
+            .map(|item| (item.version(), item.value.deduplicated, item.value.deleted))
             .collect()
     }
 
     /// Whether this node holds an item for `key/version`, live or
     /// deleted.
     pub fn has_version(&self, key: &[u8], version: u64) -> bool {
-        self.table.chain(key).any(|l| l.version == version)
+        position(self.table.run(key), version).is_ok()
     }
 
     /// Iterates every memtable item with its whole entry — location, the
@@ -768,103 +770,72 @@ impl QinDb {
         }
     }
 
-    // ------------------------------------------------------------------
-    // Internals
-    // ------------------------------------------------------------------
-
-    fn take_seq(&mut self) -> u64 {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        seq
-    }
-
-    /// Appends one encoded record and accounts for it in the GC table.
-    fn append_record(&mut self, encoded: &[u8]) -> Result<RecordLoc> {
-        let loc = self.aof.append(encoded)?;
-        self.gct.on_append(loc.file, loc.len as u64);
-        for sealed in self.aof.take_newly_sealed() {
-            self.gct.seal(sealed);
-        }
-        Ok(loc)
-    }
-
-    /// The one skip-list descent of a mutation: loads `key`'s whole
-    /// version chain into `self.chain`. The returned seek lets a put link
-    /// a new version into that chain without searching again.
-    fn load_chain(&mut self, key: &[u8]) -> Seek {
-        let walk = self.table.chain(key);
-        let seek = walk.seek();
-        self.chain.clear();
-        self.chain.extend(walk);
-        seek
-    }
-
-    /// Links a put record at `loc` into `key`'s chain — the one routine
-    /// for a live put and a replayed one. A new version is linked in from
-    /// the chain's own descent. A re-put of the same k/t replaces the
+    /// Links a put record at `loc` into `key`'s run in one descent — the
+    /// one routine for a live put and a replayed one — and hands back the
+    /// run beside the GC table. A re-put of the same k/t replaces the
     /// item: the superseded record stays on flash until its file is
     /// reclaimed, so it counts as one more copy, and as dead bytes unless
     /// they are already accounted.
-    fn link_put(&mut self, key: &[u8], version: u64, loc: ValueLocation, deduplicated: bool) {
-        let mut entry = if deduplicated {
+    fn link_put(
+        &mut self,
+        key: &[u8],
+        version: u64,
+        loc: ValueLocation,
+        deduplicated: bool,
+    ) -> (&mut [Item<IndexEntry>], &mut GcTable) {
+        let entry = if deduplicated {
             IndexEntry::deduplicated(loc)
         } else {
             IndexEntry::full(loc)
         };
-        let seek = self.load_chain(key);
-        match self.chain.binary_search_by_key(&version, |l| l.version) {
-            Ok(i) => {
-                let old = self.chain[i].entry;
-                entry.copies = old.copies + 1;
+        let gct = &mut self.gct;
+        let run = self.table.upsert(key, version, |old| match old {
+            None => entry,
+            Some(old) => {
                 if !old.dead_accounted {
-                    self.gct.on_dead(old.location.file, old.location.len as u64);
+                    gct.on_dead(old.location.file, old.location.len as u64);
                 }
-                *self.table.entry_at_mut(self.chain[i].at) = entry;
-                self.chain[i].entry = entry;
+                IndexEntry {
+                    copies: old.copies + 1,
+                    ..entry
+                }
             }
-            Err(i) => {
-                let at = self.table.insert_after(seek, key, version, entry);
-                self.chain.insert(i, ChainLink { at, version, entry });
-            }
+        });
+        (run, gct)
+    }
+}
+
+/// Appends one encoded record and accounts for it in the GC table. Takes
+/// the two fields, not the engine, so a caller can hold a key's run
+/// across the append.
+fn append_record(aof: &mut Aof, gct: &mut GcTable, encoded: &[u8]) -> Result<RecordLoc> {
+    let loc = aof.append(encoded)?;
+    gct.on_append(loc.file, loc.len as u64);
+    for sealed in aof.take_newly_sealed() {
+        gct.seal(sealed);
+    }
+    Ok(loc)
+}
+
+/// Brings the occupancy accounting of one key's run up to date. A record
+/// is disk-live while its item is undeleted or a live later deduplicated
+/// version references it — version `i` is referenced exactly when
+/// version `i + 1` is deduplicated and itself disk-live, so one pass from
+/// the newest version down decides them all. Each flip moves a distinct
+/// record's bytes, so the order the GC table sees them in does not
+/// matter.
+fn settle_liveness(gct: &mut GcTable, run: &mut [Item<IndexEntry>]) {
+    let mut referenced = false;
+    for Item { value: e, .. } in run.iter_mut().rev() {
+        let live = !e.deleted || referenced;
+        if !live && !e.dead_accounted {
+            gct.on_dead(e.location.file, e.location.len as u64);
+            e.dead_accounted = true;
+        } else if live && e.dead_accounted {
+            gct.on_revive(e.location.file, e.location.len as u64);
+            e.dead_accounted = false;
         }
-    }
-
-    /// Loads `key`'s chain and finds `version` in it.
-    fn find_version(&mut self, key: &[u8], version: u64) -> Option<usize> {
-        self.load_chain(key);
-        self.chain
-            .binary_search_by_key(&version, |l| l.version)
-            .ok()
-    }
-
-    /// Sets the `d` flag on item `i` of the loaded chain — for a live DEL
-    /// and a replayed tombstone alike.
-    fn mark_deleted(&mut self, i: usize) {
-        self.table.entry_at_mut(self.chain[i].at).deleted = true;
-        self.chain[i].entry.deleted = true;
-    }
-
-    /// Brings the occupancy accounting of the chain in `self.chain` up to
-    /// date. A record is disk-live while its item is undeleted or a live
-    /// later deduplicated version references it — version `i` is
-    /// referenced exactly when version `i + 1` is deduplicated and itself
-    /// disk-live, so one pass from the newest version down decides them
-    /// all. Each flip moves a distinct record's bytes, so the order the
-    /// GC table sees them in does not matter.
-    fn settle_liveness(&mut self) {
-        let mut referenced = false;
-        for i in (0..self.chain.len()).rev() {
-            let ChainLink { at, entry: e, .. } = self.chain[i];
-            let live = !e.deleted || referenced;
-            if !live && !e.dead_accounted {
-                self.gct.on_dead(e.location.file, e.location.len as u64);
-                self.table.entry_at_mut(at).dead_accounted = true;
-            } else if live && e.dead_accounted {
-                self.gct.on_revive(e.location.file, e.location.len as u64);
-                self.table.entry_at_mut(at).dead_accounted = false;
-            }
-            referenced = e.deduplicated && live;
-        }
+        referenced = e.deduplicated && live;
     }
 }
 

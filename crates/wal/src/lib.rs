@@ -235,10 +235,9 @@ impl Wal {
     pub fn append(&mut self, payload: &[u8]) -> Lsn {
         let lsn = self.next_lsn;
         self.next_lsn += 1;
-        let before = self.total_bytes();
         self.active().push(FrameKind::Record, lsn, payload);
         self.stats.appends += 1;
-        self.stats.appended_bytes += self.total_bytes() - before;
+        self.stats.appended_bytes += (FRAME_OVERHEAD + payload.len()) as u64;
         self.maybe_seal();
         lsn
     }
@@ -250,9 +249,8 @@ impl Wal {
         let at = at.min(self.head_lsn());
         self.checkpoint_lsn = self.checkpoint_lsn.max(at);
         let marker_lsn = self.checkpoint_lsn;
-        let before = self.total_bytes();
         self.active().push(FrameKind::Checkpoint, marker_lsn, &[]);
-        self.stats.appended_bytes += self.total_bytes() - before;
+        self.stats.appended_bytes += FRAME_OVERHEAD as u64;
         self.stats.checkpoints += 1;
         self.maybe_seal();
     }
@@ -414,6 +412,24 @@ mod tests {
         let wal = filled(40, WalConfig::tiny());
         assert!(wal.segment_count() > 1, "tiny segments must rotate");
         assert!(wal.stats().sealed_segments >= 1);
+    }
+
+    #[test]
+    fn appended_bytes_count_each_frame_once() {
+        // 18 bytes of framing a frame: magic, kind, length, LSN, CRC.
+        let mut wal = Wal::new(WalConfig::tiny());
+        let payloads: Vec<Vec<u8>> = (0..40).map(|i| vec![i as u8; i % 13]).collect();
+        for payload in &payloads {
+            wal.append(payload);
+        }
+        assert!(
+            wal.stats().sealed_segments >= 2,
+            "the appends span a rotation"
+        );
+        wal.checkpoint(30);
+        let want: usize = payloads.iter().map(|p| p.len() + 18).sum::<usize>() + 18;
+        assert_eq!(wal.stats().appended_bytes, want as u64);
+        assert_eq!(wal.total_bytes(), want as u64);
     }
 
     #[test]
