@@ -10,6 +10,7 @@
 //! `target/figures/*.json`.
 
 use directload::RumReport;
+use directload_bench::report::BenchReport;
 use directload_bench::{ablation, dump_json, fig5, fig7, fig8, month};
 use simclock::SimTime;
 
@@ -19,7 +20,7 @@ struct Ctx {
     month: Option<month::MonthReport>,
     /// Headline rows, mirrored into `target/figures/figures_results.json`
     /// through the same canonical writer as `BENCH_BASELINE.json`.
-    rows: perfrec::BenchReport,
+    rows: BenchReport,
 }
 
 impl Ctx {
@@ -478,7 +479,7 @@ fn main() {
         quick,
         fig5_runs: None,
         month: None,
-        rows: perfrec::BenchReport::new(if quick { "quick" } else { "full" }),
+        rows: BenchReport::new(if quick { "quick" } else { "full" }),
     };
     for item in selected {
         match item {

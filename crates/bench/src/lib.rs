@@ -21,6 +21,9 @@
 //! `BENCH_BASELINE.json` byte for byte, plus a phase-time profiler for
 //! the pipeline round. `cargo run -p directload-bench --release --bin
 //! perf` prints both; `-- --rebaseline` rewrites the golden file.
+//! [`report`] owns the golden file's schema: [`report::BenchReport`]
+//! and its canonical rendering, one `(scenario, metric)` cell a line.
+//! The `figures` binary writes its headline numbers in the same schema.
 //!
 //! Absolute numbers will not match the paper (its testbed was a physical
 //! Xeon + SATA SSD fleet; ours is a simulator), but the comparisons the
@@ -34,6 +37,7 @@ pub mod fig7;
 pub mod fig8;
 pub mod month;
 pub mod perf;
+pub mod report;
 
 use serde::Serialize;
 use std::path::PathBuf;

@@ -5,7 +5,7 @@
 //! a pure function of the seed — simulated time, firmware counters, byte
 //! counts, CRCs of rendered timelines — so the same seed gives the same
 //! bits on any machine, in a debug or a release build. Results go into
-//! `perfrec`'s [`BenchReport`] schema. `crates/bench/tests/perf_gate.rs`
+//! the [`BenchReport`] schema ([`crate::report`]). `crates/bench/tests/perf_gate.rs`
 //! renders the suite and requires it to equal the checked-in golden file
 //! [`BASELINE`] byte for byte; `perf --rebaseline` rewrites that file.
 //! Wall-clock speed is `benchmark/`'s job, not this suite's.
@@ -29,14 +29,15 @@
 
 use crate::fig5::{self, Fig5Config};
 use crate::fig8::{self, Fig8Config};
+use crate::report::BenchReport;
 use bifrost::{Bifrost, BifrostConfig, DataCenterId, TrunkCapacities};
 use bytes::Bytes;
 use directload::{DirectLoad, DirectLoadConfig};
 use indexgen::{CorpusConfig, CrawlSimulator};
 use mint::{Mint, MintConfig, WriteOp};
-use perfrec::BenchReport;
 use serve::{ServeConfig, ServeExt, SummaryCache};
 use simclock::{SimClock, SimTime};
+use std::fmt::Write as _;
 
 /// Scenario names, in suite order. `perf` runs exactly these.
 pub const SCENARIOS: [&str; 14] = [
@@ -698,15 +699,129 @@ pub fn pipeline_profile() -> (String, f64) {
     system.run_version(1.0).expect("profiled round");
     let events = system.wall_trace().snapshot();
     let profile = obs::profile(&events);
-    (
-        perfrec::phase_report(&events, 10),
-        profile.attributed_fraction(),
-    )
+    (phase_report(&events, 10), profile.attributed_fraction())
+}
+
+fn ms(ns: u64) -> f64 {
+    ns as f64 / 1e6
+}
+
+/// Renders [`obs::profile`]'s self-time attribution over `events` (one
+/// shared timeline — in practice the pipeline's wall-clock trace) as the
+/// phase-time report: one line per span kind (count, inclusive total,
+/// exclusive self time, share of the window), the unattributed
+/// remainder, and the `top_n` largest self-time spans on the critical
+/// path. Phase lines start with the span kind's stable name (`build`,
+/// `deliver`, `load`, ...), which is what CI greps for.
+fn phase_report(events: &[obs::TraceEvent], top_n: usize) -> String {
+    let p = obs::profile(events);
+    let window = p.window_ns();
+    let mut out = String::new();
+    let _ = writeln!(
+        out,
+        "phase-time profile: window {:.3} ms, attributed {:.1}% across {} phase kinds",
+        ms(window),
+        p.attributed_fraction() * 100.0,
+        p.entries.len()
+    );
+    let _ = writeln!(
+        out,
+        "  {:<12} {:>7} {:>12} {:>12} {:>7}",
+        "phase", "count", "total ms", "self ms", "share"
+    );
+    for e in &p.entries {
+        let share = if window == 0 {
+            0.0
+        } else {
+            e.self_ns as f64 / window as f64 * 100.0
+        };
+        let _ = writeln!(
+            out,
+            "  {:<12} {:>7} {:>12.3} {:>12.3} {:>6.1}%",
+            e.kind.as_str(),
+            e.count,
+            ms(e.total_ns),
+            ms(e.self_ns),
+            share
+        );
+    }
+    let un_share = if window == 0 {
+        0.0
+    } else {
+        p.unattributed_ns() as f64 / window as f64 * 100.0
+    };
+    let _ = writeln!(
+        out,
+        "  {:<12} {:>7} {:>12} {:>12.3} {:>6.1}%",
+        "(none)",
+        "",
+        "",
+        ms(p.unattributed_ns()),
+        un_share
+    );
+    let top = obs::top_self_time(events, top_n);
+    if !top.is_empty() {
+        let _ = writeln!(out, "top {} self-time spans:", top.len());
+        for (i, (e, self_ns)) in top.iter().enumerate() {
+            let _ = writeln!(
+                out,
+                "  {:>2}. {:<12} {:<16} {:>10.3} ms self ({:.3} ms total)",
+                i + 1,
+                e.kind.as_str(),
+                e.label,
+                ms(*self_ns),
+                ms(e.duration_ns())
+            );
+        }
+    }
+    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use obs::{SpanKind, TraceEvent};
+
+    fn ev(seq: u64, kind: SpanKind, label: &str, start_ns: u64, end_ns: u64) -> TraceEvent {
+        TraceEvent {
+            seq,
+            kind,
+            label: label.to_string(),
+            start_ns,
+            end_ns,
+            amount: 0,
+            trace_id: 0,
+        }
+    }
+
+    #[test]
+    fn report_names_every_phase_and_the_critical_path() {
+        let events = vec![
+            ev(0, SpanKind::Build, "pipeline", 0, 2_000_000),
+            ev(1, SpanKind::Deliver, "bifrost", 2_000_000, 8_000_000),
+            ev(2, SpanKind::Load, "pipeline", 8_000_000, 12_000_000),
+            ev(3, SpanKind::Flush, "dc0.0/n0", 9_000_000, 10_000_000),
+        ];
+        let text = phase_report(&events, 3);
+        for phase in ["build", "deliver", "load", "flush"] {
+            assert!(text.contains(phase), "missing phase `{phase}`:\n{text}");
+        }
+        // Fully covered window: 100.0% attributed, nothing unattributed.
+        assert!(text.contains("attributed 100.0%"), "{text}");
+        // The deliver span dominates the critical path.
+        assert!(text.contains("top 3 self-time spans"), "{text}");
+        let top_line = text
+            .lines()
+            .find(|l| l.trim_start().starts_with("1."))
+            .unwrap();
+        assert!(top_line.contains("deliver"), "{top_line}");
+    }
+
+    #[test]
+    fn empty_trace_renders_without_panicking() {
+        let text = phase_report(&[], 5);
+        assert!(text.contains("phase-time profile"));
+    }
 
     #[test]
     fn every_scenario_name_resolves() {

@@ -9,10 +9,13 @@ use simclock::{SimClock, SimTime};
 use std::collections::VecDeque;
 use std::iter;
 
-/// Key-space prefixes: the three index families share URL/term keys, so
-/// they are namespaced inside a data center's Mint cluster (production
-/// runs them as separate tables).
-fn prefixed(kind: IndexKind, key: &[u8]) -> Bytes {
+/// The namespaced cluster key an index entry is stored under: the three
+/// index families share URL/term keys, so they are prefixed inside a
+/// data center's Mint cluster (production runs them as separate tables).
+/// Exposed for tooling that addresses Mint directly (the chaos invariant
+/// checker compares replica chain digests via
+/// [`mint::Mint::chain_digests`]).
+pub fn routed_key(kind: IndexKind, key: &[u8]) -> Bytes {
     let tag = match kind {
         IndexKind::Forward => b'F',
         IndexKind::Summary => b'S',
@@ -262,7 +265,7 @@ impl DirectLoad {
         let (mut summary_ops, mut other_ops) = (Vec::new(), Vec::new());
         for e in &entries {
             let op = WriteOp {
-                key: prefixed(e.kind, &e.key),
+                key: routed_key(e.kind, &e.key),
                 version: e.version,
                 value: e.value.clone(),
             };
@@ -377,7 +380,7 @@ impl DirectLoad {
         trace_id: u64,
     ) -> Result<(Option<Bytes>, SimTime, obs::ReadAttribution)> {
         let cluster = self.cluster(dc)?;
-        Ok(cluster.get_costed(&prefixed(IndexKind::Inverted, term), version, trace_id)?)
+        Ok(cluster.get_costed(&routed_key(IndexKind::Inverted, term), version, trace_id)?)
     }
 
     /// Looks up a forward term list at `dc` (stored everywhere).
@@ -398,7 +401,7 @@ impl DirectLoad {
         version: u64,
     ) -> Result<(Option<Bytes>, SimTime)> {
         let cluster = self.cluster(dc)?;
-        Ok(cluster.get(&prefixed(kind, key), version)?)
+        Ok(cluster.get(&routed_key(kind, key), version)?)
     }
 
     /// Scans one index family at `dc` for keys starting with `prefix`,
@@ -419,7 +422,7 @@ impl DirectLoad {
             return Err(DirectLoadError::NotStoredHere { dc });
         }
         let cluster = self.cluster(dc)?;
-        let (items, truncated) = cluster.scan_prefix(&prefixed(kind, prefix), version, limit)?;
+        let (items, truncated) = cluster.scan_prefix(&routed_key(kind, prefix), version, limit)?;
         let stripped = items
             .into_iter()
             .map(|(key, resolved, value)| (Bytes::copy_from_slice(&key[2..]), resolved, value))
@@ -493,9 +496,6 @@ impl DirectLoad {
         self.registry
             .counter("pipeline.versions_retired_total")
             .store(self.versions_retired_total);
-        self.registry
-            .counter("pipeline.trace_events_dropped")
-            .store(self.trace.dropped());
         self.trace.publish_metrics(&self.registry, "obs.trace");
         self.wall_trace
             .publish_metrics(&self.registry, "obs.trace.wall");
@@ -518,13 +518,6 @@ impl DirectLoad {
         }
         Ok(done)
     }
-}
-
-/// The namespaced cluster key an index entry is stored under. Exposed
-/// for tooling that addresses Mint directly (the chaos invariant checker
-/// compares replica chain digests via [`mint::Mint::chain_digests`]).
-pub fn routed_key(kind: IndexKind, key: &[u8]) -> Bytes {
-    prefixed(kind, key)
 }
 
 /// Loads one data center: applies the new version's write streams

@@ -17,12 +17,12 @@
 //!   events ([`SpanGuard`] RAII over sim-time or wall-time) emitted by the
 //!   pipeline stages (build → dedup → slice → deliver → load → publish)
 //!   and by engine maintenance (flush, checkpoint, GC, traceback),
-//!   dumpable as JSONL. [`breakdown`] aggregates a window per kind;
-//!   [`profile`] turns it into a phase-time profile with *self-time*
-//!   attribution (nested spans subtract from their parent, so `load`
-//!   stops absorbing the `flush`/`engine_gc` spans inside it) plus the
-//!   unattributed remainder, and [`top_self_time`] ranks the individual
-//!   spans that dominate the critical path.
+//!   dumpable as JSONL. Both readings of a trace come from one
+//!   self-time walk (nested spans subtract from their parent, so `load`
+//!   stops absorbing the `flush`/`engine_gc` spans inside it):
+//!   [`profile`] sums it per kind — count, total and self time, amount —
+//!   beside the unattributed remainder, and [`top_self_time`] ranks the
+//!   individual spans that dominate the critical path.
 //!
 //! * [`timeseries`] — the windowed derivative layer: a [`Sampler`]
 //!   ticks a clock (sim or wall) over the registry and histogram
@@ -85,8 +85,8 @@ pub use slo::{SloEngine, SloOp, SloSpec, SloStatus};
 pub use telemetry::{CtrlDcRow, CtrlSection, LayerRow, TelemetryFrame, TopSpan};
 pub use timeseries::{Sampler, SeriesPoint, TimeSeries};
 pub use trace::{
-    assemble, breakdown, profile, profile_window, top_self_time, AssembledTrace, Profile, SelfTime,
-    SpanBreakdown, SpanGuard, SpanKind, TraceCtx, TraceEvent, TraceSink,
+    assemble, profile, top_self_time, AssembledTrace, Profile, SelfTime, SpanGuard, SpanKind,
+    TraceCtx, TraceEvent, TraceSink,
 };
 pub use wan::{TrafficClass, WanDcRow, WanLedger, WanLinkRow};
 

@@ -23,6 +23,7 @@
 //! and the write-ahead logs emit `wal_append`/`wal_replay` for appended
 //! batches and replayed catch-up suffixes.
 
+use std::cmp::Reverse;
 use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
@@ -451,17 +452,18 @@ impl TraceSink {
         self.snapshot().iter().map(|e| e.to_json() + "\n").collect()
     }
 
-    /// Publishes the sink's own health as gauges on `reg`:
-    /// `<prefix>.dropped` (events evicted because the ring was full) and
-    /// `<prefix>.len` (current occupancy). Span loss is itself
-    /// observable — a sampler watching `<prefix>.dropped` climb knows the
-    /// trace window is shorter than it looks.
+    /// Publishes the sink's own health on `reg`: the counter
+    /// `<prefix>.dropped` (events evicted because the ring was full,
+    /// stored as the running total) and the gauge `<prefix>.len`
+    /// (current occupancy). Span loss is itself observable — a sampler
+    /// watching `<prefix>.dropped`'s rate climb knows the trace window is
+    /// shorter than it looks.
     pub fn publish_metrics(&self, reg: &crate::Registry, prefix: &str) {
         let (len, dropped) = {
             let buf = crate::lock(&self.shared.buf);
             (buf.events.len(), buf.dropped)
         };
-        reg.gauge(&format!("{prefix}.dropped")).set(dropped as f64);
+        reg.counter(&format!("{prefix}.dropped")).store(dropped);
         reg.gauge(&format!("{prefix}.len")).set(len as f64);
     }
 }
@@ -499,41 +501,6 @@ impl Drop for SpanGuard<'_> {
     }
 }
 
-/// Aggregate of one [`SpanKind`] over a slice of events.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SpanBreakdown {
-    /// The kind aggregated.
-    pub kind: SpanKind,
-    /// Events of this kind.
-    pub count: u64,
-    /// Summed span durations, nanoseconds.
-    pub total_ns: u64,
-    /// Summed payload amounts.
-    pub total_amount: u64,
-}
-
-/// Per-kind totals over `events`, in [`SpanKind::ALL`] order, skipping
-/// kinds with no events.
-pub fn breakdown(events: &[TraceEvent]) -> Vec<SpanBreakdown> {
-    SpanKind::ALL
-        .iter()
-        .filter_map(|&kind| {
-            let mut agg = SpanBreakdown {
-                kind,
-                count: 0,
-                total_ns: 0,
-                total_amount: 0,
-            };
-            for e in events.iter().filter(|e| e.kind == kind) {
-                agg.count += 1;
-                agg.total_ns += e.duration_ns();
-                agg.total_amount += e.amount;
-            }
-            (agg.count > 0).then_some(agg)
-        })
-        .collect()
-}
-
 /// One [`SpanKind`]'s share of a [`Profile`].
 ///
 /// `total_ns` sums raw span durations (a parent includes its children);
@@ -545,26 +512,29 @@ pub fn breakdown(events: &[TraceEvent]) -> Vec<SpanBreakdown> {
 pub struct SelfTime {
     /// The kind aggregated.
     pub kind: SpanKind,
-    /// Events of this kind inside the window (spans and instants).
+    /// Events of this kind (spans and instants).
     pub count: u64,
-    /// Summed inclusive durations, nanoseconds (window-clipped).
+    /// Summed inclusive durations, nanoseconds.
     pub total_ns: u64,
     /// Summed exclusive (self) durations, nanoseconds.
     pub self_ns: u64,
+    /// Summed payload amounts.
+    pub total_amount: u64,
 }
 
-/// A phase-time profile of a trace window: per-kind self time plus the
-/// window time no span covered. Produced by [`profile`].
+/// A phase-time profile of a trace: per-kind self time plus the window
+/// time no span covered. Produced by [`profile`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct Profile {
-    /// Window start, nanoseconds on the events' time source.
+    /// Window start: the earliest event start, nanoseconds on the
+    /// events' time source.
     pub start_ns: u64,
-    /// Window end.
+    /// Window end: the latest event end.
     pub end_ns: u64,
     /// Per-kind self-time aggregates, sorted by descending `self_ns`.
     pub entries: Vec<SelfTime>,
     /// Window nanoseconds covered by at least one span (the union of all
-    /// span intervals, clipped to the window).
+    /// span intervals).
     pub attributed_ns: u64,
 }
 
@@ -597,93 +567,87 @@ impl Profile {
     }
 }
 
-/// Computes a phase-time [`Profile`] over `events`, windowed to the span
-/// extent of the events themselves (earliest start to latest end).
+/// Every event's self time, as `(index into events, self_ns)` pairs in
+/// timeline order: start ascending, an enclosing span before the spans
+/// inside it (longer first on a shared start; on an identical interval
+/// the earlier event encloses). Instants carry 0.
 ///
-/// Attribution assumes the spans come from one logical timeline (one
-/// time source): a span that starts inside another and ends inside it is
-/// *nested* and its duration is subtracted from the direct parent's self
-/// time. Partially overlapping spans (from concurrent threads) subtract
-/// only the overlap from whichever span was open when they started, so
-/// self time never goes negative; the union-based `attributed_ns` is
-/// exact either way.
-pub fn profile(events: &[TraceEvent]) -> Profile {
-    let start = events.iter().map(|e| e.start_ns).min().unwrap_or(0);
-    let end = events.iter().map(|e| e.end_ns).max().unwrap_or(0);
-    profile_window(events, start, end)
-}
-
-/// [`profile`] over an explicit `[start_ns, end_ns]` window; events are
-/// clipped to the window and events entirely outside it are ignored.
-pub fn profile_window(events: &[TraceEvent], start_ns: u64, end_ns: u64) -> Profile {
-    // Clip to the window, keeping (start, end, kind); instants keep
-    // zero length and only contribute to counts.
-    let mut clipped: Vec<(u64, u64, SpanKind)> = events
-        .iter()
-        .filter(|e| e.start_ns <= end_ns && e.end_ns >= start_ns)
-        .map(|e| (e.start_ns.max(start_ns), e.end_ns.min(end_ns), e.kind))
+/// One walk over a stack of open spans: a span subtracts the part of it
+/// that overlaps the span open on top of the stack when it starts — its
+/// direct parent. A parent's next child starts only after the previous
+/// one has been popped, so the subtracted parts are disjoint pieces of
+/// the parent and a self time never goes negative, even for partially
+/// overlapping spans from concurrent threads.
+fn self_times(events: &[TraceEvent]) -> Vec<(usize, u64)> {
+    let mut order: Vec<usize> = (0..events.len()).collect();
+    order.sort_by_key(|&i| (events[i].start_ns, Reverse(events[i].end_ns)));
+    let mut out: Vec<(usize, u64)> = order
+        .into_iter()
+        .map(|i| (i, events[i].duration_ns()))
         .collect();
-    // Parent before child: by start ascending, then end descending.
-    clipped.sort_by(|a, b| a.0.cmp(&b.0).then(b.1.cmp(&a.1)));
-
-    let mut counts: Vec<(SpanKind, u64, u64, u64)> = Vec::new(); // kind, count, total, self
-    fn slot(counts: &mut Vec<(SpanKind, u64, u64, u64)>, kind: SpanKind) -> usize {
-        if let Some(i) = counts.iter().position(|(k, ..)| *k == kind) {
-            i
-        } else {
-            counts.push((kind, 0, 0, 0));
-            counts.len() - 1
-        }
-    }
-
-    // Stack of open spans: (end_ns, index into counts). Subtracting each
-    // span's (overlapping) duration from the directly enclosing span
-    // turns inclusive durations into self times.
-    let mut stack: Vec<(u64, usize)> = Vec::new();
-    let mut attributed = 0u64;
-    let mut covered_until = start_ns;
-    for &(s, e, kind) in &clipped {
-        let i = slot(&mut counts, kind);
-        counts[i].1 += 1;
-        let dur = e - s;
-        counts[i].2 += dur;
-        counts[i].3 += dur;
-        if dur == 0 {
+    let mut stack: Vec<(u64, usize)> = Vec::new(); // end, position in `out`
+    for pos in 0..out.len() {
+        let e = &events[out[pos].0];
+        if e.duration_ns() == 0 {
             continue; // instants don't participate in attribution
         }
-        while let Some(&(top_end, _)) = stack.last() {
-            if top_end <= s {
-                stack.pop();
-            } else {
-                break;
+        while stack.last().is_some_and(|&(end, _)| end <= e.start_ns) {
+            stack.pop();
+        }
+        if let Some(&(parent_end, parent)) = stack.last() {
+            out[parent].1 -= e.end_ns.min(parent_end) - e.start_ns;
+        }
+        stack.push((e.end_ns, pos));
+    }
+    out
+}
+
+/// Computes a phase-time [`Profile`] over `events`, windowed to their
+/// own extent (earliest start to latest end).
+///
+/// Attribution assumes the spans come from one logical timeline (one
+/// time source): a span nested inside another is subtracted from its
+/// direct parent's self time, so per kind the self times sum what the
+/// kind itself spent. The union-based `attributed_ns` is exact either
+/// way.
+pub fn profile(events: &[TraceEvent]) -> Profile {
+    let start_ns = events.iter().map(|e| e.start_ns).min().unwrap_or(0);
+    let end_ns = events.iter().map(|e| e.end_ns).max().unwrap_or(0);
+    let mut entries: Vec<SelfTime> = Vec::new();
+    let mut attributed_ns = 0u64;
+    let mut covered_until = start_ns;
+    for (i, self_ns) in self_times(events) {
+        let e = &events[i];
+        let at = match entries.iter().position(|x| x.kind == e.kind) {
+            Some(at) => at,
+            None => {
+                entries.push(SelfTime {
+                    kind: e.kind,
+                    count: 0,
+                    total_ns: 0,
+                    self_ns: 0,
+                    total_amount: 0,
+                });
+                entries.len() - 1
             }
-        }
-        if let Some(&(top_end, top_i)) = stack.last() {
-            let overlap = e.min(top_end) - s;
-            counts[top_i].3 = counts[top_i].3.saturating_sub(overlap);
-        }
-        stack.push((e, i));
-        // Union coverage (spans arrive sorted by start).
-        if e > covered_until {
-            attributed += e - covered_until.max(s);
-            covered_until = e;
+        };
+        let entry = &mut entries[at];
+        entry.count += 1;
+        entry.total_ns += e.duration_ns();
+        entry.self_ns += self_ns;
+        entry.total_amount += e.amount;
+        // Union coverage: timeline order is by start.
+        if e.end_ns > covered_until {
+            attributed_ns += e.end_ns - covered_until.max(e.start_ns);
+            covered_until = e.end_ns;
         }
     }
-    let mut entries: Vec<SelfTime> = counts
-        .into_iter()
-        .map(|(kind, count, total_ns, self_ns)| SelfTime {
-            kind,
-            count,
-            total_ns,
-            self_ns,
-        })
-        .collect();
     entries.sort_by(|a, b| b.self_ns.cmp(&a.self_ns).then(a.count.cmp(&b.count)));
     Profile {
         start_ns,
         end_ns,
         entries,
-        attributed_ns: attributed,
+        attributed_ns,
     }
 }
 
@@ -777,37 +741,16 @@ pub fn assemble(sink: &TraceSink, trace_id: u64) -> AssembledTrace {
 /// spans), largest first — the top of the critical path through a
 /// single-timeline trace. Returns `(event, self_ns)` pairs.
 pub fn top_self_time(events: &[TraceEvent], n: usize) -> Vec<(TraceEvent, u64)> {
-    let mut spans: Vec<(usize, u64, u64)> = Vec::new(); // event idx, start, end
-    for (i, e) in events.iter().enumerate() {
-        if e.duration_ns() > 0 {
-            spans.push((i, e.start_ns, e.end_ns));
-        }
-    }
-    spans.sort_by(|a, b| a.1.cmp(&b.1).then(b.2.cmp(&a.2)));
-    let mut self_ns: Vec<u64> = spans.iter().map(|&(_, s, e)| e - s).collect();
-    let mut stack: Vec<(u64, usize)> = Vec::new(); // end, position in `spans`
-    for (pos, &(_, s, e)) in spans.iter().enumerate() {
-        while let Some(&(top_end, _)) = stack.last() {
-            if top_end <= s {
-                stack.pop();
-            } else {
-                break;
-            }
-        }
-        if let Some(&(top_end, top_pos)) = stack.last() {
-            let overlap = e.min(top_end) - s;
-            self_ns[top_pos] = self_ns[top_pos].saturating_sub(overlap);
-        }
-        stack.push((e, pos));
-    }
-    let mut ranked: Vec<(TraceEvent, u64)> = spans
-        .iter()
-        .zip(self_ns)
-        .map(|(&(i, ..), sns)| (events[i].clone(), sns))
+    let mut ranked: Vec<(usize, u64)> = self_times(events)
+        .into_iter()
+        .filter(|&(i, _)| events[i].duration_ns() > 0)
         .collect();
-    ranked.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.seq.cmp(&b.0.seq)));
+    ranked.sort_by(|a, b| b.1.cmp(&a.1).then(events[a.0].seq.cmp(&events[b.0].seq)));
     ranked.truncate(n);
     ranked
+        .into_iter()
+        .map(|(i, self_ns)| (events[i].clone(), self_ns))
+        .collect()
 }
 
 #[cfg(test)]
@@ -854,17 +797,17 @@ mod tests {
     }
 
     #[test]
-    fn breakdown_aggregates_by_kind() {
+    fn profile_aggregates_by_kind() {
         let sink = TraceSink::wall(16);
         sink.event(SpanKind::Flush, "n0", 10);
         sink.event(SpanKind::Flush, "n1", 20);
         sink.event(SpanKind::DeviceGc, "n0", 3);
-        let agg = breakdown(&sink.snapshot());
-        assert_eq!(agg.len(), 2);
-        assert_eq!(agg[0].kind, SpanKind::Flush);
-        assert_eq!(agg[0].count, 2);
-        assert_eq!(agg[0].total_amount, 30);
-        assert_eq!(agg[1].kind, SpanKind::DeviceGc);
+        let p = profile(&sink.snapshot());
+        assert_eq!(p.entries.len(), 2);
+        let flush = p.get(SpanKind::Flush).unwrap();
+        assert_eq!((flush.count, flush.total_amount), (2, 30));
+        let gc = p.get(SpanKind::DeviceGc).unwrap();
+        assert_eq!((gc.count, gc.total_amount), (1, 3));
     }
 
     #[test]
@@ -917,27 +860,30 @@ mod tests {
     fn profile_reports_uncovered_window_time() {
         let events = vec![
             ev(0, SpanKind::Build, 0, 40),
-            ev(1, SpanKind::Deliver, 60, 100),
+            ev(1, SpanKind::Deliver, 60, 80),
+            ev(2, SpanKind::Load, 80, 120),
         ];
-        let p = profile_window(&events, 0, 120);
+        let p = profile(&events);
         assert_eq!(p.window_ns(), 120);
-        assert_eq!(p.attributed_ns, 80);
-        assert_eq!(p.unattributed_ns(), 40);
-        assert!((p.attributed_fraction() - 80.0 / 120.0).abs() < 1e-12);
+        assert_eq!(p.attributed_ns, 100);
+        assert_eq!(p.unattributed_ns(), 20);
+        assert!((p.attributed_fraction() - 100.0 / 120.0).abs() < 1e-12);
     }
 
     #[test]
-    fn profile_clips_to_the_window_and_skips_outsiders() {
+    fn profile_takes_the_union_of_partly_overlapping_spans() {
+        // Two threads: deliver [50, 150] starts inside build [0, 100]
+        // and outlasts it; flush [120, 130] nests in deliver.
         let events = vec![
-            ev(0, SpanKind::Build, 0, 50),    // clipped to [20, 50]
-            ev(1, SpanKind::Load, 90, 130),   // clipped to [90, 100]
-            ev(2, SpanKind::Serve, 200, 300), // outside entirely
+            ev(0, SpanKind::Build, 0, 100),
+            ev(1, SpanKind::Deliver, 50, 150),
+            ev(2, SpanKind::Flush, 120, 130),
         ];
-        let p = profile_window(&events, 20, 100);
-        assert_eq!(p.get(SpanKind::Build).unwrap().total_ns, 30);
-        assert_eq!(p.get(SpanKind::Load).unwrap().total_ns, 10);
-        assert!(p.get(SpanKind::Serve).is_none());
-        assert_eq!(p.attributed_ns, 40);
+        let p = profile(&events);
+        assert_eq!(p.attributed_ns, 150);
+        assert_eq!(p.get(SpanKind::Build).unwrap().self_ns, 50);
+        assert_eq!(p.get(SpanKind::Deliver).unwrap().self_ns, 90);
+        assert_eq!(p.get(SpanKind::Flush).unwrap().self_ns, 10);
     }
 
     #[test]

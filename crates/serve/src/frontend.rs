@@ -221,30 +221,34 @@ impl ServeReport {
         }
     }
 
-    /// Feeds this run's outcome into a metrics registry under `serve.*`.
-    ///
-    /// Counters are *added*, so publishing successive runs into the same
-    /// registry accumulates totals; the latency gauges reflect the most
-    /// recent published run.
+    /// Feeds this run's outcome into a metrics registry under `serve.*`:
+    /// the tallies [`LiveStats::publish`] writes, under the same names
+    /// and with the same `store` semantics, plus what only a finished
+    /// run knows — summary-cache hits and misses and throughput.
     pub fn publish_metrics(&self, reg: &obs::Registry) {
-        reg.counter("serve.offered_total").add(self.offered);
-        reg.counter("serve.served_total").add(self.served);
-        reg.counter("serve.served_stale_total")
-            .add(self.served_stale);
-        reg.counter("serve.shed_total").add(self.shed);
+        let tallies = [self.offered, self.served, self.served_stale, self.shed];
+        publish_tallies(reg, tallies, &self.hist);
         reg.counter("serve.summary_hits_total")
-            .add(self.summary_hits);
+            .store(self.summary_hits);
         reg.counter("serve.summary_misses_total")
-            .add(self.summary_misses);
-        reg.gauge("serve.latency.p50_us")
-            .set(self.hist.p50() as f64);
-        reg.gauge("serve.latency.p99_us")
-            .set(self.hist.p99() as f64);
-        reg.gauge("serve.latency.p999_us")
-            .set(self.hist.p999() as f64);
-        reg.gauge("serve.latency.mean_us").set(self.hist.mean());
+            .store(self.summary_misses);
         reg.gauge("serve.throughput_qps").set(self.throughput_qps());
     }
+}
+
+/// Stores the request tallies (`[offered, served, served_stale, shed]`)
+/// and the latency percentiles of `hist` under `serve.*` — the one
+/// spelling of those names for a finished run and a live one.
+fn publish_tallies(reg: &obs::Registry, tallies: [u64; 4], hist: &LatencyHistogram) {
+    let [offered, served, served_stale, shed] = tallies;
+    reg.counter("serve.offered_total").store(offered);
+    reg.counter("serve.served_total").store(served);
+    reg.counter("serve.served_stale_total").store(served_stale);
+    reg.counter("serve.shed_total").store(shed);
+    reg.gauge("serve.latency.p50_us").set(hist.p50() as f64);
+    reg.gauge("serve.latency.p99_us").set(hist.p99() as f64);
+    reg.gauge("serve.latency.p999_us").set(hist.p999() as f64);
+    reg.gauge("serve.latency.mean_us").set(hist.mean());
 }
 
 /// One shard's attribution state, owned by the worker serving that
@@ -362,21 +366,14 @@ impl LiveStats {
         AttributionReport { costs, hot_keys }
     }
 
-    /// Republishes the cumulative tallies into `reg` under the same
-    /// `serve.*` names as [`ServeReport::publish_metrics`], using
-    /// `store` semantics (idempotent re-publish of running totals, for
-    /// the telemetry loop — do not mix with the report's `add`-based
-    /// publish on one registry).
+    /// Republishes the cumulative tallies into `reg` under `serve.*`,
+    /// the names [`ServeReport::publish_metrics`] uses, with `store`
+    /// semantics: an idempotent re-publish of running totals, for the
+    /// telemetry loop.
     pub fn publish(&self, reg: &obs::Registry) {
-        reg.counter("serve.offered_total").store(self.offered());
-        reg.counter("serve.served_total").store(self.served());
-        reg.counter("serve.served_stale_total")
-            .store(self.served_stale());
-        reg.counter("serve.shed_total").store(self.shed());
-        let h = self.hist();
-        reg.gauge("serve.latency.p50_us").set(h.p50() as f64);
-        reg.gauge("serve.latency.p99_us").set(h.p99() as f64);
-        reg.gauge("serve.latency.mean_us").set(h.mean());
+        let tallies = [&self.offered, &self.served, &self.served_stale, &self.shed];
+        let tallies = tallies.map(|n| n.load(Ordering::Relaxed));
+        publish_tallies(reg, tallies, &self.hist());
         self.attribution().costs.publish(reg, "serve.attr");
     }
 }

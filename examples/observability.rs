@@ -9,7 +9,8 @@
 //!    `bifrost.*`, `pipeline.*`, `serve.*`) in one Prometheus-style dump;
 //! 2. the span breakdown — the trace ring's pipeline stages (build →
 //!    dedup → slice → deliver → load → publish) and engine maintenance
-//!    (flush, checkpoint, engine GC, traceback) aggregated by kind.
+//!    (flush, checkpoint, engine GC, traceback) aggregated by kind with
+//!    `obs::profile`: count, summed duration and summed amount.
 //!
 //! ```text
 //! cargo run --release --example observability
@@ -72,8 +73,7 @@ fn main() {
         "{:<12} {:>8} {:>16} {:>16}",
         "kind", "count", "total_ns", "total_amount"
     );
-    let events = system.trace().snapshot();
-    let by_kind = obs::breakdown(&events);
+    let by_kind = obs::profile(&system.trace().snapshot()).entries;
     for b in &by_kind {
         println!(
             "{:<12} {:>8} {:>16} {:>16}",
