@@ -16,6 +16,16 @@ use serde::Serialize;
 use simclock::SimTime;
 use wisckey::{WiscKey, WiscKeyConfig};
 
+/// Versions pre-loaded before measuring.
+const PRELOAD_VERSIONS: u64 = 3;
+/// Read inter-arrival time in µs. Reads arrive on a fixed schedule and
+/// queue behind whatever the device is busy with — this is how the
+/// baseline's compaction pauses surface in its tail latency.
+const ARRIVAL_US: u64 = 700;
+/// Update-stream puts issued per read when `with_updates` is on
+/// (expressed as one put every N reads).
+const READS_PER_PUT: usize = 4;
+
 /// Read-latency experiment parameters.
 #[derive(Debug, Clone, Copy)]
 pub struct Fig8Config {
@@ -23,19 +33,10 @@ pub struct Fig8Config {
     pub keys: usize,
     /// Mean value bytes.
     pub value_bytes: usize,
-    /// Versions pre-loaded before measuring.
-    pub preload_versions: u64,
     /// Point reads measured.
     pub reads: usize,
     /// Whether an insert stream runs concurrently (Figure 8b).
     pub with_updates: bool,
-    /// Read inter-arrival time in µs. Reads arrive on a fixed schedule and
-    /// queue behind whatever the device is busy with — this is how the
-    /// baseline's compaction pauses surface in its tail latency.
-    pub arrival_us: u64,
-    /// Update-stream puts issued per read when `with_updates` is on
-    /// (expressed as one put every N reads).
-    pub reads_per_put: usize,
     /// Device size.
     pub device_bytes: u64,
     /// RNG seed for the read key sequence.
@@ -48,13 +49,10 @@ impl Fig8Config {
         Fig8Config {
             keys: 2000,
             value_bytes: 2048,
-            preload_versions: 3,
             reads: 4000,
             with_updates: false,
             device_bytes: 96 * 1024 * 1024,
             seed: 0x000F_168A,
-            arrival_us: 700,
-            reads_per_put: 4,
         }
     }
 
@@ -72,13 +70,10 @@ impl Fig8Config {
         Fig8Config {
             keys: 800,
             value_bytes: 1024,
-            preload_versions: 3,
             reads: 1500,
             with_updates,
             device_bytes: 24 * 1024 * 1024,
             seed: 0x000F_1680,
-            arrival_us: 700,
-            reads_per_put: 4,
         }
     }
 }
@@ -156,7 +151,7 @@ fn run(cfg: &Fig8Config, mut db: impl Engine) -> LatencyReport {
         ..CorpusConfig::default()
     });
     let mut versions: Vec<IndexVersion> = Vec::new();
-    for v in 1..=cfg.preload_versions {
+    for v in 1..=PRELOAD_VERSIONS {
         let index = crawler.advance_round(1.0);
         for pair in &index.summary {
             db.put(&pair.key, v, &pair.value);
@@ -176,15 +171,15 @@ fn run(cfg: &Fig8Config, mut db: impl Engine) -> LatencyReport {
     let clock = db.device().clock().clone();
     let t_base = clock.now();
     for i in 0..cfg.reads {
-        if cfg.with_updates && !update_stream.is_empty() && i % cfg.reads_per_put == 0 {
-            let pair = &update_stream[(i / cfg.reads_per_put) % update_stream.len()];
-            db.put(&pair.key, cfg.preload_versions + 1, &pair.value);
+        if cfg.with_updates && !update_stream.is_empty() && i % READS_PER_PUT == 0 {
+            let pair = &update_stream[(i / READS_PER_PUT) % update_stream.len()];
+            db.put(&pair.key, PRELOAD_VERSIONS + 1, &pair.value);
         }
-        let v = rng.gen_range(1..=cfg.preload_versions);
+        let v = rng.gen_range(1..=PRELOAD_VERSIONS);
         let key = &versions[v as usize - 1].summary[rng.gen_range(0..cfg.keys)].key;
         // Reads arrive on a fixed schedule; a read issued while the
         // device is still busy (a compaction, a GC pass) queues.
-        let arrival = t_base + SimTime::from_micros(cfg.arrival_us) * i as u64;
+        let arrival = t_base + SimTime::from_micros(ARRIVAL_US) * i as u64;
         clock.advance_to(arrival);
         let got = db.get(key, v);
         assert!(got.is_some(), "preloaded key must resolve");

@@ -22,6 +22,11 @@ use serde::Serialize;
 use simclock::{SimClock, SimTime};
 use ssdsim::DeviceConfig;
 
+/// Depth of the diurnal background-traffic swing: available capacity
+/// oscillates between `1 - depth` and 1.0 of nominal across each day. The
+/// paper's fluctuations "from other factors" come from here.
+const BACKGROUND_DEPTH: f64 = 0.25;
+
 /// Month-simulation parameters.
 #[derive(Debug, Clone, Copy)]
 pub struct MonthConfig {
@@ -41,10 +46,6 @@ pub struct MonthConfig {
     /// Minutes a full (0 % dedup) version should take on the simulated
     /// WAN; trunk capacities are derived from this.
     pub full_version_minutes: f64,
-    /// Depth of the diurnal background-traffic swing: available capacity
-    /// oscillates between `1 - depth` and 1.0 of nominal across each day.
-    /// The paper's fluctuations "from other factors" come from here.
-    pub background_depth: f64,
     /// Seed for the change-fraction sequence.
     pub seed: u64,
 }
@@ -59,7 +60,6 @@ impl Default for MonthConfig {
             deadline: SimTime::from_hours(1),
             corruption_rate: 0.004,
             full_version_minutes: 55.0,
-            background_depth: 0.25,
             seed: 0x30_DA_75,
         }
     }
@@ -408,17 +408,15 @@ pub fn run(cfg: &MonthConfig) -> MonthReport {
     // simulated day on both deployments alike. Days here are delivery
     // windows back to back, so schedule a dip/recovery pair per day of
     // simulated delivery time.
-    if cfg.background_depth > 0.0 {
-        for day in 0..cfg.days as u64 * 2 {
-            let at = SimTime::from_hours(day * 2);
-            let scale = if day % 2 == 0 {
-                1.0 - cfg.background_depth
-            } else {
-                1.0
-            };
-            direct.bifrost_mut().schedule_background(at, scale);
-            legacy.bifrost.schedule_background(at, scale);
-        }
+    for day in 0..cfg.days as u64 * 2 {
+        let at = SimTime::from_hours(day * 2);
+        let scale = if day % 2 == 0 {
+            1.0 - BACKGROUND_DEPTH
+        } else {
+            1.0
+        };
+        direct.bifrost_mut().schedule_background(at, scale);
+        legacy.bifrost.schedule_background(at, scale);
     }
     let mut days = Vec::with_capacity(cfg.days as usize);
     let mut bytes_before = 0u64;

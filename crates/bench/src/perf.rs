@@ -35,7 +35,7 @@ use bytes::Bytes;
 use directload::{DirectLoad, DirectLoadConfig};
 use indexgen::{CorpusConfig, CrawlSimulator};
 use mint::{Mint, MintConfig, WriteOp};
-use serve::{ServeConfig, ServeExt, SummaryCache};
+use serve::{ServeConfig, ServeExt};
 use simclock::{SimClock, SimTime};
 use std::fmt::Write as _;
 
@@ -473,8 +473,8 @@ fn controller() -> BenchReport {
         })
         .collect();
     cluster.apply(&ops).expect("apply");
-    let model = ctrl::ServeModel::new(ctrl::ServeModelConfig::default());
-    let mut controller = ctrl::Controller::new(ctrl::ControllerConfig::default());
+    let model = ctrl::ServeModel::new();
+    let mut controller = ctrl::Controller::new(ctrl::PolicyConfig::default());
     let mut plans = 0u64;
     let mut moved = 0u64;
     let mut steady_p99 = 0u64;
@@ -639,11 +639,7 @@ fn attribution() -> BenchReport {
     serve_cfg.driver.requests = 240;
     serve_cfg.driver.qps = 600.0;
     serve_cfg.frontend.queue_depth = serve_cfg.driver.requests;
-    let cache = SummaryCache::new(
-        serve_cfg.frontend.cache_capacity,
-        serve_cfg.frontend.cache_shards,
-    );
-    let report = system.serve_with_cache(&serve_cfg, &cache);
+    let report = system.serve(&serve_cfg);
     assert_eq!(report.shed, 0, "deep queues must not shed");
     let attr = &report.attribution;
     let (group_err, node_err) = attr.costs.conservation_error();

@@ -25,6 +25,10 @@ pub enum DeliveryMode {
     P2p,
 }
 
+/// Corruption multiplier on peer-to-peer transfers (unmanaged links
+/// corrupt more often and lack mid-path detection).
+const P2P_CORRUPTION_MULTIPLIER: f64 = 8.0;
+
 /// Bifrost configuration.
 #[derive(Debug, Clone, Copy)]
 pub struct BifrostConfig {
@@ -48,9 +52,6 @@ pub struct BifrostConfig {
     pub dedup_enabled: bool,
     /// Delivery mode for the inverted stream's regional fan-out.
     pub mode: DeliveryMode,
-    /// Corruption multiplier on peer-to-peer transfers (unmanaged links
-    /// corrupt more often and lack mid-path detection).
-    pub p2p_corruption_multiplier: f64,
     /// The window over which a version's slices are produced and enter
     /// the network. The crawlers and index builders emit data
     /// continuously ("sending slices of index data in GBs every hour"),
@@ -69,7 +70,6 @@ impl Default for BifrostConfig {
             seed: 0xB1F0_5731,
             dedup_enabled: true,
             mode: DeliveryMode::Relay,
-            p2p_corruption_multiplier: 8.0,
             generation_window: SimTime::from_mins(25),
         }
     }
@@ -395,8 +395,7 @@ impl Bifrost {
         if self.cfg.mode == DeliveryMode::P2p {
             for (flow, region, bytes, ship_at) in peer_sources {
                 let arrived = self.sim.completion(flow).expect("phase-one flows complete");
-                let p_corrupt =
-                    (self.cfg.corruption_rate * self.cfg.p2p_corruption_multiplier).min(1.0);
+                let p_corrupt = (self.cfg.corruption_rate * P2P_CORRUPTION_MULTIPLIER).min(1.0);
                 let corrupted = p_corrupt > 0.0 && self.next_rand() < p_corrupt;
                 let (peer_bytes, start) = if corrupted {
                     retransmissions += 1;

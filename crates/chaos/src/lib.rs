@@ -5,10 +5,11 @@
 //!
 //! - [`Schedule`] — a timeline of typed [`FaultKind`] events pinned to
 //!   pipeline rounds, either authored explicitly or generated from a
-//!   seed + rate config ([`ScheduleConfig`]). Generation is pure: the
-//!   same seed always yields a byte-identical schedule, and the
-//!   generator only emits *valid* storms (group quorum preserved, no
-//!   double-crashes, no media faults on a node whose recovery is
+//!   seed, a length and a churn rate ([`ScheduleConfig`]) against the
+//!   demo deployment's fixed shape and fault rates. Generation is
+//!   pure: the same seed always yields a byte-identical schedule, and
+//!   the generator only emits *valid* storms (group quorum preserved,
+//!   no double-crashes, no media faults on a node whose recovery is
 //!   pending).
 //! - [`Orchestrator`] — interleaves schedule events with real update
 //!   rounds of a [`directload::DirectLoad`] deployment, applying each

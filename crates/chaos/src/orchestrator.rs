@@ -37,29 +37,19 @@ const CHURN_MIGRATOR: placement::MigratorConfig = placement::MigratorConfig {
 /// traffic, instead of running to completion between rounds.
 const CHURN_TICKS_PER_ROUND: u32 = 8;
 
+/// Fraction of pages changed per crawl round.
+const CHANGE_FRACTION: f64 = 0.35;
+/// Documents the invariant checker tracks.
+const SAMPLE_KEYS: usize = 6;
+/// Recovery attempts per node (one per round) before the failure is
+/// recorded as a violation.
+const RECOVERY_RETRIES: u32 = 3;
+
 /// Orchestrator knobs.
 #[derive(Debug, Clone, Copy)]
 pub struct ChaosConfig {
     /// Pipeline rounds the storm spans (should match the schedule's).
     pub rounds: u32,
-    /// Fraction of pages changed per crawl round.
-    pub change_fraction: f64,
-    /// Documents the invariant checker tracks.
-    pub sample_keys: usize,
-    /// Recovery attempts per node (one per round) before the failure is
-    /// recorded as a violation.
-    pub recovery_retries: u32,
-}
-
-impl Default for ChaosConfig {
-    fn default() -> Self {
-        ChaosConfig {
-            rounds: 10,
-            change_fraction: 0.35,
-            sample_keys: 6,
-            recovery_retries: 3,
-        }
-    }
 }
 
 /// What the storm did and what it found.
@@ -191,7 +181,7 @@ impl Orchestrator {
 
     /// Runs the storm to completion and reports.
     pub fn run(&mut self) -> ChaosReport {
-        let mut checker = InvariantChecker::new(&self.system, self.cfg.sample_keys);
+        let mut checker = InvariantChecker::new(&self.system, SAMPLE_KEYS);
         for round in 0..self.cfg.rounds {
             self.retry_recoveries(round, &mut checker);
             let due: Vec<FaultKind> = self.schedule.due(round).map(|e| e.kind).collect();
@@ -200,7 +190,7 @@ impl Orchestrator {
             }
             self.run_actuator(round);
             self.tick_churn(round);
-            match self.system.run_version(self.cfg.change_fraction) {
+            match self.system.run_version(CHANGE_FRACTION) {
                 Ok(report) => checker.observe_round(&self.system, &report, round),
                 Err(e) => self.note_violation(
                     &mut checker,
@@ -603,7 +593,7 @@ impl Orchestrator {
                 self.check_wal_recovery(round, dc, node, info, checker);
                 self.emit_repair(round, format!("node_recover dc={dc} node={node}"));
             }
-            Err(e) if attempts + 1 < self.cfg.recovery_retries => {
+            Err(e) if attempts + 1 < RECOVERY_RETRIES => {
                 self.timeline.push(format!(
                     "round={round:02} retry=node_recover dc={dc} node={node} attempt={}",
                     attempts + 1
@@ -756,7 +746,7 @@ impl Orchestrator {
         // its attempts).
         let mut passes = 0;
         while (!self.crashed.is_empty() || !self.retry_recover.is_empty())
-            && passes <= self.cfg.recovery_retries
+            && passes <= RECOVERY_RETRIES
         {
             passes += 1;
             self.retry_recoveries(settle_round, checker);
@@ -784,7 +774,7 @@ impl Orchestrator {
         // run to completion, so the final clean round and the checker's
         // final pass see a settled topology.
         self.flush_churn(settle_round, None, checker);
-        match self.system.run_version(self.cfg.change_fraction) {
+        match self.system.run_version(CHANGE_FRACTION) {
             Ok(report) => checker.observe_round(&self.system, &report, settle_round),
             Err(e) => self.note_violation(
                 checker,

@@ -2,8 +2,8 @@
 //!
 //! A schedule is a timeline of typed fault events, each pinned to a
 //! pipeline round. Schedules can be authored explicitly (a regression
-//! test replaying a specific storm) or generated from a seed plus rate
-//! configuration; generation is a pure function of the
+//! test replaying a specific storm) or generated from a seed, a length
+//! and a churn rate; generation is a pure function of the
 //! [`ScheduleConfig`], so the same seed always yields byte-identical
 //! timelines — the property the determinism test asserts end to end.
 //!
@@ -194,8 +194,36 @@ pub struct FaultEvent {
     pub kind: FaultKind,
 }
 
-/// Generation parameters: the deployment's shape plus per-round fault
-/// rates in permille.
+/// Data centers in the deployment a storm targets: `DataCenterId::all()`.
+const NUM_DCS: usize = 6;
+/// Storage nodes per data center: `DirectLoadConfig::small()`'s Mint
+/// cluster, two groups of three.
+const NODES_PER_DC: u32 = 6;
+/// Nodes per Mint group at deployment time (node `n` starts in group
+/// `n / NODES_PER_GROUP`; churn reshapes membership from there).
+const NODES_PER_GROUP: u32 = 3;
+/// Minimum alive nodes per group at all times: two keep reads
+/// replicated even mid-crash.
+const MIN_ALIVE_PER_GROUP: u32 = 2;
+/// Link faults target `LinkId`s below this, and only these four of the
+/// regional topology's 33 links: the summary-class uplinks of the three
+/// regions and the summary-class backbone from region 0 to region 1.
+/// Every inverted-class link, every downlink and the three P2P peer
+/// links are never faulted.
+const FAULTED_LINKS: u32 = 4;
+/// Per-DC, per-round crash probability (permille).
+const CRASH_PERMILLE: u32 = 220;
+/// Per-round link fault probability (permille).
+const LINK_PERMILLE: u32 = 500;
+/// Per-round corruption-burst probability (permille).
+const CORRUPTION_PERMILLE: u32 = 350;
+/// Per-DC, per-round SSD fault probability (permille).
+const SSD_PERMILLE: u32 = 260;
+
+/// Generation parameters. The deployment's shape and the crash, link,
+/// corruption and SSD fault rates are fixed to the demo deployment
+/// (`DirectLoadConfig::small()`: six DCs of 2×3-node clusters), at rates
+/// high enough that a ten-round run exercises every fault kind.
 #[derive(Debug, Clone, Copy)]
 pub struct ScheduleConfig {
     /// Seed for the schedule RNG; same seed + same config → identical
@@ -203,28 +231,6 @@ pub struct ScheduleConfig {
     pub seed: u64,
     /// Pipeline rounds the storm spans.
     pub rounds: u32,
-    /// Data centers in the deployment.
-    pub num_dcs: usize,
-    /// Storage nodes per data center.
-    pub nodes_per_dc: u32,
-    /// Nodes per Mint group at deployment time (node `n` starts in group
-    /// `n / nodes_per_group`; churn reshapes membership from there). The
-    /// generator keeps at least `min_alive_per_group` of each group
-    /// alive.
-    pub nodes_per_group: u32,
-    /// Minimum alive nodes per group at all times (≥ 1; the default of 2
-    /// keeps reads replicated even mid-crash).
-    pub min_alive_per_group: u32,
-    /// WAN trunks addressable by link faults.
-    pub num_links: u32,
-    /// Per-DC, per-round crash probability (permille).
-    pub crash_permille: u32,
-    /// Per-round link fault probability (permille).
-    pub link_permille: u32,
-    /// Per-round corruption-burst probability (permille).
-    pub corruption_permille: u32,
-    /// Per-DC, per-round SSD fault probability (permille).
-    pub ssd_permille: u32,
     /// Per-DC, per-round topology-churn probability (permille): a
     /// scale-out of a random group or, once an earlier scale-out left a
     /// group above the replication floor, a decommission of one of its
@@ -233,22 +239,11 @@ pub struct ScheduleConfig {
 }
 
 impl ScheduleConfig {
-    /// A storm sized for the demo deployment (six DCs of 2×3-node
-    /// clusters): rates high enough that a ten-round run exercises every
-    /// fault kind.
+    /// A storm of `rounds` rounds from `seed`, with topology churn on.
     pub fn storm(seed: u64, rounds: u32) -> Self {
         ScheduleConfig {
             seed,
             rounds,
-            num_dcs: 6,
-            nodes_per_dc: 6,
-            nodes_per_group: 3,
-            min_alive_per_group: 2,
-            num_links: 4,
-            crash_permille: 220,
-            link_permille: 500,
-            corruption_permille: 350,
-            ssd_permille: 260,
             churn_permille: 140,
         }
     }
@@ -301,9 +296,7 @@ impl Schedule {
     /// Generates a valid storm from `cfg`. Pure: identical configs
     /// produce identical schedules.
     pub fn generate(cfg: &ScheduleConfig) -> Self {
-        assert!(cfg.nodes_per_group > 0 && cfg.nodes_per_dc.is_multiple_of(cfg.nodes_per_group));
-        assert!(cfg.min_alive_per_group >= 1 && cfg.min_alive_per_group <= cfg.nodes_per_group);
-        let num_groups = (cfg.nodes_per_dc / cfg.nodes_per_group) as usize;
+        let num_groups = (NODES_PER_DC / NODES_PER_GROUP) as usize;
         let mut rng = Rng::new(cfg.seed);
         let mut events = Vec::new();
         // (dc, node) currently crashed, and when each recovers.
@@ -314,15 +307,15 @@ impl Schedule {
         // Live group membership per DC — the churned topology. Churn
         // applies synchronously in the orchestrator, so node ids are
         // deterministic: a scale-out always creates the next dense id.
-        let mut members: Vec<Vec<Vec<u32>>> = (0..cfg.num_dcs)
+        let mut members: Vec<Vec<Vec<u32>>> = (0..NUM_DCS)
             .map(|_| {
                 (0..num_groups as u32)
-                    .map(|g| (g * cfg.nodes_per_group..(g + 1) * cfg.nodes_per_group).collect())
+                    .map(|g| (g * NODES_PER_GROUP..(g + 1) * NODES_PER_GROUP).collect())
                     .collect()
             })
             .collect();
-        let mut next_node: Vec<u32> = vec![cfg.nodes_per_dc; cfg.num_dcs];
-        let mut scale_outs: Vec<u32> = vec![0; cfg.num_dcs];
+        let mut next_node: Vec<u32> = vec![NODES_PER_DC; NUM_DCS];
+        let mut scale_outs: Vec<u32> = vec![0; NUM_DCS];
         for round in 0..cfg.rounds {
             // Fire due recoveries first so a node can crash again later.
             recoveries.retain(|&(at, dc, node)| {
@@ -338,8 +331,8 @@ impl Schedule {
                 }
             });
             ssd_active.retain(|&(expiry, _, _)| expiry > round);
-            for dc in 0..cfg.num_dcs {
-                if rng.permille() < cfg.crash_permille {
+            for dc in 0..NUM_DCS {
+                if rng.permille() < CRASH_PERMILLE {
                     // Pick a crashable node: alive, its group above the
                     // floor, and not under media-fault injection (the
                     // recovery AOF scan must be able to read flash).
@@ -353,7 +346,7 @@ impl Schedule {
                             group
                                 .iter()
                                 .copied()
-                                .filter(move |_| alive > cfg.min_alive_per_group)
+                                .filter(move |_| alive > MIN_ALIVE_PER_GROUP)
                         })
                         .filter(|&n| {
                             !crashed.contains(&(dc, n))
@@ -377,7 +370,7 @@ impl Schedule {
                         recoveries.push((back, dc, node));
                     }
                 }
-                if rng.permille() < cfg.ssd_permille {
+                if rng.permille() < SSD_PERMILLE {
                     let candidates: Vec<u32> = members[dc]
                         .iter()
                         .flatten()
@@ -412,19 +405,19 @@ impl Schedule {
                     // Decommission when an earlier scale-out left a group
                     // above the floor and it has a healthy member to
                     // drain (alive, not under media-fault injection, and
-                    // leaving at least `min_alive_per_group` behind);
+                    // leaving at least `MIN_ALIVE_PER_GROUP` behind);
                     // otherwise grow a random group, capped so the storm
                     // does not turn into pure expansion.
                     let mut eligible: Vec<u32> = Vec::new();
                     for group in &members[dc] {
-                        if group.len() as u32 <= cfg.nodes_per_group {
+                        if group.len() as u32 <= NODES_PER_GROUP {
                             continue;
                         }
                         let alive = group
                             .iter()
                             .filter(|&&m| !crashed.contains(&(dc, m)))
                             .count() as u32;
-                        if alive <= cfg.min_alive_per_group {
+                        if alive <= MIN_ALIVE_PER_GROUP {
                             continue;
                         }
                         eligible.extend(group.iter().copied().filter(|&m| {
@@ -453,8 +446,8 @@ impl Schedule {
                     }
                 }
             }
-            if cfg.num_links > 0 && rng.permille() < cfg.link_permille {
-                let link = rng.below(cfg.num_links as usize) as u32;
+            if rng.permille() < LINK_PERMILLE {
+                let link = rng.below(FAULTED_LINKS as usize) as u32;
                 let secs = 60 + rng.below(240) as u32;
                 let kind = if rng.permille() < 400 {
                     FaultKind::LinkOutage { link, secs }
@@ -467,7 +460,7 @@ impl Schedule {
                 };
                 events.push(FaultEvent { round, kind });
             }
-            if rng.permille() < cfg.corruption_permille {
+            if rng.permille() < CORRUPTION_PERMILLE {
                 events.push(FaultEvent {
                     round,
                     kind: FaultKind::CorruptionBurst {
@@ -519,6 +512,24 @@ mod tests {
     use super::*;
 
     #[test]
+    fn storm_constants_match_the_deployment_they_drive() {
+        // A storm addresses DCs, nodes and links by number: a reshaped
+        // demo deployment must fail here, not draw faults for nodes and
+        // links that do not exist.
+        let cfg = directload::DirectLoadConfig::small();
+        assert_eq!(NUM_DCS, bifrost::DataCenterId::all().len());
+        assert_eq!(NODES_PER_GROUP as usize, cfg.mint.nodes_per_group);
+        assert_eq!(
+            NODES_PER_DC as usize,
+            cfg.mint.groups * cfg.mint.nodes_per_group
+        );
+        assert!(MIN_ALIVE_PER_GROUP >= 1 && MIN_ALIVE_PER_GROUP as usize <= cfg.mint.replicas);
+        let links = bifrost::Bifrost::new(cfg.bifrost, simclock::SimClock::new()).num_links();
+        assert_eq!(links, 33, "FAULTED_LINKS's doc counts 33 links");
+        assert!(FAULTED_LINKS as usize <= links);
+    }
+
+    #[test]
     fn same_seed_same_schedule() {
         let cfg = ScheduleConfig::storm(0xC4A0_5EED, 12);
         assert_eq!(Schedule::generate(&cfg), Schedule::generate(&cfg));
@@ -544,15 +555,15 @@ mod tests {
         let s = Schedule::generate(&cfg);
         // Replay the events against an independent membership model —
         // the schedule must stay valid under its own churn.
-        let num_groups = (cfg.nodes_per_dc / cfg.nodes_per_group) as usize;
-        let mut members: Vec<Vec<Vec<u32>>> = (0..cfg.num_dcs)
+        let num_groups = (NODES_PER_DC / NODES_PER_GROUP) as usize;
+        let mut members: Vec<Vec<Vec<u32>>> = (0..NUM_DCS)
             .map(|_| {
                 (0..num_groups as u32)
-                    .map(|g| (g * cfg.nodes_per_group..(g + 1) * cfg.nodes_per_group).collect())
+                    .map(|g| (g * NODES_PER_GROUP..(g + 1) * NODES_PER_GROUP).collect())
                     .collect()
             })
             .collect();
-        let mut next_node: Vec<u32> = vec![cfg.nodes_per_dc; cfg.num_dcs];
+        let mut next_node: Vec<u32> = vec![NODES_PER_DC; NUM_DCS];
         let mut crashed: BTreeSet<(usize, u32)> = BTreeSet::new();
         let group_of = |members: &Vec<Vec<Vec<u32>>>, dc: usize, node: u32| {
             members[dc].iter().position(|g| g.contains(&node))
@@ -574,7 +585,7 @@ mod tests {
                     let g = group_of(&members, dc, node).expect("crash of a member node");
                     assert!(crashed.insert((dc, node)), "double crash {e:?}");
                     assert!(
-                        alive_in(&members, &crashed, dc, g) >= cfg.min_alive_per_group,
+                        alive_in(&members, &crashed, dc, g) >= MIN_ALIVE_PER_GROUP,
                         "group under quorum after {e:?}"
                     );
                 }
@@ -592,12 +603,12 @@ mod tests {
                     );
                     let g = group_of(&members, dc, node).expect("decommission of a member node");
                     assert!(
-                        members[dc][g].len() as u32 > cfg.nodes_per_group,
+                        members[dc][g].len() as u32 > NODES_PER_GROUP,
                         "decommission would breach the replication floor {e:?}"
                     );
                     members[dc][g].retain(|&m| m != node);
                     assert!(
-                        alive_in(&members, &crashed, dc, g) >= cfg.min_alive_per_group,
+                        alive_in(&members, &crashed, dc, g) >= MIN_ALIVE_PER_GROUP,
                         "group under quorum after {e:?}"
                     );
                 }

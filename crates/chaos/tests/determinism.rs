@@ -8,10 +8,7 @@ use directload::{DirectLoad, DirectLoadConfig};
 fn run_storm(seed: u64, rounds: u32) -> ChaosReport {
     let schedule = Schedule::generate(&ScheduleConfig::storm(seed, rounds));
     let system = DirectLoad::new(DirectLoadConfig::small());
-    let cfg = ChaosConfig {
-        rounds,
-        ..ChaosConfig::default()
-    };
+    let cfg = ChaosConfig { rounds };
     Orchestrator::new(system, schedule, cfg).run()
 }
 
@@ -54,10 +51,7 @@ fn churn_migrates_live_without_violations() {
         },
     ]);
     let system = DirectLoad::new(DirectLoadConfig::small());
-    let cfg = ChaosConfig {
-        rounds: 5,
-        ..ChaosConfig::default()
-    };
+    let cfg = ChaosConfig { rounds: 5 };
     let mut orch = Orchestrator::new(system, schedule, cfg);
     let report = orch.run();
     assert!(

@@ -117,10 +117,7 @@ fn orchestrator_flags_decommission_at_the_floor() {
         kind: FaultKind::Decommission { dc: 0, node: 0 },
     }]);
     let system = DirectLoad::new(DirectLoadConfig::small());
-    let cfg = ChaosConfig {
-        rounds: 1,
-        ..ChaosConfig::default()
-    };
+    let cfg = ChaosConfig { rounds: 1 };
     let report = Orchestrator::new(system, schedule, cfg).run();
     assert!(
         report
@@ -141,10 +138,7 @@ fn orchestrator_flags_recovery_of_alive_node() {
         kind: FaultKind::NodeRecover { dc: 0, node: 0 },
     }]);
     let system = DirectLoad::new(DirectLoadConfig::small());
-    let cfg = ChaosConfig {
-        rounds: 1,
-        ..ChaosConfig::default()
-    };
+    let cfg = ChaosConfig { rounds: 1 };
     let report = Orchestrator::new(system, schedule, cfg).run();
     assert!(
         report

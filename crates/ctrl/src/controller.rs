@@ -25,13 +25,6 @@ use obs::{Registry, SpanKind, TraceSink};
 use placement::{LoadReport, MigrationPlan, TopologyGoal};
 use std::collections::BTreeMap;
 
-/// Controller knobs.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ControllerConfig {
-    /// The policy thresholds, bands, and cooldowns.
-    pub policy: PolicyConfig,
-}
-
 /// What one control round decided for one DC.
 #[derive(Debug, Clone)]
 pub struct Decision {
@@ -52,7 +45,7 @@ pub struct Decision {
 
 /// The placement controller's decision state.
 pub struct Controller {
-    cfg: ControllerConfig,
+    policy: PolicyConfig,
     p99: BTreeMap<usize, Hysteresis>,
     skew: BTreeMap<usize, Hysteresis>,
     footprint: BTreeMap<usize, Hysteresis>,
@@ -62,10 +55,11 @@ pub struct Controller {
 }
 
 impl Controller {
-    /// A controller with the given config and no history.
-    pub fn new(cfg: ControllerConfig) -> Controller {
+    /// A controller with the given policy thresholds, bands and
+    /// cooldowns, and no history.
+    pub fn new(policy: PolicyConfig) -> Controller {
         Controller {
-            cfg,
+            policy,
             p99: BTreeMap::new(),
             skew: BTreeMap::new(),
             footprint: BTreeMap::new(),
@@ -92,7 +86,7 @@ impl Controller {
         trace: Option<&TraceSink>,
     ) -> Decision {
         let sig = Signals::from_report(load);
-        let p = self.cfg.policy;
+        let p = self.policy;
         let p99_hot = self.p99.entry(dc).or_default().update(
             sig.p99_us,
             p.p99_enter_us,
@@ -237,7 +231,7 @@ impl Controller {
     fn cooldown_clear(&self, dc: usize, family: ActionFamily, round: u32) -> bool {
         self.last_fired
             .get(&(dc, family))
-            .is_none_or(|&last| round.saturating_sub(last) >= self.cfg.policy.cooldown_rounds)
+            .is_none_or(|&last| round.saturating_sub(last) >= self.policy.cooldown_rounds)
     }
 }
 

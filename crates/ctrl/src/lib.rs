@@ -14,7 +14,9 @@
 //!   [`ServeModel`] derives a deterministic load-dependent latency
 //!   signal from offered load against live per-group capacity — the
 //!   generative-model approach of *Performance Modeling of Data Storage
-//!   Systems using Generative Models* (PAPERS.md).
+//!   Systems using Generative Models* (PAPERS.md). Its service time,
+//!   per-node capacity, bytes per request and samples per group are
+//!   constants, so `ServeModel::new()` takes nothing.
 //! * **decide** — the [`Controller`] evaluates declarative policies
 //!   ([`PolicyConfig`]): p99 pressure, per-group heat skew, footprint
 //!   skew, and node-count goals. Each policy latches through a
@@ -41,6 +43,6 @@ mod controller;
 mod model;
 mod policy;
 
-pub use controller::{Controller, ControllerConfig, Decision};
-pub use model::{ModelObservation, ServeModel, ServeModelConfig};
+pub use controller::{Controller, Decision};
+pub use model::{ModelObservation, ServeModel};
 pub use policy::{ActionFamily, Hysteresis, PolicyConfig, Signals};

@@ -16,30 +16,18 @@
 use obs::LatencyHistogram;
 use placement::LoadReport;
 
-/// Serving-model knobs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ServeModelConfig {
-    /// Per-request service time at an idle replica, microseconds.
-    pub service_us: u64,
-    /// Sustained per-node serving capacity, requests per second.
-    pub node_capacity_qps: u64,
-    /// Storage bytes a modeled request reads — what one offered request
-    /// contributes to a group's observed read heat.
-    pub bytes_per_request: u64,
-    /// Latency samples synthesized per group per round.
-    pub samples_per_group: u32,
-}
+/// Per-request service time at an idle replica, microseconds.
+const SERVICE_US: u64 = 2_000;
 
-impl Default for ServeModelConfig {
-    fn default() -> Self {
-        ServeModelConfig {
-            service_us: 2_000,
-            node_capacity_qps: 400,
-            bytes_per_request: 64 * 1024,
-            samples_per_group: 32,
-        }
-    }
-}
+/// Sustained per-node serving capacity, requests per second.
+const NODE_CAPACITY_QPS: u64 = 400;
+
+/// Storage bytes a modeled request reads — what one offered request
+/// contributes to a group's observed read heat.
+const BYTES_PER_REQUEST: u64 = 64 * 1024;
+
+/// Latency samples synthesized per group per round.
+const SAMPLES_PER_GROUP: u32 = 32;
 
 /// What one modeled round observed.
 #[derive(Debug, Clone)]
@@ -54,19 +42,17 @@ pub struct ModelObservation {
 }
 
 /// Deterministic queueing model of the serving tier.
-#[derive(Debug, Clone, Copy)]
-pub struct ServeModel {
-    cfg: ServeModelConfig,
-}
+#[derive(Debug, Clone, Copy, Default)]
+pub struct ServeModel;
 
 /// Utilization above this clamps to the saturated service time — the
 /// model's stand-in for a queue that never drains.
 const UTILIZATION_CLAMP_PM: u64 = 950;
 
 impl ServeModel {
-    /// A model with the given knobs.
-    pub fn new(cfg: ServeModelConfig) -> ServeModel {
-        ServeModel { cfg }
+    /// The serving tier's model.
+    pub fn new() -> ServeModel {
+        ServeModel
     }
 
     /// The model's latency for a group running at `utilization_pm`
@@ -74,7 +60,7 @@ impl ServeModel {
     /// [`UTILIZATION_CLAMP_PM`].
     pub fn latency_us(&self, utilization_pm: u64) -> u64 {
         let pm = utilization_pm.min(UTILIZATION_CLAMP_PM);
-        self.cfg.service_us * 1000 / (1000 - pm)
+        SERVICE_US * 1000 / (1000 - pm)
     }
 
     /// Observes one control round: folds `offered_qps[g]` against each
@@ -92,11 +78,8 @@ impl ServeModel {
         let mut peak = 0u64;
         for (g, group) in load.groups.iter_mut().enumerate() {
             let offered = offered_qps.get(g).copied().unwrap_or(0);
-            group.read_heat = offered.saturating_mul(self.cfg.bytes_per_request);
-            let capacity = self
-                .cfg
-                .node_capacity_qps
-                .saturating_mul(group.alive as u64);
+            group.read_heat = offered.saturating_mul(BYTES_PER_REQUEST);
+            let capacity = NODE_CAPACITY_QPS.saturating_mul(group.alive as u64);
             // No live replica means every request queues forever; clamp.
             let utilization_pm = offered
                 .saturating_mul(1000)
@@ -105,7 +88,7 @@ impl ServeModel {
             peak = peak.max(utilization_pm);
             let lat = self.latency_us(utilization_pm);
             let mut x = seed(round, g as u64);
-            for _ in 0..self.cfg.samples_per_group {
+            for _ in 0..SAMPLES_PER_GROUP {
                 // ±10% multiplicative jitter, deterministic per
                 // (round, group, sample).
                 x = step(x);
@@ -145,7 +128,7 @@ mod tests {
 
     #[test]
     fn latency_grows_with_utilization_and_clamps() {
-        let m = ServeModel::new(ServeModelConfig::default());
+        let m = ServeModel::new();
         assert_eq!(m.latency_us(0), 2_000);
         assert!(m.latency_us(500) > m.latency_us(100));
         assert!(m.latency_us(900) > m.latency_us(500));
@@ -154,7 +137,7 @@ mod tests {
 
     #[test]
     fn observation_is_deterministic_and_load_dependent() {
-        let model = ServeModel::new(ServeModelConfig::default());
+        let model = ServeModel::new();
         // tiny(): 2 groups x 3 nodes, capacity 1200 qps per group.
         let mut cold = report();
         let quiet = model.observe(&mut cold, &[100, 100], 3);
@@ -180,7 +163,7 @@ mod tests {
 
     #[test]
     fn a_dead_group_saturates() {
-        let model = ServeModel::new(ServeModelConfig::default());
+        let model = ServeModel::new();
         let mut load = report();
         for g in &mut load.groups {
             g.alive = 0;

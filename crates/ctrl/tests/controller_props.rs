@@ -9,7 +9,7 @@
 //! * **determinism** — the same trace replays the decision timeline
 //!   byte-identically on a fresh controller.
 
-use ctrl::{Controller, ControllerConfig, PolicyConfig};
+use ctrl::{Controller, PolicyConfig};
 use mint::{NodeId, NodeRole};
 use obs::Registry;
 use placement::{GroupLoad, LoadReport, NodeLoad, TopologyGoal};
@@ -87,7 +87,7 @@ proptest! {
             target_nodes: Some((serving as i64 + target_delta).max(1) as usize),
             ..PolicyConfig::default()
         };
-        let mut controller = Controller::new(ControllerConfig { policy });
+        let mut controller = Controller::new(policy);
         let registry = Registry::new();
         // Emitted plans: (round, goal, family label).
         let mut fired: Vec<(u32, TopologyGoal)> = Vec::new();
@@ -134,7 +134,7 @@ proptest! {
             ..PolicyConfig::default()
         };
         let p99 = p99.min(policy.p99_exit_us - 1);
-        let mut controller = Controller::new(ControllerConfig { policy });
+        let mut controller = Controller::new(policy);
         let registry = Registry::new();
         let groups = [(replicas, 1 << 20, 32 << 20), (replicas, 1 << 20, 32 << 20)];
         for round in 0..rounds {
@@ -156,7 +156,7 @@ proptest! {
         ),
     ) {
         let run = |levels: &[(u64, u64, u64)]| {
-            let mut controller = Controller::new(ControllerConfig::default());
+            let mut controller = Controller::new(PolicyConfig::default());
             let registry = Registry::new();
             for (round, &(p99, heat0, heat1)) in levels.iter().enumerate() {
                 let groups = [(4, heat0, 32 << 20), (3, heat1, 32 << 20)];
@@ -180,7 +180,7 @@ fn band_hovering_does_not_toggle_actions() {
         cooldown_rounds: 2,
         ..PolicyConfig::default()
     };
-    let mut controller = Controller::new(ControllerConfig { policy });
+    let mut controller = Controller::new(policy);
     let registry = Registry::new();
     let groups = [(3, 1 << 20, 32 << 20), (3, 1 << 20, 32 << 20)];
     // Engage: p99 far above enter.

@@ -16,6 +16,11 @@ pub enum DocTier {
     Regular,
 }
 
+/// Of the pages that changed since the last crawl, the fraction whose
+/// *term set* also changed (semantic change). The paper notes semantic
+/// changes are rare.
+const SEMANTIC_CHANGE_FRACTION: f64 = 0.05;
+
 /// Generator parameters.
 #[derive(Debug, Clone, Copy)]
 pub struct CorpusConfig {
@@ -30,10 +35,6 @@ pub struct CorpusConfig {
     /// Mean abstract length in bytes (paper workload: ~20 KB). Actual
     /// lengths vary ±50 % around the mean, deterministically per page.
     pub summary_mean_bytes: usize,
-    /// Of the pages that changed since the last crawl, the fraction whose
-    /// *term set* also changed (semantic change). The paper notes semantic
-    /// changes are rare.
-    pub semantic_change_fraction: f64,
     /// Master seed; equal seeds produce byte-identical corpora.
     pub seed: u64,
 }
@@ -46,7 +47,6 @@ impl Default for CorpusConfig {
             vocab_size: 4096,
             vip_fraction: 0.1,
             summary_mean_bytes: 20 * 1024,
-            semantic_change_fraction: 0.05,
             seed: 0xD1EC_70AD,
         }
     }
@@ -149,7 +149,7 @@ impl CrawlSimulator {
         for i in 0..self.docs.len() {
             if self.rng.gen_bool(change_fraction) {
                 self.docs[i].content_rev = self.rng.gen();
-                if self.rng.gen_bool(self.cfg.semantic_change_fraction) {
+                if self.rng.gen_bool(SEMANTIC_CHANGE_FRACTION) {
                     self.docs[i].terms =
                         draw_terms(&mut self.rng, self.cfg.terms_per_doc, self.cfg.vocab_size);
                 }

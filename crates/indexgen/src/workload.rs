@@ -16,6 +16,7 @@ use bytes::Bytes;
 use rand::distributions::WeightedIndex;
 use rand::prelude::*;
 use std::collections::HashSet;
+use std::ops::RangeInclusive;
 
 /// A single search query.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -23,6 +24,9 @@ pub struct Query {
     /// Term keys (`term:{id:08}`), deduplicated.
     pub terms: Vec<Bytes>,
 }
+
+/// Terms per query, inclusive bounds.
+const TERMS_PER_QUERY: RangeInclusive<usize> = 1..=4;
 
 /// Query-stream parameters.
 #[derive(Debug, Clone, Copy)]
@@ -33,8 +37,6 @@ pub struct QueryWorkloadConfig {
     /// Probability that a query is drawn from the VIP term pool — the
     /// paper's ">80% of user queries".
     pub vip_fraction: f64,
-    /// Terms per query, inclusive bounds.
-    pub terms_per_query: (usize, usize),
     /// RNG seed.
     pub seed: u64,
 }
@@ -44,7 +46,6 @@ impl Default for QueryWorkloadConfig {
         QueryWorkloadConfig {
             zipf_s: 1.0,
             vip_fraction: 0.8,
-            terms_per_query: (1, 4),
             seed: 0x9E37_C0DE,
         }
     }
@@ -70,7 +71,6 @@ impl QueryWorkload {
     /// # Panics
     /// Panics if the corpus has no terms (empty vocabulary).
     pub fn new(sim: &CrawlSimulator, cfg: QueryWorkloadConfig) -> Self {
-        assert!(cfg.terms_per_query.0 >= 1 && cfg.terms_per_query.0 <= cfg.terms_per_query.1);
         assert!((0.0..=1.0).contains(&cfg.vip_fraction));
         let mut vip: HashSet<u32> = HashSet::new();
         let mut all: HashSet<u32> = HashSet::new();
@@ -114,10 +114,8 @@ impl QueryWorkload {
         } else {
             (&self.all_terms, &self.all_weights)
         };
-        let n = self
-            .rng
-            .gen_range(self.cfg.terms_per_query.0..=self.cfg.terms_per_query.1);
-        let mut terms: Vec<u32> = (0..n.max(1))
+        let n = self.rng.gen_range(TERMS_PER_QUERY);
+        let mut terms: Vec<u32> = (0..n)
             .map(|_| pool[weights.sample(&mut self.rng)])
             .collect();
         terms.sort_unstable();

@@ -1,14 +1,17 @@
 //! Baseline engine configuration, defaulting to LevelDB 1.9's shape.
 
+/// Number of L0 tables that triggers a compaction into L1 (LevelDB
+/// default 4).
+pub(crate) const L0_COMPACTION_TRIGGER: usize = 4;
+/// Number of levels below L0 (LevelDB default: 6 usable levels).
+pub(crate) const MAX_LEVELS: usize = 6;
+
 /// LSM-tree tunables.
 #[derive(Debug, Clone, Copy)]
 pub struct LsmConfig {
     /// Memtable flush threshold in bytes (LevelDB `write_buffer_size`,
     /// default 4 MiB).
     pub write_buffer_bytes: usize,
-    /// Number of L0 tables that triggers a compaction into L1 (LevelDB
-    /// default 4).
-    pub l0_compaction_trigger: usize,
     /// Target size of L1 in bytes (LevelDB default 10 MiB).
     pub level_base_bytes: u64,
     /// Size fanout between consecutive levels (LevelDB default 10).
@@ -17,10 +20,6 @@ pub struct LsmConfig {
     pub table_target_bytes: usize,
     /// Data block size (LevelDB default 4 KiB).
     pub block_bytes: usize,
-    /// Bloom filter bits per key (LevelDB's recommended 10).
-    pub bloom_bits_per_key: usize,
-    /// Number of levels below L0 (LevelDB default: 6 usable levels).
-    pub max_levels: usize,
     /// Tables whose index/filter blocks stay cached in memory (LevelDB's
     /// `max_open_files` table cache). Probing a table outside the cache
     /// first loads its footer, index, and filter from the device — a real
@@ -32,13 +31,10 @@ impl Default for LsmConfig {
     fn default() -> Self {
         LsmConfig {
             write_buffer_bytes: 4 * 1024 * 1024,
-            l0_compaction_trigger: 4,
             level_base_bytes: 10 * 1024 * 1024,
             level_multiplier: 10,
             table_target_bytes: 2 * 1024 * 1024,
             block_bytes: 4096,
-            bloom_bits_per_key: 10,
-            max_levels: 6,
             max_open_tables: 100,
         }
     }
@@ -50,13 +46,10 @@ impl LsmConfig {
     pub fn tiny() -> Self {
         LsmConfig {
             write_buffer_bytes: 4 * 1024,
-            l0_compaction_trigger: 4,
             level_base_bytes: 16 * 1024,
             level_multiplier: 4,
             table_target_bytes: 4 * 1024,
             block_bytes: 512,
-            bloom_bits_per_key: 10,
-            max_levels: 6,
             max_open_tables: 16,
         }
     }
@@ -75,11 +68,9 @@ impl LsmConfig {
     /// Validates parameter sanity.
     pub fn validate(&self) {
         assert!(self.write_buffer_bytes > 0);
-        assert!(self.l0_compaction_trigger >= 1);
         assert!(self.level_multiplier >= 2);
         assert!(self.table_target_bytes > 0);
         assert!(self.block_bytes > 0);
-        assert!(self.max_levels >= 2);
     }
 }
 
@@ -91,7 +82,7 @@ mod tests {
     fn defaults_match_leveldb() {
         let cfg = LsmConfig::default();
         assert_eq!(cfg.write_buffer_bytes, 4 * 1024 * 1024);
-        assert_eq!(cfg.l0_compaction_trigger, 4);
+        assert_eq!(L0_COMPACTION_TRIGGER, 4);
         assert_eq!(cfg.level_multiplier, 10);
         cfg.validate();
     }

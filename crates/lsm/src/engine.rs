@@ -1,6 +1,6 @@
 //! The leveled engine: memtable, flush, read path, and compaction.
 
-use crate::config::LsmConfig;
+use crate::config::{LsmConfig, L0_COMPACTION_TRIGGER, MAX_LEVELS};
 use crate::pagefile::ExtentAllocator;
 use crate::sstable::{KvPair, SsTable, TableBuilder};
 use crate::wal::Wal;
@@ -79,8 +79,8 @@ impl LsmTree {
             wal: Wal::new(),
             mem: BTreeMap::new(),
             mem_bytes: 0,
-            levels: (0..=cfg.max_levels).map(|_| Vec::new()).collect(),
-            cursors: vec![0; cfg.max_levels + 1],
+            levels: (0..=MAX_LEVELS).map(|_| Vec::new()).collect(),
+            cursors: vec![0; MAX_LEVELS + 1],
             open_tables: VecDeque::new(),
             next_table_id: 1,
             stats: LsmStats::default(),
@@ -268,7 +268,7 @@ impl LsmTree {
     fn new_builder(&mut self) -> TableBuilder {
         let id = self.next_table_id;
         self.next_table_id += 1;
-        TableBuilder::new(id, self.cfg.block_bytes, self.cfg.bloom_bits_per_key)
+        TableBuilder::new(id, self.cfg.block_bytes)
     }
 
     /// Runs compactions until every level satisfies its invariant — the
@@ -276,12 +276,12 @@ impl LsmTree {
     /// and all; Figure 6a's throughput jitter comes from here).
     pub fn maybe_compact(&mut self) -> Result<()> {
         loop {
-            if self.levels[0].len() >= self.cfg.l0_compaction_trigger {
+            if self.levels[0].len() >= L0_COMPACTION_TRIGGER {
                 self.compact_l0()?;
                 continue;
             }
             let mut compacted = false;
-            for level in 1..self.cfg.max_levels {
+            for level in 1..MAX_LEVELS {
                 let total: u64 = self.levels[level].iter().map(|t| t.bytes).sum();
                 if total > self.cfg.level_max_bytes(level) {
                     self.compact_level(level)?;

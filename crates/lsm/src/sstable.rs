@@ -159,11 +159,13 @@ fn decode_block(mut data: &[u8]) -> std::result::Result<Vec<KvPair>, ()> {
     Ok(out)
 }
 
+/// Bloom filter bits per key (LevelDB's recommended 10).
+const BLOOM_BITS_PER_KEY: usize = 10;
+
 /// Builds a table from records supplied in strictly ascending key order.
 pub struct TableBuilder {
     id: u64,
     block_bytes: usize,
-    bloom_bits_per_key: usize,
     data: BytesMut,
     index: Vec<BlockHandle>,
     block_start: usize,
@@ -175,11 +177,10 @@ pub struct TableBuilder {
 
 impl TableBuilder {
     /// Starts a builder for table `id`.
-    pub fn new(id: u64, block_bytes: usize, bloom_bits_per_key: usize) -> Self {
+    pub fn new(id: u64, block_bytes: usize) -> Self {
         TableBuilder {
             id,
             block_bytes,
-            bloom_bits_per_key,
             data: BytesMut::new(),
             index: Vec::new(),
             block_start: 0,
@@ -240,7 +241,7 @@ impl TableBuilder {
             return Ok(None);
         }
         let key_refs: Vec<&[u8]> = self.keys.iter().map(|k| k.as_ref()).collect();
-        let bloom = BloomFilter::build(&key_refs, self.bloom_bits_per_key);
+        let bloom = BloomFilter::build(&key_refs, BLOOM_BITS_PER_KEY);
         let file = pagefile::write_file(dev, alloc, &self.data)?;
         Ok(Some(SsTable {
             id: self.id,
@@ -272,7 +273,7 @@ mod tests {
     }
 
     fn build(dev: &Device, alloc: &mut ExtentAllocator, n: u32) -> SsTable {
-        let mut b = TableBuilder::new(1, 256, 10);
+        let mut b = TableBuilder::new(1, 256);
         for i in 0..n {
             let key = bytes(&format!("key-{i:05}"));
             if i % 7 == 3 {
@@ -344,7 +345,7 @@ mod tests {
     #[test]
     fn empty_builder_yields_none() {
         let (dev, mut alloc) = setup();
-        let b = TableBuilder::new(9, 256, 10);
+        let b = TableBuilder::new(9, 256);
         assert!(b.finish(&dev, &mut alloc).unwrap().is_none());
     }
 

@@ -58,13 +58,14 @@ pub struct ServerConfig {
     /// Telemetry sampling period; `0` disables the sampler thread
     /// (Introspect then reports cumulative metrics with empty series).
     pub telemetry_interval_ms: u64,
-    /// Points retained per derived series (a ring; oldest evicted).
-    pub series_capacity: usize,
     /// Service-level objectives, one [`obs::SloSpec`] line each
     /// (blank lines and `#` comments ignored). Evaluated every
     /// telemetry tick against the sampler's windowed series.
     pub slos: String,
 }
+
+/// Points retained per derived series (a ring; oldest evicted).
+const SERIES_CAPACITY: usize = 512;
 
 /// The objectives a server watches unless told otherwise: windowed
 /// serve p99 under a quarter second, and an essentially error-free
@@ -80,7 +81,6 @@ impl Default for ServerConfig {
             frontend: FrontendConfig::default(),
             max_frame: wire::DEFAULT_MAX_FRAME,
             telemetry_interval_ms: 1000,
-            series_capacity: 512,
             slos: DEFAULT_SLOS.to_string(),
         }
     }
@@ -191,7 +191,7 @@ impl Server {
         let metrics = Metrics::new(engine.registry());
         let slo = SloEngine::from_lines(&cfg.slos)
             .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidInput, e))?;
-        let mut sampler = Sampler::new(engine.registry().clone(), cfg.series_capacity);
+        let mut sampler = Sampler::new(engine.registry().clone(), SERIES_CAPACITY);
         {
             let live = Arc::clone(&live);
             sampler.add_histogram("serve.latency", move || live.hist());

@@ -32,6 +32,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
+/// Capacity (k) of the per-shard hot-key sketches; frequency error is
+/// bounded by `terms_offered / (k + 1)` per shard.
+const HOT_KEY_CAPACITY: usize = 32;
+
 /// Front-end tuning.
 #[derive(Debug, Clone, Copy)]
 pub struct FrontendConfig {
@@ -51,9 +55,6 @@ pub struct FrontendConfig {
     pub rank_service: Duration,
     /// Modeled storage wait per summary-cache miss.
     pub summary_service: Duration,
-    /// Capacity (k) of the per-shard hot-key sketches; frequency error
-    /// is bounded by `terms_offered / (k + 1)` per shard.
-    pub hot_key_capacity: usize,
 }
 
 impl Default for FrontendConfig {
@@ -67,7 +68,6 @@ impl Default for FrontendConfig {
             top_k: 5,
             rank_service: Duration::from_micros(150),
             summary_service: Duration::from_micros(350),
-            hot_key_capacity: 32,
         }
     }
 }
@@ -283,12 +283,10 @@ pub struct LiveStats {
     /// One attribution bucket per shard; merged in shard order so the
     /// combined view is deterministic.
     attribution: Vec<Mutex<ShardAttribution>>,
-    hot_key_capacity: usize,
 }
 
 impl LiveStats {
-    fn new(shards: usize, hot_key_capacity: usize) -> LiveStats {
-        let hot_key_capacity = hot_key_capacity.max(1);
+    fn new(shards: usize) -> LiveStats {
         LiveStats {
             offered: AtomicU64::new(0),
             accepted: AtomicU64::new(0),
@@ -300,11 +298,10 @@ impl LiveStats {
                 .map(|_| {
                     Mutex::new(ShardAttribution {
                         acc: obs::CostAccumulator::new(),
-                        sketch: obs::TopKSketch::new(hot_key_capacity),
+                        sketch: obs::TopKSketch::new(HOT_KEY_CAPACITY),
                     })
                 })
                 .collect(),
-            hot_key_capacity,
         }
     }
 
@@ -357,7 +354,7 @@ impl LiveStats {
     /// identical workloads render identically.
     pub fn attribution(&self) -> AttributionReport {
         let mut costs = obs::CostAccumulator::new();
-        let mut hot_keys = obs::TopKSketch::new(self.hot_key_capacity);
+        let mut hot_keys = obs::TopKSketch::new(HOT_KEY_CAPACITY);
         for shard in &self.attribution {
             let s = shard.lock().unwrap_or_else(|e| e.into_inner());
             costs.merge(&s.acc);
@@ -395,7 +392,7 @@ impl Core {
                 .map(|_| ShardQueue::new(cfg.queue_depth.max(1)))
                 .collect(),
             next_shard: AtomicU64::new(0),
-            live: Arc::new(LiveStats::new(workers, cfg.hot_key_capacity)),
+            live: Arc::new(LiveStats::new(workers)),
             cfg,
         }
     }

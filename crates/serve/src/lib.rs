@@ -74,19 +74,11 @@ pub struct ServeConfig {
 pub trait ServeExt {
     /// Runs one open-loop serving experiment with a fresh summary cache.
     fn serve(&self, cfg: &ServeConfig) -> ServeReport;
-
-    /// Same, but against a caller-owned cache (keep it warm across runs;
-    /// call [`SummaryCache::invalidate_below`] after each publish).
-    fn serve_with_cache(&self, cfg: &ServeConfig, cache: &SummaryCache) -> ServeReport;
 }
 
 impl ServeExt for DirectLoad {
     fn serve(&self, cfg: &ServeConfig) -> ServeReport {
         let cache = SummaryCache::new(cfg.frontend.cache_capacity, cfg.frontend.cache_shards);
-        self.serve_with_cache(cfg, &cache)
-    }
-
-    fn serve_with_cache(&self, cfg: &ServeConfig, cache: &SummaryCache) -> ServeReport {
-        driver::run_open_loop(self, &cfg.frontend, cache, &cfg.driver)
+        driver::run_open_loop(self, &cfg.frontend, &cache, &cfg.driver)
     }
 }

@@ -9,6 +9,10 @@ use ssdsim::Device;
 const TAG_INLINE: u8 = 0;
 const TAG_VLOG: u8 = 1;
 
+/// Fraction of the device's logical space given to the pointer LSM; the
+/// rest holds the value log.
+const LSM_FRACTION: f64 = 0.25;
+
 /// Engine configuration.
 #[derive(Debug, Clone, Copy)]
 pub struct WiscKeyConfig {
@@ -23,9 +27,6 @@ pub struct WiscKeyConfig {
     /// The value log garbage-collects its oldest segment whenever more
     /// than this many segments are live (space-pressure trigger).
     pub max_segments: usize,
-    /// Fraction of the device's logical space given to the pointer LSM;
-    /// the rest holds the value log.
-    pub lsm_fraction: f64,
 }
 
 impl Default for WiscKeyConfig {
@@ -35,7 +36,6 @@ impl Default for WiscKeyConfig {
             vlog: VlogConfig::default(),
             value_threshold: 256,
             max_segments: 64,
-            lsm_fraction: 0.25,
         }
     }
 }
@@ -48,7 +48,6 @@ impl WiscKeyConfig {
             vlog: VlogConfig { segment_pages: 8 },
             value_threshold: 64,
             max_segments: 8,
-            lsm_fraction: 0.25,
         }
     }
 }
@@ -128,9 +127,8 @@ impl WiscKey {
     /// Creates an engine on `dev`, partitioning its logical space between
     /// the pointer LSM and the value log.
     pub fn new(dev: Device, mut cfg: WiscKeyConfig) -> Self {
-        assert!((0.05..0.95).contains(&cfg.lsm_fraction));
         let logical = dev.logical_pages();
-        let lsm_pages = ((logical as f64 * cfg.lsm_fraction) as u64).max(1);
+        let lsm_pages = ((logical as f64 * LSM_FRACTION) as u64).max(1);
         let vlog_pages = logical - lsm_pages;
         // The segment budget must leave headroom inside the partition for
         // GC to relocate into; clamp a too-ambitious configuration rather

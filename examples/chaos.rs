@@ -22,10 +22,7 @@ const ROUNDS: u32 = 10;
 fn run_storm() -> ChaosReport {
     let schedule = Schedule::generate(&ScheduleConfig::storm(SEED, ROUNDS));
     let system = DirectLoad::new(DirectLoadConfig::small());
-    let cfg = ChaosConfig {
-        rounds: ROUNDS,
-        ..ChaosConfig::default()
-    };
+    let cfg = ChaosConfig { rounds: ROUNDS };
     Orchestrator::new(system, schedule, cfg).run()
 }
 

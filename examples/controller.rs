@@ -26,7 +26,7 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use chaos::{ActuatorPlan, ChaosConfig, ChaosReport, Orchestrator, Schedule, ScheduleConfig};
-use ctrl::{Controller, ControllerConfig, PolicyConfig, ServeModel, ServeModelConfig};
+use ctrl::{Controller, PolicyConfig, ServeModel};
 use directload::{DirectLoad, DirectLoadConfig};
 use placement::LoadReport;
 
@@ -75,16 +75,11 @@ struct Run {
 fn run_storm(controller_on: bool) -> Run {
     let schedule = Schedule::generate(&schedule_cfg());
     let system = DirectLoad::new(DirectLoadConfig::small());
-    let cfg = ChaosConfig {
-        rounds: ROUNDS,
-        ..ChaosConfig::default()
-    };
+    let cfg = ChaosConfig { rounds: ROUNDS };
     let mut orch = Orchestrator::new(system, schedule, cfg);
 
-    let model = ServeModel::new(ServeModelConfig::default());
-    let controller = Rc::new(RefCell::new(Controller::new(ControllerConfig {
-        policy: policy(),
-    })));
+    let model = ServeModel::new();
+    let controller = Rc::new(RefCell::new(Controller::new(policy())));
     let p99_trace = Rc::new(RefCell::new(Vec::new()));
     let (ctrl_ref, trace_ref) = (controller.clone(), p99_trace.clone());
     orch.set_actuator(Box::new(move |system: &mut DirectLoad, round: u32| {
