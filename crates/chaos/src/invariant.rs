@@ -178,8 +178,8 @@ impl InvariantChecker {
     }
 
     /// Records a violation observed outside the checker's own passes
-    /// (the orchestrator uses this for failed pipeline rounds and
-    /// exhausted recovery retries).
+    /// (the orchestrator uses this for failed pipeline rounds, exhausted
+    /// recovery retries and events the deployment cannot take).
     pub fn push_violation(&mut self, violation: Violation) {
         self.violations.push(violation);
     }

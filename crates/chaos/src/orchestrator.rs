@@ -1,14 +1,17 @@
 //! The storm driver: interleaves a fault schedule with pipeline rounds.
 //!
-//! Each round the orchestrator (1) applies the schedule's due events
-//! through the real injection hooks — `Mint::fail_node`/`recover_node`,
+//! For each of the schedule's rounds the orchestrator (1) applies the
+//! round's due events through the real injection hooks —
+//! `Mint::fail_node`/`recover_node`,
 //! `Bifrost::schedule_link_scale`/`set_corruption_rate`,
 //! `Device::set_fault_injection`, and for topology churn a live
 //! throttled `placement::Migration` — (2) runs a full update cycle, and
 //! (3) hands the outcome to the [`InvariantChecker`]. Every fault and
 //! repair is emitted three ways: a line in the human-readable timeline
 //! (the determinism artifact), a [`obs::SpanKind::Fault`]/`Repair`
-//! trace event, and a `chaos.*` registry counter.
+//! trace event, and a `chaos.*` registry counter. An event addressed to
+//! a DC, node or link the deployment lacks, or one its layer refuses,
+//! is recorded as a `schedule_valid` violation, not applied.
 //!
 //! After the last round the orchestrator *settles*: recovers every node
 //! still down, clears every active injection, runs one clean round, and
@@ -45,12 +48,8 @@ const SAMPLE_KEYS: usize = 6;
 /// recorded as a violation.
 const RECOVERY_RETRIES: u32 = 3;
 
-/// Orchestrator knobs.
-#[derive(Debug, Clone, Copy)]
-pub struct ChaosConfig {
-    /// Pipeline rounds the storm spans (should match the schedule's).
-    pub rounds: u32,
-}
+/// Why an event could not be applied: the `schedule_valid` detail.
+type Rejection = Box<dyn std::error::Error>;
 
 /// What the storm did and what it found.
 #[derive(Debug, Clone)]
@@ -72,7 +71,6 @@ pub struct ChaosReport {
 pub struct Orchestrator {
     system: DirectLoad,
     schedule: Schedule,
-    cfg: ChaosConfig,
     timeline: Vec<String>,
     faults: u64,
     repairs: u64,
@@ -80,26 +78,34 @@ pub struct Orchestrator {
     baseline_corruption: f64,
     /// Remaining rounds of the active corruption burst.
     burst: Option<u32>,
-    /// Active SSD injections: (dc index, node, remaining rounds).
-    ssd_active: Vec<(usize, u32, u32)>,
-    /// Nodes whose recovery failed and is being retried:
-    /// (dc index, node, attempts so far).
-    retry_recover: Vec<(usize, u32, u32)>,
-    /// Nodes currently down: (dc index, node).
-    crashed: Vec<(usize, u32)>,
-    /// Per crashed node, the WAL frontier its journal held at crash time
-    /// and whether the image was corrupted (not just torn): (dc index,
-    /// node, committed frontier, corrupt). Consumed when the node
-    /// recovers, to check the recovery against the ground truth.
-    wal_marks: Vec<(usize, u32, u64, bool)>,
-    /// Churn migrations still in flight, in start order. Each storm
-    /// round ticks every entry at most [`CHURN_TICKS_PER_ROUND`]
-    /// batches; a tick error (a drain target still crashed, a floor
-    /// waiting on an earlier join's cutover) leaves the op in place for
-    /// the next round.
+    /// Active SSD injections: (dc index, node, its device, remaining
+    /// rounds).
+    ssd_active: Vec<(usize, u32, ssdsim::Device, u32)>,
+    /// Nodes the storm still has to bring back, in crash order.
+    down: Vec<DownNode>,
+    /// Churn migrations still in flight, in start order.
     inflight: Vec<InflightChurn>,
     /// The per-round control loop, when one is installed.
     actuator: Option<Actuator>,
+}
+
+/// A node that is down: crashed by the storm, or addressed by a
+/// recovery that failed and is being retried.
+struct DownNode {
+    /// DC index in the deployment's `dc_ids` order.
+    dc: usize,
+    node: u32,
+    /// The WAL frontier the node's journal held when the storm crashed
+    /// it, to check the recovery against; `None` for a node the storm
+    /// never crashed.
+    committed: Option<u64>,
+    /// Whether the crash flipped a journal byte (not just tore the tail):
+    /// the frontier may then roll back, but never forward.
+    corrupt: bool,
+    /// Failed recovery attempts so far. A node with any is retried at
+    /// the start of every round until it comes back or has spent
+    /// [`RECOVERY_RETRIES`].
+    failed: u32,
 }
 
 /// One churn migration being ticked across rounds.
@@ -110,18 +116,6 @@ struct InflightChurn {
     /// (for timeline and violation labels).
     label: String,
     migration: placement::Migration,
-}
-
-/// The timeline line for a churn migration that ran to completion.
-fn migrate_done_line(round: u32, dc: usize, report: &placement::MigrationReport) -> String {
-    format!(
-        "round={round:02} migrate_done dc={dc} steps={} bytes={} items={} joined={} retired={}",
-        report.steps,
-        report.bytes_moved,
-        report.items_moved,
-        report.joined.len(),
-        report.retired.len(),
-    )
 }
 
 /// One topology plan an [`Actuator`] wants driven through the storm:
@@ -144,22 +138,19 @@ pub struct ActuatorPlan {
 pub type Actuator = Box<dyn FnMut(&mut DirectLoad, u32) -> Vec<ActuatorPlan>>;
 
 impl Orchestrator {
-    /// Wraps a freshly built deployment and a schedule.
-    pub fn new(system: DirectLoad, schedule: Schedule, cfg: ChaosConfig) -> Self {
-        let baseline_corruption = 0.0;
+    /// Wraps a freshly built deployment and the schedule to storm it
+    /// with, for as many rounds as the schedule spans.
+    pub fn new(system: DirectLoad, schedule: Schedule) -> Self {
         Orchestrator {
             system,
             schedule,
-            cfg,
             timeline: Vec::new(),
             faults: 0,
             repairs: 0,
-            baseline_corruption,
+            baseline_corruption: 0.0,
             burst: None,
             ssd_active: Vec::new(),
-            retry_recover: Vec::new(),
-            crashed: Vec::new(),
-            wal_marks: Vec::new(),
+            down: Vec::new(),
             inflight: Vec::new(),
             actuator: None,
         }
@@ -182,28 +173,24 @@ impl Orchestrator {
     /// Runs the storm to completion and reports.
     pub fn run(&mut self) -> ChaosReport {
         let mut checker = InvariantChecker::new(&self.system, SAMPLE_KEYS);
-        for round in 0..self.cfg.rounds {
-            self.retry_recoveries(round, &mut checker);
+        let rounds = self.schedule.rounds();
+        for round in 0..rounds {
+            self.recover_down(round, &mut checker, |d| d.failed > 0);
             let due: Vec<FaultKind> = self.schedule.due(round).map(|e| e.kind).collect();
             for kind in due {
-                self.apply(round, kind, &mut checker);
+                if let Err(e) = self.apply(round, kind, &mut checker) {
+                    let detail = format!("{kind} rejected: {e}");
+                    self.note_violation(&mut checker, round, "schedule_valid", detail);
+                }
             }
             self.run_actuator(round);
-            self.tick_churn(round);
-            match self.system.run_version(CHANGE_FRACTION) {
-                Ok(report) => checker.observe_round(&self.system, &report, round),
-                Err(e) => self.note_violation(
-                    &mut checker,
-                    round,
-                    "pipeline_round_completes",
-                    format!("run_version failed: {e}"),
-                ),
-            }
+            self.drive_churn(round, None, CHURN_TICKS_PER_ROUND);
+            self.run_round(&mut checker, round);
             self.expire(round);
         }
-        self.settle(&mut checker);
+        self.settle(&mut checker, rounds);
         ChaosReport {
-            rounds: self.cfg.rounds,
+            rounds,
             faults_injected: self.faults,
             repairs: self.repairs,
             timeline: self.timeline.clone(),
@@ -211,72 +198,78 @@ impl Orchestrator {
         }
     }
 
-    fn apply(&mut self, round: u32, kind: FaultKind, checker: &mut InvariantChecker) {
+    /// Applies one scheduled event through its layer's hook, one arm per
+    /// fault family. An address that does not resolve, or an event the
+    /// layer refuses, comes back as the rejection.
+    fn apply(
+        &mut self,
+        round: u32,
+        kind: FaultKind,
+        checker: &mut InvariantChecker,
+    ) -> Result<(), Rejection> {
         match kind {
-            FaultKind::NodeCrash { dc, node } => {
-                self.apply_crash(round, kind, dc, node, None, checker);
-            }
-            FaultKind::NodeCrashTornWal { dc, node } => {
-                let seed = Self::wal_seed(dc, node, round);
-                self.apply_crash(
-                    round,
-                    kind,
+            FaultKind::NodeCrash { dc, node }
+            | FaultKind::NodeCrashTornWal { dc, node }
+            | FaultKind::NodeCrashCorruptWal { dc, node } => {
+                let seed = wal_seed(dc, node, round);
+                let tamper = match kind {
+                    FaultKind::NodeCrashTornWal { .. } => Some(WalTamper::TornTail { seed }),
+                    FaultKind::NodeCrashCorruptWal { .. } => Some(WalTamper::FlipByte { seed }),
+                    _ => None,
+                };
+                self.flush_churn_for_node(round, dc, node)?;
+                let cluster = cluster(&mut self.system, dc)?;
+                let id = NodeId(node);
+                cluster.fail_node(id)?;
+                // Ground truth before any damage lands: a torn tail must
+                // cost nothing at recovery, a corrupt image may roll the
+                // frontier back but never forward.
+                let committed = cluster.crashed_wal_frontier(id)?;
+                if let Some(tamper) = tamper {
+                    cluster.tamper_crashed_wal(id, tamper)?;
+                }
+                self.down.push(DownNode {
                     dc,
                     node,
-                    Some(WalTamper::TornTail { seed }),
-                    checker,
-                );
-            }
-            FaultKind::NodeCrashCorruptWal { dc, node } => {
-                let seed = Self::wal_seed(dc, node, round);
-                self.apply_crash(
-                    round,
-                    kind,
-                    dc,
-                    node,
-                    Some(WalTamper::FlipByte { seed }),
-                    checker,
-                );
-            }
-            FaultKind::NodeRecover { dc, node } => {
-                self.try_recover(round, dc, node, 0, checker);
-            }
-            FaultKind::LinkOutage { link, secs } => {
-                let now = self.system.clock().now();
-                let bifrost = self.system.bifrost_mut();
-                bifrost.schedule_link_scale(now, LinkId(link), 0.0);
-                bifrost.schedule_link_scale(
-                    now + SimTime::from_secs(secs as u64),
-                    LinkId(link),
-                    1.0,
-                );
+                    committed: Some(committed),
+                    corrupt: matches!(tamper, Some(WalTamper::FlipByte { .. })),
+                    failed: 0,
+                });
                 self.emit_fault(round, kind);
             }
-            FaultKind::LinkDegrade {
-                link,
-                scale_permille,
-                secs,
-            } => {
+            FaultKind::NodeRecover { dc, node } => self.try_recover(round, dc, node, checker)?,
+            FaultKind::LinkOutage { link, secs } | FaultKind::LinkDegrade { link, secs, .. } => {
+                let scale_permille = match kind {
+                    FaultKind::LinkDegrade { scale_permille, .. } => scale_permille,
+                    _ => 0,
+                };
                 let now = self.system.clock().now();
                 let bifrost = self.system.bifrost_mut();
-                bifrost.schedule_link_scale(now, LinkId(link), scale_permille as f64 / 1000.0);
-                bifrost.schedule_link_scale(
-                    now + SimTime::from_secs(secs as u64),
-                    LinkId(link),
-                    1.0,
-                );
+                let links = bifrost.num_links();
+                if link as usize >= links {
+                    return Err(format!("no link {link} among the deployment's {links}").into());
+                }
+                if scale_permille > 1000 {
+                    return Err("scale_permille above 1000".into());
+                }
+                let scale = scale_permille as f64 / 1000.0;
+                bifrost.schedule_link_scale(now, LinkId(link), scale);
+                let end = now + SimTime::from_secs(secs as u64);
+                bifrost.schedule_link_scale(end, LinkId(link), 1.0);
                 self.emit_fault(round, kind);
             }
             FaultKind::CorruptionBurst {
                 rate_permille,
                 rounds,
             } => {
-                if self.burst.is_none() {
-                    self.baseline_corruption = self.system.bifrost_mut().corruption_rate();
+                if rate_permille > 1000 {
+                    return Err("rate_permille above 1000".into());
                 }
-                self.system
-                    .bifrost_mut()
-                    .set_corruption_rate(rate_permille as f64 / 1000.0);
+                let bifrost = self.system.bifrost_mut();
+                if self.burst.is_none() {
+                    self.baseline_corruption = bifrost.corruption_rate();
+                }
+                bifrost.set_corruption_rate(rate_permille as f64 / 1000.0);
                 self.burst = Some(rounds);
                 self.emit_fault(round, kind);
             }
@@ -285,105 +278,36 @@ impl Orchestrator {
                 node,
                 one_in,
                 rounds,
-            } => {
-                self.flush_churn_for_node(round, dc, node, checker);
-                self.install_ssd(
-                    dc,
-                    node,
-                    rounds,
-                    ssdsim::FaultInjection {
-                        read_fail_one_in: one_in,
-                        program_fail_one_in: 0,
-                        seed: Self::ssd_seed(dc, node, round),
-                    },
-                );
-                self.emit_fault(round, kind);
             }
-            FaultKind::SsdProgramFaults {
+            | FaultKind::SsdProgramFaults {
                 dc,
                 node,
                 one_in,
                 rounds,
             } => {
-                self.flush_churn_for_node(round, dc, node, checker);
-                self.install_ssd(
-                    dc,
-                    node,
-                    rounds,
-                    ssdsim::FaultInjection {
-                        read_fail_one_in: 0,
-                        program_fail_one_in: one_in,
-                        seed: Self::ssd_seed(dc, node, round),
-                    },
-                );
+                self.flush_churn_for_node(round, dc, node)?;
+                let device = cluster(&mut self.system, dc)?.node_device(NodeId(node))?;
+                let reads = matches!(kind, FaultKind::SsdReadFaults { .. });
+                device.set_fault_injection(ssdsim::FaultInjection {
+                    read_fail_one_in: if reads { one_in } else { 0 },
+                    program_fail_one_in: if reads { 0 } else { one_in },
+                    seed: ssd_seed(dc, node, round),
+                });
+                self.ssd_active.push((dc, node, device, rounds));
                 self.emit_fault(round, kind);
             }
             FaultKind::GroupScaleOut { dc, group } => {
-                self.apply_churn(
-                    round,
-                    kind,
-                    dc,
-                    placement::PlanOp::Join {
-                        group: group as usize,
-                    },
-                );
+                let op = placement::PlanOp::Join {
+                    group: group as usize,
+                };
+                self.start_churn(round, kind, dc, op)?;
             }
             FaultKind::Decommission { dc, node } => {
-                self.apply_churn(
-                    round,
-                    kind,
-                    dc,
-                    placement::PlanOp::Drain { node: NodeId(node) },
-                );
+                let op = placement::PlanOp::Drain { node: NodeId(node) };
+                self.start_churn(round, kind, dc, op)?;
             }
         }
-    }
-
-    /// Crashes one node, optionally damaging its stashed journal image,
-    /// and records the ground-truth WAL frontier the journal held at
-    /// crash time. The mark is checked when the node recovers: a torn
-    /// tail must cost nothing (every acked record survives), and a
-    /// corrupt image may roll the frontier back but never forward.
-    fn apply_crash(
-        &mut self,
-        round: u32,
-        kind: FaultKind,
-        dc: usize,
-        node: u32,
-        tamper: Option<WalTamper>,
-        checker: &mut InvariantChecker,
-    ) {
-        self.flush_churn_for_node(round, dc, node, checker);
-        let id = self.dc_id(dc);
-        let outcome = {
-            let cluster = self.system.cluster_mut(id).expect("deployment DC exists");
-            cluster.fail_node(NodeId(node)).map(|()| {
-                // Ground truth before any damage lands.
-                let committed = cluster
-                    .crashed_wal_frontier(NodeId(node))
-                    .expect("node just crashed");
-                if let Some(tamper) = tamper {
-                    cluster
-                        .tamper_crashed_wal(NodeId(node), tamper)
-                        .expect("node just crashed");
-                }
-                committed
-            })
-        };
-        match outcome {
-            Ok(committed) => {
-                let corrupt = matches!(tamper, Some(WalTamper::FlipByte { .. }));
-                self.wal_marks.push((dc, node, committed, corrupt));
-                self.crashed.push((dc, node));
-                self.emit_fault(round, kind);
-            }
-            Err(e) => self.note_violation(
-                checker,
-                round,
-                "schedule_valid",
-                format!("crash of dc={dc} node={node} rejected: {e}"),
-            ),
-        }
+        Ok(())
     }
 
     /// Starts one topology-churn op as a live throttled migration, to be
@@ -394,7 +318,14 @@ impl Orchestrator {
     /// would. The op itself begins on the first tick: a join allocates
     /// its node id then, so ids stay dense in event order — the
     /// assumption the schedule generator's membership model makes.
-    fn apply_churn(&mut self, round: u32, kind: FaultKind, dc: usize, op: placement::PlanOp) {
+    fn start_churn(
+        &mut self,
+        round: u32,
+        kind: FaultKind,
+        dc: usize,
+        op: placement::PlanOp,
+    ) -> Result<(), Rejection> {
+        cluster(&mut self.system, dc)?;
         let plan = placement::MigrationPlan {
             ops: vec![op],
             estimated_bytes: 0,
@@ -407,6 +338,7 @@ impl Orchestrator {
             label: kind.to_string(),
             migration: placement::Migration::new(plan, CHURN_MIGRATOR),
         });
+        Ok(())
     }
 
     /// Runs the installed control loop for one round and enqueues the
@@ -436,41 +368,43 @@ impl Orchestrator {
         }
     }
 
-    /// Moves up to [`CHURN_TICKS_PER_ROUND`] batches of every in-flight
-    /// churn migration, in start order. Tick errors are expected
-    /// mid-storm (a drain target still crashed, a begin waiting on an
-    /// earlier migration's cutover) and leave the op in place; the
-    /// settle flush flags the ones that never resolve.
-    fn tick_churn(&mut self, round: u32) {
-        if self.inflight.is_empty() {
-            return;
-        }
+    /// The one churn driver: moves up to `budget` batches of every
+    /// in-flight migration of `dc` (of every DC, for `None`), in start
+    /// order, writes what moved to the timeline and drops the ones that
+    /// finish. A migration whose tick errors stalls and stays for the
+    /// next call — mid-storm that is expected (a drain target still
+    /// crashed, a begin waiting on an earlier migration's cutover).
+    /// Returns one violation detail per stalled migration; only the
+    /// settle flush, which nothing follows, records them.
+    fn drive_churn(&mut self, round: u32, dc: Option<usize>, budget: u32) -> Vec<String> {
         let registry = self.system.registry().clone();
         let trace = self.system.trace().clone();
-        let ids = self.system.dc_ids();
+        let mut stalls = Vec::new();
         for entry in &mut self.inflight {
-            let cluster = self
-                .system
-                .cluster_mut(ids[entry.dc])
-                .expect("deployment DC exists");
-            let mut steps = 0u64;
-            let mut bytes = 0u64;
-            let mut stalled = None;
-            for _ in 0..CHURN_TICKS_PER_ROUND {
-                match entry.migration.tick(cluster, &registry, Some(&trace)) {
-                    Ok(placement::TickOutcome::Finished) => break,
-                    Ok(placement::TickOutcome::Step { bytes: b, .. }) => {
-                        steps += 1;
-                        bytes += b;
+            if dc.is_some_and(|d| d != entry.dc) {
+                continue;
+            }
+            let (mut steps, mut bytes, mut stalled) = (0u64, 0u64, None);
+            match cluster(&mut self.system, entry.dc) {
+                Err(e) => stalled = Some(e),
+                Ok(cluster) => {
+                    for _ in 0..budget {
+                        match entry.migration.tick(cluster, &registry, Some(&trace)) {
+                            Ok(placement::TickOutcome::Finished) => break,
+                            Ok(placement::TickOutcome::Step { bytes: b, .. }) => {
+                                steps += 1;
+                                bytes += b;
+                            }
+                            Ok(placement::TickOutcome::CutOver { .. }) => steps += 1,
+                            Err(e) => {
+                                stalled = Some(e.into());
+                                break;
+                            }
+                        }
+                        if entry.migration.is_finished() {
+                            break;
+                        }
                     }
-                    Ok(placement::TickOutcome::CutOver { .. }) => steps += 1,
-                    Err(e) => {
-                        stalled = Some(e);
-                        break;
-                    }
-                }
-                if entry.migration.is_finished() {
-                    break;
                 }
             }
             let dc = entry.dc;
@@ -482,134 +416,114 @@ impl Orchestrator {
             if let Some(e) = stalled {
                 self.timeline
                     .push(format!("round={round:02} migrate_stall dc={dc} err={e}"));
+                stalls.push(format!("churn {} rejected: {e}", entry.label));
             }
             if entry.migration.is_finished() {
-                self.timeline
-                    .push(migrate_done_line(round, dc, entry.migration.report()));
+                let report = entry.migration.report();
+                self.timeline.push(format!(
+                    "round={round:02} migrate_done dc={dc} steps={} bytes={} items={} \
+                     joined={} retired={}",
+                    report.steps,
+                    report.bytes_moved,
+                    report.items_moved,
+                    report.joined.len(),
+                    report.retired.len(),
+                ));
             }
         }
         self.inflight.retain(|e| !e.migration.is_finished());
+        stalls
     }
 
-    /// Runs every in-flight churn migration for `dc` to completion, in
-    /// start order. Called when a scheduled event is about to touch a
-    /// node the schedule's membership model already counts as settled
-    /// (a scale-out's joiner that is still syncing), and at settle. A
-    /// migration whose tick errors here is stuck for good — earlier
-    /// migrations have already flushed — so it is flagged and dropped.
-    fn flush_churn(&mut self, round: u32, dc: Option<usize>, checker: &mut InvariantChecker) {
-        if self.inflight.is_empty() {
-            return;
+    /// Runs `dc`'s in-flight churn to completion before an event touches
+    /// `node`, when the node is one churn is still creating: the
+    /// schedule's membership model treats a scale-out as complete the
+    /// round it fires, so a later crash may target a joiner that has not
+    /// cut over yet (`Mint::fail_node` rejects joining nodes).
+    fn flush_churn_for_node(&mut self, round: u32, dc: usize, node: u32) -> Result<(), Rejection> {
+        let cluster = cluster(&mut self.system, dc)?;
+        let joining = node as usize >= cluster.num_nodes()
+            || matches!(
+                cluster.node_role(NodeId(node)),
+                Ok(mint::NodeRole::Joining { .. })
+            );
+        if joining {
+            self.drive_churn(round, Some(dc), u32::MAX);
         }
-        let registry = self.system.registry().clone();
-        let trace = self.system.trace().clone();
-        let ids = self.system.dc_ids();
-        let mut entries = std::mem::take(&mut self.inflight);
-        for entry in &mut entries {
-            if dc.is_some_and(|d| d != entry.dc) {
-                continue;
-            }
-            let cluster = self
-                .system
-                .cluster_mut(ids[entry.dc])
-                .expect("deployment DC exists");
-            let outcome = loop {
-                match entry.migration.tick(cluster, &registry, Some(&trace)) {
-                    Ok(placement::TickOutcome::Finished) => break Ok(()),
-                    Ok(_) => {}
-                    Err(e) => break Err(e),
-                }
-            };
-            match outcome {
-                Ok(()) => {
-                    self.timeline.push(migrate_done_line(
-                        round,
-                        entry.dc,
-                        entry.migration.report(),
-                    ));
-                }
-                Err(e) => {
-                    let label = entry.label.clone();
-                    self.note_violation(
-                        checker,
-                        round,
-                        "schedule_valid",
-                        format!("churn {label} rejected: {e}"),
-                    );
-                }
-            }
-        }
-        entries.retain(|e| !e.migration.is_finished() && dc.is_some_and(|d| d != e.dc));
-        self.inflight = entries;
+        Ok(())
     }
 
-    /// Flushes `dc`'s in-flight churn before an event touches `node`,
-    /// when the node is one churn is still creating: the schedule's
-    /// membership model treats a scale-out as complete the round it
-    /// fires, so a later crash may target a joiner that has not cut
-    /// over yet (`Mint::fail_node` rejects joining nodes).
-    fn flush_churn_for_node(
-        &mut self,
-        round: u32,
-        dc: usize,
-        node: u32,
-        checker: &mut InvariantChecker,
-    ) {
-        let needs = {
-            let id = self.dc_id(dc);
-            let cluster = self.system.cluster(id).expect("deployment DC exists");
-            node as usize >= cluster.num_nodes()
-                || matches!(
-                    cluster.node_role(NodeId(node)),
-                    Ok(mint::NodeRole::Joining { .. })
-                )
-        };
-        if needs {
-            self.flush_churn(round, Some(dc), checker);
-        }
-    }
-
-    /// Attempts one node recovery; on failure queues a retry for the
-    /// next round (recovery reads peer flash, so a transient injected
-    /// media fault can defeat one attempt).
+    /// Attempts one recovery of `node` of DC `dc`. A failed attempt puts
+    /// (or keeps) the node on the down list, to be retried next round —
+    /// recovery reads peer flash, so a transient injected media fault
+    /// can defeat one attempt — until it has spent [`RECOVERY_RETRIES`].
     fn try_recover(
         &mut self,
         round: u32,
         dc: usize,
         node: u32,
-        attempts: u32,
         checker: &mut InvariantChecker,
-    ) {
-        let id = self.dc_id(dc);
-        let outcome = {
-            let cluster = self.system.cluster_mut(id).expect("deployment DC exists");
-            cluster
-                .recover_node(NodeId(node))
-                .map(|took| (took, cluster.take_last_wal_recovery()))
-        };
+    ) -> Result<(), Rejection> {
+        let cluster = cluster(&mut self.system, dc)?;
+        let outcome = cluster
+            .recover_node(NodeId(node))
+            .map(|_took| cluster.take_last_wal_recovery());
+        let at = self.down.iter().position(|d| (d.dc, d.node) == (dc, node));
         match outcome {
-            Ok((_took, info)) => {
-                self.crashed.retain(|&(d, n)| (d, n) != (dc, node));
-                self.check_wal_recovery(round, dc, node, info, checker);
+            Ok(info) => {
+                let down = at.map(|i| self.down.remove(i));
+                self.check_wal_recovery(round, dc, node, down, info, checker);
                 self.emit_repair(round, format!("node_recover dc={dc} node={node}"));
             }
-            Err(e) if attempts + 1 < RECOVERY_RETRIES => {
-                self.timeline.push(format!(
-                    "round={round:02} retry=node_recover dc={dc} node={node} attempt={}",
-                    attempts + 1
-                ));
-                self.retry_recover.push((dc, node, attempts + 1));
-                let _ = e;
+            Err(e) => {
+                let failed = at.map_or(0, |i| self.down[i].failed) + 1;
+                if failed < RECOVERY_RETRIES {
+                    self.timeline.push(format!(
+                        "round={round:02} retry=node_recover dc={dc} node={node} attempt={failed}"
+                    ));
+                    match at {
+                        Some(i) => self.down[i].failed = failed,
+                        None => self.down.push(DownNode {
+                            dc,
+                            node,
+                            committed: None,
+                            corrupt: false,
+                            failed,
+                        }),
+                    }
+                } else {
+                    if let Some(i) = at {
+                        self.down.remove(i);
+                    }
+                    self.note_violation(
+                        checker,
+                        round,
+                        "recovery_succeeds",
+                        format!("dc={dc} node={node} unrecoverable after {failed} attempts: {e}"),
+                    );
+                }
             }
-            Err(e) => self.note_violation(
-                checker,
-                round,
-                "recovery_succeeds",
-                format!(
-                    "dc={dc} node={node} unrecoverable after {} attempts: {e}",
-                    attempts + 1
-                ),
-            ),
+        }
+        Ok(())
+    }
+
+    /// Attempts one recovery of every down node `due` selects, in crash
+    /// order.
+    fn recover_down(
+        &mut self,
+        round: u32,
+        checker: &mut InvariantChecker,
+        due: impl Fn(&DownNode) -> bool,
+    ) {
+        let nodes: Vec<(usize, u32)> = self
+            .down
+            .iter()
+            .filter(|d| due(d))
+            .map(|d| (d.dc, d.node))
+            .collect();
+        for (dc, node) in nodes {
+            // Every down node was put there through a resolved address.
+            let _ = self.try_recover(round, dc, node, checker);
         }
     }
 
@@ -624,14 +538,10 @@ impl Orchestrator {
         round: u32,
         dc: usize,
         node: u32,
+        down: Option<DownNode>,
         info: Option<mint::WalRecovery>,
         checker: &mut InvariantChecker,
     ) {
-        let mark = self
-            .wal_marks
-            .iter()
-            .position(|&(d, n, _, _)| (d, n) == (dc, node))
-            .map(|i| self.wal_marks.remove(i));
         let Some(info) = info else {
             return;
         };
@@ -653,7 +563,12 @@ impl Orchestrator {
                 "chaos.wal.full_recoveries"
             })
             .inc();
-        let Some((_, _, committed, corrupt)) = mark else {
+        let Some(DownNode {
+            committed: Some(committed),
+            corrupt,
+            ..
+        }) = down
+        else {
             return;
         };
         if info.frontier > committed {
@@ -680,24 +595,6 @@ impl Orchestrator {
         }
     }
 
-    fn retry_recoveries(&mut self, round: u32, checker: &mut InvariantChecker) {
-        let due: Vec<(usize, u32, u32)> = std::mem::take(&mut self.retry_recover);
-        for (dc, node, attempts) in due {
-            self.try_recover(round, dc, node, attempts, checker);
-        }
-    }
-
-    fn install_ssd(&mut self, dc: usize, node: u32, rounds: u32, inject: ssdsim::FaultInjection) {
-        let id = self.dc_id(dc);
-        self.system
-            .cluster(id)
-            .expect("deployment DC exists")
-            .node_device(NodeId(node))
-            .expect("scheduled node exists")
-            .set_fault_injection(inject);
-        self.ssd_active.push((dc, node, rounds));
-    }
-
     /// Counts down round-scoped faults; clears the ones that expired.
     fn expire(&mut self, round: u32) {
         if let Some(remaining) = self.burst {
@@ -711,78 +608,50 @@ impl Orchestrator {
                 self.burst = Some(remaining - 1);
             }
         }
-        let mut cleared = Vec::new();
-        self.ssd_active.retain_mut(|(dc, node, remaining)| {
-            if *remaining <= 1 {
-                cleared.push((*dc, *node));
-                false
+        for (dc, node, device, remaining) in std::mem::take(&mut self.ssd_active) {
+            if remaining > 1 {
+                self.ssd_active.push((dc, node, device, remaining - 1));
             } else {
-                *remaining -= 1;
-                true
+                device.set_fault_injection(ssdsim::FaultInjection::default());
+                self.emit_repair(round, format!("ssd_clear dc={dc} node={node}"));
             }
-        });
-        for (dc, node) in cleared {
-            let id = self.dc_id(dc);
-            self.system
-                .cluster(id)
-                .expect("deployment DC exists")
-                .node_device(NodeId(node))
-                .expect("scheduled node exists")
-                .set_fault_injection(ssdsim::FaultInjection::default());
-            self.emit_repair(round, format!("ssd_clear dc={dc} node={node}"));
         }
     }
 
-    /// Post-storm drain: clear every remaining injection, recover every
-    /// node still down (retrying within the attempt budget), run one
-    /// clean round, and run the checker's final pass.
-    fn settle(&mut self, checker: &mut InvariantChecker) {
-        let settle_round = self.cfg.rounds;
-        self.burst = self.burst.map(|_| 1);
-        self.ssd_active.iter_mut().for_each(|e| e.2 = 1);
-        self.expire(settle_round);
-        // Keep retrying until every node is back or every retry budget is
-        // spent (try_recover records the violation when a node exhausts
-        // its attempts).
-        let mut passes = 0;
-        while (!self.crashed.is_empty() || !self.retry_recover.is_empty())
-            && passes <= RECOVERY_RETRIES
-        {
-            passes += 1;
-            self.retry_recoveries(settle_round, checker);
-            let down: Vec<(usize, u32)> = self.crashed.clone();
-            for (dc, node) in down {
-                if self
-                    .retry_recover
-                    .iter()
-                    .any(|&(d, n, _)| (d, n) == (dc, node))
-                {
-                    continue;
-                }
-                self.try_recover(settle_round, dc, node, 0, checker);
-            }
-        }
-        for (dc, node, attempts) in std::mem::take(&mut self.retry_recover) {
-            self.note_violation(
+    /// Runs one pipeline round and hands its outcome to the checker.
+    fn run_round(&mut self, checker: &mut InvariantChecker, round: u32) {
+        match self.system.run_version(CHANGE_FRACTION) {
+            Ok(report) => checker.observe_round(&self.system, &report, round),
+            Err(e) => self.note_violation(
                 checker,
-                settle_round,
-                "recovery_succeeds",
-                format!("dc={dc} node={node} still down after {attempts} attempts at settle"),
-            );
+                round,
+                "pipeline_round_completes",
+                format!("run_version failed: {e}"),
+            ),
+        }
+    }
+
+    /// Post-storm drain, as round `round`: clear every remaining
+    /// injection, give every node still down the rest of its recovery
+    /// attempts, run churn still in flight to completion, run one clean
+    /// round, and run the checker's final pass.
+    fn settle(&mut self, checker: &mut InvariantChecker, round: u32) {
+        self.burst = self.burst.map(|_| 1);
+        self.ssd_active.iter_mut().for_each(|e| e.3 = 1);
+        self.expire(round);
+        // Each pass tries every down node once; a node leaves the list
+        // when it recovers or spends its last attempt.
+        for _ in 0..RECOVERY_RETRIES {
+            self.recover_down(round, checker, |_| true);
         }
         // Every node is back (or flagged): churn still in flight can now
         // run to completion, so the final clean round and the checker's
-        // final pass see a settled topology.
-        self.flush_churn(settle_round, None, checker);
-        match self.system.run_version(CHANGE_FRACTION) {
-            Ok(report) => checker.observe_round(&self.system, &report, settle_round),
-            Err(e) => self.note_violation(
-                checker,
-                settle_round,
-                "pipeline_round_completes",
-                format!("settle run_version failed: {e}"),
-            ),
+        // final pass see a settled topology. Nothing will unblock a
+        // migration that stalls now.
+        for detail in self.drive_churn(round, None, u32::MAX) {
+            self.note_violation(checker, round, "schedule_valid", detail);
         }
+        self.run_round(checker, round);
         checker.finalize(&self.system);
     }
 
@@ -822,16 +691,21 @@ impl Orchestrator {
             detail,
         });
     }
+}
 
-    fn dc_id(&self, dc: usize) -> bifrost::DataCenterId {
-        self.system.dc_ids()[dc]
-    }
+/// The cluster of the DC at index `dc` of the deployment's `dc_ids`.
+fn cluster(system: &mut DirectLoad, dc: usize) -> Result<&mut mint::Mint, Rejection> {
+    let ids = system.dc_ids();
+    let id = *ids
+        .get(dc)
+        .ok_or_else(|| format!("no dc {dc} among the deployment's {}", ids.len()))?;
+    Ok(system.cluster_mut(id)?)
+}
 
-    fn ssd_seed(dc: usize, node: u32, round: u32) -> u64 {
-        0x55D_FA17 ^ ((dc as u64) << 40) ^ ((node as u64) << 20) ^ round as u64
-    }
+fn ssd_seed(dc: usize, node: u32, round: u32) -> u64 {
+    0x55D_FA17 ^ ((dc as u64) << 40) ^ ((node as u64) << 20) ^ round as u64
+}
 
-    fn wal_seed(dc: usize, node: u32, round: u32) -> u64 {
-        0x0A1_FA17 ^ ((dc as u64) << 40) ^ ((node as u64) << 20) ^ round as u64
-    }
+fn wal_seed(dc: usize, node: u32, round: u32) -> u64 {
+    0x0A1_FA17 ^ ((dc as u64) << 40) ^ ((node as u64) << 20) ^ round as u64
 }

@@ -1,11 +1,14 @@
 //! Deterministic fault schedules.
 //!
 //! A schedule is a timeline of typed fault events, each pinned to a
-//! pipeline round. Schedules can be authored explicitly (a regression
-//! test replaying a specific storm) or generated from a seed, a length
-//! and a churn rate; generation is a pure function of the
-//! [`ScheduleConfig`], so the same seed always yields byte-identical
-//! timelines — the property the determinism test asserts end to end.
+//! pipeline round, and the number of rounds the storm runs: the
+//! orchestrator takes the length from the schedule. Schedules can be
+//! authored explicitly (a regression test replaying a specific storm;
+//! an event at or past the declared length is refused) or generated
+//! from a seed, a length and a churn rate; generation is a pure
+//! function of the [`ScheduleConfig`], so the same seed always yields
+//! byte-identical timelines — the property the determinism test
+//! asserts end to end.
 //!
 //! The generator maintains a model of cluster state while it rolls dice
 //! so it only emits *valid* storms: it never crashes a node whose group
@@ -129,57 +132,39 @@ impl FaultKind {
 
 impl fmt::Display for FaultKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.name())?;
         match *self {
-            FaultKind::NodeCrash { dc, node } => write!(f, "node_crash dc={dc} node={node}"),
-            FaultKind::NodeCrashTornWal { dc, node } => {
-                write!(f, "node_crash_torn_wal dc={dc} node={node}")
-            }
-            FaultKind::NodeCrashCorruptWal { dc, node } => {
-                write!(f, "node_crash_corrupt_wal dc={dc} node={node}")
-            }
-            FaultKind::NodeRecover { dc, node } => write!(f, "node_recover dc={dc} node={node}"),
-            FaultKind::LinkOutage { link, secs } => {
-                write!(f, "link_outage link={link} secs={secs}")
-            }
+            FaultKind::NodeCrash { dc, node }
+            | FaultKind::NodeCrashTornWal { dc, node }
+            | FaultKind::NodeCrashCorruptWal { dc, node }
+            | FaultKind::NodeRecover { dc, node }
+            | FaultKind::Decommission { dc, node } => write!(f, " dc={dc} node={node}"),
+            FaultKind::LinkOutage { link, secs } => write!(f, " link={link} secs={secs}"),
             FaultKind::LinkDegrade {
                 link,
                 scale_permille,
                 secs,
             } => write!(
                 f,
-                "link_degrade link={link} scale_permille={scale_permille} secs={secs}"
+                " link={link} scale_permille={scale_permille} secs={secs}"
             ),
             FaultKind::CorruptionBurst {
                 rate_permille,
                 rounds,
-            } => write!(
-                f,
-                "corruption_burst rate_permille={rate_permille} rounds={rounds}"
-            ),
+            } => write!(f, " rate_permille={rate_permille} rounds={rounds}"),
             FaultKind::SsdReadFaults {
                 dc,
                 node,
                 one_in,
                 rounds,
-            } => write!(
-                f,
-                "ssd_read_faults dc={dc} node={node} one_in={one_in} rounds={rounds}"
-            ),
-            FaultKind::SsdProgramFaults {
+            }
+            | FaultKind::SsdProgramFaults {
                 dc,
                 node,
                 one_in,
                 rounds,
-            } => write!(
-                f,
-                "ssd_program_faults dc={dc} node={node} one_in={one_in} rounds={rounds}"
-            ),
-            FaultKind::GroupScaleOut { dc, group } => {
-                write!(f, "group_scale_out dc={dc} group={group}")
-            }
-            FaultKind::Decommission { dc, node } => {
-                write!(f, "decommission dc={dc} node={node}")
-            }
+            } => write!(f, " dc={dc} node={node} one_in={one_in} rounds={rounds}"),
+            FaultKind::GroupScaleOut { dc, group } => write!(f, " dc={dc} group={group}"),
         }
     }
 }
@@ -229,7 +214,7 @@ pub struct ScheduleConfig {
     /// Seed for the schedule RNG; same seed + same config → identical
     /// schedule.
     pub seed: u64,
-    /// Pipeline rounds the storm spans.
+    /// Pipeline rounds the storm spans: the generated schedule's length.
     pub rounds: u32,
     /// Per-DC, per-round topology-churn probability (permille): a
     /// scale-out of a random group or, once an earlier scale-out left a
@@ -249,19 +234,51 @@ impl ScheduleConfig {
     }
 }
 
-/// A complete fault timeline, ordered by round (stable within a round).
+/// A complete fault timeline of a fixed number of rounds, ordered by
+/// round (stable within a round).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Schedule {
+    rounds: u32,
     events: Vec<FaultEvent>,
 }
 
+/// An explicit schedule's event at or past the schedule's end: it would
+/// never fire.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct EventPastEnd {
+    /// The refused event.
+    pub event: FaultEvent,
+    /// The schedule's length in rounds.
+    pub rounds: u32,
+}
+
+impl fmt::Display for EventPastEnd {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let (round, kind, rounds) = (self.event.round, self.event.kind, self.rounds);
+        write!(f, "{kind} at round {round} of a {rounds}-round schedule")
+    }
+}
+
+impl std::error::Error for EventPastEnd {}
+
 impl Schedule {
-    /// Wraps an explicitly authored timeline. Events are sorted by round
-    /// but otherwise taken as-is — the orchestrator will surface invalid
-    /// transitions (e.g. crashing a dead node) as errors at apply time.
-    pub fn from_events(mut events: Vec<FaultEvent>) -> Self {
+    /// Wraps an explicitly authored timeline of `rounds` rounds. Events
+    /// are sorted by round but otherwise taken as-is — the orchestrator
+    /// records an event it cannot apply (an address the deployment
+    /// lacks, a transition its layer refuses, such as crashing a dead
+    /// node) as a `schedule_valid` violation. An event at round `rounds`
+    /// or later is refused.
+    pub fn from_events(rounds: u32, mut events: Vec<FaultEvent>) -> Result<Self, EventPastEnd> {
+        if let Some(&event) = events.iter().find(|e| e.round >= rounds) {
+            return Err(EventPastEnd { event, rounds });
+        }
         events.sort_by_key(|e| e.round);
-        Schedule { events }
+        Ok(Schedule { rounds, events })
+    }
+
+    /// Pipeline rounds the storm spans.
+    pub fn rounds(&self) -> u32 {
+        self.rounds
     }
 
     /// The timeline.
@@ -470,7 +487,10 @@ impl Schedule {
                 });
             }
         }
-        Schedule { events }
+        Schedule {
+            rounds: cfg.rounds,
+            events,
+        }
     }
 }
 
@@ -664,19 +684,23 @@ mod tests {
 
     #[test]
     fn explicit_schedules_sort_by_round() {
-        let s = Schedule::from_events(vec![
-            FaultEvent {
-                round: 3,
-                kind: FaultKind::CorruptionBurst {
-                    rate_permille: 200,
-                    rounds: 1,
+        let s = Schedule::from_events(
+            4,
+            vec![
+                FaultEvent {
+                    round: 3,
+                    kind: FaultKind::CorruptionBurst {
+                        rate_permille: 200,
+                        rounds: 1,
+                    },
                 },
-            },
-            FaultEvent {
-                round: 1,
-                kind: FaultKind::LinkOutage { link: 0, secs: 90 },
-            },
-        ]);
+                FaultEvent {
+                    round: 1,
+                    kind: FaultKind::LinkOutage { link: 0, secs: 90 },
+                },
+            ],
+        )
+        .unwrap();
         assert_eq!(s.events()[0].round, 1);
         assert_eq!(s.due(3).count(), 1);
     }

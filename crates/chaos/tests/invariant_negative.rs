@@ -2,7 +2,7 @@
 //! actually flag broken states, not pass vacuously.
 
 use bifrost::DataCenterId;
-use chaos::{ChaosConfig, FaultEvent, FaultKind, InvariantChecker, Orchestrator, Schedule};
+use chaos::{FaultEvent, FaultKind, InvariantChecker, Orchestrator, Schedule};
 use directload::{routed_key, DirectLoad, DirectLoadConfig};
 use indexgen::IndexKind;
 
@@ -112,13 +112,16 @@ fn checker_flags_a_stale_read() {
 /// record the invalid schedule, not ignore it.
 #[test]
 fn orchestrator_flags_decommission_at_the_floor() {
-    let schedule = Schedule::from_events(vec![FaultEvent {
-        round: 0,
-        kind: FaultKind::Decommission { dc: 0, node: 0 },
-    }]);
+    let schedule = Schedule::from_events(
+        1,
+        vec![FaultEvent {
+            round: 0,
+            kind: FaultKind::Decommission { dc: 0, node: 0 },
+        }],
+    )
+    .unwrap();
     let system = DirectLoad::new(DirectLoadConfig::small());
-    let cfg = ChaosConfig { rounds: 1 };
-    let report = Orchestrator::new(system, schedule, cfg).run();
+    let report = Orchestrator::new(system, schedule).run();
     assert!(
         report
             .violations
@@ -133,13 +136,16 @@ fn orchestrator_flags_decommission_at_the_floor() {
 /// orchestrator must surface it as a violation, not ignore it.
 #[test]
 fn orchestrator_flags_recovery_of_alive_node() {
-    let schedule = Schedule::from_events(vec![FaultEvent {
-        round: 0,
-        kind: FaultKind::NodeRecover { dc: 0, node: 0 },
-    }]);
+    let schedule = Schedule::from_events(
+        1,
+        vec![FaultEvent {
+            round: 0,
+            kind: FaultKind::NodeRecover { dc: 0, node: 0 },
+        }],
+    )
+    .unwrap();
     let system = DirectLoad::new(DirectLoadConfig::small());
-    let cfg = ChaosConfig { rounds: 1 };
-    let report = Orchestrator::new(system, schedule, cfg).run();
+    let report = Orchestrator::new(system, schedule).run();
     assert!(
         report
             .violations
@@ -148,4 +154,77 @@ fn orchestrator_flags_recovery_of_alive_node() {
         "bogus recovery must be flagged: {:?}",
         report.violations
     );
+    // One attempt in round 0, the other two at settle (round 1), then
+    // the node is given up.
+    assert_eq!(
+        report.timeline,
+        [
+            "round=00 retry=node_recover dc=0 node=0 attempt=1",
+            "round=01 retry=node_recover dc=0 node=0 attempt=2",
+            "round=01 VIOLATION recovery_succeeds: dc=0 node=0 unrecoverable after 3 attempts: \
+             node 0 in wrong state",
+        ],
+        "{:?}",
+        report.timeline
+    );
+}
+
+/// An explicit schedule may address a DC, node or link the deployment
+/// lacks, or a capacity scale or corruption rate past the whole: each
+/// such event is recorded as an invalid schedule and skipped, and the
+/// storm runs on.
+#[test]
+fn orchestrator_flags_events_the_deployment_cannot_take() {
+    let bad = [
+        FaultKind::NodeCrash { dc: 6, node: 0 },
+        FaultKind::NodeRecover { dc: 9, node: 0 },
+        FaultKind::SsdReadFaults {
+            dc: 0,
+            node: 99,
+            one_in: 4,
+            rounds: 1,
+        },
+        FaultKind::SsdProgramFaults {
+            dc: 7,
+            node: 0,
+            one_in: 4,
+            rounds: 1,
+        },
+        FaultKind::LinkOutage { link: 33, secs: 60 },
+        FaultKind::LinkDegrade {
+            link: 0,
+            scale_permille: 1001,
+            secs: 60,
+        },
+        FaultKind::CorruptionBurst {
+            rate_permille: 2000,
+            rounds: 1,
+        },
+        FaultKind::GroupScaleOut { dc: 6, group: 0 },
+    ];
+    let events = bad
+        .iter()
+        .map(|&kind| FaultEvent { round: 0, kind })
+        .collect();
+    let schedule = Schedule::from_events(2, events).unwrap();
+    let system = DirectLoad::new(DirectLoadConfig::small());
+    let report = Orchestrator::new(system, schedule).run();
+    for kind in bad {
+        let prefix = format!("{kind} rejected: ");
+        assert!(
+            report
+                .violations
+                .iter()
+                .any(|v| v.invariant == "schedule_valid" && v.detail.starts_with(&prefix)),
+            "{kind} must be flagged: {:?}",
+            report.violations
+        );
+    }
+    assert_eq!(
+        report.violations.len(),
+        bad.len(),
+        "{:?}",
+        report.violations
+    );
+    assert_eq!(report.faults_injected, 0, "{:?}", report.timeline);
 }

@@ -63,7 +63,8 @@ pub struct ValueLog {
     pub appended_bytes: u64,
 }
 
-/// Encodes one entry.
+/// Encodes one entry: magic, key length, key, value length, value, and
+/// the CRC32C of all of those.
 fn encode_entry(key: &[u8], value: &[u8]) -> Bytes {
     let mut out = BytesMut::with_capacity(key.len() + value.len() + 16);
     out.put_u8(ENTRY_MAGIC);
@@ -71,17 +72,8 @@ fn encode_entry(key: &[u8], value: &[u8]) -> Bytes {
     out.put_slice(key);
     out.put_u32_le(value.len() as u32);
     out.put_slice(value);
-    out.put_u32_le(fnv32(&out));
+    out.put_u32_le(wal::crc32c(&out));
     out.freeze()
-}
-
-fn fnv32(data: &[u8]) -> u32 {
-    let mut h: u32 = 0x811c_9dc5;
-    for &b in data {
-        h ^= b as u32;
-        h = h.wrapping_mul(0x0100_0193);
-    }
-    h
 }
 
 /// Decodes one entry from `data`, returning `(key, value, consumed)`.
@@ -104,7 +96,7 @@ fn decode_entry(data: &[u8]) -> Option<(Bytes, Bytes, usize)> {
     b.advance(vlen);
     let body_len = 1 + 4 + klen + 4 + vlen;
     let crc = b.get_u32_le();
-    if fnv32(&data[..body_len]) != crc {
+    if wal::crc32c(&data[..body_len]) != crc {
         return None;
     }
     Some((key, value, body_len + 4))
@@ -337,6 +329,17 @@ mod tests {
         let dev = Device::new(DeviceConfig::small(), SimClock::new());
         let pages = dev.logical_pages();
         ValueLog::new(dev, VlogConfig { segment_pages: 8 }, 0, pages)
+    }
+
+    #[test]
+    fn any_flipped_bit_fails_decode() {
+        let entry = encode_entry(b"key", &[7u8; 40]);
+        assert!(decode_entry(&entry).is_some());
+        for bit in 0..entry.len() * 8 {
+            let mut bad = entry.to_vec();
+            bad[bit / 8] ^= 1 << (bit % 8);
+            assert!(decode_entry(&bad).is_none(), "flipped bit {bit} decoded");
+        }
     }
 
     #[test]

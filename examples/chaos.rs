@@ -13,7 +13,7 @@
 //! cargo run --release --example chaos
 //! ```
 
-use chaos::{ChaosConfig, ChaosReport, Orchestrator, Schedule, ScheduleConfig};
+use chaos::{ChaosReport, Orchestrator, Schedule, ScheduleConfig};
 use directload::{DirectLoad, DirectLoadConfig};
 
 const SEED: u64 = 0xC4A0_5EED;
@@ -22,8 +22,7 @@ const ROUNDS: u32 = 10;
 fn run_storm() -> ChaosReport {
     let schedule = Schedule::generate(&ScheduleConfig::storm(SEED, ROUNDS));
     let system = DirectLoad::new(DirectLoadConfig::small());
-    let cfg = ChaosConfig { rounds: ROUNDS };
-    Orchestrator::new(system, schedule, cfg).run()
+    Orchestrator::new(system, schedule).run()
 }
 
 fn main() {

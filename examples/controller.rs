@@ -25,7 +25,7 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use chaos::{ActuatorPlan, ChaosConfig, ChaosReport, Orchestrator, Schedule, ScheduleConfig};
+use chaos::{ActuatorPlan, ChaosReport, Orchestrator, Schedule, ScheduleConfig};
 use ctrl::{Controller, PolicyConfig, ServeModel};
 use directload::{DirectLoad, DirectLoadConfig};
 use placement::LoadReport;
@@ -75,8 +75,7 @@ struct Run {
 fn run_storm(controller_on: bool) -> Run {
     let schedule = Schedule::generate(&schedule_cfg());
     let system = DirectLoad::new(DirectLoadConfig::small());
-    let cfg = ChaosConfig { rounds: ROUNDS };
-    let mut orch = Orchestrator::new(system, schedule, cfg);
+    let mut orch = Orchestrator::new(system, schedule);
 
     let model = ServeModel::new();
     let controller = Rc::new(RefCell::new(Controller::new(policy())));
