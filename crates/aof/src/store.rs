@@ -3,7 +3,7 @@
 
 use crate::{AofError, Result};
 use bytes::{Buf, BufMut, BytesMut};
-use ssdsim::{BlockId, Device};
+use ssdsim::{BlockId, Device, SsdError};
 use std::collections::BTreeMap;
 
 /// Identifier of an AOF file; monotonically increasing, never reused.
@@ -302,6 +302,64 @@ impl Aof {
         Ok(out)
     }
 
+    /// Shortens sealed `file` to its first `len` bytes, and returns the
+    /// bytes cut. Recovery calls it where a file's records stop being
+    /// trustworthy: what lies past the cut stays on flash until the file
+    /// is erased, and is never read.
+    pub fn cut(&mut self, file: FileId, len: u64) -> u64 {
+        let cut = self.file_len(file).map_or(0, |old| old.saturating_sub(len));
+        if let Some(meta) = self.files.get_mut(&file) {
+            meta.len -= cut;
+        }
+        cut
+    }
+
+    /// Cuts the page holding the last byte of sealed `file` if a power
+    /// cut left it half-programmed ([`Device::raw_tear`]), and returns the
+    /// bytes cut: one page or none. The page is read with the page before
+    /// it: a torn page fails naming itself, where an injected read fault
+    /// names the first page read, so a transient fault never passes for
+    /// a tear.
+    pub fn cut_torn_tail(&mut self, file: FileId) -> Result<u64> {
+        let (len, page) = (self.file_len(file).unwrap_or(0), self.page_size);
+        let Some((block, at)) = self.locate(file, len.saturating_sub(1)) else {
+            return Ok(0);
+        };
+        let last = (at / page) as u32; // at least 1: page 0 is the header
+        let read = self
+            .dev
+            .raw_read(block, (at / page - 1) * page, 2 * page, &mut Vec::new());
+        if !matches!(read, Err(SsdError::UncorrectableRead { page, .. }) if page == last) {
+            return Ok(0);
+        }
+        Ok(self.cut(file, len - page as u64))
+    }
+
+    /// Where byte `offset` of sealed `file` lives on the device: its
+    /// block and the byte offset within that block.
+    pub fn locate(&self, file: FileId, offset: u64) -> Option<(BlockId, usize)> {
+        let dpb = self.data_per_block();
+        let meta = self.files.get(&file).filter(|m| offset < m.len)?;
+        let block = *meta.blocks.get((offset / dpb) as usize)?;
+        Some((block, self.page_size + (offset % dpb) as usize))
+    }
+
+    /// Damage hook: a power cut while the page just past the durable
+    /// tail of the newest file on `dev` was programming. The file is
+    /// found on a fork of the device, so the hook charges nothing.
+    /// Returns false when there is no file, or its last block is full
+    /// or already torn.
+    pub fn tear_tail(dev: &Device, cfg: AofConfig) -> Result<bool> {
+        let probe = Aof::recover(dev.fork(), cfg)?;
+        let newest = probe.files.values().next_back();
+        let tail = newest.and_then(|m| m.blocks.last());
+        match tail.map(|&block| dev.raw_tear(block)) {
+            Some(Ok(())) => Ok(true),
+            None | Some(Err(SsdError::BlockFull(_))) => Ok(false),
+            Some(Err(e)) => Err(e.into()),
+        }
+    }
+
     /// Erases a sealed file, returning its blocks to the device.
     pub fn delete_file(&mut self, file: FileId) -> Result<()> {
         let meta = self.files.remove(&file).ok_or(AofError::NoSuchFile(file))?;
@@ -391,7 +449,7 @@ impl Aof {
 mod tests {
     use super::*;
     use simclock::SimClock;
-    use ssdsim::{DeviceConfig, Geometry, LatencyModel};
+    use ssdsim::{DeviceConfig, FaultInjection, Geometry, LatencyModel};
 
     /// 64 blocks of 8×64-byte pages; files of 3 blocks' data (= 3*7*64).
     fn small() -> Aof {
@@ -563,6 +621,64 @@ mod tests {
         let aof = Aof::recover(dev, AofConfig { file_size: 1344 }).unwrap();
         assert!(aof.sealed_files().is_empty());
         assert_eq!(aof.disk_bytes(), 0);
+    }
+
+    #[test]
+    fn a_torn_final_program_is_cut_and_every_flushed_record_survives() {
+        let mut aof = small();
+        let cfg = AofConfig {
+            file_size: aof.max_record_len(),
+        };
+        let records: Vec<RecordLoc> = (0..5)
+            .map(|i| aof.append(&pattern(50 + i, i as u8)).unwrap())
+            .collect();
+        aof.flush().unwrap();
+        aof.append(&pattern(30, 9)).unwrap(); // buffered: dies with the host
+        let dev = aof.device().clone();
+        drop(aof);
+        let mut untorn = Aof::recover(dev.fork(), cfg).unwrap();
+        let before = (dev.counters(), dev.clock().now());
+        assert!(Aof::tear_tail(&dev, cfg).unwrap());
+        assert!(
+            !Aof::tear_tail(&dev, cfg).unwrap(),
+            "a torn file tears once"
+        );
+        assert_eq!(
+            (dev.counters(), dev.clock().now()),
+            before,
+            "the hooks are free"
+        );
+
+        // Every read fails from here on: a torn page still names itself,
+        // and a readable page's injected failure never passes for a tear.
+        let every_read_fails = FaultInjection {
+            read_fail_one_in: 1,
+            ..FaultInjection::default()
+        };
+        let file = records[0].file;
+        untorn.device().set_fault_injection(every_read_fails);
+        assert_eq!(untorn.cut_torn_tail(file).unwrap(), 0);
+
+        let mut recovered = Aof::recover(dev.clone(), cfg).unwrap();
+        let len = recovered.file_len(file).unwrap();
+        assert!(
+            recovered.read(file, 0, len as usize).is_err(),
+            "torn page read"
+        );
+        dev.set_fault_injection(every_read_fails);
+        assert_eq!(recovered.cut_torn_tail(file).unwrap(), 64);
+        assert_eq!(
+            recovered.cut_torn_tail(file).unwrap(),
+            0,
+            "one page at most"
+        );
+        assert_eq!(recovered.file_len(file), Some(len - 64));
+        dev.set_fault_injection(FaultInjection::default());
+        for (i, loc) in records.iter().enumerate() {
+            let got = recovered.read(loc.file, loc.offset, loc.len as usize);
+            assert_eq!(got.unwrap(), pattern(50 + i, i as u8), "record {i}");
+        }
+        recovered.read(file, 0, len as usize - 64).unwrap();
     }
 
     #[test]

@@ -95,12 +95,12 @@ struct DownNode {
     /// DC index in the deployment's `dc_ids` order.
     dc: usize,
     node: u32,
-    /// The WAL frontier the node's journal held when the storm crashed
+    /// The WAL frontier the node had acknowledged when the storm crashed
     /// it, to check the recovery against; `None` for a node the storm
     /// never crashed.
     committed: Option<u64>,
-    /// Whether the crash flipped a journal byte (not just tore the tail):
-    /// the frontier may then roll back, but never forward.
+    /// Whether the crash flipped a byte of an AOF record (not just tore
+    /// the tail): the frontier may then roll back, but never forward.
     corrupt: bool,
     /// Failed recovery attempts so far. A node with any is retried at
     /// the start of every round until it comes back or has spent
@@ -213,7 +213,7 @@ impl Orchestrator {
             | FaultKind::NodeCrashCorruptWal { dc, node } => {
                 let seed = wal_seed(dc, node, round);
                 let tamper = match kind {
-                    FaultKind::NodeCrashTornWal { .. } => Some(WalTamper::TornTail { seed }),
+                    FaultKind::NodeCrashTornWal { .. } => Some(WalTamper::TornTail),
                     FaultKind::NodeCrashCorruptWal { .. } => Some(WalTamper::FlipByte { seed }),
                     _ => None,
                 };
@@ -222,7 +222,7 @@ impl Orchestrator {
                 let id = NodeId(node);
                 cluster.fail_node(id)?;
                 // Ground truth before any damage lands: a torn tail must
-                // cost nothing at recovery, a corrupt image may roll the
+                // cost nothing at recovery, a corrupt record may roll the
                 // frontier back but never forward.
                 let committed = cluster.crashed_wal_frontier(id)?;
                 if let Some(tamper) = tamper {
@@ -528,7 +528,7 @@ impl Orchestrator {
     }
 
     /// Checks a completed recovery's WAL catch-up against the frontier
-    /// the node's journal held at crash time: a clean or torn-tail crash
+    /// the node had acknowledged at crash time: a clean or torn-tail crash
     /// must yield exactly the committed frontier (no acked write lost),
     /// and no crash shape may yield more (a truncated suffix must never
     /// come back from the dead). Also writes the catch-up shape into the

@@ -38,14 +38,15 @@ pub enum FaultKind {
     /// Mint layer: crash node `node` of data center `dc` (an index into
     /// the deployment's DC list). Host memory is lost; flash survives.
     NodeCrash { dc: usize, node: u32 },
-    /// Mint layer: crash node `node` of DC `dc` mid-append — the node's
-    /// journal image ends in a torn partial frame. Recovery must detect
-    /// and truncate the tear without losing any acked record below it.
+    /// Mint layer: crash node `node` of DC `dc` mid-program — the page
+    /// past the durable tail of its newest AOF file is left torn.
+    /// Recovery must detect and cut the tear without losing any acked
+    /// record below it.
     NodeCrashTornWal { dc: usize, node: u32 },
-    /// Mint layer: crash node `node` of DC `dc` with one byte of its
-    /// journal image flipped (a bad sector). Recovery must truncate from
-    /// the damage onward and re-ship the lost span from the group log —
-    /// never act on the truncated suffix.
+    /// Mint layer: crash node `node` of DC `dc` with one byte of a
+    /// durable AOF record flipped (a bad cell). Recovery must cut from
+    /// the damage onward and re-ship what it lost from the group log —
+    /// never claim a frontier above what the node acknowledged.
     NodeCrashCorruptWal { dc: usize, node: u32 },
     /// Mint layer: recover a previously crashed node (AOF replay plus
     /// WAL suffix catch-up from its group peers before it serves).
@@ -371,8 +372,8 @@ impl Schedule {
                         })
                         .collect();
                     if let Some(&node) = candidates.get(rng.below(candidates.len().max(1))) {
-                        // Some crashes land mid-append (torn WAL tail) or
-                        // take a journal sector with them (flipped byte);
+                        // Some crashes land mid-program (torn AOF tail) or
+                        // take a flash cell with them (flipped byte);
                         // recovery has to cope with all three shapes.
                         let kind = match rng.permille() {
                             p if p < 250 => FaultKind::NodeCrashTornWal { dc, node },

@@ -3,7 +3,7 @@
 //! engine — and `Mint::catch_up`, the one driver that brings a node up
 //! to its group, by log suffix or by full-state copy.
 
-use super::{Mint, NodeId, SyncStep, READ_RETRIES};
+use super::{commit, Mint, NodeId, SyncStep, READ_RETRIES};
 use crate::{MintError, Result};
 use bytes::Bytes;
 use qindb::{QinDb, QinDbError};
@@ -64,17 +64,6 @@ fn decode_group_op(payload: &[u8]) -> GroupOp {
         key,
         value,
     }
-}
-
-/// The value-free descriptor a replica journals for one applied
-/// mutation (the AOF holds the data; the journal only needs enough to
-/// re-derive the node's frontier and explain itself in a hex dump).
-pub(super) fn journal_desc(kind: u8, version: u64, key: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(9 + key.len());
-    out.push(kind);
-    out.extend_from_slice(&version.to_le_bytes());
-    out.extend_from_slice(key);
-    out
 }
 
 /// Whether `engine` already holds `key/version` at least as far along as
@@ -159,7 +148,7 @@ impl Mint {
     /// progress is guaranteed) and reports whether the log carried them:
     ///
     /// * **Log suffix** when the group log still retains everything
-    ///   above the node's journal frontier. The log is replayed once per
+    ///   above the node's frontier. The log is replayed once per
     ///   call and committed in [`CATCHUP_BATCH_BYTES`] batches, whoever
     ///   calls: recovery and the cutover pass `u64::MAX` and finish in
     ///   one replay; a join batch is one call, so the next one re-reads
@@ -178,7 +167,7 @@ impl Mint {
         group: usize,
         budget: u64,
     ) -> Result<(SyncStep, bool)> {
-        let frontier = self.with_engine(node, |engine| Ok(engine.journal_frontier()))?;
+        let frontier = self.node_wal_frontier(node)?;
         let suffix = if self.wal_catchup {
             self.group_logs[group].replay_from(frontier + 1).ok()
         } else {
@@ -194,9 +183,9 @@ impl Mint {
             let step = self.push(self.materialize(&peers)?, |_| vec![node.0], budget)?;
             self.charge_transfer(node, step.bytes);
             if step.done {
-                self.with_engine_mut(node, |engine, _| {
-                    engine.note_journal_frontier(head);
-                    engine.flush()
+                self.with_engine_mut(node, |engine, progress| {
+                    progress.applied = progress.applied.max(head);
+                    commit(engine, progress)
                 })?;
             }
             return Ok((step, false));
@@ -234,11 +223,12 @@ impl Mint {
 
     /// One commit of a group-log suffix to `node`: up to `max_bytes` of
     /// `records` (always at least one), each installed idempotently — the
-    /// node may already hold the item (a journaled-but-reshipped record,
-    /// or state a full transfer already covered) — and journaled under
-    /// its group LSN, then one flush; the shipped bytes are charged to
-    /// the node's clock at [`SYNC_BYTES_PER_SEC`]. Records a `wal_replay`
-    /// span on the sim ring under the node's label.
+    /// node may already hold the item (a reshipped record it applied but
+    /// never acknowledged, or state a full transfer already covered) —
+    /// and noted in its progress under its group LSN, then one commit;
+    /// the shipped bytes are charged to the node's clock at
+    /// [`SYNC_BYTES_PER_SEC`]. Records a `wal_replay` span on the sim
+    /// ring under the node's label.
     fn ship_suffix(
         &mut self,
         node: NodeId,
@@ -251,7 +241,7 @@ impl Mint {
             done: true,
             ..SyncStep::default()
         };
-        self.with_engine_mut(node, |engine, whole_through| {
+        self.with_engine_mut(node, |engine, progress| {
             for rec in records {
                 if step.items > 0 && step.bytes >= max_bytes {
                     // Budget spent with records left: the caller comes
@@ -267,14 +257,11 @@ impl Mint {
                     op.value.as_deref(),
                     op.kind == OP_DEL,
                 )?;
-                engine.journal_mutation(rec.lsn, &journal_desc(op.kind, op.version, &op.key));
-                if *whole_through == Some(rec.lsn - 1) {
-                    *whole_through = Some(rec.lsn);
-                }
+                progress.install(rec.lsn);
                 step.items += 1;
                 step.bytes += (op.key.len() + op.value.as_ref().map_or(0, |v| v.len())) as u64;
             }
-            engine.flush()
+            commit(engine, progress)
         })?;
         self.charge_transfer(node, step.bytes);
         span.set_amount(step.bytes);
@@ -340,7 +327,7 @@ impl Mint {
         let mut touched: Vec<u32> = Vec::new();
         'copies: for ((key, version), copy) in copies {
             for target in targets(&key) {
-                self.with_engine_mut(NodeId(target), |engine, whole_through| {
+                self.with_engine_mut(NodeId(target), |engine, progress| {
                     if holds(engine, &key, version, copy.deleted) {
                         return Ok(());
                     }
@@ -352,7 +339,7 @@ impl Mint {
                     }
                     // From here on the target holds a copy, not the
                     // logged record.
-                    *whole_through = None;
+                    progress.whole_through = None;
                     install(engine, &key, version, copy.value.as_deref(), copy.deleted)?;
                     step.items += 1;
                     step.bytes += (key.len() + copy.value.as_ref().map_or(0, |v| v.len())) as u64;
@@ -367,7 +354,7 @@ impl Mint {
             }
         }
         for target in touched {
-            self.with_engine_mut(NodeId(target), |engine, _| engine.flush())?;
+            self.with_engine_mut(NodeId(target), commit)?;
         }
         Ok(step)
     }

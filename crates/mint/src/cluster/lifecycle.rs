@@ -23,12 +23,12 @@ impl Mint {
         if !in_service || !self.alive[idx] {
             return Err(MintError::BadNodeState(node.0));
         }
-        let Some(engine) = self.nodes[idx].engine.write().take() else {
+        if self.nodes[idx].engine.write().take().is_none() {
             return Err(MintError::BadNodeState(node.0));
-        };
-        // Host memory dies with the engine, but the journal's flushed
-        // prefix is on flash: stash it for recovery.
-        self.nodes[idx].crash_journal = engine.journal_image();
+        }
+        // What the node applied but never flushed died with its memory.
+        let progress = &mut self.progress[idx];
+        progress.applied = progress.acked;
         self.alive[idx] = false;
         self.generation += 1;
         Ok(())
@@ -45,58 +45,46 @@ impl Mint {
         Ok(idx)
     }
 
-    /// Damages a crashed node's stashed journal image — the chaos hook
-    /// for crash-mid-append (torn tail) and journal sector corruption.
+    /// Damages a crashed node's flash — the chaos hook for a power cut
+    /// mid-program (torn tail) and a bad cell (flipped byte). Charges
+    /// nothing; recovery finds the damage on the device, and the hook
+    /// finds nothing to damage on a node that never wrote.
     pub fn tamper_crashed_wal(&mut self, node: NodeId, tamper: WalTamper) -> Result<()> {
         let idx = self.down(node)?;
-        let image = &mut self.nodes[idx].crash_journal;
+        let (device, cfg) = (&self.nodes[idx].device, self.cfg.engine);
         match tamper {
-            WalTamper::TornTail { seed } => {
-                // A partial frame: valid magic, then garbage where the
-                // header and payload should be.
-                image.push(0xD7);
-                let mut x = seed | 1;
-                for _ in 0..(3 + seed % 13) {
-                    x ^= x << 13;
-                    x ^= x >> 7;
-                    x ^= x << 17;
-                    image.push(x as u8);
-                }
-            }
-            WalTamper::FlipByte { seed } => {
-                if !image.is_empty() {
-                    let at = (seed as usize) % image.len();
-                    image[at] ^= 0x40;
-                }
-            }
+            WalTamper::TornTail => QinDb::tear_tail(device, cfg),
+            WalTamper::FlipByte { seed } => QinDb::flip_record_byte(device, cfg, seed),
         }
+        .map_err(node_err(node.0))?;
         Ok(())
     }
 
-    /// The replication frontier recorded in a crashed node's stashed
-    /// journal image — what recovery will see after truncation. Chaos
-    /// reads this right after the crash (before or after tampering) to
-    /// pin what recovery must and must not restore.
+    /// The replication frontier a crashed node committed: its
+    /// acknowledged LSN at the crash. Chaos reads it right after the
+    /// crash to pin what recovery must and must not restore.
     pub fn crashed_wal_frontier(&self, node: NodeId) -> Result<u64> {
         let idx = self.down(node)?;
-        Ok(qindb::journal_frontier_of(&self.nodes[idx].crash_journal))
+        Ok(self.progress[idx].acked)
     }
 
     /// Recovers a failed node: it rebuilds from its own AOFs (the paper's
-    /// recovery path) and restores its journal's surviving prefix, then
-    /// catches up on everything it missed **before** serving — this is
-    /// what lets "parallel requests to the replicas hide the node
-    /// recovery" without the recovered node ever serving stale chains.
+    /// recovery path), then catches up on everything it missed **before**
+    /// serving — this is what lets "parallel requests to the replicas
+    /// hide the node recovery" without the recovered node ever serving
+    /// stale chains.
     ///
-    /// Catch-up is suffix-only when possible: the journal's frontier
-    /// says which group LSN the node last applied, and the group log
+    /// Catch-up is suffix-only when possible: the node's acknowledged
+    /// LSN says which group LSN it last made durable, and the group log
     /// ships just the records above it, in throttled
-    /// `CATCHUP_BATCH_BYTES` batches. Only when GC already dropped the
-    /// needed segments does the node fall back to the full anti-entropy
-    /// transfer. Returns how long the local scan plus catch-up kept the
-    /// node busy; [`Mint::take_last_wal_recovery`] reports which path
-    /// ran. On any error the node stays failed, with its journal image
-    /// stashed for a retry.
+    /// `CATCHUP_BATCH_BYTES` batches. A recovery that finds an AOF record
+    /// corrupt resumes from 0 instead: the records past it are gone, and
+    /// nothing on flash says which LSNs the survivors carry. Only when GC
+    /// already dropped the needed segments does the node fall back to the
+    /// full anti-entropy transfer. Returns how long the local scan plus
+    /// catch-up kept the node busy; [`Mint::take_last_wal_recovery`]
+    /// reports which path ran. On any error the node stays failed, to be
+    /// retried.
     pub fn recover_node(&mut self, node: NodeId) -> Result<SimTime> {
         self.last_recovery = None;
         let idx = self.down(node)?;
@@ -104,13 +92,13 @@ impl Mint {
         // must never rejoin through the crash-recovery path.
         let group = self.group_of_node(node)?;
         let t0 = self.nodes[idx].clock.now();
-        let mut engine = QinDb::recover(self.nodes[idx].device.clone(), self.cfg.engine)
+        let engine = QinDb::recover(self.nodes[idx].device.clone(), self.cfg.engine)
             .map_err(node_err(node.0))?;
-        let open = engine.restore_journal(&self.nodes[idx].crash_journal);
-        // What the node applied but never made durable died with it: only
-        // the prefix its surviving journal vouches for still counts.
-        let frontier = engine.journal_frontier();
-        self.whole_through[idx] = self.whole_through[idx].map(|l| l.min(frontier));
+        let damage = engine.damage();
+        let progress = &mut self.progress[idx];
+        let frontier = if damage.corrupt { 0 } else { progress.acked };
+        (progress.applied, progress.acked) = (frontier, frontier);
+        progress.whole_through = progress.whole_through.map(|l| l.min(frontier));
         *self.nodes[idx].engine.write() = Some(engine);
         self.alive[idx] = true;
         self.instrument(&self.nodes[idx]);
@@ -118,23 +106,21 @@ impl Mint {
             Ok(caught_up) => caught_up,
             Err(error) => {
                 // Catch-up failed: the node must not serve a possibly
-                // stale chain. Roll it back to failed, keeping what its
-                // journal now vouches for, so the caller can retry the
-                // whole recovery later.
-                let engine = self.nodes[idx].engine.write().take();
-                if let Some(engine) = engine {
-                    self.nodes[idx].crash_journal = engine.journal_image();
-                }
+                // stale chain. Roll it back to failed, keeping what it
+                // acknowledged so far, so the caller can retry the whole
+                // recovery later.
+                self.nodes[idx].engine.write().take();
+                let progress = &mut self.progress[idx];
+                progress.applied = progress.acked;
                 self.alive[idx] = false;
                 return Err(error);
             }
         };
-        self.nodes[idx].crash_journal = Vec::new();
         self.last_recovery = Some(WalRecovery {
             node: node.0,
             frontier,
-            torn: open.torn,
-            truncated_bytes: open.truncated_bytes,
+            torn: damage.cut_bytes > 0,
+            truncated_bytes: damage.cut_bytes,
             suffix_only,
             replayed_records: if suffix_only { step.items } else { 0 },
             shipped_bytes: step.bytes,
@@ -164,10 +150,9 @@ impl Mint {
     }
 
     /// One bounded catch-up batch for a joining node: ships up to
-    /// `max_bytes` of the group-log suffix above the node's journal
-    /// frontier (at least one record per call). Re-reads the log each
-    /// call, so writes that landed since the previous batch are picked
-    /// up. When GC already dropped the suffix a fresh joiner needs —
+    /// `max_bytes` of the group-log suffix above the node's frontier
+    /// (at least one record per call). Re-reads the log each call, so
+    /// writes that landed since the previous batch are picked up. When GC already dropped the suffix a fresh joiner needs —
     /// its frontier starts at 0 — the batch transparently falls back to
     /// the full-state anti-entropy scan. `done` means nothing is left —
     /// the node is ready for [`Mint::cutover_join`].
@@ -288,19 +273,21 @@ impl Mint {
     /// Checkpoints every alive node's engine (the paper's periodic
     /// checkpointing, fleet-wide), so subsequent node recoveries replay
     /// only post-checkpoint AOF suffixes, then garbage-collects the
-    /// group logs below the slowest replica's journal frontier. Returns
-    /// how many nodes were checkpointed.
+    /// group logs below the slowest replica's frontier. Returns how many
+    /// nodes were checkpointed.
     pub fn checkpoint_all(&mut self) -> Result<usize> {
         let mut done = 0;
-        for node in &self.nodes {
+        for (node, progress) in self.nodes.iter().zip(&mut self.progress) {
             let mut guard = node.engine.write();
             if let Some(engine) = guard.as_mut() {
+                // A checkpoint flushes first: it commits like a flush.
                 engine.checkpoint().map_err(node_err(node.id.0))?;
+                progress.acked = progress.applied;
                 done += 1;
             }
         }
         // Advance each group log's checkpoint frontier to the minimum
-        // journal frontier across the group's nodes with an engine up
+        // applied frontier across the group's nodes with an engine up
         // (serving, draining, and joining alike — a mid-join node still
         // needs everything above its frontier). Crashed and retired
         // nodes are deliberately excluded: a long-dead node finding its
@@ -314,9 +301,8 @@ impl Mint {
                 if !in_group {
                     continue;
                 }
-                let guard = state.engine.read();
-                if let Some(engine) = guard.as_ref() {
-                    frontier = frontier.min(engine.journal_frontier());
+                if state.engine.read().is_some() {
+                    frontier = frontier.min(self.progress[idx].applied);
                     any = true;
                 }
             }
@@ -399,7 +385,7 @@ mod tests {
         assert!(m.node_stats(node).unwrap().is_none(), "engine must be down");
         assert_eq!(m.routing_generation(), generation);
         assert_eq!(m.take_last_wal_recovery(), None);
-        // The journal image is stashed again, nothing lost, for the retry.
+        // What the node acknowledged is kept, nothing lost, for the retry.
         assert_eq!(m.crashed_wal_frontier(node).unwrap(), committed);
         set_faults(&m, &peers, FaultInjection::default());
         m.recover_node(node).unwrap();

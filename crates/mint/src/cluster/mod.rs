@@ -34,12 +34,15 @@ pub const READ_RETRIES: usize = 3;
 pub struct WalRecovery {
     /// The recovered node.
     pub node: u32,
-    /// The replication frontier the node's journal yielded after
-    /// truncation, before any catch-up.
+    /// The replication frontier catch-up resumed from: the node's
+    /// acknowledged LSN at the crash, or 0 when recovery found one of
+    /// its AOF records corrupt.
     pub frontier: u64,
-    /// Whether the journal image had a torn or corrupt tail cut off.
+    /// Whether recovery cut damage out of the node's AOFs: a page a
+    /// power cut left half-programmed, or a corrupt record and what
+    /// followed it.
     pub torn: bool,
-    /// Journal bytes truncated on open.
+    /// AOF bytes recovery cut.
     pub truncated_bytes: u64,
     /// True when catch-up shipped only the group-log suffix above the
     /// frontier; false when the needed segments were GC'd (or the WAL
@@ -51,19 +54,18 @@ pub struct WalRecovery {
     pub shipped_bytes: u64,
 }
 
-/// How chaos damages a crashed node's stashed journal image (see
+/// How chaos damages a crashed node's flash (see
 /// [`Mint::tamper_crashed_wal`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WalTamper {
-    /// A crash mid-append: a partial frame header plus seed-derived
-    /// garbage past the durable tail.
-    TornTail {
-        /// Deterministic garbage generator seed.
-        seed: u64,
-    },
-    /// A bad sector: one byte inside the durable image flipped.
+    /// A power cut mid-program: the page just past the durable tail of
+    /// the node's newest AOF file is left half-programmed, and never
+    /// reads.
+    TornTail,
+    /// A bad cell: one bit flipped in any byte (magic and length
+    /// included) of a durable AOF record that recovery's scan reads.
     FlipByte {
-        /// Picks the flipped offset (mod image length).
+        /// Picks the record and the byte.
         seed: u64,
     },
 }
@@ -158,11 +160,48 @@ struct NodeState {
     /// against one node proceed in parallel; writes/recovery take the
     /// exclusive lock.
     engine: RwLock<Option<QinDb>>,
-    /// The journal image captured when the node crashed — the flushed
-    /// prefix of its WAL, which is exactly what survives on its device.
-    /// Restored into the fresh engine at recovery; chaos tampers with it
-    /// to model torn appends and journal sector corruption.
-    crash_journal: Vec<u8>,
+}
+
+/// How far one node has got, as the coordinator remembers it. Like the
+/// group logs it lives coordinator-side and survives the node's crash:
+/// the node keeps no log but its AOFs, and the leader, not the follower,
+/// tracks each follower's progress (Raft's `matchIndex`).
+#[derive(Debug, Clone, Copy, Default)]
+struct Progress {
+    /// The highest group LSN the node has installed.
+    applied: u64,
+    /// `applied` as of the node's last flush: what a crash leaves it,
+    /// and where catch-up resumes after one.
+    acked: u64,
+    /// Wholeness: `Some(l)` says the node's state was built from its
+    /// group's log records alone, and from *every* one with an LSN at or
+    /// below `l` — a dense prefix, where `applied` is only a maximum. A
+    /// node is **whole** when `l` is the group log's head: it then holds
+    /// everything the group knows, in the form it was logged, and a read
+    /// may consult it alone. It advances to `lsn` only from `lsn - 1`
+    /// (routed apply, suffix replay) and is clamped to the frontier
+    /// recovery resumes from. `None` is for good: the node was handed a
+    /// copy that is not a log record (a full-state sync or a drain push
+    /// materializes values and stands NULL placeholders in for deleted
+    /// items — DESIGN.md §7 item 12), and replaying the log over such
+    /// copies skips what it finds already there.
+    whole_through: Option<u64>,
+}
+
+impl Progress {
+    /// Notes that the node installed the group-log record at `lsn`.
+    fn install(&mut self, lsn: u64) {
+        self.applied = self.applied.max(lsn);
+        if self.whole_through == Some(lsn - 1) {
+            self.whole_through = Some(lsn);
+        }
+    }
+}
+
+/// Flushes `engine` and acknowledges what it applied: a crash from here
+/// on resumes catch-up after it.
+fn commit(engine: &mut QinDb, progress: &mut Progress) -> std::result::Result<(), QinDbError> {
+    engine.flush().map(|()| progress.acked = progress.applied)
 }
 
 /// Outcome of applying a batch of writes.
@@ -200,21 +239,8 @@ pub struct Mint {
     /// Alive flags, indexed by node id (true only while the node's
     /// engine is up *and* the node is in service).
     alive: Vec<bool>,
-    /// Wholeness, indexed by node id: `Some(l)` says the node's state was
-    /// built from its group's log records alone, and from *every* one
-    /// with an LSN at or below `l` — a dense prefix, where the journal
-    /// frontier is only a maximum. A node is **whole** when `l` is the
-    /// group log's head: it then holds everything the group knows, in
-    /// the form it was logged, and a read may consult it alone. It
-    /// advances to `lsn` only from `lsn - 1` (routed apply, suffix
-    /// replay) and is clamped to the surviving journal frontier at
-    /// recovery. `None` is for good: the node was handed a copy that is
-    /// not a log record (a full-state sync or a drain push materializes
-    /// values and stands NULL placeholders in for deleted items —
-    /// DESIGN.md §7 item 12), and replaying the log over such copies
-    /// skips what it finds already there. Coordinator-side, like the
-    /// group logs.
-    whole_through: Vec<Option<u64>>,
+    /// Replication progress, indexed by node id.
+    progress: Vec<Progress>,
     /// Topology life-cycle state, indexed by node id.
     roles: Vec<NodeRole>,
     /// The cluster's observer, under its DC label: a wall-ring `load`
@@ -233,8 +259,9 @@ pub struct Mint {
     /// Per-group operation logs, coordinator-side (they do not crash
     /// with a node). Every acknowledged mutation of group `g` is
     /// appended to `group_logs[g]`; the assigned LSN is the group's
-    /// replication sequence number, embedded in each replica's journal,
-    /// so a returning node has a frontier catch-up can resume from.
+    /// replication sequence number, and each node's `progress` says how
+    /// far it has got, so a returning node has a frontier catch-up can
+    /// resume from.
     group_logs: Vec<wal::Wal>,
     /// Whether recovery and join catch-up may ship group-log suffixes
     /// (on by default). Off forces the full-state anti-entropy path —
@@ -267,7 +294,7 @@ impl Mint {
             nodes: Vec::new(),
             groups: Vec::new(),
             alive: Vec::new(),
-            whole_through: Vec::new(),
+            progress: Vec::new(),
             roles: Vec::new(),
             scope: obs::Scope::default(),
             generation: 0,
@@ -300,10 +327,12 @@ impl Mint {
             clock,
             device,
             engine: RwLock::new(Some(engine)),
-            crash_journal: Vec::new(),
         });
         self.alive.push(role == NodeRole::Serving);
-        self.whole_through.push(Some(0));
+        self.progress.push(Progress {
+            whole_through: Some(0),
+            ..Progress::default()
+        });
         self.roles.push(role);
         self.instrument(&self.nodes[id.0 as usize]);
         id
@@ -428,30 +457,26 @@ impl Mint {
     }
 
     /// [`Mint::with_engine`] under the exclusive lock. `f` also gets the
-    /// node's `whole_through` mark: whoever changes an engine's state
-    /// outside the routed write path has to say what that does to it.
+    /// node's progress: whoever changes an engine's state outside the
+    /// routed write path has to say what that does to it.
     fn with_engine_mut<T>(
         &mut self,
         node: NodeId,
-        f: impl FnOnce(&mut QinDb, &mut Option<u64>) -> std::result::Result<T, QinDbError>,
+        f: impl FnOnce(&mut QinDb, &mut Progress) -> std::result::Result<T, QinDbError>,
     ) -> Result<T> {
-        // Field by field, so the engine guard and the mark borrow apart.
+        // Field by field, so the engine guard and the progress borrow
+        // apart.
         let state = self.nodes.get(node.0 as usize);
         let mut guard = state.ok_or(MintError::NoSuchNode(node.0))?.engine.write();
         let engine = guard.as_mut().ok_or(MintError::BadNodeState(node.0))?;
-        f(engine, &mut self.whole_through[node.0 as usize]).map_err(node_err(node.0))
+        f(engine, &mut self.progress[node.0 as usize]).map_err(node_err(node.0))
     }
 
-    /// A live node's journal frontier: the highest group LSN it has
-    /// applied and journaled.
+    /// A live node's replication frontier: the highest group LSN it has
+    /// applied.
     pub fn node_wal_frontier(&self, node: NodeId) -> Result<u64> {
-        self.with_engine(node, |engine| Ok(engine.journal_frontier()))
-    }
-
-    /// A live node's journal as it stands on flash: the flushed prefix,
-    /// which is what a crash right now would leave recovery to work with.
-    pub fn node_journal_image(&self, node: NodeId) -> Result<Vec<u8>> {
-        self.with_engine(node, |engine| Ok(engine.journal_image()))
+        self.with_engine(node, |_| Ok(()))?;
+        Ok(self.progress[node.0 as usize].applied)
     }
 
     /// The head LSN of `group`'s log (the group's replication sequence
@@ -463,19 +488,12 @@ impl Mint {
             .ok_or(MintError::NoSuchGroup(group))
     }
 
-    /// Aggregated WAL counters: the coordinator group logs plus every
-    /// live engine journal. Engine journals reset when their node
-    /// crashes, so treat the aggregate as approximately monotone.
+    /// Aggregated WAL counters of the coordinator's group logs, the
+    /// cluster's only logs besides each node's AOFs.
     pub fn aggregate_wal_stats(&self) -> wal::WalStats {
         let mut total = wal::WalStats::default();
         for log in &self.group_logs {
             total.accumulate(&log.stats());
-        }
-        for node in &self.nodes {
-            let guard = node.engine.read();
-            if let Some(engine) = guard.as_ref() {
-                total.accumulate(&engine.journal_stats());
-            }
         }
         total
     }

@@ -12,7 +12,7 @@ use simclock::SimTime;
 impl Mint {
     /// Reads `key/version` from **one** replica when the key's group has
     /// a *whole* alive member — one that has applied every record of the
-    /// group's log (see `whole_through`) and is therefore as informed as
+    /// group's log (see `Progress::whole_through`) and is therefore as informed as
     /// the group: its `Live`, `Deleted` or `Missing` is authoritative.
     /// Among whole members the key's highest-ranked one is asked, by the
     /// same rendezvous weights the write path ranks with, so a key's reads
@@ -86,7 +86,7 @@ impl Mint {
         let whole = self
             .group_readers(group)
             .map(|n| n.0)
-            .filter(|&n| self.whole_through[n as usize] == Some(head));
+            .filter(|&n| self.progress[n as usize].whole_through == Some(head));
         let owner = top_ranked(kh, whole);
         let rest = self.group_readers(group).map(|n| n.0);
         let mut best_live: Option<(Bytes, u64, SimTime)> = None;

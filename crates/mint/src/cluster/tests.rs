@@ -666,47 +666,79 @@ fn gc_of_the_suffix_falls_back_to_full_state() {
 }
 
 #[test]
-fn torn_journal_tail_keeps_every_acked_record() {
+fn torn_aof_tail_keeps_every_acked_record() {
     let mut m = Mint::new(MintConfig::tiny());
     m.apply(&ops(40, 1)).unwrap();
     m.fail_node(NodeId(0)).unwrap();
     let committed = m.crashed_wal_frontier(NodeId(0)).unwrap();
-    m.tamper_crashed_wal(NodeId(0), WalTamper::TornTail { seed: 7 })
+    let device = m.node_device(NodeId(0)).unwrap();
+    let before = (device.counters(), device.clock().now());
+    m.tamper_crashed_wal(NodeId(0), WalTamper::TornTail)
         .unwrap();
-    // A torn tail sits past the durable prefix; the frontier it
-    // yields is unchanged.
+    assert_eq!(
+        (device.counters(), device.clock().now()),
+        before,
+        "damage costs the device nothing"
+    );
+    // The torn page sits past the durable tail; what the node
+    // acknowledged is untouched.
     assert_eq!(m.crashed_wal_frontier(NodeId(0)).unwrap(), committed);
     m.apply(&dedup_ops(40, 2)).unwrap();
-    m.recover_node(NodeId(0)).unwrap();
+    // Reads of the node's own flash fail now and then: a failed attempt
+    // is retried, and no failing read passes for the tear.
+    device.set_fault_injection(ssdsim::FaultInjection {
+        read_fail_one_in: 6,
+        seed: 3,
+        ..ssdsim::FaultInjection::default()
+    });
+    let mut failed = 0;
+    while m.recover_node(NodeId(0)).is_err() {
+        failed += 1;
+        assert!(failed < 500, "no recovery succeeds");
+    }
+    device.set_fault_injection(ssdsim::FaultInjection::default());
+    assert!(failed > 0, "the faults bit");
     let info = m.take_last_wal_recovery().unwrap();
     assert!(info.torn);
-    assert!(info.truncated_bytes > 0);
+    assert_eq!(info.truncated_bytes, 4096, "one page cut");
     assert_eq!(info.frontier, committed, "lost an acked record");
     assert!(info.suffix_only);
     for i in 0..40u32 {
         let (v, _) = m.get(format!("key-{i:04}").as_bytes(), 2).unwrap();
         assert_eq!(v.unwrap().as_ref(), format!("value-{i}-1").as_bytes());
     }
+    // The torn page stays on flash, but catch-up wrote on past it: the
+    // next crash meets it in an older file and recovers clean.
+    m.fail_node(NodeId(0)).unwrap();
+    m.recover_node(NodeId(0)).unwrap();
+    let info = m.take_last_wal_recovery().unwrap();
+    assert_eq!((info.torn, info.truncated_bytes), (false, 0));
 }
 
 #[test]
-fn corrupt_journal_rolls_the_frontier_back_never_forward() {
+fn corrupt_aof_record_restarts_the_frontier_at_zero() {
     let mut m = Mint::new(MintConfig::tiny());
     m.apply(&ops(40, 1)).unwrap();
     m.fail_node(NodeId(0)).unwrap();
     let committed = m.crashed_wal_frontier(NodeId(0)).unwrap();
+    assert!(committed > 0);
     m.tamper_crashed_wal(NodeId(0), WalTamper::FlipByte { seed: 5 })
         .unwrap();
-    let surviving = m.crashed_wal_frontier(NodeId(0)).unwrap();
-    assert!(surviving <= committed, "corruption fabricated an LSN");
     m.recover_node(NodeId(0)).unwrap();
     let info = m.take_last_wal_recovery().unwrap();
-    assert_eq!(info.frontier, surviving);
-    // Catch-up reships the rolled-back span; the node converges.
-    assert_eq!(
-        m.node_wal_frontier(NodeId(0)).unwrap(),
-        m.group_log_head(0).unwrap()
-    );
+    // The records past the bad one are gone, and nothing says which
+    // LSNs the rest carry: catch-up starts over, never ahead.
+    assert_eq!(info.frontier, 0);
+    assert!(info.torn && info.truncated_bytes > 0);
+    let head = m.group_log_head(0).unwrap();
+    assert!(info.suffix_only && info.replayed_records == head);
+    assert_eq!(m.node_wal_frontier(NodeId(0)).unwrap(), head);
+    // The node converged: it alone serves every acked record of its
+    // group once its peers are down.
+    let peers: Vec<u32> = m.group_members(0)[1..].to_vec();
+    for peer in peers {
+        m.fail_node(NodeId(peer)).unwrap();
+    }
     for i in 0..40u32 {
         let (v, _) = m.get(format!("key-{i:04}").as_bytes(), 1).unwrap();
         assert_eq!(v.unwrap().as_ref(), format!("value-{i}-1").as_bytes());

@@ -1,8 +1,8 @@
 //! The write path: `apply` / `retire` / `delete` are three batch shapes
 //! over one private `execute` — route, log, then apply node by node.
 
-use super::catchup::{encode_group_op, journal_desc, OP_DEL, OP_PUT_DEDUP, OP_PUT_FULL};
-use super::{ApplyReport, Mint, WriteOp};
+use super::catchup::{encode_group_op, OP_DEL, OP_PUT_DEDUP, OP_PUT_FULL};
+use super::{commit, ApplyReport, Mint, WriteOp};
 use crate::hash::{group_of_hash, placement_hash, rank_into};
 use crate::{MintError, Result};
 use bytes::Bytes;
@@ -140,8 +140,8 @@ impl Mint {
             routed.push((m, group, 0));
         }
         // Pass 2: sequence each mutation in its group's log, in batch
-        // order; the LSN rides to every target so its journal records the
-        // frontier it reached.
+        // order; the LSN rides to every target, whose progress records
+        // the frontier it reached.
         for (m, group, lsn) in &mut routed {
             *lsn =
                 self.group_logs[*group].append(&encode_group_op(m.kind, m.key, m.version, m.value));
@@ -149,7 +149,7 @@ impl Mint {
         // Pass 3: node-major — each node's lock is taken once for its
         // whole share of the batch.
         let shares = self.nodes.iter().zip(&per_node);
-        for ((node, work), whole_through) in shares.zip(&mut self.whole_through) {
+        for ((node, work), progress) in shares.zip(&mut self.progress) {
             if work.is_empty() {
                 continue;
             }
@@ -169,15 +169,12 @@ impl Mint {
                     engine.put(m.key, m.version, m.value).map_err(map_err)?;
                     wrote = true;
                 }
-                engine.journal_mutation(lsn, &journal_desc(m.kind, m.version, m.key));
-                if *whole_through == Some(lsn - 1) {
-                    *whole_through = Some(lsn);
-                }
+                progress.install(lsn);
             }
             if wrote {
                 // Batch commit: the tail must be durable before the
                 // version is acknowledged to the delivery layer.
-                engine.flush().map_err(map_err)?;
+                commit(engine, progress).map_err(map_err)?;
             }
             // Nodes work in parallel: the batch takes as long as its
             // busiest node.

@@ -1,7 +1,7 @@
 //! Model-based property test: a Mint cluster must behave as a replicated
 //! versioned map under arbitrary interleavings of writes, deletes, reads,
 //! node failures (two of a group down at once, crashed at different
-//! times, their journals torn or corrupted), recoveries over either
+//! times, their AOFs torn or corrupted), recoveries over either
 //! catch-up path (group-log suffix, or full state when the toggle is off
 //! or a checkpoint compacted the log), scale-out past the replication
 //! factor and the drain that brings a group back to width. Every
@@ -20,7 +20,7 @@
 //! for them never learns of them — DESIGN.md §7 item 5).
 //!
 //! Two focused regressions pin the counter-examples that rule out
-//! "journal frontier == group-log head" as the test for a replica that
+//! "applied frontier == group-log head" as the test for a replica that
 //! may be read alone (DESIGN.md §7 item 12).
 
 use bytes::Bytes;
@@ -33,8 +33,8 @@ enum Op {
     /// Write a batch of (key, version, dedup?) ops.
     Apply(Vec<(u8, u8, bool)>),
     Del(u8, u8),
-    /// Crash a node; `Some(seed)` also damages its stashed journal (even
-    /// seeds tear the tail, odd seeds flip a byte).
+    /// Crash a node; `Some(seed)` also damages its flash (even seeds tear
+    /// the newest AOF's tail, odd seeds flip a byte of a record).
     FailNode(u8, Option<u8>),
     /// Recover the i-th node that is down.
     RecoverNode(u8),
@@ -190,7 +190,7 @@ proptest! {
                         if let Some(seed) = tamper {
                             let seed = *seed as u64;
                             let tamper = if seed.is_multiple_of(2) {
-                                WalTamper::TornTail { seed }
+                                WalTamper::TornTail
                             } else {
                                 WalTamper::FlipByte { seed }
                             };
@@ -248,7 +248,7 @@ fn full(key: &Bytes, version: u64) -> WriteOp {
 }
 
 /// Counter-example 1: in a group wider than the replication factor a
-/// write skips one member, so a node's journal frontier — a *maximum* —
+/// write skips one member, so a node's applied frontier — a *maximum* —
 /// can sit at the group-log head while the node has never seen an
 /// earlier record. Key A lands on three of the four members at LSN 1,
 /// key B on a different three at LSN 2: the member A skipped has
@@ -365,10 +365,10 @@ fn a_full_sync_from_partial_peers_does_not_make_a_node_whole() {
 /// replaying the log over them. A is down while a version is written,
 /// deduplicated into the next one, and retired; it comes back over the
 /// full-state path, which hands it the retired version as a NULL
-/// placeholder and the deduplicated one as a materialized value. Its
-/// journal is then corrupted from the first frame, so its next recovery
-/// replays the whole log — and skips every record, because A already
-/// holds an item for each. A redelivery of the deduplicated version (the
+/// placeholder and the deduplicated one as a materialized value. One of
+/// its AOF records is then corrupted, so its next recovery restarts the
+/// frontier at 0 and replays the whole log — and skips every record whose
+/// item A still holds. A redelivery of the deduplicated version (the
 /// pipeline's writes are idempotent) now replaces A's materialized value
 /// with a marker whose traceback runs through the placeholder to an
 /// older version. Reconciled with B and C that answer loses; A must not
@@ -404,9 +404,9 @@ fn replaying_the_log_over_synced_copies_does_not_make_a_node_whole() {
     cluster
         .tamper_crashed_wal(a, WalTamper::FlipByte { seed: 10 })
         .unwrap();
-    assert_eq!(cluster.crashed_wal_frontier(a).unwrap(), 0);
     cluster.recover_node(a).unwrap();
     let recovery = cluster.take_last_wal_recovery().unwrap();
+    assert_eq!(recovery.frontier, 0);
     assert!(recovery.suffix_only && recovery.replayed_records >= 4 * keys.len() as u64);
     cluster.apply(&dedups).unwrap();
     for key in &keys {

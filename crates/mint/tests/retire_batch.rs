@@ -1,7 +1,7 @@
 //! Batch retirement ≡ one-at-a-time retirement: `Mint::retire(keys, t)`
 //! must leave a cluster in exactly the state a `Mint::delete(key, t)` per
-//! key leaves it in — same group logs, same per-node journals, same
-//! engine stats, same version chains — under arbitrary histories of
+//! key leaves it in — same group logs, same node frontiers and flash,
+//! same engine stats, same version chains — under arbitrary histories of
 //! writes, retirements, node failures, recoveries and scale-out.
 //!
 //! The histories respect the index pipeline's contract (versions ship in
@@ -86,8 +86,8 @@ fn observe(cluster: &Mint) -> impl PartialEq + std::fmt::Debug {
         .map(NodeId)
         .map(|n| {
             (
-                cluster.node_journal_image(n).ok(),
                 cluster.node_wal_frontier(n).ok(),
+                cluster.node_device(n).unwrap().raw_digest(),
                 cluster.node_stats(n).unwrap(),
                 cluster.node_clock(n).unwrap().now(),
                 cluster.node_device(n).unwrap().counters(),
@@ -138,7 +138,7 @@ proptest! {
                     }
                     if !any_known {
                         // Nobody holds the version: no log record, no
-                        // journal frame, no engine op.
+                        // frontier move, no engine op.
                         prop_assert_eq!(observe(&batch), logged_before);
                     }
                 }
@@ -167,9 +167,9 @@ proptest! {
             }
             prop_assert_eq!(observe(&batch), observe(&single));
         }
-        // Bring the downed node back and commit every journal tail (a
-        // retire leaves its frames buffered until the next batch commit),
-        // then compare once more with everything on flash.
+        // Bring the downed node back and commit every buffered tail (a
+        // retire leaves its tombstones buffered until the next batch
+        // commit), then compare once more with everything on flash.
         if let Some(id) = down {
             batch.recover_node(id).unwrap();
             single.recover_node(id).unwrap();

@@ -88,10 +88,10 @@ impl Client {
     }
 
     fn ensure_connected(&mut self) -> Result<&mut TcpStream> {
+        let mut last_err: Option<std::io::Error> = None;
         if self.stream.is_none() {
             let mut delay = self.cfg.backoff;
             let attempts = self.cfg.connect_attempts.max(1);
-            let mut last_err: Option<std::io::Error> = None;
             for attempt in 0..attempts {
                 match TcpStream::connect(&self.addr) {
                     Ok(s) => {
@@ -109,16 +109,10 @@ impl Client {
                     }
                 }
             }
-            match self.stream {
-                Some(_) => {}
-                None => {
-                    return Err(NetError::Io(
-                        last_err.unwrap_or_else(|| std::io::Error::other("connect failed")),
-                    ))
-                }
-            }
         }
-        Ok(self.stream.as_mut().expect("just connected"))
+        self.stream.as_mut().ok_or_else(|| {
+            NetError::Io(last_err.unwrap_or_else(|| std::io::Error::other("connect failed")))
+        })
     }
 
     /// Drops the transport; the next operation reconnects with backoff.

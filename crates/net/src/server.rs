@@ -213,35 +213,45 @@ impl Server {
             next_trace: AtomicU64::new(1),
             next_conn: AtomicU64::new(1),
         });
-        let telemetry = if telemetry_interval > 0 {
-            let (tx, rx) = mpsc::channel();
-            let shared = Arc::clone(&shared);
-            let handle = std::thread::Builder::new()
-                .name("net-telemetry".into())
-                .spawn(move || {
-                    telemetry_loop(shared, rx, Duration::from_millis(telemetry_interval))
-                })
-                .expect("spawn telemetry thread");
-            Some((tx, handle))
-        } else {
-            None
-        };
+        // A thread that cannot be spawned fails the start, and what
+        // already runs is stopped first.
         let conn_handles = Arc::new(Mutex::new(Vec::new()));
-        let accept_handle = {
-            let shared = Arc::clone(&shared);
-            let handles = Arc::clone(&conn_handles);
+        let spawned = {
+            let (shared, handles) = (Arc::clone(&shared), Arc::clone(&conn_handles));
             std::thread::Builder::new()
                 .name("net-accept".into())
                 .spawn(move || accept_loop(listener, shared, handles))
-                .expect("spawn accept thread")
         };
-        Ok(Server {
+        let accept_handle = match spawned {
+            Ok(handle) => handle,
+            Err(e) => {
+                stop_frontend(&shared);
+                return Err(e);
+            }
+        };
+        let mut server = Server {
             shared,
             local_addr,
             accept_handle,
             conn_handles,
-            telemetry,
-        })
+            telemetry: None,
+        };
+        if telemetry_interval > 0 {
+            let (tx, rx) = mpsc::channel();
+            let shared = Arc::clone(&server.shared);
+            let interval = Duration::from_millis(telemetry_interval);
+            let spawned = std::thread::Builder::new()
+                .name("net-telemetry".into())
+                .spawn(move || telemetry_loop(shared, rx, interval));
+            match spawned {
+                Ok(handle) => server.telemetry = Some((tx, handle)),
+                Err(e) => {
+                    server.shutdown();
+                    return Err(e);
+                }
+            }
+        }
+        Ok(server)
     }
 
     /// The bound address (resolves port 0 to the assigned port).
@@ -282,15 +292,22 @@ impl Server {
         {
             let _ = h.join();
         }
-        let frontend = self
-            .shared
-            .frontend
-            .write()
-            .unwrap_or_else(|e| e.into_inner())
-            .take()
-            .expect("shutdown runs once");
-        frontend.shutdown()
+        // Only a failed start takes the front end early, and that leaves
+        // no server to shut down; were it gone, its live tallies report.
+        let shared = &self.shared;
+        stop_frontend(shared).unwrap_or_else(|| shared.live.report(shared.started.elapsed()))
     }
+}
+
+/// Takes the front end out of service and drains it: its report, or
+/// `None` when it is already gone.
+fn stop_frontend(shared: &Shared) -> Option<ServeReport> {
+    let frontend = shared
+        .frontend
+        .write()
+        .unwrap_or_else(|e| e.into_inner())
+        .take();
+    frontend.map(Frontend::shutdown)
 }
 
 fn accept_loop(

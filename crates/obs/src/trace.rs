@@ -20,8 +20,8 @@
 //! placement subsystem emits `migrate`/`drain` for every throttled
 //! batch of a live topology change, the network front end emits
 //! `accept`/`net_read`/`net_write`/`dispatch` per connection and frame,
-//! and the write-ahead logs emit `wal_append`/`wal_replay` for appended
-//! batches and replayed catch-up suffixes.
+//! and the group logs emit `wal_replay` for every catch-up suffix they
+//! ship.
 
 use std::cmp::Reverse;
 use std::collections::VecDeque;
@@ -84,8 +84,6 @@ pub enum SpanKind {
     SloBreach,
     /// A breached service-level objective recovered.
     SloRecover,
-    /// One batch of records appended to a write-ahead log.
-    WalAppend,
     /// One suffix replayed out of a write-ahead log (node recovery or
     /// join catch-up shipping the donor's log tail).
     WalReplay,
@@ -96,7 +94,7 @@ pub enum SpanKind {
 
 impl SpanKind {
     /// Every kind, in pipeline-then-maintenance order.
-    pub const ALL: [SpanKind; 26] = [
+    pub const ALL: [SpanKind; 25] = [
         SpanKind::Build,
         SpanKind::Dedup,
         SpanKind::Slice,
@@ -120,7 +118,6 @@ impl SpanKind {
         SpanKind::Get,
         SpanKind::SloBreach,
         SpanKind::SloRecover,
-        SpanKind::WalAppend,
         SpanKind::WalReplay,
         SpanKind::Control,
     ];
@@ -151,7 +148,6 @@ impl SpanKind {
             SpanKind::Get => "get",
             SpanKind::SloBreach => "slo_breach",
             SpanKind::SloRecover => "slo_recover",
-            SpanKind::WalAppend => "wal_append",
             SpanKind::WalReplay => "wal_replay",
             SpanKind::Control => "control",
         }
@@ -178,7 +174,7 @@ impl SpanKind {
             SpanKind::Build | SpanKind::Publish => "pipeline",
             SpanKind::Fault | SpanKind::Repair => "chaos",
             SpanKind::SloBreach | SpanKind::SloRecover => "slo",
-            SpanKind::WalAppend | SpanKind::WalReplay => "wal",
+            SpanKind::WalReplay => "wal",
             SpanKind::Control => "ctrl",
         }
     }

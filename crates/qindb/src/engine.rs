@@ -2,10 +2,10 @@
 
 use crate::checkpoint::{self, CheckpointState};
 use crate::config::QinDbConfig;
-use crate::record::{scan_file, Record, RecordRef, ScanItem};
+use crate::record::{scan_file, scan_recovered, Record, RecordRef, ScanItem, Stop};
 use crate::stats::{AtomicEngineStats, EngineStats};
 use crate::{QinDbError, Result};
-use aof::{Aof, FileId, GcTable, RecordLoc};
+use aof::{Aof, AofError, FileId, GcTable, RecordLoc};
 use bytes::Bytes;
 use memtable::{position, IndexEntry, Item, KeyRef, Memtable, ValueLocation, VersionedKey};
 use ssdsim::Device;
@@ -33,6 +33,22 @@ pub enum KeyStatus {
     },
 }
 
+/// What a recovery's scan yields: the records a replay applies, and the
+/// files found corrupt.
+type Scanned = (Vec<(FileId, ScanItem)>, Vec<FileId>);
+
+/// What a recovery found wrong in the AOFs, and cut away.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Damage {
+    /// Bytes cut: a page a power cut left half-programmed at the end of
+    /// the newest file, and each corrupt file from its bad record on.
+    pub cut_bytes: u64,
+    /// Whether a record on a readable page failed its checksum: flash
+    /// lost bytes that were once whole. The records past it are gone,
+    /// not just an unacknowledged tail.
+    pub corrupt: bool,
+}
+
 /// A single-node QinDB instance (one engine per storage node / SSD).
 pub struct QinDb {
     aof: Aof,
@@ -50,40 +66,12 @@ pub struct QinDb {
     ckpt: Option<(u64, Vec<ssdsim::BlockId>)>,
     /// Whether the last recovery used a checkpoint (diagnostics).
     recovered_via_checkpoint: bool,
+    /// What the last recovery cut out of the AOFs.
+    damage: Damage,
     /// The observer flush, checkpoint, GC and traceback are recorded
     /// through: its sim half on this engine's device clock, its wall half
     /// the shared epoch the pipeline's phases nest in.
     scope: obs::Scope,
-    /// The node's mutation journal: every applied cluster mutation is
-    /// framed here with the coordinator-assigned group LSN embedded in
-    /// the payload. The journal carries no values — the AOF is the data
-    /// of record — so it stays small and cheap to re-scan after a crash.
-    journal: wal::Wal,
-    /// Highest group LSN present in the journal (this node's replication
-    /// frontier), cached so the coordinator reads it without a scan.
-    journal_frontier: u64,
-}
-
-/// The highest embedded group LSN among a slice of journal records (every
-/// journal payload starts with the 8-byte little-endian group LSN).
-fn frontier_of_records(records: &[wal::WalRecord]) -> u64 {
-    records
-        .iter()
-        .filter_map(|r| r.payload.first_chunk::<8>())
-        .map(|lsn| u64::from_le_bytes(*lsn))
-        .max()
-        .unwrap_or(0)
-}
-
-/// The replication frontier recorded in a crashed node's journal image:
-/// frames are re-checksummed and a torn or corrupt tail is truncated
-/// before the surviving records' embedded group LSNs are inspected.
-pub fn journal_frontier_of(image: &[u8]) -> u64 {
-    let (mut journal, _) = wal::Wal::open(image, wal::WalConfig::default());
-    let records = journal
-        .replay_from(journal.first_lsn())
-        .expect("replaying a journal from its own first lsn cannot fail");
-    frontier_of_records(&records)
 }
 
 /// What the memtable says about a `k/t`, from one descent to its run.
@@ -116,8 +104,8 @@ impl QinDb {
         )
     }
 
-    /// An engine over the given state, with nothing attached, no
-    /// checkpoint standing and an empty journal.
+    /// An engine over the given state, with nothing attached and no
+    /// checkpoint standing.
     fn assemble(aof: Aof, cfg: QinDbConfig, table: Memtable, gct: GcTable, next_seq: u64) -> Self {
         QinDb {
             device_blocks: aof.device().geometry().blocks,
@@ -129,9 +117,8 @@ impl QinDb {
             next_seq,
             ckpt: None,
             recovered_via_checkpoint: false,
+            damage: Damage::default(),
             scope: obs::Scope::default(),
-            journal: wal::Wal::new(wal::WalConfig::default()),
-            journal_frontier: 0,
         }
     }
 
@@ -335,72 +322,16 @@ impl QinDb {
         let scope = self.scope.clone();
         let _phase = scope.phase(obs::SpanKind::Flush);
         self.aof.flush()?;
-        // The journal goes durable with the data it describes: an acked
-        // write is never ahead of its journal frame.
-        let newly = self.journal.flush();
-        if newly > 0 {
-            scope.event(obs::SpanKind::WalAppend, newly, 0);
-        }
         Ok(())
     }
 
-    // ------------------------------------------------------------------
-    // The mutation journal
-    // ------------------------------------------------------------------
-
-    /// Journals one applied mutation under the coordinator-assigned group
-    /// LSN. `payload` is the coordinator's record descriptor *without*
-    /// the value bytes — the AOF holds the data; the journal only needs
-    /// enough to re-derive this node's replication frontier after a
-    /// crash. Buffered until the next [`QinDb::flush`].
-    pub fn journal_mutation(&mut self, group_lsn: u64, payload: &[u8]) {
-        let mut framed = Vec::with_capacity(8 + payload.len());
-        framed.extend_from_slice(&group_lsn.to_le_bytes());
-        framed.extend_from_slice(payload);
-        self.journal.append(&framed);
-        self.journal_frontier = self.journal_frontier.max(group_lsn);
-    }
-
-    /// This node's replication frontier: the highest group LSN it has
-    /// journaled (0 for a node that never applied a mutation).
-    pub fn journal_frontier(&self) -> u64 {
-        self.journal_frontier
-    }
-
-    /// Fast-forwards the frontier after a full-state transfer: the node
-    /// now holds every effect at or below `group_lsn`, so a durable note
-    /// lets the next catch-up resume from there instead of replaying (or
-    /// re-scanning) history the transfer already covered.
-    pub fn note_journal_frontier(&mut self, group_lsn: u64) {
-        if group_lsn > self.journal_frontier {
-            self.journal_mutation(group_lsn, &[]);
-        }
-    }
-
-    /// Journal counters.
-    pub fn journal_stats(&self) -> wal::WalStats {
-        self.journal.stats()
-    }
-
-    /// The journal bytes that survive a crash of this node (the flushed
-    /// prefix of every retained segment).
-    pub fn journal_image(&self) -> Vec<u8> {
-        self.journal.durable_image()
-    }
-
-    /// Restores the journal from a crash image: frames are
-    /// re-checksummed, a torn or corrupt tail is truncated (never
-    /// resurrected), and the frontier is re-derived from the surviving
-    /// records' embedded group LSNs.
-    pub fn restore_journal(&mut self, image: &[u8]) -> wal::OpenReport {
-        let (mut journal, report) = wal::Wal::open(image, wal::WalConfig::default());
-        let records = journal
-            .replay_from(journal.first_lsn())
-            .expect("replaying a journal from its own first lsn cannot fail");
-        self.journal_frontier = frontier_of_records(&records);
-        self.journal = journal;
-        report
-    }
+    /// Does nothing. The node keeps no log besides its AOFs: the Mint
+    /// coordinator, which assigns group LSNs, remembers how far each
+    /// node has applied. Kept for the repo benchmark's ladder
+    /// (`benchmark/src/ladder.rs`), which replays one Mint apply batch
+    /// on an engine and calls it per write.
+    #[doc(hidden)]
+    pub fn journal_mutation(&mut self, _group_lsn: u64, _payload: &[u8]) {}
 
     /// Writes a durable checkpoint — the periodic snapshot the paper
     /// mentions — so the next recovery replays only the AOF suffix
@@ -437,23 +368,18 @@ impl QinDb {
         }
         phase.set_amount(blocks.len() as u64);
         self.ckpt = Some((id, blocks));
-        // The data checkpoint captures every journaled effect, so the
-        // journal prefix is replay-free: mark it, drop sealed
-        // segments, and re-note the frontier so it stays durable
-        // across the GC.
-        let frontier = self.journal_frontier;
-        self.journal.checkpoint(self.journal.head_lsn());
-        self.journal.gc();
-        if frontier > 0 {
-            self.journal.append(&frontier.to_le_bytes());
-        }
-        self.journal.flush();
         Ok(id)
     }
 
     /// Whether the last recovery was accelerated by a checkpoint.
     pub fn recovered_via_checkpoint(&self) -> bool {
         self.recovered_via_checkpoint
+    }
+
+    /// What the last recovery cut out of the AOFs (nothing, for an
+    /// engine that was never recovered).
+    pub fn damage(&self) -> Damage {
+        self.damage
     }
 
     /// Rebuilds an engine from the device — the paper's recovery path.
@@ -463,8 +389,37 @@ impl QinDb {
     /// engine, which makes the rebuild the paper's full scan — "we have
     /// to scan all AOFs for reconstruction of the memtable and the GC
     /// table". Either way one replay then applies every record past the
-    /// base's coverage. Unflushed tails (torn records) are discarded.
+    /// base's coverage.
+    ///
+    /// A record the end of the data cuts short was never acknowledged
+    /// (its last pages died with the host) and is dropped. Damage is
+    /// told apart by what the device shows ([`QinDb::damage`]): a file's
+    /// last page that never reads is a program a power cut interrupted,
+    /// and is cut; a record that is whole on a readable page and fails
+    /// its checksum is corruption, and its file is cut there and
+    /// reclaimed once the replay is done, so its bad bytes leave the
+    /// device. A torn file is not reclaimed: that would drop deleted items
+    /// whose last copy it holds, items the node's peers still keep, and
+    /// catch-up resumes past them. Its page stays on flash, and every
+    /// recovery cuts it again.
     pub fn recover(dev: Device, cfg: QinDbConfig) -> Result<Self> {
+        let (mut engine, covered) = Self::base(dev, cfg)?;
+        let corrupt = engine.replay(&covered)?;
+        // The survivors are durable before a corrupt file is erased (an
+        // erase cannot fail), so a recovery that fails here leaves the
+        // corruption on flash for its retry to find.
+        corrupt.iter().try_for_each(|&file| engine.relocate(file))?;
+        engine.aof.flush()?;
+        corrupt
+            .into_iter()
+            .try_for_each(|file| engine.erase(file))?;
+        Ok(engine)
+    }
+
+    /// What a recovery starts from, and the bytes of each file it already
+    /// accounts for: the newest checkpoint while it is usable, otherwise
+    /// an empty engine.
+    fn base(dev: Device, cfg: QinDbConfig) -> Result<(Self, Vec<(FileId, u64)>)> {
         cfg.validate();
         let ckpt = checkpoint::load_latest(&dev)?;
         let aof = Aof::recover(dev, cfg.aof)?;
@@ -483,8 +438,7 @@ impl QinDb {
             }
             engine.ckpt = Some((state.id, state.blocks));
         }
-        engine.replay(&covered)?;
-        Ok(engine)
+        Ok((engine, covered))
     }
 
     /// A checkpoint is usable only while every file it covers (and every
@@ -500,20 +454,41 @@ impl QinDb {
                 .all(|(_, e)| aof.file_len(e.location.file).is_some())
     }
 
+    /// Scans every recovered file past the bytes `covered` accounts for,
+    /// cutting damage on the way (see [`QinDb::recover`]): the records a
+    /// replay applies, and the files found corrupt. Any read error but a
+    /// torn last page fails the scan, to be retried.
+    fn scan_past(&mut self, covered: &[(FileId, u64)]) -> Result<Scanned> {
+        let (mut records, mut corrupt) = (Vec::new(), Vec::new());
+        let files = self.aof.sealed_files();
+        for &file in &files {
+            let from = covered.iter().find(|c| c.0 == file).map_or(0, |c| c.1);
+            let ((items, stop), torn) = scan_recovered(&mut self.aof, file, from)?;
+            // A crash can tear only the newest file: a torn page ending an
+            // older one is an earlier crash's, cut again but not reported.
+            self.damage.cut_bytes += if files.last() == Some(&file) { torn } else { 0 };
+            if let Some(stop) = stop.filter(|stop| stop.corrupt) {
+                self.damage.cut_bytes += self.aof.cut(file, stop.offset);
+                self.damage.corrupt = true;
+                corrupt.push(file);
+            }
+            records.extend(items.into_iter().map(|item| (file, item)));
+        }
+        Ok((records, corrupt))
+    }
+
     /// The one rebuild over a base already in `self`: scans every file
     /// past the bytes `covered` says the base accounts for, replays the
     /// records in `seq` order through the routines live mutations use,
     /// then settles liveness for the keys the replay touched (the rest
-    /// is already accounted in the base).
-    fn replay(&mut self, covered: &[(FileId, u64)]) -> Result<()> {
-        let mut records: Vec<(FileId, ScanItem)> = Vec::new();
+    /// is already accounted in the base). Returns the files found
+    /// corrupt.
+    fn replay(&mut self, covered: &[(FileId, u64)]) -> Result<Vec<FileId>> {
+        let (mut records, corrupt) = self.scan_past(covered)?;
+        for (file, item) in &records {
+            self.gct.on_append(*file, item.len as u64);
+        }
         for file in self.aof.sealed_files() {
-            let from = covered.iter().find(|c| c.0 == file).map_or(0, |c| c.1);
-            let (items, _torn_tail) = scan_file(&self.aof, file, from)?;
-            for item in items {
-                self.gct.on_append(file, item.len as u64);
-                records.push((file, item));
-            }
             self.gct.seal(file);
         }
         // seq — not file layout — defines mutation order, because GC
@@ -556,7 +531,37 @@ impl QinDb {
         for key in touched {
             settle_liveness(&mut self.gct, self.table.run_mut(&key));
         }
-        Ok(())
+        Ok(corrupt)
+    }
+
+    // ------------------------------------------------------------------
+    // Damage hooks (a crashed node's device; no engine is up)
+    // ------------------------------------------------------------------
+
+    /// Damage hook: a power cut while the page just past the durable tail
+    /// of the newest AOF file was programming. Returns false when there
+    /// is no page to tear. Charges nothing.
+    pub fn tear_tail(dev: &Device, cfg: QinDbConfig) -> Result<bool> {
+        Ok(Aof::tear_tail(dev, cfg.aof)?)
+    }
+
+    /// Damage hook: a bad cell flips one byte of a durable record that
+    /// recovery's scan reads (past the newest checkpoint's coverage),
+    /// both picked by `seed`; any byte, magic and length included. The
+    /// target is found on a fork of `dev`, so the hook charges nothing.
+    /// Returns false when recovery would scan no record.
+    pub fn flip_record_byte(dev: &Device, cfg: QinDbConfig, seed: u64) -> Result<bool> {
+        let (mut probe, covered) = Self::base(dev.fork(), cfg)?;
+        let (records, _) = probe.scan_past(&covered)?;
+        let Some((file, item)) = records.get(seed as usize % records.len().max(1)) else {
+            return Ok(false);
+        };
+        let at = item.offset + seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) % item.len as u64;
+        let Some((block, byte)) = probe.aof.locate(*file, at) else {
+            return Ok(false);
+        };
+        dev.raw_flip(block, byte).map_err(AofError::from)?;
+        Ok(true)
     }
 
     // ------------------------------------------------------------------
@@ -586,7 +591,8 @@ impl QinDb {
         let mut victim = Some(first);
         while let Some(file) = victim {
             seen.insert(file);
-            self.gc_file(file)?;
+            self.relocate(file)?;
+            self.erase(file)?;
             reclaimed += 1;
             phase.set_amount(reclaimed);
             victim = self.next_victim(lazy, &seen);
@@ -611,13 +617,13 @@ impl QinDb {
             .find(|f| !seen.contains(f))
     }
 
-    /// Reclaims one file: re-appends records that must survive (live
-    /// items, deleted-but-referenced values, still-guarding tombstones),
-    /// updates the skip list offsets, drops no-referent deleted items, and
-    /// erases the file (Figure 2, steps 4–6). Each record costs one
-    /// descent to its key's run and a binary search in it; an item that
-    /// goes costs a second.
-    fn gc_file(&mut self, file: FileId) -> Result<()> {
+    /// Reclaims one file up to its erase: re-appends records that must
+    /// survive (live items, deleted-but-referenced values, still-guarding
+    /// tombstones), updates the skip list offsets, and drops no-referent
+    /// deleted items (Figure 2, steps 4–5; [`QinDb::erase`] is step 6).
+    /// Each record costs one descent to its key's run and a binary search
+    /// in it; an item that goes costs a second.
+    fn relocate(&mut self, file: FileId) -> Result<()> {
         let items = self.file_records(file)?;
         for ScanItem {
             offset,
@@ -670,6 +676,11 @@ impl QinDb {
                 }
             }
         }
+        Ok(())
+    }
+
+    /// Erases `file`, whose survivors [`QinDb::relocate`] moved.
+    fn erase(&mut self, file: FileId) -> Result<()> {
         self.aof.delete_file(file)?;
         self.gct.remove(file);
         self.stats.gc_files_reclaimed.add(1);
@@ -765,7 +776,7 @@ impl QinDb {
     /// error (the caller is not recovering from a crash).
     pub(crate) fn file_records(&self, file: FileId) -> Result<Vec<ScanItem>> {
         match scan_file(&self.aof, file, 0)? {
-            (_, Some(offset)) => Err(QinDbError::CorruptRecord { file, offset }),
+            (_, Some(Stop { offset, .. })) => Err(QinDbError::CorruptRecord { file, offset }),
             (items, None) => Ok(items),
         }
     }
@@ -851,7 +862,7 @@ fn to_value_loc(loc: RecordLoc) -> ValueLocation {
 mod tests {
     use super::*;
     use simclock::SimClock;
-    use ssdsim::{DeviceConfig, Geometry, LatencyModel};
+    use ssdsim::{DeviceConfig, FaultInjection, Geometry, LatencyModel};
 
     /// Device: 256 blocks × 8 pages × 64 B; files hold 2 blocks of data.
     fn small_engine() -> QinDb {
@@ -1206,6 +1217,134 @@ mod tests {
         let back = QinDb::recover(dev, QinDbConfig::small_files(2 * 7 * 64)).unwrap();
         assert!(back.get(b"durable", 1).unwrap().is_some());
         assert_eq!(back.get(b"volatile", 1).unwrap(), None);
+    }
+
+    /// The device of an engine that flushed 30 puts of `value_len`-byte
+    /// values over several files, and crashed while a 31st was draining:
+    /// its first page reached flash, the rest died with the host.
+    fn crashed_with_puts(value_len: usize) -> Device {
+        let mut db = small_engine();
+        for k in 0..30u8 {
+            db.put(&[b'k', k], 1, Some(&vec![k; value_len])).unwrap();
+        }
+        db.flush().unwrap();
+        db.put(b"late", 1, Some(&[7; 100])).unwrap();
+        db.device().clone()
+    }
+
+    /// Every acknowledged put of [`crashed_with_puts`] reads back, and
+    /// the one that was draining does not.
+    fn assert_acked_puts(back: &QinDb, value_len: usize) {
+        for k in 0..30u8 {
+            let value = back.get(&[b'k', k], 1).unwrap();
+            assert_eq!(value.unwrap().as_ref(), vec![k; value_len], "k{k}");
+        }
+        assert_eq!(back.get(b"late", 1).unwrap(), None);
+        assert!(back.verify().unwrap().is_empty());
+    }
+
+    /// Recovers `dev` while one host read in 8 fails, retrying a failed
+    /// attempt as Mint does. Returns the engine and how many attempts
+    /// failed.
+    fn recover_under_read_faults(dev: &Device) -> (QinDb, usize) {
+        dev.set_fault_injection(FaultInjection {
+            read_fail_one_in: 8,
+            seed: 5,
+            ..FaultInjection::default()
+        });
+        let cfg = QinDbConfig::small_files(2 * 7 * 64);
+        let mut failed = 0;
+        let back = loop {
+            match QinDb::recover(dev.clone(), cfg) {
+                Ok(back) => break back,
+                Err(_) => failed += 1,
+            }
+            assert!(failed < 1000, "no recovery succeeds");
+        };
+        dev.set_fault_injection(FaultInjection::default());
+        (back, failed)
+    }
+
+    #[test]
+    fn a_torn_tail_is_cut_and_costs_no_acked_record() {
+        // A failing read is never taken for a tear on a clean device.
+        let (clean, failed) = recover_under_read_faults(&crashed_with_puts(40));
+        assert!(failed > 0, "the faults bit");
+        assert_eq!(clean.damage(), Damage::default());
+        assert_acked_puts(&clean, 40);
+
+        let dev = crashed_with_puts(40);
+        let cfg = QinDbConfig::small_files(2 * 7 * 64);
+        let before = (dev.counters(), dev.clock().now());
+        assert!(QinDb::tear_tail(&dev, cfg).unwrap());
+        assert_eq!((dev.counters(), dev.clock().now()), before, "hook is free");
+        let (mut back, failed) = recover_under_read_faults(&dev);
+        assert!(failed > 0, "the faults bit");
+        let torn = Damage {
+            cut_bytes: 64,
+            corrupt: false,
+        };
+        assert_eq!(back.damage(), torn);
+        assert_acked_puts(&back, 40);
+        // The torn page stays on flash. Once the node has written on, a
+        // later crash meets it in an older file: cut again, unreported,
+        // and fsck reads around it.
+        back.put(b"after", 1, Some(b"v")).unwrap();
+        back.flush().unwrap();
+        drop(back);
+        let again = QinDb::recover(dev.clone(), cfg).unwrap();
+        assert_eq!(again.damage(), Damage::default());
+        assert_acked_puts(&again, 40);
+        assert!(again.get(b"after", 1).unwrap().is_some());
+        assert!(crate::fsck(&dev, cfg.aof).unwrap().errors.is_empty());
+    }
+
+    #[test]
+    fn a_flipped_magic_or_length_byte_is_corruption() {
+        let cfg = QinDbConfig::small_files(2 * 7 * 64);
+        // 20-byte values make a 47-byte body: the bit the hook flips in
+        // the low length byte claims 64 bytes more.
+        for byte in 0..5 {
+            let dev = crashed_with_puts(20);
+            let (mut probe, covered) = QinDb::base(dev.fork(), cfg).unwrap();
+            let (records, _) = probe.scan_past(&covered).unwrap();
+            let (file, last) = records
+                .iter()
+                .max_by_key(|(f, it)| (*f, it.offset))
+                .unwrap();
+            let (block, at) = probe.aof.locate(*file, last.offset + byte).unwrap();
+            dev.raw_flip(block, at).unwrap();
+            let back = QinDb::recover(dev, cfg).unwrap();
+            assert!(back.damage().corrupt, "byte {byte}: {:?}", back.damage());
+        }
+    }
+
+    #[test]
+    fn a_flipped_byte_is_corruption_and_its_file_is_reclaimed() {
+        let dev = crashed_with_puts(40);
+        let cfg = QinDbConfig::small_files(2 * 7 * 64);
+        let clean = QinDb::recover(dev.fork(), cfg).unwrap();
+        assert_eq!(clean.damage(), Damage::default());
+        let before = (dev.counters(), dev.clock().now());
+        assert!(QinDb::flip_record_byte(&dev, cfg, 3).unwrap());
+        assert_eq!((dev.counters(), dev.clock().now()), before, "hook is free");
+        let back = QinDb::recover(dev.clone(), cfg).unwrap();
+        let damage = back.damage();
+        assert!(damage.corrupt && damage.cut_bytes > 0, "{damage:?}");
+        let items = back.memtable_items();
+        assert!(items < 30, "the records from the bad one on are gone");
+        for k in 0..30u8 {
+            if let Some(value) = back.get(&[b'k', k], 1).unwrap() {
+                assert_eq!(value.as_ref(), [k; 40]);
+            }
+        }
+        assert!(back.verify().unwrap().is_empty());
+        // The corrupt file was reclaimed: the next recovery meets no
+        // damage and rebuilds the same items.
+        drop(back);
+        let again = QinDb::recover(dev, cfg).unwrap();
+        assert_eq!(again.damage(), Damage::default());
+        assert_eq!(again.memtable_items(), items);
     }
 
     #[test]

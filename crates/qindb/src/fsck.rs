@@ -14,7 +14,7 @@
 
 use crate::checkpoint;
 use crate::engine::QinDb;
-use crate::record::{scan_file, Record, ScanItem};
+use crate::record::{scan_recovered, Record, ScanItem};
 use crate::Result;
 use aof::{Aof, AofConfig, FileId, Occupancy};
 use ssdsim::Device;
@@ -77,11 +77,11 @@ pub fn fsck(dev: &Device, cfg: AofConfig) -> Result<FsckReport> {
         Ok(None) => report.checkpoint_ok = None,
         Err(_) => report.checkpoint_ok = Some(false),
     }
-    let aof = Aof::recover(dev.clone(), cfg)?;
+    let mut aof = Aof::recover(dev.clone(), cfg)?;
     let mut seqs: HashMap<u64, u32> = HashMap::new();
     for file in aof.sealed_files() {
         report.files += 1;
-        let (items, torn) = scan_file(&aof, file, 0)?;
+        let ((items, torn), _) = scan_recovered(&mut aof, file, 0)?;
         if torn.is_some() {
             report.torn_tails += 1;
         }

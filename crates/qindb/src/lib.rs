@@ -38,6 +38,16 @@
 //! AOFs for reconstruction of the memtable and the GC table". [`fsck()`]
 //! and the GC read a file through the same scan.
 //!
+//! The AOFs are the node's only log: an engine keeps no second log of its
+//! own, and the replication frontier (the highest group LSN a node has
+//! applied and flushed) is kept by the Mint coordinator that assigns the
+//! LSNs. Recovery reports what it cut out of the AOFs ([`Damage`]): a
+//! page a power cut left half-programmed at a file's end never reads and
+//! is cut; a record that is whole on a readable page and fails its
+//! checksum is corruption, and its file is cut there and reclaimed.
+//! [`QinDb::tear_tail`] and [`QinDb::flip_record_byte`] put that damage
+//! on a crashed node's device for the chaos harness.
+//!
 //! # Example
 //!
 //! ```
@@ -66,9 +76,9 @@ mod stats;
 
 pub use checkpoint::CheckpointState;
 pub use config::QinDbConfig;
-pub use engine::{journal_frontier_of, KeyStatus, QinDb};
+pub use engine::{Damage, KeyStatus, QinDb};
 pub use fsck::{fsck, FileAudit, FsckReport};
-pub use record::{scan_records, Record, RecordScanner, ScanItem};
+pub use record::{Record, ScanItem};
 pub use stats::EngineStats;
 
 use aof::AofError;

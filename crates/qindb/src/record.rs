@@ -26,12 +26,13 @@
 //! tail of a page with zeros on flush, and a record can never start with a
 //! zero byte, so the scanner skips any all-zero run to the next page
 //! boundary. A torn tail (crash before the last pages were programmed)
-//! surfaces as a truncated or CRC-failing record and cleanly ends the
-//! scan.
+//! surfaces as a record the end of the data cuts short and cleanly ends
+//! the scan; a record that is whole and fails its CRC is corruption.
 
 use crate::{QinDbError, Result};
 use aof::{Aof, AofError, FileId};
 use bytes::{BufMut, Bytes};
+use ssdsim::SsdError::UncorrectableRead;
 use wal::crc32c;
 
 const RECORD_MAGIC: u8 = 0xA5;
@@ -267,100 +268,102 @@ pub struct ScanItem {
     pub record: Record,
 }
 
-/// Sequential scanner over a file image, page-padding aware.
-///
-/// Yields records until the data ends, an all-zero pad run reaches the end,
-/// or a torn/corrupt record is encountered. [`RecordScanner::corruption`]
-/// reports whether the scan ended due to corruption (recovery treats a
-/// torn *tail* as normal; GC treats any corruption as an error).
-pub struct RecordScanner<'a> {
-    data: &'a [u8],
-    pos: usize,
-    page_size: usize,
-    corrupt_at: Option<u64>,
+/// Where a scan stopped short of the end of its data.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Stop {
+    /// The offset of the first byte not scanned.
+    pub(crate) offset: u64,
+    /// Whether the bytes there are whole and wrong (corruption), rather
+    /// than a record the end of the data cuts short (a crash before its
+    /// last pages were programmed).
+    pub(crate) corrupt: bool,
 }
 
-impl<'a> RecordScanner<'a> {
-    /// Creates a scanner over a full file image.
-    pub fn new(data: &'a [u8], page_size: usize) -> Self {
-        assert!(page_size > 0);
-        RecordScanner {
-            data,
-            pos: 0,
-            page_size,
-            corrupt_at: None,
+/// A scan's records, and where a bad tail stopped it if one did.
+pub(crate) type Scan = (Vec<ScanItem>, Option<Stop>);
+
+/// Scans a file image that starts at file offset `base`, page-padding
+/// aware: every record up to the end of the data (or an all-zero pad run
+/// reaching it), and where a bad tail stopped the scan if one did.
+/// `file_size` is the file's capacity, which no record crosses.
+/// Recovery treats a record the end of the data cuts short as normal; the
+/// GC treats any bad tail as an error.
+pub(crate) fn scan_records(data: &[u8], base: u64, page_size: usize, file_size: u64) -> Scan {
+    let (mut items, mut pos) = (Vec::new(), 0);
+    while pos < data.len() {
+        if data[pos] == 0 {
+            // Pad run: must be zeros up to the next page boundary.
+            let end = ((pos / page_size + 1) * page_size).min(data.len());
+            if data[pos..end].iter().all(|&x| x == 0) {
+                pos = end;
+                continue;
+            }
+        } else if let Ok((record, len)) = Record::decode(&data[pos..]) {
+            let (offset, len) = (base + pos as u64, len as u32);
+            items.push(ScanItem {
+                offset,
+                len,
+                record,
+            });
+            pos += len as usize;
+            continue;
         }
+        let offset = base + pos as u64;
+        let corrupt = !cut_short(&data[pos..], file_size.saturating_sub(offset));
+        return (items, Some(Stop { offset, corrupt }));
     }
-
-    /// Offset at which the scan hit a corrupt record, if it did.
-    pub fn corruption(&self) -> Option<u64> {
-        self.corrupt_at
-    }
+    (items, None)
 }
 
-impl Iterator for RecordScanner<'_> {
-    type Item = ScanItem;
-
-    fn next(&mut self) -> Option<ScanItem> {
-        loop {
-            if self.pos >= self.data.len() || self.corrupt_at.is_some() {
-                return None;
-            }
-            let b = self.data[self.pos];
-            if b == 0 {
-                // Pad run: must be zeros up to the next page boundary.
-                let boundary = (self.pos / self.page_size + 1) * self.page_size;
-                let end = boundary.min(self.data.len());
-                if self.data[self.pos..end].iter().all(|&x| x == 0) {
-                    self.pos = end;
-                    continue;
-                }
-                self.corrupt_at = Some(self.pos as u64);
-                return None;
-            }
-            match Record::decode(&self.data[self.pos..]) {
-                Ok((record, consumed)) => {
-                    let item = ScanItem {
-                        offset: self.pos as u64,
-                        len: consumed as u32,
-                        record,
-                    };
-                    self.pos += consumed;
-                    return Some(item);
-                }
-                Err(_) => {
-                    self.corrupt_at = Some(self.pos as u64);
-                    return None;
-                }
-            }
-        }
-    }
-}
-
-/// Convenience: scans a full file image, returning the items and whether
-/// the scan terminated on corruption (and where).
-pub fn scan_records(data: &[u8], page_size: usize) -> (Vec<ScanItem>, Option<u64>) {
-    let mut scanner = RecordScanner::new(data, page_size);
-    let items: Vec<ScanItem> = scanner.by_ref().collect();
-    (items, scanner.corruption())
+/// Whether `rest`, where a scan stopped, starts a record the end of the
+/// data cuts short (a crash before its last pages were programmed): the
+/// magic, then a length field that is cut off, or that claims more bytes
+/// than remain but no more than the `room` left in the file. A claim one
+/// flipped bit away from a whole, checksum-valid record is a bad cell in
+/// the length field, not a cut.
+fn cut_short(rest: &[u8], room: u64) -> bool {
+    let claim = match rest {
+        [RECORD_MAGIC, a, b, c, d, ..] => u32::from_le_bytes([*a, *b, *c, *d]),
+        [RECORD_MAGIC, ..] => return true,
+        _ => return false,
+    };
+    let whole = |n: usize| {
+        let crc = rest.get(5 + n..9 + n);
+        crc.is_some_and(|crc| crc == crc32c(&rest[5..5 + n]).to_le_bytes())
+    };
+    let total = 1 + 4 + claim as u64 + 4;
+    total > rest.len() as u64
+        && total <= room
+        && !(0..32).any(|bit| whole((claim ^ 1 << bit) as usize))
 }
 
 /// Reads `file` from byte `from` to its end and scans it: the records
-/// with their file offsets, and the offset where a torn or corrupt tail
-/// starts. The one read-and-scan of an AOF that recovery, [`crate::fsck()`]
-/// and the GC share; each decides what a bad tail means to it.
-pub(crate) fn scan_file(
-    aof: &Aof,
-    file: FileId,
-    from: u64,
-) -> Result<(Vec<ScanItem>, Option<u64>)> {
+/// with their file offsets, and where the scan stopped if a bad tail
+/// ended it. The one read-and-scan of an AOF that recovery,
+/// [`crate::fsck()`] and the GC share; each decides what a bad tail
+/// means to it.
+pub(crate) fn scan_file(aof: &Aof, file: FileId, from: u64) -> Result<Scan> {
     let len = aof.file_len(file).ok_or(AofError::NoSuchFile(file))?;
     let data = aof.read(file, from, len.saturating_sub(from) as usize)?;
-    let (mut items, torn) = scan_records(&data, aof.device().geometry().page_size);
-    for item in &mut items {
-        item.offset += from;
-    }
-    Ok((items, torn.map(|at| at + from)))
+    let (page, capacity) = (aof.device().geometry().page_size, aof.max_record_len());
+    Ok(scan_records(&data, from, page, capacity as u64))
+}
+
+/// [`scan_file`] on a store rebuilt after a crash: when a read fails
+/// because a power cut left the file's last page half-programmed, that
+/// page is cut ([`Aof::cut_torn_tail`]) and the scan runs again; any
+/// other read failure is returned. Also returns the bytes cut.
+pub(crate) fn scan_recovered(aof: &mut Aof, file: FileId, from: u64) -> Result<(Scan, u64)> {
+    let torn = match scan_file(aof, file, from) {
+        Err(e @ QinDbError::Storage(AofError::Device(UncorrectableRead { .. }))) => {
+            match aof.cut_torn_tail(file)? {
+                0 => return Err(e),
+                torn => torn,
+            }
+        }
+        scanned => return scanned.map(|scan| (scan, 0)),
+    };
+    Ok((scan_file(aof, file, from)?, torn))
 }
 
 #[cfg(test)]
@@ -484,7 +487,7 @@ mod tests {
         for r in &recs {
             buf.extend_from_slice(&r.encode());
         }
-        let (items, corrupt) = scan_records(&buf, 64);
+        let (items, corrupt) = scan_records(&buf, 0, 64, 1 << 20);
         assert_eq!(corrupt, None);
         assert_eq!(items.len(), 2);
         assert_eq!(items[0].record, recs[0]);
@@ -501,7 +504,7 @@ mod tests {
         let mut buf = r1.encode().to_vec();
         buf.resize(page, 0); // zero padding like Aof::flush
         buf.extend_from_slice(&r2.encode());
-        let (items, corrupt) = scan_records(&buf, page);
+        let (items, corrupt) = scan_records(&buf, 0, page, 1 << 20);
         assert_eq!(corrupt, None);
         assert_eq!(items.len(), 2);
         assert_eq!(items[1].offset, page as u64);
@@ -518,7 +521,7 @@ mod tests {
         let mut buf = r1.encode().to_vec();
         buf.resize(page, 0); // 1 byte of pad — fewer than a length prefix
         buf.extend_from_slice(&r2.encode());
-        let (items, corrupt) = scan_records(&buf, page);
+        let (items, corrupt) = scan_records(&buf, 0, page, 1 << 20);
         assert_eq!(corrupt, None);
         assert_eq!(items.len(), 2);
     }
@@ -529,30 +532,93 @@ mod tests {
         let mut buf = r1.encode().to_vec();
         let torn_at = buf.len();
         buf.extend_from_slice(&[0xA5, 9, 9, 9]); // garbage "record"
-        let (items, corrupt) = scan_records(&buf, 64);
+        let (items, stop) = scan_records(&buf, 0, 64, 1 << 20);
         assert_eq!(items.len(), 1);
-        assert_eq!(corrupt, Some(torn_at as u64));
+        // A length field the data's end cuts off: a torn tail, not rot.
+        let offset = torn_at as u64;
+        assert_eq!(
+            stop,
+            Some(Stop {
+                offset,
+                corrupt: false
+            })
+        );
+        // A whole record whose checksum fails is rot.
+        let mut whole = r1.encode().to_vec();
+        *whole.last_mut().unwrap() ^= 1;
+        let (items, stop) = scan_records(&whole, 0, 64, 1 << 20);
+        assert!(items.is_empty());
+        assert_eq!(
+            stop,
+            Some(Stop {
+                offset: 0,
+                corrupt: true
+            })
+        );
+    }
+
+    #[test]
+    fn a_cut_record_is_a_clean_tail_and_any_flipped_bit_is_corruption() {
+        let record = Record::Put {
+            seq: 9,
+            key: Bytes::from_static(b"k"),
+            version: 2,
+            value: Some(Bytes::from(vec![0u8; 40])),
+        }
+        .encode();
+        let (page, file_size) = (64, 1 << 20);
+        for cut in 1..record.len() {
+            let (_, stop) = scan_records(&record[..cut], 0, page, file_size);
+            let clean = Some(Stop {
+                offset: 0,
+                corrupt: false,
+            });
+            assert_eq!(stop, clean, "cut at {cut}");
+        }
+        // The record is the file's last, padded to its page: a length
+        // flipped upward reaches past the data, and still is no cut.
+        let mut padded = record.to_vec();
+        padded.resize(padded.len().next_multiple_of(page), 0);
+        for (byte, bit) in (0..record.len()).flat_map(|byte| (0..8).map(move |bit| (byte, bit))) {
+            let mut bad = padded.clone();
+            bad[byte] ^= 1 << bit;
+            let (items, stop) = scan_records(&bad, 0, page, file_size);
+            let corrupt = stop.is_some_and(|stop| stop.corrupt);
+            assert!(
+                items.is_empty() && corrupt,
+                "byte {byte} bit {bit}: {stop:?}"
+            );
+        }
+        // A record claiming more than its file can hold is no cut either.
+        let (_, stop) = scan_records(&record[..20], 4050, page, 4096);
+        assert!(stop.is_some_and(|stop| stop.corrupt));
     }
 
     #[test]
     fn scanner_rejects_nonzero_pad() {
         let mut buf = vec![0u8; 10];
         buf[5] = 7; // zeros then garbage inside the "pad"
-        let (items, corrupt) = scan_records(&buf, 64);
+        let (items, stop) = scan_records(&buf, 0, 64, 1 << 20);
         assert!(items.is_empty());
-        assert_eq!(corrupt, Some(0));
+        assert_eq!(
+            stop,
+            Some(Stop {
+                offset: 0,
+                corrupt: true
+            })
+        );
     }
 
     #[test]
     fn empty_scan() {
-        let (items, corrupt) = scan_records(&[], 64);
+        let (items, corrupt) = scan_records(&[], 0, 64, 1 << 20);
         assert!(items.is_empty());
         assert_eq!(corrupt, None);
     }
 
     #[test]
     fn all_zero_image_is_clean_padding() {
-        let (items, corrupt) = scan_records(&[0u8; 256], 64);
+        let (items, corrupt) = scan_records(&[0u8; 256], 0, 64, 1 << 20);
         assert!(items.is_empty());
         assert_eq!(corrupt, None);
     }

@@ -363,6 +363,22 @@ impl LiveStats {
         AttributionReport { costs, hot_keys }
     }
 
+    /// What these tallies saw over `wall`, as a run's report with no
+    /// summary-cache traffic of its own.
+    pub fn report(&self, wall: Duration) -> ServeReport {
+        ServeReport {
+            offered: self.offered(),
+            served: self.served(),
+            served_stale: self.served_stale(),
+            shed: self.shed(),
+            wall,
+            hist: self.hist(),
+            summary_hits: 0,
+            summary_misses: 0,
+            attribution: self.attribution(),
+        }
+    }
+
     /// Republishes the cumulative tallies into `reg` under `serve.*`,
     /// the names [`ServeReport::publish_metrics`] uses, with `store`
     /// semantics: an idempotent re-publish of running totals, for the
@@ -647,17 +663,10 @@ fn finish_report(
     hits_before: u64,
     misses_before: u64,
 ) -> ServeReport {
-    let live = &core.live;
     ServeReport {
-        offered: live.offered(),
-        served: live.served(),
-        served_stale: live.served_stale(),
-        shed: live.shed(),
-        wall,
-        hist: live.hist(),
         summary_hits: cache.hits() - hits_before,
         summary_misses: cache.misses() - misses_before,
-        attribution: live.attribution(),
+        ..core.live.report(wall)
     }
 }
 

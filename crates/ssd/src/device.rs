@@ -166,13 +166,16 @@ enum Owner {
     Bad,
 }
 
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct BlockState {
     owner: Owner,
     /// Next sequential page to program.
     next_page: u32,
     /// Validity bitmap (bit i = page i holds live data).
     valid: u128,
+    /// Pages whose program a power cut interrupted (bit i = page i): they
+    /// count as programmed and read back uncorrectable, every time.
+    torn: u128,
     /// Lifetime erase count (wear).
     erase_count: u32,
 }
@@ -183,6 +186,7 @@ impl BlockState {
     }
 }
 
+#[derive(Clone)]
 struct Inner {
     cfg: DeviceConfig,
     counters: CounterSnapshot,
@@ -205,6 +209,18 @@ struct Inner {
 }
 
 impl Inner {
+    /// The state of `block`, which the raw interface must own.
+    fn raw(&mut self, block: BlockId) -> Result<&mut BlockState> {
+        let state = self
+            .blocks
+            .get_mut(block as usize)
+            .ok_or(SsdError::OutOfRange)?;
+        if state.owner != Owner::Raw {
+            return Err(SsdError::NotRawBlock(block));
+        }
+        Ok(state)
+    }
+
     /// Rolls the seeded fault stream: true roughly once per `one_in`
     /// calls. `one_in == 0` never fires and does not advance the stream,
     /// so enabling one fault class leaves the other's sequence unchanged.
@@ -252,6 +268,7 @@ impl Device {
                 owner: Owner::Free,
                 next_page: 0,
                 valid: 0,
+                torn: 0,
                 erase_count: 0,
             })
             .collect();
@@ -497,15 +514,8 @@ impl Device {
         }
         let mut inner = self.inner.lock();
         let geo = inner.cfg.geometry;
-        let state = inner
-            .blocks
-            .get(block as usize)
-            .ok_or(SsdError::OutOfRange)?;
-        if state.owner != Owner::Raw {
-            return Err(SsdError::NotRawBlock(block));
-        }
+        let first = inner.raw(block)?.next_page;
         let npages = geo.pages_for(data.len());
-        let first = state.next_page;
         if first + npages > geo.pages_per_block {
             return Err(SsdError::BlockFull(block));
         }
@@ -548,13 +558,7 @@ impl Device {
         }
         let mut inner = self.inner.lock();
         let geo = inner.cfg.geometry;
-        let state = inner
-            .blocks
-            .get(block as usize)
-            .ok_or(SsdError::OutOfRange)?;
-        if state.owner != Owner::Raw {
-            return Err(SsdError::NotRawBlock(block));
-        }
+        let state = inner.raw(block)?;
         let first_page = (byte_offset / geo.page_size) as u32;
         let last_page = ((byte_offset + len - 1) / geo.page_size) as u32;
         if last_page >= state.next_page {
@@ -563,15 +567,19 @@ impl Device {
                 page: last_page,
             }));
         }
+        // A torn page fails every read, and rolls no fault: its error is
+        // what is on the media, not chance.
+        let torn = Some(first_page + (state.torn >> first_page).trailing_zeros());
+        let torn = torn.filter(|&p| p <= last_page);
         let read_fail = inner.fault.read_fail_one_in;
-        if inner.fault_roll(read_fail) {
+        if torn.is_some() || inner.fault_roll(read_fail) {
             inner.counters.uncorrectable_reads += 1;
             let latency = inner.cfg.latency.read(last_page - first_page + 1);
             drop(inner);
             self.clock.advance(latency);
             return Err(SsdError::UncorrectableRead {
                 block,
-                page: first_page,
+                page: torn.unwrap_or(first_page),
             });
         }
         out.reserve(len);
@@ -601,15 +609,7 @@ impl Device {
     /// devices expose this write pointer; recovery uses it to know how far
     /// a block's data extends without guessing.
     pub fn raw_next_page(&self, block: BlockId) -> Result<u32> {
-        let inner = self.inner.lock();
-        let state = inner
-            .blocks
-            .get(block as usize)
-            .ok_or(SsdError::OutOfRange)?;
-        if state.owner != Owner::Raw {
-            return Err(SsdError::NotRawBlock(block));
-        }
-        Ok(state.next_page)
+        Ok(self.inner.lock().raw(block)?.next_page)
     }
 
     /// All blocks currently owned through the raw interface, in id order.
@@ -626,16 +626,74 @@ impl Device {
             .collect()
     }
 
+    /// A digest of every byte the raw blocks hold, in block and page
+    /// order, for telling two devices' flash apart in tests. Charges
+    /// nothing.
+    pub fn raw_digest(&self) -> u64 {
+        let inner = self.inner.lock();
+        let ppb = inner.cfg.geometry.pages_per_block as u64;
+        let raw = |p: &&u64| inner.blocks[(**p / ppb) as usize].owner == Owner::Raw;
+        let mut pages: Vec<u64> = inner.data.keys().filter(raw).copied().collect();
+        pages.sort_unstable();
+        let fnv = |h: u64, &b: &u8| (h ^ b as u64).wrapping_mul(0x100_0000_01B3);
+        let bytes = pages.iter().flat_map(|p| inner.data[p].iter());
+        bytes.fold(0xcbf2_9ce4_8422_2325, fnv)
+    }
+
+    /// Damage hook: a power cut in the middle of programming `block`'s
+    /// next page. The write pointer moves past the page, and every read
+    /// of it fails uncorrectably, as a half-programmed NAND page does.
+    /// Fails with [`SsdError::BlockFull`] on a full block, and on one a
+    /// tear already ended (a power cut closes the block it interrupts).
+    /// Charges no time and no counter.
+    pub fn raw_tear(&self, block: BlockId) -> Result<()> {
+        let mut inner = self.inner.lock();
+        let ppb = inner.cfg.geometry.pages_per_block;
+        let state = inner.raw(block)?;
+        let closed = state.torn >> state.next_page.saturating_sub(1) & 1 == 1;
+        if state.next_page >= ppb || closed {
+            return Err(SsdError::BlockFull(block));
+        }
+        state.torn |= 1u128 << state.next_page;
+        state.valid |= 1u128 << state.next_page;
+        state.next_page += 1;
+        Ok(())
+    }
+
+    /// Damage hook: a bad cell flips one stored byte at `byte_offset` of
+    /// `block`. The page still reads back, wrong. Charges no time and no
+    /// counter.
+    pub fn raw_flip(&self, block: BlockId, byte_offset: usize) -> Result<()> {
+        let mut inner = self.inner.lock();
+        let geo = inner.cfg.geometry;
+        let page = (byte_offset / geo.page_size) as u32;
+        if page >= inner.raw(block)?.next_page {
+            return Err(SsdError::UnwrittenPage(PageAddr { block, page }));
+        }
+        let stored = inner.data.get_mut(&geo.flat(PageAddr { block, page }));
+        if let Some(byte) = stored.and_then(|p| p.get_mut(byte_offset % geo.page_size)) {
+            *byte ^= 0x40;
+        }
+        Ok(())
+    }
+
+    /// An independent copy of the device on a fresh clock, with no fault
+    /// injection and no observer: what a damage hook inspects to find its
+    /// target, so that finding it costs the device itself nothing.
+    pub fn fork(&self) -> Device {
+        let mut inner = self.inner.lock().clone();
+        inner.scope = obs::Scope::default();
+        inner.fault = FaultInjection::default();
+        Device {
+            inner: Arc::new(Mutex::new(inner)),
+            clock: SimClock::new(),
+        }
+    }
+
     /// Erases a raw block, returning it to the free pool.
     pub fn raw_erase(&self, block: BlockId) -> Result<SimTime> {
         let mut inner = self.inner.lock();
-        let state = inner
-            .blocks
-            .get(block as usize)
-            .ok_or(SsdError::OutOfRange)?;
-        if state.owner != Owner::Raw {
-            return Err(SsdError::NotRawBlock(block));
-        }
+        inner.raw(block)?;
         Self::erase_block(&mut inner, block);
         let latency = inner.cfg.latency.erase_block;
         drop(inner);
@@ -673,6 +731,7 @@ impl Device {
         let state = &mut inner.blocks[block as usize];
         state.next_page = 0;
         state.valid = 0;
+        state.torn = 0;
         state.erase_count += 1;
         inner.counters.blocks_erased += 1;
         let endurance = inner.cfg.erase_endurance;
@@ -1229,6 +1288,65 @@ mod tests {
             let (out, _) = faulty.ftl_read(lpa, 1).unwrap();
             assert_eq!(out, page());
         }
+    }
+
+    #[test]
+    fn damage_hooks_are_free_and_read_back_as_damaged_media_does() {
+        let d = dev();
+        let b = d.raw_alloc().unwrap();
+        d.raw_program(b, &vec![5u8; 4096 * 2]).unwrap();
+        let untouched = d.fork();
+        assert_eq!(untouched.raw_digest(), d.raw_digest());
+        let before = (d.counters(), d.clock().now());
+        d.raw_flip(b, 4096 + 7).unwrap();
+        assert_ne!(untouched.raw_digest(), d.raw_digest());
+        d.raw_tear(b).unwrap();
+        let closed = d.raw_tear(b).unwrap_err();
+        assert_eq!(closed, SsdError::BlockFull(b), "a tear closes its block");
+        assert_eq!(
+            (d.counters(), d.clock().now()),
+            before,
+            "hooks charge nothing"
+        );
+        assert_eq!(d.raw_next_page(b).unwrap(), 3, "a torn page is programmed");
+        // A flipped byte leaves its page readable, and wrong in one place.
+        let mut page = Vec::new();
+        d.raw_read(b, 4096, 4096, &mut page).unwrap();
+        let wrong: Vec<usize> = (0..4096).filter(|&i| page[i] != 5).collect();
+        assert_eq!(wrong, [7]);
+        // A torn page fails every read that touches it, and names itself.
+        for (offset, len) in [(2 * 4096, 10), (0, 3 * 4096), (4096, 4097)] {
+            assert_eq!(
+                d.raw_read(b, offset, len, &mut Vec::new()).unwrap_err(),
+                SsdError::UncorrectableRead { block: b, page: 2 }
+            );
+        }
+        assert_eq!(d.counters().uncorrectable_reads, 3);
+        // When every read fails, an injected fault names the first page
+        // read, and a torn page still names itself.
+        d.set_fault_injection(FaultInjection {
+            read_fail_one_in: 1,
+            ..FaultInjection::default()
+        });
+        for (offset, page) in [(0, 0), (4096, 2)] {
+            let err = d.raw_read(b, offset, 2 * 4096, &mut Vec::new());
+            assert_eq!(
+                err.unwrap_err(),
+                SsdError::UncorrectableRead { block: b, page }
+            );
+        }
+        d.set_fault_injection(FaultInjection::default());
+        // The fork saw none of it.
+        let mut page = Vec::new();
+        untouched.raw_read(b, 4096, 4096, &mut page).unwrap();
+        assert_eq!(page, vec![5u8; 4096]);
+        assert_eq!(untouched.raw_next_page(b).unwrap(), 2);
+        // Erasing the block clears the damage; a full block cannot tear.
+        d.raw_erase(b).unwrap();
+        let b = d.raw_alloc().unwrap();
+        d.raw_program(b, &vec![1u8; 4096 * 64]).unwrap();
+        assert_eq!(d.raw_tear(b).unwrap_err(), SsdError::BlockFull(b));
+        d.raw_read(b, 0, 64 * 4096, &mut Vec::new()).unwrap();
     }
 
     #[test]

@@ -14,7 +14,7 @@ use std::collections::HashMap;
 pub type Lpa = u64;
 
 /// Mapping state of the page-mapped FTL.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone)]
 pub(crate) struct FtlMap {
     /// `lpa -> ppa` forward map; `None` means unmapped (never written or
     /// trimmed).

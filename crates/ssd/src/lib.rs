@@ -79,9 +79,11 @@ pub enum SsdError {
     /// An I/O length was not a whole number of pages, or was zero.
     BadLength(usize),
     /// The media returned an uncorrectable error for a host read (ECC
-    /// exhausted). Only produced under [`FaultInjection`]; the fault is
-    /// transient in the simulator (a retry re-rolls), matching a marginal
-    /// cell that reads correctly on a later attempt.
+    /// exhausted). Under [`FaultInjection`] the fault is transient (a
+    /// retry re-rolls), matching a marginal cell that reads correctly on
+    /// a later attempt, and `page` is the first page read. A page whose
+    /// program a power cut interrupted ([`Device::raw_tear`]) fails every
+    /// read that touches it, and is the `page` named.
     UncorrectableRead { block: BlockId, page: u32 },
 }
 

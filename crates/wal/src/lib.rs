@@ -1,4 +1,5 @@
-//! `wal` — a segmented write-ahead log with monotonic LSNs.
+//! `wal` — a segmented write-ahead log with monotonic LSNs: the Mint
+//! coordinator's per-group replication logs.
 //!
 //! The log is an ordered sequence of CRC-framed records, each stamped
 //! with a log sequence number (LSN) that increases by exactly one per
@@ -6,15 +7,11 @@
 //! that rotate and seal at a configured size; sealed segments are
 //! immutable, which makes them the unit of garbage collection.
 //!
-//! The API is built around four durability facts:
+//! The API is built around three facts:
 //!
 //! * **Appends are buffered** until [`Wal::flush`] — [`Wal::durable_lsn`]
-//!   trails [`Wal::head_lsn`] by the unflushed suffix, and a crash
-//!   ([`Wal::durable_image`]) loses exactly that suffix.
-//! * **[`Wal::open`] trusts nothing**: it re-checksums every frame and
-//!   truncates the tail at the first invalid or LSN-non-monotonic frame,
-//!   so a torn final record (crash mid-append) or trailing corruption is
-//!   cut off without ever resurrecting bytes past the damage.
+//!   trails [`Wal::head_lsn`] by the unflushed suffix, and only flushed
+//!   segments are ever garbage-collected.
 //! * **[`Wal::checkpoint`] bounds replay**: a marker records that state
 //!   up to some LSN is captured elsewhere, [`Wal::replay_from`] hands
 //!   back only the suffix a consumer still needs, and [`Wal::gc`] drops
@@ -35,7 +32,7 @@ mod segment;
 pub mod replay;
 
 pub use crc32c::crc32c;
-pub use replay::{OpenReport, WalRecord};
+pub use replay::WalRecord;
 
 use segment::{FrameKind, Segment, FRAME_OVERHEAD};
 
@@ -108,8 +105,7 @@ impl std::fmt::Display for WalError {
 
 impl std::error::Error for WalError {}
 
-/// Monotonic log counters (cumulative over the lifetime of this handle;
-/// reset by a crash/reopen like any other in-memory state).
+/// Monotonic log counters (cumulative over the lifetime of this handle).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct WalStats {
     /// Records appended.
@@ -172,41 +168,6 @@ impl Wal {
             checkpoint_lsn: 0,
             stats: WalStats::default(),
         }
-    }
-
-    /// Rebuilds a log from a durable image, re-checksumming every frame
-    /// and truncating the tail at the first invalid or non-monotonic
-    /// frame. The returned report says what survived and what was cut.
-    pub fn open(image: &[u8], cfg: WalConfig) -> (Wal, OpenReport) {
-        let scanned = replay::scan_image(image);
-        let mut wal = Wal::new(cfg);
-        if let Some(first) = scanned.records.first() {
-            wal.next_lsn = first.lsn;
-            wal.first_lsn = first.lsn;
-        }
-        for rec in &scanned.records {
-            wal.next_lsn = rec.lsn; // tolerate a GC'd prefix: LSNs restart where the image does
-            wal.append(&rec.payload);
-        }
-        wal.checkpoint_lsn = scanned.checkpoint_lsn;
-        if wal.next_lsn <= scanned.checkpoint_lsn {
-            // Every record at or below the frontier was GC'd and the
-            // image kept only markers: LSNs resume above the frontier.
-            wal.next_lsn = scanned.checkpoint_lsn + 1;
-            wal.first_lsn = wal.next_lsn;
-        }
-        wal.flush();
-        // Recovered frames replace the stats run up by the rebuild: an
-        // open is not billed as fresh appends.
-        wal.stats = WalStats::default();
-        let report = OpenReport {
-            records: scanned.records.len() as u64,
-            markers: scanned.markers,
-            truncated_bytes: scanned.truncated_bytes,
-            torn: scanned.truncated_bytes > 0,
-            durable_lsn: wal.durable_lsn,
-        };
-        (wal, report)
     }
 
     fn active(&mut self) -> &mut Segment {
@@ -369,17 +330,6 @@ impl Wal {
     pub fn stats(&self) -> WalStats {
         self.stats
     }
-
-    /// The bytes that survive a crash: every retained segment's flushed
-    /// prefix, concatenated in order. Feed it to [`Wal::open`] to model
-    /// a restart; append garbage first to model a torn final write.
-    pub fn durable_image(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        for seg in &self.segments {
-            out.extend_from_slice(&seg.data[..seg.durable_len]);
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -466,47 +416,6 @@ mod tests {
         let suffix = wal.replay_from(21).unwrap();
         assert_eq!(suffix.first().map(|r| r.lsn), Some(21));
         assert_eq!(suffix.last().map(|r| r.lsn), Some(40));
-    }
-
-    #[test]
-    fn crash_loses_exactly_the_unflushed_suffix() {
-        let mut wal = filled(6, WalConfig::default());
-        wal.append(b"buffered-and-lost");
-        let (reopened, report) = Wal::open(&wal.durable_image(), WalConfig::default());
-        assert_eq!(report.records, 6);
-        assert!(!report.torn);
-        assert_eq!(reopened.head_lsn(), 6);
-        assert_eq!(reopened.durable_lsn(), 6);
-    }
-
-    #[test]
-    fn torn_tail_is_truncated_on_open() {
-        let wal = filled(5, WalConfig::default());
-        let mut image = wal.durable_image();
-        image.extend_from_slice(&[0xD7, 0x00, 0xFF]); // partial frame header
-        let (reopened, report) = Wal::open(&image, WalConfig::default());
-        assert!(report.torn);
-        assert_eq!(report.truncated_bytes, 3);
-        assert_eq!(report.records, 5);
-        assert_eq!(reopened.head_lsn(), 5);
-    }
-
-    #[test]
-    fn open_preserves_checkpoint_and_gc_offset() {
-        let mut wal = filled(40, WalConfig::tiny());
-        wal.checkpoint(15);
-        wal.flush();
-        wal.gc();
-        let first = wal.first_lsn();
-        let (mut reopened, report) = Wal::open(&wal.durable_image(), WalConfig::tiny());
-        assert!(!report.torn);
-        assert_eq!(reopened.first_lsn(), first);
-        assert_eq!(reopened.head_lsn(), 40);
-        assert_eq!(reopened.checkpoint_lsn(), 15);
-        assert_eq!(
-            reopened.replay_from(first).unwrap().len(),
-            (40 - first + 1) as usize
-        );
     }
 
     #[test]

@@ -1,15 +1,13 @@
-//! Scanning a serialized log image back into records.
+//! Scanning a segment's frames back into records.
 //!
-//! A durable image is a flat concatenation of frames (segment boundaries
-//! are a storage policy, not a wire format — [`crate::Wal::open`]
-//! re-rotates while scanning). The scanner walks frames from the front
-//! and stops at the first byte position that is not a complete,
-//! checksum-valid, LSN-monotonic frame: everything before that position
-//! is recovered exactly, everything from it on is a torn tail (a
-//! partially-written final record, trailing garbage, or corruption) and
-//! is truncated. A frame that decodes but whose LSN does not advance the
+//! A segment is a flat concatenation of frames. The scanner walks them
+//! from the front and stops at the first byte position that is not a
+//! complete, checksum-valid, LSN-monotonic frame: everything before that
+//! position is returned exactly, everything from it on is counted as a
+//! torn tail. A frame that decodes but whose LSN does not advance the
 //! sequence is treated the same way — bit rot that happens to survive
-//! the CRC cannot silently reorder history.
+//! the CRC cannot silently reorder history. Checkpoint markers are
+//! skipped: replay hands out records only.
 
 use crate::segment::{decode_frame, FrameKind};
 use bytes::Bytes;
@@ -23,29 +21,10 @@ pub struct WalRecord {
     pub payload: Bytes,
 }
 
-/// What [`crate::Wal::open`] found in an image.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct OpenReport {
-    /// Data records recovered.
-    pub records: u64,
-    /// Checkpoint markers recovered.
-    pub markers: u64,
-    /// Bytes discarded past the last valid frame (0 for a clean image).
-    pub truncated_bytes: u64,
-    /// True when the image ended in a torn or corrupt tail.
-    pub torn: bool,
-    /// LSN of the last recovered record (0 when none).
-    pub durable_lsn: u64,
-}
-
 /// A scanned image: the recovered frames plus the tail verdict.
 pub(crate) struct ScannedImage {
     /// Recovered data records, in LSN order.
     pub records: Vec<WalRecord>,
-    /// The highest checkpoint LSN among recovered markers (0 when none).
-    pub checkpoint_lsn: u64,
-    /// Marker frames recovered.
-    pub markers: u64,
     /// Bytes discarded at the tail.
     pub truncated_bytes: u64,
 }
@@ -54,8 +33,6 @@ pub(crate) struct ScannedImage {
 /// non-monotonic frame.
 pub(crate) fn scan_image(image: &[u8]) -> ScannedImage {
     let mut records = Vec::new();
-    let mut checkpoint_lsn = 0u64;
-    let mut markers = 0u64;
     let mut at = 0usize;
     let mut last_lsn = 0u64;
     while let Some(frame) = decode_frame(image, at) {
@@ -72,17 +49,12 @@ pub(crate) fn scan_image(image: &[u8]) -> ScannedImage {
                     ),
                 });
             }
-            FrameKind::Checkpoint => {
-                markers += 1;
-                checkpoint_lsn = checkpoint_lsn.max(frame.lsn);
-            }
+            FrameKind::Checkpoint => {}
         }
         at = frame.next;
     }
     ScannedImage {
         records,
-        checkpoint_lsn,
-        markers,
         truncated_bytes: (image.len() - at) as u64,
     }
 }
@@ -111,8 +83,6 @@ mod tests {
         let scanned = scan_image(&img);
         assert_eq!(scanned.records.len(), 3);
         assert_eq!(scanned.records[2].lsn, 3);
-        assert_eq!(scanned.checkpoint_lsn, 2);
-        assert_eq!(scanned.markers, 1);
         assert_eq!(scanned.truncated_bytes, 0);
     }
 

@@ -3,13 +3,15 @@
 //! Exercises the WAL paths a storm would hit, one at a time, against a
 //! tiny Mint cluster, and checks the recovery contract after each:
 //!
-//! 1. **Clean crash** — the node's journal frontier survives; catch-up
-//!    replays only the group-log suffix above it (suffix-only, not a
-//!    full state transfer).
-//! 2. **Torn tail** — a crash mid-append leaves a partial frame past the
-//!    durable prefix; recovery truncates it and loses nothing acked.
-//! 3. **Corrupt image** — a flipped byte rolls the frontier back, never
-//!    forward; the lost span is re-shipped from the group log.
+//! 1. **Clean crash** — the frontier the node acknowledged survives;
+//!    catch-up replays only the group-log suffix above it (suffix-only,
+//!    not a full state transfer).
+//! 2. **Torn tail** — a power cut mid-program leaves a torn page past
+//!    the durable tail of the node's newest AOF; recovery cuts it and
+//!    loses nothing acked.
+//! 3. **Corrupt record** — a flipped byte in a durable AOF record:
+//!    recovery cuts from it on and restarts the frontier at 0, never
+//!    forward; the group log re-ships what was lost.
 //! 4. **GC'd suffix** — once checkpointing lets the needed segments go,
 //!    catch-up falls back to a full state transfer and fast-forwards
 //!    the frontier so the next crash rides the log again.
@@ -79,18 +81,18 @@ fn main() {
     let info = m.take_last_wal_recovery().expect("recovery info");
     print_recovery("clean crash", &info);
     check(info.suffix_only, "clean crash did not ride the log suffix");
-    check(!info.torn, "clean journal reported a torn tail");
+    check(!info.torn, "clean crash reported a torn tail");
     check(
         info.replayed_records > 0 && info.replayed_records < 40,
         "suffix replay did not ship a strict subset of the history",
     );
 
-    // 2. Torn tail: the frontier the journal yields is unchanged.
+    // 2. Torn tail: the committed frontier is unchanged.
     let mut m = Mint::new(MintConfig::tiny());
     m.apply(&full_ops(40, 1, 512)).expect("apply v1");
     m.fail_node(NodeId(0)).expect("fail");
     let committed = m.crashed_wal_frontier(NodeId(0)).expect("frontier");
-    m.tamper_crashed_wal(NodeId(0), WalTamper::TornTail { seed: 11 })
+    m.tamper_crashed_wal(NodeId(0), WalTamper::TornTail)
         .expect("tamper");
     m.apply(&dedup_ops(40, 2)).expect("apply v2");
     m.recover_node(NodeId(0)).expect("recover");
@@ -102,8 +104,8 @@ fn main() {
         "torn tail lost an acked record (or resurrected one)",
     );
 
-    // 3. Corrupt image: frontier may roll back, never forward, and the
-    // node still converges with the group head.
+    // 3. Corrupt record: the frontier may roll back, never forward, and
+    // the node still converges with the group head.
     let mut m = Mint::new(MintConfig::tiny());
     m.apply(&full_ops(40, 1, 512)).expect("apply v1");
     m.fail_node(NodeId(0)).expect("fail");
@@ -112,7 +114,7 @@ fn main() {
         .expect("tamper");
     m.recover_node(NodeId(0)).expect("recover");
     let info = m.take_last_wal_recovery().expect("recovery info");
-    print_recovery("corrupt image", &info);
+    print_recovery("corrupt record", &info);
     check(
         info.frontier <= committed,
         "corruption fabricated an LSN above the committed frontier",

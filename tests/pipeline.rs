@@ -163,14 +163,18 @@ fn corruption_injection_still_delivers_everything() {
 const ROUNDS: [f64; 7] = [1.0, 0.3, 0.5, 0.2, 0.4, 0.3, 0.6];
 
 /// Everything a cluster's storage state shows from outside: engine,
-/// device and WAL totals, group-log heads, disk bytes, and every live
-/// node's journal.
+/// device and WAL totals, group-log heads, disk bytes, and every node's
+/// frontier and flash.
 fn observe(cluster: &Mint) -> impl PartialEq + std::fmt::Debug {
     let heads: Vec<u64> = (0..cluster.num_groups())
         .map(|g| cluster.group_log_head(g).unwrap())
         .collect();
-    let journals: Vec<_> = (0..cluster.num_nodes() as u32)
-        .map(|n| cluster.node_journal_image(NodeId(n)).ok())
+    let nodes: Vec<_> = (0..cluster.num_nodes() as u32)
+        .map(NodeId)
+        .map(|n| {
+            let flash = cluster.node_device(n).unwrap().raw_digest();
+            (cluster.node_wal_frontier(n).ok(), flash)
+        })
         .collect();
     (
         cluster.aggregate_stats(),
@@ -178,7 +182,7 @@ fn observe(cluster: &Mint) -> impl PartialEq + std::fmt::Debug {
         cluster.aggregate_wal_stats(),
         heads,
         cluster.total_disk_bytes(),
-        journals,
+        nodes,
     )
 }
 
