@@ -481,9 +481,7 @@ impl DirectLoad {
             c("appends", wal.appends);
             c("appended_bytes", wal.appended_bytes);
             c("flushed_bytes", wal.flushed_bytes);
-            c("sealed_segments", wal.sealed_segments);
             c("checkpoints", wal.checkpoints);
-            c("gc_segments", wal.gc_segments);
             c("gc_bytes", wal.gc_bytes);
             c("replayed_records", wal.replayed_records);
             c("replayed_bytes", wal.replayed_bytes);

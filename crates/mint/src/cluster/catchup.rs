@@ -43,26 +43,26 @@ pub(super) fn encode_group_op(kind: u8, key: &[u8], version: u64, value: Option<
     out
 }
 
-/// One decoded group-log mutation.
-struct GroupOp {
+/// One decoded group-log mutation, borrowing its key and value from the
+/// record's payload.
+struct GroupOp<'a> {
     kind: u8,
     version: u64,
-    key: Bytes,
-    value: Option<Bytes>,
+    key: &'a [u8],
+    value: Option<&'a [u8]>,
 }
 
-fn decode_group_op(payload: &[u8]) -> GroupOp {
+fn decode_group_op(payload: &[u8]) -> GroupOp<'_> {
     assert!(payload.len() >= 13, "group-log payloads are well-formed");
     let kind = payload[0];
     let version = u64::from_le_bytes(payload[1..9].try_into().unwrap());
     let key_len = u32::from_le_bytes(payload[9..13].try_into().unwrap()) as usize;
-    let key = Bytes::copy_from_slice(&payload[13..13 + key_len]);
-    let value = (kind == OP_PUT_FULL).then(|| Bytes::copy_from_slice(&payload[13 + key_len..]));
+    let (key, value) = payload[13..].split_at(key_len);
     GroupOp {
         kind,
         version,
         key,
-        value,
+        value: (kind == OP_PUT_FULL).then_some(value),
     }
 }
 
@@ -250,16 +250,10 @@ impl Mint {
                     break;
                 }
                 let op = decode_group_op(&rec.payload);
-                install(
-                    engine,
-                    &op.key,
-                    op.version,
-                    op.value.as_deref(),
-                    op.kind == OP_DEL,
-                )?;
+                install(engine, op.key, op.version, op.value, op.kind == OP_DEL)?;
                 progress.install(rec.lsn);
                 step.items += 1;
-                step.bytes += (op.key.len() + op.value.as_ref().map_or(0, |v| v.len())) as u64;
+                step.bytes += (op.key.len() + op.value.map_or(0, <[u8]>::len)) as u64;
             }
             commit(engine, progress)
         })?;

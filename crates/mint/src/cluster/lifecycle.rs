@@ -80,7 +80,7 @@ impl Mint {
     /// `CATCHUP_BATCH_BYTES` batches. A recovery that finds an AOF record
     /// corrupt resumes from 0 instead: the records past it are gone, and
     /// nothing on flash says which LSNs the survivors carry. Only when GC
-    /// already dropped the needed segments does the node fall back to the
+    /// already dropped the needed records does the node fall back to the
     /// full anti-entropy transfer. Returns how long the local scan plus
     /// catch-up kept the node busy; [`Mint::take_last_wal_recovery`]
     /// reports which path ran. On any error the node stays failed, to be

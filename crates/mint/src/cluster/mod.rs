@@ -45,7 +45,7 @@ pub struct WalRecovery {
     /// AOF bytes recovery cut.
     pub truncated_bytes: u64,
     /// True when catch-up shipped only the group-log suffix above the
-    /// frontier; false when the needed segments were GC'd (or the WAL
+    /// frontier; false when the needed records were GC'd (or the WAL
     /// path is disabled) and it fell back to a full state transfer.
     pub suffix_only: bool,
     /// Records replayed by a suffix catch-up (0 on the full path).
@@ -298,9 +298,7 @@ impl Mint {
             roles: Vec::new(),
             scope: obs::Scope::default(),
             generation: 0,
-            group_logs: (0..cfg.groups)
-                .map(|_| wal::Wal::new(wal::WalConfig::default()))
-                .collect(),
+            group_logs: vec![wal::Wal::default(); cfg.groups],
             wal_catchup: true,
             last_recovery: None,
             wan_class: obs::TrafficClass::WalCatchup,

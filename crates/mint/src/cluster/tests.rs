@@ -645,8 +645,8 @@ fn gc_of_the_suffix_falls_back_to_full_state() {
     m.fail_node(NodeId(0)).unwrap();
     m.apply(&big(48, 2)).unwrap();
     // The alive replicas sit at the head, so this checkpoint lets
-    // every sealed group-log segment go — including the suffix the
-    // crashed node is missing.
+    // every group-log record go — including the suffix the crashed
+    // node is missing.
     m.checkpoint_all().unwrap();
     m.recover_node(NodeId(0)).unwrap();
     let info = m.take_last_wal_recovery().unwrap();

@@ -77,8 +77,8 @@ struct Model {
 }
 
 impl Model {
-    /// Values are a few KiB so a handful of batches seals a group-log
-    /// segment and `Op::Checkpoint` has something to compact.
+    /// Values are a few KiB, so a full-state transfer and a log suffix
+    /// differ by real bytes.
     fn value_of(k: u8, t: u8) -> Vec<u8> {
         vec![k ^ t; 3000 + k as usize]
     }
@@ -318,8 +318,8 @@ fn a_full_sync_from_partial_peers_does_not_make_a_node_whole() {
         cluster.fail_node(a).unwrap();
         write(&mut cluster, 2);
         if compacted {
-            // B and C sit at the head, so the checkpoint lets every sealed
-            // segment go — including the suffix A is missing.
+            // B and C sit at the head, so the checkpoint lets every
+            // group-log record go — including the suffix A is missing.
             cluster.checkpoint_all().unwrap();
         } else {
             cluster.set_wal_catchup(false);

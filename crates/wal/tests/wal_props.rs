@@ -1,16 +1,15 @@
 //! Property tests for the write-ahead log's core invariants:
 //!
 //! 1. LSNs are strictly monotonic (and contiguous) across arbitrary
-//!    append/checkpoint/flush/GC interleavings, including segment
-//!    rotation.
+//!    append/checkpoint/flush/GC interleavings.
 //! 2. Append → replay round-trips arbitrary batches exactly.
 //! 3. Replaying from a checkpoint and applying over the checkpointed
 //!    prefix reaches the same state as a full replay.
 
 use proptest::prelude::*;
-use wal::{Wal, WalConfig};
+use wal::Wal;
 
-/// Payload batches: small segments force rotation mid-test.
+/// Payload batches.
 fn batches() -> impl Strategy<Value = Vec<Vec<u8>>> {
     proptest::collection::vec(proptest::collection::vec(0u8..=255, 0..40), 1..60)
 }
@@ -21,10 +20,9 @@ proptest! {
     #[test]
     fn lsns_are_strictly_monotonic_across_rotation(
         batches in batches(),
-        segment_bytes in 32usize..512,
         checkpoint_every in 5u64..20,
     ) {
-        let mut wal = Wal::new(WalConfig { segment_bytes });
+        let mut wal = Wal::default();
         let mut last = 0u64;
         for payload in &batches {
             let lsn = wal.append(payload);
@@ -45,7 +43,7 @@ proptest! {
 
     #[test]
     fn append_replay_round_trips_arbitrary_batches(batches in batches()) {
-        let mut wal = Wal::new(WalConfig::tiny());
+        let mut wal = Wal::default();
         let mut lsns = Vec::new();
         for payload in &batches {
             lsns.push(wal.append(payload));
@@ -63,7 +61,7 @@ proptest! {
         batches in batches(),
         at in 0u64..60,
     ) {
-        let mut wal = Wal::new(WalConfig::tiny());
+        let mut wal = Wal::default();
         for payload in &batches {
             wal.append(payload);
         }

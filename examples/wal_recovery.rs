@@ -12,7 +12,7 @@
 //! 3. **Corrupt record** — a flipped byte in a durable AOF record:
 //!    recovery cuts from it on and restarts the frontier at 0, never
 //!    forward; the group log re-ships what was lost.
-//! 4. **GC'd suffix** — once checkpointing lets the needed segments go,
+//! 4. **GC'd suffix** — once checkpointing lets the needed records go,
 //!    catch-up falls back to a full state transfer and fast-forwards
 //!    the frontier so the next crash rides the log again.
 //! 5. **Join** — a fresh node catches up from the log suffix, shipping
@@ -126,7 +126,7 @@ fn main() {
     );
 
     // 4. GC'd suffix: checkpointing with the crashed node excluded lets
-    // the segments it needs go; catch-up falls back to full state.
+    // the records it needs go; catch-up falls back to full state.
     let mut m = Mint::new(MintConfig::tiny());
     m.apply(&full_ops(48, 1, 4096)).expect("apply v1");
     m.fail_node(NodeId(0)).expect("fail");
