@@ -592,6 +592,10 @@ impl QinDb {
         while let Some(file) = victim {
             seen.insert(file);
             self.relocate(file)?;
+            // The re-appended records reach flash before their old copies
+            // go: an erase cannot be undone, and a crash drops whatever
+            // the AOF still buffers.
+            self.aof.flush()?;
             self.erase(file)?;
             reclaimed += 1;
             phase.set_amount(reclaimed);
@@ -1197,6 +1201,31 @@ mod tests {
                 None,
                 "tombstone lost for {key}"
             );
+        }
+    }
+
+    #[test]
+    fn a_crash_right_after_gc_loses_no_live_record() {
+        // GC re-appends a victim file's live records before erasing the
+        // file: they must be on flash by the erase, or a crash before the
+        // next flush loses their only copy.
+        let mut db = small_engine();
+        for k in 0..40u8 {
+            db.put(&[b'k', k], 1, Some(&[k; 40])).unwrap();
+        }
+        let live = |k: &u8| k.is_multiple_of(8);
+        for k in (0..40u8).filter(|k| !live(k)) {
+            db.del(&[b'k', k], 1).unwrap();
+        }
+        db.flush().unwrap();
+        assert!(db.force_gc().unwrap() > 0);
+        let dev = db.device().clone();
+        drop(db); // crash without flush
+
+        let back = QinDb::recover(dev, QinDbConfig::small_files(2 * 7 * 64)).unwrap();
+        for k in (0..40u8).filter(live) {
+            let value = back.get(&[b'k', k], 1).unwrap();
+            assert_eq!(value.as_deref(), Some(&[k; 40][..]), "k{k}");
         }
     }
 
