@@ -9,9 +9,8 @@
 //!        Del:  (nothing further)
 //! ```
 //!
-//! The checksum is [`wal::crc32c`], the kernel the WAL frames its
-//! records with: one pass over the body at hardware speed where the CPU
-//! has a CRC-32C instruction. A GET verifies the record in place in the
+//! The checksum is [`wal::crc32c`]: one pass over the body at hardware
+//! speed where the CPU has a CRC-32C instruction. A GET verifies the record in place in the
 //! one buffer the AOF read filled (`RecordRef::parse`) and copies out
 //! only the value.
 //!

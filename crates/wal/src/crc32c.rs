@@ -1,5 +1,5 @@
-//! CRC-32C (Castagnoli): the storage checksum of every WAL frame and,
-//! through `qindb`, of every AOF record and engine checkpoint.
+//! CRC-32C (Castagnoli): through `qindb`, the storage checksum of every
+//! AOF record and engine checkpoint.
 //!
 //! On x86_64 with SSE4.2 (detected at run time) the `crc32` instruction
 //! folds eight bytes per step: 0.09 ns a byte over back-to-back 1.1 KiB
@@ -8,7 +8,7 @@
 //! replaced and 0.61 for the wire's slice-by-16 CRC-32 (2-vCPU Intel
 //! Xeon VM). Everywhere else a byte-at-a-time table loop computes the
 //! same function; the tests hold the fast path to it. CRC-32C detects
-//! every 1-bit error and every burst of up to 32 bits in a frame.
+//! every 1-bit error and every burst of up to 32 bits in a record.
 
 /// The reflected Castagnoli polynomial.
 const POLY: u32 = 0x82F6_3B78;
