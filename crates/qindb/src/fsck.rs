@@ -313,7 +313,8 @@ mod tests {
             assert!(QinDb::flip_record_byte(&dev, cfg, seed).unwrap());
             let report = fsck(&dev, cfg.aof).unwrap();
             assert!(
-                report.errors[..]
+                report
+                    .errors
                     .iter()
                     .any(|e| e.contains("corrupt record at offset")),
                 "seed {seed}: {report}"

@@ -10,9 +10,9 @@
 //! ```
 //!
 //! The checksum is [`wal::crc32c`]: one pass over the body at hardware
-//! speed where the CPU has a CRC-32C instruction. A GET verifies the record in place in the
-//! one buffer the AOF read filled (`RecordRef::parse`) and copies out
-//! only the value.
+//! speed where the CPU has a CRC-32C instruction. A GET verifies the
+//! record in place in the one buffer the AOF read filled
+//! (`RecordRef::parse`) and copies out only the value.
 //!
 //! `seq` is a node-global, monotonically increasing sequence number. It
 //! defines the logical order of mutations independently of physical file
