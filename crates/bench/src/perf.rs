@@ -350,10 +350,11 @@ fn netbench() -> BenchReport {
     let engine = std::sync::Arc::new(system);
     let bench_cfg = net::NetbenchConfig {
         connections: 4,
-        requests: 240,
-        qps: 0, // closed by server capacity, not the pacer
-        timeout: std::time::Duration::from_secs(30),
-        ..net::NetbenchConfig::default()
+        load: serve::LoadConfig {
+            qps: 4_000.0,
+            requests: 240,
+            ..serve::LoadConfig::default()
+        },
     };
     let server = net::Server::start(
         std::sync::Arc::clone(&engine),
@@ -636,9 +637,9 @@ fn attribution() -> BenchReport {
     system.run_version(1.0).expect("round 1");
     system.run_version(0.3).expect("round 2");
     let mut serve_cfg = ServeConfig::default();
-    serve_cfg.driver.requests = 240;
-    serve_cfg.driver.qps = 600.0;
-    serve_cfg.frontend.queue_depth = serve_cfg.driver.requests;
+    serve_cfg.load.requests = 240;
+    serve_cfg.load.qps = 600.0;
+    serve_cfg.frontend.queue_depth = serve_cfg.load.requests;
     let report = system.serve(&serve_cfg);
     assert_eq!(report.shed, 0, "deep queues must not shed");
     let attr = &report.attribution;

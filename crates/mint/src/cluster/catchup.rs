@@ -3,7 +3,7 @@
 //! engine — and `Mint::catch_up`, the one driver that brings a node up
 //! to its group, by log suffix or by full-state copy.
 
-use super::{commit, Mint, NodeId, SyncStep, READ_RETRIES};
+use super::{commit, engine_mut, Mint, NodeId, SyncStep, READ_RETRIES};
 use crate::{MintError, Result};
 use bytes::Bytes;
 use qindb::{QinDb, QinDbError};
@@ -148,11 +148,12 @@ impl Mint {
     /// progress is guaranteed) and reports whether the log carried them:
     ///
     /// * **Log suffix** when the group log still retains everything
-    ///   above the node's frontier. The log is replayed once per
-    ///   call and committed in [`CATCHUP_BATCH_BYTES`] batches, whoever
-    ///   calls: recovery and the cutover pass `u64::MAX` and finish in
-    ///   one replay; a join batch is one call, so the next one re-reads
-    ///   the log and picks up the writes that landed in between.
+    ///   above the node's frontier. The suffix is read in place and
+    ///   shipped in [`CATCHUP_BATCH_BYTES`] batches, a commit each,
+    ///   whoever calls: recovery and the cutover pass `u64::MAX` and ship
+    ///   all of it; a join batch is one call, so the next one reads on
+    ///   from the node's frontier and picks up the writes that landed in
+    ///   between. Only the records shipped are read or counted replayed.
     /// * **Full state** when GC already dropped that suffix (or
     ///   [`Mint::set_wal_catchup`] turned the log path off): a bounded
     ///   anti-entropy pass over the group's alive members. Once a pass
@@ -168,12 +169,7 @@ impl Mint {
         budget: u64,
     ) -> Result<(SyncStep, bool)> {
         let frontier = self.node_wal_frontier(node)?;
-        let suffix = if self.wal_catchup {
-            self.group_logs[group].replay_from(frontier + 1).ok()
-        } else {
-            None
-        };
-        let Some(records) = suffix else {
+        if !self.wal_catchup || self.group_logs[group].suffix(frontier + 1).is_err() {
             let head = self.group_logs[group].head_lsn();
             let peers: Vec<u32> = self
                 .group_readers(group)
@@ -189,19 +185,21 @@ impl Mint {
                 })?;
             }
             return Ok((step, false));
-        };
-        // One replay, then a commit per batch: a crash mid-catch-up
-        // re-ships little, and a budget no larger than a batch (every
-        // migrator step) is still exactly one commit.
-        let mut step = self.ship_suffix(node, &records, budget.min(CATCHUP_BATCH_BYTES))?;
-        while !step.done && step.bytes < budget {
+        }
+        // A commit per batch: a crash mid-catch-up re-ships little, and a
+        // budget no larger than a batch (every migrator step) is still
+        // exactly one commit.
+        let mut step = SyncStep::default();
+        loop {
             let batch = (budget - step.bytes).min(CATCHUP_BATCH_BYTES);
-            let more = self.ship_suffix(node, &records[step.items as usize..], batch)?;
+            let more = self.ship_suffix(node, group, frontier + 1 + step.items, batch)?;
             step.items += more.items;
             step.bytes += more.bytes;
             step.done = more.done;
+            if step.done || step.bytes >= budget {
+                return Ok((step, true));
+            }
         }
-        Ok((step, true))
     }
 
     /// [`Mint::catch_up`] with no budget, for the callers about to put
@@ -222,17 +220,19 @@ impl Mint {
     }
 
     /// One commit of a group-log suffix to `node`: up to `max_bytes` of
-    /// `records` (always at least one), each installed idempotently — the
-    /// node may already hold the item (a reshipped record it applied but
-    /// never acknowledged, or state a full transfer already covered) —
-    /// and noted in its progress under its group LSN, then one commit;
-    /// the shipped bytes are charged to the node's clock at
-    /// [`SYNC_BYTES_PER_SEC`]. Records a `wal_replay` span on the sim
-    /// ring under the node's label.
+    /// the records from LSN `from` on (always at least one), each
+    /// installed idempotently — the node may already hold the item (a
+    /// reshipped record it applied but never acknowledged, or state a full
+    /// transfer already covered) — and noted in its progress under its
+    /// group LSN, then one commit. The records are read in place, and only
+    /// the shipped ones count as replayed; their bytes are charged to the
+    /// node's clock at [`SYNC_BYTES_PER_SEC`]. Records a `wal_replay` span
+    /// on the sim ring under the node's label.
     fn ship_suffix(
         &mut self,
         node: NodeId,
-        records: &[wal::WalRecord],
+        group: usize,
+        from: wal::Lsn,
         max_bytes: u64,
     ) -> Result<SyncStep> {
         let scope = self.scope.child(&format!("n{}", node.0), None);
@@ -241,22 +241,30 @@ impl Mint {
             done: true,
             ..SyncStep::default()
         };
-        self.with_engine_mut(node, |engine, progress| {
-            for rec in records {
+        let mut payload_bytes = 0;
+        // `catch_up` found the suffix from the node's frontier retained,
+        // and nothing truncates the log while it ships.
+        let records = self.group_logs[group]
+            .suffix(from)
+            .map_err(|_| MintError::SyncIncomplete(node.0))?;
+        engine_mut(&self.nodes, &mut self.progress, node, |engine, progress| {
+            for (lsn, payload) in records {
                 if step.items > 0 && step.bytes >= max_bytes {
                     // Budget spent with records left: the caller comes
                     // back for another batch.
                     step.done = false;
                     break;
                 }
-                let op = decode_group_op(&rec.payload);
+                let op = decode_group_op(payload);
                 install(engine, op.key, op.version, op.value, op.kind == OP_DEL)?;
-                progress.install(rec.lsn);
+                progress.install(lsn);
                 step.items += 1;
                 step.bytes += (op.key.len() + op.value.map_or(0, <[u8]>::len)) as u64;
+                payload_bytes += payload.len() as u64;
             }
             commit(engine, progress)
         })?;
+        self.group_logs[group].count_replayed(step.items, payload_bytes);
         self.charge_transfer(node, step.bytes);
         span.set_amount(step.bytes);
         Ok(step)

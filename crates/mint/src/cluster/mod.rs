@@ -280,6 +280,21 @@ fn node_err(node: u32) -> impl Fn(QinDbError) -> MintError {
     move |error| MintError::Node { node, error }
 }
 
+/// [`Mint::with_engine_mut`] over the two fields it uses, field by field,
+/// so the engine guard and the progress borrow apart, and a caller may
+/// hold a group log across it.
+fn engine_mut<T>(
+    nodes: &[NodeState],
+    progress: &mut [Progress],
+    node: NodeId,
+    f: impl FnOnce(&mut QinDb, &mut Progress) -> std::result::Result<T, QinDbError>,
+) -> Result<T> {
+    let state = nodes.get(node.0 as usize);
+    let mut guard = state.ok_or(MintError::NoSuchNode(node.0))?.engine.write();
+    let engine = guard.as_mut().ok_or(MintError::BadNodeState(node.0))?;
+    f(engine, &mut progress[node.0 as usize]).map_err(node_err(node.0))
+}
+
 impl Mint {
     /// Builds the cluster: `groups × nodes_per_group` nodes, each with a
     /// fresh device and engine.
@@ -462,12 +477,7 @@ impl Mint {
         node: NodeId,
         f: impl FnOnce(&mut QinDb, &mut Progress) -> std::result::Result<T, QinDbError>,
     ) -> Result<T> {
-        // Field by field, so the engine guard and the progress borrow
-        // apart.
-        let state = self.nodes.get(node.0 as usize);
-        let mut guard = state.ok_or(MintError::NoSuchNode(node.0))?.engine.write();
-        let engine = guard.as_mut().ok_or(MintError::BadNodeState(node.0))?;
-        f(engine, &mut self.progress[node.0 as usize]).map_err(node_err(node.0))
+        engine_mut(&self.nodes, &mut self.progress, node, f)
     }
 
     /// A live node's replication frontier: the highest group LSN it has

@@ -746,6 +746,34 @@ fn corrupt_aof_record_restarts_the_frontier_at_zero() {
 }
 
 #[test]
+fn a_throttled_join_counts_only_the_records_it_ships() {
+    // A group-log suffix of several batches, joined in small steps: each
+    // step reads on from the joiner's frontier, so the log's replay
+    // counters end at the records shipped, not at a re-read of the whole
+    // retained suffix per step (about N²/2B records for N in steps of B).
+    let mut m = Mint::new(MintConfig::tiny());
+    for version in 1..=4 {
+        m.apply(&ops(40, version)).unwrap();
+    }
+    let head = m.group_log_head(0).unwrap();
+    let joiner = m.begin_join(0).unwrap();
+    let (mut steps, mut shipped) = (0, 0);
+    loop {
+        let step = m.join_sync_step(joiner, 256).unwrap();
+        steps += 1;
+        shipped += step.items;
+        if step.done {
+            break;
+        }
+    }
+    assert!(steps >= 4, "the suffix spans several steps, took {steps}");
+    assert_eq!(shipped, head, "the joiner took the whole suffix once");
+    let wal = m.aggregate_wal_stats();
+    assert_eq!(wal.replayed_records, shipped);
+    assert!(wal.replayed_bytes < wal.appended_bytes);
+}
+
+#[test]
 fn join_catchup_ships_far_fewer_bytes_than_full_state() {
     // The paper's workload shape: one value-bearing version per key,
     // then a long run of deduplicated versions. The log suffix ships

@@ -1,65 +1,51 @@
-//! Open-loop multi-connection load generator.
+//! The socket flavour of [`serve::loadgen`]: its one open-loop schedule
+//! spread over several pipelined TCP connections. Connection `c` carries
+//! requests `i ≡ c (mod connections)`. Each connection has a sender thread
+//! that paces its share with [`LoadConfig::pace`] and a receiver that
+//! matches responses by id, so pipelining depth floats with server
+//! latency exactly as it would for a real caller.
 //!
-//! Open-loop means arrivals follow a fixed schedule regardless of how
-//! fast responses come back — the honest way to measure a service under
-//! load (a closed loop self-throttles and hides queueing delay; see
-//! `serve::driver` for the same discipline in-process). Each connection
-//! gets a sender thread pacing requests off a pre-computed schedule and
-//! a receiver thread matching responses by id, so pipelining depth
-//! floats with server latency exactly as it would for a real caller.
-//!
-//! Latency is recorded send→receive into the same log-bucketed
-//! [`obs::LatencyHistogram`] the in-process driver uses, then merged
-//! across connections.
+//! Each answer is timed from its request's due instant, not from when it
+//! was written: a server that stops reading blocks the sender's writes,
+//! and the requests queued behind that stall must carry it. Latencies go
+//! into the same log-bucketed [`obs::LatencyHistogram`] the in-process
+//! front-end uses, merged across connections, beside how late the
+//! generator ran.
 
 use crate::wire::{self, ReadFrame, Request, Response};
-use bifrost::DataCenterId;
-use indexgen::{CrawlSimulator, QueryWorkload, QueryWorkloadConfig};
+use indexgen::CrawlSimulator;
 use obs::LatencyHistogram;
-use std::collections::HashMap;
-use std::io::Write;
-use std::net::TcpStream;
-use std::sync::{Arc, Mutex};
+use serve::LoadConfig;
+use std::collections::HashSet;
+use std::io::{BufReader, ErrorKind, Write};
+use std::net::{Shutdown, TcpStream};
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
+
+/// How long a receiver waits for a response before it counts what is
+/// still owed as lost. It only bounds a failure, so it is no knob.
+const RESPONSE_TIMEOUT: Duration = Duration::from_secs(30);
 
 /// Netbench knobs.
 #[derive(Debug, Clone, Copy)]
 pub struct NetbenchConfig {
     /// Concurrent TCP connections.
     pub connections: usize,
-    /// Total requests across all connections.
-    pub requests: usize,
-    /// Aggregate offered load, requests/second (0 = as fast as possible).
-    pub qps: u64,
-    /// Workload shape for query terms.
-    pub workload: QueryWorkloadConfig,
-    /// Per-response read timeout on the receiver threads.
-    pub timeout: Duration,
-    /// Hits requested per query (0 = server default).
-    pub top_k: u32,
-    /// Target data center.
-    pub dc: DataCenterId,
-    /// Index version to pin (0 = server's current).
-    pub version: u64,
+    /// Aggregate offered load and its query stream.
+    pub load: LoadConfig,
 }
 
 impl Default for NetbenchConfig {
     fn default() -> Self {
         NetbenchConfig {
             connections: 8,
-            requests: 2_000,
-            qps: 2_000,
-            workload: QueryWorkloadConfig::default(),
-            timeout: Duration::from_secs(5),
-            top_k: 0,
-            dc: DataCenterId::all()[0],
-            version: 0,
+            load: LoadConfig::default(),
         }
     }
 }
 
 /// What a netbench run saw.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct NetbenchReport {
     /// Requests written to sockets.
     pub offered: u64,
@@ -73,28 +59,21 @@ pub struct NetbenchReport {
     pub errors: u64,
     /// Locally detected protocol violations (should be 0).
     pub protocol_errors: u64,
-    /// Receives that hit the read timeout or a dead socket.
+    /// Requests never answered: a failed connect, a read timeout or a
+    /// dead socket.
     pub transport_errors: u64,
     /// Total hits across all completed responses.
     pub hits_returned: u64,
-    /// Wall time from first send to last receive.
+    /// Wall time from the schedule's epoch to the last receive.
     pub wall: Duration,
-    /// Send→receive latency, merged across connections.
+    /// Due→receive latency in ns, merged across connections.
     pub hist: LatencyHistogram,
+    /// How late each request left the generator, in ns after its due
+    /// time.
+    pub lateness: LatencyHistogram,
 }
 
 impl NetbenchReport {
-    /// Achieved responses/second (completed + overloaded, i.e. every
-    /// request the server answered).
-    pub fn qps(&self) -> f64 {
-        let answered = (self.completed + self.overloaded + self.errors) as f64;
-        if self.wall.as_secs_f64() > 0.0 {
-            answered / self.wall.as_secs_f64()
-        } else {
-            0.0
-        }
-    }
-
     /// Greppable summary, one fact per line (CI greps these).
     pub fn render(&self, connections: usize) -> String {
         let mut out = String::new();
@@ -118,230 +97,138 @@ impl NetbenchReport {
             self.hist.p999() / 1_000,
         ));
         out.push_str(&format!(
+            "lateness: n={} p50_us={} p99_us={} max_us={}\n",
+            self.lateness.count(),
+            self.lateness.p50() / 1_000,
+            self.lateness.p99() / 1_000,
+            self.lateness.max() / 1_000,
+        ));
+        // Achieved responses/second: every request the server answered.
+        let answered = self.completed + self.overloaded + self.errors;
+        out.push_str(&format!(
             "wall_ms={:.1} qps={:.0} hits_returned={}\n",
             self.wall.as_secs_f64() * 1_000.0,
-            self.qps(),
+            answered as f64 / self.wall.as_secs_f64().max(1e-9),
             self.hits_returned,
         ));
         out.push_str(&format!("protocol_errors: {}\n", self.protocol_errors));
         out
     }
-}
 
-/// Per-connection tallies merged into the final report.
-#[derive(Default)]
-struct ConnTally {
-    completed: u64,
-    degraded: u64,
-    overloaded: u64,
-    errors: u64,
-    protocol_errors: u64,
-    transport_errors: u64,
-    hits_returned: u64,
-    hist: LatencyHistogram,
-}
-
-/// Drives `addr` with `cfg.requests` queries over `cfg.connections`
-/// pipelined connections. The workload comes from the same corpus
-/// simulator the server indexed, so queries hit real terms.
-pub fn run_netbench(addr: &str, crawler: &CrawlSimulator, cfg: NetbenchConfig) -> NetbenchReport {
-    let connections = cfg.connections.max(1);
-    let requests = cfg.requests.max(1);
-    // Pre-generate the whole term workload once, then split it
-    // round-robin so every connection sees the same mix.
-    let queries = QueryWorkload::new(crawler, cfg.workload).take(requests);
-    let mut per_conn: Vec<Vec<Request>> = (0..connections).map(|_| Vec::new()).collect();
-    for (i, q) in queries.into_iter().enumerate() {
-        per_conn[i % connections].push(Request::Get {
-            dc: cfg.dc,
-            terms: q.terms,
-            version: cfg.version,
-            top_k: cfg.top_k,
-        });
-    }
-    // Open-loop schedule: each connection paces at qps/connections.
-    let interval = if cfg.qps > 0 {
-        Duration::from_secs_f64(connections as f64 / cfg.qps as f64)
-    } else {
-        Duration::ZERO
-    };
-
-    let started = Instant::now();
-    let mut handles = Vec::with_capacity(connections);
-    for reqs in per_conn {
-        let addr = addr.to_string();
-        let timeout = cfg.timeout;
-        handles.push(std::thread::spawn(move || {
-            run_connection(&addr, reqs, interval, timeout)
-        }));
-    }
-
-    let mut report = NetbenchReport {
-        offered: 0,
-        completed: 0,
-        degraded: 0,
-        overloaded: 0,
-        errors: 0,
-        protocol_errors: 0,
-        transport_errors: 0,
-        hits_returned: 0,
-        wall: Duration::ZERO,
-        hist: LatencyHistogram::new(),
-    };
-    for h in handles {
-        if let Ok((offered, tally)) = h.join() {
-            report.offered += offered;
-            report.completed += tally.completed;
-            report.degraded += tally.degraded;
-            report.overloaded += tally.overloaded;
-            report.errors += tally.errors;
-            report.protocol_errors += tally.protocol_errors;
-            report.transport_errors += tally.transport_errors;
-            report.hits_returned += tally.hits_returned;
-            report.hist.merge(&tally.hist);
-        }
-    }
-    report.wall = started.elapsed();
-    report
-}
-
-/// One connection: a sender thread paces requests onto the socket, the
-/// calling thread receives until every in-flight id is answered.
-fn run_connection(
-    addr: &str,
-    reqs: Vec<Request>,
-    interval: Duration,
-    timeout: Duration,
-) -> (u64, ConnTally) {
-    let mut tally = ConnTally::default();
-    // Connect with a short backoff: the server may still be binding
-    // when the bench fleet starts.
-    let mut stream = None;
-    let mut delay = Duration::from_millis(10);
-    for attempt in 0..5 {
-        match TcpStream::connect(addr) {
-            Ok(s) => {
-                stream = Some(s);
-                break;
-            }
-            Err(_) if attempt < 4 => {
-                std::thread::sleep(delay);
-                delay = (delay * 2).min(Duration::from_millis(200));
-            }
-            Err(_) => {}
-        }
-    }
-    let stream = match stream {
-        Some(s) => s,
-        None => {
-            tally.transport_errors += reqs.len() as u64;
-            return (0, tally);
-        }
-    };
-    let _ = stream.set_nodelay(true);
-    let _ = stream.set_read_timeout(Some(timeout));
-    let mut write_half = match stream.try_clone() {
-        Ok(s) => s,
-        Err(_) => {
-            tally.transport_errors += reqs.len() as u64;
-            return (0, tally);
-        }
-    };
-
-    // Send→receive timestamps shared between the halves.
-    let in_flight: Arc<Mutex<HashMap<u64, Instant>>> = Arc::new(Mutex::new(HashMap::new()));
-
-    let sender_flight = Arc::clone(&in_flight);
-    let sender = std::thread::spawn(move || {
-        let start = Instant::now();
-        let mut sent = 0u64;
-        for (i, req) in reqs.iter().enumerate() {
-            // Open loop: catch up if behind, never reschedule.
-            let due = interval * i as u32;
-            let elapsed = start.elapsed();
-            if due > elapsed {
-                std::thread::sleep(due - elapsed);
-            }
-            let id = i as u64 + 1;
-            let frame = wire::encode_request(id, 0, req);
-            sender_flight
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .insert(id, Instant::now());
-            if write_half.write_all(&frame).is_err() {
-                // Socket died; stop offering. Receiver sees EOF.
-                sender_flight
-                    .lock()
-                    .unwrap_or_else(|e| e.into_inner())
-                    .remove(&id);
-                break;
-            }
-            sent += 1;
-        }
-        sent
-    });
-
-    // Receive on this thread until every offered request is answered
-    // (in-flight set empty once the sender has finished), the peer
-    // closes, or the read timeout fires with responses still owed.
-    let mut reader = std::io::BufReader::new(stream);
-    loop {
-        let body = match wire::read_frame(&mut reader, wire::DEFAULT_MAX_FRAME) {
-            Ok(ReadFrame::Frame(body)) => body,
-            Ok(ReadFrame::Eof) => break,
-            Err(e) => {
-                if matches!(e.kind(), std::io::ErrorKind::InvalidData) {
-                    tally.protocol_errors += 1;
-                }
-                // Timeouts and truncation leave unanswered ids in the
-                // in-flight set; they are tallied as transport losses
-                // below.
-                break;
-            }
-        };
-        let (id, _trace, resp) = match wire::decode_response(&body) {
-            Ok(t) => t,
-            Err(_) => {
-                tally.protocol_errors += 1;
-                break;
-            }
-        };
-        let sent_at = in_flight
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .remove(&id);
-        if let Some(t0) = sent_at {
-            tally.hist.record(t0.elapsed().as_nanos() as u64);
-        }
+    /// Books one response, `latency_ns` after its request was due.
+    fn answered(&mut self, resp: Response, latency_ns: u64) {
+        self.hist.record(latency_ns);
         match resp {
             Response::Hits { degraded, hits } => {
-                tally.completed += 1;
-                tally.hits_returned += hits.len() as u64;
-                if degraded {
-                    tally.degraded += 1;
-                }
+                self.completed += 1;
+                self.hits_returned += hits.len() as u64;
+                self.degraded += degraded as u64;
             }
             Response::Error {
                 code: crate::ErrorCode::Overloaded,
                 ..
-            } => {
-                tally.overloaded += 1;
-            }
-            Response::Error { .. } => tally.errors += 1,
-            _ => tally.errors += 1,
-        }
-        if sender.is_finished()
-            && in_flight
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .is_empty()
-        {
-            break;
+            } => self.overloaded += 1,
+            _ => self.errors += 1,
         }
     }
-    let offered = sender.join().unwrap_or(0);
-    // Anything still in flight never got a response.
-    let lost = in_flight.lock().unwrap_or_else(|e| e.into_inner()).len() as u64;
-    tally.transport_errors += lost;
-    (offered, tally)
+}
+
+/// Drives `addr` with `cfg.load` over `cfg.connections` pipelined
+/// connections. The stream is built over the same corpus simulator the
+/// server indexed, so queries hit real terms.
+pub fn run_netbench(addr: &str, crawler: &CrawlSimulator, cfg: NetbenchConfig) -> NetbenchReport {
+    let connections = cfg.connections.max(1);
+    let mut shares: Vec<Vec<(usize, Request)>> = (0..connections).map(|_| Vec::new()).collect();
+    for (i, (dc, terms)) in cfg.load.stream(crawler).into_iter().enumerate() {
+        let get = Request::Get {
+            dc,
+            terms,
+            version: 0,
+            top_k: 0,
+        };
+        shares[i % connections].push((i, get));
+    }
+    let epoch = Instant::now();
+    let report = Mutex::new(NetbenchReport::default());
+    std::thread::scope(|s| {
+        for share in shares {
+            let (load, report) = (&cfg.load, &report);
+            s.spawn(move || run_connection(addr, share, load, epoch, report));
+        }
+    });
+    let mut report = report.into_inner().unwrap_or_else(|e| e.into_inner());
+    report.wall = epoch.elapsed();
+    report
+}
+
+/// One connection: a sender thread paces `share` onto the socket; this
+/// thread receives until every request of the share is answered, the
+/// peer closes, or the read timeout fires, booking into `report`. The
+/// connect counts against the schedule: a slow one makes the first
+/// requests late.
+fn run_connection(
+    addr: &str,
+    share: Vec<(usize, Request)>,
+    load: &LoadConfig,
+    epoch: Instant,
+    report: &Mutex<NetbenchReport>,
+) {
+    let book = || report.lock().unwrap_or_else(|e| e.into_inner());
+    let split = TcpStream::connect(addr).ok().and_then(|s| {
+        s.set_nodelay(true).ok()?;
+        s.set_read_timeout(Some(RESPONSE_TIMEOUT)).ok()?;
+        Some((s.try_clone().ok()?, BufReader::new(s)))
+    });
+    let Some((mut writer, mut reader)) = split else {
+        book().transport_errors += share.len() as u64;
+        return;
+    };
+    // The share's requests not yet answered; a response whose id names
+    // none of them is a protocol error.
+    let mut owed: HashSet<usize> = share.iter().map(|&(i, _)| i).collect();
+    let (share_len, mut protocol_errors) = (owed.len(), 0);
+    let (sent, lateness) = std::thread::scope(|s| {
+        let sender = s.spawn(move || {
+            let mut sent = 0u64;
+            let lateness = load.pace(epoch, share, |i, req| {
+                let frame = wire::encode_request(i as u64 + 1, 0, &req);
+                // A dead socket stops the offering; the receiver sees EOF.
+                let ok = writer.write_all(&frame).is_ok();
+                sent += ok as u64;
+                ok
+            });
+            (sent, lateness)
+        });
+        while !owed.is_empty() {
+            let body = match wire::read_frame(&mut reader, wire::DEFAULT_MAX_FRAME) {
+                Ok(ReadFrame::Frame(body)) => body,
+                Ok(ReadFrame::Eof) => break,
+                Err(e) => {
+                    // A timeout or a cut frame leaves the rest owed,
+                    // counted as lost below.
+                    protocol_errors += (e.kind() == ErrorKind::InvalidData) as u64;
+                    break;
+                }
+            };
+            let Ok((id, _trace, resp)) = wire::decode_response(&body) else {
+                protocol_errors += 1;
+                break;
+            };
+            let i = (id as usize).wrapping_sub(1);
+            if !owed.remove(&i) {
+                protocol_errors += 1;
+                break;
+            }
+            let latency = load.due(epoch, i).elapsed();
+            book().answered(resp, latency.as_nanos() as u64);
+        }
+        // Unblocks a sender stuck writing to a peer that stopped reading.
+        let _ = reader.get_ref().shutdown(Shutdown::Both);
+        sender.join().unwrap_or_default()
+    });
+    let mut report = book();
+    report.offered += sent;
+    report.protocol_errors += protocol_errors;
+    report.transport_errors += sent.saturating_sub((share_len - owed.len()) as u64);
+    report.lateness.merge(&lateness);
 }

@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! directload-netbench --addr HOST:PORT [--connections N] [--requests N]
-//!                     [--qps N] [--timeout-secs N] [--top-k N] [--quick]
+//!                     [--qps N] [--quick]
 //! ```
 //!
 //! `--quick` is the CI shape: 32 connections, 10 500 requests, 4 000
@@ -11,46 +11,39 @@
 //! from the same seeded corpus the server indexed, so queries hit real
 //! terms.
 //!
-//! Exits non-zero if any protocol error was observed; the report lines
-//! (`netbench:`, `histogram:`, `protocol_errors:`) are stable for
-//! scripts to grep.
+//! Each answer is timed from its request's due instant, and the
+//! `lateness:` line says how late the generator sent. Exits non-zero if
+//! any protocol error was observed; the report lines (`netbench:`,
+//! `histogram:`, `lateness:`, `protocol_errors:`) are stable for scripts
+//! to grep.
 
 use directload::DirectLoadConfig;
 use indexgen::CrawlSimulator;
 use net::{run_netbench, NetbenchConfig};
-use std::time::Duration;
 
-fn parse_flag(args: &[String], name: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1).cloned())
+/// The value after `name` in `args`, parsed.
+fn flag<T: std::str::FromStr>(args: &[String], name: &str) -> Option<T> {
+    let i = args.iter().position(|a| a == name)?;
+    args.get(i + 1)?.parse().ok()
 }
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let addr = parse_flag(&args, "--addr").unwrap_or_else(|| "127.0.0.1:4550".into());
+    let addr: String = flag(&args, "--addr").unwrap_or_else(|| "127.0.0.1:4550".into());
     let quick = args.iter().any(|a| a == "--quick");
 
     let mut cfg = NetbenchConfig::default();
     if quick {
         cfg.connections = 32;
-        cfg.requests = 10_500;
-        cfg.qps = 4_000;
+        cfg.load.requests = 10_500;
+        cfg.load.qps = 4_000.0;
     }
-    if let Some(v) = parse_flag(&args, "--connections").and_then(|v| v.parse().ok()) {
-        cfg.connections = v;
-    }
-    if let Some(v) = parse_flag(&args, "--requests").and_then(|v| v.parse().ok()) {
-        cfg.requests = v;
-    }
-    if let Some(v) = parse_flag(&args, "--qps").and_then(|v| v.parse().ok()) {
-        cfg.qps = v;
-    }
-    if let Some(v) = parse_flag(&args, "--timeout-secs").and_then(|v| v.parse().ok()) {
-        cfg.timeout = Duration::from_secs(v);
-    }
-    if let Some(v) = parse_flag(&args, "--top-k").and_then(|v| v.parse().ok()) {
-        cfg.top_k = v;
+    cfg.connections = flag(&args, "--connections").unwrap_or(cfg.connections);
+    cfg.load.requests = flag(&args, "--requests").unwrap_or(cfg.load.requests);
+    cfg.load.qps = flag(&args, "--qps").unwrap_or(cfg.load.qps);
+    if !cfg.load.qps.is_finite() || cfg.load.qps <= 0.0 {
+        eprintln!("[netbench] --qps must be a positive number");
+        std::process::exit(2);
     }
 
     // Same seeded corpus the server built its index from.
@@ -58,7 +51,7 @@ fn main() {
 
     eprintln!(
         "[netbench] {} requests over {} connections at {} qps -> {addr}",
-        cfg.requests, cfg.connections, cfg.qps
+        cfg.load.requests, cfg.connections, cfg.load.qps
     );
     let report = run_netbench(&addr, &crawler, cfg);
     print!("{}", report.render(cfg.connections));

@@ -41,31 +41,23 @@ fn install_signal_handlers() {
     }
 }
 
-fn parse_flag(args: &[String], name: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1).cloned())
+/// The value after `name` in `args`, parsed.
+fn flag<T: std::str::FromStr>(args: &[String], name: &str) -> Option<T> {
+    let i = args.iter().position(|a| a == name)?;
+    args.get(i + 1)?.parse().ok()
 }
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let addr = parse_flag(&args, "--addr").unwrap_or_else(|| "127.0.0.1:4550".into());
-    let versions: u64 = parse_flag(&args, "--versions")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(2);
-    let duration_secs: u64 = parse_flag(&args, "--duration-secs")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(0);
-    let port_file = parse_flag(&args, "--port-file");
+    let addr: String = flag(&args, "--addr").unwrap_or_else(|| "127.0.0.1:4550".into());
+    let versions: u64 = flag(&args, "--versions").unwrap_or(2);
+    let duration_secs: u64 = flag(&args, "--duration-secs").unwrap_or(0);
+    let port_file: Option<String> = flag(&args, "--port-file");
 
     let mut cfg = ServerConfig::default();
-    if let Some(w) = parse_flag(&args, "--workers").and_then(|v| v.parse().ok()) {
-        cfg.frontend.workers = w;
-    }
-    if let Some(ms) = parse_flag(&args, "--telemetry-ms").and_then(|v| v.parse().ok()) {
-        cfg.telemetry_interval_ms = ms;
-    }
-    if let Some(path) = parse_flag(&args, "--slo-file") {
+    cfg.frontend.workers = flag(&args, "--workers").unwrap_or(cfg.frontend.workers);
+    cfg.telemetry_interval_ms = flag(&args, "--telemetry-ms").unwrap_or(cfg.telemetry_interval_ms);
+    if let Some(path) = flag::<String>(&args, "--slo-file") {
         cfg.slos = std::fs::read_to_string(&path).expect("read SLO file");
     }
 

@@ -20,10 +20,10 @@
 use net::{Client, ClientConfig, Request, Response};
 use obs::TelemetryFrame;
 
-fn parse_flag(args: &[String], name: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1).cloned())
+/// The value after `name` in `args`, parsed.
+fn flag<T: std::str::FromStr>(args: &[String], name: &str) -> Option<T> {
+    let i = args.iter().position(|a| a == name)?;
+    args.get(i + 1)?.parse().ok()
 }
 
 fn fmt_opt(v: Option<f64>, digits: usize) -> String {
@@ -125,12 +125,10 @@ fn render(addr: &str, frame: &TelemetryFrame) -> String {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let addr = parse_flag(&args, "--addr").unwrap_or_else(|| "127.0.0.1:4550".into());
+    let addr: String = flag(&args, "--addr").unwrap_or_else(|| "127.0.0.1:4550".into());
     let once = args.iter().any(|a| a == "--once");
     let json = args.iter().any(|a| a == "--json");
-    let interval_ms: u64 = parse_flag(&args, "--interval-ms")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1000);
+    let interval_ms: u64 = flag(&args, "--interval-ms").unwrap_or(1000);
 
     let mut client = match Client::connect(addr.clone(), ClientConfig::default()) {
         Ok(c) => c,

@@ -17,8 +17,9 @@
 //!   [`obs::TelemetryFrame`];
 //! * [`client`] — a sync client with pipelining (send many, receive by
 //!   request id), per-request timeouts, and reconnect-with-backoff;
-//! * [`bench`] — an open-loop multi-connection load generator feeding
-//!   the same log-bucketed latency histograms as `serve::driver`.
+//! * [`bench`] — the socket flavour of `serve::loadgen`'s open-loop
+//!   load: one schedule over many pipelined connections, each answer
+//!   timed from its request's due instant.
 //!
 //! Three binaries ship with the crate: `directload-server` (build an
 //! index, bind, serve until SIGTERM, dump metrics),

@@ -309,10 +309,12 @@ fn netbench_accounting_balances_on_loopback() {
     let server = start_server(&engine);
     let cfg = NetbenchConfig {
         connections: 4,
-        requests: 400,
-        qps: 0, // as fast as possible; admission may shed, which is fine
-        timeout: Duration::from_secs(10),
-        ..NetbenchConfig::default()
+        // Faster than the server answers; admission may shed, which is fine.
+        load: serve::LoadConfig {
+            qps: 20_000.0,
+            requests: 400,
+            ..serve::LoadConfig::default()
+        },
     };
     let report = run_netbench(&server.local_addr().to_string(), engine.crawler(), cfg);
     assert_eq!(report.offered, 400, "every request was written");

@@ -84,8 +84,9 @@ pub struct QueryReply {
 
 /// Per-request completion callback: every query carries one, so workers
 /// can push the answer back to whoever asked (the network server's
-/// connection; a no-op for the open-loop driver). An accepted request's
-/// responder is invoked exactly once, on whichever worker finishes it.
+/// connection; a no-op for [`ServeExt::serve`](crate::ServeExt::serve)).
+/// An accepted request's responder is invoked exactly once, on whichever
+/// worker finishes it.
 pub type Responder = Box<dyn FnOnce(QueryReply) + Send + 'static>;
 
 /// One query admitted to the front-end.
@@ -93,7 +94,7 @@ struct Request {
     dc: DataCenterId,
     terms: Vec<Bytes>,
     version: u64,
-    /// Hits to return for this query (driver traffic uses the
+    /// Hits to return for this query (generated load uses the
     /// configured default; network clients choose per request).
     top_k: usize,
     enqueued: Instant,
@@ -184,6 +185,10 @@ pub struct ServeReport {
     /// Load attribution for the run: per-group/node/DC read cost and
     /// the merged hot-key sketch.
     pub attribution: AttributionReport,
+    /// How late the load generator offered each request, in ns after its
+    /// due time ([`crate::loadgen`]); empty when no generator of this crate
+    /// drove the front-end (the network server's).
+    pub lateness: LatencyHistogram,
 }
 
 impl ServeReport {
@@ -376,6 +381,7 @@ impl LiveStats {
             summary_hits: 0,
             summary_misses: 0,
             attribution: self.attribution(),
+            lateness: LatencyHistogram::new(),
         }
     }
 

@@ -17,8 +17,11 @@
 //!   [`obs::LatencyHistogram`] (p50/p90/p99/p99.9), which lives in
 //!   `obs::hist` and is re-exported here because [`ServeReport`] is made
 //!   of them;
-//! * [`driver`] — seeded open-loop QPS generator over [`indexgen`]'s
-//!   Zipf/VIP query workload.
+//! * [`loadgen`] — the seeded open-loop load: one request stream over
+//!   [`indexgen`]'s Zipf/VIP query workload, one schedule and one pacing
+//!   loop that reports how late it ran; [`ServeExt::serve`] drives the
+//!   front-end with it in process, and the `net` crate's netbench over
+//!   sockets.
 //!
 //! Topology changes need nothing here: every rank and summary read goes
 //! through Mint, which routes on its live group tables, so a placement
@@ -37,34 +40,36 @@
 //! let mut system = DirectLoad::new(DirectLoadConfig::small());
 //! system.run_version(1.0).unwrap();
 //! let mut cfg = ServeConfig::default();
-//! cfg.driver.requests = 50;
-//! cfg.driver.qps = 2000.0;
+//! cfg.load.requests = 50;
+//! cfg.load.qps = 2000.0;
 //! let report = system.serve(&cfg);
 //! assert_eq!(report.offered, 50);
 //! assert_eq!(report.responses() + report.shed, report.offered);
+//! assert_eq!(report.lateness.count(), 50, "the generator timed every request");
 //! ```
 
 pub mod cache;
-pub mod driver;
 pub mod frontend;
+pub mod loadgen;
 
 pub use cache::{ShardedLru, SummaryCache, SummaryKey};
-pub use driver::DriverConfig;
 pub use frontend::{
     AttributionReport, Frontend, FrontendConfig, LiveStats, QueryReply, Responder, ServeReport,
     Submitted, Submitter,
 };
+pub use loadgen::LoadConfig;
 pub use obs::LatencyHistogram;
 
 use directload::DirectLoad;
+use std::time::Instant;
 
 /// Everything one serving experiment needs.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ServeConfig {
     /// Front-end shape (workers, queues, admission, service model).
     pub frontend: FrontendConfig,
-    /// Offered load (QPS, request count, workload seed).
-    pub driver: DriverConfig,
+    /// Offered load (QPS, request count, query stream).
+    pub load: LoadConfig,
 }
 
 /// Serving entry points for [`DirectLoad`].
@@ -72,13 +77,30 @@ pub struct ServeConfig {
 /// An extension trait because the dependency points this way: `serve`
 /// builds on `directload`, which knows nothing about serving.
 pub trait ServeExt {
-    /// Runs one open-loop serving experiment with a fresh summary cache.
+    /// Runs one open-loop serving experiment with a fresh summary cache:
+    /// offers `cfg.load`'s stream to a fresh front-end on its schedule and
+    /// returns the front-end's report with the generator's lateness.
+    /// Queries are served at the engine's current version; their answers
+    /// are discarded (the report is the result).
     fn serve(&self, cfg: &ServeConfig) -> ServeReport;
 }
 
 impl ServeExt for DirectLoad {
     fn serve(&self, cfg: &ServeConfig) -> ServeReport {
+        let version = self.version();
+        assert!(version > 0, "serve after at least one run_version()");
         let cache = SummaryCache::new(cfg.frontend.cache_capacity, cfg.frontend.cache_shards);
-        driver::run_open_loop(self, &cfg.frontend, &cache, &cfg.driver)
+        let stream = cfg.load.stream(self.crawler()).into_iter().enumerate();
+        let mut lateness = LatencyHistogram::new();
+        let report = frontend::run(self, &cfg.frontend, &cache, |submitter| {
+            // The generator measures the front-end, not the answers: a
+            // no-op responder drops each reply.
+            let offer = |_, (dc, terms)| {
+                submitter.submit_query(dc, terms, version, cfg.frontend.top_k, Box::new(|_| {}));
+                true
+            };
+            lateness = cfg.load.pace(Instant::now(), stream, offer);
+        });
+        ServeReport { lateness, ..report }
     }
 }

@@ -20,8 +20,8 @@ fn engine() -> DirectLoad {
 fn underload_serves_everything_fully() {
     let engine = engine();
     let mut cfg = ServeConfig::default();
-    cfg.driver.qps = 400.0;
-    cfg.driver.requests = 120;
+    cfg.load.qps = 400.0;
+    cfg.load.requests = 120;
     cfg.frontend.workers = 2;
     let r = engine.serve(&cfg);
     assert_eq!(r.offered, 120);
@@ -35,8 +35,8 @@ fn underload_serves_everything_fully() {
 fn accepted_requests_are_never_dropped_under_saturation() {
     let engine = engine();
     let mut cfg = ServeConfig::default();
-    cfg.driver.qps = 50_000.0; // far beyond any capacity here
-    cfg.driver.requests = 600;
+    cfg.load.qps = 50_000.0; // far beyond any capacity here
+    cfg.load.requests = 600;
     cfg.frontend.workers = 2;
     cfg.frontend.queue_depth = 8;
     let r = engine.serve(&cfg);
@@ -52,8 +52,8 @@ fn accepted_requests_are_never_dropped_under_saturation() {
 fn deadline_breach_degrades_but_still_responds() {
     let engine = engine();
     let mut cfg = ServeConfig::default();
-    cfg.driver.qps = 20_000.0;
-    cfg.driver.requests = 300;
+    cfg.load.qps = 20_000.0;
+    cfg.load.requests = 300;
     cfg.frontend.workers = 2;
     cfg.frontend.queue_depth = 16;
     // Impossible deadline: every accepted request breaches while queued.

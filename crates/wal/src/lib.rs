@@ -8,17 +8,18 @@
 //! slice rather than a shared `Bytes`: a group log keeps every record of
 //! a pipeline run, and a `Bytes` handle with its reference counts costs
 //! about 40 more bytes a record (8 % more peak heap on the benchmark's
-//! update workload), so a replay copies its suffix out instead.
+//! update workload), so a replay borrows its suffix from the log instead,
+//! and counts only what it used.
 //! The API is built around three facts:
 //!
 //! * **Appends are buffered** until [`Wal::flush`] — [`Wal::durable_lsn`]
 //!   trails [`Wal::head_lsn`] by the unflushed suffix, and only flushed
 //!   records are ever garbage-collected.
 //! * **[`Wal::checkpoint`] bounds replay**: it records that state up to
-//!   some LSN is captured elsewhere, [`Wal::replay_from`] hands back only
+//!   some LSN is captured elsewhere, [`Wal::suffix`] lends out only
 //!   the suffix a consumer still needs, and [`Wal::gc`] drops every
 //!   record at or below both the checkpoint and the durable frontier.
-//! * **GC is honest about loss**: replaying from an LSN below the first
+//! * **GC is honest about loss**: reading from an LSN below the first
 //!   retained record fails with [`WalError::Compacted`] instead of
 //!   silently returning a partial history, and replaying from beyond the
 //!   head fails with [`WalError::BeyondHead`] — a consumer claiming a
@@ -32,7 +33,6 @@ mod crc32c;
 
 pub use crc32c::crc32c;
 
-use bytes::Bytes;
 use std::collections::VecDeque;
 
 /// A log sequence number. The first appended record gets LSN 1; 0 means
@@ -83,15 +83,6 @@ impl std::fmt::Display for WalError {
 
 impl std::error::Error for WalError {}
 
-/// One replayed record.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct WalRecord {
-    /// The record's log sequence number.
-    pub lsn: Lsn,
-    /// The record payload, exactly as appended.
-    pub payload: Bytes,
-}
-
 /// Monotonic log counters (cumulative over the lifetime of this handle).
 /// Byte counts are payload bytes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -110,9 +101,9 @@ pub struct WalStats {
     pub gc_segments: u64,
     /// Bytes dropped by GC.
     pub gc_bytes: u64,
-    /// Records handed out by replays.
+    /// Records consumers reported replayed ([`Wal::count_replayed`]).
     pub replayed_records: u64,
-    /// Bytes handed out by replays.
+    /// Payload bytes of those records.
     pub replayed_bytes: u64,
 }
 
@@ -186,12 +177,14 @@ impl Wal {
         dropped
     }
 
-    /// The records with LSN ≥ `from`, oldest first (durable or not —
-    /// the owner sees its own buffered writes). `from == head + 1`
-    /// yields an empty suffix; below the first retained record is
-    /// [`WalError::Compacted`]; beyond `head + 1` is
+    /// The records with LSN ≥ `from`, oldest first, as `(lsn, payload)`
+    /// borrowed from the log (durable or not — the owner sees its own
+    /// buffered writes). Nothing is copied or counted: the consumer reads
+    /// as far as it needs and reports that with [`Wal::count_replayed`].
+    /// `from == head + 1` yields nothing; below the first retained record
+    /// is [`WalError::Compacted`]; beyond `head + 1` is
     /// [`WalError::BeyondHead`].
-    pub fn replay_from(&mut self, from: Lsn) -> Result<Vec<WalRecord>, WalError> {
+    pub fn suffix(&self, from: Lsn) -> Result<impl Iterator<Item = (Lsn, &[u8])>, WalError> {
         if from > self.head_lsn + 1 {
             return Err(WalError::BeyondHead {
                 requested: from,
@@ -205,16 +198,15 @@ impl Wal {
                 first,
             });
         }
-        let suffix: Vec<WalRecord> = (from..)
-            .zip(self.records.range((from - first) as usize..))
-            .map(|(lsn, payload)| WalRecord {
-                lsn,
-                payload: Bytes::copy_from_slice(payload),
-            })
-            .collect();
-        self.stats.replayed_records += suffix.len() as u64;
-        self.stats.replayed_bytes += suffix.iter().map(|r| r.payload.len() as u64).sum::<u64>();
-        Ok(suffix)
+        let records = self.records.range((from - first) as usize..);
+        Ok((from..).zip(records.map(|payload| &payload[..])))
+    }
+
+    /// Counts `records` records of `bytes` payload bytes, read through
+    /// [`Wal::suffix`], as replayed.
+    pub fn count_replayed(&mut self, records: u64, bytes: u64) {
+        self.stats.replayed_records += records;
+        self.stats.replayed_bytes += bytes;
     }
 
     /// The last assigned LSN (0 before any append).
@@ -284,22 +276,32 @@ mod tests {
         assert_eq!(wal.stats().flushed_bytes, want as u64);
     }
 
+    /// The LSNs [`Wal::suffix`] lends out from `from` on.
+    fn lsns(wal: &Wal, from: Lsn) -> Vec<Lsn> {
+        wal.suffix(from).unwrap().map(|(lsn, _)| lsn).collect()
+    }
+
     #[test]
     fn replay_from_returns_exactly_the_suffix() {
         let mut wal = filled(10);
-        let suffix = wal.replay_from(7).unwrap();
+        assert_eq!(lsns(&wal, 7), [7, 8, 9, 10]);
         assert_eq!(
-            suffix.iter().map(|r| r.lsn).collect::<Vec<_>>(),
-            [7, 8, 9, 10]
+            wal.suffix(7).unwrap().next(),
+            Some((7, &b"record-0006"[..]))
         );
-        assert_eq!(suffix[0].payload.as_ref(), b"record-0006");
-        assert!(wal.replay_from(11).unwrap().is_empty());
+        assert!(lsns(&wal, 11).is_empty());
         assert_eq!(
-            wal.replay_from(12),
-            Err(WalError::BeyondHead {
+            wal.suffix(12).err(),
+            Some(WalError::BeyondHead {
                 requested: 12,
                 head: 10
             })
+        );
+        assert_eq!(wal.stats().replayed_records, 0, "a read counts nothing");
+        wal.count_replayed(2, 22);
+        assert_eq!(
+            (wal.stats().replayed_records, wal.stats().replayed_bytes),
+            (2, 22)
         );
     }
 
@@ -318,19 +320,17 @@ mod tests {
         assert_eq!(wal.gc(), 5, "now the checkpoint is the lower one");
         assert_eq!(wal.first_lsn(), 36);
         assert_eq!(
-            wal.replay_from(wal.first_lsn() - 1),
-            Err(WalError::Compacted {
+            wal.suffix(wal.first_lsn() - 1).err(),
+            Some(WalError::Compacted {
                 requested: 35,
                 first: 36
             })
         );
-        let suffix = wal.replay_from(36).unwrap();
-        assert_eq!(suffix.first().map(|r| r.lsn), Some(36));
-        assert_eq!(suffix.last().map(|r| r.lsn), Some(40));
+        assert_eq!(lsns(&wal, 36), [36, 37, 38, 39, 40]);
         wal.checkpoint(40);
         assert_eq!(wal.gc(), 5);
         assert_eq!(wal.first_lsn(), 41, "an empty log starts past its head");
-        assert!(wal.replay_from(41).unwrap().is_empty());
+        assert!(lsns(&wal, 41).is_empty());
     }
 
     #[test]

@@ -28,7 +28,7 @@
 //! ```
 
 use directload::{DirectLoad, DirectLoadConfig};
-use indexgen::{QueryWorkload, QueryWorkloadConfig};
+use indexgen::QueryWorkload;
 use placement::{plan, LoadReport, Migration, MigratorConfig, TopologyGoal};
 use serve::{ServeConfig, ServeExt};
 use std::collections::BTreeMap;
@@ -68,9 +68,9 @@ fn run_attribution() -> Run {
     // nothing sheds: the attribution then covers every offered request
     // and the sketch's ground truth is the full workload.
     let mut scfg = ServeConfig::default();
-    scfg.driver.seed = SEED;
-    scfg.driver.requests = REQUESTS;
-    scfg.driver.qps = QPS;
+    scfg.load.workload.seed = SEED;
+    scfg.load.requests = REQUESTS;
+    scfg.load.qps = QPS;
     scfg.frontend.workers = 4;
     let report = system.serve(&scfg);
     check(
@@ -102,13 +102,7 @@ fn run_attribution() -> Run {
 
     // 2. Sketch vs ground truth: replay the identical seeded workload
     // and count the true term frequencies.
-    let mut workload = QueryWorkload::new(
-        system.crawler(),
-        QueryWorkloadConfig {
-            seed: SEED,
-            ..scfg.driver.workload
-        },
-    );
+    let mut workload = QueryWorkload::new(system.crawler(), scfg.load.workload);
     let mut truth: BTreeMap<Vec<u8>, u64> = BTreeMap::new();
     for query in workload.take(REQUESTS) {
         for term in query.terms {

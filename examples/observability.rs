@@ -53,8 +53,8 @@ fn main() {
     // Serving burst: the front-end's report feeds the same registry the
     // storage and delivery layers publish into.
     let mut serve_cfg = ServeConfig::default();
-    serve_cfg.driver.qps = 4000.0;
-    serve_cfg.driver.requests = 1200;
+    serve_cfg.load.qps = 4000.0;
+    serve_cfg.load.requests = 1200;
     let report = system.serve(&serve_cfg);
     report.publish_metrics(system.registry());
 

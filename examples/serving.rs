@@ -21,7 +21,8 @@ use serve::{ServeConfig, ServeExt, ServeReport};
 fn print_report(label: &str, r: &ServeReport) {
     println!(
         "{label:>10}: {:>6.0} qps | offered {:>5} served {:>5} degraded {:>4} shed {:>5} \
-         | p50 {:>6}µs p99 {:>6}µs p99.9 {:>6}µs | cache hit {:>5.1}% | shed {:>5.1}%",
+         | p50 {:>6}µs p99 {:>6}µs p99.9 {:>6}µs | cache hit {:>5.1}% | shed {:>5.1}% \
+         | sent late p50 {}µs p99 {}µs max {}µs",
         r.throughput_qps(),
         r.offered,
         r.served,
@@ -32,6 +33,9 @@ fn print_report(label: &str, r: &ServeReport) {
         r.hist.p999(),
         r.cache_hit_rate() * 100.0,
         r.shed_rate() * 100.0,
+        r.lateness.p50() / 1_000,
+        r.lateness.p99() / 1_000,
+        r.lateness.max() / 1_000,
     );
 }
 
@@ -51,8 +55,8 @@ fn main() {
     // here, so measured throughput is the front-end's capacity and the
     // ratio between runs is the worker scaling.
     let mut cfg = ServeConfig::default();
-    cfg.driver.qps = 9000.0;
-    cfg.driver.requests = 2200;
+    cfg.load.qps = 9000.0;
+    cfg.load.requests = 2200;
 
     cfg.frontend.workers = 1;
     let one = system.serve(&cfg);
