@@ -513,23 +513,24 @@ fn controller() -> BenchReport {
 
 fn recovery_replay() -> BenchReport {
     let keys = 120;
-    // One crash/recover cycle; `wal` picks the catch-up path. The
-    // checkpoint happens while everything is alive, so the crashed
-    // node's frontier survives the group-log GC and the suffix it needs
-    // (the dedup writes landing while it is down) stays retained.
-    let cycle = move |wal: bool| {
+    // One crash/recover cycle. The first checkpoint happens while
+    // everything is alive, so the crashed node's frontier survives the
+    // group-log truncation and the suffix it needs (the dedup writes
+    // landing while it is down) stays retained; with `compacted`, a
+    // second checkpoint while it is down truncates that suffix too, and
+    // recovery takes the full-state path.
+    let cycle = move |compacted: bool| -> mint::Result<mint::WalRecovery> {
         let mut cluster = Mint::new(MintConfig::tiny());
-        cluster.set_wal_catchup(wal);
-        let full: Vec<WriteOp> = (0..keys)
+        let v1: Vec<WriteOp> = (0..keys)
             .map(|i| WriteOp {
                 key: Bytes::from(format!("key:{i:06}")),
                 version: 1,
                 value: Some(Bytes::from(vec![b'a' + (i % 23) as u8; 4096])),
             })
             .collect();
-        cluster.apply(&full).expect("apply v1");
-        cluster.checkpoint_all().expect("checkpoint");
-        cluster.fail_node(mint::NodeId(0)).expect("fail");
+        cluster.apply(&v1)?;
+        cluster.checkpoint_all()?;
+        cluster.fail_node(mint::NodeId(0))?;
         for version in 2..=4u64 {
             let dedup: Vec<WriteOp> = (0..keys)
                 .map(|i| WriteOp {
@@ -538,28 +539,24 @@ fn recovery_replay() -> BenchReport {
                     value: None,
                 })
                 .collect();
-            cluster.apply(&dedup).expect("apply dedup");
+            cluster.apply(&dedup)?;
         }
-        let took = cluster.recover_node(mint::NodeId(0)).expect("recover");
-        let info = cluster.take_last_wal_recovery().expect("recovery info");
-        (took, info)
+        if compacted {
+            cluster.checkpoint_all()?;
+        }
+        cluster.recover_node(mint::NodeId(0))
     };
-    let (wal_took, wal_info) = cycle(true);
-    assert!(wal_info.suffix_only, "retained suffix must ride the log");
-    let (full_took, full_info) = cycle(false);
-    assert!(!full_info.suffix_only, "wal off must use the full path");
+    let wal = cycle(false).expect("log-suffix recovery");
+    let full = cycle(true).expect("full-state recovery");
+    assert!(wal.suffix_only, "retained suffix must ride the log");
+    assert!(!full.suffix_only, "truncated suffix takes the full path");
     let name = "recovery_replay";
     let mut r = BenchReport::new(MODE);
-    r.push(
-        name,
-        "replay_records",
-        wal_info.replayed_records as f64,
-        "count",
-    );
-    r.push(name, "replay_bytes", wal_info.shipped_bytes as f64, "bytes");
-    r.push(name, "full_bytes", full_info.shipped_bytes as f64, "bytes");
-    r.push(name, "replay_sim_ms", wal_took.as_secs_f64() * 1e3, "ms");
-    r.push(name, "full_sim_ms", full_took.as_secs_f64() * 1e3, "ms");
+    r.push(name, "replay_records", wal.replayed_records as f64, "count");
+    r.push(name, "replay_bytes", wal.shipped_bytes as f64, "bytes");
+    r.push(name, "full_bytes", full.shipped_bytes as f64, "bytes");
+    r.push(name, "replay_sim_ms", wal.busy.as_secs_f64() * 1e3, "ms");
+    r.push(name, "full_sim_ms", full.busy.as_secs_f64() * 1e3, "ms");
     r
 }
 
@@ -568,8 +565,9 @@ fn join_sync() -> BenchReport {
     // The paper's workload shape: one value-bearing version per key,
     // then a long run of deduplicated versions. A log-suffix join ships
     // the dedup tail as bare descriptors; the full-state path
-    // materializes a value for every version of every key.
-    let join = move |wal: bool| {
+    // materializes a value for every version of every key, and is taken
+    // when a checkpoint truncated the log before the joiner began.
+    let join = move |compacted: bool| {
         let mut cluster = Mint::new(MintConfig::tiny());
         let full: Vec<WriteOp> = (0..keys)
             .map(|i| WriteOp {
@@ -589,7 +587,9 @@ fn join_sync() -> BenchReport {
                 .collect();
             cluster.apply(&dedup).expect("apply dedup");
         }
-        cluster.set_wal_catchup(wal);
+        if compacted {
+            cluster.checkpoint_all().expect("checkpoint");
+        }
         let joiner = cluster.begin_join(0).expect("begin join");
         let mut bytes = 0u64;
         let mut steps = 0u64;
@@ -606,8 +606,8 @@ fn join_sync() -> BenchReport {
         cluster.cutover_join(joiner).expect("cutover");
         (bytes, steps)
     };
-    let (wal_bytes, wal_steps) = join(true);
-    let (full_bytes, _) = join(false);
+    let (wal_bytes, wal_steps) = join(false);
+    let (full_bytes, _) = join(true);
     assert!(
         wal_bytes > 0 && wal_bytes * 10 <= full_bytes,
         "log-suffix join must ship >=10x fewer bytes: wal={wal_bytes} full={full_bytes}"

@@ -465,9 +465,7 @@ impl Orchestrator {
         checker: &mut InvariantChecker,
     ) -> Result<(), Rejection> {
         let cluster = cluster(&mut self.system, dc)?;
-        let outcome = cluster
-            .recover_node(NodeId(node))
-            .map(|_took| cluster.take_last_wal_recovery());
+        let outcome = cluster.recover_node(NodeId(node));
         let at = self.down.iter().position(|d| (d.dc, d.node) == (dc, node));
         match outcome {
             Ok(info) => {
@@ -539,12 +537,9 @@ impl Orchestrator {
         dc: usize,
         node: u32,
         down: Option<DownNode>,
-        info: Option<mint::WalRecovery>,
+        info: mint::WalRecovery,
         checker: &mut InvariantChecker,
     ) {
-        let Some(info) = info else {
-            return;
-        };
         let mode = if info.suffix_only {
             "suffix-only"
         } else {

@@ -480,8 +480,6 @@ impl DirectLoad {
             let c = |name: &str, v: u64| self.registry.counter(&format!("wal.{name}")).store(v);
             c("appends", wal.appends);
             c("appended_bytes", wal.appended_bytes);
-            c("flushed_bytes", wal.flushed_bytes);
-            c("checkpoints", wal.checkpoints);
             c("gc_bytes", wal.gc_bytes);
             c("replayed_records", wal.replayed_records);
             c("replayed_bytes", wal.replayed_bytes);
@@ -648,7 +646,7 @@ mod tests {
         assert!(report.counter("qindb.puts").unwrap() > 0);
         assert!(report.counter("ssd.host_write_bytes").unwrap() > 0);
         assert!(report.counter("wal.appends").unwrap() > 0);
-        assert!(report.counter("wal.flushed_bytes").unwrap() > 0);
+        assert!(report.counter("wal.gc_bytes").unwrap() > 0);
         assert_eq!(report.counter("bifrost.versions_total"), Some(2));
         assert!(report.counter("pipeline.keys_stored_total").unwrap() > 0);
         assert_eq!(

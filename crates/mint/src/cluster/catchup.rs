@@ -145,7 +145,8 @@ impl Mint {
     /// The one catch-up driver — crash recovery, every join batch and the
     /// join cutover all bring `node` up to `group` through here. Ships
     /// up to `budget` payload bytes (always at least one item, so
-    /// progress is guaranteed) and reports whether the log carried them:
+    /// progress is guaranteed), charges them under `class`, and reports
+    /// whether the log carried them:
     ///
     /// * **Log suffix** when the group log still retains everything
     ///   above the node's frontier. The suffix is read in place and
@@ -154,12 +155,11 @@ impl Mint {
     ///   all of it; a join batch is one call, so the next one reads on
     ///   from the node's frontier and picks up the writes that landed in
     ///   between. Only the records shipped are read or counted replayed.
-    /// * **Full state** when GC already dropped that suffix (or
-    ///   [`Mint::set_wal_catchup`] turned the log path off): a bounded
-    ///   anti-entropy pass over the group's alive members. Once a pass
-    ///   finds nothing left, the frontier is fast-forwarded past
-    ///   everything it covered — for a join as for a recovery, with the
-    ///   log path on or off — so the next catch-up rides the log.
+    /// * **Full state** when a checkpoint already truncated that suffix
+    ///   ([`wal::WalError::Compacted`]): a bounded anti-entropy pass over
+    ///   the group's alive members. Once a pass finds nothing left, the
+    ///   frontier is fast-forwarded past everything it covered — for a
+    ///   join as for a recovery — so the next catch-up rides the log.
     ///
     /// `done` means nothing is left at or below the group log's head.
     pub(super) fn catch_up(
@@ -167,9 +167,14 @@ impl Mint {
         node: NodeId,
         group: usize,
         budget: u64,
+        class: obs::TrafficClass,
     ) -> Result<(SyncStep, bool)> {
         let frontier = self.node_wal_frontier(node)?;
-        if !self.wal_catchup || self.group_logs[group].suffix(frontier + 1).is_err() {
+        let compacted = matches!(
+            self.group_logs[group].suffix(frontier + 1),
+            Err(wal::WalError::Compacted { .. })
+        );
+        if compacted {
             let head = self.group_logs[group].head_lsn();
             let peers: Vec<u32> = self
                 .group_readers(group)
@@ -177,7 +182,7 @@ impl Mint {
                 .filter(|&n| n != node.0)
                 .collect();
             let step = self.push(self.materialize(&peers)?, |_| vec![node.0], budget)?;
-            self.charge_transfer(node, step.bytes);
+            self.charge_transfer(node, step.bytes, class);
             if step.done {
                 self.with_engine_mut(node, |engine, progress| {
                     progress.applied = progress.applied.max(head);
@@ -192,7 +197,7 @@ impl Mint {
         let mut step = SyncStep::default();
         loop {
             let batch = (budget - step.bytes).min(CATCHUP_BATCH_BYTES);
-            let more = self.ship_suffix(node, group, frontier + 1 + step.items, batch)?;
+            let more = self.ship_suffix(node, group, frontier + 1 + step.items, batch, class)?;
             step.items += more.items;
             step.bytes += more.bytes;
             step.done = more.done;
@@ -203,13 +208,15 @@ impl Mint {
     }
 
     /// [`Mint::catch_up`] with no budget, for the callers about to put
-    /// `node` in service: anything short of done is an error.
+    /// `node` in service (recovery and the join cutover, both charged as
+    /// `WalCatchup`): anything short of done is an error.
     pub(super) fn catch_up_fully(
         &mut self,
         node: NodeId,
         group: usize,
     ) -> Result<(SyncStep, bool)> {
-        let (step, suffix_only) = self.catch_up(node, group, u64::MAX)?;
+        let (step, suffix_only) =
+            self.catch_up(node, group, u64::MAX, obs::TrafficClass::WalCatchup)?;
         if !step.done {
             // An unbounded pass that still reports work left means the
             // scan raced something it could not cover; the node must not
@@ -226,14 +233,16 @@ impl Mint {
     /// transfer already covered) — and noted in its progress under its
     /// group LSN, then one commit. The records are read in place, and only
     /// the shipped ones count as replayed; their bytes are charged to the
-    /// node's clock at [`SYNC_BYTES_PER_SEC`]. Records a `wal_replay` span
-    /// on the sim ring under the node's label.
+    /// node's clock at [`SYNC_BYTES_PER_SEC`], and to the ledger under
+    /// `class`. Records a `wal_replay` span on the sim ring under the
+    /// node's label.
     fn ship_suffix(
         &mut self,
         node: NodeId,
         group: usize,
         from: wal::Lsn,
         max_bytes: u64,
+        class: obs::TrafficClass,
     ) -> Result<SyncStep> {
         let scope = self.scope.child(&format!("n{}", node.0), None);
         let mut span = scope.phase_on(obs::Rings::Sim, obs::SpanKind::WalReplay);
@@ -265,7 +274,7 @@ impl Mint {
             commit(engine, progress)
         })?;
         self.group_logs[group].count_replayed(step.items, payload_bytes);
-        self.charge_transfer(node, step.bytes);
+        self.charge_transfer(node, step.bytes, class);
         span.set_amount(step.bytes);
         Ok(step)
     }
@@ -362,16 +371,15 @@ impl Mint {
     }
 
     /// Charges `bytes` of anti-entropy transfer to the node's clock at
-    /// [`SYNC_BYTES_PER_SEC`], and to the attached WAN ledger under the
-    /// current traffic class — every catch-up path (crash recovery,
-    /// join sync, drain, migration batch) funnels through here, so the
-    /// ledger sees the complete replication-fabric byte flow.
-    pub(super) fn charge_transfer(&self, node: NodeId, bytes: u64) {
+    /// [`SYNC_BYTES_PER_SEC`], and to the attached WAN ledger under
+    /// `class` — every catch-up path (crash recovery, join sync, drain)
+    /// funnels through here, so the ledger sees the complete
+    /// replication-fabric byte flow.
+    pub(super) fn charge_transfer(&self, node: NodeId, bytes: u64, class: obs::TrafficClass) {
         if bytes == 0 {
             return;
         }
-        self.scope
-            .charge(self.wan_class, self.scope.label(), None, bytes);
+        self.scope.charge(class, self.scope.label(), None, bytes);
         let ns = bytes
             .saturating_mul(1_000_000_000)
             .div_ceil(SYNC_BYTES_PER_SEC);

@@ -79,14 +79,13 @@ impl Mint {
     /// ships just the records above it, in throttled
     /// `CATCHUP_BATCH_BYTES` batches. A recovery that finds an AOF record
     /// corrupt resumes from 0 instead: the records past it are gone, and
-    /// nothing on flash says which LSNs the survivors carry. Only when GC
-    /// already dropped the needed records does the node fall back to the
-    /// full anti-entropy transfer. Returns how long the local scan plus
-    /// catch-up kept the node busy; [`Mint::take_last_wal_recovery`]
-    /// reports which path ran. On any error the node stays failed, to be
-    /// retried.
-    pub fn recover_node(&mut self, node: NodeId) -> Result<SimTime> {
-        self.last_recovery = None;
+    /// nothing on flash says which LSNs the survivors carry. Only when a
+    /// checkpoint already truncated the needed records does the node fall
+    /// back to the full anti-entropy transfer. Catch-up bytes are charged
+    /// as `WalCatchup`. Returns what the recovery did: which path ran,
+    /// what it shipped, and how long the local scan plus catch-up kept the
+    /// node busy. On any error the node stays failed, to be retried.
+    pub fn recover_node(&mut self, node: NodeId) -> Result<WalRecovery> {
         let idx = self.down(node)?;
         // A retired node's flash is intact, but it is routed nowhere and
         // must never rejoin through the crash-recovery path.
@@ -116,7 +115,8 @@ impl Mint {
                 return Err(error);
             }
         };
-        self.last_recovery = Some(WalRecovery {
+        self.generation += 1;
+        Ok(WalRecovery {
             node: node.0,
             frontier,
             torn: damage.cut_bytes > 0,
@@ -124,9 +124,8 @@ impl Mint {
             suffix_only,
             replayed_records: if suffix_only { step.items } else { 0 },
             shipped_bytes: step.bytes,
-        });
-        self.generation += 1;
-        Ok(self.nodes[idx].clock.now().saturating_sub(t0))
+            busy: self.nodes[idx].clock.now().saturating_sub(t0),
+        })
     }
 
     /// Creates a fresh node that will join `group`. The newcomer is not
@@ -150,15 +149,17 @@ impl Mint {
     }
 
     /// One bounded catch-up batch for a joining node: ships up to
-    /// `max_bytes` of the group-log suffix above the node's frontier
-    /// (at least one record per call). Re-reads the log each call, so
-    /// writes that landed since the previous batch are picked up. When GC already dropped the suffix a fresh joiner needs —
-    /// its frontier starts at 0 — the batch transparently falls back to
+    /// `max_bytes` of the group-log suffix above the node's frontier (at
+    /// least one record per call), charged as `Migration`. Re-reads the
+    /// log each call, so writes that landed since the previous batch are
+    /// picked up. When a checkpoint already truncated the suffix a fresh
+    /// joiner needs — its frontier starts at 0 — the batch falls back to
     /// the full-state anti-entropy scan. `done` means nothing is left —
     /// the node is ready for [`Mint::cutover_join`].
     pub fn join_sync_step(&mut self, node: NodeId, max_bytes: u64) -> Result<SyncStep> {
         let group = self.joining_group(node)?;
-        Ok(self.catch_up(node, group, max_bytes)?.0)
+        let (step, _) = self.catch_up(node, group, max_bytes, obs::TrafficClass::Migration)?;
+        Ok(step)
     }
 
     /// Flips a caught-up joining node into the routing table: one final
@@ -212,8 +213,9 @@ impl Mint {
     /// One bounded drain batch: pushes up to `max_bytes` of the draining
     /// node's items to the post-removal replica owners that are missing
     /// them (at least one item per call). The transfer is charged to the
-    /// draining node's clock. `done` means a full scan found every item
-    /// already covered — the node is ready for [`Mint::cutover_drain`].
+    /// draining node's clock, and to the ledger as `Migration`. `done`
+    /// means a full scan found every item already covered — the node is
+    /// ready for [`Mint::cutover_drain`].
     pub fn drain_step(&mut self, node: NodeId, max_bytes: u64) -> Result<SyncStep> {
         if self.node_role(node)? != NodeRole::Draining {
             return Err(MintError::BadNodeState(node.0));
@@ -236,7 +238,7 @@ impl Mint {
             ranked
         };
         let step = self.push(copies, owners, max_bytes)?;
-        self.charge_transfer(node, step.bytes);
+        self.charge_transfer(node, step.bytes, obs::TrafficClass::Migration);
         Ok(step)
     }
 
@@ -272,9 +274,9 @@ impl Mint {
 
     /// Checkpoints every alive node's engine (the paper's periodic
     /// checkpointing, fleet-wide), so subsequent node recoveries replay
-    /// only post-checkpoint AOF suffixes, then garbage-collects the
-    /// group logs below the slowest replica's frontier. Returns how many
-    /// nodes were checkpointed.
+    /// only post-checkpoint AOF suffixes, then truncates each group log
+    /// through its slowest replica's frontier. Returns how many nodes
+    /// were checkpointed.
     pub fn checkpoint_all(&mut self) -> Result<usize> {
         let mut done = 0;
         for (node, progress) in self.nodes.iter().zip(&mut self.progress) {
@@ -286,46 +288,26 @@ impl Mint {
                 done += 1;
             }
         }
-        // Advance each group log's checkpoint frontier to the minimum
-        // applied frontier across the group's nodes with an engine up
-        // (serving, draining, and joining alike — a mid-join node still
-        // needs everything above its frontier). Crashed and retired
-        // nodes are deliberately excluded: a long-dead node finding its
-        // suffix GC'd simply falls back to the full state transfer.
+        // Truncate each group log through the minimum applied frontier
+        // across the group's nodes with an engine up (serving, draining,
+        // and joining alike — a mid-join node still needs everything
+        // above its frontier). Crashed and retired nodes are deliberately
+        // excluded: a long-dead node finding its suffix truncated simply
+        // falls back to the full state transfer.
         for (g, log) in self.group_logs.iter_mut().enumerate() {
-            let mut frontier = u64::MAX;
-            let mut any = false;
-            for (idx, state) in self.nodes.iter().enumerate() {
-                let in_group = self.groups[g].contains(&state.id.0)
-                    || matches!(self.roles[idx], NodeRole::Joining { group } if group == g);
-                if !in_group {
-                    continue;
-                }
-                if state.engine.read().is_some() {
-                    frontier = frontier.min(self.progress[idx].applied);
-                    any = true;
-                }
-            }
-            if any && frontier > 0 {
-                log.checkpoint(frontier);
-                log.flush();
-                log.gc();
+            let frontier = (self.nodes.iter().enumerate())
+                .filter(|&(idx, state)| {
+                    let in_group = self.groups[g].contains(&state.id.0)
+                        || matches!(self.roles[idx], NodeRole::Joining { group } if group == g);
+                    in_group && state.engine.read().is_some()
+                })
+                .map(|(idx, _)| self.progress[idx].applied)
+                .min();
+            if let Some(frontier) = frontier {
+                log.truncate_through(frontier);
             }
         }
         Ok(done)
-    }
-
-    /// Diagnostics from the most recent [`Mint::recover_node`] catch-up
-    /// (consumed — reading clears it); `None` if that recovery failed.
-    pub fn take_last_wal_recovery(&mut self) -> Option<WalRecovery> {
-        self.last_recovery.take()
-    }
-
-    /// Disables (or re-enables) group-log suffix catch-up. Off routes
-    /// every recovery and join through the full-state anti-entropy path;
-    /// benchmarks use this to compare the two.
-    pub fn set_wal_catchup(&mut self, on: bool) {
-        self.wal_catchup = on;
     }
 }
 
@@ -363,17 +345,14 @@ mod tests {
         let node = NodeId(0);
         let peers: Vec<u32> = m.group_members(0)[1..].to_vec();
         m.apply(&ops(40, 1)).unwrap();
-        // An earlier, successful recovery leaves its record behind; the
-        // failed one below must not pass it off as its own.
-        m.fail_node(node).unwrap();
-        m.recover_node(node).unwrap();
         m.fail_node(node).unwrap();
         m.apply(&ops(40, 2)).unwrap();
         let committed = m.crashed_wal_frontier(node).unwrap();
         assert!(committed > 0);
-        // The full-state path reads the peers' values, and every such
-        // read fails.
-        m.set_wal_catchup(false);
+        // A checkpoint while the node is down truncates the suffix it
+        // needs, so it takes the full-state path, which reads the peers'
+        // values — and every such read fails.
+        m.checkpoint_all().unwrap();
         set_faults(&m, &peers, EVERY_READ_FAILS);
         let generation = m.routing_generation();
         let err = m.recover_node(node).unwrap_err();
@@ -384,12 +363,10 @@ mod tests {
         assert!(!m.is_alive(node) && !m.all_alive());
         assert!(m.node_stats(node).unwrap().is_none(), "engine must be down");
         assert_eq!(m.routing_generation(), generation);
-        assert_eq!(m.take_last_wal_recovery(), None);
         // What the node acknowledged is kept, nothing lost, for the retry.
         assert_eq!(m.crashed_wal_frontier(node).unwrap(), committed);
         set_faults(&m, &peers, FaultInjection::default());
-        m.recover_node(node).unwrap();
-        let recovery = m.take_last_wal_recovery().unwrap();
+        let recovery = m.recover_node(node).unwrap();
         assert!(!recovery.suffix_only && recovery.shipped_bytes > 0);
         assert_eq!(recovery.frontier, committed);
         assert!(m.all_alive());
@@ -409,8 +386,10 @@ mod tests {
         let mut m = Mint::new(MintConfig::tiny());
         m.apply(&ops(40, 1)).unwrap();
         let members: Vec<u32> = m.group_members(0).to_vec();
+        // With the log truncated, the joiner takes the full-state path,
+        // which reads the members' values — and every such read fails.
+        m.checkpoint_all().unwrap();
         let (nodes, generation) = (m.num_nodes(), m.routing_generation());
-        m.set_wal_catchup(false);
         set_faults(&m, &members, EVERY_READ_FAILS);
         let err = m.add_node(0).unwrap_err();
         assert!(

@@ -28,8 +28,8 @@ use ssdsim::{CounterSnapshot, Device, DeviceConfig};
 /// retry re-reads the device).
 pub const READ_RETRIES: usize = 3;
 
-/// What the last recovery catch-up did (consumed by chaos invariants,
-/// benchmarks, and the WAL example via [`Mint::take_last_wal_recovery`]).
+/// What a recovery did: [`Mint::recover_node`] returns it (read by chaos
+/// invariants, benchmarks, and the WAL example).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WalRecovery {
     /// The recovered node.
@@ -45,13 +45,15 @@ pub struct WalRecovery {
     /// AOF bytes recovery cut.
     pub truncated_bytes: u64,
     /// True when catch-up shipped only the group-log suffix above the
-    /// frontier; false when the needed records were GC'd (or the WAL
-    /// path is disabled) and it fell back to a full state transfer.
+    /// frontier; false when a checkpoint had truncated the needed records
+    /// and it fell back to a full state transfer.
     pub suffix_only: bool,
     /// Records replayed by a suffix catch-up (0 on the full path).
     pub replayed_records: u64,
     /// Payload bytes catch-up shipped to the node (either path).
     pub shipped_bytes: u64,
+    /// How long the local scan plus catch-up kept the node busy.
+    pub busy: SimTime,
 }
 
 /// How chaos damages a crashed node's flash (see
@@ -263,16 +265,6 @@ pub struct Mint {
     /// far it has got, so a returning node has a frontier catch-up can
     /// resume from.
     group_logs: Vec<wal::Wal>,
-    /// Whether recovery and join catch-up may ship group-log suffixes
-    /// (on by default). Off forces the full-state anti-entropy path —
-    /// kept as a toggle so benchmarks can compare the two.
-    wal_catchup: bool,
-    /// Diagnostics from the most recent recovery catch-up.
-    last_recovery: Option<WalRecovery>,
-    /// Traffic class charged for catch-up transfers: `WalCatchup` by
-    /// default (crash recovery, join anti-entropy); the placement
-    /// migrator flips it to `Migration` around its throttled batches.
-    wan_class: obs::TrafficClass,
 }
 
 /// Names the node an engine error happened on.
@@ -314,9 +306,6 @@ impl Mint {
             scope: obs::Scope::default(),
             generation: 0,
             group_logs: vec![wal::Wal::default(); cfg.groups],
-            wal_catchup: true,
-            last_recovery: None,
-            wan_class: obs::TrafficClass::WalCatchup,
         };
         for _ in 0..cfg.groups {
             let members = (0..cfg.nodes_per_group)
@@ -389,24 +378,13 @@ impl Mint {
     }
 
     /// Attaches the shared WAN/fabric byte ledger; catch-up transfers
-    /// (crash recovery, join sync, drain, migration batches) are charged
-    /// to it under `dc_label` with the current [`Mint::set_wan_class`]
-    /// traffic class.
+    /// are charged to it under `dc_label`, each under the traffic class
+    /// of the call that moved it: `WalCatchup` for crash recovery and
+    /// the catch-up of [`Mint::cutover_join`] / [`Mint::add_node`],
+    /// `Migration` for [`Mint::join_sync_step`] and [`Mint::drain_step`]
+    /// batches.
     pub fn attach_wan(&mut self, ledger: &obs::WanLedger, dc_label: &str) {
         self.scope.set_wan(ledger, dc_label);
-    }
-
-    /// Sets the traffic class charged for subsequent catch-up transfers.
-    /// The placement migrator brackets its batches with
-    /// `Migration`/`WalCatchup` so planner-driven moves are
-    /// distinguishable from organic recovery traffic.
-    pub fn set_wan_class(&mut self, class: obs::TrafficClass) {
-        self.wan_class = class;
-    }
-
-    /// The traffic class currently charged for catch-up transfers.
-    pub fn wan_class(&self) -> obs::TrafficClass {
-        self.wan_class
     }
 
     /// Total nodes in the cluster.

@@ -92,8 +92,8 @@ fn recovery_restores_node_and_takes_time() {
     let mut m = Mint::new(MintConfig::tiny());
     m.apply(&ops(60, 1)).unwrap();
     m.fail_node(NodeId(1)).unwrap();
-    let recovery_time = m.recover_node(NodeId(1)).unwrap();
-    assert!(recovery_time > SimTime::ZERO, "AOF scan takes time");
+    let recovery = m.recover_node(NodeId(1)).unwrap();
+    assert!(recovery.busy > SimTime::ZERO, "AOF scan takes time");
     for i in 0..60u32 {
         let (v, _) = m.get(format!("key-{i:04}").as_bytes(), 1).unwrap();
         assert!(v.is_some());
@@ -175,7 +175,7 @@ fn checkpointing_accelerates_node_recovery() {
         }
         m.apply(&big_ops(20, 2)).unwrap(); // small post-checkpoint suffix
         m.fail_node(NodeId(0)).unwrap();
-        let took = m.recover_node(NodeId(0)).unwrap();
+        let took = m.recover_node(NodeId(0)).unwrap().busy;
         // The recovered node still serves everything.
         for i in 0..20u32 {
             let (v, _) = m.get(format!("key-{i:04}").as_bytes(), 2).unwrap();
@@ -614,8 +614,7 @@ fn recovery_replays_only_the_log_suffix() {
         .filter(|i| crate::hash::group_of(format!("key-{i:04}").as_bytes(), 2) == 0)
         .count() as u64;
     m.apply(&dedup_ops(40, 2)).unwrap();
-    m.recover_node(NodeId(0)).unwrap();
-    let info = m.take_last_wal_recovery().unwrap();
+    let info = m.recover_node(NodeId(0)).unwrap();
     assert!(info.suffix_only, "retained suffix should ride the log");
     assert!(!info.torn);
     assert_eq!(info.replayed_records, missed);
@@ -648,8 +647,7 @@ fn gc_of_the_suffix_falls_back_to_full_state() {
     // every group-log record go — including the suffix the crashed
     // node is missing.
     m.checkpoint_all().unwrap();
-    m.recover_node(NodeId(0)).unwrap();
-    let info = m.take_last_wal_recovery().unwrap();
+    let info = m.recover_node(NodeId(0)).unwrap();
     assert!(!info.suffix_only, "GC'd suffix must force a full transfer");
     assert_eq!(info.replayed_records, 0);
     assert!(info.shipped_bytes > 0);
@@ -692,13 +690,15 @@ fn torn_aof_tail_keeps_every_acked_record() {
         ..ssdsim::FaultInjection::default()
     });
     let mut failed = 0;
-    while m.recover_node(NodeId(0)).is_err() {
-        failed += 1;
+    let info = loop {
+        match m.recover_node(NodeId(0)) {
+            Ok(info) => break info,
+            Err(_) => failed += 1,
+        }
         assert!(failed < 500, "no recovery succeeds");
-    }
+    };
     device.set_fault_injection(ssdsim::FaultInjection::default());
     assert!(failed > 0, "the faults bit");
-    let info = m.take_last_wal_recovery().unwrap();
     assert!(info.torn);
     assert_eq!(info.truncated_bytes, 4096, "one page cut");
     assert_eq!(info.frontier, committed, "lost an acked record");
@@ -710,8 +710,7 @@ fn torn_aof_tail_keeps_every_acked_record() {
     // The torn page stays on flash, but catch-up wrote on past it: the
     // next crash meets it in an older file and recovers clean.
     m.fail_node(NodeId(0)).unwrap();
-    m.recover_node(NodeId(0)).unwrap();
-    let info = m.take_last_wal_recovery().unwrap();
+    let info = m.recover_node(NodeId(0)).unwrap();
     assert_eq!((info.torn, info.truncated_bytes), (false, 0));
 }
 
@@ -724,8 +723,7 @@ fn corrupt_aof_record_restarts_the_frontier_at_zero() {
     assert!(committed > 0);
     m.tamper_crashed_wal(NodeId(0), WalTamper::FlipByte { seed: 5 })
         .unwrap();
-    m.recover_node(NodeId(0)).unwrap();
-    let info = m.take_last_wal_recovery().unwrap();
+    let info = m.recover_node(NodeId(0)).unwrap();
     // The records past the bad one are gone, and nothing says which
     // LSNs the rest carry: catch-up starts over, never ahead.
     assert_eq!(info.frontier, 0);
@@ -774,6 +772,47 @@ fn a_throttled_join_counts_only_the_records_it_ships() {
 }
 
 #[test]
+fn catch_up_bytes_are_booked_under_the_class_of_the_call() {
+    use obs::TrafficClass::{Migration, WalCatchup};
+    let mut m = Mint::new(MintConfig::tiny());
+    let ledger = obs::WanLedger::new();
+    m.attach_wan(&ledger, "dc0");
+    m.apply(&ops(40, 1)).unwrap();
+    // A join driven by bare batches, with no migrator around it.
+    let joiner = m.begin_join(0).unwrap();
+    let mut joined = 0;
+    loop {
+        let step = m.join_sync_step(joiner, 256).unwrap();
+        joined += step.bytes;
+        if step.done {
+            break;
+        }
+    }
+    m.cutover_join(joiner).unwrap();
+    assert!(joined > 0);
+    assert_eq!(ledger.class_total(Migration), joined);
+    assert_eq!(
+        ledger.class_total(WalCatchup),
+        0,
+        "the cutover ships nothing"
+    );
+    // A drain out of the widened group is migration too.
+    m.apply(&ops(40, 2)).unwrap();
+    let drained = m.remove_node(NodeId(m.group_members(0)[0])).unwrap();
+    assert!(drained > SimTime::ZERO);
+    let migrated = ledger.class_total(Migration);
+    assert!(migrated > joined, "the drain pushed copies");
+    // A crash recovery is catch-up.
+    let victim = NodeId(m.group_members(0)[0]);
+    m.fail_node(victim).unwrap();
+    m.apply(&ops(40, 3)).unwrap();
+    let recovery = m.recover_node(victim).unwrap();
+    assert!(recovery.shipped_bytes > 0);
+    assert_eq!(ledger.class_total(WalCatchup), recovery.shipped_bytes);
+    assert_eq!(ledger.class_total(Migration), migrated);
+}
+
+#[test]
 fn join_catchup_ships_far_fewer_bytes_than_full_state() {
     // The paper's workload shape: one value-bearing version per key,
     // then a long run of deduplicated versions. The log suffix ships
@@ -792,10 +831,14 @@ fn join_catchup_ships_far_fewer_bytes_than_full_state() {
             m.apply(&dedup_ops(24, v)).unwrap();
         }
     };
-    let run = |wal_on: bool| -> u64 {
+    let run = |compacted: bool| -> u64 {
         let mut m = Mint::new(MintConfig::tiny());
         workload(&mut m);
-        m.set_wal_catchup(wal_on);
+        if compacted {
+            // Every member sits at the head: the log goes, and the
+            // joiner takes the full-state path.
+            m.checkpoint_all().unwrap();
+        }
         let joiner = m.begin_join(0).unwrap();
         let mut shipped = 0u64;
         loop {
@@ -808,8 +851,8 @@ fn join_catchup_ships_far_fewer_bytes_than_full_state() {
         m.cutover_join(joiner).unwrap();
         shipped
     };
-    let wal_bytes = run(true);
-    let full_bytes = run(false);
+    let wal_bytes = run(false);
+    let full_bytes = run(true);
     assert!(wal_bytes > 0);
     assert!(
         wal_bytes * 10 <= full_bytes,

@@ -29,9 +29,10 @@
 //!   else a reconciled fan-out); `scan_prefix`.
 //! * `cluster/catchup` — the group-log codec; `install`, the one place
 //!   an item reaches a replica; `catch_up`, the one place a node catches
-//!   up (log suffix, else full state).
-//! * `cluster/lifecycle` — fail / recover, join, drain, checkpoint:
-//!   state transitions that call `catchup` to move data.
+//!   up (log suffix, or full state once a checkpoint truncated it).
+//! * `cluster/lifecycle` — fail / recover (which returns its
+//!   `WalRecovery`), join, drain, checkpoint (which truncates the group
+//!   logs): state transitions that call `catchup` to move data.
 //!
 //! # Example
 //!

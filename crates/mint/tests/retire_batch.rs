@@ -216,8 +216,7 @@ fn a_node_down_during_a_retire_learns_the_deletes_on_recovery() {
     cluster.fail_node(victim).unwrap();
     let frontier_at_crash = cluster.crashed_wal_frontier(victim).unwrap();
     cluster.retire(&keys, 1).unwrap();
-    cluster.recover_node(victim).unwrap();
-    let recovery = cluster.take_last_wal_recovery().unwrap();
+    let recovery = cluster.recover_node(victim).unwrap();
     assert!(
         recovery.suffix_only,
         "the deletes ride the group-log suffix"

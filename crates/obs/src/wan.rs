@@ -8,19 +8,19 @@
 //! * [`TrafficClass::Foreground`] — index delivery to the regional
 //!   centers (bifrost slices on the WAN uplinks);
 //! * [`TrafficClass::WalCatchup`] — log-suffix (or full-state)
-//!   anti-entropy shipped to a recovering or joining replica;
-//! * [`TrafficClass::Migration`] — throttled placement batches moving a
-//!   group's footprint.
+//!   anti-entropy shipped to a recovering replica, or to a joining one
+//!   at its cutover;
+//! * [`TrafficClass::Migration`] — join and drain batches moving a
+//!   group's footprint (the placement migrator's throttled steps).
 //!
 //! [`WanLedger`] is the one place every layer charges those bytes:
 //! bifrost charges `Foreground` per destination DC and per WAN link at
 //! the exact point it schedules an uplink flow (so the foreground class
 //! total equals the delivery totals, a conservation law the chaos
 //! checker and the attribution example both assert); mint charges
-//! catch-up transfers per DC; the placement migrator flips the
-//! cluster's class to `Migration` around its batches. The ledger lives
-//! in `obs` — the bottom of the dependency graph — precisely so mint
-//! can charge it without depending on bifrost.
+//! catch-up transfers per DC, each under the class of the call that
+//! moved it. The ledger lives in `obs` — the bottom of the dependency
+//! graph — precisely so mint can charge it without depending on bifrost.
 //!
 //! Cheap to clone (clones share the ledger, like
 //! [`Registry`](crate::Registry)); all methods take `&self`.
@@ -34,9 +34,10 @@ use std::sync::{Arc, Mutex};
 pub enum TrafficClass {
     /// Foreground index delivery (bifrost slices to the DCs).
     Foreground,
-    /// WAL-suffix or full-state catch-up to a recovering/joining node.
+    /// WAL-suffix or full-state catch-up to a recovering node, or to a
+    /// joining one at its cutover.
     WalCatchup,
-    /// Throttled placement migration batches.
+    /// Join and drain batches (the placement migrator's throttled steps).
     Migration,
 }
 

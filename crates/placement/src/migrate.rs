@@ -196,18 +196,11 @@ impl Migration {
         let label = format!("node={}", node.0);
         let mut span = node_sink.as_ref().map(|s| s.span(kind, &label));
         let t0 = clock.now();
-        // Bytes moved by this batch are migration traffic on the WAN
-        // ledger, not ordinary catch-up; restore the cluster's default
-        // class as soon as the batch is done.
-        let previous_class = cluster.wan_class();
-        cluster.set_wan_class(obs::TrafficClass::Migration);
         let step = if joining {
-            cluster.join_sync_step(node, self.cfg.step_bytes)
+            cluster.join_sync_step(node, self.cfg.step_bytes)?
         } else {
-            cluster.drain_step(node, self.cfg.step_bytes)
+            cluster.drain_step(node, self.cfg.step_bytes)?
         };
-        cluster.set_wan_class(previous_class);
-        let step = step?;
         let elapsed = clock.now().saturating_sub(t0);
         let floor = SimTime::from_nanos(
             step.bytes

@@ -4,23 +4,20 @@
 //!
 //! The coordinator never crashes (DESIGN.md §13), so a log is never
 //! reopened from bytes: it is a queue of payloads, whose LSNs follow from
-//! the head's, and the durable and checkpoint LSNs. A payload is a boxed
-//! slice rather than a shared `Bytes`: a group log keeps every record of
-//! a pipeline run, and a `Bytes` handle with its reference counts costs
-//! about 40 more bytes a record (8 % more peak heap on the benchmark's
-//! update workload), so a replay borrows its suffix from the log instead,
-//! and counts only what it used.
-//! The API is built around three facts:
+//! the head's, and its one watermark is the first LSN it still retains.
+//! A payload is a boxed slice rather than a shared `Bytes`: a group log
+//! keeps every record of a pipeline run, and a `Bytes` handle with its
+//! reference counts costs about 40 more bytes a record (8 % more peak
+//! heap on the benchmark's update workload), so a replay borrows its
+//! suffix from the log instead, and counts only what it used.
+//! The API is built around two facts:
 //!
-//! * **Appends are buffered** until [`Wal::flush`] — [`Wal::durable_lsn`]
-//!   trails [`Wal::head_lsn`] by the unflushed suffix, and only flushed
-//!   records are ever garbage-collected.
-//! * **[`Wal::checkpoint`] bounds replay**: it records that state up to
-//!   some LSN is captured elsewhere, [`Wal::suffix`] lends out only
-//!   the suffix a consumer still needs, and [`Wal::gc`] drops every
-//!   record at or below both the checkpoint and the durable frontier.
-//! * **GC is honest about loss**: reading from an LSN below the first
-//!   retained record fails with [`WalError::Compacted`] instead of
+//! * **A checkpoint bounds replay**: once state up to some LSN is
+//!   captured elsewhere, [`Wal::truncate_through`] drops every record at
+//!   or below it, and [`Wal::suffix`] lends out only the suffix a
+//!   consumer still needs.
+//! * **Truncation is honest about loss**: reading from an LSN below the
+//!   first retained record fails with [`WalError::Compacted`] instead of
 //!   silently returning a partial history, and replaying from beyond the
 //!   head fails with [`WalError::BeyondHead`] — a consumer claiming a
 //!   frontier the log never assigned is detected, not trusted.
@@ -39,8 +36,10 @@ use std::collections::VecDeque;
 /// "before any record" (an empty frontier).
 pub type Lsn = u64;
 
-/// Nothing about the log is tuned. The type stays so that callers built
-/// against [`Wal::new`] keep compiling.
+/// Nothing about the log is tuned. Kept, with [`Wal::new`], for the repo
+/// benchmark's ladder (`benchmark/src/ladder.rs`), which builds its log
+/// through them.
+#[doc(hidden)]
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct WalConfig;
 
@@ -48,8 +47,8 @@ pub struct WalConfig;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WalError {
     /// The requested suffix starts below the first retained record —
-    /// GC already dropped it, and the consumer must fall back to a full
-    /// state transfer.
+    /// [`Wal::truncate_through`] already dropped it, and the consumer
+    /// must fall back to a full state transfer.
     Compacted {
         /// The LSN the consumer asked to replay from.
         requested: Lsn,
@@ -91,15 +90,11 @@ pub struct WalStats {
     pub appends: u64,
     /// Payload bytes appended.
     pub appended_bytes: u64,
-    /// Bytes made durable by flushes.
-    pub flushed_bytes: u64,
     /// Always 0: the log has no segments.
     pub sealed_segments: u64,
-    /// Checkpoints taken.
-    pub checkpoints: u64,
     /// Always 0: the log has no segments.
     pub gc_segments: u64,
-    /// Bytes dropped by GC.
+    /// Payload bytes dropped by [`Wal::truncate_through`].
     pub gc_bytes: u64,
     /// Records consumers reported replayed ([`Wal::count_replayed`]).
     pub replayed_records: u64,
@@ -113,8 +108,6 @@ impl WalStats {
     pub fn accumulate(&mut self, other: &WalStats) {
         self.appends += other.appends;
         self.appended_bytes += other.appended_bytes;
-        self.flushed_bytes += other.flushed_bytes;
-        self.checkpoints += other.checkpoints;
         self.gc_bytes += other.gc_bytes;
         self.replayed_records += other.replayed_records;
         self.replayed_bytes += other.replayed_bytes;
@@ -128,19 +121,17 @@ pub struct Wal {
     /// their LSNs are contiguous.
     records: VecDeque<Box<[u8]>>,
     head_lsn: Lsn,
-    durable_lsn: Lsn,
-    checkpoint_lsn: Lsn,
     stats: WalStats,
 }
 
 impl Wal {
     /// An empty log; the same as [`Wal::default`].
+    #[doc(hidden)]
     pub fn new(_: WalConfig) -> Wal {
         Wal::default()
     }
 
-    /// Appends one record, assigning the next LSN. Buffered until
-    /// [`Wal::flush`].
+    /// Appends one record, assigning the next LSN.
     pub fn append(&mut self, payload: &[u8]) -> Lsn {
         self.head_lsn += 1;
         self.records.push_back(payload.into());
@@ -149,37 +140,25 @@ impl Wal {
         self.head_lsn
     }
 
-    /// Records that state up to `at` (clamped to the head) is captured
-    /// elsewhere, so the prefix at or below it is eligible for
-    /// [`Wal::gc`]. The frontier never moves backwards.
-    pub fn checkpoint(&mut self, at: Lsn) {
-        self.checkpoint_lsn = self.checkpoint_lsn.max(at.min(self.head_lsn));
-        self.stats.checkpoints += 1;
-    }
+    /// Does nothing: the log lives in the coordinator's memory, which
+    /// never crashes, so there is nothing to make durable. Kept for the
+    /// repo benchmark's ladder (`benchmark/src/ladder.rs`), which calls
+    /// it per batch.
+    #[doc(hidden)]
+    pub fn flush(&mut self) {}
 
-    /// Makes every buffered record durable; returns how many bytes were
-    /// newly flushed.
-    pub fn flush(&mut self) -> u64 {
-        let newly = self.stats.appended_bytes - self.stats.flushed_bytes;
-        self.durable_lsn = self.head_lsn;
-        self.stats.flushed_bytes = self.stats.appended_bytes;
-        newly
-    }
-
-    /// Drops every record at or below both the checkpoint and the
-    /// durable frontier. Returns how many were dropped.
-    pub fn gc(&mut self) -> usize {
-        let upto = self.checkpoint_lsn.min(self.durable_lsn);
-        let dropped = (upto + 1).saturating_sub(self.first_lsn()) as usize;
+    /// Drops every record at or below `lsn` (clamped to the head): state
+    /// up to there is captured elsewhere. A point at or below an earlier
+    /// one drops nothing.
+    pub fn truncate_through(&mut self, lsn: Lsn) {
+        let dropped = (lsn.min(self.head_lsn) + 1).saturating_sub(self.first_lsn()) as usize;
         for payload in self.records.drain(..dropped) {
             self.stats.gc_bytes += payload.len() as u64;
         }
-        dropped
     }
 
     /// The records with LSN ≥ `from`, oldest first, as `(lsn, payload)`
-    /// borrowed from the log (durable or not — the owner sees its own
-    /// buffered writes). Nothing is copied or counted: the consumer reads
+    /// borrowed from the log. Nothing is copied or counted: the consumer reads
     /// as far as it needs and reports that with [`Wal::count_replayed`].
     /// `from == head + 1` yields nothing; below the first retained record
     /// is [`WalError::Compacted`]; beyond `head + 1` is
@@ -214,20 +193,10 @@ impl Wal {
         self.head_lsn
     }
 
-    /// The last flushed LSN (0 before any flush).
-    pub fn durable_lsn(&self) -> Lsn {
-        self.durable_lsn
-    }
-
     /// The first LSN still retained (== `head_lsn() + 1` when no records
     /// are retained).
     pub fn first_lsn(&self) -> Lsn {
         self.head_lsn + 1 - self.records.len() as Lsn
-    }
-
-    /// The checkpoint frontier (0 before any checkpoint).
-    pub fn checkpoint_lsn(&self) -> Lsn {
-        self.checkpoint_lsn
     }
 
     /// Cumulative counters.
@@ -245,7 +214,6 @@ mod tests {
         for i in 0..n {
             wal.append(format!("record-{i:04}").as_bytes());
         }
-        wal.flush();
         wal
     }
 
@@ -256,9 +224,6 @@ mod tests {
         assert_eq!(wal.append(b"a"), 1);
         assert_eq!(wal.append(b"b"), 2);
         assert_eq!(wal.head_lsn(), 2);
-        assert_eq!(wal.durable_lsn(), 0);
-        wal.flush();
-        assert_eq!(wal.durable_lsn(), 2);
     }
 
     #[test]
@@ -268,12 +233,8 @@ mod tests {
         for payload in &payloads {
             wal.append(payload);
         }
-        wal.checkpoint(30);
         let want: usize = payloads.iter().map(Vec::len).sum();
         assert_eq!(wal.stats().appended_bytes, want as u64);
-        assert_eq!(wal.flush(), want as u64);
-        assert_eq!(wal.flush(), 0, "nothing left to flush");
-        assert_eq!(wal.stats().flushed_bytes, want as u64);
     }
 
     /// The LSNs [`Wal::suffix`] lends out from `from` on.
@@ -303,42 +264,5 @@ mod tests {
             (wal.stats().replayed_records, wal.stats().replayed_bytes),
             (2, 22)
         );
-    }
-
-    #[test]
-    fn gc_drops_exactly_the_records_below_both_frontiers() {
-        let mut wal = filled(30);
-        assert_eq!(wal.gc(), 0, "no checkpoint yet: nothing is droppable");
-        for _ in 0..10 {
-            wal.append(b"unflushed");
-        }
-        // The checkpoint is above the durable frontier (30): GC stops at 30.
-        wal.checkpoint(35);
-        assert_eq!(wal.gc(), 30);
-        assert_eq!(wal.first_lsn(), 31);
-        wal.flush();
-        assert_eq!(wal.gc(), 5, "now the checkpoint is the lower one");
-        assert_eq!(wal.first_lsn(), 36);
-        assert_eq!(
-            wal.suffix(wal.first_lsn() - 1).err(),
-            Some(WalError::Compacted {
-                requested: 35,
-                first: 36
-            })
-        );
-        assert_eq!(lsns(&wal, 36), [36, 37, 38, 39, 40]);
-        wal.checkpoint(40);
-        assert_eq!(wal.gc(), 5);
-        assert_eq!(wal.first_lsn(), 41, "an empty log starts past its head");
-        assert!(lsns(&wal, 41).is_empty());
-    }
-
-    #[test]
-    fn checkpoint_frontier_is_monotonic_and_clamped() {
-        let mut wal = filled(10);
-        wal.checkpoint(99);
-        assert_eq!(wal.checkpoint_lsn(), 10, "clamped to head");
-        wal.checkpoint(3);
-        assert_eq!(wal.checkpoint_lsn(), 10, "never moves backwards");
     }
 }

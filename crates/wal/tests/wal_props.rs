@@ -1,13 +1,14 @@
 //! Property tests for the write-ahead log's core invariants:
 //!
 //! 1. LSNs are strictly monotonic (and contiguous) across arbitrary
-//!    append/checkpoint/flush/GC interleavings.
+//!    append/truncate interleavings.
 //! 2. Append → replay round-trips arbitrary batches exactly.
 //! 3. Replaying from a checkpoint and applying over the checkpointed
 //!    prefix reaches the same state as a full replay.
+//! 4. Truncation keeps exactly the records above its highest point.
 
 use proptest::prelude::*;
-use wal::{Lsn, Wal};
+use wal::{Lsn, Wal, WalError};
 
 /// The records from `from` on, copied out of the log.
 fn replay(wal: &Wal, from: Lsn) -> Vec<(Lsn, Vec<u8>)> {
@@ -37,13 +38,10 @@ proptest! {
             prop_assert_eq!(lsn, last + 1, "LSNs advance by exactly one");
             last = lsn;
             if lsn.is_multiple_of(checkpoint_every) {
-                wal.checkpoint(lsn);
-                wal.flush();
-                wal.gc();
+                wal.truncate_through(lsn);
             }
         }
-        wal.flush();
-        // Whatever GC retained still replays in strict order.
+        // Whatever truncation retained still replays in strict order.
         let suffix = replay(&wal, wal.first_lsn());
         prop_assert!(suffix.windows(2).all(|w| w[1].0 == w[0].0 + 1));
         prop_assert_eq!(suffix.last().map(|r| r.0).unwrap_or(wal.first_lsn() - 1), last);
@@ -73,11 +71,8 @@ proptest! {
         for payload in &batches {
             wal.append(payload);
         }
-        wal.flush();
         let full = replay(&wal, 1);
         let at = at.min(wal.head_lsn());
-        wal.checkpoint(at);
-        wal.flush();
         // Checkpointed prefix ++ suffix replay == full replay.
         let suffix = replay(&wal, at + 1);
         let stitched: Vec<_> = full
@@ -87,9 +82,62 @@ proptest! {
             .cloned()
             .collect();
         prop_assert_eq!(&stitched, &full);
-        // And the equality survives GC of the checkpointed prefix.
-        wal.gc();
-        let suffix_after_gc = replay(&wal, at + 1);
-        prop_assert_eq!(&suffix_after_gc, &suffix);
+        // And the equality survives truncation of the checkpointed prefix.
+        wal.truncate_through(at);
+        let suffix_after_truncation = replay(&wal, at + 1);
+        prop_assert_eq!(&suffix_after_truncation, &suffix);
+    }
+
+    #[test]
+    fn truncation_keeps_exactly_the_records_above_its_highest_point(
+        ops in proptest::collection::vec(
+            prop_oneof![
+                3 => proptest::collection::vec(0u8..=255, 0..40).prop_map(Some),
+                1 => Just(None),
+            ],
+            1..80,
+        ),
+        points in proptest::collection::vec(0u64..90, 80..81),
+    ) {
+        // `Some(payload)` appends it; `None` truncates through the next
+        // of `points`, which may lie below, at or beyond the head.
+        let mut wal = Wal::default();
+        let mut appended: Vec<Vec<u8>> = Vec::new();
+        let mut cut = 0u64;
+        for (op, &point) in ops.iter().zip(&points) {
+            match op {
+                Some(payload) => {
+                    wal.append(payload);
+                    appended.push(payload.clone());
+                }
+                None => {
+                    let (first, dropped) = (wal.first_lsn(), wal.stats().gc_bytes);
+                    wal.truncate_through(point);
+                    if point.min(wal.head_lsn()) <= cut {
+                        prop_assert_eq!(wal.first_lsn(), first, "a lower point drops nothing");
+                        prop_assert_eq!(wal.stats().gc_bytes, dropped);
+                    }
+                    cut = cut.max(point.min(wal.head_lsn()));
+                }
+            }
+            let head = wal.head_lsn();
+            prop_assert_eq!(head, appended.len() as Lsn);
+            prop_assert_eq!(wal.first_lsn(), cut + 1);
+            for from in 1..=head + 1 {
+                if from > cut {
+                    let want: Vec<(Lsn, Vec<u8>)> = (from..=head)
+                        .map(|lsn| (lsn, appended[lsn as usize - 1].clone()))
+                        .collect();
+                    prop_assert_eq!(replay(&wal, from), want);
+                } else {
+                    prop_assert_eq!(
+                        wal.suffix(from).err(),
+                        Some(WalError::Compacted { requested: from, first: cut + 1 })
+                    );
+                }
+            }
+            let dropped: usize = appended[..cut as usize].iter().map(Vec::len).sum();
+            prop_assert_eq!(wal.stats().gc_bytes, dropped as u64);
+        }
     }
 }

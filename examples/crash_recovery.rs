@@ -59,7 +59,7 @@ fn main() {
     // the GC table (the cost the paper accepts for QinDB's write path),
     // then catches up on anything it missed from its group peers before
     // serving again.
-    let took = cluster.recover_node(victim).unwrap();
+    let took = cluster.recover_node(victim).unwrap().busy;
     println!("\nnode {victim:?} recovered (AOF scan + peer catch-up) in {took} (simulated)");
 
     // The recovered node serves again; verify reads and run one more

@@ -12,11 +12,12 @@
 //! 3. **Corrupt record** — a flipped byte in a durable AOF record:
 //!    recovery cuts from it on and restarts the frontier at 0, never
 //!    forward; the group log re-ships what was lost.
-//! 4. **GC'd suffix** — once checkpointing lets the needed records go,
+//! 4. **GC'd suffix** — once a checkpoint truncates the needed records,
 //!    catch-up falls back to a full state transfer and fast-forwards
 //!    the frontier so the next crash rides the log again.
 //! 5. **Join** — a fresh node catches up from the log suffix, shipping
-//!    an order of magnitude fewer bytes than the full-state path on a
+//!    an order of magnitude fewer bytes than the full-state path a
+//!    joiner takes once a checkpoint truncated the log, on a
 //!    dedup-heavy workload.
 //!
 //! ```text
@@ -77,8 +78,7 @@ fn main() {
     m.checkpoint_all().expect("checkpoint");
     m.fail_node(NodeId(0)).expect("fail");
     m.apply(&dedup_ops(40, 2)).expect("apply v2");
-    m.recover_node(NodeId(0)).expect("recover");
-    let info = m.take_last_wal_recovery().expect("recovery info");
+    let info = m.recover_node(NodeId(0)).expect("recover");
     print_recovery("clean crash", &info);
     check(info.suffix_only, "clean crash did not ride the log suffix");
     check(!info.torn, "clean crash reported a torn tail");
@@ -95,8 +95,7 @@ fn main() {
     m.tamper_crashed_wal(NodeId(0), WalTamper::TornTail)
         .expect("tamper");
     m.apply(&dedup_ops(40, 2)).expect("apply v2");
-    m.recover_node(NodeId(0)).expect("recover");
-    let info = m.take_last_wal_recovery().expect("recovery info");
+    let info = m.recover_node(NodeId(0)).expect("recover");
     print_recovery("torn tail", &info);
     check(info.torn, "torn tail not detected");
     check(
@@ -112,8 +111,7 @@ fn main() {
     let committed = m.crashed_wal_frontier(NodeId(0)).expect("frontier");
     m.tamper_crashed_wal(NodeId(0), WalTamper::FlipByte { seed: 3 })
         .expect("tamper");
-    m.recover_node(NodeId(0)).expect("recover");
-    let info = m.take_last_wal_recovery().expect("recovery info");
+    let info = m.recover_node(NodeId(0)).expect("recover");
     print_recovery("corrupt record", &info);
     check(
         info.frontier <= committed,
@@ -125,15 +123,14 @@ fn main() {
         "recovered node did not converge with the group log head",
     );
 
-    // 4. GC'd suffix: checkpointing with the crashed node excluded lets
-    // the records it needs go; catch-up falls back to full state.
+    // 4. GC'd suffix: checkpointing with the crashed node excluded
+    // truncates the records it needs; catch-up falls back to full state.
     let mut m = Mint::new(MintConfig::tiny());
     m.apply(&full_ops(48, 1, 4096)).expect("apply v1");
     m.fail_node(NodeId(0)).expect("fail");
     m.apply(&full_ops(48, 2, 4096)).expect("apply v2");
     m.checkpoint_all().expect("checkpoint");
-    m.recover_node(NodeId(0)).expect("recover");
-    let info = m.take_last_wal_recovery().expect("recovery info");
+    let info = m.recover_node(NodeId(0)).expect("recover");
     print_recovery("gc'd suffix", &info);
     check(
         !info.suffix_only && info.shipped_bytes > 0,
@@ -141,14 +138,18 @@ fn main() {
     );
 
     // 5. Join: log-suffix catch-up vs. the full-state path on the
-    // paper's workload shape (one stored value, many dedup versions).
-    let join_bytes = |wal: bool| {
+    // paper's workload shape (one stored value, many dedup versions). A
+    // checkpoint before the joiner begins truncates the log, and the
+    // joiner takes the full-state path.
+    let join_bytes = |compacted: bool| {
         let mut m = Mint::new(MintConfig::tiny());
         m.apply(&full_ops(24, 1, 4096)).expect("apply v1");
         for v in 2..=12u64 {
             m.apply(&dedup_ops(24, v)).expect("apply dedup");
         }
-        m.set_wal_catchup(wal);
+        if compacted {
+            m.checkpoint_all().expect("checkpoint");
+        }
         let joiner = m.begin_join(0).expect("begin join");
         let mut bytes = 0u64;
         loop {
@@ -161,8 +162,8 @@ fn main() {
         m.cutover_join(joiner).expect("cutover");
         bytes
     };
-    let wal_bytes = join_bytes(true);
-    let full_bytes = join_bytes(false);
+    let wal_bytes = join_bytes(false);
+    let full_bytes = join_bytes(true);
     println!(
         "join: wal_bytes={wal_bytes} full_bytes={full_bytes} ratio={:.1}",
         full_bytes as f64 / wal_bytes as f64
